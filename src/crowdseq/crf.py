@@ -10,6 +10,16 @@ firing at a position and the pairwise table holds label-bigram weights
 inference runs in log space with max-shift stabilization; probabilities only
 appear in marginal outputs.
 
+One forward-backward kernel serves every caller.  It runs on a packed batch:
+sequences sorted longest first and laid out time-major in flat (P, M) arrays
+over their P positions, so step t touches only the sequences still running
+and nothing is padded (see ``_Packing``).  Training packs every distinct
+input sequence of an objective once, with its observations as a sparse
+(P, n_obs) matrix F: the batch's unary table is ``F @ W_u``, the unary
+gradient ``F^T @ (w * q)``, and the pair marginals are summed into the
+(M, M) bigram gradient step by step.  ``log_partition`` and ``marginals``
+run the same kernel on a batch of one.
+
 The weight vector is the flattened (n_obs, M) unary block followed, when a
 label-bigram template is present, by the flattened (M, M) bigram block.
 """
@@ -23,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
+from scipy.sparse import csr_matrix
 
 from .types import LabelScheme, LabelSeq
 
@@ -196,7 +206,7 @@ class SequencePotentials:
 
     def pairwise_at(self, t: int) -> np.ndarray:
         """Transition table applied between positions t-1 and t (t >= 1)."""
-        return self.pairwise if self.pairwise.ndim == 2 else self.pairwise[t - 1]
+        return _step_table(self.pairwise, t)
 
 
 def observation_rows(model: CrfModel, tokens: Sequence[str]) -> list[np.ndarray]:
@@ -258,47 +268,117 @@ def _check_finite(pot: SequencePotentials) -> None:
         raise ValueError("potentials must be finite")
 
 
-def _forward(pot: SequencePotentials) -> np.ndarray:
-    L, m = pot.unary.shape
-    alpha = np.empty((L, m))
-    alpha[0] = pot.unary[0]
-    for t in range(1, L):
-        alpha[t] = pot.unary[t] + logsumexp(alpha[t - 1][:, None] + pot.pairwise_at(t), axis=0)
+def logsumexp(a, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, max-shift stabilized.
+
+    A slice that is entirely -inf gives -inf, not NaN: under zero smoothing
+    annotator factors can rule out every label.
+    """
+    a = np.asarray(a)
+    top = a.max(axis=axis, keepdims=True)
+    finite = np.isfinite(top)
+    if finite.all():
+        return np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
+    # an all -inf slice sums to 0 once shifted by 0, and log(0) is its answer
+    top = np.where(finite, top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
+
+
+class _Packing:
+    """Time-major layout of a batch of sequences sorted longest first.
+
+    Step t holds position t of the ``sizes[t]`` sequences still running, in
+    batch order, so row ``offsets[t] + s`` is position t of sequence s and
+    the first ``sizes[t + 1]`` rows of step t are those that continue (the
+    layout of PyTorch's PackedSequence).  Nothing is padded.
+    """
+
+    def __init__(self, lengths: Sequence[int]):
+        lengths = np.asarray(lengths, dtype=np.intp)  # positive, nonincreasing
+        steps = np.arange(lengths.max(initial=0))
+        self.sizes = np.searchsorted(-lengths, -steps, side="left")
+        self.offsets = np.concatenate(([0], np.cumsum(self.sizes)))
+        step = np.repeat(steps, self.sizes)
+        self.row_seq = np.arange(step.size) - self.offsets[step]  # sequence of each row
+        self.last_rows = self.offsets[lengths - 1] + np.arange(lengths.size)
+        # packed row -> row of the sequences laid end to end
+        self.from_concat = np.concatenate(([0], np.cumsum(lengths)))[self.row_seq] + step
+
+    @property
+    def steps(self) -> int:
+        return self.sizes.size
+
+    def rows(self, t: int, n: int) -> slice:
+        """Rows of step t holding its first n sequences."""
+        return slice(self.offsets[t], self.offsets[t] + n)
+
+
+def _step_table(pairwise: np.ndarray, t: int) -> np.ndarray:
+    return pairwise if pairwise.ndim == 2 else pairwise[t - 1]
+
+
+def _forward(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarray:
+    alpha = unary.copy()
+    for t in range(1, pk.steps):
+        n = pk.sizes[t]
+        prev = alpha[pk.rows(t - 1, n), :, None] + _step_table(pairwise, t)
+        alpha[pk.rows(t, n)] += logsumexp(prev, axis=1)
     return alpha
 
 
-def _backward(pot: SequencePotentials) -> np.ndarray:
-    L, m = pot.unary.shape
-    beta = np.zeros((L, m))
-    for t in range(L - 2, -1, -1):
-        beta[t] = logsumexp(pot.pairwise_at(t + 1) + (pot.unary[t + 1] + beta[t + 1])[None, :], axis=1)
+def _backward(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarray:
+    beta = np.zeros_like(unary)
+    for t in range(pk.steps - 2, -1, -1):
+        n = pk.sizes[t + 1]
+        nxt = pk.rows(t + 1, n)
+        beta[pk.rows(t, n)] = logsumexp(
+            _step_table(pairwise, t + 1) + (unary[nxt] + beta[nxt])[:, None, :], axis=2
+        )
     return beta
+
+
+def _forward_backward(
+    unary: np.ndarray, pairwise: np.ndarray, pk: _Packing, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact inference over a packed batch.
+
+    Returns log Z per sequence (B,), the unary marginals per packed row
+    (P, M) and, for each step t >= 1, the ``weights``-weighted sum over
+    sequences of their (t-1, t) pair marginals (T-1, M, M).
+    """
+    alpha = _forward(unary, pairwise, pk)
+    beta = _backward(unary, pairwise, pk)
+    logz = logsumexp(alpha[pk.last_rows], axis=1)
+    uni = np.exp(alpha + beta - logz[pk.row_seq, None])
+    uni /= uni.sum(axis=1, keepdims=True)
+    ahead = unary + beta
+    m = unary.shape[1]
+    pair = np.empty((max(pk.steps - 1, 0), m, m))
+    for t in range(1, pk.steps):
+        n = pk.sizes[t]
+        p = np.exp(
+            alpha[pk.rows(t - 1, n), :, None]
+            + _step_table(pairwise, t)
+            + ahead[pk.rows(t, n), None, :]
+            - logz[:n, None, None]
+        )
+        p /= p.sum(axis=(1, 2), keepdims=True)
+        pair[t - 1] = (weights[:n] @ p.reshape(n, m * m)).reshape(m, m)
+    return logz, uni, pair
 
 
 def log_partition(pot: SequencePotentials) -> float:
     """log of the sum of exp(score) over all M^L label sequences."""
     _check_finite(pot)
-    return float(logsumexp(_forward(pot)[-1]))
-
-
-def _posteriors(pot, alpha, beta, logz):
-    uni = np.exp(alpha + beta - logz)
-    uni /= uni.sum(axis=1, keepdims=True)
-    L, m = pot.unary.shape
-    pair = np.empty((max(L - 1, 0), m, m))
-    for t in range(1, L):
-        p = np.exp(alpha[t - 1][:, None] + pot.pairwise_at(t) + (pot.unary[t] + beta[t])[None, :] - logz)
-        pair[t - 1] = p / p.sum()
-    return uni, pair
+    return float(logsumexp(_forward(pot.unary, pot.pairwise, _Packing([pot.length]))[-1]))
 
 
 def marginals(pot: SequencePotentials) -> tuple[np.ndarray, np.ndarray]:
     """Posterior label probabilities (L, M) and pair probabilities (L-1, M, M)."""
     _check_finite(pot)
-    alpha = _forward(pot)
-    beta = _backward(pot)
-    logz = float(logsumexp(alpha[-1]))
-    return _posteriors(pot, alpha, beta, logz)
+    _, uni, pair = _forward_backward(pot.unary, pot.pairwise, _Packing([pot.length]), np.ones(1))
+    return uni, pair
 
 
 def viterbi(pot: SequencePotentials) -> LabelSeq:
@@ -326,9 +406,12 @@ WeightedExample = tuple[Sequence[str], LabelSeq, float]
 class _WeightedObjective:
     """Weighted negative log-likelihood with its gradient.
 
-    Empirical feature counts do not depend on the weights, so they are
-    accumulated once at construction; each evaluation only reruns
-    forward-backward per distinct input sequence.
+    Examples sharing one tokens object form a group whose weights add up.
+    The groups with positive weight are packed once (see ``_Packing``) with
+    their observations as a sparse (positions x observations) matrix ``F``,
+    so ``F @ W_u`` is the unary table of the whole batch.  Empirical feature
+    counts do not depend on the weights: they are ``F^T @ Q`` for the
+    per-position soft label counts ``Q``, accumulated once at construction.
     """
 
     def __init__(self, model: CrfModel, data: Iterable[WeightedExample], l2: float):
@@ -337,30 +420,44 @@ class _WeightedObjective:
         self.model = model
         self.l2 = float(l2)
         m = model.scheme.size
-        self.rows: list[list[np.ndarray]] = []  # per group, per position
-        self.total_w: list[float] = []
-        self.emp_u = np.zeros((model.n_obs, m))
-        self.emp_b = np.zeros((m, m))
-        groups: dict[int, int] = {}
+        data = list(data)  # keeps every tokens object alive, so no two groups share an id
+        groups: dict[int, tuple[Sequence[str], list[LabelSeq], list[float]]] = {}
         for tokens, labels, w in data:
             w = float(w)
             if not math.isfinite(w):
                 raise ValueError("non-finite weight")
             if w < 0:
                 raise ValueError("negative weight")
-            g = groups.get(id(tokens))
-            if g is None:
-                g = groups[id(tokens)] = len(self.rows)
-                self.rows.append(observation_rows(model, tokens))
-                self.total_w.append(0.0)
-            if len(labels) != len(self.rows[g]):
+            if len(labels) != len(tokens):
                 raise ValueError("label/token length mismatch")
-            self.total_w[g] += w
-            z = np.asarray(labels, dtype=np.intp)
-            for t, rr in enumerate(self.rows[g]):
-                self.emp_u[rr, z[t]] += w
-            if z.size > 1:
-                np.add.at(self.emp_b, (z[:-1], z[1:]), w)
+            if not tokens:
+                raise ValueError("empty token sequence")
+            _, seqs, ws = groups.setdefault(id(tokens), (tokens, [], []))
+            seqs.append(labels)
+            ws.append(w)
+        kept = sorted((g for g in groups.values() if sum(g[2]) > 0), key=lambda g: -len(g[0]))
+        self.pack = pk = _Packing([len(tokens) for tokens, _, _ in kept])
+        self.seq_w = np.array([sum(ws) for _, _, ws in kept])
+        self.row_w = self.seq_w[pk.row_seq, None]
+
+        obs = [rr for tokens, _, _ in kept for rr in observation_rows(model, tokens)]
+        obs = [obs[i] for i in pk.from_concat]
+        indptr = np.concatenate(([0], np.cumsum([rr.size for rr in obs], dtype=np.intp)))
+        indices = np.concatenate(obs) if obs else np.zeros(0, dtype=np.intp)
+        self.F = csr_matrix((np.ones(indices.size), indices, indptr), shape=(len(obs), model.n_obs))
+        self.Ft = self.F.T.tocsr()
+
+        counts = np.zeros((len(obs), m))  # sequences laid end to end
+        self.emp_b = np.zeros((m, m))
+        start = 0
+        for tokens, seqs, ws in kept:
+            z = np.asarray(seqs, dtype=np.intp)
+            w = np.asarray(ws)[:, None]
+            n = len(tokens)
+            np.add.at(counts[start : start + n], (np.arange(n), z), w)
+            np.add.at(self.emp_b, (z[:, :-1], z[:, 1:]), w)
+            start += n
+        self.emp_u = self.Ft @ counts[pk.from_concat]
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         if not np.isfinite(theta).all():
@@ -369,34 +466,14 @@ class _WeightedObjective:
         m = model.scheme.size
         nu = model.n_obs * m
         wu = theta[:nu].reshape(model.n_obs, m)
-        wb = theta[nu:].reshape(m, m) if model.has_bigram else None
-        value = 0.0
-        grad_u = np.zeros_like(wu)
-        grad_b = np.zeros((m, m)) if wb is not None else None
-        for rows, tw in zip(self.rows, self.total_w):
-            if tw == 0.0:
-                continue
-            unary = np.zeros((len(rows), m))
-            for t, rr in enumerate(rows):
-                if rr.size:
-                    unary[t] = wu[rr].sum(axis=0)
-            pot = SequencePotentials(unary, wb if wb is not None else np.zeros((m, m)))
-            alpha = _forward(pot)
-            beta = _backward(pot)
-            logz = float(logsumexp(alpha[-1]))
-            value += tw * logz
-            uni, pair = _posteriors(pot, alpha, beta, logz)
-            for t, rr in enumerate(rows):
-                if rr.size:
-                    grad_u[rr] += tw * uni[t]
-            if grad_b is not None and pair.size:
-                grad_b += tw * pair.sum(axis=0)
-        value -= float((wu * self.emp_u).sum())
-        grad_u -= self.emp_u
-        if wb is not None:
+        wb = theta[nu:].reshape(m, m) if model.has_bigram else np.zeros((m, m))
+        logz, uni, pair = _forward_backward(self.F @ wu, wb, self.pack, self.seq_w)
+        value = float(self.seq_w @ logz) - float((wu * self.emp_u).sum())
+        grad = [(self.Ft @ (self.row_w * uni) - self.emp_u).ravel()]
+        if model.has_bigram:
             value -= float((wb * self.emp_b).sum())
-            grad_b -= self.emp_b
-        grad = np.concatenate([grad_u.ravel(), grad_b.ravel() if grad_b is not None else np.zeros(0)])
+            grad.append((pair.sum(axis=0) - self.emp_b).ravel())
+        grad = np.concatenate(grad)
         value += 0.5 * self.l2 * float(theta @ theta)
         grad += self.l2 * theta
         return value, grad

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .annotators import (
     AnnotatorParams,
@@ -33,6 +32,7 @@ from .crf import (
     build_model,
     extract_features,
     log_partition,
+    logsumexp,
     optimize,
     sequence_scores,
 )

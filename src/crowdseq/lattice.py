@@ -142,6 +142,36 @@ def _forward_sets(cand, allowed, init):
     return fwd
 
 
+def _append_paths(seqs, states, succ, limit, dist=None, top=None, need=0) -> None:
+    """Append valid paths to ``seqs`` in lexicographic label order until it
+    holds ``limit``.
+
+    With ``dist`` and ``top`` given, only paths holding exactly ``need``
+    plurality labels (label s at position j counts when ``s in top[j]``) are
+    appended, and ``dist`` prunes the prefixes that cannot reach ``need``.
+    Depth-first with an explicit stack, so no recursion limit bounds the
+    sentence length.
+    """
+    L = len(states)
+    prefix: list[int] = []
+    frames = [(iter(states[0]), need)]  # per depth: remaining options, agreement still needed
+    while frames:
+        options, need = frames[-1]
+        j = len(prefix)
+        s = next(options, None)
+        if s is None or len(seqs) >= limit:
+            frames.pop()
+            if prefix:
+                prefix.pop()
+        elif dist is not None and not dist[j][s].get(need):
+            continue
+        elif j + 1 == L:
+            seqs.append((*prefix, s))
+        else:
+            prefix.append(s)
+            frames.append((iter(succ[j][s]), need - int(dist is not None and s in top[j])))
+
+
 def enumerate_valid(
     instance: CrowdInstance,
     candidates,
@@ -195,19 +225,7 @@ def enumerate_valid(
 
     if n_valid <= cap:
         seqs: list[LabelSeq] = []
-        prefix: list[int] = []
-
-        def walk(j):
-            options = states[0] if j == 0 else succ[j - 1][prefix[-1]]
-            for s in options:
-                prefix.append(s)
-                if j + 1 == L:
-                    seqs.append(tuple(prefix))
-                else:
-                    walk(j + 1)
-                prefix.pop()
-
-        walk(0)
+        _append_paths(seqs, states, succ, cap)
         return ValidLattice(
             requested, tuple(cand), states, arcs, tuple(seqs), False, n_valid, tuple(widened)
         )
@@ -240,26 +258,10 @@ def enumerate_valid(
             total_by_score[v] = total_by_score.get(v, 0) + c
 
     seqs = []
-    prefix = []
-
-    def collect(j, need, limit):
-        options = states[0] if j == 0 else succ[j - 1][prefix[-1]]
-        for s in options:
-            if len(seqs) >= limit:
-                return
-            if not dist[j][s].get(need):
-                continue
-            prefix.append(s)
-            if j + 1 == L:
-                seqs.append(tuple(prefix))
-            else:
-                collect(j + 1, need - int(s in top[j]), limit)
-            prefix.pop()
-
     for v in sorted(total_by_score, reverse=True):
         if len(seqs) >= cap:
             break
-        collect(0, v, cap)
+        _append_paths(seqs, states, succ, cap, dist, top, v)
     return ValidLattice(
         requested, tuple(cand), states, arcs, tuple(seqs), True, n_valid, tuple(widened)
     )

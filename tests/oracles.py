@@ -8,7 +8,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from crowdseq import LabelScheme
-from crowdseq.crf import SequencePotentials, sequence_score
+from crowdseq.crf import SequencePotentials, observation_rows, sequence_score
 
 
 def all_sequences(pot: SequencePotentials):
@@ -56,3 +56,35 @@ def brute_valid(candidates, scheme: LabelScheme) -> list[tuple[int, ...]]:
 def random_potentials(rng, L: int, M: int, per_step: bool = False) -> SequencePotentials:
     pairwise = rng.normal(size=(L - 1, M, M)) if per_step and L > 1 else rng.normal(size=(M, M))
     return SequencePotentials(unary=rng.normal(size=(L, M)), pairwise=pairwise)
+
+
+def brute_weighted_nll(model, data, l2: float) -> tuple[float, np.ndarray]:
+    """Weighted CRF objective and gradient by enumerating every label sequence.
+
+    Each sequence's feature counts are laid out like the weight vector, so the
+    gradient is sum_i w_i (E[counts] - counts(z_i)) + l2 * theta.
+    """
+    m = model.scheme.size
+    nu = model.n_obs * m
+    theta = model.weights
+
+    def counts(rows, z):
+        phi = np.zeros(model.dim)
+        for t, lab in enumerate(z):
+            np.add.at(phi, rows[t] * m + lab, 1.0)
+            if t > 0 and model.has_bigram:
+                phi[nu + z[t - 1] * m + lab] += 1.0
+        return phi
+
+    value = 0.5 * l2 * float(theta @ theta)
+    grad = l2 * theta.copy()
+    for tokens, labels, w in data:
+        rows = observation_rows(model, tokens)
+        phis = np.array([counts(rows, z) for z in itertools.product(range(m), repeat=len(tokens))])
+        scores = phis @ theta
+        logz = float(logsumexp(scores))
+        p = np.exp(scores - logz)
+        observed = counts(rows, labels)
+        value += w * (logz - float(observed @ theta))
+        grad += w * (p @ phis - observed)
+    return value, grad

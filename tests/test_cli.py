@@ -3,7 +3,16 @@
 import pytest
 
 from corpus import make_gold
-from crowdseq import load_annotators, load_conll, load_crowd, save_config, save_conll
+from crowdseq import (
+    CrowdDataset,
+    CrowdInstance,
+    load_annotators,
+    load_conll,
+    load_crowd,
+    save_config,
+    save_conll,
+    save_crowd,
+)
 from crowdseq.cli import main
 from crowdseq.crf import load_model
 
@@ -102,6 +111,22 @@ class TestExitCodes:
         b.write_text("x\tO\n\ny\tO\n", encoding="utf-8")
         assert main(["evaluate", str(a), str(b)]) == 2
         assert "sequence count mismatch" in capsys.readouterr().err
+
+    def test_train_accepts_a_long_unanimous_sentence(self, tmp_path, capsys):
+        gold = make_gold(4, seed=3)
+        roster = ("a0", "a1", "a2")
+        n = 1500
+        long = CrowdInstance(tuple(f"w{j % 40}" for j in range(n)), {a: (0,) * n for a in roster})
+        instances = [CrowdInstance(i.tokens, {a: i.gold for a in roster}) for i in gold.instances]
+        crowd = tmp_path / "crowd.tsv"
+        save_crowd(crowd, CrowdDataset(gold.scheme, (*instances, long), roster))
+        code = main([
+            "train", str(crowd), "--model-out", str(tmp_path / "model.tsv"),
+            "--annotators-out", str(tmp_path / "annotators.tsv"), "--seed", "3",
+            "--max-iters", "1", "--init-max-iter", "3", "--inner-max-iter", "3",
+        ])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_lattice_index_out_of_range(self, pipeline, capsys):
         assert main(["inspect-lattice", str(pipeline["crowd"]), "--instance", "99"]) == 2

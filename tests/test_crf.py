@@ -1,12 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
+from corpus import make_gold
 from oracles import (
     brute_log_partition,
     brute_marginals,
     brute_valid,
     brute_viterbi,
+    brute_weighted_nll,
     random_potentials,
 )
+from scipy.special import logsumexp as scipy_logsumexp
 
 from crowdseq import (
     DEFAULT_TEMPLATES,
@@ -24,9 +29,58 @@ from crowdseq import (
     viterbi,
     weighted_nll_and_gradient,
 )
-from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, observation_rows, sequence_scores
+from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, logsumexp, observation_rows, sequence_scores
 
 SCHEME = LabelScheme.bio(("LOC", "PER"))
+
+
+def ragged_batch(rng, extra_lengths=()):
+    """Weighted examples over sentences of lengths 1, 2, 3 and 5 (plus any
+    ``extra_lengths``): one sentence object labeled twice, a distinct object
+    with the same words, and a sentence whose only example has weight 0."""
+
+    def sentence(n):
+        return tuple(str(w) for w in rng.choice(["aa", "bb", "Cc", "d1", "ee"], size=n))
+
+    def labels(n):
+        return tuple(int(x) for x in rng.integers(0, SCHEME.size, size=n))
+
+    short, pair, triple, five = sentence(1), sentence(2), sentence(3), sentence(5)
+    twin = tuple(list(triple))
+    unweighted = sentence(2)
+    data = [
+        (five, labels(5), 0.7),
+        (short, labels(1), 1.3),
+        (triple, labels(3), 0.4),
+        (pair, labels(2), 2.0),
+        (triple, labels(3), 0.9),
+        (twin, labels(3), 0.5),
+        (unweighted, labels(2), 0.0),
+    ]
+    data += [(sentence(n), labels(n), 0.8) for n in extra_lengths]
+    model = build_model(SCHEME, [tokens for tokens, _, _ in data])
+    model.weights[:] = rng.normal(size=model.dim) * 0.3
+    return model, data
+
+
+def one_sentence_objective(model, data, l2):
+    """The weighted objective built from log_partition and marginals, one
+    example at a time."""
+    m = model.scheme.size
+    grad_u = np.zeros((model.n_obs, m))
+    grad_b = np.zeros((m, m))
+    value = 0.5 * l2 * float(model.weights @ model.weights)
+    for tokens, labels, w in data:
+        pot = extract_features(model, tokens)
+        uni, pair = marginals(pot)
+        value += w * (log_partition(pot) - sequence_score(pot, labels))
+        observed = np.eye(m)[list(labels)]
+        for t, rows in enumerate(observation_rows(model, tokens)):
+            np.add.at(grad_u, rows, w * (uni[t] - observed[t]))
+        grad_b += w * pair.sum(axis=0)
+        np.add.at(grad_b, (labels[:-1], labels[1:]), -w)
+    grad = np.concatenate([grad_u.ravel(), grad_b.ravel()]) + l2 * model.weights
+    return value, grad
 
 
 class TestTemplates:
@@ -154,6 +208,23 @@ class TestInferenceOracles:
         singles = [sequence_score(pot, tuple(row)) for row in z]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
+    def test_logsumexp_matches_scipy(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(4, 6, 5)) * 300
+        a[1, 2, 3] = -np.inf
+        for axis in (0, 1, -1):
+            np.testing.assert_allclose(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis), rtol=1e-14)
+        assert float(logsumexp(a[0, 0])) == pytest.approx(float(scipy_logsumexp(a[0, 0])), rel=1e-14)
+
+    def test_logsumexp_of_an_all_minus_inf_row_is_minus_inf(self):
+        a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = logsumexp(a, axis=1)
+        assert out[0] == -np.inf
+        assert out[1] == pytest.approx(np.log(1.0 + np.e), rel=1e-15)
+        assert float(logsumexp(a[0])) == -np.inf
+
     def test_length_one_sequence(self):
         pot = random_potentials(np.random.default_rng(3), L=1, M=4)
         assert log_partition(pot) == pytest.approx(brute_log_partition(pot), rel=1e-12)
@@ -188,6 +259,41 @@ class TestGradient:
         z2 = (1, 2, 2, 0)
         data = [(toks, z1, 0.3), (toks, z2, 1.7)]
         self.fd_check(model, data, l2=0.8, rng=rng)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_central_differences_on_a_ragged_batch(self, seed):
+        rng = np.random.default_rng([seed, 8])
+        model, data = ragged_batch(rng)
+        self.fd_check(model, data, l2=0.5, rng=rng, n_coords=30)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ragged_batch_matches_enumeration(self, seed):
+        model, data = ragged_batch(np.random.default_rng([seed, 7]))
+        value, grad = weighted_nll_and_gradient(model, data, l2=0.6)
+        ref_value, ref_grad = brute_weighted_nll(model, data, l2=0.6)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-12)
+
+    def test_batch_with_a_long_outlier_matches_the_one_sentence_path(self):
+        model, data = ragged_batch(np.random.default_rng(11), extra_lengths=(300, 4))
+        value, grad = weighted_nll_and_gradient(model, data, l2=0.6)
+        ref_value, ref_grad = one_sentence_objective(model, data, l2=0.6)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-10)
+
+    def test_generator_input_matches_the_same_list(self):
+        # fresh token tuples per example: their ids are free for reuse once dropped
+        gold = make_gold(4, seed=3)
+        model = build_model(gold.scheme, [inst.tokens for inst in gold.instances])
+
+        def examples():
+            for inst in gold.instances:
+                yield tuple(list(inst.tokens)), inst.gold, 1.0
+
+        v_gen, g_gen = weighted_nll_and_gradient(model, examples())
+        v_list, g_list = weighted_nll_and_gradient(model, list(examples()))
+        assert v_gen == v_list
+        np.testing.assert_array_equal(g_gen, g_list)
 
     def test_duplicate_bigrams_counted_per_occurrence(self):
         # a sequence that repeats the same label pair must count it twice

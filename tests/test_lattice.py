@@ -243,6 +243,16 @@ class TestEnumerateValid:
         assert not lat.capped
         assert len(lat.sequences) == n
 
+    def test_long_unanimous_sentence(self):
+        # longer than the interpreter's recursion limit, on both enumeration paths
+        n = 1500
+        it = self.make_instance(n)
+        assert enumerate_valid(it, ((L["O"],),) * n, SCHEME).sequences == ((L["O"],) * n,)
+        cand = ((L["O"],),) * (n - 1) + ((L["O"], L["B-PER"]),)
+        capped = enumerate_valid(it, cand, SCHEME, cap=1)
+        assert capped.capped
+        assert capped.sequences == ((L["O"],) * n,)
+
     def test_argument_validation(self):
         it = self.make_instance(2)
         with pytest.raises(ValueError, match="cap"):
