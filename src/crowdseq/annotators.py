@@ -83,6 +83,25 @@ def sample_init_params(roster: Sequence[str], n_labels: int, seed) -> AnnotatorP
     return AnnotatorParams(tuple(roster), local, mention)
 
 
+def annotation_contexts(
+    assigned: LabelSeq, links, n_labels: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per position of one annotation: the assigned label, its context, and
+    whether the mention table applies there.
+
+    A position with a link (from ``resolve_mentions``) takes the label the
+    annotator gave the linked position; any other takes the annotator's
+    previous label, or the beginning-of-sequence slot at the first token.
+    """
+    y = np.asarray(assigned, dtype=np.intp)
+    prev = np.empty(y.size, dtype=np.intp)
+    prev[0] = bos_context(n_labels)
+    prev[1:] = y[:-1]
+    is_mention = np.array([l is not None for l in links])
+    link_idx = np.array([l if l is not None else 0 for l in links], dtype=np.intp)
+    return y, np.where(is_mention, y[link_idx], prev), is_mention
+
+
 def factor_matrix(
     params: AnnotatorParams, annotator: str, assigned: LabelSeq, links
 ) -> np.ndarray:
@@ -92,14 +111,7 @@ def factor_matrix(
     depend on any candidate truth sequence.
     """
     k = params.annotator_index(annotator)
-    y = np.asarray(assigned, dtype=np.intp)
-    m = params.n_labels
-    prev = np.empty(y.size, dtype=np.intp)
-    prev[0] = bos_context(m)
-    prev[1:] = y[:-1]
-    is_mention = np.array([l is not None for l in links])
-    link_idx = np.array([l if l is not None else 0 for l in links], dtype=np.intp)
-    ctx = np.where(is_mention, y[link_idx], prev)
+    y, ctx, is_mention = annotation_contexts(assigned, links, params.n_labels)
     local_rows = params.local[k][ctx, :, y]
     mention_rows = params.mention[k][ctx, :, y]
     with np.errstate(divide="ignore"):

@@ -9,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .crf import CrfModel, DEFAULT_TEMPLATES, TrainOptions, build_model, optimize
+from .crf import CrfModel, DEFAULT_TEMPLATES, TrainOptions, build_model, logsumexp, optimize
 from .types import CrowdDataset, CrowdInstance, LabelSeq
 
 

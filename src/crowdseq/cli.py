@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import annotators as ann_mod
-from . import baselines, crf, em, formats, lattice, scoring
+from . import baselines, crf, em, formats, scoring
 from .simulate import CorruptionMix, SimConfig, annotator_precision, simulate
 from .types import CrowdDataset, CrowdInstance, LabelScheme
 
@@ -219,12 +219,7 @@ def _cmd_inspect_lattice(args) -> int:
         normalize_consistency=bool(args.normalize_consistency),
         lattice_cap=args.cap if args.cap is not None else 5000,
     )
-    hi, lo = base.thresholds(len(ds.roster))
-    sets = lattice.candidate_sets(
-        inst, ds.scheme, hi, lo,
-        normalize_by=len(ds.roster) if base.normalize_consistency else None,
-    )
-    lat = lattice.enumerate_valid(inst, sets, ds.scheme, cap=base.lattice_cap)
+    lat = em.build_lattice(inst, ds.scheme, len(ds.roster), base)
     print("position\ttoken\tcandidates\treachable")
     for j, token in enumerate(inst.tokens):
         cand = ",".join(ds.scheme.labels[i] for i in lat.final_candidates[j])

@@ -204,10 +204,6 @@ class SequencePotentials:
     def n_labels(self) -> int:
         return self.unary.shape[1]
 
-    def pairwise_at(self, t: int) -> np.ndarray:
-        """Transition table applied between positions t-1 and t (t >= 1)."""
-        return _step_table(self.pairwise, t)
-
 
 def observation_rows(model: CrfModel, tokens: Sequence[str]) -> list[np.ndarray]:
     """Per position, the interned row ids of the observations firing there."""
@@ -388,7 +384,7 @@ def viterbi(pot: SequencePotentials) -> LabelSeq:
     score = pot.unary[0].copy()
     back = np.zeros((L, m), dtype=np.intp)
     for t in range(1, L):
-        cand = score[:, None] + pot.pairwise_at(t)
+        cand = score[:, None] + _step_table(pot.pairwise, t)
         back[t] = cand.argmax(axis=0)  # first maximum, so the lowest index
         score = cand[back[t], np.arange(m)] + pot.unary[t]
     path = [0] * L

@@ -5,20 +5,27 @@ sequences, combining the annotator factors with the tagger's sequence
 probabilities) with a maximization step (a warm-started, iteration-capped
 tagger refit on the posterior-weighted candidates, plus closed-form
 smoothed updates of the reliability tables).  Candidate lattices depend only
-on the crowd labels, so they are built once and reused across iterations.
+on the crowd labels, so they are built once and reused across iterations,
+their sequences kept as one (S, L) array per instance.
+
+Which table and context score each annotator label is decided in
+``annotators`` alone: the posterior step and the log-likelihood score
+candidates through ``factor_matrix``, and the table update counts through
+``annotation_contexts``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .annotators import (
     AnnotatorParams,
-    bos_context,
+    annotation_contexts,
+    factor_matrix,
     params_from_counts,
     resolve_mentions,
     sample_init_params,
@@ -37,7 +44,7 @@ from .crf import (
     sequence_scores,
 )
 from .lattice import ValidLattice, candidate_sets, enumerate_valid
-from .types import CrowdDataset, LabelSeq, validate_dataset
+from .types import CrowdDataset, CrowdInstance, LabelScheme, LabelSeq, validate_dataset
 
 
 @dataclass(frozen=True)
@@ -84,22 +91,6 @@ class EmConfig:
 
 
 @dataclass
-class _AnnotatorView:
-    """One annotator's labels on one instance, with precomputed contexts."""
-
-    index: int  # roster position
-    labels: np.ndarray  # (L,)
-    ctx: np.ndarray  # (L,) context label; BOS slot for the first, link label for mentions
-    is_mention: np.ndarray  # (L,) bool
-
-
-@dataclass
-class _InstanceView:
-    z: np.ndarray  # (S, L) candidate truth sequences
-    annotators: list[_AnnotatorView]
-
-
-@dataclass
 class EmState:
     """Mutable training state; single-owner, not thread-safe."""
 
@@ -107,43 +98,21 @@ class EmState:
     crf: CrfModel
     annotators: AnnotatorParams
     lattices: tuple[ValidLattice, ...]
-    posteriors: list[np.ndarray] | None
+    candidates: tuple[np.ndarray, ...]  # per lattice, its sequences as an (S, L) array
     iteration: int
     loglik_history: list[float]
-    views: list[_InstanceView] = field(repr=False, default_factory=list)
     last_train: TrainResult | None = field(repr=False, default=None)
 
 
-def _build_views(ds: CrowdDataset, lattices) -> list[_InstanceView]:
-    m = ds.scheme.size
-    bos = bos_context(m)
-    views = []
-    for inst, lat in zip(ds.instances, lattices):
-        z = np.asarray(lat.sequences, dtype=np.intp)
-        links = resolve_mentions(inst.tokens)
-        avs = []
-        for ki, ann_id in enumerate(ds.roster):
-            labels = inst.annotations.get(ann_id)
-            if labels is None:
-                continue
-            y = np.asarray(labels, dtype=np.intp)
-            prev = np.empty(y.size, dtype=np.intp)
-            prev[0] = bos
-            prev[1:] = y[:-1]
-            is_mention = np.array([l is not None for l in links])
-            link_idx = np.array([l if l is not None else 0 for l in links], dtype=np.intp)
-            ctx = np.where(is_mention, y[link_idx], prev)
-            avs.append(_AnnotatorView(ki, y, ctx, is_mention))
-        views.append(_InstanceView(z, avs))
-    return views
-
-
-def _view_factor(params: AnnotatorParams, av: _AnnotatorView) -> np.ndarray:
-    """(L, M) log-probability of the annotator's label per candidate truth label."""
-    local_rows = params.local[av.index][av.ctx, :, av.labels]
-    mention_rows = params.mention[av.index][av.ctx, :, av.labels]
-    with np.errstate(divide="ignore"):
-        return np.log(np.where(av.is_mention[:, None], mention_rows, local_rows))
+def build_lattice(
+    inst: CrowdInstance, scheme: LabelScheme, roster_size: int, cfg: EmConfig
+) -> ValidLattice:
+    """Candidate sets under the configured consistency thresholds, then the
+    valid sequences through them, capped at ``cfg.lattice_cap``."""
+    hi, lo = cfg.thresholds(roster_size)
+    norm = roster_size if cfg.normalize_consistency else None
+    sets = candidate_sets(inst, scheme, hi, lo, normalize_by=norm)
+    return enumerate_valid(inst, sets, scheme, cfg.lattice_cap)
 
 
 def initialize(ds: CrowdDataset, cfg: EmConfig) -> EmState:
@@ -157,15 +126,7 @@ def initialize(ds: CrowdDataset, cfg: EmConfig) -> EmState:
         raise ValueError("invalid dataset: " + "; ".join(problems[:5]))
     if not ds.roster:
         raise ValueError("dataset has no annotator roster")
-    k = len(ds.roster)
-    hi, lo = cfg.thresholds(k)
-    norm = k if cfg.normalize_consistency else None
-    lattices = tuple(
-        enumerate_valid(
-            inst, candidate_sets(inst, ds.scheme, hi, lo, normalize_by=norm), ds.scheme, cfg.lattice_cap
-        )
-        for inst in ds.instances
-    )
+    lattices = tuple(build_lattice(inst, ds.scheme, len(ds.roster), cfg) for inst in ds.instances)
     params = sample_init_params(ds.roster, ds.scheme.size, [cfg.seed, 0])
     rng = np.random.default_rng([cfg.seed, 1])
     with_data = [a for a in ds.roster if any(a in inst.annotations for inst in ds.instances)]
@@ -180,9 +141,26 @@ def initialize(ds: CrowdDataset, cfg: EmConfig) -> EmState:
     ]
     opts = TrainOptions(max_iter=cfg.init_max_iter, tol=cfg.opt_tol, l2=cfg.l2_penalty)
     model = optimize(model, seed_data, opts).model
-    state = EmState(cfg, model, params, lattices, None, 0, [])
-    state.views = _build_views(ds, lattices)
-    return state
+    candidates = tuple(np.asarray(lat.sequences, dtype=np.intp) for lat in lattices)
+    return EmState(cfg, model, params, lattices, candidates, 0, [])
+
+
+def _candidate_scores(
+    state: EmState, ds: CrowdDataset
+) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
+    """Per instance, the tagger log-probability of each candidate and, per
+    present annotator in roster order, the log-likelihood of their labels
+    under each candidate."""
+    for inst, z in zip(ds.instances, state.candidates):
+        pot = extract_features(state.crf, inst.tokens)
+        logp = sequence_scores(pot, z) - log_partition(pot)
+        links = resolve_mentions(inst.tokens)
+        pos = np.arange(z.shape[1])[None, :]
+        yield logp, [
+            factor_matrix(state.annotators, ann, inst.annotations[ann], links)[pos, z].sum(axis=1)
+            for ann in ds.roster
+            if ann in inst.annotations
+        ]
 
 
 def e_step(state: EmState, ds: CrowdDataset) -> list[np.ndarray]:
@@ -192,13 +170,9 @@ def e_step(state: EmState, ds: CrowdDataset) -> list[np.ndarray]:
     tagger's sequence probability and normalize over the lattice.
     """
     out = []
-    for inst, view in zip(ds.instances, state.views):
-        pot = extract_features(state.crf, inst.tokens)
-        logw = sequence_scores(pot, view.z) - log_partition(pot)
-        pos = np.arange(view.z.shape[1])[None, :]
-        for av in view.annotators:
-            phi = _view_factor(state.annotators, av)
-            logw = logw + phi[pos, view.z].sum(axis=1)
+    for logw, per_annotator in _candidate_scores(state, ds):
+        for a in per_annotator:
+            logw = logw + a
         logw -= logsumexp(logw)
         out.append(np.exp(logw))
     return out
@@ -209,22 +183,20 @@ def confusion_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior-weighted (context, truth, assigned) counts, split by context type."""
     m = ds.scheme.size
-    k = len(ds.roster)
-    local = np.zeros((k, m + 1, m, m))
-    mention = np.zeros((k, m + 1, m, m))
+    counts = np.zeros((2, len(ds.roster), m + 1, m, m))  # index 0 local, 1 mention
     cols = np.arange(m)[None, :]
-    for view, w in zip(state.views, posteriors):
-        z = view.z
+    for inst, z, w in zip(ds.instances, state.candidates, posteriors):
         L = z.shape[1]
-        q = np.empty((L, m))
-        for t in range(L):
-            q[t] = np.bincount(z[:, t], weights=w, minlength=m)
-        for av in view.annotators:
-            for mask, tab in ((av.is_mention, mention[av.index]), (~av.is_mention, local[av.index])):
-                idx = np.nonzero(mask)[0]
-                if idx.size:
-                    np.add.at(tab, (av.ctx[idx][:, None], cols, av.labels[idx][:, None]), q[idx])
-    return local, mention
+        q = np.zeros((L, m))  # posterior marginal of each truth label per position
+        np.add.at(q, (np.arange(L)[None, :], z), w[:, None])
+        links = resolve_mentions(inst.tokens)
+        for ki, ann in enumerate(ds.roster):
+            labels = inst.annotations.get(ann)
+            if labels is None:
+                continue
+            y, ctx, is_mention = annotation_contexts(labels, links, m)
+            np.add.at(counts, (is_mention[:, None].astype(np.intp), ki, ctx[:, None], cols, y[:, None]), q)
+    return counts[0], counts[1]
 
 
 def m_step(
@@ -254,13 +226,9 @@ def observed_loglik(state: EmState, ds: CrowdDataset) -> float:
     """Sum over instances and annotators of the log marginal annotation
     probability, the truth marginalized over the instance's lattice."""
     total = 0.0
-    for inst, view in zip(ds.instances, state.views):
-        pot = extract_features(state.crf, inst.tokens)
-        logp = sequence_scores(pot, view.z) - log_partition(pot)
-        pos = np.arange(view.z.shape[1])[None, :]
-        for av in view.annotators:
-            phi = _view_factor(state.annotators, av)
-            total += float(logsumexp(logp + phi[pos, view.z].sum(axis=1)))
+    for logp, per_annotator in _candidate_scores(state, ds):
+        for a in per_annotator:
+            total += float(logsumexp(logp + a))
     return total
 
 
@@ -293,7 +261,6 @@ def fit(ds: CrowdDataset, cfg: EmConfig = EmConfig(), log=None) -> FitResult:
         t0 = time.perf_counter()
         post = e_step(state, ds)
         state.crf, state.annotators = m_step(state, ds, post)
-        state.posteriors = post
         state.iteration = it
         ll = observed_loglik(state, ds)
         prev = state.loglik_history[-1]

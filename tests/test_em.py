@@ -29,17 +29,36 @@ from crowdseq import (
 L = {name: i for i, name in enumerate(SCHEME.labels)}
 
 
-def tiny_dataset():
-    """Three short instances, two annotators, one repeated token."""
+def tiny_dataset(skipped=False):
+    """Three short instances, two annotators, one repeated token.
+
+    With ``skipped`` a third annotator ``w`` comes first in every
+    annotations dict, out of roster order, and ``v`` skips the second
+    instance.
+    """
     gold1 = (L["B-PER"], L["O"], L["B-LOC"])
     gold2 = (L["B-ORG"], L["I-ORG"], L["O"], L["B-ORG"])
     gold3 = (L["O"], L["B-PER"], L["I-PER"])
-    insts = (
-        CrowdInstance(("anna", "visits", "rome"), {"u": gold1, "v": (L["B-PER"], L["O"], L["B-ORG"])}, gold1),
-        CrowdInstance(("acme", "corp", "hired", "acme"), {"u": gold2, "v": gold2}, gold2),
-        CrowdInstance(("then", "bo", "li"), {"u": (L["O"], L["B-PER"], L["B-PER"]), "v": gold3}, gold3),
+    anns = [
+        {"u": gold1, "v": (L["B-PER"], L["O"], L["B-ORG"])},
+        {"u": gold2, "v": gold2},
+        {"u": (L["O"], L["B-PER"], L["B-PER"]), "v": gold3},
+    ]
+    roster = ("u", "v")
+    if skipped:
+        w_labels = [
+            (L["B-PER"], L["I-PER"], L["B-LOC"]),
+            (L["B-ORG"], L["O"], L["O"], L["B-LOC"]),
+            gold3,
+        ]
+        anns = [{"w": w, **a} for w, a in zip(w_labels, anns)]
+        del anns[1]["v"]
+        roster = ("u", "v", "w")
+    tokens = (("anna", "visits", "rome"), ("acme", "corp", "hired", "acme"), ("then", "bo", "li"))
+    insts = tuple(
+        CrowdInstance(t, a, g) for t, a, g in zip(tokens, anns, (gold1, gold2, gold3))
     )
-    return CrowdDataset(SCHEME, insts, ("u", "v"))
+    return CrowdDataset(SCHEME, insts, roster)
 
 
 def small_cfg(**kw):
@@ -159,38 +178,38 @@ class TestEStep:
             np.testing.assert_allclose(w, 1.0 / len(lat.sequences), atol=1e-12)
 
     def test_matches_single_sequence_primitives(self):
-        ds = tiny_dataset()
-        state = initialize(ds, small_cfg())
-        post = e_step(state, ds)
-        expected = brute_posterior(state, ds)
-        for got, want in zip(post, expected):
-            np.testing.assert_allclose(got, want, atol=1e-10)
+        for ds in (tiny_dataset(), tiny_dataset(skipped=True)):
+            state = initialize(ds, small_cfg())
+            post = e_step(state, ds)
+            expected = brute_posterior(state, ds)
+            for got, want in zip(post, expected):
+                np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 class TestCounts:
     def test_matches_per_sequence_accumulation(self):
-        ds = tiny_dataset()
-        state = initialize(ds, small_cfg())
-        post = e_step(state, ds)
-        local, mention = confusion_counts(state, ds, post)
+        for ds in (tiny_dataset(), tiny_dataset(skipped=True)):
+            state = initialize(ds, small_cfg())
+            post = e_step(state, ds)
+            local, mention = confusion_counts(state, ds, post)
 
-        m = SCHEME.size
-        k = len(ds.roster)
-        exp_local = np.zeros((k, m + 1, m, m))
-        exp_mention = np.zeros((k, m + 1, m, m))
-        for inst, lat, w in zip(ds.instances, state.lattices, post):
-            links = resolve_mentions(inst.tokens)
-            for ann, labels in inst.annotations.items():
-                ki = ds.roster.index(ann)
-                for seq, wi in zip(lat.sequences, w):
-                    for j, (yj, zj) in enumerate(zip(labels, seq)):
-                        if links[j] is not None:
-                            exp_mention[ki, labels[links[j]], zj, yj] += wi
-                        else:
-                            ctx = m if j == 0 else labels[j - 1]
-                            exp_local[ki, ctx, zj, yj] += wi
-        np.testing.assert_allclose(local, exp_local, atol=1e-12)
-        np.testing.assert_allclose(mention, exp_mention, atol=1e-12)
+            m = SCHEME.size
+            k = len(ds.roster)
+            exp_local = np.zeros((k, m + 1, m, m))
+            exp_mention = np.zeros((k, m + 1, m, m))
+            for inst, lat, w in zip(ds.instances, state.lattices, post):
+                links = resolve_mentions(inst.tokens)
+                for ann, labels in inst.annotations.items():
+                    ki = ds.roster.index(ann)
+                    for seq, wi in zip(lat.sequences, w):
+                        for j, (yj, zj) in enumerate(zip(labels, seq)):
+                            if links[j] is not None:
+                                exp_mention[ki, labels[links[j]], zj, yj] += wi
+                            else:
+                                ctx = m if j == 0 else labels[j - 1]
+                                exp_local[ki, ctx, zj, yj] += wi
+            np.testing.assert_allclose(local, exp_local, atol=1e-12)
+            np.testing.assert_allclose(mention, exp_mention, atol=1e-12)
 
     def test_total_mass_counts_every_labeled_token(self):
         ds = tiny_dataset()
@@ -224,22 +243,22 @@ class TestMStep:
 
 class TestObservedLoglik:
     def test_matches_single_sequence_primitives(self):
-        ds = tiny_dataset()
-        state = initialize(ds, small_cfg())
-        expected = 0.0
-        for inst, lat in zip(ds.instances, state.lattices):
-            pot = extract_features(state.crf, inst.tokens)
-            logz = log_partition(pot)
-            links = resolve_mentions(inst.tokens)
-            for ann, labels in inst.annotations.items():
-                terms = []
-                for seq in lat.sequences:
-                    v = sequence_score(pot, seq) - logz
-                    v += annotation_loglik(state.annotators, ann, labels, seq, links)
-                    terms.append(v)
-                hi = max(terms)
-                expected += hi + np.log(sum(np.exp(t - hi) for t in terms))
-        assert observed_loglik(state, ds) == pytest.approx(expected, rel=1e-10)
+        for ds in (tiny_dataset(), tiny_dataset(skipped=True)):
+            state = initialize(ds, small_cfg())
+            expected = 0.0
+            for inst, lat in zip(ds.instances, state.lattices):
+                pot = extract_features(state.crf, inst.tokens)
+                logz = log_partition(pot)
+                links = resolve_mentions(inst.tokens)
+                for ann, labels in inst.annotations.items():
+                    terms = []
+                    for seq in lat.sequences:
+                        v = sequence_score(pot, seq) - logz
+                        v += annotation_loglik(state.annotators, ann, labels, seq, links)
+                        terms.append(v)
+                    hi = max(terms)
+                    expected += hi + np.log(sum(np.exp(t - hi) for t in terms))
+            assert observed_loglik(state, ds) == pytest.approx(expected, rel=1e-10)
 
 
 class TestFit:
