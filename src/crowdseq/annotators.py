@@ -110,8 +110,14 @@ def factor_matrix(
     The contexts come from the annotation itself, so the table does not
     depend on any candidate truth sequence.
     """
-    k = params.annotator_index(annotator)
-    y, ctx, is_mention = annotation_contexts(assigned, links, params.n_labels)
+    contexts = annotation_contexts(assigned, links, params.n_labels)
+    return context_factor(params, params.annotator_index(annotator), contexts)
+
+
+def context_factor(params: AnnotatorParams, k: int, contexts) -> np.ndarray:
+    """``factor_matrix`` for the annotator at roster index ``k``, from the
+    ``annotation_contexts`` of their labels."""
+    y, ctx, is_mention = contexts
     local_rows = params.local[k][ctx, :, y]
     mention_rows = params.mention[k][ctx, :, y]
     with np.errstate(divide="ignore"):

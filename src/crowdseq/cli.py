@@ -162,8 +162,8 @@ def _cmd_decode(args) -> int:
     model = crf.load_model(args.model)
     token_seqs = formats.load_tokens(args.input)
     decoded = tuple(
-        CrowdInstance(tokens, {}, crf.viterbi(crf.extract_features(model, tokens)))
-        for tokens in token_seqs
+        CrowdInstance(tokens, {}, labels)
+        for tokens, labels in zip(token_seqs, crf.decode(model, token_seqs))
     )
     formats.save_conll(args.out, CrowdDataset(model.scheme, decoded, ()))
     return 0

@@ -10,15 +10,21 @@ firing at a position and the pairwise table holds label-bigram weights
 inference runs in log space with max-shift stabilization; probabilities only
 appear in marginal outputs.
 
-One forward-backward kernel serves every caller.  It runs on a packed batch:
-sequences sorted longest first and laid out time-major in flat (P, M) arrays
-over their P positions, so step t touches only the sequences still running
-and nothing is padded (see ``_Packing``).  Training packs every distinct
-input sequence of an objective once, with its observations as a sparse
-(P, n_obs) matrix F: the batch's unary table is ``F @ W_u``, the unary
-gradient ``F^T @ (w * q)``, and the pair marginals are summed into the
-(M, M) bigram gradient step by step.  ``log_partition`` and ``marginals``
-run the same kernel on a batch of one.
+Inference runs on a packed batch: sequences sorted longest first and laid
+out time-major in flat (P, M) arrays over their P positions, so step t
+touches only the sequences still running and nothing is padded (see
+``_Packing``).  One forward-backward kernel and its max-product twin,
+``_viterbi``, work on that layout.  Training packs every distinct input
+sequence of an objective once, with its observations as a sparse (P, n_obs)
+matrix F: the batch's unary table is ``F @ W_u``, the unary gradient
+``F^T @ (w * q)``, and the pair marginals are summed into the (M, M) bigram
+gradient step by step.  ``decode`` packs a whole corpus and runs one
+Viterbi pass over it; ``log_partition``, ``marginals`` and ``viterbi`` on
+one sentence run the same kernels on a batch of one.
+
+scipy is imported only by training (the sparse F and L-BFGS), on first use,
+so loading a model and decoding never load it.  ``load_model`` streams the
+model file line by line.
 
 The weight vector is the flattened (n_obs, M) unary block followed, when a
 label-bigram template is present, by the flattened (M, M) bigram block.
@@ -27,13 +33,13 @@ label-bigram template is present, by the flattened (M, M) bigram block.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
+from itertools import cycle, islice, product
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.sparse import csr_matrix
 
 from .types import LabelScheme, LabelSeq
 
@@ -364,6 +370,29 @@ def _forward_backward(
     return logz, uni, pair
 
 
+def _viterbi(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarray:
+    """The label of every packed row on its sequence's best path.
+
+    The max-product form of ``_forward``.  Back-pointers and the final
+    argmax take the first maximum, so ties resolve to the lowest label
+    index; the backtrack runs step by step over the whole batch.
+    """
+    score = unary.copy()
+    back = np.empty(unary.shape, dtype=np.intp)
+    for t in range(1, pk.steps):
+        n = pk.sizes[t]
+        cand = score[pk.rows(t - 1, n), :, None] + _step_table(pairwise, t)
+        back[pk.rows(t, n)] = cand.argmax(axis=1)
+        score[pk.rows(t, n)] += cand.max(axis=1)
+    path = np.empty(unary.shape[0], dtype=np.intp)
+    path[pk.last_rows] = score[pk.last_rows].argmax(axis=1)
+    for t in range(pk.steps - 1, 0, -1):
+        n = pk.sizes[t]
+        rows = pk.rows(t, n)
+        path[pk.rows(t - 1, n)] = np.take_along_axis(back[rows], path[rows, None], axis=1)[:, 0]
+    return path
+
+
 def log_partition(pot: SequencePotentials) -> float:
     """log of the sum of exp(score) over all M^L label sequences."""
     _check_finite(pot)
@@ -377,21 +406,43 @@ def marginals(pot: SequencePotentials) -> tuple[np.ndarray, np.ndarray]:
     return uni, pair
 
 
-def viterbi(pot: SequencePotentials) -> LabelSeq:
-    """Highest-scoring label sequence; ties resolve to the lowest label index."""
-    _check_finite(pot)
-    L, m = pot.unary.shape
-    score = pot.unary[0].copy()
-    back = np.zeros((L, m), dtype=np.intp)
-    for t in range(1, L):
-        cand = score[:, None] + _step_table(pot.pairwise, t)
-        back[t] = cand.argmax(axis=0)  # first maximum, so the lowest index
-        score = cand[back[t], np.arange(m)] + pot.unary[t]
-    path = [0] * L
-    path[-1] = int(score.argmax())
-    for t in range(L - 1, 0, -1):
-        path[t - 1] = int(back[t, path[t]])
-    return tuple(path)
+def viterbi(pot: SequencePotentials | Sequence[SequencePotentials]) -> LabelSeq | list[LabelSeq]:
+    """Highest-scoring label sequence; ties resolve to the lowest label index.
+
+    Given a list of potentials instead of one, returns one path per entry,
+    in order, from a single packed pass.  The entries of a longer list must
+    share one position-independent (M, M) pairwise table.
+    """
+    if isinstance(pot, SequencePotentials):
+        return viterbi([pot])[0]
+    pots = list(pot)
+    if not pots:
+        return []
+    pairwise = pots[0].pairwise
+    if len(pots) > 1 and (pairwise.ndim != 2 or (np.stack([p.pairwise for p in pots]) != pairwise).any()):
+        raise ValueError("a batch must share one (M, M) pairwise table")
+    lengths = [p.length for p in pots]
+    if min(lengths) < 1:
+        raise ValueError("empty sequence")
+    order = sorted(range(len(pots)), key=lengths.__getitem__, reverse=True)
+    pk = _Packing([lengths[i] for i in order])
+    unary = np.concatenate([pots[i].unary for i in order])[pk.from_concat]
+    _check_finite(SequencePotentials(unary, pairwise))
+    labels = np.empty_like(pk.from_concat)
+    labels[pk.from_concat] = _viterbi(unary, pairwise, pk)
+    flat = labels.tolist()  # the paths in sorted order, laid end to end
+    paths: list[LabelSeq] = [()] * len(pots)
+    start = 0
+    for i in order:
+        paths[i] = tuple(flat[start : start + lengths[i]])
+        start += lengths[i]
+    return paths
+
+
+def decode(model: CrfModel, token_seqs: Iterable[Sequence[str]]) -> list[LabelSeq]:
+    """The highest-scoring label sequence of each token sequence, in input
+    order, all decoded in one packed Viterbi pass."""
+    return viterbi([extract_features(model, tokens) for tokens in token_seqs])
 
 
 # One weighted example: (tokens, labels, weight).  The same tokens object may
@@ -411,6 +462,8 @@ class _WeightedObjective:
     """
 
     def __init__(self, model: CrfModel, data: Iterable[WeightedExample], l2: float):
+        from scipy.sparse import csr_matrix
+
         if l2 < 0:
             raise ValueError("l2 penalty must be nonnegative")
         self.model = model
@@ -485,6 +538,17 @@ def weighted_nll_and_gradient(
     return _WeightedObjective(model, data, l2).value_and_grad(model.weights)
 
 
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, looked up when called.
+
+    scipy.optimize is imported on first use, not with this module, so that
+    decoding never loads it; ``optimize`` imports it before calling this.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
+
+
 @dataclass(frozen=True)
 class TrainOptions:
     max_iter: int = 100
@@ -516,6 +580,8 @@ def optimize(
     obj = _WeightedObjective(model, data, opts.l2)
     if model.dim == 0:
         return TrainResult(replace(model, weights=model.weights.copy()), 0.0, 0.0, 0, True, False, [])
+    import scipy.optimize  # noqa: F401  (its first import is set-up time, not fit time)
+
     history: list[float] = []
     if opts.record_history:
         history.append(obj.value_and_grad(model.weights)[0])
@@ -562,51 +628,75 @@ def save_model(model: CrfModel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _field_problem(line: str, n_fields: int) -> str:
+    """Why a model body line with ``n_fields`` fields, the weight last, failed to parse."""
+    parts = line.rstrip("\n").split("\t")
+    if len(parts) != n_fields:
+        return f"expected {n_fields} tab-separated fields, found {len(parts)}"
+    return f"weight {parts[-1]!r} is not a number"
+
+
 def load_model(path) -> CrfModel:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != MODEL_MAGIC:
-        raise ValueError(f"{path}: not a {MODEL_MAGIC} file")
+    """Read a ``save_model`` file in one pass over its lines."""
+    with open(path, encoding="utf-8") as fh:
+        header = [line.rstrip("\n") for line in islice(fh, 5)]
+        if not header or header[0] != MODEL_MAGIC:
+            raise ValueError(f"{path}: not a {MODEL_MAGIC} file")
 
-    def fields(i, tag, n=None):
-        parts = lines[i].split("\t")
-        if parts[0] != tag or (n is not None and len(parts) != n):
-            raise ValueError(f"{path}, line {i + 1}: expected {tag!r}")
-        return parts[1:]
+        def fields(i, tag, n=None):
+            parts = header[i].split("\t") if i < len(header) else [None]
+            if parts[0] != tag or (n is not None and len(parts) != n):
+                raise ValueError(f"{path}, line {i + 1}: expected {tag!r}")
+            return parts[1:]
 
-    kind = fields(1, "kind", 2)[0]
-    labels = tuple(fields(2, "labels"))
-    templates = tuple(FeatureTemplate.parse(s) for s in fields(3, "templates"))
-    n_obs = int(fields(4, "observations", 2)[0])
-    scheme = LabelScheme(labels, kind)
-    m = scheme.size
-    model = CrfModel(scheme, templates, {}, np.zeros(0))
-    has_bigram = model.has_bigram
-    expected = 5 + n_obs * m + (m * m if has_bigram else 0)
-    if len(lines) != expected:
-        raise ValueError(f"{path}: expected {expected} lines, found {len(lines)}")
-    obs_index: dict[str, int] = {}
-    weights = np.zeros(n_obs * m + (m * m if has_bigram else 0))
-    i = 5
-    for r in range(n_obs):
-        for c in range(m):
-            obs, lab, w = lines[i].split("\t")
+        kind = fields(1, "kind", 2)[0]
+        labels = tuple(fields(2, "labels"))
+        templates = tuple(FeatureTemplate.parse(s) for s in fields(3, "templates"))
+        n_text = fields(4, "observations", 2)[0]
+        if not n_text.isdecimal():
+            raise ValueError(f"{path}, line 5: observation count {n_text!r} is not a nonnegative integer")
+        n_obs = int(n_text)
+        scheme = LabelScheme(labels, kind)
+        m = scheme.size
+        model = CrfModel(scheme, templates, {}, np.zeros(0))
+        n_body = n_obs * m
+        expected = 5 + n_body + (m * m if model.has_bigram else 0)
+        obs_index: dict[str, int] = {}
+        weights = array("d")
+
+        def bad(why: str) -> ValueError:
+            # the line being read follows the five header lines and one line per weight kept
+            return ValueError(f"{path}, line {6 + len(weights)}: {why}")
+
+        for line, (c, label) in zip(islice(fh, n_body), cycle(enumerate(labels))):
+            try:
+                obs, lab, w = line.split("\t")
+                weight = float(w)
+            except ValueError:
+                raise bad(_field_problem(line, 3)) from None
             if c == 0:
-                obs_index[obs] = r
-            elif obs_index.get(obs) != r:
-                raise ValueError(f"{path}, line {i + 1}: observation block out of order")
-            if lab != labels[c]:
-                raise ValueError(f"{path}, line {i + 1}: label column mismatch")
-            weights[r * m + c] = float(w)
-            i += 1
-    if has_bigram:
-        for a in range(m):
-            for b in range(m):
-                tag, la, lb, w = lines[i].split("\t")
-                if tag != "bigram" or la != labels[a] or lb != labels[b]:
-                    raise ValueError(f"{path}, line {i + 1}: bigram block mismatch")
-                weights[n_obs * m + a * m + b] = float(w)
-                i += 1
+                if obs in obs_index:
+                    raise bad(f"duplicate observation {obs!r}")
+                obs_index[obs] = len(obs_index)
+                block = obs
+            elif obs != block:
+                raise bad("observation block out of order")
+            if lab != label:
+                raise bad("label column mismatch")
+            weights.append(weight)
+        if model.has_bigram and len(weights) == n_body:
+            for line, (la, lb) in zip(islice(fh, m * m), product(labels, repeat=2)):
+                try:
+                    tag, got_a, got_b, w = line.split("\t")
+                    weight = float(w)
+                except ValueError:
+                    raise bad(_field_problem(line, 4)) from None
+                if tag != "bigram" or got_a != la or got_b != lb:
+                    raise bad("bigram block mismatch")
+                weights.append(weight)
+        found = 5 + len(weights) + sum(1 for _ in fh)
+    if found != expected:
+        raise ValueError(f"{path}: expected {expected} lines, found {found}")
     model.obs_index = obs_index
-    model.weights = weights
+    model.weights = np.array(weights)
     return model

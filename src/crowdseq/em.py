@@ -9,9 +9,11 @@ on the crowd labels, so they are built once and reused across iterations,
 their sequences kept as one (S, L) array per instance.
 
 Which table and context score each annotator label is decided in
-``annotators`` alone: the posterior step and the log-likelihood score
-candidates through ``factor_matrix``, and the table update counts through
-``annotation_contexts``.
+``annotators`` alone.  The contexts depend only on the data, so
+``initialize`` derives them once per instance and present annotator with
+``annotation_contexts``; the posterior step and the log-likelihood score
+candidates from them through ``context_factor``, and the table update
+counts with them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .annotators import (
     AnnotatorParams,
     annotation_contexts,
-    factor_matrix,
+    context_factor,
     params_from_counts,
     resolve_mentions,
     sample_init_params,
@@ -99,6 +101,8 @@ class EmState:
     annotators: AnnotatorParams
     lattices: tuple[ValidLattice, ...]
     candidates: tuple[np.ndarray, ...]  # per lattice, its sequences as an (S, L) array
+    # per instance, (roster index, annotation_contexts) of each present annotator in roster order
+    contexts: tuple[tuple[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]], ...], ...]
     iteration: int
     loglik_history: list[float]
     last_train: TrainResult | None = field(repr=False, default=None)
@@ -142,7 +146,17 @@ def initialize(ds: CrowdDataset, cfg: EmConfig) -> EmState:
     opts = TrainOptions(max_iter=cfg.init_max_iter, tol=cfg.opt_tol, l2=cfg.l2_penalty)
     model = optimize(model, seed_data, opts).model
     candidates = tuple(np.asarray(lat.sequences, dtype=np.intp) for lat in lattices)
-    return EmState(cfg, model, params, lattices, candidates, 0, [])
+    contexts = tuple(_present_contexts(inst, ds.roster, ds.scheme.size) for inst in ds.instances)
+    return EmState(cfg, model, params, lattices, candidates, contexts, 0, [])
+
+
+def _present_contexts(inst: CrowdInstance, roster: Sequence[str], n_labels: int):
+    links = resolve_mentions(inst.tokens)
+    return tuple(
+        (k, annotation_contexts(inst.annotations[ann], links, n_labels))
+        for k, ann in enumerate(roster)
+        if ann in inst.annotations
+    )
 
 
 def _candidate_scores(
@@ -151,15 +165,13 @@ def _candidate_scores(
     """Per instance, the tagger log-probability of each candidate and, per
     present annotator in roster order, the log-likelihood of their labels
     under each candidate."""
-    for inst, z in zip(ds.instances, state.candidates):
+    for inst, z, present in zip(ds.instances, state.candidates, state.contexts):
         pot = extract_features(state.crf, inst.tokens)
         logp = sequence_scores(pot, z) - log_partition(pot)
-        links = resolve_mentions(inst.tokens)
         pos = np.arange(z.shape[1])[None, :]
         yield logp, [
-            factor_matrix(state.annotators, ann, inst.annotations[ann], links)[pos, z].sum(axis=1)
-            for ann in ds.roster
-            if ann in inst.annotations
+            context_factor(state.annotators, k, contexts)[pos, z].sum(axis=1)
+            for k, contexts in present
         ]
 
 
@@ -185,16 +197,11 @@ def confusion_counts(
     m = ds.scheme.size
     counts = np.zeros((2, len(ds.roster), m + 1, m, m))  # index 0 local, 1 mention
     cols = np.arange(m)[None, :]
-    for inst, z, w in zip(ds.instances, state.candidates, posteriors):
+    for z, w, present in zip(state.candidates, posteriors, state.contexts):
         L = z.shape[1]
         q = np.zeros((L, m))  # posterior marginal of each truth label per position
         np.add.at(q, (np.arange(L)[None, :], z), w[:, None])
-        links = resolve_mentions(inst.tokens)
-        for ki, ann in enumerate(ds.roster):
-            labels = inst.annotations.get(ann)
-            if labels is None:
-                continue
-            y, ctx, is_mention = annotation_contexts(labels, links, m)
+        for ki, (y, ctx, is_mention) in present:
             np.add.at(counts, (is_mention[:, None].astype(np.intp), ki, ctx[:, None], cols, y[:, None]), q)
     return counts[0], counts[1]
 

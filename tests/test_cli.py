@@ -1,20 +1,37 @@
 """Command-line behavior: exit codes, file products, output shapes."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import crowdseq
 from corpus import make_gold
 from crowdseq import (
     CrowdDataset,
     CrowdInstance,
+    build_model,
     load_annotators,
     load_conll,
     load_crowd,
+    load_tokens,
     save_config,
     save_conll,
     save_crowd,
+    save_model,
 )
 from crowdseq.cli import main
 from crowdseq.crf import load_model
+
+
+def tiny_model(tmp_path):
+    """A zero-weight model over a few sentences, and those sentences as a tag file."""
+    gold = make_gold(3, seed=2)
+    model_path, tokens_path = tmp_path / "model.tsv", tmp_path / "tokens.tsv"
+    save_model(build_model(gold.scheme, [inst.tokens for inst in gold.instances]), model_path)
+    save_conll(tokens_path, gold)
+    return model_path, tokens_path
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +144,33 @@ class TestExitCodes:
         ])
         assert code == 0
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_decode_rejects_a_duplicated_observation(self, tmp_path, capsys):
+        model_path, tokens_path = tiny_model(tmp_path)
+        lines = model_path.read_text(encoding="utf-8").splitlines()
+        m = len(lines[2].split("\t")) - 1  # labels
+        first = lines[5].split("\t")[0]
+        for i in range(5 + m, 5 + 2 * m):  # the second block takes the first one's name
+            lines[i] = first + "\t" + lines[i].split("\t", 1)[1]
+        model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model_path}, line {6 + m}: duplicate observation")
+        assert "Traceback" not in err
+
+    def test_decode_never_imports_the_optimizer(self, tmp_path):
+        model_path, tokens_path = tiny_model(tmp_path)
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(crowdseq.__file__).parents[1])!r})\n"
+            "from crowdseq.cli import main\n"
+            f"assert main(['decode', {str(model_path)!r}, {str(tokens_path)!r}, '--out', 'out.tsv']) == 0\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert load_tokens(tmp_path / "out.tsv") == load_tokens(tokens_path)
 
     def test_lattice_index_out_of_range(self, pipeline, capsys):
         assert main(["inspect-lattice", str(pipeline["crowd"]), "--instance", "99"]) == 2

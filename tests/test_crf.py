@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -17,8 +18,10 @@ from crowdseq import (
     DEFAULT_TEMPLATES,
     FeatureTemplate,
     LabelScheme,
+    SequencePotentials,
     TrainOptions,
     build_model,
+    decode,
     extract_features,
     load_model,
     log_partition,
@@ -29,6 +32,7 @@ from crowdseq import (
     viterbi,
     weighted_nll_and_gradient,
 )
+from crowdseq import crf
 from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, logsumexp, observation_rows, sequence_scores
 
 SCHEME = LabelScheme.bio(("LOC", "PER"))
@@ -181,6 +185,13 @@ class TestInferenceOracles:
         pot = random_potentials(rng, L=int(rng.integers(1, 7)), M=int(rng.integers(2, 5)))
         assert viterbi(pot) == brute_viterbi(pot)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_viterbi_with_per_step_tables_matches_enumeration(self, seed):
+        rng = np.random.default_rng(seed + 300)
+        pot = random_potentials(rng, L=int(rng.integers(2, 7)), M=int(rng.integers(2, 5)), per_step=True)
+        assert pot.pairwise.ndim == 3
+        assert viterbi(pot) == brute_viterbi(pot)
+
     def test_per_step_pairwise_supported(self):
         rng = np.random.default_rng(42)
         pot = random_potentials(rng, L=5, M=3, per_step=True)
@@ -229,6 +240,36 @@ class TestInferenceOracles:
         pot = random_potentials(np.random.default_rng(3), L=1, M=4)
         assert log_partition(pot) == pytest.approx(brute_log_partition(pot), rel=1e-12)
         assert len(viterbi(pot)) == 1
+
+
+class TestDecode:
+    def test_matches_per_sentence_viterbi_on_a_ragged_batch(self):
+        rng = np.random.default_rng(17)
+        model, data = ragged_batch(rng, extra_lengths=(9, 1, 4))
+        seqs = [tokens for tokens, _, _ in data]
+        seqs.append(seqs[2])  # the same sentence twice
+        lengths = [len(tokens) for tokens in seqs]
+        assert 1 in lengths and lengths != sorted(lengths, reverse=True)
+        expected = [viterbi(extract_features(model, tokens)) for tokens in seqs]
+        assert decode(model, seqs) == expected
+        assert viterbi([extract_features(model, tokens) for tokens in seqs]) == expected
+
+    def test_all_zero_weights_tie_everywhere_to_label_zero(self):
+        seqs = [("a", "b", "c"), ("d",), ("e", "f", "g", "h", "i"), ("j", "k")]
+        model = build_model(SCHEME, seqs)
+        assert decode(model, seqs) == [(0,) * len(tokens) for tokens in seqs]
+
+    def test_empty_batch(self):
+        model = build_model(SCHEME, [("a",)])
+        assert decode(model, []) == []
+
+    def test_rejects_a_batch_without_one_shared_table_and_empty_sequences(self):
+        rng = np.random.default_rng(4)
+        a, b = random_potentials(rng, L=3, M=3), random_potentials(rng, L=2, M=3)
+        with pytest.raises(ValueError, match="share one"):
+            viterbi([a, b])
+        with pytest.raises(ValueError, match="empty"):
+            viterbi(SequencePotentials(np.zeros((0, 3)), np.zeros((3, 3))))
 
 
 class TestGradient:
@@ -390,6 +431,20 @@ class TestOptimize:
         assert res.model.dim == 0
         assert res.iterations == 0
 
+    def test_calls_minimize_through_the_module_attribute(self, monkeypatch):
+        # the benchmark's tracer times L-BFGS by replacing crf.minimize
+        calls = []
+        real = crf.minimize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(crf, "minimize", counting)
+        model, data = self.separable_data()
+        optimize(model, data, TrainOptions(max_iter=5))
+        assert calls == [1]
+
     def test_deterministic(self):
         model, data = self.separable_data()
         r1 = optimize(model, data, TrainOptions(max_iter=60))
@@ -431,6 +486,45 @@ class TestPersistence:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-3]) + "\n")
         with pytest.raises(ValueError):
+            load_model(path)
+
+    def saved_lines(self, tmp_path):
+        model = build_model(SCHEME, [("a", "b")])
+        model.weights[:] = np.random.default_rng(2).normal(size=model.dim)
+        path = tmp_path / "m.tsv"
+        save_model(model, path)
+        return path, path.read_text().splitlines()
+
+    def test_surplus_lines_rejected(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        path.write_text("\n".join(lines + ["", "extra"]) + "\n")
+        with pytest.raises(ValueError, match=f"expected {len(lines)} lines, found {len(lines) + 2}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("where", ["body", "bigram"])
+    def test_wrong_field_count_names_the_line(self, tmp_path, where):
+        path, lines = self.saved_lines(tmp_path)
+        i = 6 if where == "body" else len(lines) - 1
+        lines[i] += "\t0.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {i + 1}: expected . tab-separated fields"):
+            load_model(path)
+
+    def test_non_numeric_weight_names_the_line(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        lines[7] = lines[7].rsplit("\t", 1)[0] + "\tabc"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 8: weight 'abc' is not a number"):
+            load_model(path)
+
+    def test_duplicate_observation_names_the_line(self, tmp_path):
+        path, lines = self.saved_lines(tmp_path)
+        m = SCHEME.size
+        first = lines[5].split("\t")[0]
+        for i in range(5 + m, 5 + 2 * m):  # the second block takes the first one's name
+            lines[i] = first + "\t" + lines[i].split("\t", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {6 + m}: duplicate observation"):
             load_model(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
