@@ -206,12 +206,13 @@ def load_annotators(path) -> tuple[AnnotatorParams, LabelScheme]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != PARAMS_MAGIC:
         raise ValueError(f"{path}: not a {PARAMS_MAGIC} file")
-    kind = lines[1].split("\t")[1:]
-    labels = lines[2].split("\t")[1:]
-    roster = tuple(lines[3].split("\t")[1:])
-    if lines[1].split("\t")[0] != "kind" or lines[2].split("\t")[0] != "labels" or lines[3].split("\t")[0] != "roster":
+    if len(lines) < 4:
+        raise ValueError(f"{path}: truncated header ({len(lines)} of 4 lines)")
+    kind, labels, names = (line.split("\t") for line in lines[1:4])
+    if (kind[0], labels[0], names[0]) != ("kind", "labels", "roster") or len(kind) != 2:
         raise ValueError(f"{path}: malformed header")
-    scheme = LabelScheme(tuple(labels), kind[0])
+    scheme = LabelScheme(tuple(labels[1:]), kind[1])
+    roster = tuple(names[1:])
     m = scheme.size
     k = len(roster)
     contexts = list(scheme.labels) + [BOS_LABEL]

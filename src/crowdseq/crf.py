@@ -14,13 +14,15 @@ Inference runs on a packed batch: sequences sorted longest first and laid
 out time-major in flat (P, M) arrays over their P positions, so step t
 touches only the sequences still running and nothing is padded (see
 ``_Packing``).  One forward-backward kernel and its max-product twin,
-``_viterbi``, work on that layout.  Training packs every distinct input
-sequence of an objective once, with its observations as a sparse (P, n_obs)
-matrix F: the batch's unary table is ``F @ W_u``, the unary gradient
-``F^T @ (w * q)``, and the pair marginals are summed into the (M, M) bigram
-gradient step by step.  ``decode`` packs a whole corpus and runs one
-Viterbi pass over it; ``log_partition``, ``marginals`` and ``viterbi`` on
-one sentence run the same kernels on a batch of one.
+``_viterbi``, work on that layout.  A training example is one token
+sequence with one weighted label sequence or a weighted (S, L) stack of them
+(an EM lattice's candidates), and the objective packs each example's tokens
+once, with their observations as a sparse (P, n_obs) matrix F: the batch's
+unary table is ``F @ W_u``, the unary gradient ``F^T @ (w * q)``, and the
+pair marginals are summed into the (M, M) bigram gradient step by step.
+``decode`` packs a whole corpus and runs one Viterbi pass over it;
+``log_partition``, ``marginals`` and ``viterbi`` on one sentence run the
+same kernels on a batch of one.
 
 scipy is imported only by training (the sparse F and L-BFGS), on first use,
 so loading a model and decoding never load it.  ``load_model`` streams the
@@ -32,7 +34,6 @@ label-bigram template is present, by the flattened (M, M) bigram block.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass, replace
 from itertools import cycle, islice, product
@@ -162,16 +163,6 @@ class CrfModel:
         if not self.has_bigram:
             return np.zeros((m, m))
         return self.weights[self.n_obs * m :].reshape(m, m)
-
-    def feature_names(self) -> Iterable[str]:
-        """Feature strings aligned with the weight vector layout."""
-        for obs in self.obs_index:
-            for lab in self.scheme.labels:
-                yield f"{obs}\ty={lab}"
-        if self.has_bigram:
-            for a in self.scheme.labels:
-                for b in self.scheme.labels:
-                    yield f"bigram\t{a}\t{b}"
 
 
 def build_model(
@@ -445,20 +436,23 @@ def decode(model: CrfModel, token_seqs: Iterable[Sequence[str]]) -> list[LabelSe
     return viterbi([extract_features(model, tokens) for tokens in token_seqs])
 
 
-# One weighted example: (tokens, labels, weight).  The same tokens object may
-# appear many times with different label sequences; inference is shared.
-WeightedExample = tuple[Sequence[str], LabelSeq, float]
+# One weighted example: (tokens, labels, weight), where labels is one label
+# sequence or an (S, L) stack of them and weight a scalar or an (S,) vector,
+# one weight per sequence.  A stack shares one inference pass: a sentence's
+# candidate truths arrive as one example.
+WeightedExample = tuple[Sequence[str], LabelSeq | np.ndarray, float | np.ndarray]
 
 
 class _WeightedObjective:
     """Weighted negative log-likelihood with its gradient.
 
-    Examples sharing one tokens object form a group whose weights add up.
-    The groups with positive weight are packed once (see ``_Packing``) with
-    their observations as a sparse (positions x observations) matrix ``F``,
-    so ``F @ W_u`` is the unary table of the whole batch.  Empirical feature
-    counts do not depend on the weights: they are ``F^T @ Q`` for the
-    per-position soft label counts ``Q``, accumulated once at construction.
+    Each example is one sequence of the batch, its label stack's weights
+    adding up to the sequence weight.  The examples with positive weight are
+    packed once (see ``_Packing``) with their observations as a sparse
+    (positions x observations) matrix ``F``, so ``F @ W_u`` is the unary
+    table of the whole batch.  Empirical feature counts do not depend on the
+    weights: they are ``F^T @ Q`` for the per-position soft label counts
+    ``Q`` of the stacks, accumulated once at construction.
     """
 
     def __init__(self, model: CrfModel, data: Iterable[WeightedExample], l2: float):
@@ -469,27 +463,29 @@ class _WeightedObjective:
         self.model = model
         self.l2 = float(l2)
         m = model.scheme.size
-        data = list(data)  # keeps every tokens object alive, so no two groups share an id
-        groups: dict[int, tuple[Sequence[str], list[LabelSeq], list[float]]] = {}
+        kept = []
         for tokens, labels, w in data:
-            w = float(w)
-            if not math.isfinite(w):
+            z = np.atleast_2d(np.asarray(labels, dtype=np.intp))
+            w = np.atleast_1d(np.asarray(w, dtype=float))
+            if not np.isfinite(w).all():
                 raise ValueError("non-finite weight")
-            if w < 0:
+            if (w < 0).any():
                 raise ValueError("negative weight")
-            if len(labels) != len(tokens):
+            if z.shape[1] != len(tokens):
                 raise ValueError("label/token length mismatch")
             if not tokens:
                 raise ValueError("empty token sequence")
-            _, seqs, ws = groups.setdefault(id(tokens), (tokens, [], []))
-            seqs.append(labels)
-            ws.append(w)
-        kept = sorted((g for g in groups.values() if sum(g[2]) > 0), key=lambda g: -len(g[0]))
-        self.pack = pk = _Packing([len(tokens) for tokens, _, _ in kept])
-        self.seq_w = np.array([sum(ws) for _, _, ws in kept])
+            if w.shape != z.shape[:1]:
+                raise ValueError("label/weight count mismatch")
+            total = sum(w.tolist())  # left to right, as the weights arrive
+            if total > 0:
+                kept.append((tokens, z, w, total))
+        kept.sort(key=lambda e: -len(e[0]))
+        self.pack = pk = _Packing([len(tokens) for tokens, _, _, _ in kept])
+        self.seq_w = np.array([total for _, _, _, total in kept])
         self.row_w = self.seq_w[pk.row_seq, None]
 
-        obs = [rr for tokens, _, _ in kept for rr in observation_rows(model, tokens)]
+        obs = [rr for tokens, _, _, _ in kept for rr in observation_rows(model, tokens)]
         obs = [obs[i] for i in pk.from_concat]
         indptr = np.concatenate(([0], np.cumsum([rr.size for rr in obs], dtype=np.intp)))
         indices = np.concatenate(obs) if obs else np.zeros(0, dtype=np.intp)
@@ -499,12 +495,10 @@ class _WeightedObjective:
         counts = np.zeros((len(obs), m))  # sequences laid end to end
         self.emp_b = np.zeros((m, m))
         start = 0
-        for tokens, seqs, ws in kept:
-            z = np.asarray(seqs, dtype=np.intp)
-            w = np.asarray(ws)[:, None]
+        for tokens, z, w, _ in kept:
             n = len(tokens)
-            np.add.at(counts[start : start + n], (np.arange(n), z), w)
-            np.add.at(self.emp_b, (z[:, :-1], z[:, 1:]), w)
+            np.add.at(counts[start : start + n], (np.arange(n), z), w[:, None])
+            np.add.at(self.emp_b, (z[:, :-1], z[:, 1:]), w[:, None])
             start += n
         self.emp_u = self.Ft @ counts[pk.from_concat]
 
@@ -554,7 +548,6 @@ class TrainOptions:
     max_iter: int = 100
     tol: float = 1e-5  # stop when the gradient's infinity norm drops below this
     l2: float = 1.0
-    record_history: bool = False
 
 
 @dataclass
@@ -565,7 +558,6 @@ class TrainResult:
     iterations: int
     converged: bool
     warning: bool  # line search gave up; weights are the best point seen
-    history: list[float]
 
 
 def optimize(
@@ -579,23 +571,14 @@ def optimize(
     """
     obj = _WeightedObjective(model, data, opts.l2)
     if model.dim == 0:
-        return TrainResult(replace(model, weights=model.weights.copy()), 0.0, 0.0, 0, True, False, [])
+        return TrainResult(replace(model, weights=model.weights.copy()), 0.0, 0.0, 0, True, False)
     import scipy.optimize  # noqa: F401  (its first import is set-up time, not fit time)
-
-    history: list[float] = []
-    if opts.record_history:
-        history.append(obj.value_and_grad(model.weights)[0])
-
-    def callback(xk):
-        if opts.record_history:
-            history.append(obj.value_and_grad(xk)[0])
 
     res = minimize(
         obj.value_and_grad,
         model.weights.astype(float, copy=True),
         jac=True,
         method="L-BFGS-B",
-        callback=callback,
         options={"maxiter": opts.max_iter, "gtol": opts.tol, "ftol": 1e-14},
     )
     value, grad = obj.value_and_grad(res.x)
@@ -603,7 +586,7 @@ def optimize(
     warning = int(getattr(res, "status", 0)) == 2
     converged = bool(res.success) or gnorm <= opts.tol
     trained = replace(model, weights=np.asarray(res.x, dtype=float).copy())
-    return TrainResult(trained, float(value), gnorm, int(res.nit), converged, warning, history)
+    return TrainResult(trained, float(value), gnorm, int(res.nit), converged, warning)
 
 
 def save_model(model: CrfModel, path) -> None:

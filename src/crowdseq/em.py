@@ -6,7 +6,9 @@ probabilities) with a maximization step (a warm-started, iteration-capped
 tagger refit on the posterior-weighted candidates, plus closed-form
 smoothed updates of the reliability tables).  Candidate lattices depend only
 on the crowd labels, so they are built once and reused across iterations,
-their sequences kept as one (S, L) array per instance.
+their sequences kept as one (S, L) array per instance.  The tagger refit
+takes that array and its posterior weights as one weighted example per
+instance, so its objective scores each sentence once.
 
 Which table and context score each annotator label is decided in
 ``annotators`` alone.  The contexts depend only on the data, so
@@ -214,11 +216,7 @@ def m_step(
     The tagger step is iteration-capped, improving rather than maximizing its
     objective; the reliability update is the exact smoothed maximizer.
     """
-    data = []
-    for inst, lat, w in zip(ds.instances, state.lattices, posteriors):
-        data.extend(
-            (inst.tokens, seq, float(wi)) for seq, wi in zip(lat.sequences, w)
-        )
+    data = [(inst.tokens, z, w) for inst, z, w in zip(ds.instances, state.candidates, posteriors)]
     opts = TrainOptions(
         max_iter=state.cfg.inner_max_iter, tol=state.cfg.opt_tol, l2=state.cfg.l2_penalty
     )

@@ -182,6 +182,14 @@ class TestExitCodes:
         assert main(["report-annotators", str(pipeline["annotators"]), "--truth", "nope"]) == 2
         capsys.readouterr()
 
+    def test_annotator_file_with_only_its_magic_line(self, tmp_path, capsys):
+        path = tmp_path / "annotators.txt"
+        path.write_text("crowdseq-annotators v1\n", encoding="utf-8")
+        assert main(["report-annotators", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: truncated header")
+        assert "Traceback" not in err
+
 
 class TestPipelineProducts:
     def test_simulate_reports_per_annotator_scores(self, pipeline, tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from corpus import SCHEME, make_gold
+from crowdseq import em
 from crowdseq import (
     CrowdDataset,
     CrowdInstance,
@@ -20,6 +21,7 @@ from crowdseq import (
     log_partition,
     m_step,
     observed_loglik,
+    optimize,
     posterior_modes,
     resolve_mentions,
     sequence_score,
@@ -230,6 +232,32 @@ class TestMStep:
         np.testing.assert_array_equal(state.crf.weights, before)
         assert crf is not state.crf
         params.validate()
+
+    def test_refits_on_one_candidate_stack_per_instance(self, monkeypatch):
+        ds = tiny_dataset()
+        state = initialize(ds, small_cfg())
+        post = e_step(state, ds)
+        calls = []
+
+        def spy(model, data, opts):
+            calls.append((list(data), opts))
+            return optimize(model, calls[-1][0], opts)
+
+        monkeypatch.setattr(em, "optimize", spy)
+        crf, _ = m_step(state, ds, post)
+        [(data, opts)] = calls
+        assert len(data) == len(ds.instances)
+        for (tokens, z, w), inst, lat, p in zip(data, ds.instances, state.lattices, post):
+            assert tokens is inst.tokens
+            np.testing.assert_array_equal(z, lat.sequences)
+            np.testing.assert_array_equal(w, p)
+        expanded = [
+            (inst.tokens, seq, float(wi))
+            for inst, lat, p in zip(ds.instances, state.lattices, post)
+            for seq, wi in zip(lat.sequences, p)
+        ]
+        assert len(expanded) > len(data)
+        np.testing.assert_allclose(crf.weights, optimize(state.crf, expanded, opts).model.weights, rtol=1e-10)
 
     def test_improves_the_observed_likelihood(self):
         ds = tiny_dataset()
