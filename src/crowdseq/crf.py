@@ -24,9 +24,25 @@ pair marginals are summed into the (M, M) bigram gradient step by step.
 ``log_partition``, ``marginals`` and ``viterbi`` on one sentence run the
 same kernels on a batch of one.
 
+Features are built per batch (``_observation_ids``): each template's
+observation is looked up once per token type, and the previous/next-token
+templates shift that per-type column by one position, with the BOS/EOS
+observation at sentence edges.  The result is a (P, T) array of observation
+ids, one column per template and -1 where nothing interned fires; the unary
+table sums the weight rows template by template and the objective's F lists
+the same ids row by row.  ``extract_features`` takes one sentence or a list.
+
 scipy is imported only by training (the sparse F and L-BFGS), on first use,
-so loading a model and decoding never load it.  ``load_model`` streams the
-model file line by line.
+so loading a model and decoding never load it.
+
+``save_model`` writes format v2: the magic line, ``kind``, ``labels``,
+``templates`` and ``observations`` header lines, then one line per
+observation, ``name<TAB>w_1 ... w_M`` in label order, then, with a bigram
+template, M lines ``bigram<TAB>from_label<TAB>w_1 ... w_M``.  ``load_model``
+streams it with one split per line into one buffer that becomes the weight
+vector without a copy.  It still reads v1 files (one line per observation
+and label, then one per label pair), and in either format names the line
+of a malformed entry.
 
 The weight vector is the flattened (n_obs, M) unary block followed, when a
 label-bigram template is present, by the flattened (M, M) bigram block.
@@ -47,7 +63,8 @@ from .types import LabelScheme, LabelSeq
 BOS_TOKEN = "<s>"
 EOS_TOKEN = "</s>"
 
-MODEL_MAGIC = "crowdseq-crf v1"
+MODEL_MAGIC = "crowdseq-crf v2"
+MODEL_MAGIC_V1 = "crowdseq-crf v1"  # one line per weight; still read
 
 _PLAIN_KINDS = (
     "token-identity",
@@ -81,6 +98,11 @@ class FeatureTemplate:
     @property
     def spec_string(self) -> str:
         return self.kind if self.width is None else f"{self.kind}-{self.width}"
+
+    @property
+    def offset(self) -> int:
+        """Where the token this template reads sits, relative to position t."""
+        return {"previous-token": -1, "next-token": 1}.get(self.kind, 0)
 
     @classmethod
     def parse(cls, text: str) -> "FeatureTemplate":
@@ -202,32 +224,62 @@ class SequencePotentials:
         return self.unary.shape[1]
 
 
+def _observation_ids(model: CrfModel, token_seqs: Sequence[Sequence[str]]) -> np.ndarray:
+    """Interned observation ids of the sequences laid end to end: a (P, T)
+    array, one column per observation template, -1 where none fires.
+
+    Each template's observation is looked up once per token type.  A
+    template reading a neighbour (``offset`` -1 or +1) is its type column
+    shifted by one position, with its BOS/EOS observation at sentence edges.
+    """
+    types: dict[str, int] = {}
+    codes = np.array(
+        [types.setdefault(tok, len(types)) for tokens in token_seqs for tok in tokens], dtype=np.intp
+    )
+    lengths = np.array([len(tokens) for tokens in token_seqs if len(tokens)], dtype=np.intp)
+    ends = np.cumsum(lengths)
+    edges = {-1: ends - lengths, 1: ends - 1}  # first and last position of each sentence
+    get = model.obs_index.get  # a template that fires nothing gives None, never a key
+    tpls = [tpl for tpl in model.templates if tpl.kind != "label-bigram"]
+    ids = np.empty((codes.size, len(tpls)), dtype=np.intp)
+    for j, tpl in enumerate(tpls):
+        k = tpl.offset
+        at = 1 if k < 0 else 0  # in (tok, tok), position ``at`` reads tok at ``at + k``
+        table = np.array([get(tpl.observation((tok, tok), at), -1) for tok in types], dtype=np.intp)
+        col = table[codes]
+        if k:
+            col = np.roll(col, -k)
+            col[edges[k]] = get(tpl.observation(("",), 0), -1)
+        ids[:, j] = col
+    return ids
+
+
 def observation_rows(model: CrfModel, tokens: Sequence[str]) -> list[np.ndarray]:
-    """Per position, the interned row ids of the observations firing there."""
-    rows: list[np.ndarray] = []
-    for t in range(len(tokens)):
-        ids = []
-        for tpl in model.templates:
-            if tpl.kind == "label-bigram":
-                continue
-            obs = tpl.observation(tokens, t)
-            if obs is not None:
-                r = model.obs_index.get(obs)
-                if r is not None:
-                    ids.append(r)
-        rows.append(np.array(ids, dtype=np.intp))
-    return rows
+    """Per position, the interned row ids of the observations firing there,
+    in template order."""
+    return [row[row >= 0] for row in _observation_ids(model, [tokens])]
 
 
-def extract_features(model: CrfModel, tokens: Sequence[str]) -> SequencePotentials:
-    """Potential tables under the model's current weights."""
-    m = model.scheme.size
+def extract_features(
+    model: CrfModel, tokens: Sequence[str] | Sequence[Sequence[str]]
+) -> SequencePotentials | list[SequencePotentials]:
+    """Potential tables under the model's current weights.
+
+    Given a list of token sequences instead of one, returns one entry per
+    sequence, in order, from a single pass over the whole batch.
+    """
+    one = not tokens or isinstance(tokens[0], str)
+    seqs = [tokens] if one else tokens
     wu = model.unary_weights()
-    unary = np.zeros((len(tokens), m))
-    for t, rr in enumerate(observation_rows(model, tokens)):
-        if rr.size:
-            unary[t] = wu[rr].sum(axis=0)
-    return SequencePotentials(unary, model.bigram_weights().copy())
+    ids = _observation_ids(model, seqs)
+    unary = np.zeros((ids.shape[0], wu.shape[1]))
+    for col in ids.T:  # left to right over the templates
+        hit = col >= 0
+        unary[hit] += wu[col[hit]]
+    pairwise = model.bigram_weights()
+    bounds = np.cumsum([len(s) for s in seqs])[:-1]
+    pots = [SequencePotentials(u, pairwise.copy()) for u in np.split(unary, bounds)]
+    return pots[0] if one else pots
 
 
 def sequence_score(pot: SequencePotentials, labels: Sequence[int]) -> float:
@@ -432,8 +484,9 @@ def viterbi(pot: SequencePotentials | Sequence[SequencePotentials]) -> LabelSeq 
 
 def decode(model: CrfModel, token_seqs: Iterable[Sequence[str]]) -> list[LabelSeq]:
     """The highest-scoring label sequence of each token sequence, in input
-    order, all decoded in one packed Viterbi pass."""
-    return viterbi([extract_features(model, tokens) for tokens in token_seqs])
+    order, featurized in one batch and decoded in one packed Viterbi pass."""
+    seqs = list(token_seqs)
+    return viterbi(extract_features(model, seqs)) if seqs else []
 
 
 # One weighted example: (tokens, labels, weight), where labels is one label
@@ -485,14 +538,14 @@ class _WeightedObjective:
         self.seq_w = np.array([total for _, _, _, total in kept])
         self.row_w = self.seq_w[pk.row_seq, None]
 
-        obs = [rr for tokens, _, _, _ in kept for rr in observation_rows(model, tokens)]
-        obs = [obs[i] for i in pk.from_concat]
-        indptr = np.concatenate(([0], np.cumsum([rr.size for rr in obs], dtype=np.intp)))
-        indices = np.concatenate(obs) if obs else np.zeros(0, dtype=np.intp)
-        self.F = csr_matrix((np.ones(indices.size), indices, indptr), shape=(len(obs), model.n_obs))
+        ids = _observation_ids(model, [tokens for tokens, _, _, _ in kept])[pk.from_concat]
+        hit = ids >= 0  # row-major, so each row lists its observations in template order
+        indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1), dtype=np.intp)))
+        indices = ids[hit]
+        self.F = csr_matrix((np.ones(indices.size), indices, indptr), shape=(len(ids), model.n_obs))
         self.Ft = self.F.T.tocsr()
 
-        counts = np.zeros((len(obs), m))  # sequences laid end to end
+        counts = np.zeros((len(ids), m))  # sequences laid end to end
         self.emp_b = np.zeros((m, m))
         start = 0
         for tokens, z, w, _ in kept:
@@ -590,41 +643,112 @@ def optimize(
 
 
 def save_model(model: CrfModel, path) -> None:
-    """Versioned flat text dump; floats use shortest round-trip encoding."""
-    m = model.scheme.size
+    """Versioned flat text dump, format v2 (see the module docstring);
+    floats use shortest round-trip encoding."""
+    labels = model.scheme.labels
     lines = [MODEL_MAGIC]
     lines.append("kind\t" + model.scheme.kind)
-    lines.append("labels\t" + "\t".join(model.scheme.labels))
+    lines.append("labels\t" + "\t".join(labels))
     lines.append("templates\t" + "\t".join(t.spec_string for t in model.templates))
     lines.append(f"observations\t{model.n_obs}")
-    wu = model.unary_weights()
+    rows = model.unary_weights().tolist()
     for obs, r in model.obs_index.items():
         if "\t" in obs or "\n" in obs:
             raise ValueError(f"observation not serializable: {obs!r}")
-        for c, lab in enumerate(model.scheme.labels):
-            lines.append(f"{obs}\t{lab}\t{float(wu[r, c])!r}")
+        lines.append(obs + "\t" + "\t".join(map(repr, rows[r])))
     if model.has_bigram:
-        wb = model.bigram_weights()
-        for a, la in enumerate(model.scheme.labels):
-            for b, lb in enumerate(model.scheme.labels):
-                lines.append(f"bigram\t{la}\t{lb}\t{float(wb[a, b])!r}")
+        for la, row in zip(labels, model.bigram_weights().tolist()):
+            lines.append(f"bigram\t{la}\t" + "\t".join(map(repr, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _field_problem(line: str, n_fields: int) -> str:
-    """Why a model body line with ``n_fields`` fields, the weight last, failed to parse."""
+def _field_problem(line: str, n_fields: int, n_weights: int) -> str:
+    """Why a model body line with ``n_fields`` fields, the last ``n_weights``
+    of them weights, failed to parse."""
     parts = line.rstrip("\n").split("\t")
     if len(parts) != n_fields:
         return f"expected {n_fields} tab-separated fields, found {len(parts)}"
-    return f"weight {parts[-1]!r} is not a number"
+    for w in parts[n_fields - n_weights :]:
+        try:
+            float(w)
+        except ValueError:
+            break
+    return f"weight {w!r} is not a number"
+
+
+def _read_v1_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[str, int], array]:
+    """Bodies of the v1 format: one line per (observation, label) weight,
+    then one per (label, label) bigram weight."""
+    m = len(labels)
+    obs_index: dict[str, int] = {}
+    weights = array("d")
+    # the line being read follows the five header lines and one line per weight kept
+    for line, (c, label) in zip(islice(fh, n_obs * m), cycle(enumerate(labels))):
+        try:
+            obs, lab, w = line.split("\t")
+            weight = float(w)
+        except ValueError:
+            raise bad(6 + len(weights), _field_problem(line, 3, 1)) from None
+        if c == 0:
+            if obs in obs_index:
+                raise bad(6 + len(weights), f"duplicate observation {obs!r}")
+            obs_index[obs] = len(obs_index)
+            block = obs
+        elif obs != block:
+            raise bad(6 + len(weights), "observation block out of order")
+        if lab != label:
+            raise bad(6 + len(weights), "label column mismatch")
+        weights.append(weight)
+    if has_bigram and len(weights) == n_obs * m:
+        for line, (la, lb) in zip(islice(fh, m * m), product(labels, repeat=2)):
+            try:
+                tag, got_a, got_b, w = line.split("\t")
+                weight = float(w)
+            except ValueError:
+                raise bad(6 + len(weights), _field_problem(line, 4, 1)) from None
+            if tag != "bigram" or got_a != la or got_b != lb:
+                raise bad(6 + len(weights), "bigram block mismatch")
+            weights.append(weight)
+    return obs_index, weights
+
+
+def _read_v2_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[str, int], array]:
+    """Bodies of the v2 format: one line per observation, then one per
+    bigram from-label, each split once."""
+    m = len(labels)
+    obs_index: dict[str, int] = {}
+    weights = array("d")
+    for i, line in enumerate(islice(fh, n_obs)):
+        parts = line.split("\t")
+        try:
+            if len(parts) != m + 1:
+                raise ValueError
+            weights.extend(map(float, parts[1:]))
+        except ValueError:
+            raise bad(6 + i, _field_problem(line, m + 1, m)) from None
+        if parts[0] in obs_index:
+            raise bad(6 + i, f"duplicate observation {parts[0]!r}")
+        obs_index[parts[0]] = i
+    if has_bigram and len(obs_index) == n_obs:
+        for i, (line, la) in enumerate(zip(islice(fh, m), labels), 6 + n_obs):
+            parts = line.split("\t")
+            try:
+                if len(parts) != m + 2:
+                    raise ValueError
+                weights.extend(map(float, parts[2:]))
+            except ValueError:
+                raise bad(i, _field_problem(line, m + 2, m)) from None
+            if parts[0] != "bigram" or parts[1] != la:
+                raise bad(i, "bigram block mismatch")
+    return obs_index, weights
 
 
 def load_model(path) -> CrfModel:
-    """Read a ``save_model`` file in one pass over its lines."""
+    """Read a ``save_model`` file, v2 or v1, in one pass over its lines."""
     with open(path, encoding="utf-8") as fh:
         header = [line.rstrip("\n") for line in islice(fh, 5)]
-        if not header or header[0] != MODEL_MAGIC:
-            raise ValueError(f"{path}: not a {MODEL_MAGIC} file")
+        if not header or header[0] not in (MODEL_MAGIC, MODEL_MAGIC_V1):
+            raise ValueError(f"{path}: not a {MODEL_MAGIC} or v1 file")
 
         def fields(i, tag, n=None):
             parts = header[i].split("\t") if i < len(header) else [None]
@@ -640,46 +764,20 @@ def load_model(path) -> CrfModel:
             raise ValueError(f"{path}, line 5: observation count {n_text!r} is not a nonnegative integer")
         n_obs = int(n_text)
         scheme = LabelScheme(labels, kind)
-        m = scheme.size
         model = CrfModel(scheme, templates, {}, np.zeros(0))
-        n_body = n_obs * m
-        expected = 5 + n_body + (m * m if model.has_bigram else 0)
-        obs_index: dict[str, int] = {}
-        weights = array("d")
+        v1 = header[0] == MODEL_MAGIC_V1
+        per_line = 1 if v1 else scheme.size  # weights on a body line
+        read_body = _read_v1_body if v1 else _read_v2_body
 
-        def bad(why: str) -> ValueError:
-            # the line being read follows the five header lines and one line per weight kept
-            return ValueError(f"{path}, line {6 + len(weights)}: {why}")
+        def bad(line_no: int, why: str) -> ValueError:
+            return ValueError(f"{path}, line {line_no}: {why}")
 
-        for line, (c, label) in zip(islice(fh, n_body), cycle(enumerate(labels))):
-            try:
-                obs, lab, w = line.split("\t")
-                weight = float(w)
-            except ValueError:
-                raise bad(_field_problem(line, 3)) from None
-            if c == 0:
-                if obs in obs_index:
-                    raise bad(f"duplicate observation {obs!r}")
-                obs_index[obs] = len(obs_index)
-                block = obs
-            elif obs != block:
-                raise bad("observation block out of order")
-            if lab != label:
-                raise bad("label column mismatch")
-            weights.append(weight)
-        if model.has_bigram and len(weights) == n_body:
-            for line, (la, lb) in zip(islice(fh, m * m), product(labels, repeat=2)):
-                try:
-                    tag, got_a, got_b, w = line.split("\t")
-                    weight = float(w)
-                except ValueError:
-                    raise bad(_field_problem(line, 4)) from None
-                if tag != "bigram" or got_a != la or got_b != lb:
-                    raise bad("bigram block mismatch")
-                weights.append(weight)
-        found = 5 + len(weights) + sum(1 for _ in fh)
+        obs_index, weights = read_body(fh, labels, n_obs, model.has_bigram, bad)
+        found = 5 + len(weights) // per_line + sum(1 for _ in fh)
+    m = scheme.size
+    expected = 5 + (n_obs * m + (m * m if model.has_bigram else 0)) // per_line
     if found != expected:
         raise ValueError(f"{path}: expected {expected} lines, found {found}")
     model.obs_index = obs_index
-    model.weights = np.array(weights)
+    model.weights = np.frombuffer(weights)  # shares the array's buffer: no second copy
     return model

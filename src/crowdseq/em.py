@@ -57,7 +57,10 @@ class EmConfig:
 
     ``consistency_hi`` defaults to half the roster size and ``consistency_lo``
     to one half; with ``normalize_consistency`` the agreement ratio is first
-    divided by the roster size and the defaults become 1/2 and 1/(2K).
+    divided by the roster size and the defaults become 1/2 and 1/(2K).  A
+    lone annotator's consistency is 1 at every position either way, so with
+    a roster of one ``consistency_lo`` defaults to 0 and every lattice is the
+    annotation itself.
     """
 
     max_iters: int = 20
@@ -86,11 +89,13 @@ class EmConfig:
 
     def thresholds(self, roster_size: int) -> tuple[float, float]:
         if self.normalize_consistency:
-            hi = 0.5 if self.consistency_hi is None else self.consistency_hi
-            lo = 0.5 / roster_size if self.consistency_lo is None else self.consistency_lo
+            hi, lo = 0.5, 0.5 / roster_size
         else:
-            hi = roster_size / 2 if self.consistency_hi is None else self.consistency_hi
-            lo = 0.5 if self.consistency_lo is None else self.consistency_lo
+            hi, lo = roster_size / 2, 0.5
+        if roster_size == 1:
+            lo = 0.0  # hi = lo = 1/2 otherwise, which candidate_labels rejects
+        hi = hi if self.consistency_hi is None else self.consistency_hi
+        lo = lo if self.consistency_lo is None else self.consistency_lo
         return hi, lo
 
 
@@ -167,8 +172,8 @@ def _candidate_scores(
     """Per instance, the tagger log-probability of each candidate and, per
     present annotator in roster order, the log-likelihood of their labels
     under each candidate."""
-    for inst, z, present in zip(ds.instances, state.candidates, state.contexts):
-        pot = extract_features(state.crf, inst.tokens)
+    pots = extract_features(state.crf, [inst.tokens for inst in ds.instances])
+    for pot, z, present in zip(pots, state.candidates, state.contexts):
         logp = sequence_scores(pot, z) - log_partition(pot)
         pos = np.arange(z.shape[1])[None, :]
         yield logp, [

@@ -8,7 +8,18 @@ import numpy as np
 from scipy.special import logsumexp
 
 from crowdseq import LabelScheme
-from crowdseq.crf import SequencePotentials, observation_rows, sequence_score
+from crowdseq.crf import SequencePotentials, sequence_score
+
+
+def loop_observation_rows(model, tokens) -> list[np.ndarray]:
+    """Per position, the interned ids of the observations firing there, in
+    template order, one ``FeatureTemplate.observation`` call per position
+    and template."""
+    rows = []
+    for t in range(len(tokens)):
+        obs = (tpl.observation(tokens, t) for tpl in model.templates if tpl.kind != "label-bigram")
+        rows.append(np.array([model.obs_index[o] for o in obs if o in model.obs_index], dtype=np.intp))
+    return rows
 
 
 def all_sequences(pot: SequencePotentials):
@@ -79,7 +90,7 @@ def brute_weighted_nll(model, data, l2: float) -> tuple[float, np.ndarray]:
     value = 0.5 * l2 * float(theta @ theta)
     grad = l2 * theta.copy()
     for tokens, labels, w in data:
-        rows = observation_rows(model, tokens)
+        rows = loop_observation_rows(model, tokens)
         phis = np.array([counts(rows, z) for z in itertools.product(range(m), repeat=len(tokens))])
         scores = phis @ theta
         logz = float(logsumexp(scores))

@@ -145,6 +145,21 @@ class TestExitCodes:
         assert code == 0
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--normalize-consistency"]], ids=["plain", "normalized"])
+    def test_train_accepts_a_single_annotator(self, tmp_path, capsys, flags):
+        gold = make_gold(6, seed=4)
+        instances = [CrowdInstance(i.tokens, {"solo": i.gold}) for i in gold.instances]
+        crowd = tmp_path / "crowd.tsv"
+        save_crowd(crowd, CrowdDataset(gold.scheme, tuple(instances), ("solo",)))
+        code = main([
+            "train", str(crowd), "--model-out", str(tmp_path / "model.tsv"),
+            "--annotators-out", str(tmp_path / "annotators.tsv"), "--seed", "4",
+            "--max-iters", "1", "--init-max-iter", "3", "--inner-max-iter", "3", *flags,
+        ])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        assert "Traceback" not in err
+
     def test_decode_rejects_a_duplicated_observation(self, tmp_path, capsys):
         model_path, tokens_path = tiny_model(tmp_path)
         lines = model_path.read_text(encoding="utf-8").splitlines()

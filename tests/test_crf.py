@@ -1,5 +1,7 @@
 import re
+import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from oracles import (
     brute_valid,
     brute_viterbi,
     brute_weighted_nll,
+    loop_observation_rows,
     random_potentials,
 )
 from scipy.special import logsumexp as scipy_logsumexp
@@ -36,6 +39,9 @@ from crowdseq import crf
 from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, logsumexp, observation_rows, sequence_scores
 
 SCHEME = LabelScheme.bio(("LOC", "PER"))
+# written by the v1 save_model: build_model(SCHEME, [("a", "b")]) with
+# np.random.default_rng(2).normal weights
+MODEL_V1 = Path(__file__).parent / "data" / "model_v1.tsv"
 
 
 def ragged_batch(rng, extra_lengths=()):
@@ -162,6 +168,44 @@ class TestBuildModel:
         assert list(model.obs_index) == ["w=b", "w=a"]
 
 
+class TestFeatures:
+    def edge_batch(self):
+        """A model with random weights, and a ragged batch of sentences with
+        length-1 sentences, tokens shorter than the affix widths, digits,
+        capitals, tokens the model never interned and one token ("x") ending
+        a sentence and starting the next."""
+        model = build_model(SCHEME, [("x", "x"), ("Rome", "ab", "1984"), ("a",)])
+        model.weights[:] = np.random.default_rng(6).normal(size=model.dim)
+        batch = [
+            ("Rome", "x"),
+            ("x",),
+            ("x", "ab", "1984"),
+            ("a",),
+            ("Paris", "zz9", "x"),
+            ("x", "never", "seen", "Rome"),
+        ]
+        return model, batch
+
+    def test_batch_matches_one_sentence_at_a_time(self):
+        model, batch = self.edge_batch()
+        pots = extract_features(model, batch)
+        assert len(pots) == len(batch)
+        for tokens, pot in zip(batch, pots):
+            one = extract_features(model, tokens)
+            assert np.array_equal(pot.unary, one.unary)
+            assert np.array_equal(pot.pairwise, one.pairwise)
+
+    def test_rows_match_the_per_position_template_loop(self):
+        model, batch = self.edge_batch()
+        for tokens in batch:
+            got = observation_rows(model, tokens)
+            want = loop_observation_rows(model, tokens)
+            assert [r.tolist() for r in got] == [r.tolist() for r in want]
+            wu = model.unary_weights()
+            unary = np.array([wu[r].sum(axis=0) if r.size else np.zeros(SCHEME.size) for r in want])
+            assert np.array_equal(extract_features(model, tokens).unary, unary)
+
+
 class TestInferenceOracles:
     # exhaustive-enumeration equivalence on small random instances
     @pytest.mark.parametrize("seed", range(8))
@@ -262,6 +306,14 @@ class TestDecode:
     def test_empty_batch(self):
         model = build_model(SCHEME, [("a",)])
         assert decode(model, []) == []
+
+    def test_v1_model_and_its_v2_resave_decode_alike(self, tmp_path):
+        seqs = [("a", "b"), ("b",), ("a", "x", "b", "a"), ("Zed", "1984", "b")]
+        v1 = load_model(MODEL_V1)
+        save_model(v1, tmp_path / "v2.tsv")
+        paths = decode(v1, seqs)
+        assert decode(load_model(tmp_path / "v2.tsv"), seqs) == paths
+        assert paths == [viterbi(extract_features(v1, tokens)) for tokens in seqs]
 
     def test_rejects_a_batch_without_one_shared_table_and_empty_sequences(self):
         rng = np.random.default_rng(4)
@@ -492,52 +544,118 @@ class TestPersistence:
         assert log_partition(p1) == log_partition(p2)
         assert viterbi(p1) == viterbi(p2)
 
-    def test_truncated_file_rejected(self, tmp_path):
-        model = build_model(SCHEME, [("a", "b")])
-        path = tmp_path / "m.tsv"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(ValueError):
-            load_model(path)
+    def test_v1_fixture_and_its_v2_resave_load_equal(self, tmp_path):
+        v1 = load_model(MODEL_V1)
+        save_model(v1, tmp_path / "v2.tsv")
+        lines = (tmp_path / "v2.tsv").read_text().splitlines()
+        assert lines[0] == "crowdseq-crf v2"
+        assert len(lines) == 5 + v1.n_obs + SCHEME.size
+        v2 = load_model(tmp_path / "v2.tsv")
+        assert v2.obs_index == v1.obs_index and list(v2.obs_index) == list(v1.obs_index)
+        assert v2.templates == v1.templates and v2.scheme.labels == v1.scheme.labels
+        assert v1.weights.tobytes() == v2.weights.tobytes()
+        want = build_model(SCHEME, [("a", "b")])
+        want.weights[:] = np.random.default_rng(2).normal(size=want.dim)
+        assert v1.weights.tobytes() == want.weights.tobytes()
 
-    def saved_lines(self, tmp_path):
-        model = build_model(SCHEME, [("a", "b")])
-        model.weights[:] = np.random.default_rng(2).normal(size=model.dim)
+    def v1_lines(self, tmp_path):
+        """A copy of the committed v1 fixture and its lines."""
         path = tmp_path / "m.tsv"
-        save_model(model, path)
+        shutil.copyfile(MODEL_V1, path)
         return path, path.read_text().splitlines()
 
+    def v2_lines(self, tmp_path):
+        """The fixture's model saved by save_model (v2) and its lines."""
+        path = tmp_path / "m.tsv"
+        save_model(load_model(MODEL_V1), path)
+        return path, path.read_text().splitlines()
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path, lines = self.v1_lines(tmp_path)
+        path.write_text("\n".join(lines[:-3]) + "\n")
+        with pytest.raises(ValueError, match="expected 70 lines, found 67"):
+            load_model(path)
+
+    def test_v2_truncated_file_rejected(self, tmp_path):
+        path, lines = self.v2_lines(tmp_path)
+        path.write_text("\n".join(lines[:-3]) + "\n")
+        with pytest.raises(ValueError, match="expected 18 lines, found 15"):
+            load_model(path)
+
     def test_surplus_lines_rejected(self, tmp_path):
-        path, lines = self.saved_lines(tmp_path)
+        path, lines = self.v1_lines(tmp_path)
         path.write_text("\n".join(lines + ["", "extra"]) + "\n")
         with pytest.raises(ValueError, match=f"expected {len(lines)} lines, found {len(lines) + 2}"):
             load_model(path)
 
+    def test_v2_surplus_lines_rejected(self, tmp_path):
+        path, lines = self.v2_lines(tmp_path)
+        path.write_text("\n".join(lines + ["", "extra"]) + "\n")
+        with pytest.raises(ValueError, match="expected 18 lines, found 20"):
+            load_model(path)
+
     @pytest.mark.parametrize("where", ["body", "bigram"])
     def test_wrong_field_count_names_the_line(self, tmp_path, where):
-        path, lines = self.saved_lines(tmp_path)
+        path, lines = self.v1_lines(tmp_path)
         i = 6 if where == "body" else len(lines) - 1
         lines[i] += "\t0.5"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {i + 1}: expected . tab-separated fields"):
             load_model(path)
 
+    @pytest.mark.parametrize("where", ["body", "bigram"])
+    def test_v2_wrong_field_count_names_the_line(self, tmp_path, where):
+        path, lines = self.v2_lines(tmp_path)
+        i, n = (6, 6) if where == "body" else (len(lines) - 1, 7)
+        lines[i] += "\t0.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(str(path))}, line {i + 1}: expected {n} tab-separated fields, found {n + 1}$"
+        ):
+            load_model(path)
+
     def test_non_numeric_weight_names_the_line(self, tmp_path):
-        path, lines = self.saved_lines(tmp_path)
+        path, lines = self.v1_lines(tmp_path)
         lines[7] = lines[7].rsplit("\t", 1)[0] + "\tabc"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 8: weight 'abc' is not a number"):
             load_model(path)
 
+    @pytest.mark.parametrize("where", ["body", "bigram"])
+    def test_v2_non_numeric_weight_names_the_line(self, tmp_path, where):
+        path, lines = self.v2_lines(tmp_path)
+        i = 7 if where == "body" else len(lines) - 2
+        parts = lines[i].split("\t")
+        parts[3] = "abc"  # a weight in the middle of the row
+        lines[i] = "\t".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {i + 1}: weight 'abc' is not a number$"):
+            load_model(path)
+
     def test_duplicate_observation_names_the_line(self, tmp_path):
-        path, lines = self.saved_lines(tmp_path)
+        path, lines = self.v1_lines(tmp_path)
         m = SCHEME.size
         first = lines[5].split("\t")[0]
         for i in range(5 + m, 5 + 2 * m):  # the second block takes the first one's name
             lines[i] = first + "\t" + lines[i].split("\t", 1)[1]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {6 + m}: duplicate observation"):
+            load_model(path)
+
+    def test_v2_duplicate_observation_names_the_line(self, tmp_path):
+        path, lines = self.v2_lines(tmp_path)
+        first = lines[5].split("\t")[0]
+        lines[6] = first + "\t" + lines[6].split("\t", 1)[1]  # the second row takes the first one's name
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 7: duplicate observation {first!r}$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_bigram_label_order_names_the_line(self, tmp_path, version):
+        path, lines = self.v1_lines(tmp_path) if version == "v1" else self.v2_lines(tmp_path)
+        lines[-2], lines[-1] = lines[-1], lines[-2]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {len(lines) - 1}: bigram block mismatch$"):
             load_model(path)
 
     def test_wrong_magic_rejected(self, tmp_path):

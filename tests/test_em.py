@@ -83,11 +83,21 @@ class TestConfig:
     def test_default_thresholds_scale_with_the_roster(self):
         assert EmConfig().thresholds(5) == (2.5, 0.5)
         assert EmConfig().thresholds(8) == (4.0, 0.5)
+        assert EmConfig().thresholds(2) == (1.0, 0.5)
+        assert EmConfig().thresholds(1) == (0.5, 0.0)
 
     def test_normalized_thresholds(self):
         cfg = EmConfig(normalize_consistency=True)
         assert cfg.thresholds(5) == (0.5, 0.1)
         assert cfg.thresholds(10) == (0.5, 0.05)
+        assert cfg.thresholds(1) == (0.5, 0.0)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_a_lone_annotators_lattice_is_the_annotation(self, normalize):
+        labels = (L["B-PER"], L["I-PER"], L["O"], L["B-LOC"])
+        inst = CrowdInstance(("Ann", "Lee", "saw", "Rome"), {"solo": labels})
+        lattice = em.build_lattice(inst, SCHEME, 1, EmConfig(normalize_consistency=normalize))
+        assert lattice.sequences == (labels,)
 
     def test_explicit_thresholds_win(self):
         cfg = EmConfig(consistency_hi=3.0, consistency_lo=0.25)
