@@ -1,0 +1,2 @@
+from .cli import main_entry
+main_entry()

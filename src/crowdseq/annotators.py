@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -158,28 +158,6 @@ def params_from_counts(
         return np.where(denom > 0, (c + smoothing) / safe, 1.0 / m)
 
     return AnnotatorParams(tuple(roster), norm(local_counts), norm(mention_counts))
-
-
-def mle_update(
-    roster: Sequence[str],
-    n_labels: int,
-    local_obs: Mapping[str, Sequence[tuple[int, int, int, float]]] | None = None,
-    mention_obs: Mapping[str, Sequence[tuple[int, int, int, float]]] | None = None,
-    smoothing: float = 1.0,
-) -> AnnotatorParams:
-    """Weighted categorical fit from (context, truth, assigned, weight) tuples."""
-    roster = tuple(roster)
-    k, m = len(roster), n_labels
-    local = np.zeros((k, m + 1, m, m))
-    mention = np.zeros((k, m + 1, m, m))
-    for obs, tab in ((local_obs, local), (mention_obs, mention)):
-        for annotator, rows in (obs or {}).items():
-            ki = roster.index(annotator)
-            for ctx, truth, assigned, w in rows:
-                if w < 0:
-                    raise ValueError("negative weight")
-                tab[ki, ctx, truth, assigned] += w
-    return params_from_counts(roster, local, mention, smoothing)
 
 
 def save_annotators(params: AnnotatorParams, scheme: LabelScheme, path) -> None:

@@ -242,6 +242,9 @@ def _cmd_report_annotators(args) -> int:
         raise ValueError(f"unknown context label: {args.context!r}")
     if args.truth is not None and args.truth not in scheme.labels:
         raise ValueError(f"unknown truth label: {args.truth!r}")
+    if args.annotator is not None and args.annotator not in params.roster:
+        roster = ", ".join(params.roster)
+        raise ValueError(f"unknown annotator: {args.annotator!r} (roster: {roster})")
     print("annotator\tcontext\ttruth\tassigned\tprobability")
     for k, ann_id in enumerate(params.roster):
         if args.annotator is not None and ann_id != args.annotator:
@@ -359,3 +362,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

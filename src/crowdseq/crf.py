@@ -254,12 +254,6 @@ def _observation_ids(model: CrfModel, token_seqs: Sequence[Sequence[str]]) -> np
     return ids
 
 
-def observation_rows(model: CrfModel, tokens: Sequence[str]) -> list[np.ndarray]:
-    """Per position, the interned row ids of the observations firing there,
-    in template order."""
-    return [row[row >= 0] for row in _observation_ids(model, [tokens])]
-
-
 def extract_features(
     model: CrfModel, tokens: Sequence[str] | Sequence[Sequence[str]]
 ) -> SequencePotentials | list[SequencePotentials]:

@@ -49,10 +49,6 @@ def label_consistency(instance: CrowdInstance, j: int) -> PositionConsistency:
     return PositionConsistency(labs, counts, Fraction(max(counts), len(labs)))
 
 
-def consistency_profile(instance: CrowdInstance) -> tuple[PositionConsistency, ...]:
-    return tuple(label_consistency(instance, j) for j in range(len(instance.tokens)))
-
-
 def candidate_labels(
     entry: PositionConsistency, scheme: LabelScheme, hi: float, lo: float
 ) -> tuple[int, ...]:
@@ -117,10 +113,8 @@ def count_valid(candidates, scheme: LabelScheme) -> int:
 class ValidLattice:
     """Constraint-pruned candidate sequences for one instance."""
 
-    candidates: tuple[tuple[int, ...], ...]  # as requested
-    final_candidates: tuple[tuple[int, ...], ...]  # after any widening
+    final_candidates: tuple[tuple[int, ...], ...]  # the requested sets after any widening
     states: tuple[tuple[int, ...], ...]  # per position, labels on some full valid path
-    transitions: tuple[tuple[tuple[int, int], ...], ...]  # admitted arcs per adjacent pair
     sequences: tuple[LabelSeq, ...]
     capped: bool
     n_valid: int  # exact count over final_candidates
@@ -196,7 +190,6 @@ def enumerate_valid(
     allowed = scheme.allowed_transitions
     init = scheme.initial_allowed
     full = tuple(range(scheme.size))
-    requested = tuple(cand)
     widened: list[int] = []
     while True:
         fwd = _forward_sets(cand, allowed, init)
@@ -218,50 +211,40 @@ def enumerate_valid(
         {a: tuple(b for b in states[j + 1] if allowed[a, b]) for a in states[j]}
         for j in range(L - 1)
     ]
-    arcs = tuple(
-        tuple((a, b) for a in states[j] for b in succ[j][a]) for j in range(L - 1)
-    )
     n_valid = count_valid(cand, scheme)
-
+    seqs: list[LabelSeq] = []
     if n_valid <= cap:
-        seqs: list[LabelSeq] = []
         _append_paths(seqs, states, succ, cap)
-        return ValidLattice(
-            requested, tuple(cand), states, arcs, tuple(seqs), False, n_valid, tuple(widened)
-        )
+    else:
+        # keep exactly the top sequences by plurality agreement
+        top: list[set[int]] = []
+        for j in range(L):
+            if instance.annotations:
+                top.append(set(label_consistency(instance, j).top_labels))
+            else:
+                top.append(set())
 
-    # over the cap: keep exactly the top sequences by plurality agreement
-    top: list[set[int]] = []
-    for j in range(L):
-        if instance.annotations:
-            top.append(set(label_consistency(instance, j).top_labels))
-        else:
-            top.append(set())
+        # dist[j][s]: suffix agreement-score distribution (score -> path count)
+        # for valid suffixes starting with label s at position j
+        dist: list[dict[int, dict[int, int]]] = [dict() for _ in range(L)]
+        for s in states[L - 1]:
+            dist[L - 1][s] = {int(s in top[L - 1]): 1}
+        for j in range(L - 2, -1, -1):
+            for s in states[j]:
+                a = int(s in top[j])
+                d: dict[int, int] = {}
+                for s2 in succ[j][s]:
+                    for v, c in dist[j + 1][s2].items():
+                        d[v + a] = d.get(v + a, 0) + c
+                dist[j][s] = d
 
-    # dist[j][s]: suffix agreement-score distribution (score -> path count)
-    # for valid suffixes starting with label s at position j
-    dist: list[dict[int, dict[int, int]]] = [dict() for _ in range(L)]
-    for s in states[L - 1]:
-        dist[L - 1][s] = {int(s in top[L - 1]): 1}
-    for j in range(L - 2, -1, -1):
-        for s in states[j]:
-            a = int(s in top[j])
-            d: dict[int, int] = {}
-            for s2 in succ[j][s]:
-                for v, c in dist[j + 1][s2].items():
-                    d[v + a] = d.get(v + a, 0) + c
-            dist[j][s] = d
+        total_by_score: dict[int, int] = {}
+        for s in states[0]:
+            for v, c in dist[0][s].items():
+                total_by_score[v] = total_by_score.get(v, 0) + c
 
-    total_by_score: dict[int, int] = {}
-    for s in states[0]:
-        for v, c in dist[0][s].items():
-            total_by_score[v] = total_by_score.get(v, 0) + c
-
-    seqs = []
-    for v in sorted(total_by_score, reverse=True):
-        if len(seqs) >= cap:
-            break
-        _append_paths(seqs, states, succ, cap, dist, top, v)
-    return ValidLattice(
-        requested, tuple(cand), states, arcs, tuple(seqs), True, n_valid, tuple(widened)
-    )
+        for v in sorted(total_by_score, reverse=True):
+            if len(seqs) >= cap:
+                break
+            _append_paths(seqs, states, succ, cap, dist, top, v)
+    return ValidLattice(tuple(cand), states, tuple(seqs), n_valid > cap, n_valid, tuple(widened))

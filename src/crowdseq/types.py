@@ -81,7 +81,10 @@ class LabelScheme:
 
     @cached_property
     def allowed_transitions(self) -> np.ndarray:
-        """Boolean (M, M) table: [i, j] is true iff label i may precede label j."""
+        """Boolean (M, M) table: [i, j] is true iff label i may precede label j.
+
+        Under BIO, ``I-T`` may follow only ``B-T`` or ``I-T``; RAW allows every pair.
+        """
         m = self.size
         ok = np.ones((m, m), dtype=bool)
         if self.kind == "BIO":
@@ -122,15 +125,6 @@ class LabelScheme:
         if seen and all(_BIO_PATTERN.match(lab) for lab in seen) and any(lab != "O" for lab in seen):
             return cls.bio(sorted({lab[2:] for lab in seen if lab != "O"}))
         return cls(tuple(seen), "RAW")
-
-
-def bio_transition_allowed(scheme: LabelScheme, from_label: str, to_label: str) -> bool:
-    """Whether ``from_label`` may immediately precede ``to_label``.
-
-    Under BIO, ``I-T`` is reachable only from ``B-T`` or ``I-T``; every other
-    pair is allowed.  RAW schemes allow everything.  Unknown labels raise.
-    """
-    return bool(scheme.allowed_transitions[scheme.index(from_label), scheme.index(to_label)])
 
 
 @dataclass(frozen=True)

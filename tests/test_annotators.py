@@ -10,7 +10,6 @@ from crowdseq import (
     bos_context,
     factor_matrix,
     load_annotators,
-    mle_update,
     params_from_counts,
     resolve_mentions,
     sample_init_params,
@@ -195,22 +194,6 @@ class TestFitting:
             params_from_counts(("u",), bad, zeros)
         with pytest.raises(ValueError, match="smoothing"):
             params_from_counts(("u",), zeros, zeros, smoothing=-0.5)
-
-    def test_mle_update_accumulates_weighted_tuples(self):
-        obs = {"u": [(0, 1, 2, 3.0), (0, 1, 0, 1.0)]}
-        p = mle_update(("u", "v"), M, local_obs=obs, smoothing=0.0)
-        np.testing.assert_allclose(p.local[0, 0, 1], [0.25, 0.0, 0.75])
-        # annotator v saw nothing: uniform everywhere
-        np.testing.assert_allclose(p.local[1], 1.0 / M)
-        p.validate()
-
-    def test_mle_update_rejects_negative_weight(self):
-        with pytest.raises(ValueError, match="negative weight"):
-            mle_update(("u",), M, local_obs={"u": [(0, 0, 0, -1.0)]})
-
-    def test_mle_update_rejects_unknown_annotator(self):
-        with pytest.raises(ValueError):
-            mle_update(("u",), M, local_obs={"w": [(0, 0, 0, 1.0)]})
 
 
 class TestPersistence:

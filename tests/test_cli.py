@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file products, output shapes."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -197,6 +198,23 @@ class TestExitCodes:
         assert main(["report-annotators", str(pipeline["annotators"]), "--truth", "nope"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("module", ["crowdseq", "crowdseq.cli"])
+    def test_module_entry_points(self, module, pipeline, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(crowdseq.__file__).parents[1])}
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", module, *argv],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            )
+
+        proc = run("evaluate", str(pipeline["gold"]), str(pipeline["gold"]))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split("\t")[:3] == ["1.0", "1.0", "1.0"]
+        proc = run("evaluate", "missing.tsv", "missing.tsv")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+
     def test_annotator_file_with_only_its_magic_line(self, tmp_path, capsys):
         path = tmp_path / "annotators.txt"
         path.write_text("crowdseq-annotators v1\n", encoding="utf-8")
@@ -359,6 +377,12 @@ class TestReportAnnotators:
             assert fields[0] == "ann2"
             assert fields[1] == "<bos>"
             assert fields[2] == "O"
+
+    def test_unknown_annotator_is_a_data_error(self, pipeline, capsys):
+        assert main(["report-annotators", str(pipeline["annotators"]), "--annotator", "ann9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown annotator: 'ann9' (roster: ann1, ann2, ann3)" in captured.err
 
 
 class TestDeterminismAndConfig:

@@ -36,7 +36,7 @@ from crowdseq import (
     weighted_nll_and_gradient,
 )
 from crowdseq import crf
-from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, logsumexp, observation_rows, sequence_scores
+from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, logsumexp, sequence_scores
 
 SCHEME = LabelScheme.bio(("LOC", "PER"))
 # written by the v1 save_model: build_model(SCHEME, [("a", "b")]) with
@@ -85,7 +85,7 @@ def one_sentence_objective(model, data, l2):
         uni, pair = marginals(pot)
         value += w * (log_partition(pot) - sequence_score(pot, labels))
         observed = np.eye(m)[list(labels)]
-        for t, rows in enumerate(observation_rows(model, tokens)):
+        for t, rows in enumerate(loop_observation_rows(model, tokens)):
             np.add.at(grad_u, rows, w * (uni[t] - observed[t]))
         grad_b += w * pair.sum(axis=0)
         np.add.at(grad_b, (labels[:-1], labels[1:]), -w)
@@ -144,11 +144,12 @@ class TestTemplates:
 class TestBuildModel:
     def test_unseen_observation_contributes_nothing(self):
         model = build_model(SCHEME, [("alpha", "beta")])
-        rows = observation_rows(model, ("gamma",))
+        (ids,) = crf._observation_ids(model, [("gamma",)])
         known = set(model.obs_index.values())
-        assert all(r in known for r in rows[0])
-        # gamma itself was never interned
+        assert all(r in known for r in ids[ids >= 0])
+        # gamma itself was never interned, so its identity template fires nothing
         assert "w=gamma" not in model.obs_index
+        assert ids[0] == -1
 
     def test_dimension_counts_unary_and_bigram_blocks(self):
         model = build_model(SCHEME, [("a",)])
@@ -197,11 +198,12 @@ class TestFeatures:
 
     def test_rows_match_the_per_position_template_loop(self):
         model, batch = self.edge_batch()
+        got = [row[row >= 0].tolist() for row in crf._observation_ids(model, batch)]
+        want = [r.tolist() for tokens in batch for r in loop_observation_rows(model, tokens)]
+        assert got == want
+        wu = model.unary_weights()
         for tokens in batch:
-            got = observation_rows(model, tokens)
             want = loop_observation_rows(model, tokens)
-            assert [r.tolist() for r in got] == [r.tolist() for r in want]
-            wu = model.unary_weights()
             unary = np.array([wu[r].sum(axis=0) if r.size else np.zeros(SCHEME.size) for r in want])
             assert np.array_equal(extract_features(model, tokens).unary, unary)
 

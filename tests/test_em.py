@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from corpus import SCHEME, make_gold
 from crowdseq import em
@@ -16,6 +17,7 @@ from crowdseq import (
     confusion_counts,
     e_step,
     extract_features,
+    factor_matrix,
     fit,
     initialize,
     log_partition,
@@ -347,6 +349,52 @@ class TestFit:
             assert len(line.split("\t")) == 5
 
 
+def joint_objective(state, ds):
+    """The joint MAP objective generalized EM ascends, from public primitives:
+    sum_i log sum_{z in lattice_i} p(z|x_i) prod_k p(y_ik|z), minus the
+    tagger's (l2/2)||theta||^2, plus the tables' Dirichlet log-prior
+    s * sum log p (0 when s = 0, where 0 * log 0 would be undefined)."""
+    total = 0.0
+    pots = extract_features(state.crf, [inst.tokens for inst in ds.instances])
+    for inst, lat, pot in zip(ds.instances, state.lattices, pots):
+        z = np.asarray(lat.sequences, dtype=np.intp)  # (S, L)
+        pos = np.arange(z.shape[1])
+        logw = pot.unary[pos, z].sum(axis=1) + pot.pairwise[z[:, :-1], z[:, 1:]].sum(axis=1)
+        logw -= log_partition(pot)
+        links = resolve_mentions(inst.tokens)
+        for ann, labels in inst.annotations.items():
+            logw += factor_matrix(state.annotators, ann, labels, links)[pos, z].sum(axis=1)
+        total += float(logsumexp(logw))
+    total -= 0.5 * state.cfg.l2_penalty * float(state.crf.weights @ state.crf.weights)
+    s = state.cfg.smoothing
+    if s:
+        total += s * float(np.log(state.annotators.local).sum() + np.log(state.annotators.mention).sum())
+    return total
+
+
+class TestJointObjective:
+    @pytest.mark.parametrize("smoothing", [0.0, 1.0])
+    def test_never_decreases_across_em_rounds(self, smoothing):
+        # precision 0.3 and cap 500: on this corpus the observed_loglik that
+        # fit records falls by 0.76 in one round at smoothing 0
+        gold = make_gold(40, seed=3)
+        crowd = simulate(
+            gold, SimConfig(n_annotators=5, target_precision=0.3, precision_spread=0.1, seed=3)
+        )
+        cfg = EmConfig(
+            max_iters=8, rel_tol=0, seed=3, smoothing=smoothing,
+            init_max_iter=20, inner_max_iter=10, lattice_cap=500,
+        )
+        state = initialize(crowd, cfg)
+        values = [joint_objective(state, crowd)]
+        for _ in range(cfg.max_iters):
+            post = e_step(state, crowd)
+            state.crf, state.annotators = m_step(state, crowd, post)
+            values.append(joint_objective(state, crowd))
+        assert np.isfinite(values).all()
+        assert min(b - a for a, b in zip(values, values[1:])) > -1e-6
+
+
 class TestPosteriorModes:
     def test_unanimous_crowd_recovers_its_labels(self):
         gold = make_gold(10, seed=4)
@@ -365,3 +413,12 @@ class TestPosteriorModes:
         modes = posterior_modes(state, ds)
         for mode, lat in zip(modes, state.lattices):
             assert mode in lat.sequences
+
+    def test_a_tie_goes_to_the_first_sequence_in_lattice_order(self):
+        ds = tiny_dataset()
+        state = initialize(ds, small_cfg())
+        state.crf.weights[:] = 0.0
+        state.annotators.local[:] = 1.0 / SCHEME.size
+        state.annotators.mention[:] = 1.0 / SCHEME.size
+        assert any(len(lat.sequences) > 1 for lat in state.lattices)
+        assert posterior_modes(state, ds) == [lat.sequences[0] for lat in state.lattices]

@@ -12,7 +12,6 @@ from crowdseq import (
     ValidLattice,
     candidate_labels,
     candidate_sets,
-    consistency_profile,
     count_valid,
     enumerate_valid,
     label_consistency,
@@ -64,7 +63,7 @@ class TestConsistency:
 
     def test_profile_covers_every_position(self):
         it = inst(("a", "b"), [["O", "O"], ["B-PER", "O"]])
-        prof = consistency_profile(it)
+        prof = [label_consistency(it, j) for j in range(len(it.tokens))]
         assert len(prof) == 2
         assert prof[0].consistency == 2
         assert prof[1].consistency == Fraction(1, 2)
@@ -195,13 +194,11 @@ class TestEnumerateValid:
         cand = ((L["B-PER"],), (L["I-PER"], L["I-LOC"]))
         lat = enumerate_valid(self.make_instance(2), cand, SCHEME)
         assert lat.states == ((L["B-PER"],), (L["I-PER"],))
-        assert lat.transitions == (((L["B-PER"], L["I-PER"]),),)
 
     def test_blocked_position_is_widened_to_the_full_set(self):
         cand = ((L["B-PER"],), (L["I-LOC"],))
         lat = enumerate_valid(self.make_instance(2), cand, SCHEME)
         assert lat.widened == (1,)
-        assert lat.candidates == cand
         assert lat.final_candidates == ((L["B-PER"],), tuple(range(SCHEME.size)))
         assert set(lat.sequences) == set(brute_valid(lat.final_candidates, SCHEME))
         assert lat.n_unpruned == SCHEME.size
@@ -308,10 +305,8 @@ class TestWorkedExample:
 
 def test_valid_lattice_unpruned_product():
     lat = ValidLattice(
-        candidates=((0,), (0, 1)),
         final_candidates=((0, 1, 2), (0, 1)),
         states=((0,), (0,)),
-        transitions=(((0, 0),),),
         sequences=((0, 0),),
         capped=False,
         n_valid=1,

@@ -6,7 +6,6 @@ from crowdseq import (
     CrowdDataset,
     CrowdInstance,
     LabelScheme,
-    bio_transition_allowed,
     validate_dataset,
 )
 
@@ -58,17 +57,20 @@ class TestTransitions:
     def setup_method(self):
         self.s = LabelScheme.bio(("LOC", "PER"))
 
+    def allowed(self, frm, to):
+        return self.s.allowed_transitions[self.s.index(frm), self.s.index(to)]
+
     def test_i_requires_same_type_predecessor(self):
-        assert bio_transition_allowed(self.s, "B-PER", "I-PER")
-        assert bio_transition_allowed(self.s, "I-PER", "I-PER")
-        assert not bio_transition_allowed(self.s, "B-LOC", "I-PER")
-        assert not bio_transition_allowed(self.s, "O", "I-PER")
-        assert not bio_transition_allowed(self.s, "I-LOC", "I-PER")
+        assert self.allowed("B-PER", "I-PER")
+        assert self.allowed("I-PER", "I-PER")
+        assert not self.allowed("B-LOC", "I-PER")
+        assert not self.allowed("O", "I-PER")
+        assert not self.allowed("I-LOC", "I-PER")
 
     def test_b_and_o_always_reachable(self):
         for frm in self.s.labels:
             for to in ("O", "B-LOC", "B-PER"):
-                assert bio_transition_allowed(self.s, frm, to)
+                assert self.allowed(frm, to)
 
     def test_initial_forbids_inside_tags(self):
         allowed = self.s.initial_allowed
@@ -77,20 +79,10 @@ class TestTransitions:
         assert not allowed[self.s.index("I-PER")]
         assert not allowed[self.s.index("I-LOC")]
 
-    def test_matrix_agrees_with_predicate(self):
-        mat = self.s.allowed_transitions
-        for a, la in enumerate(self.s.labels):
-            for b, lb in enumerate(self.s.labels):
-                assert mat[a, b] == bio_transition_allowed(self.s, la, lb)
-
     def test_raw_scheme_allows_everything(self):
         s = LabelScheme(("X", "Y"), "RAW")
         assert s.allowed_transitions.all()
         assert s.initial_allowed.all()
-
-    def test_unknown_label_raises(self):
-        with pytest.raises(KeyError):
-            bio_transition_allowed(self.s, "O", "B-ORG")
 
     def test_matrices_are_read_only(self):
         with pytest.raises(ValueError):
