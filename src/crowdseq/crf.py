@@ -17,8 +17,9 @@ touches only the sequences still running and nothing is padded (see
 ``_viterbi``, work on that layout.  A training example is one token
 sequence with one weighted label sequence or a weighted (S, L) stack of them
 (an EM lattice's candidates), and the objective packs each example's tokens
-once, with their observations as a sparse (P, n_obs) matrix F: the batch's
-unary table is ``F @ W_u``, the unary gradient ``F^T @ (w * q)``, and the
+once, with the observation ids firing at each position: the batch's unary
+table sums the weight rows of those ids, the unary gradient scatters the
+weighted marginals ``w * q`` back onto them with one ``np.bincount``, and the
 pair marginals are summed into the (M, M) bigram gradient step by step.
 ``decode`` packs a whole corpus and runs one Viterbi pass over it;
 ``log_partition``, ``marginals`` and ``viterbi`` on one sentence run the
@@ -28,12 +29,14 @@ Features are built per batch (``_observation_ids``): each template's
 observation is looked up once per token type, and the previous/next-token
 templates shift that per-type column by one position, with the BOS/EOS
 observation at sentence edges.  The result is a (P, T) array of observation
-ids, one column per template and -1 where nothing interned fires; the unary
-table sums the weight rows template by template and the objective's F lists
-the same ids row by row.  ``extract_features`` takes one sentence or a list.
+ids, one column per template and -1 where nothing interned fires, from which
+``_unary_table`` sums the weight rows template by template, for decode and
+the objective alike.  ``extract_features`` takes one sentence or a list.
 
-scipy is imported only by training (the sparse F and L-BFGS), on first use,
-so loading a model and decoding never load it.
+Training needs scipy only for its compiled L-BFGS-B routine, which
+``minimize`` drives directly and ``_setulb`` loads by file location, so
+neither ``scipy`` nor ``scipy.optimize`` is imported.  Loading a model and
+decoding never touch scipy at all.
 
 ``save_model`` writes format v2: the magic line, ``kind``, ``labels``,
 ``templates`` and ``observations`` header lines, then one line per
@@ -50,6 +53,9 @@ label-bigram template is present, by the flattened (M, M) bigram block.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from array import array
 from dataclasses import dataclass, replace
 from itertools import cycle, islice, product
@@ -254,6 +260,20 @@ def _observation_ids(model: CrfModel, token_seqs: Sequence[Sequence[str]]) -> np
     return ids
 
 
+def _unary_table(wu: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The (P, M) unary scores of positions whose observation ids are the
+    (P, T) ``ids``: the weight rows ``wu[id]`` summed left to right over the
+    templates, skipping -1."""
+    unary = np.zeros((ids.shape[0], wu.shape[1]))
+    for col in ids.T:
+        miss = np.flatnonzero(col < 0)
+        if miss.size < col.size:
+            rows = wu.take(col, axis=0)  # a miss reads the last row: add 0 instead, which is exact
+            rows[miss] = 0.0
+            unary += rows
+    return unary
+
+
 def extract_features(
     model: CrfModel, tokens: Sequence[str] | Sequence[Sequence[str]]
 ) -> SequencePotentials | list[SequencePotentials]:
@@ -264,12 +284,7 @@ def extract_features(
     """
     one = not tokens or isinstance(tokens[0], str)
     seqs = [tokens] if one else tokens
-    wu = model.unary_weights()
-    ids = _observation_ids(model, seqs)
-    unary = np.zeros((ids.shape[0], wu.shape[1]))
-    for col in ids.T:  # left to right over the templates
-        hit = col >= 0
-        unary[hit] += wu[col[hit]]
+    unary = _unary_table(model.unary_weights(), _observation_ids(model, seqs))
     pairwise = model.bigram_weights()
     bounds = np.cumsum([len(s) for s in seqs])[:-1]
     pots = [SequencePotentials(u, pairwise.copy()) for u in np.split(unary, bounds)]
@@ -495,16 +510,15 @@ class _WeightedObjective:
 
     Each example is one sequence of the batch, its label stack's weights
     adding up to the sequence weight.  The examples with positive weight are
-    packed once (see ``_Packing``) with their observations as a sparse
-    (positions x observations) matrix ``F``, so ``F @ W_u`` is the unary
-    table of the whole batch.  Empirical feature counts do not depend on the
-    weights: they are ``F^T @ Q`` for the per-position soft label counts
-    ``Q`` of the stacks, accumulated once at construction.
+    packed once (see ``_Packing``) with the (P, T) observation ids of their
+    positions, from which ``_unary_table`` builds the batch's unary table.
+    The unary gradient and the empirical feature counts scatter a (P, M)
+    table back onto those ids (``_scatter``).  Empirical counts do not depend
+    on the weights: they scatter the per-position soft label counts of the
+    stacks, once at construction.
     """
 
     def __init__(self, model: CrfModel, data: Iterable[WeightedExample], l2: float):
-        from scipy.sparse import csr_matrix
-
         if l2 < 0:
             raise ValueError("l2 penalty must be nonnegative")
         self.model = model
@@ -532,14 +546,13 @@ class _WeightedObjective:
         self.seq_w = np.array([total for _, _, _, total in kept])
         self.row_w = self.seq_w[pk.row_seq, None]
 
-        ids = _observation_ids(model, [tokens for tokens, _, _, _ in kept])[pk.from_concat]
-        hit = ids >= 0  # row-major, so each row lists its observations in template order
-        indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1), dtype=np.intp)))
-        indices = ids[hit]
-        self.F = csr_matrix((np.ones(indices.size), indices, indptr), shape=(len(ids), model.n_obs))
-        self.Ft = self.F.T.tocsr()
+        self.ids = _observation_ids(model, [tokens for tokens, _, _, _ in kept])[pk.from_concat]
+        # the firing (row, observation) entries in row-major order, and the
+        # bin obs * M + label of each entry's M labels
+        self.entry_rows, tpl = np.nonzero(self.ids >= 0)
+        self.bins = (self.ids[self.entry_rows, tpl][:, None] * m + np.arange(m)).ravel()
 
-        counts = np.zeros((len(ids), m))  # sequences laid end to end
+        counts = np.zeros((len(self.ids), m))  # sequences laid end to end
         self.emp_b = np.zeros((m, m))
         start = 0
         for tokens, z, w, _ in kept:
@@ -547,7 +560,18 @@ class _WeightedObjective:
             np.add.at(counts[start : start + n], (np.arange(n), z), w[:, None])
             np.add.at(self.emp_b, (z[:, :-1], z[:, 1:]), w[:, None])
             start += n
-        self.emp_u = self.Ft @ counts[pk.from_concat]
+        self.emp_u = self._scatter(counts[pk.from_concat])
+
+    def _scatter(self, table: np.ndarray) -> np.ndarray:
+        """The (n_obs, M) sums of the (P, M) ``table``'s rows over the
+        positions where each observation fires.
+
+        An observation id belongs to one template, so it fires at most once
+        per row, and each bin adds up its rows in increasing row order.
+        """
+        m = table.shape[1]
+        flat = np.bincount(self.bins, table.take(self.entry_rows, axis=0).ravel(), minlength=self.model.n_obs * m)
+        return flat.reshape(-1, m)
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         if not np.isfinite(theta).all():
@@ -557,9 +581,9 @@ class _WeightedObjective:
         nu = model.n_obs * m
         wu = theta[:nu].reshape(model.n_obs, m)
         wb = theta[nu:].reshape(m, m) if model.has_bigram else np.zeros((m, m))
-        logz, uni, pair = _forward_backward(self.F @ wu, wb, self.pack, self.seq_w)
+        logz, uni, pair = _forward_backward(_unary_table(wu, self.ids), wb, self.pack, self.seq_w)
         value = float(self.seq_w @ logz) - float((wu * self.emp_u).sum())
-        grad = [(self.Ft @ (self.row_w * uni) - self.emp_u).ravel()]
+        grad = [(self._scatter(self.row_w * uni) - self.emp_u).ravel()]
         if model.has_bigram:
             value -= float((wb * self.emp_b).sum())
             grad.append((pair.sum(axis=0) - self.emp_b).ravel())
@@ -579,15 +603,120 @@ def weighted_nll_and_gradient(
     return _WeightedObjective(model, data, l2).value_and_grad(model.weights)
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, looked up when called.
+_LBFGSB = "scipy.optimize._lbfgsb"
+# the C port of L-BFGS-B; scipy's older Fortran wrapper took iprint and csave
+_SETULB_SIGNATURE = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+_SCIPY_NEEDED = "scipy >= 1.17"
 
-    scipy.optimize is imported on first use, not with this module, so that
-    decoding never loads it; ``optimize`` imports it before calling this.
+
+def _lbfgsb_location() -> str | None:
+    """The file of scipy's compiled L-BFGS-B extension, found without running
+    any scipy ``__init__``; None when scipy or the file is missing."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    folder = Path(spec.submodule_search_locations[0], "optimize")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if (folder / f"_lbfgsb{suffix}").is_file():
+            return str(folder / f"_lbfgsb{suffix}")
+    return None
+
+
+def _setulb():
+    """scipy's compiled L-BFGS-B routine ``setulb``.
+
+    The extension is loaded by file location and registered under its own
+    name, so ``scipy`` and ``scipy.optimize`` never run, and a later import
+    of ``scipy.optimize`` reuses it (as this reuses theirs).
     """
-    from scipy.optimize import minimize as scipy_minimize
+    module = sys.modules.get(_LBFGSB)
+    if module is None:
+        path = _lbfgsb_location()
+        try:
+            if path is None:
+                raise ImportError("no scipy/optimize/_lbfgsb extension found")
+            loader = importlib.machinery.ExtensionFileLoader(_LBFGSB, path)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_LBFGSB, loader))
+            loader.exec_module(module)
+        except ImportError as e:
+            raise ValueError(f"training needs {_SCIPY_NEEDED} for its compiled L-BFGS-B routine: {e}") from None
+    setulb = getattr(module, "setulb", None)
+    if setulb is None or not (setulb.__doc__ or "").startswith(_SETULB_SIGNATURE):
+        raise ValueError(f"training needs {_SCIPY_NEEDED}, whose compiled L-BFGS-B routine is {_SETULB_SIGNATURE}")
+    sys.modules[_LBFGSB] = module
+    return setulb
 
-    return scipy_minimize(fun, x0, **kwargs)
+
+@dataclass(frozen=True)
+class MinimizeResult:
+    """Where ``minimize`` stopped.  ``fun`` and ``jac`` are the value and
+    gradient at ``x``; ``status`` is scipy's: 0 converged, 1 iteration
+    limit, 2 the line search gave up (``x`` is then the last iterate)."""
+
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nit: int
+    nfev: int
+    status: int
+
+    @property
+    def success(self) -> bool:
+        return self.status == 0
+
+
+def minimize(fun, x0: np.ndarray, max_iter: int, gtol: float) -> MinimizeResult:
+    """Unconstrained L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on
+    ``fun(x) -> (value, gradient)`` from ``x0``; ``fun`` must leave ``x``
+    unchanged.
+
+    A reverse-communication driver over scipy's compiled ``setulb``: each
+    call returns a task, FG for the value and gradient at ``x`` or NEW_X
+    for a new iterate, until the routine converges or gives up.  It does
+    what ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` does with
+    10 corrections, at most 20 line-search steps, ``ftol=1e-14`` and
+    ``gtol``: it evaluates ``fun`` once at ``x0`` and after that only where
+    ``x`` differs from the last point evaluated, and stops after
+    ``max_iter`` iterations, so its iterates, ``nit``, ``nfev`` and
+    ``status`` are scipy's.
+    """
+    setulb = _setulb()
+    m = 10
+    x = np.array(x0, dtype=float).ravel()
+    n = x.size
+    g = np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    nbd = np.zeros(n, np.int32)  # no variable is bounded, so the bounds go unread
+    bounds = np.zeros(n)
+    factr = 1e-14 / np.finfo(float).eps
+
+    at = x.copy()
+    value, grad = fun(at)
+    nfev, nit = 1, 0
+    f = fx = value  # fx: the value at the current iterate
+    while True:
+        # setulb reads f as a number; it writes x, g and its state in place
+        setulb(m, x, bounds, bounds, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # FG
+            if not np.array_equal(x, at):
+                at = x.copy()
+                value, grad = fun(at)
+                nfev += 1
+            f = value
+            g[:] = grad
+        elif task[0] == 1:  # NEW_X: x is the next iterate and f, g were taken there
+            nit += 1
+            fx = f
+            if nit >= max_iter:
+                task[:] = 5, 504  # STOP on the iteration limit
+        else:
+            break
+    # on a line-search failure setulb restores x and g to the last iterate
+    status = 0 if task[0] == 4 else 1 if nit >= max_iter else 2
+    return MinimizeResult(x, float(fx), g, nit, nfev, status)
 
 
 @dataclass(frozen=True)
@@ -619,21 +748,12 @@ def optimize(
     obj = _WeightedObjective(model, data, opts.l2)
     if model.dim == 0:
         return TrainResult(replace(model, weights=model.weights.copy()), 0.0, 0.0, 0, True, False)
-    import scipy.optimize  # noqa: F401  (its first import is set-up time, not fit time)
-
-    res = minimize(
-        obj.value_and_grad,
-        model.weights.astype(float, copy=True),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": opts.max_iter, "gtol": opts.tol, "ftol": 1e-14},
-    )
-    value, grad = obj.value_and_grad(res.x)
-    gnorm = float(np.abs(grad).max()) if grad.size else 0.0
-    warning = int(getattr(res, "status", 0)) == 2
-    converged = bool(res.success) or gnorm <= opts.tol
-    trained = replace(model, weights=np.asarray(res.x, dtype=float).copy())
-    return TrainResult(trained, float(value), gnorm, int(res.nit), converged, warning)
+    _setulb()  # its first load is set-up time, not fit time
+    res = minimize(obj.value_and_grad, model.weights, opts.max_iter, opts.tol)
+    gnorm = float(np.abs(res.jac).max())
+    converged = res.success or gnorm <= opts.tol
+    trained = replace(model, weights=res.x)
+    return TrainResult(trained, res.fun, gnorm, res.nit, converged, res.status == 2)
 
 
 def save_model(model: CrfModel, path) -> None:

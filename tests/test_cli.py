@@ -22,8 +22,24 @@ from crowdseq import (
     save_crowd,
     save_model,
 )
+from crowdseq import crf
 from crowdseq.cli import main
 from crowdseq.crf import load_model
+
+
+def optimizer_modules_after(argv, cwd):
+    """The sorted list of scipy.optimize and scipy.sparse, as printed, that a
+    fresh interpreter holds after ``main(argv)`` succeeded in ``cwd``."""
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(crowdseq.__file__).parents[1])!r})\n"
+        "from crowdseq.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def tiny_model(tmp_path):
@@ -176,17 +192,29 @@ class TestExitCodes:
 
     def test_decode_never_imports_the_optimizer(self, tmp_path):
         model_path, tokens_path = tiny_model(tmp_path)
-        code = (
-            "import sys\n"
-            f"sys.path.insert(0, {str(Path(crowdseq.__file__).parents[1])!r})\n"
-            "from crowdseq.cli import main\n"
-            f"assert main(['decode', {str(model_path)!r}, {str(tokens_path)!r}, '--out', 'out.tsv']) == 0\n"
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert optimizer_modules_after(["decode", str(model_path), str(tokens_path), "--out", "out.tsv"], tmp_path) == "[]"
         assert load_tokens(tmp_path / "out.tsv") == load_tokens(tokens_path)
+
+    @pytest.mark.parametrize("command", ["train", "aggregate"])
+    def test_training_never_imports_the_optimizer(self, command, pipeline, tmp_path):
+        outputs = {
+            "train": ["--model-out", "model.tsv", "--annotators-out", "annotators.tsv"],
+            "aggregate": ["--method", "saslc", "--out", "aggregated.tsv"],
+        }[command]
+        fast = ["--seed", "5", "--max-iters", "1", "--init-max-iter", "3", "--inner-max-iter", "2"]
+        assert optimizer_modules_after([command, str(pipeline["crowd"]), *outputs, *fast], tmp_path) == "[]"
+
+    def test_training_without_the_lbfgsb_routine_exits_2(self, pipeline, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(crf, "_lbfgsb_location", lambda: str(tmp_path / "missing" / "_lbfgsb.so"))
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
+        code = main([
+            "train", str(pipeline["crowd"]), "--model-out", str(tmp_path / "model.tsv"),
+            "--annotators-out", str(tmp_path / "annotators.tsv"), "--seed", "5", "--max-iters", "1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training needs scipy >= 1.17 for its compiled L-BFGS-B routine")
+        assert "Traceback" not in err
 
     def test_lattice_index_out_of_range(self, pipeline, capsys):
         assert main(["inspect-lattice", str(pipeline["crowd"]), "--instance", "99"]) == 2

@@ -1,5 +1,8 @@
 import re
 import shutil
+import subprocess
+import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -327,6 +330,24 @@ class TestDecode:
 
 
 class TestGradient:
+    def test_unary_table_and_scatter_add_in_position_then_template_order(self):
+        # the order of the per-position, per-template loop below, and so its bits
+        rng = np.random.default_rng(4)
+        gold = make_gold(30, seed=4)
+        model = build_model(gold.scheme, [inst.tokens for inst in gold.instances])
+        obj = crf._WeightedObjective(model, [(inst.tokens, inst.gold, 1.0) for inst in gold.instances], l2=1.0)
+        m = model.scheme.size
+        wu = rng.normal(size=(model.n_obs, m))
+        table = rng.random((len(obj.ids), m))
+        want_unary, want_scatter = np.zeros(table.shape), np.zeros(wu.shape)
+        for p, row in enumerate(obj.ids.tolist()):
+            for o in row:
+                if o >= 0:
+                    want_unary[p] += wu[o]
+                    want_scatter[o] += table[p]
+        assert crf._unary_table(wu, obj.ids).tobytes() == want_unary.tobytes()
+        assert obj._scatter(table).tobytes() == want_scatter.tobytes()
+
     def fd_check(self, model, data, l2, rng, n_coords=10):
         theta = rng.normal(size=model.dim) * 0.2
         model.weights[:] = theta
@@ -453,37 +474,120 @@ class TestGradient:
         assert v_default == pytest.approx(v_zero + 0.5 * float(model.weights @ model.weights))
 
 
+def separable_data():
+    seqs = [
+        (("alice", "runs"), (SCHEME.index("B-PER"), SCHEME.index("O"))),
+        (("paris", "waits"), (SCHEME.index("B-LOC"), SCHEME.index("O"))),
+        (("alice", "sees", "paris"),
+         (SCHEME.index("B-PER"), SCHEME.index("O"), SCHEME.index("B-LOC"))),
+    ]
+    model = build_model(SCHEME, [t for t, _ in seqs])
+    return model, [(t, z, 1.0) for t, z in seqs]
+
+
+def rosenbrock(x):
+    value = float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+    grad = np.zeros_like(x)
+    grad[:-1] = -400.0 * x[:-1] * (x[1:] - x[:-1] ** 2) - 2.0 * (1.0 - x[:-1])
+    grad[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+    return value, grad
+
+
+def cosh_with_a_step(x):
+    """sum(cosh(x)), plus 1 wherever that falls below 5.01, with the gradient
+    of sum(cosh(x)): L-BFGS-B takes a few steps, then its line search gives
+    up, and the last point it evaluated is not the iterate it returns."""
+    value = float(np.sum(np.cosh(x)))
+    return value + (value < 5.01), np.sinh(x)
+
+
+def check_minimize_matches_scipy():
+    """``crf.minimize`` retraces ``scipy.optimize.minimize``'s L-BFGS-B
+    bit for bit: a CRF fit run to convergence and stopped at five
+    iterations, a 50-dimensional Rosenbrock, and a line-search failure.
+
+    Run in a fresh interpreter, ``crf.minimize`` loads the routine before
+    scipy.optimize is imported, unless the caller imported it first.
+    """
+    model, data = separable_data()
+    fit = crf._WeightedObjective(model, data, l2=0.01).value_and_grad
+    problems = [
+        (fit, model.weights, 200),
+        (fit, model.weights, 5),
+        (rosenbrock, np.tile([-1.2, 1.0], 25), 1000),
+        (cosh_with_a_step, np.linspace(-2.0, 3.0, 5), 100),
+    ]
+    ours = [crf.minimize(fun, x0, max_iter, 1e-5) for fun, x0, max_iter in problems]
+    from scipy.optimize import minimize as scipy_minimize
+
+    for (fun, x0, max_iter), res in zip(problems, ours):
+        ref = scipy_minimize(
+            fun, x0, jac=True, method="L-BFGS-B", options={"maxiter": max_iter, "gtol": 1e-5, "ftol": 1e-14}
+        )
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert (res.nit, res.nfev, res.status, res.success) == (ref.nit, ref.nfev, ref.status, ref.success)
+        value, grad = fun(res.x)
+        assert res.fun == value and res.jac.tobytes() == grad.tobytes()
+    assert [res.status for res in ours] == [0, 1, 0, 2]
+    assert ours[3].nit > 0  # the line search failed after some iterations, not at the start
+
+
+class TestMinimize:
+    @pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy-loads-the-routine", "crf-loads-the-routine"])
+    def test_matches_scipy_whichever_loads_the_routine(self, scipy_first):
+        code = (
+            "import sys\n"
+            f"sys.path[:0] = [{str(Path(crf.__file__).parents[1])!r}, {str(Path(__file__).parent)!r}]\n"
+            + ("import scipy.optimize\n" if scipy_first else "")
+            + "import test_crf\n"
+            f"assert ('scipy.optimize' in sys.modules) == {scipy_first}\n"
+            "test_crf.check_minimize_matches_scipy()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_loads_no_scipy_package(self):
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(crf.__file__).parents[1])!r})\n"
+            "import numpy as np\n"
+            "from crowdseq import crf\n"
+            "res = crf.minimize(lambda x: (float(x @ x), 2 * x), np.ones(3), 10, 1e-5)\n"
+            "assert res.success\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["['scipy.optimize._lbfgsb']"]
+
+    def test_a_routine_of_another_signature_is_refused(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize._lbfgsb", types.SimpleNamespace(setulb=lambda *args: None))
+        with pytest.raises(ValueError, match=re.escape("training needs scipy >= 1.17")):
+            crf.minimize(lambda x: (float(x @ x), 2 * x), np.ones(3), 10, 1e-5)
+
+
 class TestOptimize:
-    def separable_data(self):
-        seqs = [
-            (("alice", "runs"), (SCHEME.index("B-PER"), SCHEME.index("O"))),
-            (("paris", "waits"), (SCHEME.index("B-LOC"), SCHEME.index("O"))),
-            (("alice", "sees", "paris"),
-             (SCHEME.index("B-PER"), SCHEME.index("O"), SCHEME.index("B-LOC"))),
-        ]
-        model = build_model(SCHEME, [t for t, _ in seqs])
-        return model, [(t, z, 1.0) for t, z in seqs]
 
     def test_separable_data_fits_exactly(self):
-        model, data = self.separable_data()
+        model, data = separable_data()
         res = optimize(model, data, TrainOptions(max_iter=200, l2=0.01))
         assert res.converged
         for toks, z, _ in data:
             assert viterbi(extract_features(res.model, toks)) == z
 
     def test_huge_l2_shrinks_weights_to_zero(self):
-        model, data = self.separable_data()
+        model, data = separable_data()
         res = optimize(model, data, TrainOptions(max_iter=200, l2=1e6))
         assert float(np.linalg.norm(res.model.weights)) < 1e-3
 
     def test_objective_decreases_from_start(self):
-        model, data = self.separable_data()
+        model, data = separable_data()
         start, _ = weighted_nll_and_gradient(model, data, l2=1.0)
         res = optimize(model, data, TrainOptions(max_iter=50, l2=1.0))
         assert res.objective < start
 
     def test_warm_start_preserved_under_zero_iterations(self):
-        model, data = self.separable_data()
+        model, data = separable_data()
         model.weights[:] = 0.25
         before = model.weights.copy()
         res = optimize(model, data, TrainOptions(max_iter=1))
@@ -508,12 +612,33 @@ class TestOptimize:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(crf, "minimize", counting)
-        model, data = self.separable_data()
+        model, data = separable_data()
         optimize(model, data, TrainOptions(max_iter=5))
         assert calls == [1]
 
+    @pytest.mark.parametrize("case", ["converged", "iteration-limit", "line-search-failure"])
+    def test_objective_and_gradient_norm_are_those_at_the_returned_weights(self, case, monkeypatch):
+        if case == "line-search-failure":
+            true_value_and_grad = crf._WeightedObjective.value_and_grad
+
+            def uphill_below_5(self, theta):
+                # one iteration, then the line search gives up away from the iterate
+                value, grad = true_value_and_grad(self, theta)
+                return value, -grad if value < 5.0 else grad
+
+            monkeypatch.setattr(crf._WeightedObjective, "value_and_grad", uphill_below_5)
+        model, data = separable_data()
+        opts = TrainOptions(max_iter=3 if case == "iteration-limit" else 200, l2=0.01)
+        res = optimize(model, data, opts)
+        value, grad = crf._WeightedObjective(model, data, opts.l2).value_and_grad(res.model.weights)
+        assert res.objective == value
+        assert res.grad_norm == float(np.abs(grad).max())
+        assert (res.converged, res.warning) == {
+            "converged": (True, False), "iteration-limit": (False, False), "line-search-failure": (False, True)
+        }[case]
+
     def test_deterministic(self):
-        model, data = self.separable_data()
+        model, data = separable_data()
         r1 = optimize(model, data, TrainOptions(max_iter=60))
         r2 = optimize(model, data, TrainOptions(max_iter=60))
         np.testing.assert_array_equal(r1.model.weights, r2.model.weights)
