@@ -70,7 +70,7 @@ class AnnotatorParams:
                 raise ValueError(f"{name} table has shape {tab.shape}, expected {(k, m + 1, m, m)}")
             if (tab < 0).any():
                 raise ValueError(f"{name} table has negative entries")
-            if np.abs(tab.sum(axis=3) - 1.0).max() > atol:
+            if not (np.abs(tab.sum(axis=3) - 1.0) <= atol).all():  # NaN fails too
                 raise ValueError(f"{name} table rows are off the simplex")
 
 
@@ -181,6 +181,7 @@ def save_annotators(params: AnnotatorParams, scheme: LabelScheme, path) -> None:
 
 
 def load_annotators(path) -> tuple[AnnotatorParams, LabelScheme]:
+    """Read a ``save_annotators`` file, checked as that function checks it."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != PARAMS_MAGIC:
         raise ValueError(f"{path}: not a {PARAMS_MAGIC} file")
@@ -209,8 +210,16 @@ def load_annotators(path) -> tuple[AnnotatorParams, LabelScheme]:
                     parts = lines[i].split("\t")
                     if len(parts) != 2 + m or parts[0] != ctx or parts[1] != truth:
                         raise ValueError(f"{path}, line {i + 1}: malformed row")
-                    tab[ki, ci, ti] = [float(v) for v in parts[2:]]
+                    try:
+                        tab[ki, ci, ti] = [float(v) for v in parts[2:]]
+                    except ValueError as e:
+                        raise ValueError(f"{path}, line {i + 1}: {e}") from None
                     i += 1
     if i != len(lines):
         raise ValueError(f"{path}: trailing content at line {i + 1}")
-    return AnnotatorParams(roster, local, mention), scheme
+    params = AnnotatorParams(roster, local, mention)
+    try:
+        params.validate(atol=1e-6)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+    return params, scheme

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crf import CrfModel, DEFAULT_TEMPLATES, TrainOptions, build_model, logsumexp, optimize
+from .crf import CrfModel, TrainOptions, build_model, logsumexp, optimize
 from .types import CrowdDataset, CrowdInstance, LabelSeq
 
 
@@ -132,16 +132,9 @@ def aggregate_labels(
     raise ValueError(f"unknown aggregation method: {method!r}")
 
 
-def wrapper_train(
-    ds: CrowdDataset,
-    method: str = "mv",
-    templates=DEFAULT_TEMPLATES,
-    opts: TrainOptions = TrainOptions(),
-    ds_iters: int = 100,
-    ds_tol: float = 1e-8,
-) -> CrfModel:
+def wrapper_train(ds: CrowdDataset, method: str = "mv", opts: TrainOptions = TrainOptions()) -> CrfModel:
     """Aggregate a single truth per instance, then fit a plain tagger on it."""
-    seqs = aggregate_labels(ds, method, ds_iters, ds_tol)
-    model = build_model(ds.scheme, (inst.tokens for inst in ds.instances), templates)
+    seqs = aggregate_labels(ds, method)
+    model = build_model(ds.scheme, (inst.tokens for inst in ds.instances))
     data = [(inst.tokens, z, 1.0) for inst, z in zip(ds.instances, seqs)]
     return optimize(model, data, opts).model

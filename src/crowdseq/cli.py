@@ -11,6 +11,7 @@ depend on it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import annotators as ann_mod
@@ -47,7 +48,7 @@ def _add_em_flags(p):
     p.add_argument("--normalize-consistency", action="store_true", default=None)
     p.add_argument("--lattice-cap", type=int, default=None)
     p.add_argument("--smoothing", type=float, default=None)
-    p.add_argument("--l2", type=float, default=None, help="L2 penalty on model weights")
+    p.add_argument("--l2", type=float, default=None, dest="l2_penalty", help="L2 penalty on model weights")
     p.add_argument("--init-max-iter", type=int, default=None)
     p.add_argument("--inner-max-iter", type=int, default=None)
     p.add_argument("--opt-tol", type=float, default=None)
@@ -68,23 +69,10 @@ def _pick(args, attr, cfg, key, default):
 
 
 def _em_config(args, cfg: dict, seed: int) -> em.EmConfig:
-    base = em.EmConfig()
-    return em.EmConfig(
-        max_iters=_pick(args, "max_iters", cfg, "max_iters", base.max_iters),
-        rel_tol=_pick(args, "rel_tol", cfg, "rel_tol", base.rel_tol),
-        consistency_hi=_pick(args, "consistency_hi", cfg, "consistency_hi", None),
-        consistency_lo=_pick(args, "consistency_lo", cfg, "consistency_lo", None),
-        normalize_consistency=_pick(
-            args, "normalize_consistency", cfg, "normalize_consistency", False
-        ),
-        lattice_cap=_pick(args, "lattice_cap", cfg, "lattice_cap", base.lattice_cap),
-        smoothing=_pick(args, "smoothing", cfg, "smoothing", base.smoothing),
-        l2_penalty=_pick(args, "l2", cfg, "l2_penalty", base.l2_penalty),
-        seed=seed,
-        init_max_iter=_pick(args, "init_max_iter", cfg, "init_max_iter", base.init_max_iter),
-        inner_max_iter=_pick(args, "inner_max_iter", cfg, "inner_max_iter", base.inner_max_iter),
-        opt_tol=_pick(args, "opt_tol", cfg, "opt_tol", base.opt_tol),
-    )
+    """Every field but the seed from its flag, else its config key (both
+    named after the field), else its default."""
+    fields = (f for f in dataclasses.fields(em.EmConfig) if f.name != "seed")
+    return em.EmConfig(**{f.name: _pick(args, f.name, cfg, f.name, f.default) for f in fields}, seed=seed)
 
 
 def _require_seed(args, why: str) -> int:
@@ -217,7 +205,7 @@ def _cmd_inspect_lattice(args) -> int:
         consistency_hi=args.consistency_hi,
         consistency_lo=args.consistency_lo,
         normalize_consistency=bool(args.normalize_consistency),
-        lattice_cap=args.cap if args.cap is not None else 5000,
+        lattice_cap=args.cap,
     )
     lat = em.build_lattice(inst, ds.scheme, len(ds.roster), base)
     print("position\ttoken\tcandidates\treachable")
@@ -322,7 +310,7 @@ def build_parser() -> _Parser:
     p.add_argument("--consistency-hi", type=float, default=None)
     p.add_argument("--consistency-lo", type=float, default=None)
     p.add_argument("--normalize-consistency", action="store_true", default=None)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=em.EmConfig.lattice_cap)
     _add_common(p)
     p.set_defaults(func=_cmd_inspect_lattice)
 

@@ -21,9 +21,9 @@ once, with the observation ids firing at each position: the batch's unary
 table sums the weight rows of those ids, the unary gradient scatters the
 weighted marginals ``w * q`` back onto them with one ``np.bincount``, and the
 pair marginals are summed into the (M, M) bigram gradient step by step.
-``decode`` packs a whole corpus and runs one Viterbi pass over it;
-``log_partition``, ``marginals`` and ``viterbi`` on one sentence run the
-same kernels on a batch of one.
+``_pack`` lays out and checks a batch: ``decode`` runs one Viterbi pass and
+``log_partition`` one forward pass over a list of sentences, and on one
+sentence they and ``marginals`` run the same kernels on a batch of one.
 
 Features are built per batch (``_observation_ids``): each template's
 observation is looked up once per token type, and the previous/next-token
@@ -317,11 +317,6 @@ def sequence_scores(pot: SequencePotentials, z: np.ndarray) -> np.ndarray:
     return s
 
 
-def _check_finite(pot: SequencePotentials) -> None:
-    if not (np.isfinite(pot.unary).all() and np.isfinite(pot.pairwise).all()):
-        raise ValueError("potentials must be finite")
-
-
 def logsumexp(a, axis: int = -1) -> np.ndarray:
     """log(sum(exp(a))) along ``axis``, max-shift stabilized.
 
@@ -445,16 +440,44 @@ def _viterbi(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarra
     return path
 
 
-def log_partition(pot: SequencePotentials) -> float:
-    """log of the sum of exp(score) over all M^L label sequences."""
-    _check_finite(pot)
-    return float(logsumexp(_forward(pot.unary, pot.pairwise, _Packing([pot.length]))[-1]))
+def _pack(pots: Sequence[SequencePotentials]) -> tuple[np.ndarray, np.ndarray, _Packing, list[int]]:
+    """A nonempty batch packed: its unary rows in packed order, its pairwise
+    table, the ``_Packing`` and the batch index of each packed sequence.
+    Refuses a longer batch without one shared (M, M) pairwise table, an
+    empty sequence and non-finite potentials."""
+    pairwise = pots[0].pairwise
+    if len(pots) > 1 and (pairwise.ndim != 2 or (np.stack([p.pairwise for p in pots]) != pairwise).any()):
+        raise ValueError("a batch must share one (M, M) pairwise table")
+    lengths = [p.length for p in pots]
+    if min(lengths) < 1:
+        raise ValueError("empty sequence")
+    order = sorted(range(len(pots)), key=lengths.__getitem__, reverse=True)
+    pk = _Packing([lengths[i] for i in order])
+    unary = np.concatenate([pots[i].unary for i in order])[pk.from_concat]
+    if not (np.isfinite(unary).all() and np.isfinite(pairwise).all()):
+        raise ValueError("potentials must be finite")
+    return unary, pairwise, pk, order
+
+
+def log_partition(pot: SequencePotentials | Sequence[SequencePotentials]) -> float | np.ndarray:
+    """log of the sum of exp(score) over all M^L label sequences; given a
+    list of potentials sharing one (M, M) pairwise table, as ``viterbi``
+    takes, an array of one value per entry from a single packed pass."""
+    if isinstance(pot, SequencePotentials):
+        return float(log_partition([pot])[0])
+    pots = list(pot)
+    if not pots:
+        return np.zeros(0)
+    unary, pairwise, pk, order = _pack(pots)
+    out = np.empty(len(pots))
+    out[order] = logsumexp(_forward(unary, pairwise, pk)[pk.last_rows], axis=1)
+    return out
 
 
 def marginals(pot: SequencePotentials) -> tuple[np.ndarray, np.ndarray]:
     """Posterior label probabilities (L, M) and pair probabilities (L-1, M, M)."""
-    _check_finite(pot)
-    _, uni, pair = _forward_backward(pot.unary, pot.pairwise, _Packing([pot.length]), np.ones(1))
+    unary, pairwise, pk, _ = _pack([pot])
+    _, uni, pair = _forward_backward(unary, pairwise, pk, np.ones(1))
     return uni, pair
 
 
@@ -470,24 +493,15 @@ def viterbi(pot: SequencePotentials | Sequence[SequencePotentials]) -> LabelSeq 
     pots = list(pot)
     if not pots:
         return []
-    pairwise = pots[0].pairwise
-    if len(pots) > 1 and (pairwise.ndim != 2 or (np.stack([p.pairwise for p in pots]) != pairwise).any()):
-        raise ValueError("a batch must share one (M, M) pairwise table")
-    lengths = [p.length for p in pots]
-    if min(lengths) < 1:
-        raise ValueError("empty sequence")
-    order = sorted(range(len(pots)), key=lengths.__getitem__, reverse=True)
-    pk = _Packing([lengths[i] for i in order])
-    unary = np.concatenate([pots[i].unary for i in order])[pk.from_concat]
-    _check_finite(SequencePotentials(unary, pairwise))
+    unary, pairwise, pk, order = _pack(pots)
     labels = np.empty_like(pk.from_concat)
     labels[pk.from_concat] = _viterbi(unary, pairwise, pk)
     flat = labels.tolist()  # the paths in sorted order, laid end to end
     paths: list[LabelSeq] = [()] * len(pots)
     start = 0
     for i in order:
-        paths[i] = tuple(flat[start : start + lengths[i]])
-        start += lengths[i]
+        paths[i] = tuple(flat[start : start + pots[i].length])
+        start += pots[i].length
     return paths
 
 

@@ -13,16 +13,19 @@ instance, so its objective scores each sentence once.
 Which table and context score each annotator label is decided in
 ``annotators`` alone.  The contexts depend only on the data, so
 ``initialize`` derives them once per instance and present annotator with
-``annotation_contexts``; the posterior step and the log-likelihood score
-candidates from them through ``context_factor``, and the table update
-counts with them.
+``annotation_contexts``; the posterior step scores candidates from them
+through ``context_factor``, and the table update counts with them.
+
+``e_step`` scores the corpus in one batch (one featurization, one packed
+forward pass) and returns the posteriors with the observed log-likelihood
+that normalizes them, so N rounds of ``fit`` score it N + 1 times.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,8 +39,6 @@ from .annotators import (
 )
 from .crf import (
     CrfModel,
-    DEFAULT_TEMPLATES,
-    FeatureTemplate,
     TrainOptions,
     TrainResult,
     build_model,
@@ -72,7 +73,6 @@ class EmConfig:
     smoothing: float = 1.0
     l2_penalty: float = 1.0
     seed: int = 0
-    templates: tuple[FeatureTemplate, ...] = DEFAULT_TEMPLATES
     init_max_iter: int = 100
     inner_max_iter: int = 25
     opt_tol: float = 1e-5
@@ -144,7 +144,7 @@ def initialize(ds: CrowdDataset, cfg: EmConfig) -> EmState:
     if not with_data:
         raise ValueError("no annotator labeled any instance")
     chosen = with_data[int(rng.integers(len(with_data)))]
-    model = build_model(ds.scheme, (inst.tokens for inst in ds.instances), cfg.templates)
+    model = build_model(ds.scheme, (inst.tokens for inst in ds.instances))
     seed_data = [
         (inst.tokens, inst.annotations[chosen], 1.0)
         for inst in ds.instances
@@ -166,35 +166,28 @@ def _present_contexts(inst: CrowdInstance, roster: Sequence[str], n_labels: int)
     )
 
 
-def _candidate_scores(
-    state: EmState, ds: CrowdDataset
-) -> Iterator[tuple[np.ndarray, list[np.ndarray]]]:
-    """Per instance, the tagger log-probability of each candidate and, per
-    present annotator in roster order, the log-likelihood of their labels
-    under each candidate."""
-    pots = extract_features(state.crf, [inst.tokens for inst in ds.instances])
-    for pot, z, present in zip(pots, state.candidates, state.contexts):
-        logp = sequence_scores(pot, z) - log_partition(pot)
-        pos = np.arange(z.shape[1])[None, :]
-        yield logp, [
-            context_factor(state.annotators, k, contexts)[pos, z].sum(axis=1)
-            for k, contexts in present
-        ]
-
-
-def e_step(state: EmState, ds: CrowdDataset) -> list[np.ndarray]:
-    """Posterior weight of every candidate truth sequence, per instance.
+def e_step(state: EmState, ds: CrowdDataset) -> tuple[list[np.ndarray], float]:
+    """Posterior weight of every candidate truth sequence, per instance, and
+    the observed log-likelihood, from one scoring pass.
 
     Weights multiply each present annotator's label likelihood with the
-    tagger's sequence probability and normalize over the lattice.
+    tagger's sequence probability and normalize over the lattice.  The
+    log-likelihood sums, over instances and present annotators, the log
+    marginal probability of the annotator's labels, the truth marginalized
+    over the instance's lattice.
     """
-    out = []
-    for logw, per_annotator in _candidate_scores(state, ds):
-        for a in per_annotator:
+    pots = extract_features(state.crf, [inst.tokens for inst in ds.instances])
+    posteriors, total = [], 0.0
+    for pot, logz, z, present in zip(pots, log_partition(pots), state.candidates, state.contexts):
+        logw = logp = sequence_scores(pot, z) - logz
+        pos = np.arange(z.shape[1])[None, :]
+        for k, contexts in present:
+            a = context_factor(state.annotators, k, contexts)[pos, z].sum(axis=1)
+            total += float(logsumexp(logp + a))
             logw = logw + a
         logw -= logsumexp(logw)
-        out.append(np.exp(logw))
-    return out
+        posteriors.append(np.exp(logw))
+    return posteriors, total
 
 
 def confusion_counts(
@@ -233,13 +226,8 @@ def m_step(
 
 
 def observed_loglik(state: EmState, ds: CrowdDataset) -> float:
-    """Sum over instances and annotators of the log marginal annotation
-    probability, the truth marginalized over the instance's lattice."""
-    total = 0.0
-    for logp, per_annotator in _candidate_scores(state, ds):
-        for a in per_annotator:
-            total += float(logsumexp(logp + a))
-    return total
+    """The log-likelihood half of ``e_step``."""
+    return e_step(state, ds)[1]
 
 
 @dataclass
@@ -260,19 +248,20 @@ def _log_line(stream, iteration, loglik, delta, opt_iters, seconds) -> None:
 def fit(ds: CrowdDataset, cfg: EmConfig = EmConfig(), log=None) -> FitResult:
     """Alternate posterior and maximization steps until the relative change in
     the observed log-likelihood drops below ``rel_tol`` or ``max_iters`` runs
-    out.  ``log`` (a writable stream) receives one tab-separated line per
+    out; each round's ``e_step`` also gives the next round's posteriors.
+    ``log`` (a writable stream) receives one tab-separated line per
     iteration: iteration, log-likelihood, delta, tagger iterations, seconds.
     """
     state = initialize(ds, cfg)
-    state.loglik_history.append(observed_loglik(state, ds))
-    _log_line(log, 0, state.loglik_history[0], float("nan"), 0, 0.0)
+    post, ll = e_step(state, ds)
+    state.loglik_history.append(ll)
+    _log_line(log, 0, ll, float("nan"), 0, 0.0)
     converged = False
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
-        post = e_step(state, ds)
         state.crf, state.annotators = m_step(state, ds, post)
         state.iteration = it
-        ll = observed_loglik(state, ds)
+        post, ll = e_step(state, ds)
         prev = state.loglik_history[-1]
         state.loglik_history.append(ll)
         delta = ll - prev
@@ -288,5 +277,5 @@ def fit(ds: CrowdDataset, cfg: EmConfig = EmConfig(), log=None) -> FitResult:
 def posterior_modes(state: EmState, ds: CrowdDataset) -> list[LabelSeq]:
     """Highest-posterior candidate sequence per instance under the final
     parameters (first one in lattice order on a tie)."""
-    post = e_step(state, ds)
+    post, _ = e_step(state, ds)
     return [lat.sequences[int(np.argmax(w))] for lat, w in zip(state.lattices, post)]

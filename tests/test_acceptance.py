@@ -206,7 +206,7 @@ def test_criterion_5_perfect_annotators_recover_the_supervised_model(report):
         train, SimConfig(n_annotators=3, target_precision=1.0, precision_spread=0.0, seed=55)
     )
     r = fit(crowd, EmConfig(max_iters=5, seed=55))
-    local_c, mention_c = confusion_counts(r.state, crowd, e_step(r.state, crowd))
+    local_c, mention_c = confusion_counts(r.state, crowd, e_step(r.state, crowd)[0])
 
     def diag_share(counts):
         return float(np.einsum("kctt->", counts) / counts.sum())

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file products, output shapes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -22,8 +23,8 @@ from crowdseq import (
     save_crowd,
     save_model,
 )
-from crowdseq import crf
-from crowdseq.cli import main
+from crowdseq import crf, em
+from crowdseq.cli import build_parser, main
 from crowdseq.crf import load_model
 
 
@@ -252,6 +253,28 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "old, new, why",
+        [
+            ("0", "abc", "line 6: could not convert string to float: 'abc'"),
+            ("0", "-5", "local table has negative entries"),
+            ("0", "nan", "local table rows are off the simplex"),
+        ],
+    )
+    def test_annotator_file_with_a_bad_probability(self, pipeline, tmp_path, capsys, old, new, why):
+        lines = pipeline["annotators"].read_text(encoding="utf-8").splitlines()
+        fields = lines[5].split("\t")
+        assert fields[2].startswith(old)
+        lines[5] = "\t".join([*fields[:2], new, *fields[3:]])
+        path = tmp_path / "annotators.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["report-annotators", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}")
+        assert why in captured.err
+
+
 class TestPipelineProducts:
     def test_simulate_reports_per_annotator_scores(self, pipeline, tmp_path, capsys):
         code = main([
@@ -450,3 +473,42 @@ class TestDeterminismAndConfig:
         ]) == 0
         capsys.readouterr()
         assert load_crowd(out2).roster == ("ann1", "ann2", "ann3", "ann4")
+
+    # a value off each EmConfig default, per field but the seed
+    EM_VALUES = {
+        "max_iters": 3, "rel_tol": 0.5, "consistency_hi": 2.25, "consistency_lo": 0.75,
+        "normalize_consistency": True, "lattice_cap": 7, "smoothing": 0.25, "l2_penalty": 2.5,
+        "init_max_iter": 9, "inner_max_iter": 4, "opt_tol": 0.001,
+    }
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("name", sorted(EM_VALUES))
+    def test_every_em_field_is_set_by_its_flag_and_its_config_key(
+        self, pipeline, tmp_path, monkeypatch, capsys, name, source
+    ):
+        assert set(self.EM_VALUES) == {f.name for f in dataclasses.fields(em.EmConfig)} - {"seed"}
+        seen = []
+
+        def spy(ds, cfg, log=None):
+            seen.append(cfg)
+            raise ValueError("stop before training")
+
+        monkeypatch.setattr(em, "fit", spy)
+        value = self.EM_VALUES[name]
+        if source == "flag":
+            flag = "--l2" if name == "l2_penalty" else "--" + name.replace("_", "-")
+            extra = [flag] if value is True else [flag, str(value)]
+        else:
+            save_config(tmp_path / "run.cfg", {name: value})
+            extra = ["--config", str(tmp_path / "run.cfg")]
+        argv = [
+            "train", str(pipeline["crowd"]), "--model-out", str(tmp_path / "m"),
+            "--annotators-out", str(tmp_path / "a"), "--seed", "4", *extra,
+        ]
+        assert main(argv) == 2
+        assert "stop before training" in capsys.readouterr().err
+        assert seen == [dataclasses.replace(em.EmConfig(seed=4), **{name: value})]
+
+    def test_inspect_lattice_caps_at_the_em_default(self):
+        args = build_parser().parse_args(["inspect-lattice", "crowd.tsv", "--instance", "0"])
+        assert args.cap == em.EmConfig().lattice_cap

@@ -329,6 +329,37 @@ class TestDecode:
             viterbi(SequencePotentials(np.zeros((0, 3)), np.zeros((3, 3))))
 
 
+class TestBatchedLogPartition:
+    @pytest.mark.parametrize("m", [3, 7, 9])
+    def test_matches_one_sentence_calls_bit_for_bit_and_enumeration(self, m):
+        rng = np.random.default_rng(m)
+        pairwise = rng.normal(size=(m, m)) * 2
+        lengths = rng.permutation(np.arange(1, 41))
+        pots = [SequencePotentials(rng.normal(size=(n, m)) * 3, pairwise.copy()) for n in lengths]
+        batch = log_partition(pots)
+        assert batch.shape == (len(pots),)
+        assert batch.tolist() == [log_partition(pot) for pot in pots]
+        enumerable = [(pot, z) for pot, z in zip(pots, batch) if m**pot.length <= 1000]
+        assert len(enumerable) >= 2
+        for pot, z in enumerable:
+            assert abs(z - brute_log_partition(pot)) <= 1e-10
+
+    def test_refuses_a_batch_whose_pairwise_tables_differ(self):
+        rng = np.random.default_rng(8)
+        a, b = random_potentials(rng, L=3, M=3), random_potentials(rng, L=2, M=3)
+        with pytest.raises(ValueError, match="share one"):
+            log_partition([a, b])
+        assert log_partition([]).shape == (0,)
+
+    def test_an_empty_sequence_is_a_value_error(self):
+        empty = SequencePotentials(np.zeros((0, 3)), np.zeros((3, 3)))
+        for fn in (log_partition, marginals):
+            with pytest.raises(ValueError, match="^empty sequence$"):
+                fn(empty)
+        with pytest.raises(ValueError, match="^empty sequence$"):
+            log_partition([SequencePotentials(np.zeros((2, 3)), empty.pairwise), empty])
+
+
 class TestGradient:
     def test_unary_table_and_scatter_add_in_position_then_template_order(self):
         # the order of the per-position, per-template loop below, and so its bits

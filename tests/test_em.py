@@ -166,7 +166,7 @@ class TestEStep:
     def test_posteriors_normalize(self):
         ds = tiny_dataset()
         state = initialize(ds, small_cfg())
-        post = e_step(state, ds)
+        post = e_step(state, ds)[0]
         assert len(post) == len(ds.instances)
         for lat, w in zip(state.lattices, post):
             assert w.shape == (len(lat.sequences),)
@@ -177,7 +177,7 @@ class TestEStep:
         ds = tiny_dataset()
         # unanimity on instance 1 plus hi below 2 forces a single candidate
         state = initialize(ds, small_cfg(consistency_hi=1.9))
-        post = e_step(state, ds)
+        post = e_step(state, ds)[0]
         assert len(state.lattices[1].sequences) == 1
         np.testing.assert_allclose(post[1], [1.0])
 
@@ -188,13 +188,13 @@ class TestEStep:
         m = SCHEME.size
         state.annotators.local[:] = 1.0 / m
         state.annotators.mention[:] = 1.0 / m
-        for lat, w in zip(state.lattices, e_step(state, ds)):
+        for lat, w in zip(state.lattices, e_step(state, ds)[0]):
             np.testing.assert_allclose(w, 1.0 / len(lat.sequences), atol=1e-12)
 
     def test_matches_single_sequence_primitives(self):
         for ds in (tiny_dataset(), tiny_dataset(skipped=True)):
             state = initialize(ds, small_cfg())
-            post = e_step(state, ds)
+            post = e_step(state, ds)[0]
             expected = brute_posterior(state, ds)
             for got, want in zip(post, expected):
                 np.testing.assert_allclose(got, want, atol=1e-10)
@@ -204,7 +204,7 @@ class TestCounts:
     def test_matches_per_sequence_accumulation(self):
         for ds in (tiny_dataset(), tiny_dataset(skipped=True)):
             state = initialize(ds, small_cfg())
-            post = e_step(state, ds)
+            post = e_step(state, ds)[0]
             local, mention = confusion_counts(state, ds, post)
 
             m = SCHEME.size
@@ -228,7 +228,7 @@ class TestCounts:
     def test_total_mass_counts_every_labeled_token(self):
         ds = tiny_dataset()
         state = initialize(ds, small_cfg())
-        post = e_step(state, ds)
+        post = e_step(state, ds)[0]
         local, mention = confusion_counts(state, ds, post)
         labeled = sum(len(inst.tokens) * len(inst.annotations) for inst in ds.instances)
         assert float(local.sum() + mention.sum()) == pytest.approx(labeled, abs=1e-9)
@@ -238,7 +238,7 @@ class TestMStep:
     def test_leaves_the_input_state_unchanged(self):
         ds = tiny_dataset()
         state = initialize(ds, small_cfg())
-        post = e_step(state, ds)
+        post = e_step(state, ds)[0]
         before = state.crf.weights.copy()
         crf, params = m_step(state, ds, post)
         np.testing.assert_array_equal(state.crf.weights, before)
@@ -248,7 +248,7 @@ class TestMStep:
     def test_refits_on_one_candidate_stack_per_instance(self, monkeypatch):
         ds = tiny_dataset()
         state = initialize(ds, small_cfg())
-        post = e_step(state, ds)
+        post = e_step(state, ds)[0]
         calls = []
 
         def spy(model, data, opts):
@@ -275,7 +275,7 @@ class TestMStep:
         ds = tiny_dataset()
         state = initialize(ds, small_cfg())
         before = observed_loglik(state, ds)
-        post = e_step(state, ds)
+        post = e_step(state, ds)[0]
         state.crf, state.annotators = m_step(state, ds, post)
         after = observed_loglik(state, ds)
         assert after > before - 1e-9
@@ -348,6 +348,32 @@ class TestFit:
         for line in lines:
             assert len(line.split("\t")) == 5
 
+    def test_scores_the_corpus_once_per_round_plus_once(self, monkeypatch):
+        crowd, _ = self.make_noisy()
+        calls = {"extract_features": 0, "log_partition": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(em, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(em, name, counted)
+        rounds = 3
+        r = fit(crowd, EmConfig(max_iters=rounds, rel_tol=0.0, seed=9, init_max_iter=20, inner_max_iter=6))
+        assert r.iterations == rounds
+        assert calls == {"extract_features": rounds + 1, "log_partition": rounds + 1}
+
+    def test_history_is_the_loglik_after_each_m_step(self):
+        crowd, _ = self.make_noisy()
+        cfg = EmConfig(max_iters=2, rel_tol=0.0, seed=9, init_max_iter=20, inner_max_iter=6)
+        state = initialize(crowd, cfg)
+        history = [observed_loglik(state, crowd)]
+        for _ in range(cfg.max_iters):
+            post, ll = e_step(state, crowd)
+            assert ll == history[-1]
+            state.crf, state.annotators = m_step(state, crowd, post)
+            history.append(observed_loglik(state, crowd))
+        assert fit(crowd, cfg).history == history
+
 
 def joint_objective(state, ds):
     """The joint MAP objective generalized EM ascends, from public primitives:
@@ -388,7 +414,7 @@ class TestJointObjective:
         state = initialize(crowd, cfg)
         values = [joint_objective(state, crowd)]
         for _ in range(cfg.max_iters):
-            post = e_step(state, crowd)
+            post = e_step(state, crowd)[0]
             state.crf, state.annotators = m_step(state, crowd, post)
             values.append(joint_objective(state, crowd))
         assert np.isfinite(values).all()
