@@ -18,11 +18,11 @@ def mv_token(instance: CrowdInstance) -> LabelSeq:
     """Per-position plurality label; ties resolve to the lowest label index."""
     if not instance.annotations:
         raise ValueError("no annotations to vote over")
-    out = []
-    for j in range(len(instance.tokens)):
-        votes = np.bincount([labels[j] for labels in instance.annotations.values()])
-        out.append(int(votes.argmax()))
-    return tuple(out)
+    votes = np.array(list(instance.annotations.values()), dtype=np.intp)  # (K, L)
+    L = votes.shape[1]
+    width = int(votes.max(initial=0)) + 1
+    counts = np.bincount((np.arange(L) * width + votes).ravel(), minlength=L * width)
+    return tuple(counts.reshape(L, width).argmax(axis=1).tolist())
 
 
 @dataclass

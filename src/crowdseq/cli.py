@@ -120,7 +120,7 @@ def _cmd_aggregate(args) -> int:
     if args.method == "saslc":
         seed = _require_seed(args, "for --method saslc")
         result = em.fit(ds, _em_config(args, cfg, seed), log=sys.stderr)
-        labelings = em.posterior_modes(result.state, ds)
+        labelings = em.posterior_modes(result.state, result.posteriors)
     else:
         labelings = baselines.aggregate_labels(
             ds,

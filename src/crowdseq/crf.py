@@ -280,9 +280,12 @@ def extract_features(
     """Potential tables under the model's current weights.
 
     Given a list of token sequences instead of one, returns one entry per
-    sequence, in order, from a single pass over the whole batch.
+    sequence, in order, from a single pass over the whole batch; an empty
+    list is an empty batch.
     """
-    one = not tokens or isinstance(tokens[0], str)
+    if not tokens:
+        return []
+    one = isinstance(tokens[0], str)
     seqs = [tokens] if one else tokens
     unary = _unary_table(model.unary_weights(), _observation_ids(model, seqs))
     pairwise = model.bigram_weights()
@@ -508,8 +511,7 @@ def viterbi(pot: SequencePotentials | Sequence[SequencePotentials]) -> LabelSeq 
 def decode(model: CrfModel, token_seqs: Iterable[Sequence[str]]) -> list[LabelSeq]:
     """The highest-scoring label sequence of each token sequence, in input
     order, featurized in one batch and decoded in one packed Viterbi pass."""
-    seqs = list(token_seqs)
-    return viterbi(extract_features(model, seqs)) if seqs else []
+    return viterbi(extract_features(model, list(token_seqs)))
 
 
 # One weighted example: (tokens, labels, weight), where labels is one label

@@ -18,7 +18,9 @@ through ``context_factor``, and the table update counts with them.
 
 ``e_step`` scores the corpus in one batch (one featurization, one packed
 forward pass) and returns the posteriors with the observed log-likelihood
-that normalizes them, so N rounds of ``fit`` score it N + 1 times.
+that normalizes them, so N rounds of ``fit`` score it N + 1 times.  ``fit``
+returns its last posteriors, from which ``posterior_modes`` reads each
+instance's most probable candidate without scoring the corpus again.
 """
 
 from __future__ import annotations
@@ -78,14 +80,15 @@ class EmConfig:
     opt_tol: float = 1e-5
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be nonnegative")
-        if self.lattice_cap < 1:
-            raise ValueError("lattice_cap must be at least 1")
-        if self.smoothing < 0:
-            raise ValueError("smoothing must be nonnegative")
+        for name in ("max_iters", "lattice_cap", "init_max_iter", "inner_max_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("rel_tol", "opt_tol"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be nonnegative")
+        for name in ("smoothing", "l2_penalty"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     def thresholds(self, roster_size: int) -> tuple[float, float]:
         if self.normalize_consistency:
@@ -238,6 +241,7 @@ class FitResult:
     iterations: int
     converged: bool
     state: EmState
+    posteriors: list[np.ndarray]  # the last e_step's, under the returned parameters
 
 
 def _log_line(stream, iteration, loglik, delta, opt_iters, seconds) -> None:
@@ -270,12 +274,12 @@ def fit(ds: CrowdDataset, cfg: EmConfig = EmConfig(), log=None) -> FitResult:
             converged = True
             break
     return FitResult(
-        state.crf, state.annotators, list(state.loglik_history), state.iteration, converged, state
+        state.crf, state.annotators, list(state.loglik_history), state.iteration, converged, state, post
     )
 
 
-def posterior_modes(state: EmState, ds: CrowdDataset) -> list[LabelSeq]:
-    """Highest-posterior candidate sequence per instance under the final
-    parameters (first one in lattice order on a tie)."""
-    post, _ = e_step(state, ds)
-    return [lat.sequences[int(np.argmax(w))] for lat, w in zip(state.lattices, post)]
+def posterior_modes(state: EmState, posteriors: Sequence[np.ndarray]) -> list[LabelSeq]:
+    """Highest-posterior candidate sequence per instance, from ``e_step``
+    posteriors such as ``FitResult.posteriors`` (first one in lattice order
+    on a tie)."""
+    return [lat.sequences[int(np.argmax(w))] for lat, w in zip(state.lattices, posteriors)]

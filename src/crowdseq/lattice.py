@@ -4,7 +4,10 @@ Crowd votes at each position induce a candidate label set: strong consensus
 keeps only the plurality label(s), moderate agreement keeps the labels the
 crowd actually used, weak agreement keeps the whole inventory.  The valid
 sequences over those sets are the paths respecting the scheme's transition
-constraints (plus "no I- at the start" under BIO).  Enumeration is exact;
+constraints (plus "no I- at the start" under BIO).  One forward sweep
+counts the valid prefix paths ending in each label at each position; it
+gives the reachable labels, the first position every path is blocked at
+(which gets widened), and the exact valid count.  Enumeration is exact;
 when the valid count exceeds the cap, exactly the cap-many sequences with
 the highest per-position plurality agreement are kept, ties resolved in
 lexicographic label-index order.
@@ -94,19 +97,27 @@ def candidate_sets(
     return tuple(sets)
 
 
-def count_valid(candidates, scheme: LabelScheme) -> int:
-    """Exact number of constraint-respecting paths through the candidate sets."""
+def _prefix_counts(cand, scheme: LabelScheme) -> list[dict[int, int]]:
+    """Per position, the number of constraint-respecting prefix paths that
+    end in each label; a label no such prefix reaches is left out, so an
+    empty entry marks the first position where every path is blocked."""
     allowed = scheme.allowed_transitions
     init = scheme.initial_allowed
-    counts = {s: 1 for s in candidates[0] if init[s]}
-    for j in range(1, len(candidates)):
+    counts = [{s: 1 for s in cand[0] if init[s]}]
+    for j in range(1, len(cand)):
+        prev = counts[-1]
         nxt: dict[int, int] = {}
-        for s in candidates[j]:
-            total = sum(c for sp, c in counts.items() if allowed[sp, s])
+        for s in cand[j]:
+            total = sum(c for sp, c in prev.items() if allowed[sp, s])
             if total:
                 nxt[s] = total
-        counts = nxt
-    return sum(counts.values())
+        counts.append(nxt)
+    return counts
+
+
+def count_valid(candidates, scheme: LabelScheme) -> int:
+    """Exact number of constraint-respecting paths through the candidate sets."""
+    return sum(_prefix_counts(candidates, scheme)[-1].values())
 
 
 @dataclass(frozen=True)
@@ -126,14 +137,6 @@ class ValidLattice:
         for s in self.final_candidates:
             out *= len(s)
         return out
-
-
-def _forward_sets(cand, allowed, init):
-    fwd = [set(s for s in cand[0] if init[s])]
-    for j in range(1, len(cand)):
-        prev = fwd[-1]
-        fwd.append({s for s in cand[j] if any(allowed[p, s] for p in prev)})
-    return fwd
 
 
 def _append_paths(seqs, states, succ, limit, dist=None, top=None, need=0) -> None:
@@ -188,11 +191,10 @@ def enumerate_valid(
     if any(not c for c in cand):
         raise ValueError("empty candidate set")
     allowed = scheme.allowed_transitions
-    init = scheme.initial_allowed
     full = tuple(range(scheme.size))
     widened: list[int] = []
     while True:
-        fwd = _forward_sets(cand, allowed, init)
+        fwd = _prefix_counts(cand, scheme)
         blocked = next((j for j, f in enumerate(fwd) if not f), None)
         if blocked is None:
             break
@@ -203,7 +205,7 @@ def enumerate_valid(
 
     # keep only states lying on at least one complete valid path
     bwd = [set() for _ in range(L)]
-    bwd[L - 1] = fwd[L - 1]
+    bwd[L - 1] = set(fwd[L - 1])
     for j in range(L - 2, -1, -1):
         bwd[j] = {s for s in fwd[j] if any(allowed[s, n] for n in bwd[j + 1])}
     states = tuple(tuple(sorted(bwd[j])) for j in range(L))
@@ -211,7 +213,7 @@ def enumerate_valid(
         {a: tuple(b for b in states[j + 1] if allowed[a, b]) for a in states[j]}
         for j in range(L - 1)
     ]
-    n_valid = count_valid(cand, scheme)
+    n_valid = sum(fwd[L - 1].values())
     seqs: list[LabelSeq] = []
     if n_valid <= cap:
         _append_paths(seqs, states, succ, cap)
@@ -238,13 +240,6 @@ def enumerate_valid(
                         d[v + a] = d.get(v + a, 0) + c
                 dist[j][s] = d
 
-        total_by_score: dict[int, int] = {}
-        for s in states[0]:
-            for v, c in dist[0][s].items():
-                total_by_score[v] = total_by_score.get(v, 0) + c
-
-        for v in sorted(total_by_score, reverse=True):
-            if len(seqs) >= cap:
-                break
+        for v in range(L, -1, -1):  # agreement scores, best first
             _append_paths(seqs, states, succ, cap, dist, top, v)
     return ValidLattice(tuple(cand), states, tuple(seqs), n_valid > cap, n_valid, tuple(widened))

@@ -83,20 +83,14 @@ def entity_prf(
     scheme: LabelScheme,
     strict: bool = False,
 ) -> PrfReport:
-    """Corpus-level exact-span-match scores (micro-averaged).
+    """Corpus-level exact-span-match scores (micro-averaged): the counts of
+    ``entity_prf_by_type`` summed over the types.
 
     A predicted entity counts as correct only when its start, end, and type
     all match a gold entity.
     """
-    _check_aligned(pred, gold)
-    tp = fp = fn = 0
-    for p, g in zip(pred, gold):
-        ps = set(extract_entities(p, scheme, strict))
-        gs = set(extract_entities(g, scheme, strict))
-        tp += len(ps & gs)
-        fp += len(ps - gs)
-        fn += len(gs - ps)
-    return PrfReport.from_counts(tp, fp, fn)
+    reports = entity_prf_by_type(pred, gold, scheme, strict).values()
+    return PrfReport.from_counts(*(sum(getattr(r, c) for r in reports) for c in ("tp", "fp", "fn")))
 
 
 def entity_prf_by_type(

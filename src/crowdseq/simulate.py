@@ -1,9 +1,9 @@
 """Synthetic crowd generation by entity-level corruption of gold tags.
 
 Each annotator draws a personal precision target around the configured mean.
-An entity-survival probability is then calibrated by bisection so that the
-expected exact-match entity precision of the produced annotation hits that
-target.  A corrupted entity undergoes one weighted operation: retyping, a
+An entity-survival probability is then solved for in closed form so that
+the expected exact-match entity precision of the produced annotation hits
+that target.  A corrupted entity undergoes one weighted operation: retyping, a
 one-token boundary shift, deletion, or deletion plus a spurious single-token
 entity over an outside token.  Every random draw comes from a generator
 keyed by (seed, annotator, instance, entity), so outputs are reproducible
@@ -117,35 +117,26 @@ def expected_precision(q: float, weights: np.ndarray) -> float:
     return q / denom if denom > 0 else 0.0
 
 
-def calibrate_q(
-    target_precision: float, mix: CorruptionMix, stats: GoldStats, tol: float = 1e-3
-) -> float:
+def calibrate_q(target_precision: float, mix: CorruptionMix, stats: GoldStats) -> float:
     """Survival probability whose expected precision hits the target.
 
-    Bisection on the analytic expectation; raises when the mix cannot reach
-    the target (a pure-drop mix achieves precision 1 at every q).
+    Inverts ``expected_precision``: p = q / (q + (1 - q) f) gives
+    q = p f / (1 - p + p f), with f the mix's false-positive share.  Raises
+    when the mix cannot reach the target (a pure-drop mix achieves
+    precision 1 at every q).
     """
     if not 0 < target_precision <= 1:
         raise ValueError("target precision must lie in (0, 1]")
     if target_precision == 1.0:
         return 1.0
     w = effective_mix(mix, stats)
-    if float(w[0] + w[1] + w[3]) == 0.0:
+    f = float(w[0] + w[1] + w[3])
+    if f == 0.0:
         raise ValueError(
             "every corruption is a drop, so precision is 1 at any survival "
             "probability; the only feasible target is 1.0"
         )
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if expected_precision(mid, w) < target_precision:
-            lo = mid
-        else:
-            hi = mid
-    q = (lo + hi) / 2
-    if abs(expected_precision(q, w) - target_precision) >= tol:
-        raise ValueError("bisection failed to reach the target precision")
-    return q
+    return target_precision * f / (1.0 - target_precision + target_precision * f)
 
 
 def _feasible_shifts(span: EntitySpan, spans, length: int) -> list[EntitySpan]:

@@ -129,6 +129,17 @@ class TestExitCodes:
         assert code == 1
         assert "--seed is required" in capsys.readouterr().err
 
+    def test_train_rejects_a_nan_smoothing(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "model.tsv"
+        code = main([
+            "train", str(pipeline["crowd"]), "--model-out", str(model),
+            "--annotators-out", str(tmp_path / "annotators.tsv"), "--seed", "5",
+            "--smoothing", "nan",
+        ])
+        assert code == 2
+        assert "smoothing must be finite and nonnegative" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_missing_file_is_a_data_error(self, tmp_path, capsys):
         assert main(["evaluate", str(tmp_path / "no.tsv"), str(tmp_path / "no.tsv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -276,6 +287,25 @@ class TestExitCodes:
 
 
 class TestPipelineProducts:
+    def test_saslc_featurizes_the_corpus_once_per_round_plus_once(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def counted(*args, _fn=em.extract_features):
+            calls.append(1)
+            return _fn(*args)
+
+        monkeypatch.setattr(em, "extract_features", counted)
+        assert main([
+            "aggregate", str(pipeline["crowd"]), "--method", "saslc",
+            "--out", str(tmp_path / "saslc.tsv"), "--seed", "5", "--max-iters", "2",
+            "--rel-tol", "0", "--init-max-iter", "10", "--inner-max-iter", "4",
+        ]) == 0
+        rounds = len(capsys.readouterr().err.splitlines()) - 1
+        assert rounds == 2
+        assert len(calls) == rounds + 1
+
     def test_simulate_reports_per_annotator_scores(self, pipeline, tmp_path, capsys):
         code = main([
             "simulate", str(pipeline["gold"]), "--out", str(tmp_path / "crowd.tsv"),

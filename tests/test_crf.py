@@ -310,6 +310,9 @@ class TestDecode:
 
     def test_empty_batch(self):
         model = build_model(SCHEME, [("a",)])
+        assert extract_features(model, []) == []
+        assert log_partition([]).shape == (0,)
+        assert viterbi([]) == []
         assert decode(model, []) == []
 
     def test_v1_model_and_its_v2_resave_decode_alike(self, tmp_path):

@@ -81,6 +81,18 @@ class TestConfig:
             EmConfig(lattice_cap=0)
         with pytest.raises(ValueError, match="smoothing"):
             EmConfig(smoothing=-0.1)
+        nan, inf = float("nan"), float("inf")
+        for name, values in (
+            ("smoothing", (nan, inf)),
+            ("l2_penalty", (-1.0, nan, inf)),
+            ("opt_tol", (-1e-9, nan)),
+            ("rel_tol", (nan,)),
+            ("init_max_iter", (0, -3)),
+            ("inner_max_iter", (0, -3)),
+        ):
+            for value in values:
+                with pytest.raises(ValueError, match=f"^{name} "):
+                    EmConfig(**{name: value})
 
     def test_default_thresholds_scale_with_the_roster(self):
         assert EmConfig().thresholds(5) == (2.5, 0.5)
@@ -430,13 +442,13 @@ class TestPosteriorModes:
         )
         crowd = CrowdDataset(SCHEME, insts, tuple(f"a{k}" for k in range(3)))
         r = fit(crowd, EmConfig(max_iters=1, seed=4, init_max_iter=10, inner_max_iter=4))
-        modes = posterior_modes(r.state, crowd)
+        modes = posterior_modes(r.state, r.posteriors)
         assert modes == [i.gold for i in gold.instances]
 
     def test_modes_come_from_the_lattices(self):
         ds = tiny_dataset()
         state = initialize(ds, small_cfg())
-        modes = posterior_modes(state, ds)
+        modes = posterior_modes(state, e_step(state, ds)[0])
         for mode, lat in zip(modes, state.lattices):
             assert mode in lat.sequences
 
@@ -447,4 +459,5 @@ class TestPosteriorModes:
         state.annotators.local[:] = 1.0 / SCHEME.size
         state.annotators.mention[:] = 1.0 / SCHEME.size
         assert any(len(lat.sequences) > 1 for lat in state.lattices)
-        assert posterior_modes(state, ds) == [lat.sequences[0] for lat in state.lattices]
+        modes = posterior_modes(state, e_step(state, ds)[0])
+        assert modes == [lat.sequences[0] for lat in state.lattices]

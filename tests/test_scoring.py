@@ -185,6 +185,31 @@ class TestByType:
         assert sum(r.fp for r in by.values()) == micro.fp
         assert sum(r.fn for r in by.values()) == micro.fn
 
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(range(SCHEME.size)), st.sampled_from(range(SCHEME.size))),
+                min_size=1,
+                max_size=8,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.booleans(),
+    )
+    def test_micro_counts_are_the_type_sums_and_the_span_matches(self, raw, strict):
+        pred = [tuple(p for p, _ in r) for r in raw]
+        gold = [tuple(g for _, g in r) for r in raw]
+        micro = entity_prf(pred, gold, SCHEME, strict)
+        by = entity_prf_by_type(pred, gold, SCHEME, strict).values()
+        sums = tuple(sum(getattr(r, c) for r in by) for c in ("tp", "fp", "fn"))
+        assert (micro.tp, micro.fp, micro.fn) == sums
+        tp = fp = fn = 0  # an independent exact-span matcher
+        for p, g in zip(pred, gold):
+            ps, gs = set(extract_entities(p, SCHEME, strict)), set(extract_entities(g, SCHEME, strict))
+            tp, fp, fn = tp + len(ps & gs), fp + len(ps - gs), fn + len(gs - ps)
+        assert sums == (tp, fp, fn)
+
 
 class TestTokenAccuracy:
     def test_exact(self):

@@ -103,7 +103,7 @@ class TestCalibration:
         stats = GoldStats(50, 3, 40)
         q = calibrate_q(target, CorruptionMix(), stats)
         w = effective_mix(CorruptionMix(), stats)
-        assert expected_precision(q, w) == pytest.approx(target, abs=1e-3)
+        assert expected_precision(q, w) == pytest.approx(target, abs=1e-12)
         assert 0.0 <= q <= 1.0
 
     def test_target_validation(self):
