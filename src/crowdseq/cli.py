@@ -4,8 +4,11 @@ Exit status is 0 on success, 1 on usage errors, and 2 on data errors
 (malformed files, incompatible inputs).  Subcommands that draw random
 numbers require an explicit ``--seed``; given the same seed and inputs,
 every run writes byte-identical outputs.  ``--threads`` is accepted for
-interface stability, but computation is single-threaded and results never
-depend on it.
+interface stability, and results never depend on it.  The program starts no
+threads itself, but the BLAS library under numpy and scipy may: unless
+``OPENBLAS_NUM_THREADS=1`` is set, OpenBLAS runs the BLAS calls under
+training's L-BFGS-B routine on a thread pool.  On small inputs setting the
+variable is faster and writes the same bytes.
 """
 
 from __future__ import annotations

@@ -25,11 +25,13 @@ pair marginals are summed into the (M, M) bigram gradient step by step.
 ``log_partition`` one forward pass over a list of sentences, and on one
 sentence they and ``marginals`` run the same kernels on a batch of one.
 
-Features are built per batch (``_observation_ids``): each template's
-observation is looked up once per token type, and the previous/next-token
-templates shift that per-type column by one position, with the BOS/EOS
-observation at sentence edges.  The result is a (P, T) array of observation
-ids, one column per template and -1 where nothing interned fires, from which
+Features are built per batch (``_by_position``): each template's
+observations come from one list comprehension over the token types, and the
+previous/next-token templates shift that per-type column by one position,
+with the BOS/EOS observation at sentence edges.  ``build_model`` interns the
+resulting strings in first-appearance order, position by position.
+``_observation_ids`` maps them to a (P, T) array of observation ids, one
+column per template and -1 where nothing interned fires, from which
 ``_unary_table`` sums the weight rows template by template, for decode and
 the objective alike.  ``extract_features`` takes one sentence or a list.
 
@@ -42,10 +44,15 @@ decoding never touch scipy at all.
 ``templates`` and ``observations`` header lines, then one line per
 observation, ``name<TAB>w_1 ... w_M`` in label order, then, with a bigram
 template, M lines ``bigram<TAB>from_label<TAB>w_1 ... w_M``.  ``load_model``
-streams it with one split per line into one buffer that becomes the weight
-vector without a copy.  It still reads v1 files (one line per observation
-and label, then one per label pair), and in either format names the line
-of a malformed entry.
+reads the observation lines in chunks of ``_CHUNK_LINES``: ``np.loadtxt``
+parses a chunk's weights and one ``dict.update`` interns its names, and the
+chunk's float64 block is appended to one buffer that becomes the weight
+vector without a copy.  A chunk that parse does not take whole (a malformed
+line, or a weight that only ``float`` reads, such as ``1_0``) goes through
+the per-line reader, one split and ``float`` per line, which names the bad
+line.  It still reads v1 files (one line per observation and label, then
+one per label pair) line by line, and in either format names the line of a
+malformed entry.
 
 The weight vector is the flattened (n_obs, M) unary block followed, when a
 label-bigram template is present, by the flattened (M, M) bigram block.
@@ -71,6 +78,9 @@ EOS_TOKEN = "</s>"
 
 MODEL_MAGIC = "crowdseq-crf v2"
 MODEL_MAGIC_V1 = "crowdseq-crf v1"  # one line per weight; still read
+
+_CHUNK_LINES = 4096  # v2 observation lines parsed per np.loadtxt call
+_FLOAT_REFUSES = "\x1c\x1d\x1e\x1f"  # np.loadtxt strips these around a number
 
 _PLAIN_KINDS = (
     "token-identity",
@@ -119,25 +129,31 @@ class FeatureTemplate:
 
     def observation(self, tokens: Sequence[str], t: int) -> str | None:
         """The observation string fired at position t, or None."""
-        tok = tokens[t]
-        k = self.kind
+        i = t + self.offset
+        tok = tokens[i] if 0 <= i < len(tokens) else BOS_TOKEN if i < 0 else EOS_TOKEN
+        return self.observations((tok,))[0]
+
+    def observations(self, toks: Sequence[str]) -> list[str | None]:
+        """The observation string fired where this template reads each of
+        ``toks``, or None: one list comprehension per kind."""
+        k, w = self.kind, self.width
         if k == "token-identity":
-            return "w=" + tok
+            return ["w=" + tok for tok in toks]
         if k == "token-lowercase":
-            return "wl=" + tok.lower()
+            return ["wl=" + tok.lower() for tok in toks]
         if k == "prefix":
-            return f"p{self.width}=" + tok[: self.width] if len(tok) >= self.width else None
+            return [f"p{w}=" + tok[:w] if len(tok) >= w else None for tok in toks]
         if k == "suffix":
-            return f"s{self.width}=" + tok[-self.width :] if len(tok) >= self.width else None
+            return [f"s{w}=" + tok[-w:] if len(tok) >= w else None for tok in toks]
         if k == "is-capitalized":
-            return "cap" if tok[:1].isupper() else None
+            return ["cap" if tok[:1].isupper() else None for tok in toks]
         if k == "is-digit":
-            return "num" if tok.isdigit() else None
+            return ["num" if tok.isdigit() else None for tok in toks]
         if k == "previous-token":
-            return "w-1=" + (tokens[t - 1] if t > 0 else BOS_TOKEN)
+            return ["w-1=" + tok for tok in toks]
         if k == "next-token":
-            return "w+1=" + (tokens[t + 1] if t + 1 < len(tokens) else EOS_TOKEN)
-        return None  # label-bigram fires on label pairs, not observations
+            return ["w+1=" + tok for tok in toks]
+        return [None] * len(toks)  # label-bigram fires on label pairs, not observations
 
 
 DEFAULT_TEMPLATES: tuple[FeatureTemplate, ...] = (
@@ -198,18 +214,16 @@ def build_model(
     token_seqs: Iterable[Sequence[str]],
     templates: Sequence[FeatureTemplate] = DEFAULT_TEMPLATES,
 ) -> CrfModel:
-    """Intern every observation the templates fire on the corpus; zero weights."""
+    """Intern every observation the templates fire on the corpus; zero weights.
+
+    Ids follow first appearance, position by position and, at a position,
+    template by template (``_by_position`` builds the observations).
+    """
     templates = tuple(templates)
-    obs_index: dict[str, int] = {}
-    for tokens in token_seqs:
-        for t in range(len(tokens)):
-            for tpl in templates:
-                if tpl.kind == "label-bigram":
-                    continue
-                obs = tpl.observation(tokens, t)
-                if obs is not None and obs not in obs_index:
-                    obs_index[obs] = len(obs_index)
-    model = CrfModel(scheme, templates, obs_index, np.zeros(0))
+    fired = _by_position(list(token_seqs), templates, lambda obs: np.array(obs, dtype=object))
+    seen = dict.fromkeys(fired.ravel().tolist())  # insertion-ordered: first appearance
+    seen.pop(None, None)  # a template that fires nothing
+    model = CrfModel(scheme, templates, dict(zip(seen, range(len(seen)))), np.zeros(0))
     model.weights = np.zeros(model.dim)
     return model
 
@@ -230,13 +244,15 @@ class SequencePotentials:
         return self.unary.shape[1]
 
 
-def _observation_ids(model: CrfModel, token_seqs: Sequence[Sequence[str]]) -> np.ndarray:
-    """Interned observation ids of the sequences laid end to end: a (P, T)
-    array, one column per observation template, -1 where none fires.
+def _by_position(token_seqs: Sequence[Sequence[str]], templates, lookup) -> np.ndarray:
+    """What each observation template fires at each position of the
+    sequences laid end to end: a (P, T) array, one column per template,
+    whose entries ``lookup`` maps from a list of observation strings (None
+    where a template fires nothing) to an array.
 
-    Each template's observation is looked up once per token type.  A
-    template reading a neighbour (``offset`` -1 or +1) is its type column
-    shifted by one position, with its BOS/EOS observation at sentence edges.
+    Each template's observations come once per token type.  A template
+    reading a neighbour (``offset`` -1 or +1) is its type column shifted by
+    one position, with its BOS/EOS observation at sentence edges.
     """
     types: dict[str, int] = {}
     codes = np.array(
@@ -245,19 +261,23 @@ def _observation_ids(model: CrfModel, token_seqs: Sequence[Sequence[str]]) -> np
     lengths = np.array([len(tokens) for tokens in token_seqs if len(tokens)], dtype=np.intp)
     ends = np.cumsum(lengths)
     edges = {-1: ends - lengths, 1: ends - 1}  # first and last position of each sentence
+    tpls = [tpl for tpl in templates if tpl.kind != "label-bigram"]
+    type_list = list(types)
+    cols = []
+    for tpl in tpls:
+        col = lookup(tpl.observations(type_list))[codes]
+        if tpl.offset:
+            col = np.roll(col, -tpl.offset)
+            col[edges[tpl.offset]] = lookup([tpl.observation(("",), 0)])[0]
+        cols.append(col)
+    return np.stack(cols, axis=1) if cols else np.empty((codes.size, 0), dtype=np.intp)
+
+
+def _observation_ids(model: CrfModel, token_seqs: Sequence[Sequence[str]]) -> np.ndarray:
+    """Interned observation ids of the sequences laid end to end: a (P, T)
+    array, one column per observation template, -1 where none fires."""
     get = model.obs_index.get  # a template that fires nothing gives None, never a key
-    tpls = [tpl for tpl in model.templates if tpl.kind != "label-bigram"]
-    ids = np.empty((codes.size, len(tpls)), dtype=np.intp)
-    for j, tpl in enumerate(tpls):
-        k = tpl.offset
-        at = 1 if k < 0 else 0  # in (tok, tok), position ``at`` reads tok at ``at + k``
-        table = np.array([get(tpl.observation((tok, tok), at), -1) for tok in types], dtype=np.intp)
-        col = table[codes]
-        if k:
-            col = np.roll(col, -k)
-            col[edges[k]] = get(tpl.observation(("",), 0), -1)
-        ids[:, j] = col
-    return ids
+    return _by_position(token_seqs, model.templates, lambda obs: np.array([get(o, -1) for o in obs], dtype=np.intp))
 
 
 def _unary_table(wu: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -842,13 +862,10 @@ def _read_v1_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[s
     return obs_index, weights
 
 
-def _read_v2_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[str, int], array]:
-    """Bodies of the v2 format: one line per observation, then one per
-    bigram from-label, each split once."""
-    m = len(labels)
-    obs_index: dict[str, int] = {}
-    weights = array("d")
-    for i, line in enumerate(islice(fh, n_obs)):
+def _read_v2_lines(lines: list[str], first: int, m: int, obs_index: dict[str, int], weights: array, bad) -> None:
+    """Observation lines ``first``, ``first + 1``, ... of a v2 body, each
+    split once and its weights read by ``float``; names the first bad line."""
+    for i, line in enumerate(lines, first):
         parts = line.split("\t")
         try:
             if len(parts) != m + 1:
@@ -859,6 +876,42 @@ def _read_v2_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[s
         if parts[0] in obs_index:
             raise bad(6 + i, f"duplicate observation {parts[0]!r}")
         obs_index[parts[0]] = i
+
+
+def _read_v2_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[str, int], array]:
+    """Bodies of the v2 format: one line per observation, then one per
+    bigram from-label.
+
+    Observation lines are read ``_CHUNK_LINES`` at a time.  ``np.loadtxt``
+    parses a chunk's weights and one ``dict.update`` interns its names; a
+    chunk that parse does not take whole goes to ``_read_v2_lines``, which
+    reads the weights ``float`` alone accepts (``1_0``, non-ASCII digits)
+    and names a bad line.
+    """
+    m = len(labels)
+    obs_index: dict[str, int] = {}
+    weights = array("d")
+    cols = range(1, m + 1)
+    for first in range(0, n_obs, _CHUNK_LINES):
+        lines = list(islice(fh, min(_CHUNK_LINES, n_obs - first)))
+        if not lines:
+            break
+        text = "".join(lines)
+        # np.loadtxt skips blank lines and ignores surplus fields, and float
+        # refuses a number next to _FLOAT_REFUSES, which np.loadtxt strips
+        if text.count("\t") == m * len(lines) and not any(c in text for c in _FLOAT_REFUSES):
+            try:
+                block = np.loadtxt(lines, delimiter="\t", usecols=cols, comments=None, quotechar=None, ndmin=2)
+            except ValueError:
+                block = None
+            if block is not None and block.shape[0] == len(lines):
+                obs_index.update(zip([line.partition("\t")[0] for line in lines], range(first, first + len(lines))))
+                if len(obs_index) == first + len(lines):
+                    weights.frombytes(memoryview(block).cast("B"))
+                    continue
+                # a duplicate name: the per-line reader finds it among the names known before this chunk
+                obs_index = dict(islice(obs_index.items(), first))
+        _read_v2_lines(lines, first, m, obs_index, weights, bad)
     if has_bigram and len(obs_index) == n_obs:
         for i, (line, la) in enumerate(zip(islice(fh, m), labels), 6 + n_obs):
             parts = line.split("\t")

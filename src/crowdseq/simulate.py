@@ -15,6 +15,7 @@ Outputs are always valid BIO sequences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,8 +63,8 @@ class SimConfig:
             raise ValueError("need at least one annotator")
         if not 0 < self.target_precision <= 1:
             raise ValueError("target precision must lie in (0, 1]")
-        if self.precision_spread < 0:
-            raise ValueError("precision spread must be nonnegative")
+        if not 0 <= self.precision_spread < math.inf:
+            raise ValueError(f"precision_spread must be finite and nonnegative, got {self.precision_spread}")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,21 @@ def loop_observation_rows(model, tokens) -> list[np.ndarray]:
     return rows
 
 
+def loop_obs_index(token_seqs, templates) -> dict[str, int]:
+    """Observation ids in order of first appearance, interned by one
+    ``FeatureTemplate.observation`` call per position and template."""
+    obs_index: dict[str, int] = {}
+    for tokens in token_seqs:
+        for t in range(len(tokens)):
+            for tpl in templates:
+                if tpl.kind == "label-bigram":
+                    continue
+                obs = tpl.observation(tokens, t)
+                if obs is not None and obs not in obs_index:
+                    obs_index[obs] = len(obs_index)
+    return obs_index
+
+
 def all_sequences(pot: SequencePotentials):
     return itertools.product(range(pot.n_labels), repeat=pot.length)
 

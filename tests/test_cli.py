@@ -113,6 +113,15 @@ class TestExitCodes:
         assert main(["simulate", str(gold), "--out", str(tmp_path / "c.tsv")]) == 1
         assert "--seed is required to simulate annotators" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spread", ["nan", "inf", "-inf"])
+    def test_simulate_rejects_a_non_finite_precision_spread(self, tmp_path, capsys, spread):
+        gold = tmp_path / "gold.tsv"
+        save_conll(gold, make_gold(2, seed=1))
+        argv = ["simulate", str(gold), "--out", str(tmp_path / "c.tsv"), "--seed", "1", f"--precision-spread={spread}"]
+        assert main(argv) == 2
+        assert "precision_spread must be finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "c.tsv").exists()
+
     def test_saslc_demands_a_seed(self, pipeline, capsys):
         code = main([
             "aggregate", str(pipeline["crowd"]), "--method", "saslc",

@@ -2,6 +2,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import types
 import warnings
 from pathlib import Path
@@ -9,12 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from corpus import make_gold
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     brute_log_partition,
     brute_marginals,
     brute_valid,
     brute_viterbi,
     brute_weighted_nll,
+    loop_obs_index,
     loop_observation_rows,
     random_potentials,
 )
@@ -170,6 +174,21 @@ class TestBuildModel:
     def test_interning_is_insertion_ordered(self):
         model = build_model(SCHEME, [("b", "a")], templates=(FeatureTemplate("token-identity"),))
         assert list(model.obs_index) == ["w=b", "w=a"]
+
+    @pytest.mark.parametrize("order", ["default", "reversed"])
+    def test_interning_matches_the_per_position_loop(self, order):
+        # capitals, digits, tokens shorter than the affix widths, repeats,
+        # one-token and empty sentences, and tokens spelling the edge markers
+        seqs = [
+            ("Rome", "1984", "a"), (), ("x",), ("a", BOS_TOKEN, "Rome"),
+            (EOS_TOKEN, "ab", "ROME", "rome", "42"), ("1984",), ("Rome", "1984", "a"),
+        ]
+        templates = DEFAULT_TEMPLATES if order == "default" else DEFAULT_TEMPLATES[::-1]
+        model = build_model(SCHEME, iter(seqs), templates)
+        assert list(model.obs_index.items()) == list(loop_obs_index(seqs, templates).items())
+        kinds = {obs.split("=")[0] for obs in model.obs_index}
+        assert kinds == {"w", "wl", "p2", "p3", "s2", "s3", "cap", "num", "w-1", "w+1"}
+        assert f"w-1={BOS_TOKEN}" in model.obs_index and f"w+1={EOS_TOKEN}" in model.obs_index
 
 
 class TestFeatures:
@@ -818,6 +837,109 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {len(lines) - 1}: bigram block mismatch$"):
             load_model(path)
+
+    def chunked_v2_lines(self, tmp_path, monkeypatch):
+        """A v2 model of 24 observations read in chunks of five lines, and
+        its lines; observation 13 (line 19) sits in the third chunk."""
+        monkeypatch.setattr(crf, "_CHUNK_LINES", 5)
+        model = build_model(SCHEME, [("alice", "saw", "paris")])
+        assert model.n_obs == 24
+        model.weights[:] = np.random.default_rng(4).normal(size=model.dim)
+        path = tmp_path / "m.tsv"
+        save_model(model, path)
+        return path, path.read_text().splitlines()
+
+    def assert_fault_at_line_19(self, path, lines, why):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 19: {re.escape(why)}$"):
+            load_model(path)
+
+    def test_chunked_wrong_field_count_names_the_line(self, tmp_path, monkeypatch):
+        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
+        lines[18] += "\t0.5"
+        self.assert_fault_at_line_19(path, lines, "expected 6 tab-separated fields, found 7")
+
+    def test_chunked_field_counts_that_cancel_name_the_first_line(self, tmp_path, monkeypatch):
+        # the chunk keeps its tab count: one line has a surplus field, the next one too few
+        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
+        lines[18] += "\t0.5"
+        lines[19] = lines[19].rsplit("\t", 1)[0]
+        self.assert_fault_at_line_19(path, lines, "expected 6 tab-separated fields, found 7")
+
+    def test_chunked_non_numeric_weight_names_the_line(self, tmp_path, monkeypatch):
+        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
+        parts = lines[18].split("\t")
+        parts[3] = "abc"
+        lines[18] = "\t".join(parts)
+        self.assert_fault_at_line_19(path, lines, "weight 'abc' is not a number")
+
+    @pytest.mark.parametrize("surplus", [False, True])
+    def test_chunked_blank_line_names_the_line(self, tmp_path, monkeypatch, surplus):
+        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
+        if surplus:  # a later line of the chunk carries the blank line's tabs
+            lines[19] += "\t0.5" * SCHEME.size
+        lines[18] = ""
+        self.assert_fault_at_line_19(path, lines, "expected 6 tab-separated fields, found 1")
+
+    def test_chunked_duplicate_of_an_earlier_chunk_names_the_line(self, tmp_path, monkeypatch):
+        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
+        first = lines[6].split("\t")[0]  # observation 1, in the first chunk
+        lines[18] = first + "\t" + lines[18].split("\t", 1)[1]
+        self.assert_fault_at_line_19(path, lines, f"duplicate observation {first!r}")
+
+    def test_chunked_truncated_body_rejected(self, tmp_path, monkeypatch):
+        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
+        path.write_text("\n".join(lines[:18]) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected 34 lines, found 18$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text, value", [("1_0", 10.0), ("\u0661", 1.0), (" 2.5 ", 2.5)])
+    def test_chunked_weights_only_float_reads_still_load(self, tmp_path, monkeypatch, text, value):
+        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
+        want = load_model(path).weights.copy()
+        parts = lines[18].split("\t")
+        parts[3] = text
+        lines[18] = "\t".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        got = load_model(path)
+        want[13 * SCHEME.size + 2] = value
+        assert got.weights.tobytes() == want.tobytes()
+        assert list(got.obs_index.values()) == list(range(24))
+
+    def test_chunked_weight_next_to_a_separator_is_refused(self, tmp_path, monkeypatch):
+        # np.loadtxt strips \x1c around a number; float, and so the reader, refuses it
+        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
+        parts = lines[18].split("\t")
+        parts[3] = "\x1c1"
+        lines[18] = "\t".join(parts)
+        self.assert_fault_at_line_19(path, lines, "weight '\\x1c1' is not a number")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chunk=st.integers(1, 4),
+        names=st.lists(
+            st.text(
+                st.one_of(st.sampled_from(' #"'), st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r")),
+                max_size=6,
+            ),
+            max_size=11,
+            unique=True,
+        ),
+        bigram=st.booleans(),
+        data=st.data(),
+    )
+    def test_round_trip_across_chunks_is_bit_identical(self, chunk, names, bigram, data):
+        templates = DEFAULT_TEMPLATES if bigram else DEFAULT_TEMPLATES[:-1]
+        model = crf.CrfModel(SCHEME, templates, dict(zip(names, range(len(names)))), np.zeros(0))
+        edge = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+        weights = data.draw(st.lists(st.one_of(edge, st.floats(allow_nan=False)), min_size=model.dim, max_size=model.dim))
+        model.weights = np.array(weights, dtype=float)
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(crf, "_CHUNK_LINES", chunk)
+            save_model(model, Path(tmp, "m.tsv"))
+            loaded = load_model(Path(tmp, "m.tsv"))
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert list(loaded.obs_index.items()) == list(model.obs_index.items())
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"

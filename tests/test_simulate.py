@@ -35,8 +35,9 @@ class TestConfigs:
             SimConfig(target_precision=0.0)
         with pytest.raises(ValueError, match="precision"):
             SimConfig(target_precision=1.2)
-        with pytest.raises(ValueError, match="spread"):
-            SimConfig(precision_spread=-0.1)
+        for spread in (-0.1, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="^precision_spread must be finite and nonnegative"):
+                SimConfig(precision_spread=spread)
 
 
 class TestStats:
