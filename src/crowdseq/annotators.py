@@ -102,37 +102,15 @@ def annotation_contexts(
     return y, np.where(is_mention, y[link_idx], prev), is_mention
 
 
-def factor_matrix(
-    params: AnnotatorParams, annotator: str, assigned: LabelSeq, links
-) -> np.ndarray:
-    """(L, M) table of log p(assigned_j | truth = m, context_j).
-
-    The contexts come from the annotation itself, so the table does not
-    depend on any candidate truth sequence.
-    """
-    contexts = annotation_contexts(assigned, links, params.n_labels)
-    return context_factor(params, params.annotator_index(annotator), contexts)
-
-
 def context_factor(params: AnnotatorParams, k: int, contexts) -> np.ndarray:
-    """``factor_matrix`` for the annotator at roster index ``k``, from the
-    ``annotation_contexts`` of their labels."""
+    """(L, M) table of log p(assigned_j | truth = m, context_j) for the
+    annotator at roster index ``k``, from the ``annotation_contexts`` of
+    their labels, which do not depend on the truth."""
     y, ctx, is_mention = contexts
     local_rows = params.local[k][ctx, :, y]
     mention_rows = params.mention[k][ctx, :, y]
     with np.errstate(divide="ignore"):
         return np.log(np.where(is_mention[:, None], mention_rows, local_rows))
-
-
-def annotation_loglik(
-    params: AnnotatorParams, annotator: str, assigned: LabelSeq, truth: LabelSeq, links
-) -> float:
-    """Log-probability of one annotator's labels given a candidate truth sequence."""
-    if len(assigned) != len(truth):
-        raise ValueError("assigned/truth length mismatch")
-    phi = factor_matrix(params, annotator, assigned, links)
-    z = np.asarray(truth, dtype=np.intp)
-    return float(phi[np.arange(z.size), z].sum())
 
 
 def params_from_counts(

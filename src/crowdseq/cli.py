@@ -49,7 +49,7 @@ def _add_em_flags(p):
     p.add_argument("--consistency-hi", type=float, default=None)
     p.add_argument("--consistency-lo", type=float, default=None)
     p.add_argument("--normalize-consistency", action="store_true", default=None)
-    p.add_argument("--lattice-cap", type=int, default=None)
+    p.add_argument("--lattice-cap", type=int, default=None, help="paths a lattice lists; EM sums over every path")
     p.add_argument("--smoothing", type=float, default=None)
     p.add_argument("--l2", type=float, default=None, dest="l2_penalty", help="L2 penalty on model weights")
     p.add_argument("--init-max-iter", type=int, default=None)
@@ -123,7 +123,7 @@ def _cmd_aggregate(args) -> int:
     if args.method == "saslc":
         seed = _require_seed(args, "for --method saslc")
         result = em.fit(ds, _em_config(args, cfg, seed), log=sys.stderr)
-        labelings = em.posterior_modes(result.state, result.posteriors)
+        labelings = em.posterior_modes(result.posteriors)
     else:
         labelings = baselines.aggregate_labels(
             ds,
@@ -287,7 +287,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model-out", required=True)
     p.add_argument("--annotators-out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--history-file", default=None, help="write per-iteration log-likelihoods")
+    p.add_argument("--history-file", default=None, help="write the joint objective after each round")
     _add_em_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_train)

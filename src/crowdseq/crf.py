@@ -14,16 +14,17 @@ Inference runs on a packed batch: sequences sorted longest first and laid
 out time-major in flat (P, M) arrays over their P positions, so step t
 touches only the sequences still running and nothing is padded (see
 ``_Packing``).  One forward-backward kernel and its max-product twin,
-``_viterbi``, work on that layout.  A training example is one token
-sequence with one weighted label sequence or a weighted (S, L) stack of them
-(an EM lattice's candidates), and the objective packs each example's tokens
-once, with the observation ids firing at each position: the batch's unary
-table sums the weight rows of those ids, the unary gradient scatters the
-weighted marginals ``w * q`` back onto them with one ``np.bincount``, and the
-pair marginals are summed into the (M, M) bigram gradient step by step.
-``_pack`` lays out and checks a batch: ``decode`` runs one Viterbi pass and
-``log_partition`` one forward pass over a list of sentences, and on one
-sentence they and ``marginals`` run the same kernels on a batch of one.
+``_viterbi``, work on that layout; a potential of -inf rules a label or a
+transition out.  A training example is one token sequence with one label
+sequence (as one-hot counts) or soft label counts, and a weight; the
+objective packs each example's tokens once, with the observation ids firing
+at each position: the batch's unary table sums the weight rows of those
+ids, the unary gradient scatters the weighted marginals ``w * q`` back onto
+them with one ``np.bincount``, and the pair marginals are summed into the
+(M, M) bigram gradient step by step.  ``_pack`` lays out and checks a batch:
+``decode`` runs one Viterbi pass, ``log_partition`` one forward pass and
+``expected_counts`` (EM's posteriors) one forward-backward pass over a list
+of sentences; on one sentence they and ``marginals`` run on a batch of one.
 
 Features are built per batch (``_by_position``): each template's
 observations come from one list comprehension over the token types, and the
@@ -67,7 +68,7 @@ from array import array
 from dataclasses import dataclass, replace
 from itertools import cycle, islice, product
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -314,32 +315,6 @@ def extract_features(
     return pots[0] if one else pots
 
 
-def sequence_score(pot: SequencePotentials, labels: Sequence[int]) -> float:
-    """Unnormalized log-score of one label sequence."""
-    z = np.asarray(labels, dtype=np.intp)
-    if z.size != pot.length:
-        raise ValueError("label/position length mismatch")
-    s = float(pot.unary[np.arange(z.size), z].sum())
-    if z.size > 1:
-        if pot.pairwise.ndim == 2:
-            s += float(pot.pairwise[z[:-1], z[1:]].sum())
-        else:
-            s += float(pot.pairwise[np.arange(z.size - 1), z[:-1], z[1:]].sum())
-    return s
-
-
-def sequence_scores(pot: SequencePotentials, z: np.ndarray) -> np.ndarray:
-    """Scores for a (S, L) batch of label sequences."""
-    L = pot.length
-    s = pot.unary[np.arange(L)[None, :], z].sum(axis=1)
-    if L > 1:
-        if pot.pairwise.ndim == 2:
-            s = s + pot.pairwise[z[:, :-1], z[:, 1:]].sum(axis=1)
-        else:
-            s = s + pot.pairwise[np.arange(L - 1)[None, :], z[:, :-1], z[:, 1:]].sum(axis=1)
-    return s
-
-
 def logsumexp(a, axis: int = -1) -> np.ndarray:
     """log(sum(exp(a))) along ``axis``, max-shift stabilized.
 
@@ -411,33 +386,36 @@ def _backward(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarr
 
 
 def _forward_backward(
-    unary: np.ndarray, pairwise: np.ndarray, pk: _Packing, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact inference over a packed batch.
-
-    Returns log Z per sequence (B,), the unary marginals per packed row
-    (P, M) and, for each step t >= 1, the ``weights``-weighted sum over
-    sequences of their (t-1, t) pair marginals (T-1, M, M).
-    """
+    unary: np.ndarray, pairwise: np.ndarray, pk: _Packing, order: Sequence[int], name: str = "sequence"
+) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+    """Exact inference over a packed batch: log Z per sequence (B,), the
+    unary marginals per packed row (P, M) and an iterator over the steps
+    t >= 1 of the (t-1, t) pair marginals of the sequences still running,
+    (sizes[t], M, M).  A sequence whose every path scores -inf is refused,
+    the error calling it ``name`` and its batch index, ``order[i]`` for
+    packed sequence i."""
     alpha = _forward(unary, pairwise, pk)
-    beta = _backward(unary, pairwise, pk)
     logz = logsumexp(alpha[pk.last_rows], axis=1)
+    dead = [order[i] for i in np.flatnonzero(logz == -np.inf)]
+    if dead:
+        raise ValueError(f"{name} {min(dead)} has no finite-scoring path")
+    beta = _backward(unary, pairwise, pk)
     uni = np.exp(alpha + beta - logz[pk.row_seq, None])
     uni /= uni.sum(axis=1, keepdims=True)
     ahead = unary + beta
-    m = unary.shape[1]
-    pair = np.empty((max(pk.steps - 1, 0), m, m))
-    for t in range(1, pk.steps):
-        n = pk.sizes[t]
-        p = np.exp(
-            alpha[pk.rows(t - 1, n), :, None]
-            + _step_table(pairwise, t)
-            + ahead[pk.rows(t, n), None, :]
-            - logz[:n, None, None]
-        )
-        p /= p.sum(axis=(1, 2), keepdims=True)
-        pair[t - 1] = (weights[:n] @ p.reshape(n, m * m)).reshape(m, m)
-    return logz, uni, pair
+
+    def pairs():
+        for t in range(1, pk.steps):
+            n = pk.sizes[t]
+            p = np.exp(
+                alpha[pk.rows(t - 1, n), :, None]
+                + _step_table(pairwise, t)
+                + ahead[pk.rows(t, n), None, :]
+                - logz[:n, None, None]
+            )
+            yield p / p.sum(axis=(1, 2), keepdims=True)
+
+    return logz, uni, pairs()
 
 
 def _viterbi(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarray:
@@ -467,7 +445,7 @@ def _pack(pots: Sequence[SequencePotentials]) -> tuple[np.ndarray, np.ndarray, _
     """A nonempty batch packed: its unary rows in packed order, its pairwise
     table, the ``_Packing`` and the batch index of each packed sequence.
     Refuses a longer batch without one shared (M, M) pairwise table, an
-    empty sequence and non-finite potentials."""
+    empty sequence and NaN or +inf potentials."""
     pairwise = pots[0].pairwise
     if len(pots) > 1 and (pairwise.ndim != 2 or (np.stack([p.pairwise for p in pots]) != pairwise).any()):
         raise ValueError("a batch must share one (M, M) pairwise table")
@@ -477,8 +455,8 @@ def _pack(pots: Sequence[SequencePotentials]) -> tuple[np.ndarray, np.ndarray, _
     order = sorted(range(len(pots)), key=lengths.__getitem__, reverse=True)
     pk = _Packing([lengths[i] for i in order])
     unary = np.concatenate([pots[i].unary for i in order])[pk.from_concat]
-    if not (np.isfinite(unary).all() and np.isfinite(pairwise).all()):
-        raise ValueError("potentials must be finite")
+    if not ((unary < np.inf).all() and (pairwise < np.inf).all()):  # NaN fails too
+        raise ValueError("potentials must not be NaN or +inf")
     return unary, pairwise, pk, order
 
 
@@ -492,16 +470,28 @@ def log_partition(pot: SequencePotentials | Sequence[SequencePotentials]) -> flo
     if not pots:
         return np.zeros(0)
     unary, pairwise, pk, order = _pack(pots)
-    out = np.empty(len(pots))
-    out[order] = logsumexp(_forward(unary, pairwise, pk)[pk.last_rows], axis=1)
-    return out
+    return logsumexp(_forward(unary, pairwise, pk)[pk.last_rows], axis=1)[np.argsort(order)]
 
 
 def marginals(pot: SequencePotentials) -> tuple[np.ndarray, np.ndarray]:
     """Posterior label probabilities (L, M) and pair probabilities (L-1, M, M)."""
-    unary, pairwise, pk, _ = _pack([pot])
-    _, uni, pair = _forward_backward(unary, pairwise, pk, np.ones(1))
-    return uni, pair
+    unary, pairwise, pk, order = _pack([pot])
+    _, uni, pairs = _forward_backward(unary, pairwise, pk, order)
+    return uni, np.array([p[0] for p in pairs]).reshape(-1, pot.n_labels, pot.n_labels)
+
+
+def expected_counts(pots: Sequence[SequencePotentials], name: str = "sequence") -> tuple[np.ndarray, list[tuple]]:
+    """log Z, (L, M) label marginals and (M, M) pair marginals summed over
+    positions of each entry of a nonempty batch sharing one (M, M) pairwise
+    table, from one packed pass.  An entry with no finite-scoring path is
+    refused, the error calling it ``name`` and its index."""
+    unary, pairwise, pk, order = _pack(pots)
+    logz, uni, pairs = _forward_backward(unary, pairwise, pk, order, name)
+    pair = np.zeros((len(order), unary.shape[1], unary.shape[1]))
+    for p in pairs:
+        pair[: len(p)] += p
+    packed = np.argsort(order)  # the packed index of each entry
+    return logz[packed], [(uni[pk.offsets[: pot.length] + s], pair[s]) for pot, s in zip(pots, packed)]
 
 
 def viterbi(pot: SequencePotentials | Sequence[SequencePotentials]) -> LabelSeq | list[LabelSeq]:
@@ -535,23 +525,34 @@ def decode(model: CrfModel, token_seqs: Iterable[Sequence[str]]) -> list[LabelSe
 
 
 # One weighted example: (tokens, labels, weight), where labels is one label
-# sequence or an (S, L) stack of them and weight a scalar or an (S,) vector,
-# one weight per sequence.  A stack shares one inference pass: a sentence's
-# candidate truths arrive as one example.
-WeightedExample = tuple[Sequence[str], LabelSeq | np.ndarray, float | np.ndarray]
+# sequence or its soft counts, (L, M) label and (M, M) label-pair counts as
+# ``expected_counts`` gives them.
+WeightedExample = tuple[Sequence[str], "LabelSeq | tuple[np.ndarray, np.ndarray]", float]
+
+
+def _label_counts(labels, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Soft counts as they are, or a label sequence's one-hot counts."""
+    if len(labels) == 2 and np.ndim(labels[0]) == 2:
+        uni, pair = labels
+    else:
+        z = np.asarray(labels, dtype=np.intp)
+        uni, pair = np.eye(m)[z], np.zeros((m, m))
+        np.add.at(pair, (z[..., :-1], z[..., 1:]), 1.0)
+    if np.ndim(uni) != 2 or np.shape(uni)[1] != m or np.shape(pair) != (m, m):
+        raise ValueError("labels must be one label sequence or its (L, M) and (M, M) soft counts")
+    return uni, pair
 
 
 class _WeightedObjective:
     """Weighted negative log-likelihood with its gradient.
 
-    Each example is one sequence of the batch, its label stack's weights
-    adding up to the sequence weight.  The examples with positive weight are
-    packed once (see ``_Packing``) with the (P, T) observation ids of their
-    positions, from which ``_unary_table`` builds the batch's unary table.
-    The unary gradient and the empirical feature counts scatter a (P, M)
-    table back onto those ids (``_scatter``).  Empirical counts do not depend
-    on the weights: they scatter the per-position soft label counts of the
-    stacks, once at construction.
+    Each example is one sequence of the batch with its label counts (one-hot
+    for a label sequence) times its weight.  The examples with positive
+    weight are packed once (see ``_Packing``) with the (P, T) observation ids
+    of their positions, from which ``_unary_table`` builds the batch's unary
+    table.  The unary gradient and the empirical feature counts scatter a
+    (P, M) table back onto those ids (``_scatter``), the counts once, at
+    construction.
     """
 
     def __init__(self, model: CrfModel, data: Iterable[WeightedExample], l2: float):
@@ -562,24 +563,21 @@ class _WeightedObjective:
         m = model.scheme.size
         kept = []
         for tokens, labels, w in data:
-            z = np.atleast_2d(np.asarray(labels, dtype=np.intp))
-            w = np.atleast_1d(np.asarray(w, dtype=float))
-            if not np.isfinite(w).all():
+            w = float(w)
+            if not np.isfinite(w):
                 raise ValueError("non-finite weight")
-            if (w < 0).any():
+            if w < 0:
                 raise ValueError("negative weight")
-            if z.shape[1] != len(tokens):
+            uni, pair = _label_counts(labels, m)
+            if len(uni) != len(tokens):
                 raise ValueError("label/token length mismatch")
             if not tokens:
                 raise ValueError("empty token sequence")
-            if w.shape != z.shape[:1]:
-                raise ValueError("label/weight count mismatch")
-            total = sum(w.tolist())  # left to right, as the weights arrive
-            if total > 0:
-                kept.append((tokens, z, w, total))
+            if w > 0:
+                kept.append((tokens, w * uni, w * pair, w))
         kept.sort(key=lambda e: -len(e[0]))
         self.pack = pk = _Packing([len(tokens) for tokens, _, _, _ in kept])
-        self.seq_w = np.array([total for _, _, _, total in kept])
+        self.seq_w = np.array([w for _, _, _, w in kept])
         self.row_w = self.seq_w[pk.row_seq, None]
 
         self.ids = _observation_ids(model, [tokens for tokens, _, _, _ in kept])[pk.from_concat]
@@ -587,16 +585,9 @@ class _WeightedObjective:
         # bin obs * M + label of each entry's M labels
         self.entry_rows, tpl = np.nonzero(self.ids >= 0)
         self.bins = (self.ids[self.entry_rows, tpl][:, None] * m + np.arange(m)).ravel()
-
-        counts = np.zeros((len(self.ids), m))  # sequences laid end to end
-        self.emp_b = np.zeros((m, m))
-        start = 0
-        for tokens, z, w, _ in kept:
-            n = len(tokens)
-            np.add.at(counts[start : start + n], (np.arange(n), z), w[:, None])
-            np.add.at(self.emp_b, (z[:, :-1], z[:, 1:]), w[:, None])
-            start += n
+        counts = np.concatenate([uni for _, uni, _, _ in kept] or [np.zeros((0, m))])  # end to end
         self.emp_u = self._scatter(counts[pk.from_concat])
+        self.emp_b = sum((pair for _, _, pair, _ in kept), np.zeros((m, m)))
 
     def _scatter(self, table: np.ndarray) -> np.ndarray:
         """The (n_obs, M) sums of the (P, M) ``table``'s rows over the
@@ -617,12 +608,13 @@ class _WeightedObjective:
         nu = model.n_obs * m
         wu = theta[:nu].reshape(model.n_obs, m)
         wb = theta[nu:].reshape(m, m) if model.has_bigram else np.zeros((m, m))
-        logz, uni, pair = _forward_backward(_unary_table(wu, self.ids), wb, self.pack, self.seq_w)
+        logz, uni, pairs = _forward_backward(_unary_table(wu, self.ids), wb, self.pack, range(len(self.seq_w)))
         value = float(self.seq_w @ logz) - float((wu * self.emp_u).sum())
         grad = [(self._scatter(self.row_w * uni) - self.emp_u).ravel()]
         if model.has_bigram:
             value -= float((wb * self.emp_b).sum())
-            grad.append((pair.sum(axis=0) - self.emp_b).ravel())
+            pair = sum((self.seq_w[: len(p)] @ p.reshape(len(p), m * m) for p in pairs), np.zeros(m * m))
+            grad.append(pair - self.emp_b.ravel())
         grad = np.concatenate(grad)
         value += 0.5 * self.l2 * float(theta @ theta)
         grad += self.l2 * theta
@@ -803,7 +795,7 @@ def save_model(model: CrfModel, path) -> None:
     lines.append(f"observations\t{model.n_obs}")
     rows = model.unary_weights().tolist()
     for obs, r in model.obs_index.items():
-        if "\t" in obs or "\n" in obs:
+        if "\t" in obs or "\n" in obs or "\r" in obs:
             raise ValueError(f"observation not serializable: {obs!r}")
         lines.append(obs + "\t" + "\t".join(map(repr, rows[r])))
     if model.has_bigram:

@@ -1,33 +1,27 @@
 """Joint estimation of the tagger and the annotator reliability tables.
 
-Alternates a posterior step (weights over each instance's candidate truth
-sequences, combining the annotator factors with the tagger's sequence
-probabilities) with a maximization step (a warm-started, iteration-capped
-tagger refit on the posterior-weighted candidates, plus closed-form
-smoothed updates of the reliability tables).  Candidate lattices depend only
-on the crowd labels, so they are built once and reused across iterations,
-their sequences kept as one (S, L) array per instance.  The tagger refit
-takes that array and its posterior weights as one weighted example per
-instance, so its objective scores each sentence once.
+Alternates a posterior step with a maximization step: a warm-started,
+iteration-capped tagger refit on the posterior's expected label counts, plus
+closed-form smoothed updates of the reliability tables.
 
-Which table and context score each annotator label is decided in
-``annotators`` alone.  The contexts depend only on the data, so
-``initialize`` derives them once per instance and present annotator with
-``annotation_contexts``; the posterior step scores candidates from them
-through ``context_factor``, and the table update counts with them.
-
-``e_step`` scores the corpus in one batch (one featurization, one packed
-forward pass) and returns the posteriors with the observed log-likelihood
-that normalizes them, so N rounds of ``fit`` score it N + 1 times.  ``fit``
-returns its last posteriors, from which ``posterior_modes`` reads each
-instance's most probable candidate without scoring the corpus again.
+An instance's valid lattice is exactly the set of paths through its
+``ValidLattice.states`` along the scheme's allowed transitions, so its
+posterior is a linear chain: the tagger's unary scores plus each present
+annotator's ``context_factor`` (derived once, in ``initialize``, from
+``annotators``), -inf off the states, and the tagger's bigram weights, -inf
+on forbidden transitions.  ``e_step`` featurizes the corpus once, takes the
+tagger's log-partitions from one packed forward pass and the posteriors from
+one masked forward-backward pass (``expected_counts``), enumerating no
+candidate sequence, so N rounds of ``fit`` score the corpus N + 1 times.
+``posterior_modes`` runs one Viterbi pass over the last round's masked
+chains.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,14 +35,15 @@ from .annotators import (
 )
 from .crf import (
     CrfModel,
+    SequencePotentials,
     TrainOptions,
     TrainResult,
     build_model,
+    expected_counts,
     extract_features,
     log_partition,
-    logsumexp,
     optimize,
-    sequence_scores,
+    viterbi,
 )
 from .lattice import ValidLattice, candidate_sets, enumerate_valid
 from .types import CrowdDataset, CrowdInstance, LabelScheme, LabelSeq, validate_dataset
@@ -63,7 +58,8 @@ class EmConfig:
     divided by the roster size and the defaults become 1/2 and 1/(2K).  A
     lone annotator's consistency is 1 at every position either way, so with
     a roster of one ``consistency_lo`` defaults to 0 and every lattice is the
-    annotation itself.
+    annotation itself.  ``lattice_cap`` bounds only the sequences
+    ``build_lattice`` lists for inspection: EM sums over every lattice path.
     """
 
     max_iters: int = 20
@@ -110,11 +106,11 @@ class EmState:
     crf: CrfModel
     annotators: AnnotatorParams
     lattices: tuple[ValidLattice, ...]
-    candidates: tuple[np.ndarray, ...]  # per lattice, its sequences as an (S, L) array
+    masks: tuple[np.ndarray, ...]  # per lattice, (L, M): 0 on its states, -inf elsewhere
     # per instance, (roster index, annotation_contexts) of each present annotator in roster order
     contexts: tuple[tuple[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]], ...], ...]
     iteration: int
-    loglik_history: list[float]
+    history: list[float]  # the joint objective after each round, the initial one first
     last_train: TrainResult | None = field(repr=False, default=None)
 
 
@@ -122,7 +118,7 @@ def build_lattice(
     inst: CrowdInstance, scheme: LabelScheme, roster_size: int, cfg: EmConfig
 ) -> ValidLattice:
     """Candidate sets under the configured consistency thresholds, then the
-    valid sequences through them, capped at ``cfg.lattice_cap``."""
+    valid lattice through them, listing at most ``cfg.lattice_cap`` paths."""
     hi, lo = cfg.thresholds(roster_size)
     norm = roster_size if cfg.normalize_consistency else None
     sets = candidate_sets(inst, scheme, hi, lo, normalize_by=norm)
@@ -155,9 +151,10 @@ def initialize(ds: CrowdDataset, cfg: EmConfig) -> EmState:
     ]
     opts = TrainOptions(max_iter=cfg.init_max_iter, tol=cfg.opt_tol, l2=cfg.l2_penalty)
     model = optimize(model, seed_data, opts).model
-    candidates = tuple(np.asarray(lat.sequences, dtype=np.intp) for lat in lattices)
+    labels = range(ds.scheme.size)
+    masks = tuple(np.where([[s in st for s in labels] for st in lat.states], 0.0, -np.inf) for lat in lattices)
     contexts = tuple(_present_contexts(inst, ds.roster, ds.scheme.size) for inst in ds.instances)
-    return EmState(cfg, model, params, lattices, candidates, contexts, 0, [])
+    return EmState(cfg, model, params, lattices, masks, contexts, 0, [])
 
 
 def _present_contexts(inst: CrowdInstance, roster: Sequence[str], n_labels: int):
@@ -169,58 +166,56 @@ def _present_contexts(inst: CrowdInstance, roster: Sequence[str], n_labels: int)
     )
 
 
-def e_step(state: EmState, ds: CrowdDataset) -> tuple[list[np.ndarray], float]:
-    """Posterior weight of every candidate truth sequence, per instance, and
-    the observed log-likelihood, from one scoring pass.
+class Posterior(NamedTuple):
+    """One instance's posterior over its lattice, from ``e_step``."""
 
-    Weights multiply each present annotator's label likelihood with the
-    tagger's sequence probability and normalize over the lattice.  The
-    log-likelihood sums, over instances and present annotators, the log
-    marginal probability of the annotator's labels, the truth marginalized
-    over the instance's lattice.
-    """
+    chain: SequencePotentials  # tagger plus annotator log-factors, -inf off the lattice
+    unary: np.ndarray  # (L, M) label marginals
+    pair: np.ndarray  # (M, M) label-pair marginals summed over positions
+
+
+def e_step(state: EmState, ds: CrowdDataset) -> tuple[list[Posterior], float]:
+    """Every instance's posterior over its lattice paths, and the joint MAP
+    objective EM ascends (Neal & Hinton 1998): sum_i (log Z_masked,i -
+    log Z_i) - (l2/2)||theta||^2 + s * sum log tables, 0 for the last term
+    when the smoothing s is 0.  An instance none of whose paths the tables
+    allow (zero smoothing can give one) is a ValueError naming it."""
     pots = extract_features(state.crf, [inst.tokens for inst in ds.instances])
-    posteriors, total = [], 0.0
-    for pot, logz, z, present in zip(pots, log_partition(pots), state.candidates, state.contexts):
-        logw = logp = sequence_scores(pot, z) - logz
-        pos = np.arange(z.shape[1])[None, :]
-        for k, contexts in present:
-            a = context_factor(state.annotators, k, contexts)[pos, z].sum(axis=1)
-            total += float(logsumexp(logp + a))
-            logw = logw + a
-        logw -= logsumexp(logw)
-        posteriors.append(np.exp(logw))
-    return posteriors, total
+    theta, s, tables = state.crf.weights, state.cfg.smoothing, state.annotators
+    pairwise = np.where(ds.scheme.allowed_transitions, state.crf.bigram_weights(), -np.inf)
+    chains = [
+        SequencePotentials(pot.unary + mask + sum(context_factor(tables, k, c) for k, c in present), pairwise)
+        for pot, mask, present in zip(pots, state.masks, state.contexts)
+    ]
+    logz, counts = expected_counts(chains, "instance")
+    prior = s * float(np.log(tables.local).sum() + np.log(tables.mention).sum()) if s else 0.0
+    prior -= 0.5 * state.cfg.l2_penalty * float(theta @ theta)
+    return [Posterior(c, *q) for c, q in zip(chains, counts)], float((logz - log_partition(pots)).sum()) + prior
 
 
 def confusion_counts(
-    state: EmState, ds: CrowdDataset, posteriors: Sequence[np.ndarray]
+    state: EmState, ds: CrowdDataset, posteriors: Sequence[Posterior]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior-weighted (context, truth, assigned) counts, split by context type."""
     m = ds.scheme.size
     counts = np.zeros((2, len(ds.roster), m + 1, m, m))  # index 0 local, 1 mention
     cols = np.arange(m)[None, :]
-    for z, w, present in zip(state.candidates, posteriors, state.contexts):
-        L = z.shape[1]
-        q = np.zeros((L, m))  # posterior marginal of each truth label per position
-        np.add.at(q, (np.arange(L)[None, :], z), w[:, None])
+    for (_, q, _), present in zip(posteriors, state.contexts):
         for ki, (y, ctx, is_mention) in present:
             np.add.at(counts, (is_mention[:, None].astype(np.intp), ki, ctx[:, None], cols, y[:, None]), q)
     return counts[0], counts[1]
 
 
 def m_step(
-    state: EmState, ds: CrowdDataset, posteriors: Sequence[np.ndarray]
+    state: EmState, ds: CrowdDataset, posteriors: Sequence[Posterior]
 ) -> tuple[CrfModel, AnnotatorParams]:
     """Warm-started tagger refit plus closed-form reliability updates.
 
     The tagger step is iteration-capped, improving rather than maximizing its
     objective; the reliability update is the exact smoothed maximizer.
     """
-    data = [(inst.tokens, z, w) for inst, z, w in zip(ds.instances, state.candidates, posteriors)]
-    opts = TrainOptions(
-        max_iter=state.cfg.inner_max_iter, tol=state.cfg.opt_tol, l2=state.cfg.l2_penalty
-    )
+    data = [(inst.tokens, (p.unary, p.pair), 1.0) for inst, p in zip(ds.instances, posteriors)]
+    opts = TrainOptions(max_iter=state.cfg.inner_max_iter, tol=state.cfg.opt_tol, l2=state.cfg.l2_penalty)
     result = optimize(state.crf, data, opts)
     state.last_train = result
     local, mention = confusion_counts(state, ds, posteriors)
@@ -229,7 +224,7 @@ def m_step(
 
 
 def observed_loglik(state: EmState, ds: CrowdDataset) -> float:
-    """The log-likelihood half of ``e_step``."""
+    """The objective half of ``e_step``."""
     return e_step(state, ds)[1]
 
 
@@ -241,45 +236,40 @@ class FitResult:
     iterations: int
     converged: bool
     state: EmState
-    posteriors: list[np.ndarray]  # the last e_step's, under the returned parameters
+    posteriors: list[Posterior]  # the last e_step's, under the returned parameters
 
 
-def _log_line(stream, iteration, loglik, delta, opt_iters, seconds) -> None:
+def _log_line(stream, iteration, objective, delta, opt_iters, seconds) -> None:
     if stream is not None:
-        print(f"{iteration}\t{loglik:.6f}\t{delta:.6f}\t{opt_iters}\t{seconds:.2f}", file=stream)
+        print(f"{iteration}\t{objective:.6f}\t{delta:.6f}\t{opt_iters}\t{seconds:.2f}", file=stream)
 
 
 def fit(ds: CrowdDataset, cfg: EmConfig = EmConfig(), log=None) -> FitResult:
     """Alternate posterior and maximization steps until the relative change in
-    the observed log-likelihood drops below ``rel_tol`` or ``max_iters`` runs
-    out; each round's ``e_step`` also gives the next round's posteriors.
-    ``log`` (a writable stream) receives one tab-separated line per
-    iteration: iteration, log-likelihood, delta, tagger iterations, seconds.
+    the joint objective drops below ``rel_tol`` or ``max_iters`` runs out;
+    each round's ``e_step`` also gives the next round's posteriors.  ``log``
+    (a writable stream) receives one tab-separated line per iteration:
+    iteration, objective, delta, tagger iterations, seconds.
     """
     state = initialize(ds, cfg)
-    post, ll = e_step(state, ds)
-    state.loglik_history.append(ll)
-    _log_line(log, 0, ll, float("nan"), 0, 0.0)
-    converged = False
+    post, value = e_step(state, ds)
+    state.history.append(value)
+    _log_line(log, 0, value, float("nan"), 0, 0.0)
     for it in range(1, cfg.max_iters + 1):
         t0 = time.perf_counter()
         state.crf, state.annotators = m_step(state, ds, post)
         state.iteration = it
-        post, ll = e_step(state, ds)
-        prev = state.loglik_history[-1]
-        state.loglik_history.append(ll)
-        delta = ll - prev
-        _log_line(log, it, ll, delta, state.last_train.iterations, time.perf_counter() - t0)
-        if abs(delta) <= cfg.rel_tol * max(1.0, abs(prev)):
-            converged = True
+        post, value = e_step(state, ds)
+        prev, delta = state.history[-1], value - state.history[-1]
+        state.history.append(value)
+        _log_line(log, it, value, delta, state.last_train.iterations, time.perf_counter() - t0)
+        converged = abs(delta) <= cfg.rel_tol * max(1.0, abs(prev))  # max_iters >= 1: always set
+        if converged:
             break
-    return FitResult(
-        state.crf, state.annotators, list(state.loglik_history), state.iteration, converged, state, post
-    )
+    return FitResult(state.crf, state.annotators, list(state.history), state.iteration, converged, state, post)
 
 
-def posterior_modes(state: EmState, posteriors: Sequence[np.ndarray]) -> list[LabelSeq]:
-    """Highest-posterior candidate sequence per instance, from ``e_step``
-    posteriors such as ``FitResult.posteriors`` (first one in lattice order
-    on a tie)."""
-    return [lat.sequences[int(np.argmax(w))] for lat, w in zip(state.lattices, posteriors)]
+def posterior_modes(posteriors: Sequence[Posterior]) -> list[LabelSeq]:
+    """Most probable lattice path per instance, from ``e_step`` posteriors
+    such as ``FitResult.posteriors`` (Viterbi's tie rule: lowest label index)."""
+    return viterbi([p.chain for p in posteriors])

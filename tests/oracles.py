@@ -8,7 +8,38 @@ import numpy as np
 from scipy.special import logsumexp
 
 from crowdseq import LabelScheme
-from crowdseq.crf import SequencePotentials, sequence_score
+from crowdseq.annotators import annotation_contexts, context_factor
+from crowdseq.crf import SequencePotentials
+
+
+def sequence_score(pot: SequencePotentials, labels) -> float:
+    """Unnormalized log-score of one label sequence."""
+    z = np.asarray(labels, dtype=np.intp)
+    if z.size != pot.length:
+        raise ValueError("label/position length mismatch")
+    s = float(pot.unary[np.arange(z.size), z].sum())
+    if z.size > 1:
+        if pot.pairwise.ndim == 2:
+            s += float(pot.pairwise[z[:-1], z[1:]].sum())
+        else:
+            s += float(pot.pairwise[np.arange(z.size - 1), z[:-1], z[1:]].sum())
+    return s
+
+
+def factor_matrix(params, annotator: str, assigned, links) -> np.ndarray:
+    """(L, M) table of log p(assigned_j | truth = m, context_j) for the named
+    annotator."""
+    contexts = annotation_contexts(assigned, links, params.n_labels)
+    return context_factor(params, params.annotator_index(annotator), contexts)
+
+
+def annotation_loglik(params, annotator: str, assigned, truth, links) -> float:
+    """Log-probability of one annotator's labels given a candidate truth sequence."""
+    if len(assigned) != len(truth):
+        raise ValueError("assigned/truth length mismatch")
+    phi = factor_matrix(params, annotator, assigned, links)
+    z = np.asarray(truth, dtype=np.intp)
+    return float(phi[np.arange(z.size), z].sum())
 
 
 def loop_observation_rows(model, tokens) -> list[np.ndarray]:

@@ -6,15 +6,14 @@ import pytest
 from crowdseq import (
     AnnotatorParams,
     LabelScheme,
-    annotation_loglik,
     bos_context,
-    factor_matrix,
     load_annotators,
     params_from_counts,
     resolve_mentions,
     sample_init_params,
     save_annotators,
 )
+from oracles import annotation_loglik, factor_matrix
 
 SCHEME = LabelScheme(("O", "B-PER", "I-PER"))
 M = SCHEME.size

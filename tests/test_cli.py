@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from crowdseq import (
     load_tokens,
     save_config,
     save_conll,
+    sample_init_params,
     save_crowd,
     save_model,
 )
@@ -97,6 +99,25 @@ class TestExitCodes:
     def test_no_subcommand_prints_usage(self, capsys):
         assert main([]) == 1
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "aggregate"])
+    def test_an_instance_with_no_possible_path_exits_2(self, pipeline, tmp_path, monkeypatch, capsys, command):
+        def never_o_after_a_label(roster, n_labels, seed):
+            params = sample_init_params(roster, n_labels, seed)
+            params.local[:, :n_labels, :, 0] = 0.0
+            params.local /= params.local.sum(axis=3, keepdims=True)
+            return params
+
+        monkeypatch.setattr(em, "sample_init_params", never_o_after_a_label)
+        outputs = {
+            "train": ["--model-out", str(tmp_path / "m"), "--annotators-out", str(tmp_path / "a")],
+            "aggregate": ["--method", "saslc", "--out", str(tmp_path / "agg")],
+        }
+        argv = [command, str(pipeline["crowd"]), *outputs[command], "--seed", "5", "--smoothing", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: instance \d+ has no finite-scoring path\n", err)
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -314,6 +335,26 @@ class TestPipelineProducts:
         rounds = len(capsys.readouterr().err.splitlines()) - 1
         assert rounds == 2
         assert len(calls) == rounds + 1
+
+    def test_saslc_labels_do_not_depend_on_the_lattice_cap(self, tmp_path, capsys):
+        save_conll(tmp_path / "gold.tsv", make_gold(12, seed=6))
+        crowd = tmp_path / "crowd.tsv"
+        assert main([
+            "simulate", str(tmp_path / "gold.tsv"), "--out", str(crowd), "--seed", "6",
+            "--target-precision", "0.3",
+        ]) == 0
+        ds = load_crowd(crowd)
+        assert any(em.build_lattice(inst, ds.scheme, 5, em.EmConfig()).n_valid > 1 for inst in ds.instances)
+        outputs = []
+        for cap in (["--lattice-cap", "1"], []):
+            out = tmp_path / f"saslc{len(outputs)}.tsv"
+            assert main([
+                "aggregate", str(crowd), "--method", "saslc", "--out", str(out), "--seed", "6",
+                "--max-iters", "2", "--init-max-iter", "10", "--inner-max-iter", "4", *cap,
+            ]) == 0
+            outputs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
 
     def test_simulate_reports_per_annotator_scores(self, pipeline, tmp_path, capsys):
         code = main([

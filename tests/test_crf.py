@@ -21,6 +21,7 @@ from oracles import (
     loop_obs_index,
     loop_observation_rows,
     random_potentials,
+    sequence_score,
 )
 from scipy.special import logsumexp as scipy_logsumexp
 
@@ -32,18 +33,18 @@ from crowdseq import (
     TrainOptions,
     build_model,
     decode,
+    expected_counts,
     extract_features,
     load_model,
     log_partition,
     marginals,
     optimize,
     save_model,
-    sequence_score,
     viterbi,
     weighted_nll_and_gradient,
 )
 from crowdseq import crf
-from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, logsumexp, sequence_scores
+from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, logsumexp
 
 SCHEME = LabelScheme.bio(("LOC", "PER"))
 # written by the v1 save_model: build_model(SCHEME, [("a", "b")]) with
@@ -279,14 +280,6 @@ class TestInferenceOracles:
         np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(b.sum(axis=(1, 2)), 1.0, atol=1e-12)
 
-    def test_sequence_scores_batch_matches_single(self):
-        rng = np.random.default_rng(5)
-        pot = random_potentials(rng, L=4, M=3)
-        z = rng.integers(0, 3, size=(10, 4))
-        batch = sequence_scores(pot, z)
-        singles = [sequence_score(pot, tuple(row)) for row in z]
-        np.testing.assert_allclose(batch, singles, atol=1e-12)
-
     def test_logsumexp_matches_scipy(self):
         rng = np.random.default_rng(12)
         a = rng.normal(size=(4, 6, 5)) * 300
@@ -382,6 +375,60 @@ class TestBatchedLogPartition:
             log_partition([SequencePotentials(np.zeros((2, 3)), empty.pairwise), empty])
 
 
+def masked_batch(rng, lengths, m):
+    """Potentials sharing one pairwise table, with -inf on about a third of
+    the unary entries and on one transition, each entry keeping a finite
+    path."""
+    pairwise = rng.normal(size=(m, m))
+    pairwise[0, 1] = -np.inf
+    pots = []
+    for n in lengths:
+        unary = rng.normal(size=(n, m)) * 2
+        unary[rng.random((n, m)) < 0.35] = -np.inf
+        unary[:, 0] = rng.normal(size=n)  # label 0 throughout is a finite path
+        pots.append(SequencePotentials(unary, pairwise))
+    return pots
+
+
+class TestMaskedInference:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_expected_counts_match_enumeration(self, m):
+        rng = np.random.default_rng([m, 61])
+        pots = masked_batch(rng, [3, 1, 5, 2, 5, 4], m)
+        logz, counts = expected_counts(pots)
+        assert len(counts) == len(pots)
+        for pot, z, (uni, pair) in zip(pots, logz, counts):
+            assert z == pytest.approx(brute_log_partition(pot), rel=1e-10)
+            assert z == log_partition(pot)
+            bu, bb = brute_marginals(pot)
+            np.testing.assert_allclose(uni, bu, atol=1e-10)
+            np.testing.assert_allclose(pair, bb.sum(axis=0), atol=1e-10)
+            np.testing.assert_allclose(uni, marginals(pot)[0], atol=1e-14)
+            assert viterbi(pot) == brute_viterbi(pot)
+        assert viterbi(pots) == [viterbi(pot) for pot in pots]
+
+    def test_nan_and_plus_inf_are_refused_at_every_entry_point(self):
+        entry_points = (log_partition, marginals, viterbi, lambda pot: expected_counts([pot]))
+        for bad in (np.nan, np.inf):
+            for where in ("unary", "pairwise"):
+                pot = random_potentials(np.random.default_rng(3), L=3, M=3)
+                getattr(pot, where)[1, 2] = bad
+                for fn in entry_points:
+                    with pytest.raises(ValueError, match="^potentials must not be NaN or \\+inf$"):
+                        fn(pot)
+
+    def test_a_sequence_with_no_finite_path_is_refused_by_index(self):
+        rng = np.random.default_rng(7)
+        live = masked_batch(rng, [3, 2], 3)
+        dead = SequencePotentials(live[0].unary.copy(), live[0].pairwise)
+        dead.unary[1] = -np.inf
+        assert log_partition(dead) == -np.inf
+        with pytest.raises(ValueError, match="^instance 1 has no finite-scoring path$"):
+            expected_counts([live[0], dead, live[1], dead], "instance")
+        with pytest.raises(ValueError, match="^sequence 0 has no finite-scoring path$"):
+            marginals(dead)
+
+
 class TestGradient:
     def test_unary_table_and_scatter_add_in_position_then_template_order(self):
         # the order of the per-position, per-template loop below, and so its bits
@@ -439,11 +486,17 @@ class TestGradient:
     def test_ragged_batch_matches_enumeration(self, seed):
         model, data = ragged_batch(np.random.default_rng([seed, 7]))
         ref_value, ref_grad = brute_weighted_nll(model, data, l2=0.6)
-        # the same examples with the triple sentence's two labelings as one (2, 3) stack
+        # the same examples with the triple sentence's two labelings as one
+        # example of soft counts: their weighted mean, under their summed weight
         (triple, first, w_first), (_, second, w_second) = data[2], data[4]
-        stack = (triple, np.array([first, second]), np.array([w_first, w_second]))
-        stacked = data[:2] + [stack, data[3]] + data[5:]
-        for given in (data, stacked):
+        m = model.scheme.size
+        total = w_first + w_second
+        uni = (w_first * np.eye(m)[list(first)] + w_second * np.eye(m)[list(second)]) / total
+        pair = np.zeros((m, m))
+        np.add.at(pair, (first[:-1], first[1:]), w_first / total)
+        np.add.at(pair, (second[:-1], second[1:]), w_second / total)
+        soft = data[:2] + [(triple, (uni, pair), total), data[3]] + data[5:]
+        for given in (data, soft):
             value, grad = weighted_nll_and_gradient(model, given, l2=0.6)
             assert value == pytest.approx(ref_value, rel=1e-12)
             np.testing.assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-12)
@@ -501,19 +554,35 @@ class TestGradient:
         with pytest.raises(ValueError):
             weighted_nll_and_gradient(model, [(toks, (0,), -1.0)], l2=1.0)
 
-    def test_stacks_are_checked_row_by_row(self):
+    def test_soft_counts_are_checked(self):
         toks = ("p", "q")
         model = build_model(SCHEME, [toks])
-        stack = np.array([(0, 1), (1, 0)])
-        for weights, why in (
-            ([0.5, -0.1], "negative weight"),
-            ([0.5, np.nan], "non-finite weight"),
-            ([0.5], "label/weight count mismatch"),
+        m = SCHEME.size
+        uni, pair = np.full((2, m), 1.0 / m), np.full((m, m), 1.0 / m**2)
+        for labels, weight, why in (
+            ((uni, pair), -0.1, "negative weight"),
+            ((uni, pair), np.nan, "non-finite weight"),
+            ((uni[:1], pair), 1.0, "label/token length mismatch"),
+            ((uni[:, 1:], pair), 1.0, "one label sequence or its"),
+            ((uni, pair[1:]), 1.0, "one label sequence or its"),
+            (np.array([(0, 1), (1, 0)]), 1.0, "one label sequence or its"),
         ):
             with pytest.raises(ValueError, match=why):
-                weighted_nll_and_gradient(model, [(toks, stack, np.array(weights))], l2=1.0)
-        with pytest.raises(ValueError, match="label/token length mismatch"):
-            weighted_nll_and_gradient(model, [(toks, stack[:, :1], np.ones(2))], l2=1.0)
+                weighted_nll_and_gradient(model, [(toks, labels, weight)], l2=1.0)
+
+    def test_a_label_sequence_counts_as_its_one_hot_soft_counts(self):
+        model, data = ragged_batch(np.random.default_rng(5))
+        m = model.scheme.size
+
+        def one_hot(z):
+            pair = np.zeros((m, m))
+            np.add.at(pair, (z[:-1], z[1:]), 1.0)
+            return np.eye(m)[list(z)], pair
+
+        soft = [(tokens, one_hot(z), w) for tokens, z, w in data]
+        value, grad = weighted_nll_and_gradient(model, data, l2=0.6)
+        assert weighted_nll_and_gradient(model, soft, l2=0.6)[0] == value
+        np.testing.assert_array_equal(weighted_nll_and_gradient(model, soft, l2=0.6)[1], grad)
 
     def test_l2_default_is_one(self):
         toks = ("p", "q")
@@ -940,6 +1009,13 @@ class TestPersistence:
             loaded = load_model(Path(tmp, "m.tsv"))
         assert loaded.weights.tobytes() == model.weights.tobytes()
         assert list(loaded.obs_index.items()) == list(model.obs_index.items())
+
+    @pytest.mark.parametrize("sep", ["\t", "\n", "\r"])
+    def test_an_observation_holding_a_line_or_field_separator_is_refused(self, tmp_path, sep):
+        model = build_model(LabelScheme.bio(("LOC",)), [(f"a{sep}b", "c")])
+        with pytest.raises(ValueError, match="observation not serializable"):
+            save_model(model, tmp_path / "m.tsv")
+        assert not (tmp_path / "m.tsv").exists()
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"
