@@ -6,22 +6,35 @@ The score of a label sequence decomposes as
 
 where the unary table collects the weights of every observation feature
 firing at a position and the pairwise table holds label-bigram weights
-(position-independent unless a caller supplies per-step tables).  All
-inference runs in log space with max-shift stabilization; probabilities only
-appear in marginal outputs.
+(position-independent unless a caller supplies per-step tables).
+Sum-product inference runs in probability space, scaled step by step
+(Rabiner 1989, section V.A): the unary scores are exponentiated less their
+row maximum and the pairwise table less its maximum, the forward messages
+are renormalized to sum to 1 at every step, their row sums giving log Z, and
+the backward messages are normalized on their own.  That holds ratios
+within the float64 range only: a sequence where, at some position, the best
+prefixes and suffixes outweigh every whole path by more than ~708 nats (one
+step's scores spanning that much, or a dead end outweighing every live path
+by that much) is refused with a ValueError naming it, never a NaN or a
+silent -inf.  Viterbi, max-product, stays in log space.
 
 Inference runs on a packed batch: sequences sorted longest first and laid
 out time-major in flat (P, M) arrays over their P positions, so step t
 touches only the sequences still running and nothing is padded (see
-``_Packing``).  One forward-backward kernel and its max-product twin,
-``_viterbi``, work on that layout; a potential of -inf rules a label or a
-transition out.  A training example is one token sequence with one label
-sequence (as one-hot counts) or soft label counts, and a weight; the
-objective packs each example's tokens once, with the observation ids firing
-at each position: the batch's unary table sums the weight rows of those
-ids, the unary gradient scatters the weighted marginals ``w * q`` back onto
-them with one ``np.bincount``, and the pair marginals are summed into the
-(M, M) bigram gradient step by step.  ``_pack`` lays out and checks a batch:
+``_Packing``).  One scaled forward-backward kernel and its max-product
+twin, ``_viterbi``, work on that layout; a potential of -inf rules a label
+or a transition out.  Each step of the kernel is one small matrix product
+per direction, and every (t-1, t) pair marginal is an outer product of the
+forward message before and the backward factor after, times the pairwise
+table, so no step loops over pairs.  A training example is one token
+sequence with one label sequence (as one-hot counts) or soft label counts,
+and a weight; the objective packs each example's tokens once, with the
+observation ids firing at each position: the batch's unary table sums the
+weight rows of those ids, the unary gradient scatters the weighted
+marginals ``w * q`` back onto them with one ``np.bincount``, and the
+weighted sum of the pair marginals, the (M, M) bigram gradient, is one
+(M x R) @ (R x M) product over the R positions that follow another.
+``_pack`` lays out and checks a batch:
 ``decode`` runs one Viterbi pass, ``log_partition`` one forward pass and
 ``expected_counts`` (EM's posteriors) one forward-backward pass over a list
 of sentences; on one sentence they and ``marginals`` run on a batch of one.
@@ -33,8 +46,9 @@ with the BOS/EOS observation at sentence edges.  ``build_model`` interns the
 resulting strings in first-appearance order, position by position.
 ``_observation_ids`` maps them to a (P, T) array of observation ids, one
 column per template and -1 where nothing interned fires, from which
-``_unary_table`` sums the weight rows template by template, for decode and
-the objective alike.  ``extract_features`` takes one sentence or a list.
+``_unary_table`` gathers the weight rows, a zero row for -1, and sums them
+in template order, for decode and the objective alike.
+``extract_features`` takes one sentence or a list.
 
 Training needs scipy only for its compiled L-BFGS-B routine, which
 ``minimize`` drives directly and ``_setulb`` loads by file location, so
@@ -68,7 +82,7 @@ from array import array
 from dataclasses import dataclass, replace
 from itertools import cycle, islice, product
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -82,6 +96,8 @@ MODEL_MAGIC_V1 = "crowdseq-crf v1"  # one line per weight; still read
 
 _CHUNK_LINES = 4096  # v2 observation lines parsed per np.loadtxt call
 _FLOAT_REFUSES = "\x1c\x1d\x1e\x1f"  # np.loadtxt strips these around a number
+_TINY = np.finfo(float).tiny  # a scaled row sum below this is out of the float64 range
+_GATHER_ROWS = 4096  # positions whose (T, M) weight rows _unary_table gathers at once
 
 _PLAIN_KINDS = (
     "token-identity",
@@ -284,14 +300,17 @@ def _observation_ids(model: CrfModel, token_seqs: Sequence[Sequence[str]]) -> np
 def _unary_table(wu: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """The (P, M) unary scores of positions whose observation ids are the
     (P, T) ``ids``: the weight rows ``wu[id]`` summed left to right over the
-    templates, skipping -1."""
-    unary = np.zeros((ids.shape[0], wu.shape[1]))
-    for col in ids.T:
-        miss = np.flatnonzero(col < 0)
-        if miss.size < col.size:
-            rows = wu.take(col, axis=0)  # a miss reads the last row: add 0 instead, which is exact
-            rows[miss] = 0.0
-            unary += rows
+    templates, a zero row for the id -1.
+
+    One gather per ``_GATHER_ROWS`` positions, template-major so that the
+    sum adds whole (rows, M) blocks in template order.  A miss reads the
+    last row and is set to zero: appending a zero row would copy ``wu``."""
+    unary = np.empty((ids.shape[0], wu.shape[1]))
+    for lo in range(0, ids.shape[0], _GATHER_ROWS):
+        cols = ids[lo : lo + _GATHER_ROWS].T
+        rows = wu.take(cols, axis=0)
+        rows[cols < 0] = 0.0
+        rows.sum(axis=0, out=unary[lo : lo + _GATHER_ROWS])
     return unary
 
 
@@ -351,6 +370,14 @@ class _Packing:
         self.last_rows = self.offsets[lengths - 1] + np.arange(lengths.size)
         # packed row -> row of the sequences laid end to end
         self.from_concat = np.concatenate(([0], np.cumsum(lengths)))[self.row_seq] + step
+        # the rows past step 0, each with the row before it in its sequence
+        head = int(self.sizes[0]) if self.sizes.size else 0
+        self.later = slice(head, None)
+        self.prev_rows = np.arange(head, step.size) - self.sizes[step[head:] - 1]
+        # per step t: its rows, and the rows of step t - 1 that continue into it
+        bounds = self.offsets.tolist()
+        self.step_rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.prev_step_rows = [slice(0, 0)] + [slice(a, a + n) for a, n in zip(bounds, self.sizes[1:].tolist())]
 
     @property
     def steps(self) -> int:
@@ -365,57 +392,111 @@ def _step_table(pairwise: np.ndarray, t: int) -> np.ndarray:
     return pairwise if pairwise.ndim == 2 else pairwise[t - 1]
 
 
-def _forward(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarray:
-    alpha = unary.copy()
+def _no_path(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarray:
+    """Which packed sequences have no path of finite score: the forward
+    pass over the -inf pattern alone, as booleans."""
+    live = unary > -np.inf
+    allowed = pairwise > -np.inf
     for t in range(1, pk.steps):
-        n = pk.sizes[t]
-        prev = alpha[pk.rows(t - 1, n), :, None] + _step_table(pairwise, t)
-        alpha[pk.rows(t, n)] += logsumexp(prev, axis=1)
-    return alpha
+        live[pk.step_rows[t]] &= (live[pk.prev_step_rows[t], :, None] & _step_table(allowed, t)).any(axis=1)
+    return ~live[pk.last_rows].any(axis=1)
 
 
-def _backward(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarray:
-    beta = np.zeros_like(unary)
-    for t in range(pk.steps - 2, -1, -1):
-        n = pk.sizes[t + 1]
-        nxt = pk.rows(t + 1, n)
-        beta[pk.rows(t, n)] = logsumexp(
-            _step_table(pairwise, t + 1) + (unary[nxt] + beta[nxt])[:, None, :], axis=2
-        )
-    return beta
+def _forward(
+    unary: np.ndarray, pairwise: np.ndarray, pk: _Packing, order: Sequence[int], name: str, dead_ok: bool = False
+) -> tuple[np.ndarray, ...]:
+    """The scaled forward pass (Rabiner 1989, section V.A) over a packed
+    batch: ``(u, e, alpha, c, logz)``.
+
+    ``u = exp(unary - row max)`` (shift 0 on an all -inf row) and ``e =
+    exp(pairwise - max)``, per step for (L-1, M, M) tables; then row by row
+    ``alpha_t = (alpha_{t-1} @ e) * u_t / c_t``, ``c_t`` its row sum, and
+    log Z per sequence (B,) is the sum of log c_t and the shifts.
+
+    A sequence with a row whose sum ``c_t`` falls below the smallest normal
+    float is refused with a ValueError calling it ``name`` and its batch
+    index, ``order[i]`` for packed sequence i: "has no finite-scoring path"
+    when the -inf pattern leaves it no path (``log_partition`` gives -inf
+    for it instead, with ``dead_ok``), else "its path scores span more than
+    the float64 range": one step's scores span ~708 nats more than the
+    prefixes kept reach, as when a dead end outweighs every live path by
+    that much.  This pass alone cannot tell whether a prefix it let
+    underflow would have won later; ``_forward_backward`` checks that.
+    """
+    shift = unary.max(axis=1)
+    shift[shift == -np.inf] = 0.0
+    u = np.exp(unary - shift[:, None])
+    peak = pairwise.max(axis=(-2, -1), initial=-np.inf, keepdims=True)
+    peak[peak == -np.inf] = 0.0
+    e = np.exp(pairwise - peak)
+    shift[pk.later] += peak.ravel()  # each row's shifts: its unary max, and its step's pairwise max
+    alpha = np.empty_like(u)
+    c = np.empty(len(u))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a row with no mass left: refused below
+        for t, (rows, prev) in enumerate(zip(pk.step_rows, pk.prev_step_rows)):
+            if t == 0:
+                a = u[rows]
+            else:  # one vector-matrix product per row: a row's bits do not depend on the batch
+                a = np.matmul(alpha[prev, None, :], _step_table(e, t))[:, 0] * u[rows]
+            c[rows] = s = a.sum(axis=1)
+            np.divide(a, s[:, None], out=alpha[rows])
+        logz = np.bincount(pk.row_seq, np.log(c) + shift, minlength=len(pk.last_rows))
+    kept = c >= _TINY  # NaN fails too
+    if not kept.all():
+        failed = np.unique(pk.row_seq[~kept])
+        dead = _no_path(unary, pairwise, pk)[failed]
+        refused = [(order[i], d) for i, d in zip(failed.tolist(), dead.tolist()) if not (dead_ok and d)]
+        if refused:
+            i, d = min(refused)
+            raise ValueError(f"{name} {i} has no finite-scoring path") if d else _out_of_range(name, i)
+        logz[failed] = -np.inf
+    return u, e, alpha, c, logz
 
 
 def _forward_backward(
     unary: np.ndarray, pairwise: np.ndarray, pk: _Packing, order: Sequence[int], name: str = "sequence"
-) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
-    """Exact inference over a packed batch: log Z per sequence (B,), the
-    unary marginals per packed row (P, M) and an iterator over the steps
-    t >= 1 of the (t-1, t) pair marginals of the sequences still running,
-    (sizes[t], M, M).  A sequence whose every path scores -inf is refused,
-    the error calling it ``name`` and its batch index, ``order[i]`` for
-    packed sequence i."""
-    alpha = _forward(unary, pairwise, pk)
-    logz = logsumexp(alpha[pk.last_rows], axis=1)
-    dead = [order[i] for i in np.flatnonzero(logz == -np.inf)]
-    if dead:
-        raise ValueError(f"{name} {min(dead)} has no finite-scoring path")
-    beta = _backward(unary, pairwise, pk)
-    uni = np.exp(alpha + beta - logz[pk.row_seq, None])
-    uni /= uni.sum(axis=1, keepdims=True)
-    ahead = unary + beta
+) -> tuple[np.ndarray, ...]:
+    """Exact inference over a packed batch: ``(logz, uni, before, after,
+    e)``, log Z per sequence (B,), the unary marginals per packed row (P,
+    M), and the factors of every (t-1, t) pair marginal: for the rows
+    ``pk.later`` that have a predecessor, ``e * before[r, :, None] *
+    after[r, None, :]``.
 
-    def pairs():
-        for t in range(1, pk.steps):
-            n = pk.sizes[t]
-            p = np.exp(
-                alpha[pk.rows(t - 1, n), :, None]
-                + _step_table(pairwise, t)
-                + ahead[pk.rows(t, n), None, :]
-                - logz[:n, None, None]
-            )
-            yield p / p.sum(axis=(1, 2), keepdims=True)
+    ``beta`` is the mirror recursion of ``_forward``, ``beta_{t-1} = (u_t *
+    beta_t) @ e.T`` divided by its row sum: scaled apart from ``alpha``, it
+    cannot overflow.  With ``norm = sum(alpha * beta)`` per row, the unary
+    marginals are ``alpha * beta / norm``, ``before`` is the predecessor's
+    ``alpha`` and ``after = u * beta / (c * norm)``, ``c * norm`` being the
+    sum of the row's pair marginal before it is normalized.
 
-    return logz, uni, pairs()
+    Refuses what ``_forward`` refuses and, as out of range, a sequence
+    where ``norm`` or ``c * norm`` falls below the smallest normal float:
+    there the best prefixes and the best suffixes at some position outweigh
+    every whole path by more than ~708 nats, so the mass either pass let
+    underflow could matter.  Above it, what underflowed is below the
+    float64 rounding of what is kept.
+    """
+    u, e, alpha, c, logz = _forward(unary, pairwise, pk, order, name)
+    beta = np.ones_like(u)
+    with np.errstate(invalid="ignore"):  # a row with no mass left: refused below
+        for t in range(pk.steps - 1, 0, -1):
+            rows = pk.step_rows[t]
+            b = (u[rows] * beta[rows]) @ _step_table(e, t).T
+            np.divide(b, b.sum(axis=1, keepdims=True), out=beta[pk.prev_step_rows[t]])
+    uni = alpha * beta
+    norm = uni.sum(axis=1)
+    later = pk.later
+    pair_norm = c[later] * norm[later]
+    kept = norm >= _TINY  # NaN fails too
+    kept[later] &= pair_norm >= _TINY
+    if not kept.all():
+        raise _out_of_range(name, min(order[i] for i in pk.row_seq[~kept].tolist()))
+    uni /= norm[:, None]
+    return logz, uni, alpha[pk.prev_rows], u[later] * beta[later] / pair_norm[:, None], e
+
+
+def _out_of_range(name: str, i: int) -> ValueError:
+    return ValueError(f"{name} {i}: its path scores span more than the float64 range")
 
 
 def _viterbi(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarray:
@@ -463,33 +544,39 @@ def _pack(pots: Sequence[SequencePotentials]) -> tuple[np.ndarray, np.ndarray, _
 def log_partition(pot: SequencePotentials | Sequence[SequencePotentials]) -> float | np.ndarray:
     """log of the sum of exp(score) over all M^L label sequences; given a
     list of potentials sharing one (M, M) pairwise table, as ``viterbi``
-    takes, an array of one value per entry from a single packed pass."""
+    takes, an array of one value per entry from a single packed forward
+    pass.  A sequence with no finite-scoring path gives -inf; one whose
+    scores the pass cannot hold in the float64 range is refused (see
+    ``_forward``)."""
     if isinstance(pot, SequencePotentials):
         return float(log_partition([pot])[0])
     pots = list(pot)
     if not pots:
         return np.zeros(0)
     unary, pairwise, pk, order = _pack(pots)
-    return logsumexp(_forward(unary, pairwise, pk)[pk.last_rows], axis=1)[np.argsort(order)]
+    return _forward(unary, pairwise, pk, order, "sequence", dead_ok=True)[-1][np.argsort(order)]
 
 
 def marginals(pot: SequencePotentials) -> tuple[np.ndarray, np.ndarray]:
     """Posterior label probabilities (L, M) and pair probabilities (L-1, M, M)."""
     unary, pairwise, pk, order = _pack([pot])
-    _, uni, pairs = _forward_backward(unary, pairwise, pk, order)
-    return uni, np.array([p[0] for p in pairs]).reshape(-1, pot.n_labels, pot.n_labels)
+    _, uni, before, after, e = _forward_backward(unary, pairwise, pk, order)
+    return uni, e * before[:, :, None] * after[:, None, :]
 
 
 def expected_counts(pots: Sequence[SequencePotentials], name: str = "sequence") -> tuple[np.ndarray, list[tuple]]:
     """log Z, (L, M) label marginals and (M, M) pair marginals summed over
     positions of each entry of a nonempty batch sharing one (M, M) pairwise
-    table, from one packed pass.  An entry with no finite-scoring path is
-    refused, the error calling it ``name`` and its index."""
+    table, from one packed pass.  An entry with no finite-scoring path, or
+    whose scores the pass cannot hold in the float64 range, is refused, the
+    error calling it ``name`` and its index (see ``_forward_backward``)."""
     unary, pairwise, pk, order = _pack(pots)
-    logz, uni, pairs = _forward_backward(unary, pairwise, pk, order, name)
-    pair = np.zeros((len(order), unary.shape[1], unary.shape[1]))
-    for p in pairs:
-        pair[: len(p)] += p
+    logz, uni, before, after, e = _forward_backward(unary, pairwise, pk, order, name)
+    m = unary.shape[1]
+    # the pair marginals summed per sequence, one bin per (sequence, from, to)
+    bins = (pk.row_seq[pk.later, None] * m * m + np.arange(m * m)).ravel()
+    sums = np.bincount(bins, (before[:, :, None] * after[:, None, :]).ravel(), len(order) * m * m)
+    pair = e * sums.reshape(-1, m, m)
     packed = np.argsort(order)  # the packed index of each entry
     return logz[packed], [(uni[pk.offsets[: pot.length] + s], pair[s]) for pot, s in zip(pots, packed)]
 
@@ -608,13 +695,14 @@ class _WeightedObjective:
         nu = model.n_obs * m
         wu = theta[:nu].reshape(model.n_obs, m)
         wb = theta[nu:].reshape(m, m) if model.has_bigram else np.zeros((m, m))
-        logz, uni, pairs = _forward_backward(_unary_table(wu, self.ids), wb, self.pack, range(len(self.seq_w)))
+        unary = _unary_table(wu, self.ids)
+        logz, uni, before, after, e = _forward_backward(unary, wb, self.pack, range(len(self.seq_w)))
         value = float(self.seq_w @ logz) - float((wu * self.emp_u).sum())
         grad = [(self._scatter(self.row_w * uni) - self.emp_u).ravel()]
         if model.has_bigram:
             value -= float((wb * self.emp_b).sum())
-            pair = sum((self.seq_w[: len(p)] @ p.reshape(len(p), m * m) for p in pairs), np.zeros(m * m))
-            grad.append(pair - self.emp_b.ravel())
+            pair = e * ((before * self.row_w[self.pack.later]).T @ after)
+            grad.append((pair - self.emp_b).ravel())
         grad = np.concatenate(grad)
         value += 0.5 * self.l2 * float(theta @ theta)
         grad += self.l2 * theta

@@ -9,7 +9,8 @@ from scipy.special import logsumexp
 
 from crowdseq import LabelScheme
 from crowdseq.annotators import annotation_contexts, context_factor
-from crowdseq.crf import SequencePotentials
+from crowdseq.crf import SequencePotentials, extract_features
+from crowdseq.crf import logsumexp as crf_logsumexp
 
 
 def sequence_score(pot: SequencePotentials, labels) -> float:
@@ -144,4 +145,89 @@ def brute_weighted_nll(model, data, l2: float) -> tuple[float, np.ndarray]:
         observed = counts(rows, labels)
         value += w * (logz - float(observed @ theta))
         grad += w * (p @ phis - observed)
+    return value, grad
+
+
+def _step_table(pairwise: np.ndarray, t: int) -> np.ndarray:
+    return pairwise if pairwise.ndim == 2 else pairwise[t - 1]
+
+
+def log_space_messages(pot: SequencePotentials) -> tuple[np.ndarray, np.ndarray]:
+    """The log-space forward and backward messages (L, M) of one sequence:
+    alpha[t, j], the log-sum of the scores of the prefixes ending in label j
+    at t, and beta[t, j], of the suffixes following it."""
+    unary, pairwise = pot.unary, pot.pairwise
+    alpha = unary.copy()
+    for t in range(1, len(unary)):
+        alpha[t] += crf_logsumexp(alpha[t - 1, :, None] + _step_table(pairwise, t), axis=0)
+    beta = np.zeros_like(unary)
+    for t in range(len(unary) - 2, -1, -1):
+        beta[t] = crf_logsumexp(_step_table(pairwise, t + 1) + (unary[t + 1] + beta[t + 1])[None, :], axis=1)
+    return alpha, beta
+
+
+def range_gap(pot: SequencePotentials) -> float:
+    """The largest of the log-ratios that the scaled kernel in
+    ``crowdseq.crf`` must hold within the float64 range, from the log-space
+    messages.  Per position t: log-sum alpha_t + log-sum beta_t - log Z
+    (prefixes and suffixes that no whole path joins).  Per step t >= 1, with
+    S = log-sum alpha_{t-1} + the step's largest pairwise score + position
+    t's largest unary score: S - log-sum alpha_t (the forward mass the step
+    loses) and S + log-sum beta_t - log Z (the same for whole paths).  The
+    kernel may refuse a sequence only where this exceeds ~708 nats."""
+    alpha, beta = log_space_messages(pot)
+    fwd, bwd = crf_logsumexp(alpha, axis=1), crf_logsumexp(beta, axis=1)
+    logz = float(crf_logsumexp(alpha[-1]))
+    gaps = [fwd + bwd - logz]
+    if len(alpha) > 1:
+        peak = pot.pairwise.max(axis=(-2, -1))
+        best = pot.unary.max(axis=1)
+        step = fwd[:-1] + np.where(np.isfinite(peak), peak, 0.0) + np.where(np.isfinite(best), best, 0.0)[1:]
+        gaps += [step - fwd[1:], step + bwd[1:] - logz]
+    return float(max(g.max() for g in gaps))
+
+
+def log_space_inference(pot: SequencePotentials) -> tuple[float, np.ndarray, np.ndarray]:
+    """log Z, unary marginals (L, M) and pair marginals (L-1, M, M) of one
+    sequence by the log-space forward-backward recursion with max-shift
+    stabilization that ``crowdseq.crf`` ran before its scaled kernel, each
+    marginal renormalized to sum to 1 as it did; -inf potentials rule labels
+    and transitions out, and a sequence with no finite-scoring path gives
+    log Z = -inf (its marginals are then NaN)."""
+    unary, pairwise = pot.unary, pot.pairwise
+    alpha, beta = log_space_messages(pot)
+    logz = float(crf_logsumexp(alpha[-1]))
+    with np.errstate(invalid="ignore"):
+        uni = np.exp(alpha + beta - logz)
+        uni /= uni.sum(axis=1, keepdims=True)
+        pair = np.array(
+            [
+                np.exp(alpha[t - 1, :, None] + _step_table(pairwise, t) + (unary[t] + beta[t])[None, :] - logz)
+                for t in range(1, len(unary))
+            ]
+        ).reshape(-1, *uni.shape[1:] * 2)
+        pair /= pair.sum(axis=(1, 2), keepdims=True)
+    return logz, uni, pair
+
+
+def log_space_weighted_nll(model, data, l2: float) -> tuple[float, np.ndarray]:
+    """The weighted CRF objective and gradient from ``log_space_inference``,
+    one example at a time: sum_i w_i (log Z_i - score(z_i)) + (l2/2)||theta||^2
+    and its gradient, each label sequence counted one-hot."""
+    m = model.scheme.size
+    nu = model.n_obs * m
+    grad = l2 * model.weights.copy()
+    value = 0.5 * l2 * float(model.weights @ model.weights)
+    for tokens, labels, w in data:
+        pot = extract_features(model, tokens)
+        logz, uni, pair = log_space_inference(pot)
+        value += w * (logz - sequence_score(pot, labels))
+        observed = np.eye(m)[list(labels)]
+        for t, rows in enumerate(loop_observation_rows(model, tokens)):
+            for r in rows:
+                grad[r * m : (r + 1) * m] += w * (uni[t] - observed[t])
+        if model.has_bigram:
+            bigram = w * pair.sum(axis=0)
+            np.add.at(bigram, (list(labels[:-1]), list(labels[1:])), -w)
+            grad[nu:] += bigram.ravel()
     return value, grad

@@ -18,7 +18,10 @@ from oracles import (
     brute_valid,
     brute_viterbi,
     brute_weighted_nll,
+    log_space_inference,
+    log_space_weighted_nll,
     loop_obs_index,
+    range_gap,
     loop_observation_rows,
     random_potentials,
     sequence_score,
@@ -427,6 +430,187 @@ class TestMaskedInference:
             expected_counts([live[0], dead, live[1], dead], "instance")
         with pytest.raises(ValueError, match="^sequence 0 has no finite-scoring path$"):
             marginals(dead)
+
+
+def ranged_batch(rng, lengths, m, spread, p_inf, per_step=False):
+    """Potentials sharing one pairwise table, or one sequence with per-step
+    tables: finite entries spread over up to ``spread`` nats within each
+    unary row and each table, on row offsets of 1 to 50 nats (so log Z
+    stays away from 0, where a relative bound says nothing), and about a
+    share ``p_inf`` of -inf entries on the unary and on the transitions.
+    One random path per sequence stays finite, and a finite transition is
+    added wherever a label finite at one position would have none into a
+    finite label of the next, so no path dead-ends."""
+    steps = lengths[0] - 1 if per_step else 0
+    pairwise = rng.uniform(-spread, 0.0, (steps, m, m) if per_step else (m, m)) + rng.uniform(-20.0, 20.0)
+    finite_pairwise = pairwise.copy()
+    pairwise[rng.random(pairwise.shape) < p_inf] = -np.inf
+    pots = []
+    for n in lengths:
+        finite = rng.uniform(-spread, 0.0, (n, m)) + rng.uniform(1.0, 50.0, (n, 1))
+        unary = np.where(rng.random((n, m)) < p_inf, -np.inf, finite)
+        path = rng.integers(m, size=n)
+        unary[np.arange(n), path] = finite[np.arange(n), path]
+        for t in range(n - 1):
+            table, values = (pairwise[t], finite_pairwise[t]) if per_step else (pairwise, finite_pairwise)
+            ahead = unary[t + 1] > -np.inf
+            for i in np.flatnonzero(unary[t] > -np.inf):
+                if not (ahead & (table[i] > -np.inf)).any():
+                    table[i, path[t + 1]] = values[i, path[t + 1]]
+        pots.append(SequencePotentials(unary, pairwise))
+    return pots
+
+
+RANGE = "its path scores span more than the float64 range"
+
+
+class TestLogSpaceOracle:
+    """The scaled kernel against the log-space recursion it replaced.  It
+    may refuse a sequence as out of range only where the log-space messages
+    show a ratio beyond the float64 range (``range_gap``)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        length=st.integers(1, 400),
+        m=st.integers(2, 5),
+        spread=st.floats(0.01, 300.0),
+        p_inf=st.sampled_from([0.0, 0.2, 0.5]),
+        per_step=st.booleans(),
+    )
+    def test_log_partition_and_marginals(self, seed, length, m, spread, p_inf, per_step):
+        (pot,) = ranged_batch(np.random.default_rng(seed), [length], m, spread, p_inf, per_step and length > 1)
+        try:
+            got_uni, got_pair = marginals(pot)
+        except ValueError as err:
+            assert str(err) == f"sequence 0: {RANGE}"
+            assert range_gap(pot) > 700
+            return
+        logz, uni, pair = log_space_inference(pot)
+        assert log_partition(pot) == pytest.approx(logz, rel=1e-12)
+        np.testing.assert_allclose(got_uni, uni, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(got_pair, pair, rtol=0, atol=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(1, 400), min_size=1, max_size=4),
+        m=st.integers(2, 5),
+        spread=st.floats(0.01, 300.0),
+        p_inf=st.sampled_from([0.0, 0.2, 0.5]),
+    )
+    def test_expected_counts(self, seed, lengths, m, spread, p_inf):
+        pots = ranged_batch(np.random.default_rng(seed), lengths, m, spread, p_inf)
+        try:
+            logz, counts = expected_counts(pots)
+        except ValueError as err:
+            i = int(re.fullmatch(f"sequence (\\d+): {RANGE}", str(err)).group(1))
+            assert range_gap(pots[i]) > 700
+            return
+        for pot, got_z, (got_uni, got_pair) in zip(pots, logz, counts):
+            ref_z, uni, pair = log_space_inference(pot)
+            assert got_z == pytest.approx(ref_z, rel=1e-12)
+            np.testing.assert_allclose(got_uni, uni, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(got_pair, pair.sum(axis=0), rtol=0, atol=1e-10)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(1, 400), min_size=1, max_size=3),
+        scale=st.floats(0.01, 20.0),
+    )
+    def test_weighted_nll_and_gradient(self, seed, lengths, scale):
+        rng = np.random.default_rng(seed)
+        words = ["aa", "Bb", "c1", "dd", "42", "eee"]
+        data = []
+        for n in lengths:
+            tokens = tuple(rng.choice(words, size=n).tolist())
+            data.append((tokens, tuple(rng.integers(SCHEME.size, size=n).tolist()), rng.uniform(0.1, 2.0)))
+        model = build_model(SCHEME, [tokens for tokens, _, _ in data])
+        model.weights[:] = rng.normal(size=model.dim) * scale
+        value, grad = weighted_nll_and_gradient(model, data, l2=0.5)
+        ref_value, ref_grad = log_space_weighted_nll(model, data, l2=0.5)
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-10)
+
+
+class TestScaledRange:
+    @staticmethod
+    def dead_end_chain(gap):
+        """Three positions, two labels: label 0 first outscores label 1 by
+        ``gap`` nats but has no finite transition onward, so every path
+        starts with label 1 and log Z = -gap + log 2."""
+        unary = np.array([[0.0, -gap], [0.0, 0.0], [0.0, 0.0]])
+        return SequencePotentials(unary, np.array([[-np.inf, -np.inf], [0.0, 0.0]]))
+
+    def test_a_live_path_far_below_a_dead_end_is_refused_by_name(self):
+        live = self.dead_end_chain(600.0)
+        assert log_partition(live) == pytest.approx(-600.0 + np.log(2.0), rel=1e-15)
+        far = self.dead_end_chain(760.0)
+        assert range_gap(far) > 750
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn, message in (
+                (log_partition, "sequence 0"),
+                (marginals, "sequence 0"),
+                (lambda pot: log_partition([live, pot]), "sequence 1"),
+                (lambda pot: expected_counts([live, pot], "instance"), "instance 1"),
+            ):
+                with pytest.raises(ValueError, match=f"^{message}: {RANGE}$"):
+                    fn(far)
+
+    def test_one_step_spanning_more_than_the_range_is_refused(self):
+        # the one path takes a transition 800 nats below the step's best
+        pot = SequencePotentials(np.array([[0.0, -np.inf], [-np.inf, 0.0]]), np.array([[0.0, -800.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match=f"^sequence 0: {RANGE}$"):
+            log_partition(pot)
+
+    def test_prefixes_and_suffixes_that_no_path_joins_are_refused(self):
+        # label 1 is never reached, yet its suffixes outscore label 0's by
+        # 600 nats a step: unnormalized, the backward pass would overflow
+        unary = np.array([[0.0, -np.inf], [-600.0, 0.0], [-600.0, 0.0], [-600.0, 0.0]])
+        joinless = SequencePotentials(unary, np.array([[0.0, -np.inf], [0.0, 0.0]]))
+        # at position 1 each factor of the pair marginal's sum stays in
+        # range, 360 nats down, but their product, 720 nats down, does not
+        steps = np.array([[[0.0, -np.inf], [0.0, -np.inf]], [[-360.0, -np.inf], [0.0, -np.inf]]])
+        pair_far = SequencePotentials(np.array([[0.0, -np.inf], [-360.0, 0.0], [0.0, -np.inf]]), steps)
+        assert range_gap(joinless) > 708 and range_gap(pair_far) > 708
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (marginals, lambda pot: expected_counts([pot])):
+                with pytest.raises(ValueError, match=f"^sequence 0: {RANGE}$"):
+                    fn(joinless)
+            with pytest.raises(ValueError, match=f"^sequence 0: {RANGE}$"):
+                marginals(pair_far)
+
+    def test_a_chain_with_no_path_keeps_minus_inf_and_its_message(self):
+        # the path dies at position 250 of 300, after many normalizations
+        rng = np.random.default_rng(12)
+        pairwise = rng.normal(size=(3, 3))
+        dead = SequencePotentials(rng.normal(size=(300, 3)), pairwise)
+        dead.unary[250] = -np.inf
+        live = SequencePotentials(rng.normal(size=(40, 3)), pairwise)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logz = log_partition([live, dead])
+            assert logz[1] == -np.inf and np.isfinite(logz[0])
+            with pytest.raises(ValueError, match="^instance 1 has no finite-scoring path$"):
+                expected_counts([live, dead], "instance")
+            with pytest.raises(ValueError, match="^sequence 0 has no finite-scoring path$"):
+                marginals(dead)
+
+    def test_a_2000_token_sentence_gives_a_finite_objective_and_gradient(self):
+        gold = make_gold(400, seed=8)
+        tokens = tuple(tok for inst in gold.instances for tok in inst.tokens)[:2000]
+        labels = tuple(lab for inst in gold.instances for lab in inst.gold)[:2000]
+        assert len(tokens) == 2000
+        model = build_model(gold.scheme, [tokens])
+        model.weights[:] = np.random.default_rng(8).normal(size=model.dim)
+        value, grad = weighted_nll_and_gradient(model, [(tokens, labels, 1.0)], l2=1.0)
+        ref_value, ref_grad = log_space_weighted_nll(model, [(tokens, labels, 1.0)], l2=1.0)
+        assert np.isfinite(value) and np.isfinite(grad).all()
+        assert value == pytest.approx(ref_value, rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-10)
 
 
 class TestGradient:

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from corpus import SCHEME, make_gold
+from corpus import SCHEME, make_gold, split
 from crowdseq import em
 from crowdseq import (
     CrowdDataset,
@@ -32,7 +32,7 @@ from crowdseq import (
     resolve_mentions,
     simulate,
 )
-from oracles import annotation_loglik, factor_matrix, sequence_score
+from oracles import annotation_loglik, factor_matrix, log_space_inference, sequence_score
 
 L = {name: i for i, name in enumerate(SCHEME.labels)}
 
@@ -244,6 +244,22 @@ class TestEStep:
             with pytest.raises(ValueError, match="^instance 0 has no finite-scoring path$"):
                 e_step(state, ds)
 
+    def test_a_2000_token_sentence_gives_finite_marginals(self):
+        gold = make_gold(400, seed=8)
+        tokens = tuple(tok for inst in gold.instances for tok in inst.tokens)[:2000]
+        labels = tuple(lab for inst in gold.instances for lab in inst.gold)[:2000]
+        assert len(tokens) == 2000
+        long = CrowdDataset(SCHEME, (CrowdInstance(tokens, {}, labels),), ())
+        crowd = simulate(long, SimConfig(n_annotators=3, target_precision=0.5, precision_spread=0.1, seed=8))
+        state = initialize(crowd, EmConfig(seed=8, init_max_iter=5, lattice_cap=10))
+        (post,), value = e_step(state, crowd)
+        assert np.isfinite(value)
+        assert np.isfinite(post.unary).all() and np.isfinite(post.pair).all()
+        np.testing.assert_allclose(post.unary.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        _, uni, pair = log_space_inference(post.chain)
+        np.testing.assert_allclose(post.unary, uni, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(post.pair, pair.sum(axis=0), rtol=0, atol=1e-10)
+
 
 class TestCounts:
     def test_matches_per_sequence_accumulation(self):
@@ -351,6 +367,16 @@ class TestFit:
         assert r.iterations == 2
         assert len(r.history) == 3
         assert not r.converged
+
+    @pytest.mark.parametrize("precision, rounds, converged", [(0.3, 20, False), (0.7, 7, True)])
+    def test_the_default_tolerance_is_scaled_by_the_evidence(self, precision, rounds, converged):
+        # scaled by the whole objective, most of it the tables' log-prior
+        # over rows no data reaches, the test stopped these fits after 16
+        # and 5 rounds, and held-out F1 at precision 0.3 fell to 0.693
+        train, _ = split(make_gold(160, seed=5), 120)
+        crowd = simulate(train, SimConfig(n_annotators=5, target_precision=precision, precision_spread=0.1, seed=5))
+        r = fit(crowd, EmConfig(seed=5))
+        assert (r.iterations, r.converged) == (rounds, converged)
 
     def test_loose_tolerance_stops_after_one_iteration(self):
         crowd, _ = self.make_noisy()
@@ -539,13 +565,13 @@ class TestPosteriorModes:
 def crowd_datasets(draw):
     """Small crowds over a BIO or a RAW scheme: one to three annotators who
     may skip instances (an instance nobody labeled included), sentences of
-    one to five tokens."""
+    one to 40 tokens."""
     scheme = draw(st.sampled_from([LabelScheme.bio(("LOC",)), SCHEME, LabelScheme(("a", "b", "c"), "RAW")]))
     roster = tuple(f"r{k}" for k in range(draw(st.integers(1, 3))))
     words = ["ann", "rome", "saw", "acme", "the"]
     instances = []
     for _ in range(draw(st.integers(1, 4))):
-        n = draw(st.integers(1, 5))
+        n = draw(st.integers(1, 40))
         tokens = tuple(draw(st.lists(st.sampled_from(words), min_size=n, max_size=n)))
         labels = st.lists(st.integers(0, scheme.size - 1), min_size=n, max_size=n).map(tuple)
         present = draw(st.lists(st.sampled_from(roster), unique=True, max_size=len(roster)))
