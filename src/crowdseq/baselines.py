@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crf import CrfModel, TrainOptions, build_model, logsumexp, optimize
+from .crf import CrfModel, TrainOptions, build_model, optimize
 from .types import CrowdDataset, CrowdInstance, LabelSeq
 
 
@@ -23,6 +23,23 @@ def mv_token(instance: CrowdInstance) -> LabelSeq:
     width = int(votes.max(initial=0)) + 1
     counts = np.bincount((np.arange(L) * width + votes).ravel(), minlength=L * width)
     return tuple(counts.reshape(L, width).argmax(axis=1).tolist())
+
+
+def logsumexp(a, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, max-shift stabilized.
+
+    A slice that is entirely -inf gives -inf, not NaN: under zero smoothing
+    annotator factors can rule out every label.
+    """
+    a = np.asarray(a)
+    top = a.max(axis=axis, keepdims=True)
+    finite = np.isfinite(top)
+    if finite.all():
+        return np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
+    # an all -inf slice sums to 0 once shifted by 0, and log(0) is its answer
+    top = np.where(finite, top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
 
 
 @dataclass

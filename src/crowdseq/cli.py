@@ -49,7 +49,7 @@ def _add_em_flags(p):
     p.add_argument("--consistency-hi", type=float, default=None)
     p.add_argument("--consistency-lo", type=float, default=None)
     p.add_argument("--normalize-consistency", action="store_true", default=None)
-    p.add_argument("--lattice-cap", type=int, default=None, help="paths a lattice lists; EM sums over every path")
+    p.add_argument("--lattice-cap", type=int, default=None, help="accepted for compatibility; EM sums over every lattice path")
     p.add_argument("--smoothing", type=float, default=None)
     p.add_argument("--l2", type=float, default=None, dest="l2_penalty", help="L2 penalty on model weights")
     p.add_argument("--init-max-iter", type=int, default=None)
@@ -218,7 +218,7 @@ def _cmd_inspect_lattice(args) -> int:
         print(f"{j}\t{token}\t{cand}\t{reach}")
     print(f"unpruned\t{lat.n_unpruned}")
     print(f"valid\t{lat.n_valid}")
-    print(f"enumerated\t{len(lat.sequences)}")
+    print(f"enumerated\t{min(lat.n_valid, lat.cap)}")
     print(f"capped\t{'true' if lat.capped else 'false'}")
     widened = ",".join(str(j) for j in lat.widened) if lat.widened else "-"
     print(f"widened\t{widened}")
@@ -313,7 +313,9 @@ def build_parser() -> _Parser:
     p.add_argument("--consistency-hi", type=float, default=None)
     p.add_argument("--consistency-lo", type=float, default=None)
     p.add_argument("--normalize-consistency", action="store_true", default=None)
-    p.add_argument("--cap", type=int, default=em.EmConfig.lattice_cap)
+    p.add_argument(
+        "--cap", type=int, default=em.EmConfig.lattice_cap, help="the 'enumerated' line reports min(valid, cap)"
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_inspect_lattice)
 

@@ -334,23 +334,6 @@ def extract_features(
     return pots[0] if one else pots
 
 
-def logsumexp(a, axis: int = -1) -> np.ndarray:
-    """log(sum(exp(a))) along ``axis``, max-shift stabilized.
-
-    A slice that is entirely -inf gives -inf, not NaN: under zero smoothing
-    annotator factors can rule out every label.
-    """
-    a = np.asarray(a)
-    top = a.max(axis=axis, keepdims=True)
-    finite = np.isfinite(top)
-    if finite.all():
-        return np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
-    # an all -inf slice sums to 0 once shifted by 0, and log(0) is its answer
-    top = np.where(finite, top, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
-
-
 class _Packing:
     """Time-major layout of a batch of sequences sorted longest first.
 
@@ -382,10 +365,6 @@ class _Packing:
     @property
     def steps(self) -> int:
         return self.sizes.size
-
-    def rows(self, t: int, n: int) -> slice:
-        """Rows of step t holding its first n sequences."""
-        return slice(self.offsets[t], self.offsets[t] + n)
 
 
 def _step_table(pairwise: np.ndarray, t: int) -> np.ndarray:
@@ -509,16 +488,15 @@ def _viterbi(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarra
     score = unary.copy()
     back = np.empty(unary.shape, dtype=np.intp)
     for t in range(1, pk.steps):
-        n = pk.sizes[t]
-        cand = score[pk.rows(t - 1, n), :, None] + _step_table(pairwise, t)
-        back[pk.rows(t, n)] = cand.argmax(axis=1)
-        score[pk.rows(t, n)] += cand.max(axis=1)
+        rows = pk.step_rows[t]
+        cand = score[pk.prev_step_rows[t], :, None] + _step_table(pairwise, t)
+        back[rows] = cand.argmax(axis=1)
+        score[rows] += cand.max(axis=1)
     path = np.empty(unary.shape[0], dtype=np.intp)
     path[pk.last_rows] = score[pk.last_rows].argmax(axis=1)
     for t in range(pk.steps - 1, 0, -1):
-        n = pk.sizes[t]
-        rows = pk.rows(t, n)
-        path[pk.rows(t - 1, n)] = np.take_along_axis(back[rows], path[rows, None], axis=1)[:, 0]
+        rows = pk.step_rows[t]
+        path[pk.prev_step_rows[t]] = np.take_along_axis(back[rows], path[rows, None], axis=1)[:, 0]
     return path
 
 

@@ -58,8 +58,9 @@ class EmConfig:
     divided by the roster size and the defaults become 1/2 and 1/(2K).  A
     lone annotator's consistency is 1 at every position either way, so with
     a roster of one ``consistency_lo`` defaults to 0 and every lattice is the
-    annotation itself.  ``lattice_cap`` bounds only the sequences
-    ``build_lattice`` lists for inspection: EM sums over every lattice path.
+    annotation itself.  ``lattice_cap`` changes no result: EM sums over
+    every lattice path, and the cap bounds only what ``ValidLattice.sequences``
+    lists when something reads it.
     """
 
     max_iters: int = 20
@@ -118,7 +119,7 @@ def build_lattice(
     inst: CrowdInstance, scheme: LabelScheme, roster_size: int, cfg: EmConfig
 ) -> ValidLattice:
     """Candidate sets under the configured consistency thresholds, then the
-    valid lattice through them, listing at most ``cfg.lattice_cap`` paths."""
+    valid lattice through them; no path is listed."""
     hi, lo = cfg.thresholds(roster_size)
     norm = roster_size if cfg.normalize_consistency else None
     sets = candidate_sets(inst, scheme, hi, lo, normalize_by=norm)

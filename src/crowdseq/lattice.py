@@ -7,16 +7,18 @@ sequences over those sets are the paths respecting the scheme's transition
 constraints (plus "no I- at the start" under BIO).  One forward sweep
 counts the valid prefix paths ending in each label at each position; it
 gives the reachable labels, the first position every path is blocked at
-(which gets widened), and the exact valid count.  Enumeration is exact;
-when the valid count exceeds the cap, exactly the cap-many sequences with
-the highest per-position plurality agreement are kept, ties resolved in
-lexicographic label-index order.
+(which gets widened), and the exact valid count.  A backward pass keeps the
+labels lying on some complete valid path, the lattice's states: the valid
+sequences are exactly the paths through them along allowed transitions, so
+nothing needs them listed.  ``ValidLattice.sequences`` lists the first
+``cap`` of them in lexicographic label order, on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .types import CrowdInstance, LabelScheme, LabelSeq
 
@@ -122,14 +124,15 @@ def count_valid(candidates, scheme: LabelScheme) -> int:
 
 @dataclass(frozen=True)
 class ValidLattice:
-    """Constraint-pruned candidate sequences for one instance."""
+    """Constraint-pruned valid sequences for one instance: the paths through
+    ``states`` along the scheme's allowed transitions."""
 
     final_candidates: tuple[tuple[int, ...], ...]  # the requested sets after any widening
     states: tuple[tuple[int, ...], ...]  # per position, labels on some full valid path
-    sequences: tuple[LabelSeq, ...]
-    capped: bool
     n_valid: int  # exact count over final_candidates
     widened: tuple[int, ...]  # positions widened to the full label set
+    cap: int  # most paths ``sequences`` lists
+    scheme: LabelScheme
 
     @property
     def n_unpruned(self) -> int:
@@ -138,35 +141,35 @@ class ValidLattice:
             out *= len(s)
         return out
 
+    @property
+    def capped(self) -> bool:
+        return self.n_valid > self.cap
 
-def _append_paths(seqs, states, succ, limit, dist=None, top=None, need=0) -> None:
-    """Append valid paths to ``seqs`` in lexicographic label order until it
-    holds ``limit``.
+    @cached_property
+    def sequences(self) -> tuple[LabelSeq, ...]:
+        """The first ``min(n_valid, cap)`` valid sequences in lexicographic
+        label order, listed on first access.
 
-    With ``dist`` and ``top`` given, only paths holding exactly ``need``
-    plurality labels (label s at position j counts when ``s in top[j]``) are
-    appended, and ``dist`` prunes the prefixes that cannot reach ``need``.
-    Depth-first with an explicit stack, so no recursion limit bounds the
-    sentence length.
-    """
-    L = len(states)
-    prefix: list[int] = []
-    frames = [(iter(states[0]), need)]  # per depth: remaining options, agreement still needed
-    while frames:
-        options, need = frames[-1]
-        j = len(prefix)
-        s = next(options, None)
-        if s is None or len(seqs) >= limit:
-            frames.pop()
-            if prefix:
-                prefix.pop()
-        elif dist is not None and not dist[j][s].get(need):
-            continue
-        elif j + 1 == L:
-            seqs.append((*prefix, s))
-        else:
-            prefix.append(s)
-            frames.append((iter(succ[j][s]), need - int(dist is not None and s in top[j])))
+        Depth-first with an explicit stack, so no recursion limit bounds the
+        sentence length.  Every state has an allowed successor on a full
+        valid path, so no branch dead-ends.
+        """
+        allowed, states = self.scheme.allowed_transitions, self.states
+        seqs: list[LabelSeq] = []
+        prefix: list[int] = []
+        frames = [iter(states[0])]  # per depth: the labels still to try
+        while frames and len(seqs) < self.cap:
+            s = next(frames[-1], None)
+            if s is None:
+                frames.pop()
+                if prefix:
+                    prefix.pop()
+            elif len(prefix) + 1 == len(states):
+                seqs.append((*prefix, s))
+            else:
+                prefix.append(s)
+                frames.append(iter([b for b in states[len(prefix)] if allowed[s, b]]))
+        return tuple(seqs)
 
 
 def enumerate_valid(
@@ -175,7 +178,8 @@ def enumerate_valid(
     scheme: LabelScheme,
     cap: int = 5000,
 ) -> ValidLattice:
-    """All valid sequences over the candidate sets, agreement-capped.
+    """The valid lattice over the candidate sets; ``cap`` bounds only what
+    ``ValidLattice.sequences`` lists.
 
     If constraints eliminate every path, the first blocked position is
     widened to the full label set and the construction is retried (each
@@ -209,37 +213,4 @@ def enumerate_valid(
     for j in range(L - 2, -1, -1):
         bwd[j] = {s for s in fwd[j] if any(allowed[s, n] for n in bwd[j + 1])}
     states = tuple(tuple(sorted(bwd[j])) for j in range(L))
-    succ = [
-        {a: tuple(b for b in states[j + 1] if allowed[a, b]) for a in states[j]}
-        for j in range(L - 1)
-    ]
-    n_valid = sum(fwd[L - 1].values())
-    seqs: list[LabelSeq] = []
-    if n_valid <= cap:
-        _append_paths(seqs, states, succ, cap)
-    else:
-        # keep exactly the top sequences by plurality agreement
-        top: list[set[int]] = []
-        for j in range(L):
-            if instance.annotations:
-                top.append(set(label_consistency(instance, j).top_labels))
-            else:
-                top.append(set())
-
-        # dist[j][s]: suffix agreement-score distribution (score -> path count)
-        # for valid suffixes starting with label s at position j
-        dist: list[dict[int, dict[int, int]]] = [dict() for _ in range(L)]
-        for s in states[L - 1]:
-            dist[L - 1][s] = {int(s in top[L - 1]): 1}
-        for j in range(L - 2, -1, -1):
-            for s in states[j]:
-                a = int(s in top[j])
-                d: dict[int, int] = {}
-                for s2 in succ[j][s]:
-                    for v, c in dist[j + 1][s2].items():
-                        d[v + a] = d.get(v + a, 0) + c
-                dist[j][s] = d
-
-        for v in range(L, -1, -1):  # agreement scores, best first
-            _append_paths(seqs, states, succ, cap, dist, top, v)
-    return ValidLattice(tuple(cand), states, tuple(seqs), n_valid > cap, n_valid, tuple(widened))
+    return ValidLattice(tuple(cand), states, sum(fwd[L - 1].values()), tuple(widened), cap, scheme)

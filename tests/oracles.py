@@ -9,8 +9,8 @@ from scipy.special import logsumexp
 
 from crowdseq import LabelScheme
 from crowdseq.annotators import annotation_contexts, context_factor
+from crowdseq.baselines import logsumexp as own_logsumexp
 from crowdseq.crf import SequencePotentials, extract_features
-from crowdseq.crf import logsumexp as crf_logsumexp
 
 
 def sequence_score(pot: SequencePotentials, labels) -> float:
@@ -159,10 +159,10 @@ def log_space_messages(pot: SequencePotentials) -> tuple[np.ndarray, np.ndarray]
     unary, pairwise = pot.unary, pot.pairwise
     alpha = unary.copy()
     for t in range(1, len(unary)):
-        alpha[t] += crf_logsumexp(alpha[t - 1, :, None] + _step_table(pairwise, t), axis=0)
+        alpha[t] += own_logsumexp(alpha[t - 1, :, None] + _step_table(pairwise, t), axis=0)
     beta = np.zeros_like(unary)
     for t in range(len(unary) - 2, -1, -1):
-        beta[t] = crf_logsumexp(_step_table(pairwise, t + 1) + (unary[t + 1] + beta[t + 1])[None, :], axis=1)
+        beta[t] = own_logsumexp(_step_table(pairwise, t + 1) + (unary[t + 1] + beta[t + 1])[None, :], axis=1)
     return alpha, beta
 
 
@@ -176,8 +176,8 @@ def range_gap(pot: SequencePotentials) -> float:
     loses) and S + log-sum beta_t - log Z (the same for whole paths).  The
     kernel may refuse a sequence only where this exceeds ~708 nats."""
     alpha, beta = log_space_messages(pot)
-    fwd, bwd = crf_logsumexp(alpha, axis=1), crf_logsumexp(beta, axis=1)
-    logz = float(crf_logsumexp(alpha[-1]))
+    fwd, bwd = own_logsumexp(alpha, axis=1), own_logsumexp(beta, axis=1)
+    logz = float(own_logsumexp(alpha[-1]))
     gaps = [fwd + bwd - logz]
     if len(alpha) > 1:
         peak = pot.pairwise.max(axis=(-2, -1))
@@ -196,7 +196,7 @@ def log_space_inference(pot: SequencePotentials) -> tuple[float, np.ndarray, np.
     log Z = -inf (its marginals are then NaN)."""
     unary, pairwise = pot.unary, pot.pairwise
     alpha, beta = log_space_messages(pot)
-    logz = float(crf_logsumexp(alpha[-1]))
+    logz = float(own_logsumexp(alpha[-1]))
     with np.errstate(invalid="ignore"):
         uni = np.exp(alpha + beta - logz)
         uni /= uni.sum(axis=1, keepdims=True)

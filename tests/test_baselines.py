@@ -1,7 +1,10 @@
 """Token-level aggregation baselines."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from crowdseq import (
     CrowdDataset,
@@ -17,6 +20,7 @@ from crowdseq import (
     viterbi,
     wrapper_train,
 )
+from crowdseq.baselines import logsumexp
 
 RAW = LabelScheme(("A", "B", "C"), "RAW")
 
@@ -39,6 +43,25 @@ class TestMajorityVote:
     def test_no_annotations_is_an_error(self):
         with pytest.raises(ValueError, match="no annotations"):
             mv_token(CrowdInstance(("x",), {}))
+
+
+class TestLogsumexp:
+    def test_logsumexp_matches_scipy(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(4, 6, 5)) * 300
+        a[1, 2, 3] = -np.inf
+        for axis in (0, 1, -1):
+            np.testing.assert_allclose(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis), rtol=1e-14)
+        assert float(logsumexp(a[0, 0])) == pytest.approx(float(scipy_logsumexp(a[0, 0])), rel=1e-14)
+
+    def test_logsumexp_of_an_all_minus_inf_row_is_minus_inf(self):
+        a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = logsumexp(a, axis=1)
+        assert out[0] == -np.inf
+        assert out[1] == pytest.approx(np.log(1.0 + np.e), rel=1e-15)
+        assert float(logsumexp(a[0])) == -np.inf
 
 
 def planted_dataset():

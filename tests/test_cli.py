@@ -482,6 +482,21 @@ class TestInspectLattice:
         assert stats["enumerated"] == "1"
         assert stats["capped"] == "true"
 
+    @pytest.mark.parametrize(
+        "cap, enumerated, capped",
+        [("1", "1", "true"), ("47955", "47955", "true"), ("47956", "47956", "false")],
+    )
+    def test_footer_counts_follow_the_cap(self, pipeline, capsys, cap, enumerated, capped):
+        # every label is a candidate at each of the instance's 7 tokens
+        assert main([
+            "inspect-lattice", str(pipeline["crowd"]), "--instance", "1",
+            "--consistency-hi", "9", "--consistency-lo", "3", "--cap", cap,
+        ]) == 0
+        footer = capsys.readouterr().out.splitlines()[-5:]
+        assert footer == [
+            "unpruned\t823543", "valid\t47956", f"enumerated\t{enumerated}", f"capped\t{capped}", "widened\t-",
+        ]
+
 
 class TestReportAnnotators:
     def test_full_dump_covers_every_cell(self, pipeline, capsys):

@@ -26,7 +26,6 @@ from oracles import (
     random_potentials,
     sequence_score,
 )
-from scipy.special import logsumexp as scipy_logsumexp
 
 from crowdseq import (
     DEFAULT_TEMPLATES,
@@ -47,7 +46,7 @@ from crowdseq import (
     weighted_nll_and_gradient,
 )
 from crowdseq import crf
-from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, logsumexp
+from crowdseq.crf import BOS_TOKEN, EOS_TOKEN
 
 SCHEME = LabelScheme.bio(("LOC", "PER"))
 # written by the v1 save_model: build_model(SCHEME, [("a", "b")]) with
@@ -282,23 +281,6 @@ class TestInferenceOracles:
         u, b = marginals(pot)
         np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(b.sum(axis=(1, 2)), 1.0, atol=1e-12)
-
-    def test_logsumexp_matches_scipy(self):
-        rng = np.random.default_rng(12)
-        a = rng.normal(size=(4, 6, 5)) * 300
-        a[1, 2, 3] = -np.inf
-        for axis in (0, 1, -1):
-            np.testing.assert_allclose(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis), rtol=1e-14)
-        assert float(logsumexp(a[0, 0])) == pytest.approx(float(scipy_logsumexp(a[0, 0])), rel=1e-14)
-
-    def test_logsumexp_of_an_all_minus_inf_row_is_minus_inf(self):
-        a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = logsumexp(a, axis=1)
-        assert out[0] == -np.inf
-        assert out[1] == pytest.approx(np.log(1.0 + np.e), rel=1e-15)
-        assert float(logsumexp(a[0])) == -np.inf
 
     def test_length_one_sequence(self):
         pot = random_potentials(np.random.default_rng(3), L=1, M=4)

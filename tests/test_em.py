@@ -447,6 +447,14 @@ class TestFit:
         assert one.annotators.mention.tobytes() == every.annotators.mention.tobytes()
         assert posterior_modes(one.posteriors) == posterior_modes(every.posteriors)
 
+    def test_no_lattice_lists_its_paths(self):
+        gold = make_gold(40, seed=3)
+        crowd = simulate(gold, SimConfig(n_annotators=5, target_precision=0.3, precision_spread=0.1, seed=3))
+        cfg = EmConfig(max_iters=2, rel_tol=0.0, seed=3, init_max_iter=20, inner_max_iter=6, lattice_cap=5)
+        for lattices in (initialize(crowd, cfg).lattices, fit(crowd, cfg).state.lattices):
+            assert any(lat.capped for lat in lattices)
+            assert not any("sequences" in vars(lat) for lat in lattices)
+
 
 def joint_objective(state, ds):
     """The joint MAP objective generalized EM ascends, from public primitives:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,8 +153,6 @@ class TestCountValid:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_exhaustive_enumeration(self, seed):
-        import numpy as np
-
         rng = np.random.default_rng([seed, 31])
         n = int(rng.integers(2, 6))
         cand = tuple(
@@ -169,8 +168,6 @@ class TestEnumerateValid:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_exhaustive_enumeration(self, seed):
-        import numpy as np
-
         rng = np.random.default_rng([seed, 32])
         n = int(rng.integers(2, 6))
         cand = tuple(
@@ -209,7 +206,7 @@ class TestEnumerateValid:
         assert lat.widened == (0,)
         assert all(seq[1] == L["O"] for seq in lat.sequences)
 
-    def test_cap_keeps_the_highest_agreement_sequences(self):
+    def test_a_capped_listing_is_the_lexicographic_prefix(self):
         columns = [
             ["O", "O", "B-PER"],
             ["B-LOC", "B-ORG", "B-ORG"],
@@ -219,19 +216,12 @@ class TestEnumerateValid:
         cand = candidate_sets(it, SCHEME, hi=2.5, lo=0.0)
         full = enumerate_valid(it, cand, SCHEME)
         assert not full.capped
-
-        def agreement(seq):
-            return sum(
-                int(seq[j] in label_consistency(it, j).top_labels)
-                for j in range(len(seq))
-            )
-
-        ranked = sorted(full.sequences, key=lambda s: (-agreement(s), s))
+        assert full.sequences == tuple(sorted(brute_valid(cand, SCHEME)))
         for cap in (1, 2, 5, len(full.sequences) - 1):
             capped = enumerate_valid(it, cand, SCHEME, cap=cap)
             assert capped.capped
             assert capped.n_valid == full.n_valid
-            assert list(capped.sequences) == ranked[:cap]
+            assert capped.sequences == full.sequences[:cap]
 
     def test_cap_equal_to_count_is_not_capped(self):
         cand = ((L["O"], L["B-PER"]), (L["O"], L["B-LOC"]))
@@ -241,7 +231,7 @@ class TestEnumerateValid:
         assert len(lat.sequences) == n
 
     def test_long_unanimous_sentence(self):
-        # longer than the interpreter's recursion limit, on both enumeration paths
+        # longer than the interpreter's recursion limit, listed capped and uncapped
         n = 1500
         it = self.make_instance(n)
         assert enumerate_valid(it, ((L["O"],),) * n, SCHEME).sequences == ((L["O"],) * n,)
@@ -249,6 +239,19 @@ class TestEnumerateValid:
         capped = enumerate_valid(it, cand, SCHEME, cap=1)
         assert capped.capped
         assert capped.sequences == ((L["O"],) * n,)
+
+    def test_a_40_token_all_label_lattice_is_counted_without_listing(self):
+        n = 40
+        full = tuple(range(SCHEME.size))
+        lat = enumerate_valid(self.make_instance(n), (full,) * n, SCHEME)
+        # transfer matrix in exact integers: paths = init^T A^(n-1) 1
+        a = SCHEME.allowed_transitions.astype(object)
+        paths = SCHEME.initial_allowed.astype(object) @ np.linalg.matrix_power(a, n - 1)
+        assert lat.n_valid == sum(paths) > 10**27
+        assert lat.capped
+        assert "sequences" not in vars(lat)
+        assert lat.states[0] == tuple(s for s in full if SCHEME.initial_allowed[s])
+        assert lat.states[1:] == (full,) * (n - 1)
 
     def test_argument_validation(self):
         it = self.make_instance(2)
@@ -307,9 +310,11 @@ def test_valid_lattice_unpruned_product():
     lat = ValidLattice(
         final_candidates=((0, 1, 2), (0, 1)),
         states=((0,), (0,)),
-        sequences=((0, 0),),
-        capped=False,
         n_valid=1,
         widened=(0,),
+        cap=1,
+        scheme=SCHEME,
     )
     assert lat.n_unpruned == 6
+    assert not lat.capped
+    assert lat.sequences == ((0, 0),)
