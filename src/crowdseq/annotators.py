@@ -13,17 +13,21 @@ Tables are stored stacked as arrays of shape (K, M + 1, M, M) indexed by
 (annotator, context, truth, assigned); context index M is the
 beginning-of-sequence slot.  The mention table keeps that slot only for
 shape uniformity and never reads it.
+
+The crowd's labels are one (T, K) ``annotation_table`` over the corpus laid
+end to end, which Dawid-Skene reads too; ``annotation_entries`` derives each
+labeled entry's context from it, and no other code derives contexts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .types import LabelScheme, LabelSeq
+from .types import CrowdDataset, LabelScheme
 
 PARAMS_MAGIC = "crowdseq-annotators v1"
 BOS_LABEL = "<bos>"
@@ -83,34 +87,55 @@ def sample_init_params(roster: Sequence[str], n_labels: int, seed) -> AnnotatorP
     return AnnotatorParams(tuple(roster), local, mention)
 
 
-def annotation_contexts(
-    assigned: LabelSeq, links, n_labels: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per position of one annotation: the assigned label, its context, and
-    whether the mention table applies there.
+class AnnotationEntries(NamedTuple):
+    """Labeled (position, annotator) entries of a corpus laid end to end, row-major."""
 
-    A position with a link (from ``resolve_mentions``) takes the label the
-    annotator gave the linked position; any other takes the annotator's
-    previous label, or the beginning-of-sequence slot at the first token.
+    row: np.ndarray  # (E,) corpus row
+    annotator: np.ndarray  # (E,) roster index
+    assigned: np.ndarray  # (E,) the label the annotator gave
+    context: np.ndarray  # (E,) its context label, or the beginning-of-sequence slot
+    is_mention: np.ndarray  # (E,) whether the mention table applies
+
+
+def annotation_table(ds: CrowdDataset) -> np.ndarray:
+    """(T, K) label each roster annotator gave each row of the corpus laid
+    end to end, -1 where they skipped the instance."""
+    table = np.full((sum(len(inst.tokens) for inst in ds.instances), len(ds.roster)), -1, dtype=np.intp)
+    start = 0
+    for inst in ds.instances:
+        for k, ann in enumerate(ds.roster):
+            if ann in inst.annotations:
+                table[start : start + len(inst.tokens), k] = inst.annotations[ann]
+        start += len(inst.tokens)
+    return table
+
+
+def annotation_entries(ds: CrowdDataset, table: np.ndarray) -> AnnotationEntries:
+    """The labeled entries of ``annotation_table(ds)``.
+
+    A row with a link (from ``resolve_mentions``, within its sentence) takes
+    the label the annotator gave the linked row as context, and the mention
+    table applies; any other takes the annotator's previous label, or the
+    beginning-of-sequence slot at its sentence's first token.
     """
-    y = np.asarray(assigned, dtype=np.intp)
-    prev = np.empty(y.size, dtype=np.intp)
-    prev[0] = bos_context(n_labels)
-    prev[1:] = y[:-1]
-    is_mention = np.array([l is not None for l in links])
-    link_idx = np.array([l if l is not None else 0 for l in links], dtype=np.intp)
-    return y, np.where(is_mention, y[link_idx], prev), is_mention
+    lengths = np.array([len(inst.tokens) for inst in ds.instances], dtype=np.intp)
+    first = np.repeat(np.cumsum(lengths) - lengths, lengths)  # per row, its sentence's first row
+    links = [-1 if j is None else j for inst in ds.instances for j in resolve_mentions(inst.tokens)]
+    links = np.array(links, dtype=np.intp)
+    at = np.arange(len(table))
+    source = np.where(links >= 0, first + links, np.where(at > first, at - 1, -1))  # context row, or -1
+    rows, annotator = np.nonzero(table >= 0)
+    src = source[rows]
+    context = np.where(src >= 0, table[src, annotator], bos_context(ds.scheme.size))
+    return AnnotationEntries(rows, annotator, table[rows, annotator], context, links[rows] >= 0)
 
 
-def context_factor(params: AnnotatorParams, k: int, contexts) -> np.ndarray:
-    """(L, M) table of log p(assigned_j | truth = m, context_j) for the
-    annotator at roster index ``k``, from the ``annotation_contexts`` of
-    their labels, which do not depend on the truth."""
-    y, ctx, is_mention = contexts
-    local_rows = params.local[k][ctx, :, y]
-    mention_rows = params.mention[k][ctx, :, y]
+def context_factor(params: AnnotatorParams, entries: AnnotationEntries) -> np.ndarray:
+    """(E, M) table of log p(assigned_e | truth = m, context_e) for the
+    ``annotation_entries``, which do not depend on the truth."""
+    at = (entries.annotator, entries.context, slice(None), entries.assigned)
     with np.errstate(divide="ignore"):
-        return np.log(np.where(is_mention[:, None], mention_rows, local_rows))
+        return np.log(np.where(entries.is_mention[:, None], params.mention[at], params.local[at]))
 
 
 def params_from_counts(

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .annotators import annotation_table
 from .crf import CrfModel, TrainOptions, build_model, optimize
 from .types import CrowdDataset, CrowdInstance, LabelSeq
 
@@ -33,11 +34,8 @@ def logsumexp(a, axis: int = -1) -> np.ndarray:
     """
     a = np.asarray(a)
     top = a.max(axis=axis, keepdims=True)
-    finite = np.isfinite(top)
-    if finite.all():
-        return np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
     # an all -inf slice sums to 0 once shifted by 0, and log(0) is its answer
-    top = np.where(finite, top, 0.0)
+    top = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore"):
         return np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
 
@@ -50,20 +48,6 @@ class DsModel:
     confusion: np.ndarray  # (K, M, M)
     prior: np.ndarray  # (M,)
     loglik_history: list[float]
-
-
-def _token_table(ds: CrowdDataset) -> np.ndarray:
-    """(T, K) assigned labels over all corpus positions, -1 where absent."""
-    k = len(ds.roster)
-    rows = []
-    for inst in ds.instances:
-        block = np.full((len(inst.tokens), k), -1, dtype=np.intp)
-        for ki, ann_id in enumerate(ds.roster):
-            labels = inst.annotations.get(ann_id)
-            if labels is not None:
-                block[:, ki] = labels
-        rows.append(block)
-    return np.concatenate(rows, axis=0)
 
 
 def ds_fit(
@@ -83,35 +67,32 @@ def ds_fit(
         raise ValueError("dataset has no annotator roster")
     m = ds.scheme.size
     k = len(ds.roster)
-    a = _token_table(ds)
+    a = annotation_table(ds)
     t_total = a.shape[0]
-    if (a < 0).all(axis=1).any():
-        raise ValueError("some token has no annotations")
+    ends = np.cumsum([len(inst.tokens) for inst in ds.instances])
+    unlabeled = np.flatnonzero((a < 0).all(axis=1))
+    if unlabeled.size:
+        i = np.searchsorted(ends, unlabeled[0], side="right")
+        raise ValueError(f"instance {i}: some token has no annotations")
 
+    rows, ks = np.nonzero(a >= 0)  # every label given, row by row in roster order
+    y = a[rows, ks]
     post = np.zeros((t_total, m))
-    for ki in range(k):
-        mask = a[:, ki] >= 0
-        post[mask, a[mask, ki]] += 1.0
+    np.add.at(post, (rows, y), 1.0)
     post /= post.sum(axis=1, keepdims=True)
 
     history: list[float] = []
-    prior = np.full(m, 1.0 / m)
-    confusion = np.zeros((k, m, m))
     for _ in range(max(1, iters)):
-        # maximization from current posteriors
+        # maximization from current posteriors, each sum taken in row order
         prior = (post.sum(axis=0) + smoothing) / (t_total + smoothing * m)
-        for ki in range(k):
-            mask = a[:, ki] >= 0
-            counts = np.zeros((m, m))
-            np.add.at(counts.T, a[mask, ki], post[mask])
-            denom = post[mask].sum(axis=0)
-            confusion[ki] = (counts + smoothing) / (denom[:, None] + smoothing * m)
+        counts, denom = np.zeros((k, m, m)), np.zeros((k, m))
+        np.add.at(counts, (ks[:, None], np.arange(m), y[:, None]), post[rows])
+        np.add.at(denom, ks, post[rows])
+        confusion = (counts + smoothing) / (denom[:, :, None] + smoothing * m)
         # posterior step, and the objective at the parameters just fitted
         with np.errstate(divide="ignore"):
             logpost = np.tile(np.log(prior), (t_total, 1))
-            for ki in range(k):
-                mask = a[:, ki] >= 0
-                logpost[mask] += np.log(confusion[ki][:, a[mask, ki]]).T
+            np.add.at(logpost, rows, np.log(confusion[ks, :, y]))
         norm = logsumexp(logpost, axis=1)
         value = float(norm.sum())
         if smoothing > 0:
@@ -122,8 +103,7 @@ def ds_fit(
             break
 
     model = DsModel(tuple(ds.roster), confusion, prior, history)
-    splits = np.cumsum([len(inst.tokens) for inst in ds.instances])[:-1]
-    return model, [p.copy() for p in np.split(post, splits)]
+    return model, [p.copy() for p in np.split(post, ends)[:-1]]
 
 
 def ds_decode(model: DsModel, instance: CrowdInstance) -> LabelSeq:
@@ -142,6 +122,9 @@ def aggregate_labels(
 ) -> list[LabelSeq]:
     """One label sequence per instance by the named baseline (``mv`` or ``ds``)."""
     if method == "mv":
+        for i, inst in enumerate(ds.instances):
+            if not inst.annotations:
+                raise ValueError(f"instance {i}: no annotations to vote over")
         return [mv_token(inst) for inst in ds.instances]
     if method == "ds":
         model, _ = ds_fit(ds, iters=ds_iters, tol=ds_tol)

@@ -6,13 +6,14 @@ closed-form smoothed updates of the reliability tables.
 
 An instance's valid lattice is exactly the set of paths through its
 ``ValidLattice.states`` along the scheme's allowed transitions, so its
-posterior is a linear chain: the tagger's unary scores plus each present
-annotator's ``context_factor`` (derived once, in ``initialize``, from
-``annotators``), -inf off the states, and the tagger's bigram weights, -inf
-on forbidden transitions.  ``e_step`` featurizes the corpus once, takes the
-tagger's log-partitions from one packed forward pass and the posteriors from
-one masked forward-backward pass (``expected_counts``), enumerating no
-candidate sequence, so N rounds of ``fit`` score the corpus N + 1 times.
+posterior is a linear chain: the tagger's unary scores, -inf off the states,
+plus the ``context_factor`` row of each of its ``annotation_entries`` (each
+row's annotators in roster order), and the tagger's bigram weights, -inf on
+forbidden transitions.  ``e_step`` featurizes the corpus once, adds every
+entry's factor with one ``np.add.at``, takes the tagger's log-partitions
+from one packed forward pass and the posteriors from one masked
+forward-backward pass (``expected_counts``), enumerating no candidate
+sequence, so N rounds of ``fit`` score the corpus N + 1 times.
 ``posterior_modes`` runs one Viterbi pass over the last round's masked
 chains.
 """
@@ -21,16 +22,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .annotators import (
     AnnotatorParams,
-    annotation_contexts,
+    AnnotationEntries,
+    annotation_entries,
+    annotation_table,
     context_factor,
     params_from_counts,
-    resolve_mentions,
     sample_init_params,
 )
 from .crf import (
@@ -107,9 +110,8 @@ class EmState:
     crf: CrfModel
     annotators: AnnotatorParams
     lattices: tuple[ValidLattice, ...]
-    masks: tuple[np.ndarray, ...]  # per lattice, (L, M): 0 on its states, -inf elsewhere
-    # per instance, (roster index, annotation_contexts) of each present annotator in roster order
-    contexts: tuple[tuple[tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]], ...], ...]
+    mask: np.ndarray  # (P, M) over the corpus laid end to end: 0 on the lattices' states, -inf elsewhere
+    entries: AnnotationEntries  # every labeled (position, annotator) entry, from ``annotation_entries``
     iteration: int
     history: list[float]  # the joint objective after each round, the initial one first
     last_train: TrainResult | None = field(repr=False, default=None)
@@ -140,10 +142,11 @@ def initialize(ds: CrowdDataset, cfg: EmConfig) -> EmState:
     lattices = tuple(build_lattice(inst, ds.scheme, len(ds.roster), cfg) for inst in ds.instances)
     params = sample_init_params(ds.roster, ds.scheme.size, [cfg.seed, 0])
     rng = np.random.default_rng([cfg.seed, 1])
-    with_data = [a for a in ds.roster if any(a in inst.annotations for inst in ds.instances)]
-    if not with_data:
+    table = annotation_table(ds)
+    with_data = np.flatnonzero((table >= 0).any(axis=0))  # roster indices
+    if not with_data.size:
         raise ValueError("no annotator labeled any instance")
-    chosen = with_data[int(rng.integers(len(with_data)))]
+    chosen = ds.roster[with_data[rng.integers(with_data.size)]]
     model = build_model(ds.scheme, (inst.tokens for inst in ds.instances))
     seed_data = [
         (inst.tokens, inst.annotations[chosen], 1.0)
@@ -152,19 +155,10 @@ def initialize(ds: CrowdDataset, cfg: EmConfig) -> EmState:
     ]
     opts = TrainOptions(max_iter=cfg.init_max_iter, tol=cfg.opt_tol, l2=cfg.l2_penalty)
     model = optimize(model, seed_data, opts).model
-    labels = range(ds.scheme.size)
-    masks = tuple(np.where([[s in st for s in labels] for st in lat.states], 0.0, -np.inf) for lat in lattices)
-    contexts = tuple(_present_contexts(inst, ds.roster, ds.scheme.size) for inst in ds.instances)
-    return EmState(cfg, model, params, lattices, masks, contexts, 0, [])
-
-
-def _present_contexts(inst: CrowdInstance, roster: Sequence[str], n_labels: int):
-    links = resolve_mentions(inst.tokens)
-    return tuple(
-        (k, annotation_contexts(inst.annotations[ann], links, n_labels))
-        for k, ann in enumerate(roster)
-        if ann in inst.annotations
-    )
+    states = list(chain.from_iterable(lat.states for lat in lattices))  # per corpus position
+    mask = np.full((len(states), ds.scheme.size), -np.inf)
+    mask[np.repeat(np.arange(len(states)), list(map(len, states))), list(chain.from_iterable(states))] = 0.0
+    return EmState(cfg, model, params, lattices, mask, annotation_entries(ds, table), 0, [])
 
 
 class Posterior(NamedTuple):
@@ -182,12 +176,12 @@ def e_step(state: EmState, ds: CrowdDataset) -> tuple[list[Posterior], float]:
     when the smoothing s is 0.  An instance none of whose paths the tables
     allow (zero smoothing can give one) is a ValueError naming it."""
     pots = extract_features(state.crf, [inst.tokens for inst in ds.instances])
-    tables = state.annotators
+    factors = np.zeros(state.mask.shape)
+    np.add.at(factors, state.entries.row, context_factor(state.annotators, state.entries))
+    scores = np.concatenate([pot.unary for pot in pots]) + state.mask + factors
     pairwise = np.where(ds.scheme.allowed_transitions, state.crf.bigram_weights(), -np.inf)
-    chains = [
-        SequencePotentials(pot.unary + mask + sum(context_factor(tables, k, c) for k, c in present), pairwise)
-        for pot, mask, present in zip(pots, state.masks, state.contexts)
-    ]
+    bounds = np.cumsum([pot.length for pot in pots])[:-1]
+    chains = [SequencePotentials(u, pairwise) for u in np.split(scores, bounds)]
     logz, counts = expected_counts(chains, "instance")
     evidence = float((logz - log_partition(pots)).sum())
     return [Posterior(c, *q) for c, q in zip(chains, counts)], evidence + _log_prior(state)
@@ -205,12 +199,11 @@ def confusion_counts(
     state: EmState, ds: CrowdDataset, posteriors: Sequence[Posterior]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior-weighted (context, truth, assigned) counts, split by context type."""
-    m = ds.scheme.size
+    m, e = ds.scheme.size, state.entries
     counts = np.zeros((2, len(ds.roster), m + 1, m, m))  # index 0 local, 1 mention
-    cols = np.arange(m)[None, :]
-    for (_, q, _), present in zip(posteriors, state.contexts):
-        for ki, (y, ctx, is_mention) in present:
-            np.add.at(counts, (is_mention[:, None].astype(np.intp), ki, ctx[:, None], cols, y[:, None]), q)
+    q = np.concatenate([p.unary for p in posteriors])[e.row]
+    kind = e.is_mention[:, None].astype(np.intp)
+    np.add.at(counts, (kind, e.annotator[:, None], e.context[:, None], np.arange(m), e.assigned[:, None]), q)
     return counts[0], counts[1]
 
 

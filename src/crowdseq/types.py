@@ -201,19 +201,18 @@ def validate_dataset(ds: CrowdDataset) -> list[str]:
                     f"{len(labels)} != {n}"
                 )
                 continue
-            for j, lab in enumerate(labels):
-                if not 0 <= lab < m:
-                    problems.append(
-                        f"instance {i}, annotator {ann_id!r}, position {j}: "
-                        f"label index {lab} out of range"
-                    )
+            y = np.asarray(labels)
+            problems += (
+                f"instance {i}, annotator {ann_id!r}, position {j}: label index {labels[j]} out of range"
+                for j in np.flatnonzero(~((y >= 0) & (y < m)))
+            )
         if inst.gold is not None:
             if len(inst.gold) != n:
                 problems.append(f"instance {i}, gold: length {len(inst.gold)} != {n}")
             else:
-                for j, lab in enumerate(inst.gold):
-                    if not 0 <= lab < m:
-                        problems.append(
-                            f"instance {i}, gold, position {j}: label index {lab} out of range"
-                        )
+                y = np.asarray(inst.gold)
+                problems += (
+                    f"instance {i}, gold, position {j}: label index {inst.gold[j]} out of range"
+                    for j in np.flatnonzero(~((y >= 0) & (y < m)))
+                )
     return problems

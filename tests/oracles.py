@@ -8,7 +8,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from crowdseq import LabelScheme
-from crowdseq.annotators import annotation_contexts, context_factor
+from crowdseq.annotators import resolve_mentions
 from crowdseq.baselines import logsumexp as own_logsumexp
 from crowdseq.crf import SequencePotentials, extract_features
 
@@ -27,11 +27,48 @@ def sequence_score(pot: SequencePotentials, labels) -> float:
     return s
 
 
+def annotation_contexts(assigned, links, n_labels: int) -> list[int]:
+    """Per position of one annotation, its context: the label the annotator
+    gave the linked position (from ``resolve_mentions``), else their previous
+    label, else the beginning-of-sequence slot ``n_labels``."""
+    contexts = []
+    for j, link in enumerate(links):
+        if link is not None:
+            contexts.append(assigned[link])
+        else:
+            contexts.append(n_labels if j == 0 else assigned[j - 1])
+    return contexts
+
+
 def factor_matrix(params, annotator: str, assigned, links) -> np.ndarray:
     """(L, M) table of log p(assigned_j | truth = m, context_j) for the named
-    annotator."""
+    annotator, one table row per position."""
+    k = params.annotator_index(annotator)
     contexts = annotation_contexts(assigned, links, params.n_labels)
-    return context_factor(params, params.annotator_index(annotator), contexts)
+    rows = [
+        (params.local if link is None else params.mention)[k, c, :, y]
+        for y, c, link in zip(assigned, contexts, links)
+    ]
+    with np.errstate(divide="ignore"):
+        return np.log(np.array(rows).reshape(len(rows), params.n_labels))
+
+
+def loop_annotation_entries(ds) -> list[tuple[int, int, int, int, bool]]:
+    """(row, roster index, assigned, context, is_mention) of every labeled
+    position of the corpus laid end to end, one annotation at a time, sorted
+    row-major."""
+    entries = []
+    start = 0
+    for inst in ds.instances:
+        links = resolve_mentions(inst.tokens)
+        for k, annotator in enumerate(ds.roster):
+            if annotator in inst.annotations:
+                assigned = inst.annotations[annotator]
+                contexts = annotation_contexts(assigned, links, ds.scheme.size)
+                for j, (y, c, link) in enumerate(zip(assigned, contexts, links)):
+                    entries.append((start + j, k, y, c, link is not None))
+        start += len(inst.tokens)
+    return sorted(entries)
 
 
 def annotation_loglik(params, annotator: str, assigned, truth, links) -> float:
@@ -231,3 +268,47 @@ def log_space_weighted_nll(model, data, l2: float) -> tuple[float, np.ndarray]:
             np.add.at(bigram, (list(labels[:-1]), list(labels[1:])), -w)
             grad[nu:] += bigram.ravel()
     return value, grad
+
+
+def loop_ds_fit(ds, iters: int = 100, tol: float = 1e-8, smoothing: float = 1.0):
+    """Dawid-Skene's confusion tables, prior, history and per-token
+    posteriors (T, M) as ``baselines.ds_fit`` estimates them, with the labels
+    laid out position by position and every count, sum and log factor taken
+    one annotator at a time."""
+    m, k = ds.scheme.size, len(ds.roster)
+    a = np.array(
+        [
+            [inst.annotations[r][j] if r in inst.annotations else -1 for r in ds.roster]
+            for inst in ds.instances
+            for j in range(len(inst.tokens))
+        ],
+        dtype=np.intp,
+    ).reshape(-1, k)
+    post = np.zeros((len(a), m))
+    for ki in range(k):
+        mask = a[:, ki] >= 0
+        post[mask, a[mask, ki]] += 1.0
+    post /= post.sum(axis=1, keepdims=True)
+    history = []
+    confusion = np.zeros((k, m, m))
+    for _ in range(max(1, iters)):
+        prior = (post.sum(axis=0) + smoothing) / (len(a) + smoothing * m)
+        for ki in range(k):
+            mask = a[:, ki] >= 0
+            counts = np.zeros((m, m))
+            np.add.at(counts.T, a[mask, ki], post[mask])
+            confusion[ki] = (counts + smoothing) / (post[mask].sum(axis=0)[:, None] + smoothing * m)
+        with np.errstate(divide="ignore"):
+            logpost = np.tile(np.log(prior), (len(a), 1))
+            for ki in range(k):
+                mask = a[:, ki] >= 0
+                logpost[mask] += np.log(confusion[ki][:, a[mask, ki]]).T
+        norm = own_logsumexp(logpost, axis=1)
+        value = float(norm.sum())
+        if smoothing > 0:
+            value += smoothing * float(np.log(prior).sum() + np.log(confusion).sum())
+        history.append(value)
+        post = np.exp(logpost - norm[:, None])
+        if len(history) > 1 and abs(history[-1] - history[-2]) < tol:
+            break
+    return confusion, prior, history, post

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from crowdseq import (
     AnnotatorParams,
+    CrowdDataset,
+    CrowdInstance,
     LabelScheme,
     bos_context,
     load_annotators,
@@ -13,7 +16,9 @@ from crowdseq import (
     sample_init_params,
     save_annotators,
 )
-from oracles import annotation_loglik, factor_matrix
+from crowdseq.annotators import annotation_entries, annotation_table, context_factor
+from oracles import annotation_loglik, factor_matrix, loop_annotation_entries
+from strategies import crowd_datasets
 
 SCHEME = LabelScheme(("O", "B-PER", "I-PER"))
 M = SCHEME.size
@@ -95,6 +100,70 @@ class TestInit:
         np.testing.assert_array_equal(a.local, b.local)
         np.testing.assert_array_equal(a.mention, b.mention)
         assert not np.array_equal(a.local, c.local)
+
+
+def entry_tuples(ds):
+    """``annotation_entries`` of the dataset as sorted-comparable tuples."""
+    e = annotation_entries(ds, annotation_table(ds))
+    return list(zip(*(column.tolist() for column in e)))
+
+
+class TestAnnotationTable:
+    def test_table_lays_the_corpus_end_to_end(self):
+        ds = CrowdDataset(SCHEME, (
+            CrowdInstance(("a", "b"), {"v": (1, 2)}),
+            CrowdInstance(("c",), {"u": (0,), "v": (2,)}),
+        ), ("u", "v"))
+        np.testing.assert_array_equal(annotation_table(ds), [[-1, 1], [-1, 2], [0, 2]])
+
+    def test_entries_of_a_hand_built_corpus(self):
+        # "rome" repeats within the first sentence, ends it and starts the
+        # next two; v skips the single-token middle sentence
+        ds = CrowdDataset(SCHEME, (
+            CrowdInstance(("rome", "is", "rome"), {"u": (1, 0, 1), "v": (0, 0, 2)}),
+            CrowdInstance(("rome",), {"u": (2,)}),
+            CrowdInstance(("rome", "rome"), {"u": (0, 1), "v": (1, 2)}),
+        ), ("u", "v"))
+        bos = bos_context(M)
+        assert entry_tuples(ds) == [
+            (0, 0, 1, bos, False), (0, 1, 0, bos, False),
+            (1, 0, 0, 1, False), (1, 1, 0, 0, False),
+            (2, 0, 1, 1, True), (2, 1, 2, 0, True),
+            (3, 0, 2, bos, False),
+            (4, 0, 0, bos, False), (4, 1, 1, bos, False),
+            (5, 0, 1, 0, True), (5, 1, 2, 1, True),
+        ]
+        assert entry_tuples(ds) == loop_annotation_entries(ds)
+
+    def test_a_roster_of_one_with_single_token_sentences(self):
+        ds = CrowdDataset(SCHEME, tuple(
+            CrowdInstance((tok,), {"solo": (lab,)}) for tok, lab in (("x", 1), ("x", 2), ("y", 0))
+        ), ("solo",))
+        assert entry_tuples(ds) == [(j, 0, lab, bos_context(M), False) for j, lab in enumerate((1, 2, 0))]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ds=crowd_datasets())
+    def test_entries_match_the_per_annotation_loop(self, ds):
+        assert entry_tuples(ds) == loop_annotation_entries(ds)
+
+    def test_context_factor_gathers_each_entrys_row(self):
+        ds = CrowdDataset(SCHEME, (
+            CrowdInstance(("p", "q", "p", "r", "q"), {"u": (0, 1, 2, 2, 1), "v": (1, 1, 0, 2, 2)}),
+            CrowdInstance(("q", "p"), {"v": (2, 0)}),
+        ), ("u", "v"))
+        p = sample_init_params(ds.roster, M, seed=13)
+        e = annotation_entries(ds, annotation_table(ds))
+        phi = context_factor(p, e)
+        assert phi.shape == (len(e.row), M)
+        start = 0
+        for inst in ds.instances:
+            links = resolve_mentions(inst.tokens)
+            for k, ann in enumerate(ds.roster):
+                if ann in inst.annotations:
+                    mine = (e.annotator == k) & (e.row >= start) & (e.row < start + len(inst.tokens))
+                    expected = factor_matrix(p, ann, inst.annotations[ann], links)
+                    assert np.array_equal(phi[mine], expected)
+            start += len(inst.tokens)
 
 
 class TestLikelihood:

@@ -21,6 +21,7 @@ from crowdseq import (
     wrapper_train,
 )
 from crowdseq.baselines import logsumexp
+from oracles import loop_ds_fit
 
 RAW = LabelScheme(("A", "B", "C"), "RAW")
 
@@ -53,6 +54,22 @@ class TestLogsumexp:
         for axis in (0, 1, -1):
             np.testing.assert_allclose(logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis), rtol=1e-14)
         assert float(logsumexp(a[0, 0])) == pytest.approx(float(scipy_logsumexp(a[0, 0])), rel=1e-14)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_rows_with_a_finite_max_are_the_max_shifted_sum(self, dtype):
+        rng = np.random.default_rng(21)
+        for _ in range(1500):
+            a = (rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 7)))) * 50).astype(dtype)
+            a[rng.random(a.shape) < 0.3] = -np.inf
+            # every row and every column keeps a finite entry
+            a[:, int(rng.integers(a.shape[1]))] = rng.normal()
+            a[int(rng.integers(a.shape[0]))] = rng.normal()
+            for axis in (0, 1):
+                top = a.max(axis=axis, keepdims=True)
+                expected = np.log(np.exp(a - top).sum(axis=axis)) + top.squeeze(axis)
+                got = logsumexp(a, axis=axis)
+                assert got.dtype == expected.dtype == dtype
+                assert np.array_equal(got, expected)
 
     def test_logsumexp_of_an_all_minus_inf_row_is_minus_inf(self):
         a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]])
@@ -170,11 +187,40 @@ class TestDawidSkene:
         for inst, p in zip(ds.instances, post):
             assert p.shape == (len(inst.tokens), RAW.size)
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+        assert ds_fit(CrowdDataset(RAW, (), ds.roster))[1] == []
 
     def test_unlabeled_token_is_an_error(self):
         ds = CrowdDataset(RAW, (CrowdInstance(("x",), {}),), ("a",))
         with pytest.raises(ValueError, match="no annotations"):
             ds_fit(ds)
+
+    @pytest.mark.parametrize("smoothing, iters", [(1.0, 100), (0.5, 7), (0.0, 20)])
+    def test_matches_the_per_annotator_loop_bit_for_bit(self, smoothing, iters):
+        ds, _ = planted_dataset()
+        skipped = {("adv", 0), ("r1", 1)}  # (annotator, instance index mod 3)
+        skipping = CrowdDataset(RAW, tuple(
+            CrowdInstance(inst.tokens, {a: y for a, y in inst.annotations.items() if (a, i % 3) not in skipped})
+            for i, inst in enumerate(ds.instances)
+        ), ds.roster)
+        for data in (ds, skipping):
+            model, post = ds_fit(data, iters=iters, smoothing=smoothing)
+            confusion, prior, history, loop_post = loop_ds_fit(data, iters=iters, smoothing=smoothing)
+            assert np.array_equal(model.confusion, confusion) and np.array_equal(model.prior, prior)
+            assert model.loglik_history == history
+            assert np.array_equal(np.concatenate(post), loop_post)
+
+    def test_the_unlabeled_instance_is_named(self):
+        insts = (
+            CrowdInstance(("x", "y"), {"a": (0, 1)}),
+            CrowdInstance(("z",), {"b": (2,)}),
+            CrowdInstance(("x", "w", "v"), {}),
+            CrowdInstance(("q",), {}),
+        )
+        ds = CrowdDataset(RAW, insts, ("a", "b"))
+        with pytest.raises(ValueError, match="^instance 2: some token has no annotations$"):
+            ds_fit(ds)
+        with pytest.raises(ValueError, match="^instance 2: no annotations to vote over$"):
+            aggregate_labels(ds, "mv")
 
     def test_empty_roster_is_an_error(self):
         ds = CrowdDataset(RAW, (CrowdInstance(("x",), {"a": (0,)}),), ())

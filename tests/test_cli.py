@@ -119,6 +119,29 @@ class TestExitCodes:
         assert re.fullmatch(r"error: instance \d+ has no finite-scoring path\n", err)
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "method, message",
+        [("mv", "no annotations to vote over"), ("ds", "some token has no annotations")],
+    )
+    def test_a_baseline_names_the_instance_nobody_labeled(self, tmp_path, capsys, method, message):
+        gold = make_gold(3, seed=6)
+        roster = ("a0", "a1")
+        instances = [
+            CrowdInstance(inst.tokens, {} if j == 1 else {a: inst.gold for a in roster})
+            for j, inst in enumerate(gold.instances)
+        ]
+        crowd = tmp_path / "crowd.tsv"
+        save_crowd(crowd, CrowdDataset(gold.scheme, tuple(instances), roster))
+        out = tmp_path / "out.tsv"
+        assert main(["aggregate", str(crowd), "--method", method, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: instance 1: {message}\n"
+        assert not out.exists()
+        # SA-SLC accepts the instance
+        saslc = ["aggregate", str(crowd), "--method", "saslc", "--out", str(out), "--seed", "6",
+                 "--max-iters", "1", "--init-max-iter", "3", "--inner-max-iter", "3"]
+        assert main(saslc) == 0, capsys.readouterr().err
+        assert len(load_conll(out).instances) == 3
+
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "usage:" in capsys.readouterr().err

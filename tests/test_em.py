@@ -16,7 +16,6 @@ from crowdseq import (
     CrowdDataset,
     CrowdInstance,
     EmConfig,
-    LabelScheme,
     SimConfig,
     confusion_counts,
     e_step,
@@ -32,7 +31,8 @@ from crowdseq import (
     resolve_mentions,
     simulate,
 )
-from oracles import annotation_loglik, factor_matrix, log_space_inference, sequence_score
+from oracles import annotation_contexts, annotation_loglik, factor_matrix, log_space_inference, sequence_score
+from strategies import crowd_datasets
 
 L = {name: i for i, name in enumerate(SCHEME.labels)}
 
@@ -189,6 +189,38 @@ def enumerated_counts(z, w, m):
     return uni, pair
 
 
+def per_instance_chains(state, ds):
+    """Each instance's chain scores as a per-instance loop adds them: the
+    tagger's unary scores, then 0 on the lattice's states and -inf elsewhere,
+    then the ``factor_matrix`` of each present annotator summed in roster
+    order."""
+    pots = extract_features(state.crf, [inst.tokens for inst in ds.instances])
+    labels = range(ds.scheme.size)
+    out = []
+    for inst, lat, pot in zip(ds.instances, state.lattices, pots):
+        mask = np.where([[s in states for s in labels] for states in lat.states], 0.0, -np.inf)
+        links = resolve_mentions(inst.tokens)
+        present = [a for a in ds.roster if a in inst.annotations]
+        out.append(pot.unary + mask + sum(factor_matrix(state.annotators, a, inst.annotations[a], links) for a in present))
+    return out
+
+
+def per_instance_counts(ds, posteriors):
+    """``confusion_counts`` by one ``np.add.at`` per (instance, present
+    annotator), in corpus and roster order."""
+    m = ds.scheme.size
+    counts = np.zeros((2, len(ds.roster), m + 1, m, m))
+    for inst, p in zip(ds.instances, posteriors):
+        links = resolve_mentions(inst.tokens)
+        mention = np.array([link is not None for link in links], dtype=np.intp)
+        for k, ann in enumerate(ds.roster):
+            if ann in inst.annotations:
+                y = np.array(inst.annotations[ann])
+                ctx = np.array(annotation_contexts(y, links, m))
+                np.add.at(counts, (mention[:, None], k, ctx[:, None], np.arange(m), y[:, None]), p.unary)
+    return counts[0], counts[1]
+
+
 class TestEStep:
     def test_posteriors_normalize_on_the_lattice(self):
         ds = tiny_dataset()
@@ -244,6 +276,23 @@ class TestEStep:
             with pytest.raises(ValueError, match="^instance 0 has no finite-scoring path$"):
                 e_step(state, ds)
 
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ds=crowd_datasets(), seed=st.integers(0, 2**16), sparse=st.booleans())
+    def test_chains_are_the_per_instance_sums_bit_for_bit(self, ds, seed, sparse):
+        state = initialize(ds, EmConfig(smoothing=0.0, seed=seed, init_max_iter=5))
+        if sparse:  # unsmoothed tables with zeros give -inf factors
+            m, k = ds.scheme.size, len(ds.roster)
+            rng = np.random.default_rng(seed)
+            counts = rng.random((2, k, m + 1, m, m)) * (rng.random((2, k, m + 1, m, m)) < 0.5)
+            state.annotators = params_from_counts(ds.roster, counts[0], counts[1], 0.0)
+        try:
+            post = e_step(state, ds)[0]
+        except ValueError as e:  # no chain to compare
+            assert re.fullmatch(r"instance \d+ has no finite-scoring path", str(e))
+            return
+        for p, expected in zip(post, per_instance_chains(state, ds)):
+            assert np.array_equal(p.chain.unary, expected)
+
     def test_a_2000_token_sentence_gives_finite_marginals(self):
         gold = make_gold(400, seed=8)
         tokens = tuple(tok for inst in gold.instances for tok in inst.tokens)[:2000]
@@ -262,6 +311,14 @@ class TestEStep:
 
 
 class TestCounts:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ds=crowd_datasets(), seed=st.integers(0, 2**16))
+    def test_matches_the_per_instance_loop_bit_for_bit(self, ds, seed):
+        state = initialize(ds, EmConfig(seed=seed, init_max_iter=5))
+        post = e_step(state, ds)[0]
+        for got, expected in zip(confusion_counts(state, ds, post), per_instance_counts(ds, post)):
+            assert np.array_equal(got, expected)
+
     def test_matches_per_sequence_accumulation(self):
         for ds in (tiny_dataset(), tiny_dataset(skipped=True)):
             state = initialize(ds, small_cfg())
@@ -567,26 +624,6 @@ class TestPosteriorModes:
             expected.append(tuple(path))
         assert posterior_modes(e_step(state, ds)[0]) == expected
         assert expected != [lat.sequences[0] for lat in state.lattices]
-
-
-@st.composite
-def crowd_datasets(draw):
-    """Small crowds over a BIO or a RAW scheme: one to three annotators who
-    may skip instances (an instance nobody labeled included), sentences of
-    one to 40 tokens."""
-    scheme = draw(st.sampled_from([LabelScheme.bio(("LOC",)), SCHEME, LabelScheme(("a", "b", "c"), "RAW")]))
-    roster = tuple(f"r{k}" for k in range(draw(st.integers(1, 3))))
-    words = ["ann", "rome", "saw", "acme", "the"]
-    instances = []
-    for _ in range(draw(st.integers(1, 4))):
-        n = draw(st.integers(1, 40))
-        tokens = tuple(draw(st.lists(st.sampled_from(words), min_size=n, max_size=n)))
-        labels = st.lists(st.integers(0, scheme.size - 1), min_size=n, max_size=n).map(tuple)
-        present = draw(st.lists(st.sampled_from(roster), unique=True, max_size=len(roster)))
-        instances.append(CrowdInstance(tokens, {a: draw(labels) for a in present}))
-    if not any(inst.annotations for inst in instances):
-        instances[0] = CrowdInstance(instances[0].tokens, {roster[0]: (0,) * len(instances[0].tokens)})
-    return CrowdDataset(scheme, tuple(instances), roster)
 
 
 def check_posteriors(state, ds, post, value):

@@ -167,6 +167,19 @@ class TestValidateDataset:
         problems = validate_dataset(self.ds([inst]))
         assert any("99" in p for p in problems)
 
+    def test_out_of_range_labels_are_reported_in_order(self):
+        insts = [
+            CrowdInstance(("a", "b", "c"), {"v": (0, 7, 1), "u": (-1, 0, 3)}, (5, 0, -2)),
+            CrowdInstance(("d",), {"u": (2,)}, (0,)),
+        ]
+        assert validate_dataset(self.ds(insts, roster=("u", "v"))) == [
+            "instance 0, annotator 'v', position 1: label index 7 out of range",
+            "instance 0, annotator 'u', position 0: label index -1 out of range",
+            "instance 0, annotator 'u', position 2: label index 3 out of range",
+            "instance 0, gold, position 0: label index 5 out of range",
+            "instance 0, gold, position 2: label index -2 out of range",
+        ]
+
     def test_bad_gold_reported(self):
         inst = CrowdInstance(("a",), {"u": (0,)}, (99,))
         problems = validate_dataset(self.ds([inst]))
