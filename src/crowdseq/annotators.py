@@ -17,6 +17,9 @@ shape uniformity and never reads it.
 The crowd's labels are one (T, K) ``annotation_table`` over the corpus laid
 end to end, which Dawid-Skene reads too; ``annotation_entries`` derives each
 labeled entry's context from it, and no other code derives contexts.
+``vote_counts`` turns such a table into per-row label votes; candidate sets,
+majority vote and Dawid-Skene's start all count votes with it, and no other
+code counts them.
 """
 
 from __future__ import annotations
@@ -108,6 +111,16 @@ def annotation_table(ds: CrowdDataset) -> np.ndarray:
                 table[start : start + len(inst.tokens), k] = inst.annotations[ann]
         start += len(inst.tokens)
     return table
+
+
+def vote_counts(table: np.ndarray, n_labels: int) -> np.ndarray:
+    """(T, M) number of annotators who gave each row of an
+    ``annotation_table``-shaped array each label; -1 entries count for none."""
+    rows, cols = np.nonzero(table >= 0)
+    labels = table[rows, cols]
+    if labels.size and labels.max() >= n_labels:
+        raise ValueError(f"label {labels.max()} out of range for {n_labels} labels")
+    return np.bincount(rows * n_labels + labels, minlength=len(table) * n_labels).reshape(len(table), n_labels)
 
 
 def annotation_entries(ds: CrowdDataset, table: np.ndarray) -> AnnotationEntries:

@@ -1,16 +1,19 @@
 """Single-truth aggregation baselines: token majority vote and Dawid-Skene.
 
 Both treat tokens independently, so their output may violate BIO adjacency;
-downstream training consumes it as-is.
+downstream training consumes it as-is.  Both count the crowd's votes with
+``annotators.vote_counts``: majority vote takes each row's most voted label,
+and Dawid-Skene starts from the votes normalized per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .annotators import annotation_table
+from .annotators import annotation_table, vote_counts
 from .crf import CrfModel, TrainOptions, build_model, optimize
 from .types import CrowdDataset, CrowdInstance, LabelSeq
 
@@ -19,11 +22,8 @@ def mv_token(instance: CrowdInstance) -> LabelSeq:
     """Per-position plurality label; ties resolve to the lowest label index."""
     if not instance.annotations:
         raise ValueError("no annotations to vote over")
-    votes = np.array(list(instance.annotations.values()), dtype=np.intp)  # (K, L)
-    L = votes.shape[1]
-    width = int(votes.max(initial=0)) + 1
-    counts = np.bincount((np.arange(L) * width + votes).ravel(), minlength=L * width)
-    return tuple(counts.reshape(L, width).argmax(axis=1).tolist())
+    votes = np.array(list(instance.annotations.values()), dtype=np.intp).T  # (L, K)
+    return tuple(vote_counts(votes, int(votes.max(initial=0)) + 1).argmax(axis=1).tolist())
 
 
 def logsumexp(a, axis: int = -1) -> np.ndarray:
@@ -70,25 +70,28 @@ def ds_fit(
     a = annotation_table(ds)
     t_total = a.shape[0]
     ends = np.cumsum([len(inst.tokens) for inst in ds.instances])
-    unlabeled = np.flatnonzero((a < 0).all(axis=1))
+    votes = vote_counts(a, m)
+    unlabeled = np.flatnonzero(votes.sum(axis=1) == 0)
     if unlabeled.size:
         i = np.searchsorted(ends, unlabeled[0], side="right")
         raise ValueError(f"instance {i}: some token has no annotations")
 
     rows, ks = np.nonzero(a >= 0)  # every label given, row by row in roster order
     y = a[rows, ks]
-    post = np.zeros((t_total, m))
-    np.add.at(post, (rows, y), 1.0)
-    post /= post.sum(axis=1, keepdims=True)
+    post = votes / votes.sum(axis=1, keepdims=True)
 
     history: list[float] = []
     for _ in range(max(1, iters)):
         # maximization from current posteriors, each sum taken in row order
-        prior = (post.sum(axis=0) + smoothing) / (t_total + smoothing * m)
+        # a distribution with no mass and no smoothing falls back to uniform, as
+        # in ``params_from_counts``
+        mass = t_total + smoothing * m
+        prior = (post.sum(axis=0) + smoothing) / mass if mass else np.full(m, 1 / m)
         counts, denom = np.zeros((k, m, m)), np.zeros((k, m))
         np.add.at(counts, (ks[:, None], np.arange(m), y[:, None]), post[rows])
         np.add.at(denom, ks, post[rows])
-        confusion = (counts + smoothing) / (denom[:, :, None] + smoothing * m)
+        total = denom[:, :, None] + smoothing * m
+        confusion = np.where(total > 0, (counts + smoothing) / np.where(total > 0, total, 1.0), 1.0 / m)
         # posterior step, and the objective at the parameters just fitted
         with np.errstate(divide="ignore"):
             logpost = np.tile(np.log(prior), (t_total, 1))
@@ -125,7 +128,8 @@ def aggregate_labels(
         for i, inst in enumerate(ds.instances):
             if not inst.annotations:
                 raise ValueError(f"instance {i}: no annotations to vote over")
-        return [mv_token(inst) for inst in ds.instances]
+        labels = iter(vote_counts(annotation_table(ds), ds.scheme.size).argmax(axis=1).tolist())
+        return [tuple(islice(labels, len(inst.tokens))) for inst in ds.instances]
     if method == "ds":
         model, _ = ds_fit(ds, iters=ds_iters, tol=ds_tol)
         return [ds_decode(model, inst) for inst in ds.instances]

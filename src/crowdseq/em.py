@@ -96,7 +96,7 @@ class EmConfig:
         else:
             hi, lo = roster_size / 2, 0.5
         if roster_size == 1:
-            lo = 0.0  # hi = lo = 1/2 otherwise, which candidate_labels rejects
+            lo = 0.0  # hi = lo = 1/2 otherwise, which candidate_sets rejects
         hi = hi if self.consistency_hi is None else self.consistency_hi
         lo = lo if self.consistency_lo is None else self.consistency_lo
         return hi, lo

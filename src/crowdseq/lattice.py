@@ -1,17 +1,18 @@
 """Candidate ground-truth construction from crowd agreement.
 
-Crowd votes at each position induce a candidate label set: strong consensus
-keeps only the plurality label(s), moderate agreement keeps the labels the
-crowd actually used, weak agreement keeps the whole inventory.  The valid
-sequences over those sets are the paths respecting the scheme's transition
-constraints (plus "no I- at the start" under BIO).  One forward sweep
-counts the valid prefix paths ending in each label at each position; it
-gives the reachable labels, the first position every path is blocked at
-(which gets widened), and the exact valid count.  A backward pass keeps the
-labels lying on some complete valid path, the lattice's states: the valid
-sequences are exactly the paths through them along allowed transitions, so
-nothing needs them listed.  ``ValidLattice.sequences`` lists the first
-``cap`` of them in lexicographic label order, on first access.
+Crowd votes at each position (``annotators.vote_counts``) induce a
+candidate label set: strong consensus keeps only the plurality label(s),
+moderate agreement keeps the labels the crowd actually used, weak agreement
+keeps the whole inventory.  The valid sequences over those sets are the
+paths respecting the scheme's transition constraints (plus "no I- at the
+start" under BIO).  A forward boolean reachability pass over the (L, M)
+candidate mask finds the labels some valid prefix reaches and the first
+position every path is blocked at (which gets widened); a backward pass
+keeps the labels lying on some complete valid path, the lattice's states.
+The valid sequences are exactly the paths through them along allowed
+transitions, so nothing needs them listed.  ``ValidLattice.n_valid`` counts
+them exactly and ``ValidLattice.sequences`` lists the first ``cap`` of them
+in lexicographic label order, each on first access.
 """
 
 from __future__ import annotations
@@ -19,57 +20,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, islice
 
+import numpy as np
+
+from .annotators import vote_counts
 from .types import CrowdInstance, LabelScheme, LabelSeq
 
 
-@dataclass(frozen=True)
-class PositionConsistency:
-    """Vote summary for one position."""
-
-    labels: tuple[int, ...]  # distinct labels used, ascending
-    counts: tuple[int, ...]  # votes per label, aligned with ``labels``
-    consistency: Fraction  # plurality count over distinct-label count
-
-    @property
-    def top_labels(self) -> tuple[int, ...]:
-        top = max(self.counts)
-        return tuple(l for l, c in zip(self.labels, self.counts) if c == top)
+def _label_sets(mask: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Per row of a boolean (L, M) mask, the labels it holds, ascending."""
+    labels = iter(np.nonzero(mask)[1].tolist())
+    return tuple(tuple(islice(labels, n)) for n in mask.sum(axis=1).tolist())
 
 
-def label_consistency(instance: CrowdInstance, j: int) -> PositionConsistency:
-    """Vote summary at position j.
-
-    The consistency ratio divides the plurality count by the number of
-    distinct labels used, so with many annotators in agreement it can exceed
-    one (it reaches the annotator count under unanimity).
-    """
-    votes: dict[int, int] = {}
-    for labels in instance.annotations.values():
-        votes[labels[j]] = votes.get(labels[j], 0) + 1
-    if not votes:
-        raise ValueError(f"no annotations at position {j}")
-    labs = tuple(sorted(votes))
-    counts = tuple(votes[l] for l in labs)
-    return PositionConsistency(labs, counts, Fraction(max(counts), len(labs)))
-
-
-def candidate_labels(
-    entry: PositionConsistency, scheme: LabelScheme, hi: float, lo: float
-) -> tuple[int, ...]:
-    """Candidate truth labels from one position's vote summary.
-
-    Consistency at or above ``hi`` keeps the plurality labels (all of them on
-    a tie); strictly between the thresholds keeps every label the crowd used;
-    at or below ``lo`` every scheme label is a candidate.
-    """
-    if not hi > lo >= 0:
-        raise ValueError("thresholds must satisfy hi > lo >= 0")
-    if entry.consistency >= hi:
-        return entry.top_labels
-    if entry.consistency > lo:
-        return entry.labels
-    return tuple(range(scheme.size))
+def _candidate_mask(candidates, n_labels: int) -> np.ndarray:
+    """(L, M) boolean mask of per-position candidate sets."""
+    if not candidates:
+        raise ValueError("empty sequence")
+    mask = np.zeros((len(candidates), n_labels), dtype=bool)
+    mask[np.repeat(np.arange(len(candidates)), [len(c) for c in candidates]), list(chain(*candidates))] = True
+    return mask
 
 
 def candidate_sets(
@@ -81,45 +52,41 @@ def candidate_sets(
 ) -> tuple[tuple[int, ...], ...]:
     """Per-position candidate sets for one instance.
 
-    With ``normalize_by`` set (typically the roster size), consistency is
-    divided by it before the threshold comparison.  An instance nobody
-    labeled admits every label everywhere.
+    A position's consistency is its plurality count over the number of
+    distinct labels used, so with many annotators in agreement it can exceed
+    one (it reaches the annotator count under unanimity); with
+    ``normalize_by`` set (typically the roster size) it is divided by that.
+    Consistency at or above ``hi`` keeps the plurality labels (all of them
+    on a tie); strictly between the thresholds keeps every label the crowd
+    used; at or below ``lo`` every scheme label is a candidate.  The
+    comparisons are exact in rationals.  An instance nobody labeled admits
+    every label everywhere.
     """
-    full = tuple(range(scheme.size))
     if not instance.annotations:
-        return tuple(full for _ in instance.tokens)
-    sets = []
-    for j in range(len(instance.tokens)):
-        entry = label_consistency(instance, j)
-        if normalize_by:
-            entry = PositionConsistency(
-                entry.labels, entry.counts, entry.consistency / normalize_by
-            )
-        sets.append(candidate_labels(entry, scheme, hi, lo))
-    return tuple(sets)
-
-
-def _prefix_counts(cand, scheme: LabelScheme) -> list[dict[int, int]]:
-    """Per position, the number of constraint-respecting prefix paths that
-    end in each label; a label no such prefix reaches is left out, so an
-    empty entry marks the first position where every path is blocked."""
-    allowed = scheme.allowed_transitions
-    init = scheme.initial_allowed
-    counts = [{s: 1 for s in cand[0] if init[s]}]
-    for j in range(1, len(cand)):
-        prev = counts[-1]
-        nxt: dict[int, int] = {}
-        for s in cand[j]:
-            total = sum(c for sp, c in prev.items() if allowed[sp, s])
-            if total:
-                nxt[s] = total
-        counts.append(nxt)
-    return counts
+        return tuple(tuple(range(scheme.size)) for _ in instance.tokens)
+    if not hi > lo >= 0:
+        raise ValueError("thresholds must satisfy hi > lo >= 0")
+    votes = vote_counts(np.array(list(instance.annotations.values()), dtype=np.intp).T, scheme.size)
+    top, used = votes.max(axis=1), (votes > 0).sum(axis=1)
+    # one exact comparison per distinct (plurality, distinct-count) pair
+    width = scheme.size + 1  # used <= M, so a pair is top * width + used
+    pairs, back = np.unique(top * width + used, return_inverse=True)
+    ratios = (Fraction(*divmod(int(p), width)) / (normalize_by or 1) for p in pairs)
+    # per position, 0 keeps the plurality labels, 1 the labels used, 2 every label
+    band = np.array([0 if c >= hi else 1 if c > lo else 2 for c in ratios], dtype=np.intp)[back]
+    keep = np.where((band == 0)[:, None], votes == top[:, None], (votes > 0) | (band == 2)[:, None])
+    return _label_sets(keep)
 
 
 def count_valid(candidates, scheme: LabelScheme) -> int:
-    """Exact number of constraint-respecting paths through the candidate sets."""
-    return sum(_prefix_counts(candidates, scheme)[-1].values())
+    """Exact number of constraint-respecting paths through the candidate
+    sets, counted in Python integers, so no count overflows."""
+    mask = _candidate_mask(candidates, scheme.size)
+    allowed = scheme.allowed_transitions.astype(object)
+    paths = np.where(mask[0] & scheme.initial_allowed, 1, 0).astype(object)
+    for row in mask[1:]:
+        paths = np.where(row, paths @ allowed, 0)
+    return int(paths.sum())
 
 
 @dataclass(frozen=True)
@@ -129,10 +96,15 @@ class ValidLattice:
 
     final_candidates: tuple[tuple[int, ...], ...]  # the requested sets after any widening
     states: tuple[tuple[int, ...], ...]  # per position, labels on some full valid path
-    n_valid: int  # exact count over final_candidates
     widened: tuple[int, ...]  # positions widened to the full label set
     cap: int  # most paths ``sequences`` lists
     scheme: LabelScheme
+
+    @cached_property
+    def n_valid(self) -> int:
+        """Exact number of valid sequences over ``final_candidates``, counted
+        on first access."""
+        return count_valid(self.final_candidates, self.scheme)
 
     @property
     def n_unpruned(self) -> int:
@@ -182,9 +154,9 @@ def enumerate_valid(
     ``ValidLattice.sequences`` lists.
 
     If constraints eliminate every path, the first blocked position is
-    widened to the full label set and the construction is retried (each
-    position at most once); a position blocked after its own widening is an
-    error.
+    widened to the full label set and the forward pass goes on from there
+    (each position at most once); a position blocked even at full width is
+    an error.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -194,23 +166,21 @@ def enumerate_valid(
         raise ValueError("candidate sets do not match the token sequence")
     if any(not c for c in cand):
         raise ValueError("empty candidate set")
-    allowed = scheme.allowed_transitions
-    full = tuple(range(scheme.size))
+    mask = _candidate_mask(cand, scheme.size)
+    allowed, full = scheme.allowed_transitions, tuple(range(scheme.size))
     widened: list[int] = []
-    while True:
-        fwd = _prefix_counts(cand, scheme)
-        blocked = next((j for j, f in enumerate(fwd) if not f), None)
-        if blocked is None:
-            break
-        if blocked in widened:
-            raise ValueError(f"constraints eliminate every candidate at position {blocked}")
-        widened.append(blocked)
-        cand[blocked] = full
-
-    # keep only states lying on at least one complete valid path
-    bwd = [set() for _ in range(L)]
-    bwd[L - 1] = set(fwd[L - 1])
+    live = np.zeros_like(mask)  # forward: labels some valid prefix reaches
+    nxt = scheme.initial_allowed  # labels the prefixes so far may continue with
+    for j in range(L):
+        live[j] = mask[j] & nxt
+        if not live[j].any():
+            if not nxt.any():
+                raise ValueError(f"constraints eliminate every candidate at position {j}")
+            widened.append(j)
+            cand[j] = full
+            live[j] = nxt
+        nxt = live[j] @ allowed
+    # backward: keep only states lying on at least one complete valid path
     for j in range(L - 2, -1, -1):
-        bwd[j] = {s for s in fwd[j] if any(allowed[s, n] for n in bwd[j + 1])}
-    states = tuple(tuple(sorted(bwd[j])) for j in range(L))
-    return ValidLattice(tuple(cand), states, sum(fwd[L - 1].values()), tuple(widened), cap, scheme)
+        live[j] &= allowed @ live[j + 1]
+    return ValidLattice(tuple(cand), _label_sets(live), tuple(widened), cap, scheme)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import logsumexp
@@ -146,6 +148,100 @@ def brute_valid(candidates, scheme: LabelScheme) -> list[tuple[int, ...]]:
         if all(scheme.allowed_transitions[a, b] for a, b in zip(z, z[1:])):
             out.append(z)
     return out
+
+
+@dataclass(frozen=True)
+class PositionConsistency:
+    """Vote summary for one position."""
+
+    labels: tuple[int, ...]  # distinct labels used, ascending
+    counts: tuple[int, ...]  # votes per label, aligned with ``labels``
+    consistency: Fraction  # plurality count over distinct-label count
+
+    @property
+    def top_labels(self) -> tuple[int, ...]:
+        top = max(self.counts)
+        return tuple(l for l, c in zip(self.labels, self.counts) if c == top)
+
+
+def label_consistency(instance, j: int) -> PositionConsistency:
+    """Vote summary at position j, from a vote dict."""
+    votes: dict[int, int] = {}
+    for labels in instance.annotations.values():
+        votes[labels[j]] = votes.get(labels[j], 0) + 1
+    if not votes:
+        raise ValueError(f"no annotations at position {j}")
+    labs = tuple(sorted(votes))
+    counts = tuple(votes[l] for l in labs)
+    return PositionConsistency(labs, counts, Fraction(max(counts), len(labs)))
+
+
+def candidate_labels(entry: PositionConsistency, scheme: LabelScheme, hi, lo) -> tuple[int, ...]:
+    """Candidate truth labels from one position's vote summary: the
+    plurality labels at or above ``hi``, the labels used strictly between
+    the thresholds, every label at or below ``lo``."""
+    if not hi > lo >= 0:
+        raise ValueError("thresholds must satisfy hi > lo >= 0")
+    if entry.consistency >= hi:
+        return entry.top_labels
+    if entry.consistency > lo:
+        return entry.labels
+    return tuple(range(scheme.size))
+
+
+def loop_candidate_sets(instance, scheme: LabelScheme, hi, lo, normalize_by=None):
+    """``lattice.candidate_sets`` one position at a time."""
+    full = tuple(range(scheme.size))
+    if not instance.annotations:
+        return tuple(full for _ in instance.tokens)
+    sets = []
+    for j in range(len(instance.tokens)):
+        entry = label_consistency(instance, j)
+        if normalize_by:
+            entry = PositionConsistency(entry.labels, entry.counts, entry.consistency / normalize_by)
+        sets.append(candidate_labels(entry, scheme, hi, lo))
+    return tuple(sets)
+
+
+def loop_prefix_counts(cand, scheme: LabelScheme) -> list[dict[int, int]]:
+    """Per position, the number of constraint-respecting prefix paths that
+    end in each label; a label no such prefix reaches is left out, so an
+    empty entry marks the first position where every path is blocked."""
+    allowed = scheme.allowed_transitions
+    init = scheme.initial_allowed
+    counts = [{s: 1 for s in cand[0] if init[s]}]
+    for j in range(1, len(cand)):
+        prev = counts[-1]
+        nxt: dict[int, int] = {}
+        for s in cand[j]:
+            total = sum(c for sp, c in prev.items() if allowed[sp, s])
+            if total:
+                nxt[s] = total
+        counts.append(nxt)
+    return counts
+
+
+def loop_lattice(candidates, scheme: LabelScheme):
+    """(final_candidates, states, n_valid, widened) of
+    ``lattice.enumerate_valid`` from a dict forward pass rerun after each
+    widening and a set backward pass."""
+    cand = [tuple(c) for c in candidates]
+    full = tuple(range(scheme.size))
+    widened: list[int] = []
+    while True:
+        fwd = loop_prefix_counts(cand, scheme)
+        blocked = next((j for j, f in enumerate(fwd) if not f), None)
+        if blocked is None:
+            break
+        if blocked in widened:
+            raise ValueError(f"constraints eliminate every candidate at position {blocked}")
+        widened.append(blocked)
+        cand[blocked] = full
+    bwd = [set(fwd[-1])]
+    for j in range(len(cand) - 2, -1, -1):
+        bwd.insert(0, {s for s in fwd[j] if any(scheme.allowed_transitions[s, n] for n in bwd[0])})
+    states = tuple(tuple(sorted(b)) for b in bwd)
+    return tuple(cand), states, sum(fwd[-1].values()), tuple(widened)
 
 
 def random_potentials(rng, L: int, M: int, per_step: bool = False) -> SequencePotentials:
@@ -297,7 +393,9 @@ def loop_ds_fit(ds, iters: int = 100, tol: float = 1e-8, smoothing: float = 1.0)
             mask = a[:, ki] >= 0
             counts = np.zeros((m, m))
             np.add.at(counts.T, a[mask, ki], post[mask])
-            confusion[ki] = (counts + smoothing) / (post[mask].sum(axis=0)[:, None] + smoothing * m)
+            total = post[mask].sum(axis=0)[:, None] + smoothing * m
+            safe = np.where(total > 0, total, 1.0)
+            confusion[ki] = np.where(total > 0, (counts + smoothing) / safe, 1.0 / m)  # no mass: uniform
         with np.errstate(divide="ignore"):
             logpost = np.tile(np.log(prior), (len(a), 1))
             for ki in range(k):

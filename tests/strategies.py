@@ -7,12 +7,12 @@ from crowdseq import CrowdDataset, CrowdInstance, LabelScheme
 
 
 @st.composite
-def crowd_datasets(draw):
-    """Small crowds over a BIO or a RAW scheme: one to three annotators who
-    may skip instances (an instance nobody labeled included), sentences of
-    one to 40 tokens."""
+def crowd_datasets(draw, max_annotators: int = 3):
+    """Small crowds over a BIO or a RAW scheme: one to ``max_annotators``
+    annotators who may skip instances (an instance nobody labeled included),
+    sentences of one to 40 tokens."""
     scheme = draw(st.sampled_from([LabelScheme.bio(("LOC",)), SCHEME, LabelScheme(("a", "b", "c"), "RAW")]))
-    roster = tuple(f"r{k}" for k in range(draw(st.integers(1, 3))))
+    roster = tuple(f"r{k}" for k in range(draw(st.integers(1, max_annotators))))
     words = ["ann", "rome", "saw", "acme", "the"]
     instances = []
     for _ in range(draw(st.integers(1, 4))):

@@ -16,7 +16,7 @@ from crowdseq import (
     sample_init_params,
     save_annotators,
 )
-from crowdseq.annotators import annotation_entries, annotation_table, context_factor
+from crowdseq.annotators import annotation_entries, annotation_table, context_factor, vote_counts
 from oracles import annotation_loglik, factor_matrix, loop_annotation_entries
 from strategies import crowd_datasets
 
@@ -115,6 +115,13 @@ class TestAnnotationTable:
             CrowdInstance(("c",), {"u": (0,), "v": (2,)}),
         ), ("u", "v"))
         np.testing.assert_array_equal(annotation_table(ds), [[-1, 1], [-1, 2], [0, 2]])
+
+    def test_votes_count_each_rows_labels_and_skip_nothing_else(self):
+        table = np.array([[-1, 1, 1], [0, 2, -1], [-1, -1, -1], [2, 0, 2]])
+        np.testing.assert_array_equal(vote_counts(table, 3), [[0, 2, 0], [1, 0, 1], [0, 0, 0], [1, 0, 2]])
+        assert vote_counts(table[:0], 3).shape == (0, 3)
+        with pytest.raises(ValueError, match="label 3 out of range for 3 labels"):
+            vote_counts(np.array([[0, 3]]), 3)
 
     def test_entries_of_a_hand_built_corpus(self):
         # "rome" repeats within the first sentence, ends it and starts the

@@ -209,6 +209,26 @@ class TestDawidSkene:
             assert model.loglik_history == history
             assert np.array_equal(np.concatenate(post), loop_post)
 
+    def test_unsmoothed_truth_rows_with_no_mass_fall_back_to_uniform(self):
+        # label 2 gets no vote, so no posterior mass: its confusion rows are uniform
+        ds = CrowdDataset(RAW, (CrowdInstance(("x", "y"), {"a": (0, 1), "b": (0, 0)}),), ("a", "b"))
+        model, post = ds_fit(ds, smoothing=0.0)
+        assert np.isfinite(model.confusion).all() and np.isfinite(model.loglik_history).all()
+        np.testing.assert_allclose(model.confusion.sum(axis=2), 1.0, atol=1e-12)
+        assert (model.confusion >= 0).all()
+        np.testing.assert_array_equal(model.confusion[:, 2], 1.0 / 3)
+        assert np.isfinite(post[0]).all()
+        np.testing.assert_allclose(post[0].sum(axis=1), 1.0, atol=1e-12)
+        for smoothing in (0.0, 0.5, 1.0):
+            model, post = ds_fit(ds, smoothing=smoothing)
+            confusion, prior, history, loop_post = loop_ds_fit(ds, smoothing=smoothing)
+            assert np.array_equal(model.confusion, confusion) and np.array_equal(model.prior, prior)
+            assert model.loglik_history == history and np.array_equal(post[0], loop_post)
+        # no instances: no mass anywhere
+        model, post = ds_fit(CrowdDataset(RAW, (), ds.roster), smoothing=0.0)
+        assert post == [] and np.array_equal(model.prior, np.full(3, 1 / 3))
+        np.testing.assert_array_equal(model.confusion, 1 / 3)
+
     def test_the_unlabeled_instance_is_named(self):
         insts = (
             CrowdInstance(("x", "y"), {"a": (0, 1)}),

@@ -521,6 +521,29 @@ class TestInspectLattice:
         ]
 
 
+    def test_an_infinite_hi_keeps_the_labels_used(self, pipeline, capsys):
+        assert main([
+            "inspect-lattice", str(pipeline["crowd"]), "--instance", "0", "--consistency-hi", "inf",
+        ]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "position\ttoken\tcandidates\treachable",
+            "0\tdavid\tO,B-PER\tO,B-PER",
+            "1\tjones\tO,I-PER\tO,I-PER",
+            "2\ttoured\tO\tO",
+            "3\toslo\tB-LOC\tB-LOC",
+            "4\t,\tO\tO",
+            "5\tdavid\tB-LOC,B-PER\tB-LOC,B-PER",
+            "6\tjones\tI-LOC,I-PER\tI-LOC,I-PER",
+            "7\ttoured\tO,B-PER\tO,B-PER",
+            "8\tinitech\tO,B-ORG\tO,B-ORG",
+            "unpruned\t64",
+            "valid\t24",
+            "enumerated\t24",
+            "capped\tfalse",
+            "widened\t-",
+        ]
+
+
 class TestReportAnnotators:
     def test_full_dump_covers_every_cell(self, pipeline, capsys):
         assert main(["report-annotators", str(pipeline["annotators"])]) == 0

@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 
 from crowdseq import (
     CrowdInstance,
+    EmConfig,
     LabelScheme,
     ValidLattice,
-    candidate_labels,
     candidate_sets,
     count_valid,
     enumerate_valid,
-    label_consistency,
 )
-from oracles import brute_valid
+from oracles import brute_valid, loop_candidate_sets, loop_lattice
+from strategies import crowd_datasets
 
 SCHEME = LabelScheme.bio(("LOC", "ORG", "PER"))
 L = {name: i for i, name in enumerate(SCHEME.labels)}
+FULL = tuple(range(SCHEME.size))
 
 
 def inst(tokens, columns):
@@ -34,72 +35,79 @@ def inst(tokens, columns):
     return CrowdInstance(tuple(tokens), annotations)
 
 
+def one(column, hi, lo, normalize_by=None):
+    """The candidate set of a one-position instance labeled ``column``."""
+    return candidate_sets(inst(("x",), [column]), SCHEME, hi, lo, normalize_by)[0]
+
+
+def ids(*names):
+    """The named labels' indices, ascending, as a candidate set lists them."""
+    return tuple(sorted(L[n] for n in names))
+
+
 class TestConsistency:
-    def test_two_against_one(self):
-        c = label_consistency(inst(("x",), [["O", "O", "B-PER"]]), 0)
-        assert c.labels == (L["O"], L["B-PER"])
-        assert c.counts == (2, 1)
-        assert c.consistency == Fraction(2, 2) == 1
+    """A position's consistency, its plurality count over its number of
+    distinct labels, seen through the thresholds: ``hi`` is inclusive and
+    ``lo`` exclusive, so at hi = c the plurality labels are kept, just above
+    c the labels used, and at lo = c every label."""
 
-    def test_unanimous_three(self):
-        c = label_consistency(inst(("x",), [["B-LOC"] * 3]), 0)
-        assert c.labels == (L["B-LOC"],)
-        assert c.counts == (3,)
-        assert c.consistency == Fraction(3, 1) == 3
+    EPS = Fraction(1, 10**6)
 
-    def test_three_way_split(self):
-        c = label_consistency(inst(("x",), [["O", "B-LOC", "B-ORG"]]), 0)
-        assert c.consistency == Fraction(1, 3)
-        assert c.top_labels == (L["O"], L["B-LOC"], L["B-ORG"])
+    @pytest.mark.parametrize(
+        "column, c, top, used",
+        [
+            (["O", "O", "B-PER"], Fraction(2, 2), ids("O"), ids("O", "B-PER")),
+            (["B-LOC"] * 3, Fraction(3, 1), ids("B-LOC"), ids("B-LOC")),
+            (["O", "B-LOC", "B-ORG"], Fraction(1, 3), ids("O", "B-LOC", "B-ORG"), ids("O", "B-LOC", "B-ORG")),
+            # a tie keeps every plurality label
+            (["O", "O", "B-PER", "B-PER", "B-LOC"], Fraction(2, 3), ids("O", "B-PER"), ids("O", "B-PER", "B-LOC")),
+        ],
+    )
+    def test_consistency_is_the_plurality_over_the_labels_used(self, column, c, top, used):
+        assert one(column, hi=c, lo=0) == top
+        assert one(column, hi=c + self.EPS, lo=c - self.EPS) == used
+        assert one(column, hi=c + self.EPS, lo=c) == FULL
 
-    def test_top_labels_breaks_nothing_on_plurality(self):
-        c = label_consistency(inst(("x",), [["O", "O", "B-PER", "B-PER", "B-LOC"]]), 0)
-        assert c.consistency == Fraction(2, 3)
-        assert c.top_labels == (L["O"], L["B-PER"])
-
-    def test_no_annotations_is_an_error(self):
-        bare = CrowdInstance(("x",), {})
-        with pytest.raises(ValueError, match="no annotations at position 0"):
-            label_consistency(bare, 0)
-
-    def test_profile_covers_every_position(self):
-        it = inst(("a", "b"), [["O", "O"], ["B-PER", "O"]])
-        prof = [label_consistency(it, j) for j in range(len(it.tokens))]
-        assert len(prof) == 2
-        assert prof[0].consistency == 2
-        assert prof[1].consistency == Fraction(1, 2)
+    def test_every_position_gets_its_own_set(self):
+        it = inst(("a", "b"), [["O", "O"], ["B-PER", "O"]])  # consistency 2, then 1/2
+        assert candidate_sets(it, SCHEME, hi=2, lo=Fraction(1, 4)) == (ids("O"), ids("O", "B-PER"))
+        assert candidate_sets(it, SCHEME, hi=2, lo=Fraction(1, 2)) == (ids("O"), FULL)
+        assert candidate_sets(it, SCHEME, hi=Fraction(1, 2), lo=0) == (ids("O"), ids("O", "B-PER"))
 
 
-class TestCandidateLabels:
-    def entry(self, column):
-        return label_consistency(inst(("x",), [column]), 0)
-
+class TestCandidateSets:
     def test_high_consistency_keeps_plurality(self):
-        e = self.entry(["O", "O", "O", "B-PER", "B-LOC"])  # 3/3 = 1
-        assert candidate_labels(e, SCHEME, hi=1.0, lo=0.1) == (L["O"],)
+        assert one(["O", "O", "O", "B-PER", "B-LOC"], hi=1.0, lo=0.1) == ids("O")  # 3/3 = 1
 
     def test_middle_band_keeps_used_labels(self):
-        e = self.entry(["O", "O", "B-PER", "B-LOC"])  # 2/3
-        got = candidate_labels(e, SCHEME, hi=1.0, lo=0.1)
-        assert got == tuple(sorted((L["O"], L["B-PER"], L["B-LOC"])))
+        assert one(["O", "O", "B-PER", "B-LOC"], hi=1.0, lo=0.1) == ids("O", "B-LOC", "B-PER")  # 2/3
 
     def test_low_consistency_admits_everything(self):
-        e = self.entry(["O", "B-PER", "B-LOC"])  # 1/3
-        got = candidate_labels(e, SCHEME, hi=1.0, lo=0.5)
-        assert got == tuple(range(SCHEME.size))
+        assert one(["O", "B-PER", "B-LOC"], hi=1.0, lo=0.5) == FULL  # 1/3
 
     def test_boundaries_are_inclusive_hi_exclusive_lo(self):
-        e = self.entry(["O", "O", "B-PER", "B-LOC"])  # 2/3
-        assert candidate_labels(e, SCHEME, hi=Fraction(2, 3), lo=0.1) == (L["O"],)
-        got = candidate_labels(e, SCHEME, hi=1.0, lo=Fraction(2, 3))
-        assert got == tuple(range(SCHEME.size))
+        column = ["O", "O", "B-PER", "B-LOC"]  # 2/3
+        assert one(column, hi=Fraction(2, 3), lo=0.1) == ids("O")
+        assert one(column, hi=1.0, lo=Fraction(2, 3)) == FULL
+        # the float nearest 2/3 lies below it
+        assert one(column, hi=2 / 3, lo=0.1) == ids("O")
+        assert one(column, hi=1.0, lo=2 / 3) == ids("O", "B-LOC", "B-PER")
+
+    def test_an_infinite_hi_keeps_the_labels_used(self):
+        assert one(["B-LOC"] * 5, hi=float("inf"), lo=0.5) == ids("B-LOC")
+        assert one(["O", "O", "B-PER"], hi=float("inf"), lo=0.5) == ids("O", "B-PER")
+        assert one(["O", "B-PER"], hi=float("inf"), lo=0.5) == FULL
 
     def test_threshold_validation(self):
-        e = self.entry(["O"])
         with pytest.raises(ValueError, match="hi > lo >= 0"):
-            candidate_labels(e, SCHEME, hi=0.5, lo=0.5)
+            one(["O"], hi=0.5, lo=0.5)
         with pytest.raises(ValueError, match="hi > lo >= 0"):
-            candidate_labels(e, SCHEME, hi=0.5, lo=-0.1)
+            one(["O"], hi=0.5, lo=-0.1)
+        with pytest.raises(ValueError, match="hi > lo >= 0"):
+            one(["O"], hi=float("nan"), lo=0.1)
+        # nobody labeled the instance: every label, and no threshold is read
+        bare = CrowdInstance(("a",), {})
+        assert candidate_sets(bare, SCHEME, hi=0.5, lo=0.5) == (FULL,)
 
     @given(
         counts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
@@ -113,32 +121,75 @@ class TestCandidateLabels:
         column = []
         for lab, c in zip(SCHEME.labels, counts):
             column.extend([lab] * c)
-        e = self.entry(column)
         lo_hi = sorted((hi1, hi2))
         lo_lo = sorted((lo1, lo2))
         if lo_hi[0] > lo_lo[1]:
-            small = set(candidate_labels(e, SCHEME, lo_hi[0], lo_lo[1]))
-            grown_hi = set(candidate_labels(e, SCHEME, lo_hi[1], lo_lo[1]))
+            small = set(one(column, lo_hi[0], lo_lo[1]))
+            grown_hi = set(one(column, lo_hi[1], lo_lo[1]))
             assert small <= grown_hi
         if lo_hi[0] > lo_lo[0]:
-            base = set(candidate_labels(e, SCHEME, lo_hi[0], lo_lo[0]))
+            base = set(one(column, lo_hi[0], lo_lo[0]))
             if lo_hi[0] > lo_lo[1]:
-                grown_lo = set(candidate_labels(e, SCHEME, lo_hi[0], lo_lo[1]))
+                grown_lo = set(one(column, lo_hi[0], lo_lo[1]))
                 assert base <= grown_lo
 
-
-class TestCandidateSets:
-    def test_normalization_divides_by_roster_size(self):
-        it = inst(("x",), [["O", "O", "O", "O"]])  # consistency 4
-        assert candidate_sets(it, SCHEME, hi=0.5, lo=0.1, normalize_by=4) == ((L["O"],),)
-        # 4/8 = 0.5 >= hi still picks the plurality; 4/16 = 0.25 falls through
-        assert candidate_sets(it, SCHEME, hi=0.5, lo=0.1, normalize_by=8) == ((L["O"],),)
-        assert candidate_sets(it, SCHEME, hi=0.5, lo=0.1, normalize_by=16) == ((L["O"],),)
+    @pytest.mark.parametrize(
+        "normalize_by, want",
+        [(None, ids("O")), (3, ids("O")), (4, ids("O", "B-PER")), (15, FULL)],
+    )
+    def test_normalization_divides_by_roster_size(self, normalize_by, want):
+        # consistency 3/2; over 3 it is 1/2 >= hi, over 4 it is 3/8, over 15 it is 1/10 <= lo
+        assert one(["O", "O", "O", "B-PER"], hi=0.5, lo=Fraction(1, 10), normalize_by=normalize_by) == want
 
     def test_unlabeled_instance_admits_every_label(self):
         bare = CrowdInstance(("a", "b"), {})
-        full = tuple(range(SCHEME.size))
-        assert candidate_sets(bare, SCHEME, hi=2.5, lo=0.5) == (full, full)
+        assert candidate_sets(bare, SCHEME, hi=2.5, lo=0.5) == (FULL, FULL)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+_THRESHOLDS = st.one_of(
+    st.none(),
+    st.floats(0, 6),
+    st.fractions(0, 6),
+    st.just(float("inf")),
+    # ratios that votes produce, so a position's consistency lands on a threshold
+    st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2)]),
+)
+
+
+class TestAgainstTheLoopOracle:
+    @given(
+        ds=crowd_datasets(max_annotators=6),
+        hi=_THRESHOLDS,
+        lo=_THRESHOLDS,
+        normalize=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_candidate_sets_and_lattices_equal_the_per_position_loop(self, ds, hi, lo, normalize):
+        k = len(ds.roster)
+        default_hi, default_lo = EmConfig(normalize_consistency=normalize).thresholds(k)
+        scale = k if normalize else 1  # a drawn ratio lands on a normalized consistency
+        hi = default_hi if hi is None else hi / scale if isinstance(hi, Fraction) else hi
+        lo = default_lo if lo is None else lo / scale if isinstance(lo, Fraction) else lo
+        norm = k if normalize else None
+        for it in ds.instances:
+            want = _outcome(loop_candidate_sets, it, ds.scheme, hi, lo, norm)
+            got = _outcome(candidate_sets, it, ds.scheme, hi, lo, norm)
+            assert got == want
+            if isinstance(want, str):
+                continue
+            lat = _outcome(enumerate_valid, it, want, ds.scheme)
+            ref = _outcome(loop_lattice, want, ds.scheme)
+            if isinstance(ref, str):
+                assert lat == ref
+            else:
+                assert (lat.final_candidates, lat.states, lat.n_valid, lat.widened) == ref
 
 
 class TestCountValid:
@@ -244,6 +295,7 @@ class TestEnumerateValid:
         n = 40
         full = tuple(range(SCHEME.size))
         lat = enumerate_valid(self.make_instance(n), (full,) * n, SCHEME)
+        assert "n_valid" not in vars(lat)  # counted when read
         # transfer matrix in exact integers: paths = init^T A^(n-1) 1
         a = SCHEME.allowed_transitions.astype(object)
         paths = SCHEME.initial_allowed.astype(object) @ np.linalg.matrix_power(a, n - 1)
@@ -261,6 +313,12 @@ class TestEnumerateValid:
             enumerate_valid(it, ((0,),), SCHEME)
         with pytest.raises(ValueError, match="empty candidate set"):
             enumerate_valid(it, ((0,), ()), SCHEME)
+
+    def test_an_empty_sequence_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^empty sequence$"):
+            enumerate_valid(CrowdInstance((), {"a0": ()}), (), SCHEME)
+        with pytest.raises(ValueError, match="^empty sequence$"):
+            count_valid((), SCHEME)
 
 
 class TestWorkedExample:
@@ -306,15 +364,16 @@ class TestWorkedExample:
             assert seq not in lat.sequences
 
 
-def test_valid_lattice_unpruned_product():
+def test_valid_lattice_unpruned_product_and_lazy_count():
     lat = ValidLattice(
-        final_candidates=((0, 1, 2), (0, 1)),
-        states=((0,), (0,)),
-        n_valid=1,
+        final_candidates=((L["O"], L["I-LOC"], L["I-PER"]), (L["O"], L["B-LOC"])),
+        states=((L["O"],), (L["O"], L["B-LOC"])),
         widened=(0,),
-        cap=1,
+        cap=2,
         scheme=SCHEME,
     )
     assert lat.n_unpruned == 6
+    assert "n_valid" not in vars(lat)
+    assert lat.n_valid == 2
     assert not lat.capped
-    assert lat.sequences == ((0, 0),)
+    assert lat.sequences == ((L["O"], L["O"]), (L["O"], L["B-LOC"]))
