@@ -7,171 +7,79 @@ pruned by the label scheme's transition constraints; an alternating
 estimation loop then weighs every path of that lattice, by one
 forward-backward pass, by how well the current tagger and the annotator
 tables explain it.
+
+The public names resolve on first use (PEP 562): ``import crowdseq``
+imports none of its modules, and reading ``crowdseq.fit`` imports ``em``
+and what ``em`` needs.  ``crowdseq.simulate`` is the function, whichever
+is imported first, it or the module of the same name.
 """
 
-from .annotators import (
-    AnnotatorParams,
-    bos_context,
-    load_annotators,
-    params_from_counts,
-    resolve_mentions,
-    sample_init_params,
-    save_annotators,
-)
-from .baselines import DsModel, aggregate_labels, ds_decode, ds_fit, mv_token, wrapper_train
-from .crf import (
-    DEFAULT_TEMPLATES,
-    CrfModel,
-    FeatureTemplate,
-    SequencePotentials,
-    TrainOptions,
-    TrainResult,
-    build_model,
-    decode,
-    expected_counts,
-    extract_features,
-    load_model,
-    log_partition,
-    marginals,
-    optimize,
-    save_model,
-    viterbi,
-    weighted_nll_and_gradient,
-)
-from .em import (
-    EmConfig,
-    EmState,
-    FitResult,
-    Posterior,
-    confusion_counts,
-    e_step,
-    fit,
-    initialize,
-    m_step,
-    observed_loglik,
-    posterior_modes,
-)
-from .formats import (
-    DataError,
-    load_config,
-    load_conll,
-    load_crowd,
-    load_tokens,
-    parse_config,
-    read_tag_file,
-    save_config,
-    save_conll,
-    save_crowd,
-    serialize_config,
-)
-from .lattice import (
-    ValidLattice,
-    candidate_sets,
-    count_valid,
-    enumerate_valid,
-)
-from .scoring import (
-    EntitySpan,
-    PrfReport,
-    entity_prf,
-    entity_prf_by_type,
-    extract_entities,
-    token_accuracy,
-)
-from .simulate import (
-    CorruptionMix,
-    GoldStats,
-    SimConfig,
-    annotator_precision,
-    calibrate_q,
-    corpus_stats,
-    effective_mix,
-    expected_precision,
-    simulate,
-)
-from .types import (
-    CrowdDataset,
-    CrowdInstance,
-    LabelScheme,
-    validate_dataset,
-)
+from importlib import import_module as _import_module
+from sys import modules as _modules
+from types import ModuleType as _ModuleType
+
+# each module's public names, all re-exported here
+_EXPORTS = {
+    "annotators": (
+        "AnnotatorParams", "bos_context", "load_annotators", "params_from_counts",
+        "resolve_mentions", "sample_init_params", "save_annotators",
+    ),
+    "baselines": ("DsModel", "aggregate_labels", "ds_decode", "ds_fit", "mv_token", "wrapper_train"),
+    "crf": (
+        "DEFAULT_TEMPLATES", "CrfModel", "FeatureTemplate", "SequencePotentials", "TrainOptions",
+        "TrainResult", "build_model", "decode", "expected_counts", "extract_features", "load_model",
+        "log_partition", "marginals", "optimize", "save_model", "viterbi",
+        "weighted_nll_and_gradient",
+    ),
+    "em": (
+        "EmConfig", "EmState", "FitResult", "Posterior", "confusion_counts", "e_step", "fit",
+        "initialize", "m_step", "observed_loglik", "posterior_modes",
+    ),
+    "formats": (
+        "DataError", "load_config", "load_conll", "load_crowd", "load_tokens", "parse_config",
+        "read_tag_file", "save_config", "save_conll", "save_crowd", "serialize_config",
+    ),
+    "lattice": ("ValidLattice", "candidate_sets", "count_valid", "enumerate_valid"),
+    "scoring": (
+        "EntitySpan", "PrfReport", "entity_prf", "entity_prf_by_type", "extract_entities",
+        "token_accuracy",
+    ),
+    "simulate": (
+        "CorruptionMix", "GoldStats", "SimConfig", "annotator_precision", "calibrate_q",
+        "corpus_stats", "effective_mix", "expected_precision", "simulate",
+    ),
+    "types": ("CrowdDataset", "CrowdInstance", "LabelScheme", "validate_dataset"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnotatorParams",
-    "CorruptionMix",
-    "CrfModel",
-    "CrowdDataset",
-    "CrowdInstance",
-    "DEFAULT_TEMPLATES",
-    "DataError",
-    "DsModel",
-    "EmConfig",
-    "EmState",
-    "EntitySpan",
-    "FeatureTemplate",
-    "FitResult",
-    "GoldStats",
-    "LabelScheme",
-    "Posterior",
-    "PrfReport",
-    "SequencePotentials",
-    "SimConfig",
-    "TrainOptions",
-    "TrainResult",
-    "ValidLattice",
-    "aggregate_labels",
-    "annotator_precision",
-    "bos_context",
-    "build_model",
-    "calibrate_q",
-    "candidate_sets",
-    "confusion_counts",
-    "corpus_stats",
-    "count_valid",
-    "decode",
-    "ds_decode",
-    "ds_fit",
-    "e_step",
-    "effective_mix",
-    "entity_prf",
-    "entity_prf_by_type",
-    "enumerate_valid",
-    "expected_counts",
-    "expected_precision",
-    "extract_entities",
-    "extract_features",
-    "fit",
-    "initialize",
-    "load_annotators",
-    "load_config",
-    "load_conll",
-    "load_crowd",
-    "load_model",
-    "load_tokens",
-    "log_partition",
-    "m_step",
-    "marginals",
-    "mv_token",
-    "observed_loglik",
-    "optimize",
-    "params_from_counts",
-    "parse_config",
-    "posterior_modes",
-    "read_tag_file",
-    "resolve_mentions",
-    "sample_init_params",
-    "save_annotators",
-    "save_config",
-    "save_conll",
-    "save_crowd",
-    "save_model",
-    "serialize_config",
-    "simulate",
-    "token_accuracy",
-    "validate_dataset",
-    "viterbi",
-    "weighted_nll_and_gradient",
-    "wrapper_train",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    elif name in _EXPORTS or name == "cli":
+        value = _import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(_ModuleType):
+    """The package's own type: the import system binds a submodule on its
+    package once loaded, and here that keeps ``simulate`` the function."""
+
+    def __setattr__(self, name, value):
+        if name == "simulate" and isinstance(value, _ModuleType):
+            value = value.simulate
+        super().__setattr__(name, value)
+
+
+_modules[__name__].__class__ = _Package

@@ -62,7 +62,17 @@ def ds_fit(
     ``smoothing`` > 0, the log-density of the implied Dirichlet prior on the
     tables.  That sum is non-decreasing; the raw likelihood alone need not
     be.  The loop stops early once the change drops below ``tol``.
+
+    ``iters`` must be at least 1, ``tol`` nonnegative and ``smoothing``
+    finite and nonnegative; the errors name the first two as ``aggregate``'s
+    options and config keys do, ``ds_iters`` and ``ds_tol``.
     """
+    if iters < 1:
+        raise ValueError("ds_iters must be at least 1")
+    if not tol >= 0:  # NaN fails too
+        raise ValueError("ds_tol must be nonnegative")
+    if not 0 <= smoothing < np.inf:
+        raise ValueError("smoothing must be finite and nonnegative")
     if not ds.roster:
         raise ValueError("dataset has no annotator roster")
     m = ds.scheme.size
@@ -81,7 +91,7 @@ def ds_fit(
     post = votes / votes.sum(axis=1, keepdims=True)
 
     history: list[float] = []
-    for _ in range(max(1, iters)):
+    for _ in range(iters):
         # maximization from current posteriors, each sum taken in row order
         # a distribution with no mass and no smoothing falls back to uniform, as
         # in ``params_from_counts``

@@ -9,6 +9,11 @@ threads itself, but the BLAS library under numpy and scipy may: unless
 ``OPENBLAS_NUM_THREADS=1`` is set, OpenBLAS runs the BLAS calls under
 training's L-BFGS-B routine on a thread pool.  On small inputs setting the
 variable is faster and writes the same bytes.
+
+Each command imports the modules it runs when it runs, so start-up loads
+only ``formats`` and ``types`` besides argparse: ``decode`` never imports
+``em``, ``lattice``, ``annotators`` or ``baselines``, and neither ``train``
+nor ``aggregate --method saslc`` imports ``baselines``.
 """
 
 from __future__ import annotations
@@ -17,9 +22,7 @@ import argparse
 import dataclasses
 import sys
 
-from . import annotators as ann_mod
-from . import baselines, crf, em, formats, scoring
-from .simulate import CorruptionMix, SimConfig, annotator_precision, simulate
+from . import formats
 from .types import CrowdDataset, CrowdInstance, LabelScheme
 
 
@@ -71,11 +74,13 @@ def _pick(args, attr, cfg, key, default):
     return default
 
 
-def _em_config(args, cfg: dict, seed: int) -> em.EmConfig:
+def _em_config(args, cfg: dict, seed: int):
     """Every field but the seed from its flag, else its config key (both
     named after the field), else its default."""
-    fields = (f for f in dataclasses.fields(em.EmConfig) if f.name != "seed")
-    return em.EmConfig(**{f.name: _pick(args, f.name, cfg, f.name, f.default) for f in fields}, seed=seed)
+    from .em import EmConfig
+
+    fields = (f for f in dataclasses.fields(EmConfig) if f.name != "seed")
+    return EmConfig(**{f.name: _pick(args, f.name, cfg, f.name, f.default) for f in fields}, seed=seed)
 
 
 def _require_seed(args, why: str) -> int:
@@ -85,6 +90,8 @@ def _require_seed(args, why: str) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import CorruptionMix, SimConfig, annotator_precision, simulate
+
     cfg = _load_file_config(args)
     seed = _require_seed(args, "to simulate annotators")
     gold = formats.load_conll(args.gold)
@@ -121,10 +128,14 @@ def _cmd_aggregate(args) -> int:
     cfg = _load_file_config(args)
     ds = formats.load_crowd(args.crowd)
     if args.method == "saslc":
+        from . import em
+
         seed = _require_seed(args, "for --method saslc")
         result = em.fit(ds, _em_config(args, cfg, seed), log=sys.stderr)
         labelings = em.posterior_modes(result.posteriors)
     else:
+        from . import baselines
+
         labelings = baselines.aggregate_labels(
             ds,
             args.method,
@@ -136,12 +147,14 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from . import annotators, crf, em
+
     cfg = _load_file_config(args)
     seed = _require_seed(args, "to initialize training")
     ds = formats.load_crowd(args.crowd)
     result = em.fit(ds, _em_config(args, cfg, seed), log=sys.stderr)
     crf.save_model(result.crf, args.model_out)
-    ann_mod.save_annotators(result.annotators, ds.scheme, args.annotators_out)
+    annotators.save_annotators(result.annotators, ds.scheme, args.annotators_out)
     if args.history_file:
         with open(args.history_file, "w", encoding="utf-8") as fh:
             for value in result.history:
@@ -150,6 +163,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from . import crf
+
     model = crf.load_model(args.model)
     token_seqs = formats.load_tokens(args.input)
     decoded = tuple(
@@ -161,6 +176,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import scoring
+
     pred_raw = formats.read_tag_file(args.pred)
     gold_raw = formats.read_tag_file(args.gold)
     if len(pred_raw) != len(gold_raw):
@@ -198,6 +215,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_inspect_lattice(args) -> int:
+    from . import em
+
     ds = formats.load_crowd(args.crowd)
     if not 0 <= args.instance < len(ds.instances):
         raise ValueError(
@@ -208,7 +227,7 @@ def _cmd_inspect_lattice(args) -> int:
         consistency_hi=args.consistency_hi,
         consistency_lo=args.consistency_lo,
         normalize_consistency=bool(args.normalize_consistency),
-        lattice_cap=args.cap,
+        lattice_cap=em.EmConfig.lattice_cap if args.cap is None else args.cap,
     )
     lat = em.build_lattice(inst, ds.scheme, len(ds.roster), base)
     print("position\ttoken\tcandidates\treachable")
@@ -226,9 +245,11 @@ def _cmd_inspect_lattice(args) -> int:
 
 
 def _cmd_report_annotators(args) -> int:
-    params, scheme = ann_mod.load_annotators(args.params)
+    from . import annotators
+
+    params, scheme = annotators.load_annotators(args.params)
     table = params.local if args.table == "local" else params.mention
-    contexts = list(scheme.labels) + [ann_mod.BOS_LABEL]
+    contexts = list(scheme.labels) + [annotators.BOS_LABEL]
     if args.context is not None and args.context not in contexts:
         raise ValueError(f"unknown context label: {args.context!r}")
     if args.truth is not None and args.truth not in scheme.labels:
@@ -314,7 +335,7 @@ def build_parser() -> _Parser:
     p.add_argument("--consistency-lo", type=float, default=None)
     p.add_argument("--normalize-consistency", action="store_true", default=None)
     p.add_argument(
-        "--cap", type=int, default=em.EmConfig.lattice_cap, help="the 'enumerated' line reports min(valid, cap)"
+        "--cap", type=int, default=None, help="the 'enumerated' line reports min(valid, cap); default EmConfig.lattice_cap"
     )
     _add_common(p)
     p.set_defaults(func=_cmd_inspect_lattice)

@@ -34,21 +34,27 @@ weight rows of those ids, the unary gradient scatters the weighted
 marginals ``w * q`` back onto them with one ``np.bincount``, and the
 weighted sum of the pair marginals, the (M, M) bigram gradient, is one
 (M x R) @ (R x M) product over the R positions that follow another.
-``_pack`` lays out and checks a batch:
-``decode`` runs one Viterbi pass, ``log_partition`` one forward pass and
-``expected_counts`` (EM's posteriors) one forward-backward pass over a list
-of sentences; on one sentence they and ``marginals`` run on a batch of one.
+``_pack`` lays out and checks a batch, copying its unary rows into packed
+order once: ``decode`` runs one Viterbi pass, ``log_partition`` one forward
+pass and ``expected_counts`` (EM's posteriors) one forward-backward pass
+over a list of sentences; on one sentence they and ``marginals`` run on a
+batch of one.  ``_viterbi`` accumulates its prefix scores in that packed
+copy, and its back-pointers take the smallest unsigned type that holds M.
 
 Features are built per batch (``_by_position``): each template's
 observations come from one list comprehension over the token types, and the
 previous/next-token templates shift that per-type column by one position,
-with the BOS/EOS observation at sentence edges.  ``build_model`` interns the
-resulting strings in first-appearance order, position by position.
-``_observation_ids`` maps them to a (P, T) array of observation ids, one
-column per template and -1 where nothing interned fires, from which
-``_unary_table`` gathers the weight rows, a zero row for -1, and sums them
-in template order, for decode and the objective alike.
-``extract_features`` takes one sentence or a list.
+with the BOS/EOS observation at sentence edges, each column written into
+one (P, T) array.  ``build_model`` interns the resulting strings in
+first-appearance order, position by position.  ``_observation_ids`` maps
+them to a (P, T) array of observation ids, one column per template and -1
+where nothing interned fires, from which ``_unary_table`` gathers the weight
+rows, a zero row for -1, and sums them in template order, for decode and the
+objective alike.  ``extract_features`` takes one sentence or a list, and
+copies nothing per sentence: each entry's unary table is a view of the
+batch's one (P, M) table, and every entry holds the same read-only copy of
+the bigram weights, so ``_pack`` knows the batch shares one table without
+comparing them.
 
 Training needs scipy only for its compiled L-BFGS-B routine, which
 ``minimize`` drives directly and ``_setulb`` loads by file location, so
@@ -97,7 +103,7 @@ MODEL_MAGIC_V1 = "crowdseq-crf v1"  # one line per weight; still read
 _CHUNK_LINES = 4096  # v2 observation lines parsed per np.loadtxt call
 _FLOAT_REFUSES = "\x1c\x1d\x1e\x1f"  # np.loadtxt strips these around a number
 _TINY = np.finfo(float).tiny  # a scaled row sum below this is out of the float64 range
-_GATHER_ROWS = 4096  # positions whose (T, M) weight rows _unary_table gathers at once
+_GATHER_ROWS = 1024  # positions whose (T, M) weight rows _unary_table gathers at once
 
 _PLAIN_KINDS = (
     "token-identity",
@@ -280,14 +286,14 @@ def _by_position(token_seqs: Sequence[Sequence[str]], templates, lookup) -> np.n
     edges = {-1: ends - lengths, 1: ends - 1}  # first and last position of each sentence
     tpls = [tpl for tpl in templates if tpl.kind != "label-bigram"]
     type_list = list(types)
-    cols = []
-    for tpl in tpls:
+    fired = np.empty((codes.size, len(tpls)), dtype=lookup([]).dtype)
+    for j, tpl in enumerate(tpls):
         col = lookup(tpl.observations(type_list))[codes]
         if tpl.offset:
             col = np.roll(col, -tpl.offset)
             col[edges[tpl.offset]] = lookup([tpl.observation(("",), 0)])[0]
-        cols.append(col)
-    return np.stack(cols, axis=1) if cols else np.empty((codes.size, 0), dtype=np.intp)
+        fired[:, j] = col
+    return fired
 
 
 def _observation_ids(model: CrfModel, token_seqs: Sequence[Sequence[str]]) -> np.ndarray:
@@ -321,16 +327,18 @@ def extract_features(
 
     Given a list of token sequences instead of one, returns one entry per
     sequence, in order, from a single pass over the whole batch; an empty
-    list is an empty batch.
+    list is an empty batch.  The entries' unary tables are views of one
+    (P, M) table, and they share one read-only copy of the bigram weights.
     """
     if not tokens:
         return []
     one = isinstance(tokens[0], str)
     seqs = [tokens] if one else tokens
     unary = _unary_table(model.unary_weights(), _observation_ids(model, seqs))
-    pairwise = model.bigram_weights()
+    pairwise = model.bigram_weights().copy()
+    pairwise.flags.writeable = False
     bounds = np.cumsum([len(s) for s in seqs])[:-1]
-    pots = [SequencePotentials(u, pairwise.copy()) for u in np.split(unary, bounds)]
+    pots = [SequencePotentials(u, pairwise) for u in np.split(unary, bounds)]
     return pots[0] if one else pots
 
 
@@ -481,19 +489,22 @@ def _out_of_range(name: str, i: int) -> ValueError:
 def _viterbi(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarray:
     """The label of every packed row on its sequence's best path.
 
-    The max-product form of ``_forward``.  Back-pointers and the final
+    The max-product form of ``_forward``.  It overwrites ``unary`` with the
+    best prefix scores, so it takes the fresh array ``_pack`` made.
+    Back-pointers, in the smallest unsigned type that holds M, and the final
     argmax take the first maximum, so ties resolve to the lowest label
     index; the backtrack runs step by step over the whole batch.
     """
-    score = unary.copy()
-    back = np.empty(unary.shape, dtype=np.intp)
+    back = np.empty(unary.shape, dtype=np.min_scalar_type(unary.shape[1]))
+    # (rows, to, from) candidates, C-ordered, so the reductions need no copy
+    into = np.ascontiguousarray(np.swapaxes(pairwise, -2, -1))
     for t in range(1, pk.steps):
         rows = pk.step_rows[t]
-        cand = score[pk.prev_step_rows[t], :, None] + _step_table(pairwise, t)
-        back[rows] = cand.argmax(axis=1)
-        score[rows] += cand.max(axis=1)
+        cand = unary[pk.prev_step_rows[t], None, :] + _step_table(into, t)
+        back[rows] = cand.argmax(axis=2)
+        unary[rows] += cand.max(axis=2)
     path = np.empty(unary.shape[0], dtype=np.intp)
-    path[pk.last_rows] = score[pk.last_rows].argmax(axis=1)
+    path[pk.last_rows] = unary[pk.last_rows].argmax(axis=1)
     for t in range(pk.steps - 1, 0, -1):
         rows = pk.step_rows[t]
         path[pk.prev_step_rows[t]] = np.take_along_axis(back[rows], path[rows, None], axis=1)[:, 0]
@@ -501,12 +512,17 @@ def _viterbi(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarra
 
 
 def _pack(pots: Sequence[SequencePotentials]) -> tuple[np.ndarray, np.ndarray, _Packing, list[int]]:
-    """A nonempty batch packed: its unary rows in packed order, its pairwise
-    table, the ``_Packing`` and the batch index of each packed sequence.
-    Refuses a longer batch without one shared (M, M) pairwise table, an
-    empty sequence and NaN or +inf potentials."""
+    """A nonempty batch packed: its unary rows in packed order, a fresh
+    array, its pairwise table, the ``_Packing`` and the batch index of each
+    packed sequence.  Refuses a longer batch without one shared (M, M)
+    pairwise table, an empty sequence and NaN or +inf potentials; entries
+    holding the same table object, as ``extract_features`` gives them, share
+    it without a comparison."""
     pairwise = pots[0].pairwise
-    if len(pots) > 1 and (pairwise.ndim != 2 or (np.stack([p.pairwise for p in pots]) != pairwise).any()):
+    if len(pots) > 1 and (
+        pairwise.ndim != 2
+        or (any(p.pairwise is not pairwise for p in pots) and (np.stack([p.pairwise for p in pots]) != pairwise).any())
+    ):
         raise ValueError("a batch must share one (M, M) pairwise table")
     lengths = [p.length for p in pots]
     if min(lengths) < 1:

@@ -14,6 +14,7 @@ serializing is canonicalizing (sorted keys) and stable.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from .types import CrowdDataset, CrowdInstance, LabelScheme
@@ -34,13 +35,17 @@ class DataError(ValueError):
         self.line_no = line_no
 
 
-def _read_lines(path) -> list[str]:
+def _read_text(path) -> str:
     text = Path(path).read_text(encoding="utf-8")
     if not text:
         raise DataError(path, None, "empty file")
     if not text.endswith("\n"):
         raise DataError(path, None, "missing trailing newline")
-    return text.split("\n")[:-1]
+    return text
+
+
+def _read_lines(path) -> list[str]:
+    return _read_text(path).split("\n")[:-1]
 
 
 def _blocks(path, lines, start_line: int = 1):
@@ -198,16 +203,21 @@ def save_crowd(path, ds: CrowdDataset) -> None:
 
 
 def load_tokens(path) -> list[tuple[str, ...]]:
-    """Token sequences from a tag file or a bare one-token-per-line file."""
-    out = []
-    for block in _blocks(path, _read_lines(path)):
-        tokens = []
-        for n, line in block:
-            token = line.split("\t")[0]
-            _check_token(path, n, token)
-            tokens.append(token)
-        out.append(tuple(tokens))
-    return out
+    """Token sequences from a tag file or a bare one-token-per-line file.
+
+    The text gets the checks ``_blocks`` makes, with the same errors at the
+    same line numbers, blank lines before empty tokens, and is then split
+    into sequences and lines without numbering them."""
+    text = _read_text(path)
+    blank = re.search(r"(?:\A|\n\n)\n", text)  # a blank line first or after another
+    if blank:
+        raise DataError(path, text.count("\n", 0, blank.end() - 1) + 1, "unexpected blank line")
+    if text.endswith("\n\n"):
+        raise DataError(path, text.count("\n"), "trailing blank line")
+    tab = re.search(r"^\t", text, re.MULTILINE)  # a line whose token is empty
+    if tab:
+        raise DataError(path, text.count("\n", 0, tab.start()) + 1, "empty token")
+    return [tuple(line.partition("\t")[0] for line in block.split("\n")) for block in text[:-1].split("\n\n")]
 
 
 def _parse_bool(text: str) -> bool:

@@ -242,6 +242,28 @@ class TestDawidSkene:
         with pytest.raises(ValueError, match="^instance 2: no annotations to vote over$"):
             aggregate_labels(ds, "mv")
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ({"iters": 0}, "ds_iters must be at least 1"),
+            ({"iters": -1}, "ds_iters must be at least 1"),
+            ({"tol": float("nan")}, "ds_tol must be nonnegative"),
+            ({"tol": -1.0}, "ds_tol must be nonnegative"),
+            ({"smoothing": -1.0}, "smoothing must be finite and nonnegative"),
+            ({"smoothing": float("nan")}, "smoothing must be finite and nonnegative"),
+            ({"smoothing": float("inf")}, "smoothing must be finite and nonnegative"),
+        ],
+    )
+    def test_bad_options_are_refused(self, option, message):
+        ds, _ = planted_dataset()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ds_fit(ds, **option)
+
+    def test_one_round_is_the_least(self):
+        ds, _ = planted_dataset()
+        model, _ = ds_fit(ds, iters=1, tol=0.0, smoothing=0.0)
+        assert len(model.loglik_history) == 1
+
     def test_empty_roster_is_an_error(self):
         ds = CrowdDataset(RAW, (CrowdInstance(("x",), {"a": (0,)}),), ())
         with pytest.raises(ValueError, match="roster"):

@@ -30,19 +30,22 @@ from crowdseq.cli import build_parser, main
 from crowdseq.crf import load_model
 
 
-def optimizer_modules_after(argv, cwd):
-    """The sorted list of scipy.optimize and scipy.sparse, as printed, that a
+WATCHED_MODULES = ("fractions", "scipy.optimize", "scipy.sparse")
+
+
+def modules_after(argv, cwd) -> set[str]:
+    """The ``crowdseq`` modules, and those of ``WATCHED_MODULES``, that a
     fresh interpreter holds after ``main(argv)`` succeeded in ``cwd``."""
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(Path(crowdseq.__file__).parents[1])!r})\n"
         "from crowdseq.cli import main\n"
         f"assert main({argv!r}) == 0\n"
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))\n"
+        f"print(*(m for m in sys.modules if m.startswith('crowdseq') or m in {WATCHED_MODULES!r}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return set(proc.stdout.split())
 
 
 def tiny_model(tmp_path):
@@ -255,19 +258,41 @@ class TestExitCodes:
         assert err.startswith(f"error: {model_path}, line {6 + m}: duplicate observation")
         assert "Traceback" not in err
 
-    def test_decode_never_imports_the_optimizer(self, tmp_path):
+    def test_decode_imports_only_what_it_runs(self, tmp_path):
         model_path, tokens_path = tiny_model(tmp_path)
-        assert optimizer_modules_after(["decode", str(model_path), str(tokens_path), "--out", "out.tsv"], tmp_path) == "[]"
+        loaded = modules_after(["decode", str(model_path), str(tokens_path), "--out", "out.tsv"], tmp_path)
+        assert loaded == {"crowdseq", "crowdseq.cli", "crowdseq.crf", "crowdseq.formats", "crowdseq.types"}
         assert load_tokens(tmp_path / "out.tsv") == load_tokens(tokens_path)
 
     @pytest.mark.parametrize("command", ["train", "aggregate"])
-    def test_training_never_imports_the_optimizer(self, command, pipeline, tmp_path):
+    def test_training_imports_neither_the_optimizer_nor_the_baselines(self, command, pipeline, tmp_path):
         outputs = {
             "train": ["--model-out", "model.tsv", "--annotators-out", "annotators.tsv"],
             "aggregate": ["--method", "saslc", "--out", "aggregated.tsv"],
         }[command]
         fast = ["--seed", "5", "--max-iters", "1", "--init-max-iter", "3", "--inner-max-iter", "2"]
-        assert optimizer_modules_after([command, str(pipeline["crowd"]), *outputs, *fast], tmp_path) == "[]"
+        loaded = modules_after([command, str(pipeline["crowd"]), *outputs, *fast], tmp_path)
+        assert {"crowdseq.em", "crowdseq.lattice", "fractions"} <= loaded
+        assert not loaded & {"crowdseq.baselines", "scipy.optimize", "scipy.sparse"}
+
+    @pytest.mark.parametrize(
+        "argv, stderr",
+        [
+            (["--ds-iters", "0"], "error: ds_iters must be at least 1\n"),
+            (["--ds-iters", "-1"], "error: ds_iters must be at least 1\n"),
+            (["--ds-tol", "nan"], "error: ds_tol must be nonnegative\n"),
+            (["--ds-tol", "-1"], "error: ds_tol must be nonnegative\n"),
+        ],
+    )
+    def test_dawid_skene_rejects_a_bad_option(self, pipeline, tmp_path, capsys, argv, stderr):
+        out = tmp_path / "ds.tsv"
+        assert main(["aggregate", str(pipeline["crowd"]), "--method", "ds", "--out", str(out), *argv]) == 2
+        assert capsys.readouterr().err == stderr
+        assert not out.exists()
+        save_config(tmp_path / "run.cfg", {argv[0][2:].replace("-", "_"): float(argv[1])})
+        config = ["--config", str(tmp_path / "run.cfg")]
+        assert main(["aggregate", str(pipeline["crowd"]), "--method", "ds", "--out", str(out), *config]) == 2
+        assert capsys.readouterr().err == stderr
 
     def test_training_without_the_lbfgsb_routine_exits_2(self, pipeline, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(crf, "_lbfgsb_location", lambda: str(tmp_path / "missing" / "_lbfgsb.so"))
@@ -650,6 +675,11 @@ class TestDeterminismAndConfig:
         assert "stop before training" in capsys.readouterr().err
         assert seen == [dataclasses.replace(em.EmConfig(seed=4), **{name: value})]
 
-    def test_inspect_lattice_caps_at_the_em_default(self):
+    def test_inspect_lattice_caps_at_the_em_default(self, pipeline, capsys):
+        # the parser leaves the cap unset, and the command reads EmConfig's default
         args = build_parser().parse_args(["inspect-lattice", "crowd.tsv", "--instance", "0"])
-        assert args.cap == em.EmConfig().lattice_cap
+        assert args.cap is None
+        argv = ["inspect-lattice", str(pipeline["crowd"]), "--instance", "1", "--consistency-hi", "9", "--consistency-lo", "3"]
+        assert main(argv) == 0
+        footer = capsys.readouterr().out.splitlines()[-4:-1]
+        assert footer == ["valid\t47956", f"enumerated\t{em.EmConfig().lattice_cap}", "capped\ttrue"]

@@ -320,11 +320,65 @@ class TestDecode:
         assert decode(load_model(tmp_path / "v2.tsv"), seqs) == paths
         assert paths == [viterbi(extract_features(v1, tokens)) for tokens in seqs]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_sentence_viterbi_on_random_batches(self, seed):
+        # few words, some never interned, and weights mostly zero: many ties
+        rng = np.random.default_rng(seed + 40)
+        words = ["a", "B", "c3", "dd", "Ee", "7"]
+
+        def sentence():
+            return tuple(str(w) for w in rng.choice(words, size=int(rng.integers(1, 7))))
+
+        seqs = [sentence() for _ in range(int(rng.integers(1, 12)))] + [(words[0],), (words[5],)]
+        model = build_model(SCHEME, [sentence() for _ in range(3)])
+        model.weights[:] = rng.normal(size=model.dim) * (rng.random(model.dim) < 0.2)
+        expected = [viterbi(extract_features(model, tokens)) for tokens in seqs]
+        assert decode(model, seqs) == expected
+        for tokens, path in zip(seqs, expected):  # a best path, though not always the brute force's pick among ties
+            pot = extract_features(model, tokens)
+            assert sequence_score(pot, path) == pytest.approx(sequence_score(pot, brute_viterbi(pot)), abs=1e-12)
+
+    def test_back_pointers_hold_more_than_255_labels(self):
+        rng = np.random.default_rng(8)
+        m = 300
+        pots = [SequencePotentials(rng.normal(size=(n, m)), rng.normal(size=(m, m))) for n in (4, 1)]
+        pots[1].pairwise = pots[0].pairwise
+        pots[0].unary[:3, 299] += 50.0  # the back-pointers into position 0, 1 and 2 read 299
+        score, back = pots[0].unary[0], []
+        for row in pots[0].unary[1:]:
+            cand = score[:, None] + pots[0].pairwise
+            back.append(cand.argmax(axis=0))
+            score = cand.max(axis=0) + row
+        path = [int(score.argmax())]
+        for b in reversed(back):
+            path.append(int(b[path[-1]]))
+        assert viterbi(pots) == [tuple(reversed(path)), (int(pots[1].unary[0].argmax()),)]
+        assert path[1:] == [299, 299, 299]
+
+    def test_a_batch_shares_one_read_only_table_and_views_one_unary_table(self):
+        model, data = ragged_batch(np.random.default_rng(5))
+        seqs = [tokens for tokens, _, _ in data]
+        pots = extract_features(model, seqs)
+        table = pots[0].pairwise
+        assert all(pot.pairwise is table for pot in pots)
+        assert np.array_equal(table, model.bigram_weights()) and not np.shares_memory(table, model.weights)
+        assert all(pot.unary.base is pots[0].unary.base for pot in pots)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            extract_features(model, seqs[0]).pairwise += 1.0
+        assert viterbi(pots) == decode(model, seqs)
+
     def test_rejects_a_batch_without_one_shared_table_and_empty_sequences(self):
         rng = np.random.default_rng(4)
         a, b = random_potentials(rng, L=3, M=3), random_potentials(rng, L=2, M=3)
         with pytest.raises(ValueError, match="share one"):
             viterbi([a, b])
+        per_step = random_potentials(rng, L=3, M=3, per_step=True)
+        with pytest.raises(ValueError, match="share one"):
+            viterbi([per_step, SequencePotentials(per_step.unary, per_step.pairwise)])
+        b.pairwise = a.pairwise.copy()  # equal tables, two objects
+        assert viterbi([a, b]) == [viterbi(a), viterbi(b)]
         with pytest.raises(ValueError, match="empty"):
             viterbi(SequencePotentials(np.zeros((0, 3)), np.zeros((3, 3))))
 

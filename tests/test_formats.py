@@ -19,6 +19,7 @@ from crowdseq import (
     save_crowd,
     serialize_config,
 )
+from crowdseq import formats
 from crowdseq.formats import CONFIG_KEYS
 
 SCHEME = LabelScheme.bio(("LOC", "PER"))
@@ -184,6 +185,65 @@ class TestTokens:
         p.write_text("Anna\n\tO\n", encoding="utf-8")
         with pytest.raises(DataError, match="empty token"):
             load_tokens(p)
+
+
+def blocks_tokens(path):
+    """Token sequences as the line-numbered ``_blocks`` reader gives them."""
+    out = []
+    for block in formats._blocks(path, formats._read_lines(path)):
+        tokens = []
+        for n, line in block:
+            token = line.split("\t")[0]
+            formats._check_token(path, n, token)
+            tokens.append(token)
+        out.append(tuple(tokens))
+    return out
+
+
+def outcome(read, path):
+    try:
+        return read(path)
+    except DataError as e:
+        return str(e), e.line_no
+
+
+class TestTokensParity:
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            (CONLL_TEXT, None),
+            ("Anna\nleft\n\nParis\n", None),
+            ("x\tO\textra\n\ny\n\nz\tO\n", None),
+            ("", None),  # empty file
+            ("Anna\tB-PER\nleft\tO", None),  # missing final newline
+            ("\nAnna\n", 1),  # leading blank line
+            ("\n\nAnna\n", 1),
+            ("Anna\n\n\nleft\n", 3),  # doubled blank line
+            ("Anna\n\nleft\n\n\n\nParis\n", 5),
+            ("Anna\nleft\n\n", 3),  # trailing blank line
+            ("Anna\n\n", 2),
+            ("\n", 1),
+            ("Anna\n\tO\n", 2),  # empty token
+            ("\tO\nAnna\n", 1),
+            ("Anna\n\t\n\nleft\n", 2),
+            ("Anna\n\tO\n\n\nleft\n", 4),  # a blank line error is found before an empty token
+            ("\tO\nAnna\n\n", 3),
+        ],
+    )
+    def test_matches_the_block_reader(self, tmp_path, text, line_no):
+        p = tmp_path / "tokens.txt"
+        p.write_text(text, encoding="utf-8")
+        got = outcome(load_tokens, p)
+        assert got == outcome(blocks_tokens, p)
+        if line_no is not None:
+            assert got[1] == line_no
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "b\tO", "\tO", "", "\t", "c\tB-X\ty"]), max_size=8), st.booleans())
+    def test_matches_the_block_reader_on_any_lines(self, tmp_path_factory, lines, newline):
+        p = tmp_path_factory.getbasetemp() / "any_lines.txt"
+        p.write_text("\n".join(lines) + ("\n" if newline else ""), encoding="utf-8")
+        assert outcome(load_tokens, p) == outcome(blocks_tokens, p)
 
 
 class TestConfig:
