@@ -187,12 +187,11 @@ def save_annotators(params: AnnotatorParams, scheme: LabelScheme, path) -> None:
     lines.append("labels\t" + "\t".join(scheme.labels))
     lines.append("roster\t" + "\t".join(params.roster))
     for name, tab in (("local", params.local), ("mention", params.mention)):
-        for ki, annotator in enumerate(params.roster):
+        for annotator, table in zip(params.roster, np.asarray(tab, dtype=float).tolist()):
             lines.append(f"table\t{name}\t{annotator}")
-            for ci, ctx in enumerate(contexts):
-                for ti, truth in enumerate(scheme.labels):
-                    row = "\t".join(repr(float(v)) for v in tab[ki, ci, ti])
-                    lines.append(f"{ctx}\t{truth}\t{row}")
+            for ctx, rows in zip(contexts, table):
+                for truth, row in zip(scheme.labels, rows):
+                    lines.append(f"{ctx}\t{truth}\t" + "\t".join(map(repr, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -14,6 +14,11 @@ Each command imports the modules it runs when it runs, so start-up loads
 only ``formats`` and ``types`` besides argparse: ``decode`` never imports
 ``em``, ``lattice``, ``annotators`` or ``baselines``, and neither ``train``
 nor ``aggregate --method saslc`` imports ``baselines``.
+
+``decode`` reads its token file first and loads only the model rows those
+tokens fire (``crf.load_model`` with ``tokens``), so its memory grows with
+the input's vocabulary, not the model's, and its output is what the whole
+model gives.
 """
 
 from __future__ import annotations
@@ -165,8 +170,8 @@ def _cmd_train(args) -> int:
 def _cmd_decode(args) -> int:
     from . import crf
 
-    model = crf.load_model(args.model)
     token_seqs = formats.load_tokens(args.input)
+    model = crf.load_model(args.model, tokens=token_seqs)
     decoded = tuple(
         CrowdInstance(tokens, {}, labels)
         for tokens, labels in zip(token_seqs, crf.decode(model, token_seqs))

@@ -39,7 +39,9 @@ order once: ``decode`` runs one Viterbi pass, ``log_partition`` one forward
 pass and ``expected_counts`` (EM's posteriors) one forward-backward pass
 over a list of sentences; on one sentence they and ``marginals`` run on a
 batch of one.  ``_viterbi`` accumulates its prefix scores in that packed
-copy, and its back-pointers take the smallest unsigned type that holds M.
+copy, each step keeping a running max over the from-labels so that it holds
+(rows, M) scores at a time, and its back-pointers take the smallest unsigned
+type that holds M.
 
 Features are built per batch (``_by_position``): each template's
 observations come from one list comprehension over the token types, and the
@@ -75,6 +77,15 @@ line.  It still reads v1 files (one line per observation and label, then
 one per label pair) line by line, and in either format names the line of a
 malformed entry.
 
+Given the token sequences to decode, ``load_model`` keeps only the rows of
+the observations the templates fire on their token types (``_fired``), and
+the BOS/EOS observations, numbered in file order, so decode's memory grows
+with its input's vocabulary, not the model's.  The v2 reader still parses
+and checks every line, and holds the hash of each name, not the name, for
+the duplicate check; a fault, or two names of one hash, sends the file to
+the whole reader, which names it.  A v1 file loads whole and is then
+restricted (``_restrict``).
+
 The weight vector is the flattened (n_obs, M) unary block followed, when a
 label-bigram template is present, by the flattened (M, M) bigram block.
 """
@@ -86,7 +97,8 @@ import importlib.util
 import sys
 from array import array
 from dataclasses import dataclass, replace
-from itertools import cycle, islice, product
+from itertools import chain, compress, cycle, islice, product, repeat
+from operator import is_not
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -165,9 +177,11 @@ class FeatureTemplate:
         if k == "token-lowercase":
             return ["wl=" + tok.lower() for tok in toks]
         if k == "prefix":
-            return [f"p{w}=" + tok[:w] if len(tok) >= w else None for tok in toks]
+            head = f"p{w}="
+            return [head + tok[:w] if len(tok) >= w else None for tok in toks]
         if k == "suffix":
-            return [f"s{w}=" + tok[-w:] if len(tok) >= w else None for tok in toks]
+            head = f"s{w}="
+            return [head + tok[-w:] if len(tok) >= w else None for tok in toks]
         if k == "is-capitalized":
             return ["cap" if tok[:1].isupper() else None for tok in toks]
         if k == "is-digit":
@@ -337,8 +351,8 @@ def extract_features(
     unary = _unary_table(model.unary_weights(), _observation_ids(model, seqs))
     pairwise = model.bigram_weights().copy()
     pairwise.flags.writeable = False
-    bounds = np.cumsum([len(s) for s in seqs])[:-1]
-    pots = [SequencePotentials(u, pairwise) for u in np.split(unary, bounds)]
+    ends = np.cumsum([len(s) for s in seqs]).tolist()
+    pots = [SequencePotentials(unary[end - len(s) : end], pairwise) for s, end in zip(seqs, ends)]
     return pots[0] if one else pots
 
 
@@ -490,19 +504,27 @@ def _viterbi(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarra
     """The label of every packed row on its sequence's best path.
 
     The max-product form of ``_forward``.  It overwrites ``unary`` with the
-    best prefix scores, so it takes the fresh array ``_pack`` made.
-    Back-pointers, in the smallest unsigned type that holds M, and the final
-    argmax take the first maximum, so ties resolve to the lowest label
-    index; the backtrack runs step by step over the whole batch.
+    best prefix scores, so it takes the fresh array ``_pack`` made.  Each
+    step keeps a running max over the M from-labels, (rows, M) scores,
+    replaced only by a strictly greater score, so each back-pointer, in the
+    smallest unsigned type that holds M, is the first best predecessor; the
+    final argmax takes the first maximum too.  Of tied best paths it thus
+    returns the one with the lowest last label, then the lowest label at each
+    earlier position in turn, going back.  The backtrack runs step by step
+    over the whole batch.
     """
-    back = np.empty(unary.shape, dtype=np.min_scalar_type(unary.shape[1]))
-    # (rows, to, from) candidates, C-ordered, so the reductions need no copy
-    into = np.ascontiguousarray(np.swapaxes(pairwise, -2, -1))
+    back = np.zeros(unary.shape, dtype=np.min_scalar_type(unary.shape[1]))
     for t in range(1, pk.steps):
         rows = pk.step_rows[t]
-        cand = unary[pk.prev_step_rows[t], None, :] + _step_table(into, t)
-        back[rows] = cand.argmax(axis=2)
-        unary[rows] += cand.max(axis=2)
+        prev, table, back_t = unary[pk.prev_step_rows[t]], _step_table(pairwise, t), back[rows]
+        best = prev[:, :1] + table[0]
+        score, better = np.empty_like(best), np.empty(best.shape, dtype=bool)
+        for i in range(1, table.shape[0]):
+            np.add(prev[:, i, None], table[i], out=score)
+            np.greater(score, best, out=better)
+            np.copyto(best, score, where=better)
+            back_t[better] = i
+        unary[rows] += best
     path = np.empty(unary.shape[0], dtype=np.intp)
     path[pk.last_rows] = unary[pk.last_rows].argmax(axis=1)
     for t in range(pk.steps - 1, 0, -1):
@@ -576,7 +598,9 @@ def expected_counts(pots: Sequence[SequencePotentials], name: str = "sequence") 
 
 
 def viterbi(pot: SequencePotentials | Sequence[SequencePotentials]) -> LabelSeq | list[LabelSeq]:
-    """Highest-scoring label sequence; ties resolve to the lowest label index.
+    """Highest-scoring label sequence.  Of tied best paths it returns the one
+    with the lowest last label, then the lowest label at each earlier
+    position in turn, going back (see ``_viterbi``).
 
     Given a list of potentials instead of one, returns one path per entry,
     in order, from a single packed pass.  The entries of a longer list must
@@ -900,9 +924,10 @@ def _field_problem(line: str, n_fields: int, n_weights: int) -> str:
     return f"weight {w!r} is not a number"
 
 
-def _read_v1_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[str, int], array]:
+def _read_v1_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[str, int], array, int]:
     """Bodies of the v1 format: one line per (observation, label) weight,
-    then one per (label, label) bigram weight."""
+    then one per (label, label) bigram weight.  Returns the names, the
+    weights and the number of lines read."""
     m = len(labels)
     obs_index: dict[str, int] = {}
     weights = array("d")
@@ -933,12 +958,16 @@ def _read_v1_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[s
             if tag != "bigram" or got_a != la or got_b != lb:
                 raise bad(6 + len(weights), "bigram block mismatch")
             weights.append(weight)
-    return obs_index, weights
+    return obs_index, weights, len(weights)
 
 
-def _read_v2_lines(lines: list[str], first: int, m: int, obs_index: dict[str, int], weights: array, bad) -> None:
+def _read_v2_lines(lines: list[str], first: int, m: int, known: dict[str, int], bad) -> tuple[list[str], np.ndarray]:
     """Observation lines ``first``, ``first + 1``, ... of a v2 body, each
-    split once and its weights read by ``float``; names the first bad line."""
+    split once and its weights read by ``float``: their names and (n, M)
+    weights.  Names the first line that is malformed or repeats a name of
+    ``known`` or of an earlier line."""
+    names: dict[str, None] = {}
+    weights: list[float] = []
     for i, line in enumerate(lines, first):
         parts = line.split("\t")
         try:
@@ -947,29 +976,43 @@ def _read_v2_lines(lines: list[str], first: int, m: int, obs_index: dict[str, in
             weights.extend(map(float, parts[1:]))
         except ValueError:
             raise bad(6 + i, _field_problem(line, m + 1, m)) from None
-        if parts[0] in obs_index:
+        if parts[0] in known or parts[0] in names:
             raise bad(6 + i, f"duplicate observation {parts[0]!r}")
-        obs_index[parts[0]] = i
+        names[parts[0]] = None
+    return list(names), np.array(weights).reshape(len(names), m)
 
 
-def _read_v2_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[str, int], array]:
+def _read_v2_body(
+    fh, labels, n_obs: int, has_bigram: bool, bad, keep: dict[str, str] | None = None
+) -> tuple[dict[str, int], array, int]:
     """Bodies of the v2 format: one line per observation, then one per
-    bigram from-label.
+    bigram from-label.  Returns the names interned, the weights and the
+    number of lines read.
 
     Observation lines are read ``_CHUNK_LINES`` at a time.  ``np.loadtxt``
     parses a chunk's weights and one ``dict.update`` interns its names; a
     chunk that parse does not take whole goes to ``_read_v2_lines``, which
     reads the weights ``float`` alone accepts (``1_0``, non-ASCII digits)
     and names a bad line.
+
+    Given ``keep``, which maps each name to keep to itself, it interns only
+    those names, as ``keep``'s own strings, numbered in file order, and
+    keeps their weight rows.  The duplicate check then holds each name's
+    hash, not the name: two names of one hash raise a ValueError, naming no
+    line, after the last line.
     """
     m = len(labels)
     obs_index: dict[str, int] = {}
     weights = array("d")
+    hashes = array("q")  # given keep, the hash of every name read
     cols = range(1, m + 1)
+    read = 0
     for first in range(0, n_obs, _CHUNK_LINES):
         lines = list(islice(fh, min(_CHUNK_LINES, n_obs - first)))
         if not lines:
             break
+        read += len(lines)
+        names = None
         text = "".join(lines)
         # np.loadtxt skips blank lines and ignores surplus fields, and float
         # refuses a number next to _FLOAT_REFUSES, which np.loadtxt strips
@@ -979,14 +1022,23 @@ def _read_v2_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[s
             except ValueError:
                 block = None
             if block is not None and block.shape[0] == len(lines):
-                obs_index.update(zip([line.partition("\t")[0] for line in lines], range(first, first + len(lines))))
-                if len(obs_index) == first + len(lines):
-                    weights.frombytes(memoryview(block).cast("B"))
-                    continue
-                # a duplicate name: the per-line reader finds it among the names known before this chunk
-                obs_index = dict(islice(obs_index.items(), first))
-        _read_v2_lines(lines, first, m, obs_index, weights, bad)
-    if has_bigram and len(obs_index) == n_obs:
+                names = [line.partition("\t")[0] for line in lines]
+        if names is None:
+            names, block = _read_v2_lines(lines, first, m, obs_index, bad)
+        if keep is not None:
+            found = list(map(keep.get, names))  # keep's string equal to each name, or None
+            chunk_hashes = np.fromiter(map(hash, names), dtype=np.int64, count=len(names))  # cached by the lookup
+            hashes.frombytes(memoryview(chunk_hashes).cast("B"))
+            kept = np.fromiter(map(is_not, found, repeat(None)), dtype=bool, count=len(names))
+            names, block = list(compress(found, kept)), block[kept]
+        n = len(obs_index)
+        obs_index.update(zip(names, range(n, n + len(names))))
+        if len(obs_index) < n + len(names):
+            # a repeated name, which the per-line reader finds among the names known before this chunk
+            _read_v2_lines(lines, first, m, dict(islice(obs_index.items(), n)), bad)
+        if block.size:  # memoryview refuses to cast an empty block
+            weights.frombytes(memoryview(block).cast("B"))
+    if has_bigram and read == n_obs:
         for i, (line, la) in enumerate(zip(islice(fh, m), labels), 6 + n_obs):
             parts = line.split("\t")
             try:
@@ -997,11 +1049,53 @@ def _read_v2_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[s
                 raise bad(i, _field_problem(line, m + 2, m)) from None
             if parts[0] != "bigram" or parts[1] != la:
                 raise bad(i, "bigram block mismatch")
-    return obs_index, weights
+            read += 1
+    ordered = np.sort(np.frombuffer(hashes, dtype=np.int64))
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("two observation names share a hash")
+    return obs_index, weights, read
 
 
-def load_model(path) -> CrfModel:
-    """Read a ``save_model`` file, v2 or v1, in one pass over its lines."""
+def _fired(templates: Sequence[FeatureTemplate], token_seqs: Iterable[Sequence[str]]) -> dict[str, str]:
+    """The observations the templates fire on the token types of
+    ``token_seqs``, and the BOS/EOS observations of the neighbour templates,
+    each mapped to itself."""
+    types = list(dict.fromkeys(chain.from_iterable(token_seqs)))
+    fired: dict[str, str] = {}
+    for tpl in templates:
+        obs = tpl.observations(types)
+        if tpl.offset:
+            obs.append(tpl.observation(("",), 0))
+        fired.update(zip(obs, obs))
+    fired.pop(None, None)
+    return fired
+
+
+def _restrict(model: CrfModel, keep: dict[str, str]) -> CrfModel:
+    """The model with only the observations in ``keep``, numbered in the
+    model's order."""
+    kept = [obs for obs in model.obs_index if obs in keep]
+    rows = model.unary_weights()[[model.obs_index[obs] for obs in kept]]
+    weights = np.concatenate((rows.ravel(), model.weights[model.n_obs * model.scheme.size :]))
+    return replace(model, obs_index=dict(zip(kept, range(len(kept)))), weights=weights)
+
+
+def load_model(path, tokens: Iterable[Sequence[str]] | None = None) -> CrfModel:
+    """Read a ``save_model`` file, v2 or v1, in one pass over its lines.
+
+    Given ``tokens``, the token sequences to decode, the model keeps only
+    the observations its templates fire on their token types, and the
+    BOS/EOS observations, numbered in file order.  ``decode`` of those
+    sequences sums the same weight rows in the same order as under the whole
+    model, so it gives the same paths, while the model's memory grows with
+    their vocabulary, not the file's.  Every line is still parsed and
+    checked: a v2 body in one pass that holds the hash of each name for the
+    duplicate check, a v1 file by loading it whole and then restricting it.
+    A fault in a v2 body, or two names of one hash, sends the file to the
+    whole reader, which names the fault as ``load_model(path)`` does; names
+    that only share a hash load whole and are then restricted.
+    ``save_model`` of a restricted model writes only its own rows.
+    """
     with open(path, encoding="utf-8") as fh:
         header = [line.rstrip("\n") for line in islice(fh, 5)]
         if not header or header[0] not in (MODEL_MAGIC, MODEL_MAGIC_V1):
@@ -1024,17 +1118,27 @@ def load_model(path) -> CrfModel:
         model = CrfModel(scheme, templates, {}, np.zeros(0))
         v1 = header[0] == MODEL_MAGIC_V1
         per_line = 1 if v1 else scheme.size  # weights on a body line
-        read_body = _read_v1_body if v1 else _read_v2_body
+        keep = None if tokens is None else _fired(templates, tokens)
 
         def bad(line_no: int, why: str) -> ValueError:
             return ValueError(f"{path}, line {line_no}: {why}")
 
-        obs_index, weights = read_body(fh, labels, n_obs, model.has_bigram, bad)
-        found = 5 + len(weights) // per_line + sum(1 for _ in fh)
+        try:
+            if v1:
+                obs_index, weights, read = _read_v1_body(fh, labels, n_obs, model.has_bigram, bad)
+            else:
+                obs_index, weights, read = _read_v2_body(fh, labels, n_obs, model.has_bigram, bad, keep)
+        except ValueError:
+            if v1 or keep is None:
+                raise
+            read = None
+        found = None if read is None else 5 + read + sum(1 for _ in fh)
+    if read is None:  # the whole reader names the fault, or loads names that only share a hash
+        return _restrict(load_model(path), keep)
     m = scheme.size
     expected = 5 + (n_obs * m + (m * m if model.has_bigram else 0)) // per_line
     if found != expected:
         raise ValueError(f"{path}: expected {expected} lines, found {found}")
     model.obs_index = obs_index
     model.weights = np.frombuffer(weights)  # shares the array's buffer: no second copy
-    return model
+    return _restrict(model, keep) if v1 and keep is not None else model

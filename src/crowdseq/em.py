@@ -278,5 +278,7 @@ def fit(ds: CrowdDataset, cfg: EmConfig = EmConfig(), log=None) -> FitResult:
 
 def posterior_modes(posteriors: Sequence[Posterior]) -> list[LabelSeq]:
     """Most probable lattice path per instance, from ``e_step`` posteriors
-    such as ``FitResult.posteriors`` (Viterbi's tie rule: lowest label index)."""
+    such as ``FitResult.posteriors``.  Ties follow ``viterbi``: of tied best
+    paths, the one with the lowest last label, then the lowest label at each
+    earlier position in turn."""
     return viterbi([p.chain for p in posteriors])

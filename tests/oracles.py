@@ -140,6 +140,25 @@ def brute_viterbi(pot: SequencePotentials) -> tuple[int, ...]:
     return best_z
 
 
+def brute_viterbi_last_first(pot: SequencePotentials) -> tuple[int, ...]:
+    """The path ``viterbi`` picks among exact ties: of the sequences of the
+    highest score, the first when compared from the last label back to the
+    first."""
+    scores = {z: sequence_score(pot, z) for z in all_sequences(pot)}
+    best = max(scores.values())
+    return min((z for z, s in scores.items() if s == best), key=lambda z: z[::-1])
+
+
+def fired_observations(token_seqs, templates) -> set[str]:
+    """The observations the templates fire reading each token type of the
+    input, or reading past a sentence edge: the per-position loop on each
+    type alone and twice over, and the neighbour templates on one token."""
+    types = {tok for tokens in token_seqs for tok in tokens}
+    seqs = [seq for tok in types for seq in ((tok,), (tok, tok))]
+    edges = loop_obs_index([("",)], [tpl for tpl in templates if tpl.offset])
+    return set(loop_obs_index(seqs, templates)) | set(edges)
+
+
 def brute_valid(candidates, scheme: LabelScheme) -> list[tuple[int, ...]]:
     out = []
     for z in itertools.product(*candidates):

@@ -16,7 +16,7 @@ from crowdseq import (
     sample_init_params,
     save_annotators,
 )
-from crowdseq.annotators import annotation_entries, annotation_table, context_factor, vote_counts
+from crowdseq.annotators import BOS_LABEL, annotation_entries, annotation_table, context_factor, vote_counts
 from oracles import annotation_loglik, factor_matrix, loop_annotation_entries
 from strategies import crowd_datasets
 
@@ -282,6 +282,25 @@ class TestPersistence:
         assert q.roster == p.roster
         np.testing.assert_array_equal(q.local, p.local)
         np.testing.assert_array_equal(q.mention, p.mention)
+
+    @pytest.mark.parametrize("dtype", [float, np.float32, int])
+    def test_each_entry_is_written_as_its_float_repr(self, tmp_path, dtype):
+        p = sample_init_params(("anna", "bert"), M, seed=23)
+        if dtype is int:
+            p = identity_params(("anna", "bert"))
+        p = AnnotatorParams(p.roster, p.local.astype(dtype), p.mention.astype(dtype))
+        path = tmp_path / "annotators.tsv"
+        save_annotators(p, SCHEME, path)
+        body = path.read_text(encoding="utf-8").splitlines()[4:]
+        contexts = list(SCHEME.labels) + [BOS_LABEL]
+        want = []
+        for name, tab in (("local", p.local), ("mention", p.mention)):  # one float() per numpy scalar
+            for ki, annotator in enumerate(p.roster):
+                want.append(f"table\t{name}\t{annotator}")
+                for ci, ctx in enumerate(contexts):
+                    for ti, truth in enumerate(SCHEME.labels):
+                        want.append(f"{ctx}\t{truth}\t" + "\t".join(repr(float(v)) for v in tab[ki, ci, ti]))
+        assert body == want
 
     def test_scheme_table_mismatch_is_rejected(self, tmp_path):
         p = sample_init_params(("u",), M, seed=1)

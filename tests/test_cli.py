@@ -245,8 +245,11 @@ class TestExitCodes:
         assert code == 0, err
         assert "Traceback" not in err
 
-    def test_decode_rejects_a_duplicated_observation(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fired", ["every row", "edges only"])
+    def test_decode_rejects_a_duplicated_observation(self, tmp_path, capsys, fired):
         model_path, tokens_path = tiny_model(tmp_path)
+        if fired == "edges only":  # a word of no row: only the BOS/EOS rows are kept, none of the faulty ones
+            tokens_path.write_text("qq\n", encoding="utf-8")
         lines = model_path.read_text(encoding="utf-8").splitlines()
         m = len(lines[2].split("\t")) - 1  # labels
         first = lines[5].split("\t")[0]

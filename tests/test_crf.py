@@ -17,7 +17,9 @@ from oracles import (
     brute_marginals,
     brute_valid,
     brute_viterbi,
+    brute_viterbi_last_first,
     brute_weighted_nll,
+    fired_observations,
     log_space_inference,
     log_space_weighted_nll,
     loop_obs_index,
@@ -274,6 +276,27 @@ class TestInferenceOracles:
         pot.unary[:] = 0.0
         pot.pairwise[:] = 0.0
         assert viterbi(pot) == (0, 0, 0, 0)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_viterbi_ties_go_to_the_lowest_last_label_then_back(self, seed):
+        # potentials in {-1, 0, 1}: every sum is exact, so tied paths tie exactly
+        rng = np.random.default_rng(seed + 500)
+        m = int(rng.integers(2, 5))
+
+        def table(*shape):
+            return rng.integers(-1, 2, size=shape).astype(float)
+
+        pairwise = table(m, m)
+        pots = [SequencePotentials(table(int(rng.integers(1, 6)), m), pairwise) for _ in range(8)]
+        want = [brute_viterbi_last_first(pot) for pot in pots]
+        assert viterbi(pots) == want
+        per_step = [SequencePotentials(table(n, m), table(n - 1, m, m)) for n in (2, 4, 5)]
+        assert [viterbi(pot) for pot in per_step] == [brute_viterbi_last_first(pot) for pot in per_step]
+
+    def test_viterbi_tie_rule_is_not_the_lexicographic_one(self):
+        pot = SequencePotentials(np.zeros((2, 2)), np.array([[0.0, 1.0], [1.0, 0.0]]))  # (0, 1) and (1, 0) tie
+        assert viterbi(pot) == brute_viterbi_last_first(pot) == (1, 0)
+        assert brute_viterbi(pot) == (0, 1)
 
     def test_marginal_rows_are_distributions(self):
         rng = np.random.default_rng(9)
@@ -987,7 +1010,30 @@ class TestOptimize:
         assert r1.objective == r2.objective
 
 
+def assert_restricts(got, whole, tokens):
+    """``got`` is ``whole`` loaded for ``tokens``: the observations they
+    fire, in ``whole``'s order and numbered from 0, with their weight rows
+    and the bigram block bit for bit (all of ``whole`` when tokens is None)."""
+    kept = list(whole.obs_index)
+    if tokens is not None:
+        fired = fired_observations(tokens, whole.templates)
+        kept = [obs for obs in kept if obs in fired]
+    assert list(got.obs_index.items()) == list(zip(kept, range(len(kept))))
+    assert got.n_obs == len(kept) and got.templates == whole.templates and got.scheme == whole.scheme
+    rows = whole.unary_weights()[[whole.obs_index[obs] for obs in kept]]
+    assert got.unary_weights().tobytes() == rows.tobytes()
+    assert got.bigram_weights().tobytes() == whole.bigram_weights().tobytes()
+
+
 class TestPersistence:
+    @pytest.fixture(params=["whole", "every row", "edges only"])
+    def tokens(self, request):
+        """No tokens, tokens that fire every row of the test models, or
+        tokens that fire only their BOS/EOS rows, none of the faulty rows."""
+        return {"whole": None, "every row": [("a", "b"), ("alice", "saw", "paris")], "edges only": [("qq",)]}[
+            request.param
+        ]
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(8)
         model = build_model(SCHEME, [("alice", "saw", "paris"), ("bob", "left")])
@@ -1039,41 +1085,41 @@ class TestPersistence:
         save_model(load_model(MODEL_V1), path)
         return path, path.read_text().splitlines()
 
-    def test_truncated_file_rejected(self, tmp_path):
+    def test_truncated_file_rejected(self, tmp_path, tokens):
         path, lines = self.v1_lines(tmp_path)
         path.write_text("\n".join(lines[:-3]) + "\n")
         with pytest.raises(ValueError, match="expected 70 lines, found 67"):
-            load_model(path)
+            load_model(path, tokens=tokens)
 
-    def test_v2_truncated_file_rejected(self, tmp_path):
+    def test_v2_truncated_file_rejected(self, tmp_path, tokens):
         path, lines = self.v2_lines(tmp_path)
         path.write_text("\n".join(lines[:-3]) + "\n")
         with pytest.raises(ValueError, match="expected 18 lines, found 15"):
-            load_model(path)
+            load_model(path, tokens=tokens)
 
-    def test_surplus_lines_rejected(self, tmp_path):
+    def test_surplus_lines_rejected(self, tmp_path, tokens):
         path, lines = self.v1_lines(tmp_path)
         path.write_text("\n".join(lines + ["", "extra"]) + "\n")
         with pytest.raises(ValueError, match=f"expected {len(lines)} lines, found {len(lines) + 2}"):
-            load_model(path)
+            load_model(path, tokens=tokens)
 
-    def test_v2_surplus_lines_rejected(self, tmp_path):
+    def test_v2_surplus_lines_rejected(self, tmp_path, tokens):
         path, lines = self.v2_lines(tmp_path)
         path.write_text("\n".join(lines + ["", "extra"]) + "\n")
         with pytest.raises(ValueError, match="expected 18 lines, found 20"):
-            load_model(path)
+            load_model(path, tokens=tokens)
 
     @pytest.mark.parametrize("where", ["body", "bigram"])
-    def test_wrong_field_count_names_the_line(self, tmp_path, where):
+    def test_wrong_field_count_names_the_line(self, tmp_path, where, tokens):
         path, lines = self.v1_lines(tmp_path)
         i = 6 if where == "body" else len(lines) - 1
         lines[i] += "\t0.5"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {i + 1}: expected . tab-separated fields"):
-            load_model(path)
+            load_model(path, tokens=tokens)
 
     @pytest.mark.parametrize("where", ["body", "bigram"])
-    def test_v2_wrong_field_count_names_the_line(self, tmp_path, where):
+    def test_v2_wrong_field_count_names_the_line(self, tmp_path, where, tokens):
         path, lines = self.v2_lines(tmp_path)
         i, n = (6, 6) if where == "body" else (len(lines) - 1, 7)
         lines[i] += "\t0.5"
@@ -1081,17 +1127,17 @@ class TestPersistence:
         with pytest.raises(
             ValueError, match=f"^{re.escape(str(path))}, line {i + 1}: expected {n} tab-separated fields, found {n + 1}$"
         ):
-            load_model(path)
+            load_model(path, tokens=tokens)
 
-    def test_non_numeric_weight_names_the_line(self, tmp_path):
+    def test_non_numeric_weight_names_the_line(self, tmp_path, tokens):
         path, lines = self.v1_lines(tmp_path)
         lines[7] = lines[7].rsplit("\t", 1)[0] + "\tabc"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 8: weight 'abc' is not a number"):
-            load_model(path)
+            load_model(path, tokens=tokens)
 
     @pytest.mark.parametrize("where", ["body", "bigram"])
-    def test_v2_non_numeric_weight_names_the_line(self, tmp_path, where):
+    def test_v2_non_numeric_weight_names_the_line(self, tmp_path, where, tokens):
         path, lines = self.v2_lines(tmp_path)
         i = 7 if where == "body" else len(lines) - 2
         parts = lines[i].split("\t")
@@ -1099,9 +1145,9 @@ class TestPersistence:
         lines[i] = "\t".join(parts)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {i + 1}: weight 'abc' is not a number$"):
-            load_model(path)
+            load_model(path, tokens=tokens)
 
-    def test_duplicate_observation_names_the_line(self, tmp_path):
+    def test_duplicate_observation_names_the_line(self, tmp_path, tokens):
         path, lines = self.v1_lines(tmp_path)
         m = SCHEME.size
         first = lines[5].split("\t")[0]
@@ -1109,23 +1155,23 @@ class TestPersistence:
             lines[i] = first + "\t" + lines[i].split("\t", 1)[1]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {6 + m}: duplicate observation"):
-            load_model(path)
+            load_model(path, tokens=tokens)
 
-    def test_v2_duplicate_observation_names_the_line(self, tmp_path):
+    def test_v2_duplicate_observation_names_the_line(self, tmp_path, tokens):
         path, lines = self.v2_lines(tmp_path)
         first = lines[5].split("\t")[0]
         lines[6] = first + "\t" + lines[6].split("\t", 1)[1]  # the second row takes the first one's name
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 7: duplicate observation {first!r}$"):
-            load_model(path)
+            load_model(path, tokens=tokens)
 
     @pytest.mark.parametrize("version", ["v1", "v2"])
-    def test_bigram_label_order_names_the_line(self, tmp_path, version):
+    def test_bigram_label_order_names_the_line(self, tmp_path, version, tokens):
         path, lines = self.v1_lines(tmp_path) if version == "v1" else self.v2_lines(tmp_path)
         lines[-2], lines[-1] = lines[-1], lines[-2]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {len(lines) - 1}: bigram block mismatch$"):
-            load_model(path)
+            load_model(path, tokens=tokens)
 
     def chunked_v2_lines(self, tmp_path, monkeypatch):
         """A v2 model of 24 observations read in chunks of five lines, and
@@ -1138,70 +1184,80 @@ class TestPersistence:
         save_model(model, path)
         return path, path.read_text().splitlines()
 
-    def assert_fault_at_line_19(self, path, lines, why):
+    def assert_fault_at_line_19(self, path, lines, why, tokens):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 19: {re.escape(why)}$"):
-            load_model(path)
+            load_model(path, tokens=tokens)
 
-    def test_chunked_wrong_field_count_names_the_line(self, tmp_path, monkeypatch):
+    def test_chunked_wrong_field_count_names_the_line(self, tmp_path, monkeypatch, tokens):
         path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
         lines[18] += "\t0.5"
-        self.assert_fault_at_line_19(path, lines, "expected 6 tab-separated fields, found 7")
+        self.assert_fault_at_line_19(path, lines, "expected 6 tab-separated fields, found 7", tokens)
 
-    def test_chunked_field_counts_that_cancel_name_the_first_line(self, tmp_path, monkeypatch):
+    def test_chunked_field_counts_that_cancel_name_the_first_line(self, tmp_path, monkeypatch, tokens):
         # the chunk keeps its tab count: one line has a surplus field, the next one too few
         path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
         lines[18] += "\t0.5"
         lines[19] = lines[19].rsplit("\t", 1)[0]
-        self.assert_fault_at_line_19(path, lines, "expected 6 tab-separated fields, found 7")
+        self.assert_fault_at_line_19(path, lines, "expected 6 tab-separated fields, found 7", tokens)
 
-    def test_chunked_non_numeric_weight_names_the_line(self, tmp_path, monkeypatch):
+    def test_chunked_non_numeric_weight_names_the_line(self, tmp_path, monkeypatch, tokens):
         path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
         parts = lines[18].split("\t")
         parts[3] = "abc"
         lines[18] = "\t".join(parts)
-        self.assert_fault_at_line_19(path, lines, "weight 'abc' is not a number")
+        self.assert_fault_at_line_19(path, lines, "weight 'abc' is not a number", tokens)
 
     @pytest.mark.parametrize("surplus", [False, True])
-    def test_chunked_blank_line_names_the_line(self, tmp_path, monkeypatch, surplus):
+    def test_chunked_blank_line_names_the_line(self, tmp_path, monkeypatch, surplus, tokens):
         path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
         if surplus:  # a later line of the chunk carries the blank line's tabs
             lines[19] += "\t0.5" * SCHEME.size
         lines[18] = ""
-        self.assert_fault_at_line_19(path, lines, "expected 6 tab-separated fields, found 1")
+        self.assert_fault_at_line_19(path, lines, "expected 6 tab-separated fields, found 1", tokens)
 
-    def test_chunked_duplicate_of_an_earlier_chunk_names_the_line(self, tmp_path, monkeypatch):
+    def test_chunked_duplicate_of_an_earlier_chunk_names_the_line(self, tmp_path, monkeypatch, tokens):
         path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
         first = lines[6].split("\t")[0]  # observation 1, in the first chunk
         lines[18] = first + "\t" + lines[18].split("\t", 1)[1]
-        self.assert_fault_at_line_19(path, lines, f"duplicate observation {first!r}")
+        self.assert_fault_at_line_19(path, lines, f"duplicate observation {first!r}", tokens)
 
-    def test_chunked_truncated_body_rejected(self, tmp_path, monkeypatch):
+    def test_chunked_truncated_body_rejected(self, tmp_path, monkeypatch, tokens):
         path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
         path.write_text("\n".join(lines[:18]) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected 34 lines, found 18$"):
-            load_model(path)
+            load_model(path, tokens=tokens)
+
+    def test_names_that_only_share_a_hash_load_whole_and_are_restricted(self, tmp_path, monkeypatch):
+        path, _ = self.chunked_v2_lines(tmp_path, monkeypatch)
+        monkeypatch.setattr(crf, "hash", lambda name: 0, raising=False)  # every name shares one hash
+        calls = []
+        load = crf.load_model
+        monkeypatch.setattr(crf, "load_model", lambda *args, **kwargs: calls.append(kwargs) or load(*args, **kwargs))
+        tokens = [("saw",)]
+        assert_restricts(crf.load_model(path, tokens=tokens), load_model(path), tokens)
+        assert calls == [{"tokens": tokens}, {}]
 
     @pytest.mark.parametrize("text, value", [("1_0", 10.0), ("\u0661", 1.0), (" 2.5 ", 2.5)])
-    def test_chunked_weights_only_float_reads_still_load(self, tmp_path, monkeypatch, text, value):
+    def test_chunked_weights_only_float_reads_still_load(self, tmp_path, monkeypatch, text, value, tokens):
         path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
-        want = load_model(path).weights.copy()
+        want = load_model(path)
         parts = lines[18].split("\t")
         parts[3] = text
         lines[18] = "\t".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        got = load_model(path)
-        want[13 * SCHEME.size + 2] = value
-        assert got.weights.tobytes() == want.tobytes()
-        assert list(got.obs_index.values()) == list(range(24))
+        got = load_model(path, tokens=tokens)
+        want.weights = want.weights.copy()
+        want.weights[13 * SCHEME.size + 2] = value
+        assert_restricts(got, want, tokens)
 
-    def test_chunked_weight_next_to_a_separator_is_refused(self, tmp_path, monkeypatch):
+    def test_chunked_weight_next_to_a_separator_is_refused(self, tmp_path, monkeypatch, tokens):
         # np.loadtxt strips \x1c around a number; float, and so the reader, refuses it
         path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
         parts = lines[18].split("\t")
         parts[3] = "\x1c1"
         lines[18] = "\t".join(parts)
-        self.assert_fault_at_line_19(path, lines, "weight '\\x1c1' is not a number")
+        self.assert_fault_at_line_19(path, lines, "weight '\\x1c1' is not a number", tokens)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1229,6 +1285,31 @@ class TestPersistence:
             loaded = load_model(Path(tmp, "m.tsv"))
         assert loaded.weights.tobytes() == model.weights.tobytes()
         assert list(loaded.obs_index.items()) == list(model.obs_index.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        v1=st.booleans(),
+        seqs=st.lists(
+            st.lists(st.sampled_from(["a", "b", "alice", "Saw", "paris", "1984", "qq", "A"]), min_size=1, max_size=5),
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_model_loaded_for_its_input_decodes_it_alike(self, v1, seqs, seed):
+        # weights in {-1, 0, 1}: many exact ties, which must break alike
+        with tempfile.TemporaryDirectory() as tmp:
+            path = MODEL_V1
+            if not v1:
+                model = build_model(SCHEME, [("alice", "saw", "paris"), ("a", "1984", "b")])
+                model.weights[:] = np.random.default_rng(seed).integers(-1, 2, size=model.dim)
+                path = Path(tmp, "m.tsv")
+                save_model(model, path)
+            whole, restricted = load_model(path), load_model(path, tokens=iter(seqs))
+        assert_restricts(restricted, whole, seqs)
+        assert restricted.n_obs == len(fired_observations(seqs, whole.templates) & whole.obs_index.keys())
+        assert decode(restricted, seqs) == decode(whole, seqs)
+        for got, want in zip(extract_features(restricted, seqs), extract_features(whole, seqs)):
+            assert got.unary.tobytes() == want.unary.tobytes()
 
     @pytest.mark.parametrize("sep", ["\t", "\n", "\r"])
     def test_an_observation_holding_a_line_or_field_separator_is_refused(self, tmp_path, sep):
