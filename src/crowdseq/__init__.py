@@ -37,7 +37,7 @@ _EXPORTS = {
     ),
     "formats": (
         "DataError", "load_config", "load_conll", "load_crowd", "load_tokens", "parse_config",
-        "read_tag_file", "save_config", "save_conll", "save_crowd", "serialize_config",
+        "read_tag_file", "save_config", "save_conll", "save_crowd", "save_tagged", "serialize_config",
     ),
     "lattice": ("ValidLattice", "candidate_sets", "count_valid", "enumerate_valid"),
     "scoring": (

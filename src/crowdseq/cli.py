@@ -15,10 +15,13 @@ only ``formats`` and ``types`` besides argparse: ``decode`` never imports
 ``em``, ``lattice``, ``annotators`` or ``baselines``, and neither ``train``
 nor ``aggregate --method saslc`` imports ``baselines``.
 
+``train`` writes the model in format v3, names as text and weights as raw
+float64 (see ``crf``); ``decode`` also reads the older text formats.
 ``decode`` reads its token file first and loads only the model rows those
 tokens fire (``crf.load_model`` with ``tokens``), so its memory grows with
 the input's vocabulary, not the model's, and its output is what the whole
-model gives.
+model gives.  It and ``aggregate`` write their labels straight from
+(tokens, labels) pairs (``formats.save_tagged``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import dataclasses
 import sys
 
 from . import formats
-from .types import CrowdDataset, CrowdInstance, LabelScheme
+from .types import LabelScheme
 
 
 class _UsageError(Exception):
@@ -121,14 +124,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _write_labeled(path, ds: CrowdDataset, labelings) -> None:
-    relabeled = tuple(
-        CrowdInstance(inst.tokens, {}, tuple(labels))
-        for inst, labels in zip(ds.instances, labelings)
-    )
-    formats.save_conll(path, CrowdDataset(ds.scheme, relabeled, ()))
-
-
 def _cmd_aggregate(args) -> int:
     cfg = _load_file_config(args)
     ds = formats.load_crowd(args.crowd)
@@ -147,7 +142,7 @@ def _cmd_aggregate(args) -> int:
             ds_iters=_pick(args, "ds_iters", cfg, "ds_iters", 100),
             ds_tol=_pick(args, "ds_tol", cfg, "ds_tol", 1e-8),
         )
-    _write_labeled(args.out, ds, labelings)
+    formats.save_tagged(args.out, ds.scheme, zip((inst.tokens for inst in ds.instances), labelings))
     return 0
 
 
@@ -172,11 +167,7 @@ def _cmd_decode(args) -> int:
 
     token_seqs = formats.load_tokens(args.input)
     model = crf.load_model(args.model, tokens=token_seqs)
-    decoded = tuple(
-        CrowdInstance(tokens, {}, labels)
-        for tokens, labels in zip(token_seqs, crf.decode(model, token_seqs))
-    )
-    formats.save_conll(args.out, CrowdDataset(model.scheme, decoded, ()))
+    formats.save_tagged(args.out, model.scheme, zip(token_seqs, crf.decode(model, token_seqs)))
     return 0
 
 

@@ -63,28 +63,37 @@ Training needs scipy only for its compiled L-BFGS-B routine, which
 neither ``scipy`` nor ``scipy.optimize`` is imported.  Loading a model and
 decoding never touch scipy at all.
 
-``save_model`` writes format v2: the magic line, ``kind``, ``labels``,
+``save_model`` writes format v3: the magic line, ``kind``, ``labels``,
 ``templates`` and ``observations`` header lines, then one line per
-observation, ``name<TAB>w_1 ... w_M`` in label order, then, with a bigram
-template, M lines ``bigram<TAB>from_label<TAB>w_1 ... w_M``.  ``load_model``
-reads the observation lines in chunks of ``_CHUNK_LINES``: ``np.loadtxt``
-parses a chunk's weights and one ``dict.update`` interns its names, and the
-chunk's float64 block is appended to one buffer that becomes the weight
-vector without a copy.  A chunk that parse does not take whole (a malformed
-line, or a weight that only ``float`` reads, such as ``1_0``) goes through
-the per-line reader, one split and ``float`` per line, which names the bad
-line.  It still reads v1 files (one line per observation and label, then
-one per label pair) line by line, and in either format names the line of a
-malformed entry.
+observation holding its name, in id order, all UTF-8, then the weight vector
+as raw little-endian float64, with nothing after it.  ``load_model`` reads
+the names in chunks of ``_CHUNK_LINES`` lines (a line ends at ``\\n`` alone,
+and a name holding a tab or a CR, or bytes that are not UTF-8, is refused
+by its line) and interns each chunk with one ``dict.update``; the weights
+go straight into one preallocated array with ``readinto``, and their block
+must be exactly the size the header gives.
+
+It still reads v2 files, text with one line per observation,
+``name<TAB>w_1 ... w_M`` in label order, then, with a bigram template, M
+lines ``bigram<TAB>from_label<TAB>w_1 ... w_M``: ``np.loadtxt`` parses a
+chunk's weights, its names go through the same name pass as v3's
+(``_NamePass``), and the chunk's float64 block is appended to one buffer
+that becomes the weight vector without a copy.  A chunk that parse does not
+take whole (a malformed line, or a weight that only ``float`` reads, such
+as ``1_0``) goes through the per-line reader, one split and ``float`` per
+line, which names the bad line.  v1 files (one line per observation and
+label, then one per label pair) are read line by line.  Either text format
+names the line of a malformed entry, and of bytes that are not UTF-8.
 
 Given the token sequences to decode, ``load_model`` keeps only the rows of
 the observations the templates fire on their token types (``_fired``), and
 the BOS/EOS observations, numbered in file order, so decode's memory grows
-with its input's vocabulary, not the model's.  The v2 reader still parses
-and checks every line, and holds the hash of each name, not the name, for
-the duplicate check; a fault, or two names of one hash, sends the file to
-the whole reader, which names it.  A v1 file loads whole and is then
-restricted (``_restrict``).
+with its input's vocabulary, not the model's.  The v3 and v2 readers still
+read and check every line, and hold the hash of each name, not the name,
+for the duplicate check; v3 reads the weight block a chunk of rows at a
+time into the kept rows' places.  A fault, or two names of one hash, sends
+the file to the whole reader, which names it.  A v1 file loads whole and is
+then restricted (``_restrict``).
 
 The weight vector is the flattened (n_obs, M) unary block followed, when a
 label-bigram template is present, by the flattened (M, M) bigram block.
@@ -94,6 +103,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import io
 import sys
 from array import array
 from dataclasses import dataclass, replace
@@ -104,15 +114,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .formats import DataError
 from .types import LabelScheme, LabelSeq
 
 BOS_TOKEN = "<s>"
 EOS_TOKEN = "</s>"
 
-MODEL_MAGIC = "crowdseq-crf v2"
+MODEL_MAGIC = "crowdseq-crf v3"
+MODEL_MAGIC_V2 = "crowdseq-crf v2"  # one text line per observation; still read
 MODEL_MAGIC_V1 = "crowdseq-crf v1"  # one line per weight; still read
 
-_CHUNK_LINES = 4096  # v2 observation lines parsed per np.loadtxt call
+_CHUNK_LINES = 4096  # observation lines read at once: a v2 np.loadtxt call, a v3 name chunk
 _FLOAT_REFUSES = "\x1c\x1d\x1e\x1f"  # np.loadtxt strips these around a number
 _TINY = np.finfo(float).tiny  # a scaled row sum below this is out of the float64 range
 _GATHER_ROWS = 1024  # positions whose (T, M) weight rows _unary_table gathers at once
@@ -891,23 +903,25 @@ def optimize(
 
 
 def save_model(model: CrfModel, path) -> None:
-    """Versioned flat text dump, format v2 (see the module docstring);
-    floats use shortest round-trip encoding."""
-    labels = model.scheme.labels
-    lines = [MODEL_MAGIC]
-    lines.append("kind\t" + model.scheme.kind)
-    lines.append("labels\t" + "\t".join(labels))
-    lines.append("templates\t" + "\t".join(t.spec_string for t in model.templates))
-    lines.append(f"observations\t{model.n_obs}")
-    rows = model.unary_weights().tolist()
-    for obs, r in model.obs_index.items():
-        if "\t" in obs or "\n" in obs or "\r" in obs:
-            raise ValueError(f"observation not serializable: {obs!r}")
-        lines.append(obs + "\t" + "\t".join(map(repr, rows[r])))
-    if model.has_bigram:
-        for la, row in zip(labels, model.bigram_weights().tolist()):
-            lines.append(f"bigram\t{la}\t" + "\t".join(map(repr, row)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Format v3 (see the module docstring): the header and the observation
+    names as UTF-8 lines, the names in id order, then the weight vector as
+    raw little-endian float64."""
+    names = np.empty(model.n_obs, dtype=object)
+    names[np.fromiter(model.obs_index.values(), np.intp, model.n_obs)] = list(model.obs_index)
+    body = "\n".join([*names.tolist(), ""])
+    if body.count("\n") != model.n_obs or "\t" in body or "\r" in body:
+        obs = next(obs for obs in model.obs_index if "\t" in obs or "\n" in obs or "\r" in obs)
+        raise ValueError(f"observation not serializable: {obs!r}")
+    header = [
+        MODEL_MAGIC,
+        "kind\t" + model.scheme.kind,
+        "labels\t" + "\t".join(model.scheme.labels),
+        "templates\t" + "\t".join(t.spec_string for t in model.templates),
+        f"observations\t{model.n_obs}",
+    ]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n" + body).encode("utf-8"))
+        fh.write(np.ascontiguousarray(model.weights, dtype="<f8"))
 
 
 def _field_problem(line: str, n_fields: int, n_weights: int) -> str:
@@ -922,6 +936,51 @@ def _field_problem(line: str, n_fields: int, n_weights: int) -> str:
         except ValueError:
             break
     return f"weight {w!r} is not a number"
+
+
+class _NamePass:
+    """Interns the observation names of a v2 or v3 body, chunk by chunk, in
+    file order, numbering them from 0.
+
+    Without ``keep`` it interns every name, and a repeated name raises,
+    naming its line.  Given ``keep``, which maps each name to keep to
+    itself, it interns only those names, as ``keep``'s own strings, and the
+    duplicate check holds each name's hash, not the name: ``check_hashes``
+    raises a ValueError, naming no line, if two names share one.
+    """
+
+    def __init__(self, keep: dict[str, str] | None, bad):
+        self.keep, self.bad = keep, bad
+        self.obs_index: dict[str, int] = {}
+        self.hashes = array("q")  # given keep, the hash of every name read
+        self.read = 0
+
+    def add(self, names: list[str]) -> np.ndarray | None:
+        """Interns the next names of the body; returns which of them were
+        kept, or None when all were."""
+        first, self.read = self.read, self.read + len(names)
+        kept = None
+        if self.keep is not None:
+            found = list(map(self.keep.get, names))  # keep's string equal to each name, or None
+            chunk_hashes = np.fromiter(map(hash, names), dtype=np.int64, count=len(names))  # cached by the lookup
+            self.hashes.frombytes(memoryview(chunk_hashes).cast("B"))
+            kept = np.fromiter(map(is_not, found, repeat(None)), dtype=bool, count=len(names))
+            names = list(compress(found, kept))
+        n = len(self.obs_index)
+        self.obs_index.update(zip(names, range(n, n + len(names))))
+        if len(self.obs_index) < n + len(names):  # a repeated name: find its line
+            known = set(islice(self.obs_index, n))  # an update keeps a key's place
+            at = range(first, self.read) if kept is None else np.flatnonzero(kept) + first
+            for i, name in zip(at, names):
+                if name in known:
+                    raise self.bad(6 + i, f"duplicate observation {name!r}")
+                known.add(name)
+        return kept
+
+    def check_hashes(self) -> None:
+        ordered = np.sort(np.frombuffer(self.hashes, dtype=np.int64))
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("two observation names share a hash")
 
 
 def _read_v1_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[str, int], array, int]:
@@ -961,50 +1020,41 @@ def _read_v1_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[s
     return obs_index, weights, len(weights)
 
 
-def _read_v2_lines(lines: list[str], first: int, m: int, known: dict[str, int], bad) -> tuple[list[str], np.ndarray]:
+def _read_v2_lines(lines: list[str], first: int, m: int, bad) -> tuple[list[str], np.ndarray, ValueError | None]:
     """Observation lines ``first``, ``first + 1``, ... of a v2 body, each
-    split once and its weights read by ``float``: their names and (n, M)
-    weights.  Names the first line that is malformed or repeats a name of
-    ``known`` or of an earlier line."""
-    names: dict[str, None] = {}
+    split once and its weights read by ``float``: the names and (n, M)
+    weights of the lines before the first malformed one, and the error
+    naming that line (None if every line is well formed)."""
+    names: list[str] = []
     weights: list[float] = []
+    fault = None
     for i, line in enumerate(lines, first):
         parts = line.split("\t")
         try:
             if len(parts) != m + 1:
                 raise ValueError
-            weights.extend(map(float, parts[1:]))
+            row = list(map(float, parts[1:]))
         except ValueError:
-            raise bad(6 + i, _field_problem(line, m + 1, m)) from None
-        if parts[0] in known or parts[0] in names:
-            raise bad(6 + i, f"duplicate observation {parts[0]!r}")
-        names[parts[0]] = None
-    return list(names), np.array(weights).reshape(len(names), m)
+            fault = bad(6 + i, _field_problem(line, m + 1, m))
+            break
+        names.append(parts[0])
+        weights.extend(row)
+    return names, np.array(weights).reshape(len(names), m), fault
 
 
-def _read_v2_body(
-    fh, labels, n_obs: int, has_bigram: bool, bad, keep: dict[str, str] | None = None
-) -> tuple[dict[str, int], array, int]:
+def _read_v2_body(fh, labels, n_obs: int, has_bigram: bool, bad, names: _NamePass) -> tuple[array, int]:
     """Bodies of the v2 format: one line per observation, then one per
-    bigram from-label.  Returns the names interned, the weights and the
-    number of lines read.
+    bigram from-label.  Interns the names through ``names`` and returns the
+    weights of those it keeps and the number of lines read.
 
     Observation lines are read ``_CHUNK_LINES`` at a time.  ``np.loadtxt``
-    parses a chunk's weights and one ``dict.update`` interns its names; a
-    chunk that parse does not take whole goes to ``_read_v2_lines``, which
-    reads the weights ``float`` alone accepts (``1_0``, non-ASCII digits)
-    and names a bad line.
-
-    Given ``keep``, which maps each name to keep to itself, it interns only
-    those names, as ``keep``'s own strings, numbered in file order, and
-    keeps their weight rows.  The duplicate check then holds each name's
-    hash, not the name: two names of one hash raise a ValueError, naming no
-    line, after the last line.
+    parses a chunk's weights in one call; a chunk that parse does not take
+    whole goes to ``_read_v2_lines``, which reads the weights ``float``
+    alone accepts (``1_0``, non-ASCII digits) and names a bad line, after
+    the names before it have been checked for a repeat.
     """
     m = len(labels)
-    obs_index: dict[str, int] = {}
     weights = array("d")
-    hashes = array("q")  # given keep, the hash of every name read
     cols = range(1, m + 1)
     read = 0
     for first in range(0, n_obs, _CHUNK_LINES):
@@ -1012,7 +1062,7 @@ def _read_v2_body(
         if not lines:
             break
         read += len(lines)
-        names = None
+        chunk, fault = None, None
         text = "".join(lines)
         # np.loadtxt skips blank lines and ignores surplus fields, and float
         # refuses a number next to _FLOAT_REFUSES, which np.loadtxt strips
@@ -1022,20 +1072,14 @@ def _read_v2_body(
             except ValueError:
                 block = None
             if block is not None and block.shape[0] == len(lines):
-                names = [line.partition("\t")[0] for line in lines]
-        if names is None:
-            names, block = _read_v2_lines(lines, first, m, obs_index, bad)
-        if keep is not None:
-            found = list(map(keep.get, names))  # keep's string equal to each name, or None
-            chunk_hashes = np.fromiter(map(hash, names), dtype=np.int64, count=len(names))  # cached by the lookup
-            hashes.frombytes(memoryview(chunk_hashes).cast("B"))
-            kept = np.fromiter(map(is_not, found, repeat(None)), dtype=bool, count=len(names))
-            names, block = list(compress(found, kept)), block[kept]
-        n = len(obs_index)
-        obs_index.update(zip(names, range(n, n + len(names))))
-        if len(obs_index) < n + len(names):
-            # a repeated name, which the per-line reader finds among the names known before this chunk
-            _read_v2_lines(lines, first, m, dict(islice(obs_index.items(), n)), bad)
+                chunk = [line.partition("\t")[0] for line in lines]
+        if chunk is None:
+            chunk, block, fault = _read_v2_lines(lines, first, m, bad)
+        kept = names.add(chunk)
+        if fault is not None:
+            raise fault
+        if kept is not None:
+            block = block[kept]
         if block.size:  # memoryview refuses to cast an empty block
             weights.frombytes(memoryview(block).cast("B"))
     if has_bigram and read == n_obs:
@@ -1050,10 +1094,62 @@ def _read_v2_body(
             if parts[0] != "bigram" or parts[1] != la:
                 raise bad(i, "bigram block mismatch")
             read += 1
-    ordered = np.sort(np.frombuffer(hashes, dtype=np.int64))
-    if (ordered[1:] == ordered[:-1]).any():
-        raise ValueError("two observation names share a hash")
-    return obs_index, weights, read
+    return weights, read
+
+
+def _read_v3_names(fh, path, n_obs: int, bad, names: _NamePass) -> np.ndarray | None:
+    """The name lines of a v3 body, read ``_CHUNK_LINES`` at a time and
+    interned through ``names``: which names were kept, or None when all
+    were.  Lines end at ``\\n`` alone; names the first that holds a tab or
+    a CR or is not UTF-8."""
+    masks = []
+    for first in range(0, n_obs, _CHUNK_LINES):
+        count = min(_CHUNK_LINES, n_obs - first)
+        raw = b"".join(islice(fh, count))
+        if raw.count(b"\n") != count:
+            found = first + raw.count(b"\n")
+            raise ValueError(f"{path}: expected {n_obs} observation names, found {found}")
+        cut = min((at for at in (raw.find(b"\t"), raw.find(b"\r")) if at >= 0), default=len(raw))
+        try:
+            text = raw[:cut].decode("utf-8")  # UTF-8 never holds a tab or CR byte inside a character
+        except UnicodeDecodeError:
+            raise DataError.not_utf8(path, raw, 6 + first) from None
+        if cut < len(raw):
+            raise bad(6 + first + raw.count(b"\n", 0, cut), f"observation name holds {chr(raw[cut])!r}")
+        chunk = text.split("\n")  # not splitlines, which also ends a line at \x1c, \x85, \u2028, ...
+        chunk.pop()  # the empty string after the last newline
+        masks.append(names.add(chunk))
+    return None if names.keep is None else np.concatenate([np.zeros(0, bool), *masks])
+
+
+def _read_v3_weights(fh, path, n_obs: int, m: int, n_pair: int, kept: np.ndarray | None) -> np.ndarray:
+    """The raw little-endian float64 weights that end a v3 file: the
+    (n_obs, M) unary block, then ``n_pair`` bigram weights, which must be
+    all that is left of the file.  Given ``kept``, only the kept unary rows,
+    read a chunk of ``_CHUNK_LINES`` rows at a time into their place in the
+    one array returned."""
+    n = n_obs if kept is None else int(np.count_nonzero(kept))
+    weights = np.empty(n * m + n_pair, dtype="<f8")
+    start = fh.tell()
+    if kept is None:
+        got = fh.readinto(weights)
+    else:
+        rows = weights[: n * m].reshape(n, m)
+        buf = np.empty((min(_CHUNK_LINES, n_obs), m), dtype="<f8")
+        got = at = 0
+        for lo in range(0, n_obs, _CHUNK_LINES):
+            mask = kept[lo : lo + _CHUNK_LINES]
+            block = buf[: mask.size]
+            got += fh.readinto(block)  # short only in a faulty file, refused below
+            to = at + int(np.count_nonzero(mask))
+            np.compress(mask, block, axis=0, out=rows[at:to])
+            at = to
+        got += fh.readinto(weights[rows.size :])
+    expected = (n_obs * m + n_pair) * 8
+    if got != expected or fh.read(1):
+        found = fh.seek(0, io.SEEK_END) - start
+        raise ValueError(f"{path}: expected {expected} bytes of weights, found {found}")
+    return weights
 
 
 def _fired(templates: Sequence[FeatureTemplate], token_seqs: Iterable[Sequence[str]]) -> dict[str, str]:
@@ -1081,64 +1177,87 @@ def _restrict(model: CrfModel, keep: dict[str, str]) -> CrfModel:
 
 
 def load_model(path, tokens: Iterable[Sequence[str]] | None = None) -> CrfModel:
-    """Read a ``save_model`` file, v2 or v1, in one pass over its lines.
+    """Read a ``save_model`` file, v3, v2 or v1, in one pass.
 
     Given ``tokens``, the token sequences to decode, the model keeps only
     the observations its templates fire on their token types, and the
     BOS/EOS observations, numbered in file order.  ``decode`` of those
     sequences sums the same weight rows in the same order as under the whole
     model, so it gives the same paths, while the model's memory grows with
-    their vocabulary, not the file's.  Every line is still parsed and
-    checked: a v2 body in one pass that holds the hash of each name for the
-    duplicate check, a v1 file by loading it whole and then restricting it.
-    A fault in a v2 body, or two names of one hash, sends the file to the
-    whole reader, which names the fault as ``load_model(path)`` does; names
-    that only share a hash load whole and are then restricted.
-    ``save_model`` of a restricted model writes only its own rows.
+    their vocabulary, not the file's.  Every line is still read and
+    checked: a v3 or v2 body in one pass that holds the hash of each name
+    for the duplicate check, a v1 file by loading it whole and then
+    restricting it.  A fault in a v3 or v2 body, or two names of one hash,
+    sends the file to the whole reader, which names the fault as
+    ``load_model(path)`` does; names that only share a hash load whole and
+    are then restricted.  ``save_model`` of a restricted model writes only
+    its own rows.  Bytes that are not UTF-8 where text is expected raise a
+    ValueError naming their line.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = [line.rstrip("\n") for line in islice(fh, 5)]
-        if not header or header[0] not in (MODEL_MAGIC, MODEL_MAGIC_V1):
-            raise ValueError(f"{path}: not a {MODEL_MAGIC} or v1 file")
+    try:
+        with open(path, "rb") as fh:
+            v3 = fh.readline() == MODEL_MAGIC.encode() + b"\n"
+            if v3:
+                lines = list(islice(fh, 4))
+                try:
+                    header = [MODEL_MAGIC, *(line.decode("utf-8").rstrip("\n") for line in lines)]
+                except UnicodeDecodeError:
+                    raise DataError.not_utf8(path, b"".join(lines), 2) from None
+            else:  # v2 and v1 files are read as text, lines ending as text mode ends them
+                fh.seek(0)
+                fh = io.TextIOWrapper(fh, encoding="utf-8")
+                header = [line.rstrip("\n") for line in islice(fh, 5)]
+                if not header or header[0] not in (MODEL_MAGIC_V2, MODEL_MAGIC_V1):
+                    raise ValueError(f"{path}: not a {MODEL_MAGIC}, v2 or v1 file")
 
-        def fields(i, tag, n=None):
-            parts = header[i].split("\t") if i < len(header) else [None]
-            if parts[0] != tag or (n is not None and len(parts) != n):
-                raise ValueError(f"{path}, line {i + 1}: expected {tag!r}")
-            return parts[1:]
+            def fields(i, tag, n=None):
+                parts = header[i].split("\t") if i < len(header) else [None]
+                if parts[0] != tag or (n is not None and len(parts) != n):
+                    raise ValueError(f"{path}, line {i + 1}: expected {tag!r}")
+                return parts[1:]
 
-        kind = fields(1, "kind", 2)[0]
-        labels = tuple(fields(2, "labels"))
-        templates = tuple(FeatureTemplate.parse(s) for s in fields(3, "templates"))
-        n_text = fields(4, "observations", 2)[0]
-        if not n_text.isdecimal():
-            raise ValueError(f"{path}, line 5: observation count {n_text!r} is not a nonnegative integer")
-        n_obs = int(n_text)
-        scheme = LabelScheme(labels, kind)
-        model = CrfModel(scheme, templates, {}, np.zeros(0))
-        v1 = header[0] == MODEL_MAGIC_V1
-        per_line = 1 if v1 else scheme.size  # weights on a body line
-        keep = None if tokens is None else _fired(templates, tokens)
+            kind = fields(1, "kind", 2)[0]
+            labels = tuple(fields(2, "labels"))
+            templates = tuple(FeatureTemplate.parse(s) for s in fields(3, "templates"))
+            n_text = fields(4, "observations", 2)[0]
+            if not n_text.isdecimal():
+                raise ValueError(f"{path}, line 5: observation count {n_text!r} is not a nonnegative integer")
+            n_obs = int(n_text)
+            scheme = LabelScheme(labels, kind)
+            model = CrfModel(scheme, templates, {}, np.zeros(0))
+            m = scheme.size
+            n_pair = m * m if model.has_bigram else 0
+            v1 = header[0] == MODEL_MAGIC_V1
+            keep = None if tokens is None else _fired(templates, tokens)
 
-        def bad(line_no: int, why: str) -> ValueError:
-            return ValueError(f"{path}, line {line_no}: {why}")
+            def bad(line_no: int, why: str) -> ValueError:
+                return ValueError(f"{path}, line {line_no}: {why}")
 
-        try:
-            if v1:
-                obs_index, weights, read = _read_v1_body(fh, labels, n_obs, model.has_bigram, bad)
-            else:
-                obs_index, weights, read = _read_v2_body(fh, labels, n_obs, model.has_bigram, bad, keep)
-        except ValueError:
-            if v1 or keep is None:
-                raise
-            read = None
-        found = None if read is None else 5 + read + sum(1 for _ in fh)
-    if read is None:  # the whole reader names the fault, or loads names that only share a hash
+            names = _NamePass(keep, bad)
+            whole = False
+            try:
+                if v3:
+                    kept = _read_v3_names(fh, path, n_obs, bad, names)
+                    names.check_hashes()
+                    model.weights = _read_v3_weights(fh, path, n_obs, m, n_pair, kept)
+                elif v1:
+                    names.obs_index, weights, read = _read_v1_body(fh, labels, n_obs, model.has_bigram, bad)
+                else:
+                    weights, read = _read_v2_body(fh, labels, n_obs, model.has_bigram, bad, names)
+                    names.check_hashes()
+            except ValueError:
+                if v1 or keep is None:
+                    raise
+                whole = True
+            if not (v3 or whole):
+                found = 5 + read + sum(1 for _ in fh)
+                expected = 5 + (n_obs * m + n_pair) // (1 if v1 else m)
+                if found != expected:
+                    raise ValueError(f"{path}: expected {expected} lines, found {found}")
+                model.weights = np.frombuffer(weights)  # shares the array's buffer: no second copy
+    except UnicodeDecodeError:  # in a v2 or v1 file
+        raise DataError.not_utf8(path, Path(path).read_bytes()) from None
+    if whole:  # the whole reader names the fault, or loads names that only share a hash
         return _restrict(load_model(path), keep)
-    m = scheme.size
-    expected = 5 + (n_obs * m + (m * m if model.has_bigram else 0)) // per_line
-    if found != expected:
-        raise ValueError(f"{path}: expected {expected} lines, found {found}")
-    model.obs_index = obs_index
-    model.weights = np.frombuffer(weights)  # shares the array's buffer: no second copy
+    model.obs_index = names.obs_index
     return _restrict(model, keep) if v1 and keep is not None else model

@@ -5,8 +5,9 @@ between sequences and a trailing newline.  A crowd file starts with an
 ``#annotators: id1,id2,...`` header and carries one label column per
 annotator, where ``_`` marks an annotator who skipped the whole sequence.
 Loading is strict: anything malformed raises :class:`DataError` naming the
-file, line, and offending content, and well-formed files round-trip
-byte-exactly through load and save.
+file, line, and offending content (bytes that are not UTF-8 by their line
+alone), and well-formed files round-trip byte-exactly through load and
+save.
 
 Run configs are ``key = value`` lines over a fixed key set; parsing then
 serializing is canonicalizing (sorted keys) and stable.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from typing import Iterable, Sequence
 
 from .types import CrowdDataset, CrowdInstance, LabelScheme
 
@@ -34,9 +36,26 @@ class DataError(ValueError):
         self.path = str(path)
         self.line_no = line_no
 
+    @classmethod
+    def not_utf8(cls, path, data: bytes, first_line: int = 1) -> DataError:
+        """The error naming the line of ``data``, the bytes of ``path`` from
+        the start of line ``first_line``, that holds their first bytes that
+        are not UTF-8, counting lines as text mode does: ended by ``\\n``,
+        ``\\r\\n`` or ``\\r``.  ``data`` must hold such bytes."""
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            head = data[: e.start]
+            line = first_line + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            return cls(path, line, f"not UTF-8 (byte {data[e.start]:#04x}: {e.reason})")
+        raise ValueError("the bytes are UTF-8")
+
 
 def _read_text(path) -> str:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DataError.not_utf8(path, Path(path).read_bytes()) from None
     if not text:
         raise DataError(path, None, "empty file")
     if not text.endswith("\n"):
@@ -109,19 +128,30 @@ def load_conll(path, scheme: LabelScheme | None = None) -> CrowdDataset:
     return CrowdDataset(scheme, tuple(instances), ())
 
 
-def save_conll(path, ds: CrowdDataset) -> None:
-    """Write each instance's gold labels in canonical tag-file form."""
+def save_tagged(path, scheme: LabelScheme, tagged: Iterable[tuple[Sequence[str], Sequence[int]]]) -> None:
+    """Write (tokens, label ids) pairs in canonical tag-file form."""
+    labels = scheme.labels
     blocks = []
-    for i, inst in enumerate(ds.instances):
-        if inst.gold is None:
-            raise ValueError(f"instance {i} has no gold labels")
+    for tokens, ids in tagged:
         lines = []
-        for tok, lab in zip(inst.tokens, inst.gold):
+        for tok, lab in zip(tokens, ids):
             if "\t" in tok or "\n" in tok or not tok:
                 raise ValueError(f"token not serializable: {tok!r}")
-            lines.append(f"{tok}\t{ds.scheme.labels[lab]}")
+            lines.append(f"{tok}\t{labels[lab]}")
         blocks.append("\n".join(lines))
     Path(path).write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+
+
+def save_conll(path, ds: CrowdDataset) -> None:
+    """Write each instance's gold labels in canonical tag-file form."""
+
+    def gold():
+        for i, inst in enumerate(ds.instances):
+            if inst.gold is None:
+                raise ValueError(f"instance {i} has no gold labels")
+            yield inst.tokens, inst.gold
+
+    save_tagged(path, ds.scheme, gold())
 
 
 def load_crowd(path, scheme: LabelScheme | None = None) -> CrowdDataset:

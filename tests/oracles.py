@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from scipy.special import logsumexp
@@ -12,7 +13,7 @@ from scipy.special import logsumexp
 from crowdseq import LabelScheme
 from crowdseq.annotators import resolve_mentions
 from crowdseq.baselines import logsumexp as own_logsumexp
-from crowdseq.crf import SequencePotentials, extract_features
+from crowdseq.crf import MODEL_MAGIC_V2, SequencePotentials, extract_features
 
 
 def sequence_score(pot: SequencePotentials, labels) -> float:
@@ -157,6 +158,29 @@ def fired_observations(token_seqs, templates) -> set[str]:
     seqs = [seq for tok in types for seq in ((tok,), (tok, tok))]
     edges = loop_obs_index([("",)], [tpl for tpl in templates if tpl.offset])
     return set(loop_obs_index(seqs, templates)) | set(edges)
+
+
+def save_model_v2(model, path) -> None:
+    """The format-v2 writer: the five header lines, then one text line per
+    observation, ``name<TAB>w_1 ... w_M`` in label order, then, with a
+    bigram template, M lines ``bigram<TAB>from_label<TAB>w_1 ... w_M``;
+    floats use shortest round-trip encoding.  ``load_model`` still reads
+    the files it writes."""
+    labels = model.scheme.labels
+    lines = [MODEL_MAGIC_V2]
+    lines.append("kind\t" + model.scheme.kind)
+    lines.append("labels\t" + "\t".join(labels))
+    lines.append("templates\t" + "\t".join(t.spec_string for t in model.templates))
+    lines.append(f"observations\t{model.n_obs}")
+    rows = model.unary_weights().tolist()
+    for obs, r in model.obs_index.items():
+        if "\t" in obs or "\n" in obs or "\r" in obs:
+            raise ValueError(f"observation not serializable: {obs!r}")
+        lines.append(obs + "\t" + "\t".join(map(repr, rows[r])))
+    if model.has_bigram:
+        for la, row in zip(labels, model.bigram_weights().tolist()):
+            lines.append(f"bigram\t{la}\t" + "\t".join(map(repr, row)))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def brute_valid(candidates, scheme: LabelScheme) -> list[tuple[int, ...]]:

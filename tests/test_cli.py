@@ -11,6 +11,7 @@ import pytest
 
 import crowdseq
 from corpus import make_gold
+from oracles import save_model_v2
 from crowdseq import (
     CrowdDataset,
     CrowdInstance,
@@ -48,11 +49,12 @@ def modules_after(argv, cwd) -> set[str]:
     return set(proc.stdout.split())
 
 
-def tiny_model(tmp_path):
-    """A zero-weight model over a few sentences, and those sentences as a tag file."""
+def tiny_model(tmp_path, save=save_model):
+    """A zero-weight model over a few sentences, written by ``save``, and
+    those sentences as a tag file."""
     gold = make_gold(3, seed=2)
     model_path, tokens_path = tmp_path / "model.tsv", tmp_path / "tokens.tsv"
-    save_model(build_model(gold.scheme, [inst.tokens for inst in gold.instances]), model_path)
+    save(build_model(gold.scheme, [inst.tokens for inst in gold.instances]), model_path)
     save_conll(tokens_path, gold)
     return model_path, tokens_path
 
@@ -245,21 +247,32 @@ class TestExitCodes:
         assert code == 0, err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("save", [save_model_v2, save_model], ids=["v2", "v3"])
     @pytest.mark.parametrize("fired", ["every row", "edges only"])
-    def test_decode_rejects_a_duplicated_observation(self, tmp_path, capsys, fired):
-        model_path, tokens_path = tiny_model(tmp_path)
+    def test_decode_rejects_a_duplicated_observation(self, tmp_path, capsys, fired, save):
+        model_path, tokens_path = tiny_model(tmp_path, save)
         if fired == "edges only":  # a word of no row: only the BOS/EOS rows are kept, none of the faulty ones
             tokens_path.write_text("qq\n", encoding="utf-8")
-        lines = model_path.read_text(encoding="utf-8").splitlines()
-        m = len(lines[2].split("\t")) - 1  # labels
-        first = lines[5].split("\t")[0]
-        for i in range(5 + m, 5 + 2 * m):  # the second block takes the first one's name
-            lines[i] = first + "\t" + lines[i].split("\t", 1)[1]
-        model_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines = model_path.read_bytes().split(b"\n")
+        m = len(lines[2].split(b"\t")) - 1  # labels
+        first = lines[5].split(b"\t")[0]
+        for i in range(5 + m, 5 + 2 * m):  # the second block (v2) or the next m names (v3) take the first one's name
+            lines[i] = b"\t".join([first, *lines[i].split(b"\t")[1:]])
+        model_path.write_bytes(b"\n".join(lines))
         assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {model_path}, line {6 + m}: duplicate observation")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["model", "tokens"])
+    def test_decode_names_the_line_of_bytes_that_are_not_utf8(self, tmp_path, capsys, bad):
+        model_path, tokens_path = tiny_model(tmp_path)
+        path = {"model": model_path, "tokens": tokens_path}[bad]
+        lines = path.read_bytes().split(b"\n")
+        lines[6] = b"\xff" + lines[6]  # a name line of the model, a token line of the tokens
+        path.write_bytes(b"\n".join(lines))
+        assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 2
+        assert capsys.readouterr().err == f"error: {path}, line 7: not UTF-8 (byte 0xff: invalid start byte)\n"
 
     def test_decode_imports_only_what_it_runs(self, tmp_path):
         model_path, tokens_path = tiny_model(tmp_path)

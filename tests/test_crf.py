@@ -5,6 +5,7 @@ import sys
 import tempfile
 import types
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from oracles import (
     range_gap,
     loop_observation_rows,
     random_potentials,
+    save_model_v2,
     sequence_score,
 )
 
@@ -338,7 +340,7 @@ class TestDecode:
     def test_v1_model_and_its_v2_resave_decode_alike(self, tmp_path):
         seqs = [("a", "b"), ("b",), ("a", "x", "b", "a"), ("Zed", "1984", "b")]
         v1 = load_model(MODEL_V1)
-        save_model(v1, tmp_path / "v2.tsv")
+        save_model_v2(v1, tmp_path / "v2.tsv")
         paths = decode(v1, seqs)
         assert decode(load_model(tmp_path / "v2.tsv"), seqs) == paths
         assert paths == [viterbi(extract_features(v1, tokens)) for tokens in seqs]
@@ -1061,7 +1063,7 @@ class TestPersistence:
 
     def test_v1_fixture_and_its_v2_resave_load_equal(self, tmp_path):
         v1 = load_model(MODEL_V1)
-        save_model(v1, tmp_path / "v2.tsv")
+        save_model_v2(v1, tmp_path / "v2.tsv")
         lines = (tmp_path / "v2.tsv").read_text().splitlines()
         assert lines[0] == "crowdseq-crf v2"
         assert len(lines) == 5 + v1.n_obs + SCHEME.size
@@ -1080,9 +1082,9 @@ class TestPersistence:
         return path, path.read_text().splitlines()
 
     def v2_lines(self, tmp_path):
-        """The fixture's model saved by save_model (v2) and its lines."""
+        """The fixture's model saved in format v2 and its lines."""
         path = tmp_path / "m.tsv"
-        save_model(load_model(MODEL_V1), path)
+        save_model_v2(load_model(MODEL_V1), path)
         return path, path.read_text().splitlines()
 
     def test_truncated_file_rejected(self, tmp_path, tokens):
@@ -1173,15 +1175,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {len(lines) - 1}: bigram block mismatch$"):
             load_model(path, tokens=tokens)
 
-    def chunked_v2_lines(self, tmp_path, monkeypatch):
-        """A v2 model of 24 observations read in chunks of five lines, and
-        its lines; observation 13 (line 19) sits in the third chunk."""
+    def chunked_model(self, monkeypatch):
+        """A model of 24 observations, read in chunks of five lines; observation
+        13 (line 19) sits in the third chunk."""
         monkeypatch.setattr(crf, "_CHUNK_LINES", 5)
         model = build_model(SCHEME, [("alice", "saw", "paris")])
         assert model.n_obs == 24
         model.weights[:] = np.random.default_rng(4).normal(size=model.dim)
+        return model
+
+    def chunked_v2_lines(self, tmp_path, monkeypatch):
+        """The chunked model saved in format v2, and its lines."""
         path = tmp_path / "m.tsv"
-        save_model(model, path)
+        save_model_v2(self.chunked_model(monkeypatch), path)
         return path, path.read_text().splitlines()
 
     def assert_fault_at_line_19(self, path, lines, why, tokens):
@@ -1228,8 +1234,10 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected 34 lines, found 18$"):
             load_model(path, tokens=tokens)
 
-    def test_names_that_only_share_a_hash_load_whole_and_are_restricted(self, tmp_path, monkeypatch):
-        path, _ = self.chunked_v2_lines(tmp_path, monkeypatch)
+    @pytest.mark.parametrize("save", [save_model_v2, save_model], ids=["v2", "v3"])
+    def test_names_that_only_share_a_hash_load_whole_and_are_restricted(self, tmp_path, monkeypatch, save):
+        path = tmp_path / "m.tsv"
+        save(self.chunked_model(monkeypatch), path)
         monkeypatch.setattr(crf, "hash", lambda name: 0, raising=False)  # every name shares one hash
         calls = []
         load = crf.load_model
@@ -1259,6 +1267,105 @@ class TestPersistence:
         lines[18] = "\t".join(parts)
         self.assert_fault_at_line_19(path, lines, "weight '\\x1c1' is not a number", tokens)
 
+    def v3_parts(self, tmp_path, monkeypatch, weights=None):
+        """The fixture's model (8 observations, 5 labels) saved by save_model
+        (v3) and read in chunks of three names: the path, the header and name
+        lines without their newlines, and the weight bytes."""
+        monkeypatch.setattr(crf, "_CHUNK_LINES", 3)
+        model = load_model(MODEL_V1)
+        if weights is not None:
+            model.weights[:] = weights
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        *lines, weights = path.read_bytes().split(b"\n", 5 + model.n_obs)
+        return path, lines, weights
+
+    def assert_v3_fault(self, path, lines, weights, message, tokens):
+        path.write_bytes(b"".join(line + b"\n" for line in lines) + weights)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
+            load_model(path, tokens=tokens)
+
+    @pytest.mark.parametrize("kind", ["float64 edge values", "float32 origin"])
+    def test_v3_round_trip_is_bit_exact(self, tmp_path, kind, tokens):
+        model = load_model(MODEL_V1)
+        if kind == "float32 origin":
+            model.weights = model.weights.astype(np.float32)
+            model.weights[:4] = [1e-40, -1e-45, np.float32(0.1), np.finfo(np.float32).max]  # subnormals included
+        else:
+            nans = np.array([0x7FF0000000000001, 0xFFF8000000000123, 0x7FF8000000000000], dtype=np.uint64).view(float)
+            edges = np.array([-0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, np.finfo(float).max])
+            model.weights[:10] = np.concatenate((nans, edges))  # NaN payloads (one signaling) and subnormals
+        save_model(model, tmp_path / "m.bin")
+        got = load_model(tmp_path / "m.bin", tokens=tokens)
+        want = replace(model, weights=model.weights.astype(float))  # float32 widens exactly
+        if tokens is None:
+            assert got.weights.view(np.int64).tolist() == want.weights.view(np.int64).tolist()
+        assert_restricts(got, want, tokens)
+
+    @pytest.mark.parametrize("decode_for", ["whole", "its own sentence", "edges only"])
+    def test_v3_names_keep_characters_that_splitlines_ends_a_line_at(self, tmp_path, monkeypatch, decode_for):
+        # \x0b, \x0c, \x1c-\x1f, \x85, \u2028 and \u2029 end a line for str.splitlines, never for the reader
+        monkeypatch.setattr(crf, "_CHUNK_LINES", 4)
+        sentence = ("a\u2028b", "\x85", "x\x0by", "\x1c\x1d", "\x1e\x1fZ", "\x0c\u2029", "café", "名前")
+        model = build_model(SCHEME, [sentence])
+        model.weights[:] = np.random.default_rng(3).normal(size=model.dim)
+        save_model(model, tmp_path / "m.bin")
+        tokens = {"whole": None, "its own sentence": [sentence], "edges only": [("qq",)]}[decode_for]
+        got = load_model(tmp_path / "m.bin", tokens=tokens)
+        assert_restricts(got, model, tokens)
+        if tokens is not None:
+            assert decode(got, tokens) == decode(model, tokens)
+
+    def test_v3_names_block_one_line_short(self, tmp_path, monkeypatch, tokens):
+        # zero weights hold no newline byte: the weights become one unended name line
+        path, lines, weights = self.v3_parts(tmp_path, monkeypatch, weights=0.0)
+        del lines[-1]
+        self.assert_v3_fault(path, lines, weights, ": expected 8 observation names, found 7", tokens)
+
+    @pytest.mark.parametrize("change", [-1, 1, -40, 40], ids=["byte short", "byte long", "row short", "row long"])
+    def test_v3_weight_block_of_the_wrong_size(self, tmp_path, monkeypatch, change, tokens):
+        path, lines, weights = self.v3_parts(tmp_path, monkeypatch)
+        assert len(weights) == (8 * 5 + 5 * 5) * 8  # a row is 5 weights, 40 bytes
+        weights = weights[:change] if change < 0 else weights + bytes(range(1, change + 1))
+        self.assert_v3_fault(path, lines, weights, f": expected 520 bytes of weights, found {520 + change}", tokens)
+
+    @pytest.mark.parametrize(
+        "name, why",
+        [
+            (b"w=a\tb", "observation name holds '\\t'"),
+            (b"w=a\rb", "observation name holds '\\r'"),
+            (b"w=a\r", "observation name holds '\\r'"),
+            (b"caf\xe9", "not UTF-8 (byte 0xe9: invalid continuation byte)"),
+            (b"\xffw", "not UTF-8 (byte 0xff: invalid start byte)"),
+        ],
+    )
+    @pytest.mark.parametrize("at", [5, 9], ids=["first chunk", "second chunk"])
+    def test_v3_malformed_name_names_the_line(self, tmp_path, monkeypatch, name, why, at, tokens):
+        path, lines, weights = self.v3_parts(tmp_path, monkeypatch)
+        lines[at] = name
+        lines[at + 1] = b"\xfe" + lines[at + 1]  # a later fault is not the one named
+        self.assert_v3_fault(path, lines, weights, f", line {at + 1}: {why}", tokens)
+
+    def test_v3_duplicate_observation_names_the_line(self, tmp_path, monkeypatch, tokens):
+        path, lines, weights = self.v3_parts(tmp_path, monkeypatch)
+        lines[9] = lines[5]  # observation 4, in the second chunk, takes the first one's name
+        self.assert_v3_fault(path, lines, weights, f", line 10: duplicate observation {lines[5].decode()!r}", tokens)
+
+    def test_v3_header_not_utf8_names_the_line(self, tmp_path, monkeypatch):
+        path, lines, weights = self.v3_parts(tmp_path, monkeypatch)
+        lines[2] += b"\x80"
+        self.assert_v3_fault(path, lines, weights, ", line 3: not UTF-8 (byte 0x80: invalid start byte)", None)
+
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_text_model_not_utf8_names_the_line(self, tmp_path, version, tokens):
+        path, lines = self.v1_lines(tmp_path) if version == "v1" else self.v2_lines(tmp_path)
+        data = [line.encode() for line in lines]
+        data[8] = data[8].replace(b"\t", b"\xc3\t", 1)  # a cut two-byte sequence
+        path.write_bytes(b"\n".join(data) + b"\n")
+        why = "not UTF-8 (byte 0xc3: invalid continuation byte)"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 9: {why}')}$"):
+            load_model(path, tokens=tokens)
+
     @settings(max_examples=60, deadline=None)
     @given(
         chunk=st.integers(1, 4),
@@ -1271,9 +1378,10 @@ class TestPersistence:
             unique=True,
         ),
         bigram=st.booleans(),
+        save=st.sampled_from([save_model_v2, save_model]),
         data=st.data(),
     )
-    def test_round_trip_across_chunks_is_bit_identical(self, chunk, names, bigram, data):
+    def test_round_trip_across_chunks_is_bit_identical(self, chunk, names, bigram, save, data):
         templates = DEFAULT_TEMPLATES if bigram else DEFAULT_TEMPLATES[:-1]
         model = crf.CrfModel(SCHEME, templates, dict(zip(names, range(len(names)))), np.zeros(0))
         edge = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308])
@@ -1281,29 +1389,29 @@ class TestPersistence:
         model.weights = np.array(weights, dtype=float)
         with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
             mp.setattr(crf, "_CHUNK_LINES", chunk)
-            save_model(model, Path(tmp, "m.tsv"))
+            save(model, Path(tmp, "m.tsv"))
             loaded = load_model(Path(tmp, "m.tsv"))
         assert loaded.weights.tobytes() == model.weights.tobytes()
         assert list(loaded.obs_index.items()) == list(model.obs_index.items())
 
     @settings(max_examples=60, deadline=None)
     @given(
-        v1=st.booleans(),
+        version=st.sampled_from(["v1", "v2", "v3"]),
         seqs=st.lists(
             st.lists(st.sampled_from(["a", "b", "alice", "Saw", "paris", "1984", "qq", "A"]), min_size=1, max_size=5),
             max_size=6,
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_a_model_loaded_for_its_input_decodes_it_alike(self, v1, seqs, seed):
+    def test_a_model_loaded_for_its_input_decodes_it_alike(self, version, seqs, seed):
         # weights in {-1, 0, 1}: many exact ties, which must break alike
         with tempfile.TemporaryDirectory() as tmp:
             path = MODEL_V1
-            if not v1:
+            if version != "v1":
                 model = build_model(SCHEME, [("alice", "saw", "paris"), ("a", "1984", "b")])
                 model.weights[:] = np.random.default_rng(seed).integers(-1, 2, size=model.dim)
                 path = Path(tmp, "m.tsv")
-                save_model(model, path)
+                (save_model if version == "v3" else save_model_v2)(model, path)
             whole, restricted = load_model(path), load_model(path, tokens=iter(seqs))
         assert_restricts(restricted, whole, seqs)
         assert restricted.n_obs == len(fired_observations(seqs, whole.templates) & whole.obs_index.keys())

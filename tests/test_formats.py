@@ -1,5 +1,7 @@
 """Strict flat-file parsing, canonical serialization, exact round trips."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,6 +187,20 @@ class TestTokens:
         p.write_text("Anna\n\tO\n", encoding="utf-8")
         with pytest.raises(DataError, match="empty token"):
             load_tokens(p)
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("load", [load_tokens, load_conll, load_crowd])
+    def test_names_the_file_and_the_line(self, tmp_path, load, newline):
+        # text mode ends a line at \r\n or \r too, and the line number counts them so
+        lines = (CROWD_TEXT if load is load_crowd else CONLL_TEXT).encode().split(b"\n")
+        lines[4] = lines[4][:3] + b"\xff" + lines[4][3:]
+        p = tmp_path / "bad.tsv"
+        p.write_bytes(newline.encode().join(lines))
+        why = "not UTF-8 (byte 0xff: invalid start byte)"
+        with pytest.raises(DataError, match=f"^{re.escape(f'{p}, line 5: {why}')}$"):
+            load(p)
 
 
 def blocks_tokens(path):
