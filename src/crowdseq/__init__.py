@@ -27,8 +27,8 @@ _EXPORTS = {
     "baselines": ("DsModel", "aggregate_labels", "ds_decode", "ds_fit", "mv_token", "wrapper_train"),
     "crf": (
         "DEFAULT_TEMPLATES", "CrfModel", "FeatureTemplate", "SequencePotentials", "TrainOptions",
-        "TrainResult", "build_model", "decode", "expected_counts", "extract_features", "load_model",
-        "log_partition", "marginals", "optimize", "save_model", "viterbi",
+        "TrainResult", "build_model", "decode", "decode_file", "expected_counts", "extract_features",
+        "load_model", "log_partition", "marginals", "optimize", "save_model", "viterbi",
         "weighted_nll_and_gradient",
     ),
     "em": (
@@ -37,7 +37,8 @@ _EXPORTS = {
     ),
     "formats": (
         "DataError", "load_config", "load_conll", "load_crowd", "load_tokens", "parse_config",
-        "read_tag_file", "save_config", "save_conll", "save_crowd", "save_tagged", "serialize_config",
+        "read_tag_file", "read_utf8", "save_config", "save_conll", "save_crowd", "save_tagged",
+        "serialize_config",
     ),
     "lattice": ("ValidLattice", "candidate_sets", "count_valid", "enumerate_valid"),
     "scoring": (

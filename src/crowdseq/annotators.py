@@ -30,6 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .formats import read_utf8
 from .types import CrowdDataset, LabelScheme
 
 PARAMS_MAGIC = "crowdseq-annotators v1"
@@ -196,8 +197,12 @@ def save_annotators(params: AnnotatorParams, scheme: LabelScheme, path) -> None:
 
 
 def load_annotators(path) -> tuple[AnnotatorParams, LabelScheme]:
-    """Read a ``save_annotators`` file, checked as that function checks it."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read a ``save_annotators`` file, checked as that function checks it.
+    Lines end at ``\\n`` alone, never where ``str.splitlines`` also ends
+    one (``\\x85``, ``\\u2028``, ...), which an annotator id may hold."""
+    lines = read_utf8(path).split("\n")
+    if not lines[-1]:
+        lines.pop()  # after the last line end
     if not lines or lines[0] != PARAMS_MAGIC:
         raise ValueError(f"{path}: not a {PARAMS_MAGIC} file")
     if len(lines) < 4:

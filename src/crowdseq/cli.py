@@ -17,11 +17,12 @@ nor ``aggregate --method saslc`` imports ``baselines``.
 
 ``train`` writes the model in format v3, names as text and weights as raw
 float64 (see ``crf``); ``decode`` also reads the older text formats.
-``decode`` reads its token file first and loads only the model rows those
-tokens fire (``crf.load_model`` with ``tokens``), so its memory grows with
-the input's vocabulary, not the model's, and its output is what the whole
-model gives.  It and ``aggregate`` write their labels straight from
-(tokens, labels) pairs (``formats.save_tagged``).
+``decode`` reads its token file first and featurizes it once
+(``crf.decode_file``): the observations those tokens fire pick the model
+rows it loads, so its memory grows with the input's vocabulary, not the
+model's, and its output is what the whole model gives.  It and
+``aggregate`` write their labels straight from (tokens, labels) pairs
+(``formats.save_tagged``).
 """
 
 from __future__ import annotations
@@ -166,8 +167,8 @@ def _cmd_decode(args) -> int:
     from . import crf
 
     token_seqs = formats.load_tokens(args.input)
-    model = crf.load_model(args.model, tokens=token_seqs)
-    formats.save_tagged(args.out, model.scheme, zip(token_seqs, crf.decode(model, token_seqs)))
+    scheme, paths = crf.decode_file(args.model, token_seqs)
+    formats.save_tagged(args.out, scheme, zip(token_seqs, paths))
     return 0
 
 

@@ -43,15 +43,17 @@ copy, each step keeping a running max over the from-labels so that it holds
 (rows, M) scores at a time, and its back-pointers take the smallest unsigned
 type that holds M.
 
-Features are built per batch (``_by_position``): each template's
-observations come from one list comprehension over the token types, and the
-previous/next-token templates shift that per-type column by one position,
-with the BOS/EOS observation at sentence edges, each column written into
-one (P, T) array.  ``build_model`` interns the resulting strings in
-first-appearance order, position by position.  ``_observation_ids`` maps
-them to a (P, T) array of observation ids, one column per template and -1
-where nothing interned fires, from which ``_unary_table`` gathers the weight
-rows, a zero row for -1, and sums them in template order, for decode and the
+Features are built per batch (``_InputTable``): each template's
+observations come from one ``FeatureTemplate.observations`` call over the
+token types, a neighbour template's with the BOS/EOS token after them, and
+are mapped to one column per template; ``ids`` spreads the columns over the
+positions, shifting the previous/next-token ones by one position with the
+BOS/EOS entry at sentence edges, into one (P, T) array.  ``build_model``
+keeps the strings and interns them in first-appearance order, position by
+position.  ``_observation_ids`` and ``extract_features`` look them up in
+the model (-1 where nothing interned fires), and ``decode_file`` numbers
+them by first use (see below); ``_unary_table`` gathers the weight rows, a
+zero row for -1, and sums them in template order, for decode and the
 objective alike.  ``extract_features`` takes one sentence or a list, and
 copies nothing per sentence: each entry's unary table is a view of the
 batch's one (P, M) table, and every entry holds the same read-only copy of
@@ -67,11 +69,12 @@ decoding never touch scipy at all.
 ``templates`` and ``observations`` header lines, then one line per
 observation holding its name, in id order, all UTF-8, then the weight vector
 as raw little-endian float64, with nothing after it.  ``load_model`` reads
-the names in chunks of ``_CHUNK_LINES`` lines (a line ends at ``\\n`` alone,
-and a name holding a tab or a CR, or bytes that are not UTF-8, is refused
-by its line) and interns each chunk with one ``dict.update``; the weights
-go straight into one preallocated array with ``readinto``, and their block
-must be exactly the size the header gives.
+the names ``_NAME_BYTES`` at a time, each block cut after its last line (a
+line ends at ``\\n`` alone, and a name holding a tab or a CR, or bytes that
+are not UTF-8, is refused by its line), and interns each block's names with
+one ``dict.update``; the weights go straight into one preallocated array
+with ``readinto``, and their block must be exactly the size the header
+gives.
 
 It still reads v2 files, text with one line per observation,
 ``name<TAB>w_1 ... w_M`` in label order, then, with a bigram template, M
@@ -85,15 +88,21 @@ line, which names the bad line.  v1 files (one line per observation and
 label, then one per label pair) are read line by line.  Either text format
 names the line of a malformed entry, and of bytes that are not UTF-8.
 
-Given the token sequences to decode, ``load_model`` keeps only the rows of
-the observations the templates fire on their token types (``_fired``), and
-the BOS/EOS observations, numbered in file order, so decode's memory grows
-with its input's vocabulary, not the model's.  The v3 and v2 readers still
-read and check every line, and hold the hash of each name, not the name,
-for the duplicate check; v3 reads the weight block a chunk of rows at a
-time into the kept rows' places.  A fault, or two names of one hash, sends
-the file to the whole reader, which names it.  A v1 file loads whole and is
-then restricted (``_restrict``).
+``decode_file`` featurizes the token sequences to decode once: its input
+table numbers the observations the header's templates fire on their token
+types, and the BOS/EOS ones, by first use (``_InputTable.number``).  The
+v3 and v2 name passes look each name of the file up in that numbering, one
+``dict.get`` a name, and each row found goes to its number in one (rows, M)
+weight table, a zero row standing for an observation the file lacks, so
+decode's memory grows with its input's vocabulary, not the model's; v3
+reads the weight block a chunk of rows at a time.  The table's (P, T)
+numbers, spread after the weights are in, index those rows, so each
+position sums the same weight rows in the same order as under the whole
+model (a zero row adds +0.0 as the id -1 does).  The readers still read and
+check every line, and hold the hash of each name, not the name, for the
+duplicate check.  A fault, or two names of one hash, sends the file to the
+whole reader, which names it; a v1 file loads whole.  A model loaded whole
+is decoded by looking the table's observations up in it.
 
 The weight vector is the flattened (n_obs, M) unary block followed, when a
 label-bigram template is present, by the flattened (M, M) bigram block.
@@ -107,8 +116,7 @@ import io
 import sys
 from array import array
 from dataclasses import dataclass, replace
-from itertools import chain, compress, cycle, islice, product, repeat
-from operator import is_not
+from itertools import cycle, islice, product, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -124,7 +132,8 @@ MODEL_MAGIC = "crowdseq-crf v3"
 MODEL_MAGIC_V2 = "crowdseq-crf v2"  # one text line per observation; still read
 MODEL_MAGIC_V1 = "crowdseq-crf v1"  # one line per weight; still read
 
-_CHUNK_LINES = 4096  # observation lines read at once: a v2 np.loadtxt call, a v3 name chunk
+_CHUNK_LINES = 4096  # observation lines read at once: a v2 np.loadtxt call, v3 weight rows
+_NAME_BYTES = 1 << 16  # bytes of v3 observation names read at once
 _FLOAT_REFUSES = "\x1c\x1d\x1e\x1f"  # np.loadtxt strips these around a number
 _TINY = np.finfo(float).tiny  # a scaled row sum below this is out of the float64 range
 _GATHER_ROWS = 1024  # positions whose (T, M) weight rows _unary_table gathers at once
@@ -266,11 +275,14 @@ def build_model(
     """Intern every observation the templates fire on the corpus; zero weights.
 
     Ids follow first appearance, position by position and, at a position,
-    template by template (``_by_position`` builds the observations).
+    template by template (``_InputTable`` builds the observations).
     """
     templates = tuple(templates)
-    fired = _by_position(list(token_seqs), templates, lambda obs: np.array(obs, dtype=object))
-    seen = dict.fromkeys(fired.ravel().tolist())  # insertion-ordered: first appearance
+    # insertion-ordered: first appearance.  One expression, so that the table
+    # and its (P, T) array are freed before the dictionaries grow
+    seen = dict.fromkeys(
+        _InputTable(list(token_seqs)).observe(templates, lambda obs: np.array(obs, dtype=object)).ids().ravel().tolist()
+    )
     seen.pop(None, None)  # a template that fires nothing
     model = CrfModel(scheme, templates, dict(zip(seen, range(len(seen)))), np.zeros(0))
     model.weights = np.zeros(model.dim)
@@ -293,40 +305,74 @@ class SequencePotentials:
         return self.unary.shape[1]
 
 
-def _by_position(token_seqs: Sequence[Sequence[str]], templates, lookup) -> np.ndarray:
-    """What each observation template fires at each position of the
-    sequences laid end to end: a (P, T) array, one column per template,
-    whose entries ``lookup`` maps from a list of observation strings (None
-    where a template fires nothing) to an array.
+class _InputTable:
+    """A batch of token sequences laid end to end, featurized once per token
+    type.
 
-    Each template's observations come once per token type.  A template
-    reading a neighbour (``offset`` -1 or +1) is its type column shifted by
-    one position, with its BOS/EOS observation at sentence edges.
+    ``codes`` holds each position's token type, the types numbered by first
+    appearance.  ``observe(templates, lookup)`` calls each observation
+    template's ``FeatureTemplate.observations`` once, over the types and,
+    for a neighbour template (``offset`` -1 or +1), the BOS/EOS token after
+    them, and keeps what ``lookup`` maps that list to (None where the
+    template fires nothing) as the template's column: ``look_up`` maps each
+    observation to its id in a model, ``number`` numbers them by first use.
+    ``ids`` spreads the columns over the positions, a neighbour template's
+    shifted by one position with its BOS/EOS entry at sentence edges.
     """
-    types: dict[str, int] = {}
-    codes = np.array(
-        [types.setdefault(tok, len(types)) for tokens in token_seqs for tok in tokens], dtype=np.intp
-    )
-    lengths = np.array([len(tokens) for tokens in token_seqs if len(tokens)], dtype=np.intp)
-    ends = np.cumsum(lengths)
-    edges = {-1: ends - lengths, 1: ends - 1}  # first and last position of each sentence
-    tpls = [tpl for tpl in templates if tpl.kind != "label-bigram"]
-    type_list = list(types)
-    fired = np.empty((codes.size, len(tpls)), dtype=lookup([]).dtype)
-    for j, tpl in enumerate(tpls):
-        col = lookup(tpl.observations(type_list))[codes]
-        if tpl.offset:
-            col = np.roll(col, -tpl.offset)
-            col[edges[tpl.offset]] = lookup([tpl.observation(("",), 0)])[0]
-        fired[:, j] = col
-    return fired
+
+    def __init__(self, token_seqs: Sequence[Sequence[str]]):
+        types: dict[str, int] = {}
+        self.codes = np.array(
+            [types.setdefault(tok, len(types)) for tokens in token_seqs for tok in tokens], dtype=np.intp
+        )
+        self.lengths = [len(tokens) for tokens in token_seqs]
+        self.types = list(types)
+
+    def observe(self, templates: Sequence[FeatureTemplate], lookup) -> _InputTable:
+        self.dtype = lookup([]).dtype
+        self.columns = []  # (offset, entry per type, then the BOS/EOS token's)
+        for tpl in templates:
+            if tpl.kind != "label-bigram":  # it fires on label pairs, not observations
+                toks = [*self.types, BOS_TOKEN if tpl.offset < 0 else EOS_TOKEN] if tpl.offset else self.types
+                self.columns.append((tpl.offset, lookup(tpl.observations(toks))))
+        return self
+
+    def look_up(self, model: CrfModel) -> _InputTable:
+        """``observe`` of the model's templates, each observation mapped to
+        its id in the model, -1 for one it lacks; returns the table."""
+        get = model.obs_index.get  # a template that fires nothing gives None, never a key
+        return self.observe(model.templates, lambda obs: np.fromiter(map(get, obs, repeat(-1)), np.intp, len(obs)))
+
+    def number(self, templates: Sequence[FeatureTemplate]) -> dict[str, int]:
+        """``observe`` that numbers the observations by first use, template by
+        template, -1 where a template fires nothing; returns the numbering."""
+        names: dict[str, int] = {}
+        number = names.setdefault
+        self.observe(
+            templates, lambda obs: np.array([-1 if o is None else number(o, len(names)) for o in obs], dtype=np.intp)
+        )
+        return names
+
+    def ids(self) -> np.ndarray:
+        """The (P, T) column entries of each position, one column per
+        observation template."""
+        lengths = np.array([n for n in self.lengths if n], dtype=np.intp)
+        ends = np.cumsum(lengths)
+        edges = {-1: ends - lengths, 1: ends - 1}  # first and last position of each sentence
+        reads = {0: self.codes}  # per offset, the type each position reads; len(types) for BOS/EOS
+        fired = np.empty((self.codes.size, len(self.columns)), dtype=self.dtype)
+        for j, (off, col) in enumerate(self.columns):
+            if off not in reads:
+                reads[off] = np.roll(self.codes, -off)
+                reads[off][edges[off]] = len(self.types)
+            fired[:, j] = col[reads[off]]
+        return fired
 
 
 def _observation_ids(model: CrfModel, token_seqs: Sequence[Sequence[str]]) -> np.ndarray:
     """Interned observation ids of the sequences laid end to end: a (P, T)
     array, one column per observation template, -1 where none fires."""
-    get = model.obs_index.get  # a template that fires nothing gives None, never a key
-    return _by_position(token_seqs, model.templates, lambda obs: np.array([get(o, -1) for o in obs], dtype=np.intp))
+    return _InputTable(token_seqs).look_up(model).ids()
 
 
 def _unary_table(wu: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -347,24 +393,30 @@ def _unary_table(wu: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def extract_features(
-    model: CrfModel, tokens: Sequence[str] | Sequence[Sequence[str]]
+    model: CrfModel, tokens: Sequence[str] | Sequence[Sequence[str]] | _InputTable
 ) -> SequencePotentials | list[SequencePotentials]:
     """Potential tables under the model's current weights.
 
     Given a list of token sequences instead of one, returns one entry per
     sequence, in order, from a single pass over the whole batch; an empty
-    list is an empty batch.  The entries' unary tables are views of one
-    (P, M) table, and they share one read-only copy of the bigram weights.
+    list is an empty batch.  Given the ``_InputTable`` of a batch whose
+    columns hold the model's ids, as ``load_model`` leaves the one
+    ``decode_file`` passes it, it spreads those instead of featurizing the
+    batch again.  The entries' unary tables are views of one (P, M) table,
+    and they share one read-only copy of the bigram weights.
     """
-    if not tokens:
+    if isinstance(tokens, _InputTable):
+        table, one = tokens, False
+    elif not tokens:
         return []
-    one = isinstance(tokens[0], str)
-    seqs = [tokens] if one else tokens
-    unary = _unary_table(model.unary_weights(), _observation_ids(model, seqs))
+    else:
+        one = isinstance(tokens[0], str)
+        table = _InputTable([tokens] if one else tokens).look_up(model)
+    unary = _unary_table(model.unary_weights(), table.ids())
     pairwise = model.bigram_weights().copy()
     pairwise.flags.writeable = False
-    ends = np.cumsum([len(s) for s in seqs]).tolist()
-    pots = [SequencePotentials(unary[end - len(s) : end], pairwise) for s, end in zip(seqs, ends)]
+    ends = np.cumsum(table.lengths).tolist()
+    pots = [SequencePotentials(unary[end - n : end], pairwise) for n, end in zip(table.lengths, ends)]
     return pots[0] if one else pots
 
 
@@ -939,46 +991,47 @@ def _field_problem(line: str, n_fields: int, n_weights: int) -> str:
 
 
 class _NamePass:
-    """Interns the observation names of a v2 or v3 body, chunk by chunk, in
-    file order, numbering them from 0.
+    """Reads the observation names of a v2 or v3 body, chunk by chunk, in
+    file order.
 
-    Without ``keep`` it interns every name, and a repeated name raises,
-    naming its line.  Given ``keep``, which maps each name to keep to
-    itself, it interns only those names, as ``keep``'s own strings, and the
-    duplicate check holds each name's hash, not the name: ``check_hashes``
-    raises a ValueError, naming no line, if two names share one.
+    Without ``numbers`` it interns every name, numbering them from 0 in file
+    order, and a repeated name raises, naming its line.  Given ``numbers``,
+    an input table's numbering (``_InputTable.number``), it looks each name
+    up there, one ``dict.get`` a name, and interns none; the duplicate check
+    then holds each name's hash, not the name: ``check_hashes`` raises a
+    ValueError, naming no line, if two names share one.
     """
 
-    def __init__(self, keep: dict[str, str] | None, bad):
-        self.keep, self.bad = keep, bad
+    def __init__(self, numbers: dict[str, int] | None, bad):
+        self.numbers, self.bad = numbers, bad
         self.obs_index: dict[str, int] = {}
-        self.hashes = array("q")  # given keep, the hash of every name read
+        self.hashes = array("q")  # given numbers, the hash of every name read
         self.read = 0
 
-    def add(self, names: list[str]) -> np.ndarray | None:
-        """Interns the next names of the body; returns which of them were
-        kept, or None when all were."""
+    def add(self, names: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+        """Reads the next names of the body.  Given ``numbers``, returns the
+        file rows, counted from the body's first name, of those it holds, and
+        their numbers; else interns them and returns None."""
         first, self.read = self.read, self.read + len(names)
-        kept = None
-        if self.keep is not None:
-            found = list(map(self.keep.get, names))  # keep's string equal to each name, or None
+        if self.numbers is not None:
+            found = np.fromiter(map(self.numbers.get, names, repeat(-1)), dtype=np.intp, count=len(names))
             chunk_hashes = np.fromiter(map(hash, names), dtype=np.int64, count=len(names))  # cached by the lookup
             self.hashes.frombytes(memoryview(chunk_hashes).cast("B"))
-            kept = np.fromiter(map(is_not, found, repeat(None)), dtype=bool, count=len(names))
-            names = list(compress(found, kept))
+            rows = np.flatnonzero(found >= 0)
+            return rows + first, found[rows]
         n = len(self.obs_index)
         self.obs_index.update(zip(names, range(n, n + len(names))))
         if len(self.obs_index) < n + len(names):  # a repeated name: find its line
             known = set(islice(self.obs_index, n))  # an update keeps a key's place
-            at = range(first, self.read) if kept is None else np.flatnonzero(kept) + first
-            for i, name in zip(at, names):
+            for i, name in enumerate(names, first):
                 if name in known:
                     raise self.bad(6 + i, f"duplicate observation {name!r}")
                 known.add(name)
-        return kept
+        return None
 
     def check_hashes(self) -> None:
-        ordered = np.sort(np.frombuffer(self.hashes, dtype=np.int64))
+        ordered = np.frombuffer(self.hashes, dtype=np.int64)
+        ordered.sort()  # in place: no name is read after this
         if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("two observation names share a hash")
 
@@ -1042,10 +1095,13 @@ def _read_v2_lines(lines: list[str], first: int, m: int, bad) -> tuple[list[str]
     return names, np.array(weights).reshape(len(names), m), fault
 
 
-def _read_v2_body(fh, labels, n_obs: int, has_bigram: bool, bad, names: _NamePass) -> tuple[array, int]:
+def _read_v2_body(fh, labels, n_obs: int, has_bigram: bool, bad, names: _NamePass, unary) -> tuple[array, int]:
     """Bodies of the v2 format: one line per observation, then one per
-    bigram from-label.  Interns the names through ``names`` and returns the
-    weights of those it keeps and the number of lines read.
+    bigram from-label.  Reads the names through ``names`` and returns the
+    weights read, in file order, and the number of lines read.  Given
+    ``unary``, an input table's (rows, M) weight table, each row whose name
+    ``names`` finds there goes to its number instead, and the weights
+    returned are the bigram's alone.
 
     Observation lines are read ``_CHUNK_LINES`` at a time.  ``np.loadtxt``
     parses a chunk's weights in one call; a chunk that parse does not take
@@ -1075,12 +1131,13 @@ def _read_v2_body(fh, labels, n_obs: int, has_bigram: bool, bad, names: _NamePas
                 chunk = [line.partition("\t")[0] for line in lines]
         if chunk is None:
             chunk, block, fault = _read_v2_lines(lines, first, m, bad)
-        kept = names.add(chunk)
+        picks = names.add(chunk)
         if fault is not None:
             raise fault
-        if kept is not None:
-            block = block[kept]
-        if block.size:  # memoryview refuses to cast an empty block
+        if picks is not None:
+            rows, numbers = picks
+            unary[numbers] = block[rows - first]
+        elif block.size:  # memoryview refuses to cast an empty block
             weights.frombytes(memoryview(block).cast("B"))
     if has_bigram and read == n_obs:
         for i, (line, la) in enumerate(zip(islice(fh, m), labels), 6 + n_obs):
@@ -1097,102 +1154,92 @@ def _read_v2_body(fh, labels, n_obs: int, has_bigram: bool, bad, names: _NamePas
     return weights, read
 
 
-def _read_v3_names(fh, path, n_obs: int, bad, names: _NamePass) -> np.ndarray | None:
-    """The name lines of a v3 body, read ``_CHUNK_LINES`` at a time and
-    interned through ``names``: which names were kept, or None when all
-    were.  Lines end at ``\\n`` alone; names the first that holds a tab or
-    a CR or is not UTF-8."""
-    masks = []
-    for first in range(0, n_obs, _CHUNK_LINES):
-        count = min(_CHUNK_LINES, n_obs - first)
-        raw = b"".join(islice(fh, count))
-        if raw.count(b"\n") != count:
-            found = first + raw.count(b"\n")
-            raise ValueError(f"{path}: expected {n_obs} observation names, found {found}")
+def _read_v3_names(fh, path, n_obs: int, bad, names: _NamePass) -> tuple[np.ndarray, np.ndarray] | None:
+    """The name lines of a v3 body, read ``_NAME_BYTES`` at a time, each
+    block cut after its last ``\\n``, through ``names``: given its
+    ``numbers``, the file rows of the names found there and their numbers,
+    else None.  Lines end at ``\\n`` alone; names the first that holds a tab
+    or a CR or is not UTF-8.  Leaves ``fh`` at the first byte after the
+    names."""
+    start = fh.tell()
+    rows, numbers = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]  # of the names found in names.numbers
+    rest = b""  # the start of a line that the last block cut
+    used = 0  # bytes of the names read
+    while names.read < n_obs:
+        data = fh.read(_NAME_BYTES)
+        raw = rest + data
+        need = n_obs - names.read
+        count = raw.count(b"\n")
+        if count < need and not data:
+            raise ValueError(f"{path}: expected {n_obs} observation names, found {names.read + count}")
+        if count > need:  # the weights follow the last name
+            end = int(np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))[need - 1]) + 1
+        else:
+            end = raw.rfind(b"\n") + 1
+        raw, rest = raw[:end], raw[end:]
+        if not raw:
+            continue
+        used += end
+        line = 6 + names.read
         cut = min((at for at in (raw.find(b"\t"), raw.find(b"\r")) if at >= 0), default=len(raw))
         try:
             text = raw[:cut].decode("utf-8")  # UTF-8 never holds a tab or CR byte inside a character
         except UnicodeDecodeError:
-            raise DataError.not_utf8(path, raw, 6 + first) from None
+            raise DataError.not_utf8(path, raw, line) from None
         if cut < len(raw):
-            raise bad(6 + first + raw.count(b"\n", 0, cut), f"observation name holds {chr(raw[cut])!r}")
+            raise bad(line + raw.count(b"\n", 0, cut), f"observation name holds {chr(raw[cut])!r}")
         chunk = text.split("\n")  # not splitlines, which also ends a line at \x1c, \x85, \u2028, ...
         chunk.pop()  # the empty string after the last newline
-        masks.append(names.add(chunk))
-    return None if names.keep is None else np.concatenate([np.zeros(0, bool), *masks])
+        picked = names.add(chunk)
+        if picked is not None:
+            rows.append(picked[0])
+            numbers.append(picked[1])
+    fh.seek(start + used)
+    return None if names.numbers is None else (np.concatenate(rows), np.concatenate(numbers))
 
 
-def _read_v3_weights(fh, path, n_obs: int, m: int, n_pair: int, kept: np.ndarray | None) -> np.ndarray:
-    """The raw little-endian float64 weights that end a v3 file: the
-    (n_obs, M) unary block, then ``n_pair`` bigram weights, which must be
-    all that is left of the file.  Given ``kept``, only the kept unary rows,
-    read a chunk of ``_CHUNK_LINES`` rows at a time into their place in the
-    one array returned."""
-    n = n_obs if kept is None else int(np.count_nonzero(kept))
-    weights = np.empty(n * m + n_pair, dtype="<f8")
+def _read_v3_weights(fh, path, n_obs: int, m: int, n_pair: int, weights: np.ndarray, picks) -> None:
+    """Reads the raw little-endian float64 weights that end a v3 file, the
+    (n_obs, M) unary block and then ``n_pair`` bigram weights, which must be
+    all that is left of the file, into ``weights``.  Given ``picks``, the
+    file rows of the names an input table holds and their numbers,
+    ``weights`` holds that table's (rows, M) weights, then the bigram's:
+    the unary block is read ``_CHUNK_LINES`` rows at a time and each picked
+    row goes to its number."""
     start = fh.tell()
-    if kept is None:
+    if picks is None:
         got = fh.readinto(weights)
     else:
-        rows = weights[: n * m].reshape(n, m)
+        rows, numbers = picks
+        unary = weights[: weights.size - n_pair].reshape(-1, m)
         buf = np.empty((min(_CHUNK_LINES, n_obs), m), dtype="<f8")
-        got = at = 0
-        for lo in range(0, n_obs, _CHUNK_LINES):
-            mask = kept[lo : lo + _CHUNK_LINES]
-            block = buf[: mask.size]
+        bounds = [*np.searchsorted(rows, range(0, n_obs, _CHUNK_LINES)).tolist(), rows.size]
+        got = 0
+        for lo, a, b in zip(range(0, n_obs, _CHUNK_LINES), bounds, bounds[1:]):
+            block = buf[: min(_CHUNK_LINES, n_obs - lo)]
             got += fh.readinto(block)  # short only in a faulty file, refused below
-            to = at + int(np.count_nonzero(mask))
-            np.compress(mask, block, axis=0, out=rows[at:to])
-            at = to
-        got += fh.readinto(weights[rows.size :])
+            unary[numbers[a:b]] = block[rows[a:b] - lo]
+        got += fh.readinto(weights[unary.size :])
     expected = (n_obs * m + n_pair) * 8
     if got != expected or fh.read(1):
         found = fh.seek(0, io.SEEK_END) - start
         raise ValueError(f"{path}: expected {expected} bytes of weights, found {found}")
-    return weights
 
 
-def _fired(templates: Sequence[FeatureTemplate], token_seqs: Iterable[Sequence[str]]) -> dict[str, str]:
-    """The observations the templates fire on the token types of
-    ``token_seqs``, and the BOS/EOS observations of the neighbour templates,
-    each mapped to itself."""
-    types = list(dict.fromkeys(chain.from_iterable(token_seqs)))
-    fired: dict[str, str] = {}
-    for tpl in templates:
-        obs = tpl.observations(types)
-        if tpl.offset:
-            obs.append(tpl.observation(("",), 0))
-        fired.update(zip(obs, obs))
-    fired.pop(None, None)
-    return fired
-
-
-def _restrict(model: CrfModel, keep: dict[str, str]) -> CrfModel:
-    """The model with only the observations in ``keep``, numbered in the
-    model's order."""
-    kept = [obs for obs in model.obs_index if obs in keep]
-    rows = model.unary_weights()[[model.obs_index[obs] for obs in kept]]
-    weights = np.concatenate((rows.ravel(), model.weights[model.n_obs * model.scheme.size :]))
-    return replace(model, obs_index=dict(zip(kept, range(len(kept)))), weights=weights)
-
-
-def load_model(path, tokens: Iterable[Sequence[str]] | None = None) -> CrfModel:
+def load_model(path, inputs: _InputTable | None = None) -> CrfModel:
     """Read a ``save_model`` file, v3, v2 or v1, in one pass.
 
-    Given ``tokens``, the token sequences to decode, the model keeps only
-    the observations its templates fire on their token types, and the
-    BOS/EOS observations, numbered in file order.  ``decode`` of those
-    sequences sums the same weight rows in the same order as under the whole
-    model, so it gives the same paths, while the model's memory grows with
-    their vocabulary, not the file's.  Every line is still read and
-    checked: a v3 or v2 body in one pass that holds the hash of each name
-    for the duplicate check, a v1 file by loading it whole and then
-    restricting it.  A fault in a v3 or v2 body, or two names of one hash,
-    sends the file to the whole reader, which names the fault as
-    ``load_model(path)`` does; names that only share a hash load whole and
-    are then restricted.  ``save_model`` of a restricted model writes only
-    its own rows.  Bytes that are not UTF-8 where text is expected raise a
-    ValueError naming their line.
+    ``decode_file`` passes its input table as ``inputs``, whose columns then
+    hold the returned model's ids.  The model holds the rows of the
+    observations the table numbers (``inputs.number`` of the file's
+    templates), in that numbering, and a zero row for each that the file
+    lacks, so its memory grows with the input's vocabulary, not the file's.
+    Every line is still read and checked, and the duplicate check holds the
+    hash of each name, not the name.  A v1 file, and a v3 or v2 file with a
+    fault or two names of one hash, is read whole instead, by the reader
+    that names the fault, and the table looks its observations up in it.
+    Bytes that are not UTF-8 where text is expected raise a ValueError
+    naming their line.
     """
     try:
         with open(path, "rb") as fh:
@@ -1228,25 +1275,31 @@ def load_model(path, tokens: Iterable[Sequence[str]] | None = None) -> CrfModel:
             m = scheme.size
             n_pair = m * m if model.has_bigram else 0
             v1 = header[0] == MODEL_MAGIC_V1
-            keep = None if tokens is None else _fired(templates, tokens)
+            numbers = None if inputs is None or v1 else inputs.number(templates)
 
             def bad(line_no: int, why: str) -> ValueError:
                 return ValueError(f"{path}, line {line_no}: {why}")
 
-            names = _NamePass(keep, bad)
+            names = _NamePass(numbers, bad)
+            unary = None
+            if numbers is not None:  # the input's rows, a zero row where the file has none
+                model.weights = np.zeros(len(numbers) * m + n_pair, dtype="<f8")
+                unary = model.weights[: len(numbers) * m].reshape(-1, m)
             whole = False
             try:
                 if v3:
-                    kept = _read_v3_names(fh, path, n_obs, bad, names)
+                    picks = _read_v3_names(fh, path, n_obs, bad, names)
                     names.check_hashes()
-                    model.weights = _read_v3_weights(fh, path, n_obs, m, n_pair, kept)
+                    if unary is None:
+                        model.weights = np.empty(n_obs * m + n_pair, dtype="<f8")
+                    _read_v3_weights(fh, path, n_obs, m, n_pair, model.weights, picks)
                 elif v1:
                     names.obs_index, weights, read = _read_v1_body(fh, labels, n_obs, model.has_bigram, bad)
                 else:
-                    weights, read = _read_v2_body(fh, labels, n_obs, model.has_bigram, bad, names)
+                    weights, read = _read_v2_body(fh, labels, n_obs, model.has_bigram, bad, names, unary)
                     names.check_hashes()
             except ValueError:
-                if v1 or keep is None:
+                if numbers is None:
                     raise
                 whole = True
             if not (v3 or whole):
@@ -1254,10 +1307,33 @@ def load_model(path, tokens: Iterable[Sequence[str]] | None = None) -> CrfModel:
                 expected = 5 + (n_obs * m + n_pair) // (1 if v1 else m)
                 if found != expected:
                     raise ValueError(f"{path}: expected {expected} lines, found {found}")
-                model.weights = np.frombuffer(weights)  # shares the array's buffer: no second copy
+                if unary is None:
+                    model.weights = np.frombuffer(weights)  # shares the array's buffer: no second copy
+                else:
+                    model.weights[unary.size :] = weights
     except UnicodeDecodeError:  # in a v2 or v1 file
         raise DataError.not_utf8(path, Path(path).read_bytes()) from None
     if whole:  # the whole reader names the fault, or loads names that only share a hash
-        return _restrict(load_model(path), keep)
-    model.obs_index = names.obs_index
-    return _restrict(model, keep) if v1 and keep is not None else model
+        model = load_model(path)
+    else:
+        model.obs_index = names.obs_index if numbers is None else numbers
+    if inputs is not None and model.obs_index is not numbers:  # read whole: the input takes its ids
+        inputs.look_up(model)
+    return model
+
+
+def decode_file(path, token_seqs: Iterable[Sequence[str]]) -> tuple[LabelScheme, list[LabelSeq]]:
+    """The label scheme of the ``save_model`` file at ``path`` and the
+    highest-scoring label sequence of each token sequence under it, in input
+    order: the paths ``decode(load_model(path), token_seqs)`` gives.
+
+    The input is featurized once (``_InputTable``): the observations it
+    fires pick the model rows that ``load_model`` keeps, numbered as the
+    table numbers them, and the table's (P, T) ids, built after the weights
+    are in, give the unary table of one packed Viterbi pass.
+    """
+    table = _InputTable(list(token_seqs))
+    model = load_model(path, table)
+    scheme, pots = model.scheme, extract_features(model, table)
+    del model, table  # the weight rows and the observation names: Viterbi needs neither
+    return scheme, viterbi(pots)

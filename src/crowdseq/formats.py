@@ -51,11 +51,18 @@ class DataError(ValueError):
         raise ValueError("the bytes are UTF-8")
 
 
-def _read_text(path) -> str:
+def read_utf8(path) -> str:
+    """The text of the file at ``path``, line ends read as text mode reads
+    them; bytes that are not UTF-8 raise ``DataError.not_utf8``, naming
+    their line."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise DataError.not_utf8(path, Path(path).read_bytes()) from None
+
+
+def _read_text(path) -> str:
+    text = read_utf8(path)
     if not text:
         raise DataError(path, None, "empty file")
     if not text.endswith("\n"):
@@ -323,7 +330,7 @@ def serialize_config(cfg: dict) -> str:
 
 
 def load_config(path) -> dict:
-    return parse_config(Path(path).read_text(encoding="utf-8"), path)
+    return parse_config(read_utf8(path), path)
 
 
 def save_config(path, cfg: dict) -> None:

@@ -1,5 +1,7 @@
 """Annotator reliability tables: contexts, likelihoods, fitting, persistence."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -8,6 +10,7 @@ from crowdseq import (
     AnnotatorParams,
     CrowdDataset,
     CrowdInstance,
+    DataError,
     LabelScheme,
     bos_context,
     load_annotators,
@@ -321,6 +324,26 @@ class TestPersistence:
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join(lines[:-3]) + "\n", encoding="utf-8")
         with pytest.raises(ValueError):
+            load_annotators(path)
+
+    def test_ids_holding_what_splitlines_ends_a_line_at_round_trip(self, tmp_path):
+        # \x85, \x0b, \x1c-\x1f and \u2028 end a line for str.splitlines, never for the reader
+        roster = ("a\x85b", "c\x0b", "\x1c\x1d", "\x1e\x1fd", "e\u2028", "f")
+        p = sample_init_params(roster, M, seed=29)
+        path = tmp_path / "annotators.tsv"
+        save_annotators(p, SCHEME, path)
+        q, scheme = load_annotators(path)
+        assert q.roster == roster and scheme.labels == SCHEME.labels
+        assert q.local.tobytes() == p.local.tobytes() and q.mention.tobytes() == p.mention.tobytes()
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        p = sample_init_params(("u",), M, seed=2)
+        path = tmp_path / "annotators.tsv"
+        save_annotators(p, SCHEME, path)
+        lines = path.read_bytes().split(b"\n")
+        lines[6] = lines[6].replace(b"\t", b"\t\xe9", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}, line 7: not UTF-8 \\(byte 0xe9: invalid"):
             load_annotators(path)
 
     def test_trailing_garbage_is_rejected(self, tmp_path):

@@ -15,6 +15,7 @@ from oracles import save_model_v2
 from crowdseq import (
     CrowdDataset,
     CrowdInstance,
+    LabelScheme,
     build_model,
     load_annotators,
     load_conll,
@@ -23,6 +24,7 @@ from crowdseq import (
     save_config,
     save_conll,
     sample_init_params,
+    save_annotators,
     save_crowd,
     save_model,
 )
@@ -274,6 +276,22 @@ class TestExitCodes:
         assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 2
         assert capsys.readouterr().err == f"error: {path}, line 7: not UTF-8 (byte 0xff: invalid start byte)\n"
 
+    def test_decode_featurizes_its_input_once(self, tmp_path, monkeypatch):
+        model_path, tokens_path = tiny_model(tmp_path)
+        n_types = len({tok for tokens in load_tokens(tokens_path) for tok in tokens})
+        calls = []
+        observations = crf.FeatureTemplate.observations
+
+        def spy(tpl, toks):
+            calls.append((tpl, len(toks)))
+            return observations(tpl, toks)
+
+        monkeypatch.setattr(crf.FeatureTemplate, "observations", spy)
+        assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 0
+        fired = [tpl for tpl in load_model(model_path).templates if tpl.kind != "label-bigram"]
+        # one call per observation template, over the token types (and a neighbour template's BOS/EOS token)
+        assert sorted(calls, key=repr) == sorted(((tpl, n_types + abs(tpl.offset)) for tpl in fired), key=repr)
+
     def test_decode_imports_only_what_it_runs(self, tmp_path):
         model_path, tokens_path = tiny_model(tmp_path)
         loaded = modules_after(["decode", str(model_path), str(tokens_path), "--out", "out.tsv"], tmp_path)
@@ -348,6 +366,30 @@ class TestExitCodes:
         proc = run("evaluate", "missing.tsv", "missing.tsv")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["aggregate", "report-annotators"])
+    def test_a_text_file_that_is_not_utf8_names_its_line(self, pipeline, tmp_path, capsys, command):
+        path = tmp_path / "bad.txt"
+        if command == "aggregate":  # a config file with a Latin-1 byte in a comment
+            path.write_bytes(b"# caf\xe9\nmax_iters = 1\n")
+            argv = ["aggregate", str(pipeline["crowd"]), "--method", "mv", "--out", str(tmp_path / "mv.tsv")]
+            argv += ["--config", str(path)]
+        else:
+            path.write_bytes(b"crowdseq-annotators v1\xe9\n")
+            argv = ["report-annotators", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}, line 1: not UTF-8 (byte 0xe9: invalid continuation byte)\n"
+        assert captured.out == ""
+
+    def test_annotator_ids_that_splitlines_would_cut_are_reported(self, tmp_path, capsys):
+        roster = ("a\x85b", "c\x0b", "\x1c\x1d", "\x1e\x1fd", "e\u2028")
+        scheme = LabelScheme(("O", "B-PER", "I-PER"))
+        path = tmp_path / "annotators.txt"
+        save_annotators(sample_init_params(roster, scheme.size, seed=3), scheme, path)
+        assert main(["report-annotators", str(path), "--context", "O", "--truth", "O"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.split("\n")[1:-1]]
+        assert [row[0] for row in rows] == [ann for ann in roster for _ in scheme.labels]
 
     def test_annotator_file_with_only_its_magic_line(self, tmp_path, capsys):
         path = tmp_path / "annotators.txt"

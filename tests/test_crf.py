@@ -39,6 +39,7 @@ from crowdseq import (
     TrainOptions,
     build_model,
     decode,
+    decode_file,
     expected_counts,
     extract_features,
     load_model,
@@ -1012,19 +1013,34 @@ class TestOptimize:
         assert r1.objective == r2.objective
 
 
-def assert_restricts(got, whole, tokens):
-    """``got`` is ``whole`` loaded for ``tokens``: the observations they
-    fire, in ``whole``'s order and numbered from 0, with their weight rows
-    and the bigram block bit for bit (all of ``whole`` when tokens is None)."""
-    kept = list(whole.obs_index)
-    if tokens is not None:
-        fired = fired_observations(tokens, whole.templates)
-        kept = [obs for obs in kept if obs in fired]
-    assert list(got.obs_index.items()) == list(zip(kept, range(len(kept))))
-    assert got.n_obs == len(kept) and got.templates == whole.templates and got.scheme == whole.scheme
-    rows = whole.unary_weights()[[whole.obs_index[obs] for obs in kept]]
-    assert got.unary_weights().tobytes() == rows.tobytes()
+def assert_loads_for(path, whole, tokens):
+    """The model file at ``path`` holds ``whole``.  ``load_model(path)``
+    gives it bit for bit when tokens is None; else ``load_model`` given the
+    input table of ``tokens`` numbers the observations they fire on their
+    types and past the sentence edges, holding ``whole``'s row of each bit
+    for bit, a zero row where ``whole`` has none, and its bigram block, and
+    the unary scores those rows give are ``whole``'s."""
+    if tokens is None:
+        got = load_model(path)
+        assert list(got.obs_index.items()) == list(whole.obs_index.items())
+        assert got.templates == whole.templates and got.scheme == whole.scheme
+        assert got.weights.tobytes() == whole.weights.tobytes()
+        return
+    tokens = list(tokens)
+    table = crf._InputTable(tokens)
+    got = load_model(path, table)
+    assert list(got.obs_index.values()) == list(range(got.n_obs))
+    assert got.obs_index.keys() == fired_observations(tokens, whole.templates)
+    assert got.templates == whole.templates and got.scheme == whole.scheme
+    m = whole.scheme.size
+    rows = [whole.unary_weights()[whole.obs_index[obs]] if obs in whole.obs_index else np.zeros(m) for obs in got.obs_index]
+    assert got.unary_weights().tobytes() == np.array(rows, dtype=float).reshape(-1, m).tobytes()
     assert got.bigram_weights().tobytes() == whole.bigram_weights().tobytes()
+    if tokens:
+        with np.errstate(invalid="ignore"):  # inf - inf in an edge-value row gives NaN alike
+            unary = crf._unary_table(got.unary_weights(), table.ids())
+            want = np.concatenate([pot.unary for pot in extract_features(whole, tokens)])
+        assert unary.tobytes() == want.tobytes()
 
 
 class TestPersistence:
@@ -1035,6 +1051,11 @@ class TestPersistence:
         return {"whole": None, "every row": [("a", "b"), ("alice", "saw", "paris")], "edges only": [("qq",)]}[
             request.param
         ]
+
+    @staticmethod
+    def load(path, tokens):
+        """``load_model(path)``, or ``decode_file(path, tokens)``."""
+        return load_model(path) if tokens is None else decode_file(path, tokens)
 
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -1091,25 +1112,25 @@ class TestPersistence:
         path, lines = self.v1_lines(tmp_path)
         path.write_text("\n".join(lines[:-3]) + "\n")
         with pytest.raises(ValueError, match="expected 70 lines, found 67"):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     def test_v2_truncated_file_rejected(self, tmp_path, tokens):
         path, lines = self.v2_lines(tmp_path)
         path.write_text("\n".join(lines[:-3]) + "\n")
         with pytest.raises(ValueError, match="expected 18 lines, found 15"):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     def test_surplus_lines_rejected(self, tmp_path, tokens):
         path, lines = self.v1_lines(tmp_path)
         path.write_text("\n".join(lines + ["", "extra"]) + "\n")
         with pytest.raises(ValueError, match=f"expected {len(lines)} lines, found {len(lines) + 2}"):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     def test_v2_surplus_lines_rejected(self, tmp_path, tokens):
         path, lines = self.v2_lines(tmp_path)
         path.write_text("\n".join(lines + ["", "extra"]) + "\n")
         with pytest.raises(ValueError, match="expected 18 lines, found 20"):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     @pytest.mark.parametrize("where", ["body", "bigram"])
     def test_wrong_field_count_names_the_line(self, tmp_path, where, tokens):
@@ -1118,7 +1139,7 @@ class TestPersistence:
         lines[i] += "\t0.5"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {i + 1}: expected . tab-separated fields"):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     @pytest.mark.parametrize("where", ["body", "bigram"])
     def test_v2_wrong_field_count_names_the_line(self, tmp_path, where, tokens):
@@ -1129,14 +1150,14 @@ class TestPersistence:
         with pytest.raises(
             ValueError, match=f"^{re.escape(str(path))}, line {i + 1}: expected {n} tab-separated fields, found {n + 1}$"
         ):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     def test_non_numeric_weight_names_the_line(self, tmp_path, tokens):
         path, lines = self.v1_lines(tmp_path)
         lines[7] = lines[7].rsplit("\t", 1)[0] + "\tabc"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 8: weight 'abc' is not a number"):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     @pytest.mark.parametrize("where", ["body", "bigram"])
     def test_v2_non_numeric_weight_names_the_line(self, tmp_path, where, tokens):
@@ -1147,7 +1168,7 @@ class TestPersistence:
         lines[i] = "\t".join(parts)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {i + 1}: weight 'abc' is not a number$"):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     def test_duplicate_observation_names_the_line(self, tmp_path, tokens):
         path, lines = self.v1_lines(tmp_path)
@@ -1157,7 +1178,7 @@ class TestPersistence:
             lines[i] = first + "\t" + lines[i].split("\t", 1)[1]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {6 + m}: duplicate observation"):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     def test_v2_duplicate_observation_names_the_line(self, tmp_path, tokens):
         path, lines = self.v2_lines(tmp_path)
@@ -1165,7 +1186,7 @@ class TestPersistence:
         lines[6] = first + "\t" + lines[6].split("\t", 1)[1]  # the second row takes the first one's name
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 7: duplicate observation {first!r}$"):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     @pytest.mark.parametrize("version", ["v1", "v2"])
     def test_bigram_label_order_names_the_line(self, tmp_path, version, tokens):
@@ -1173,12 +1194,14 @@ class TestPersistence:
         lines[-2], lines[-1] = lines[-1], lines[-2]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {len(lines) - 1}: bigram block mismatch$"):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     def chunked_model(self, monkeypatch):
-        """A model of 24 observations, read in chunks of five lines; observation
-        13 (line 19) sits in the third chunk."""
+        """A model of 24 observations, read in chunks of five lines (v3: its
+        names 16 bytes at a time); observation 13 (line 19) sits in the third
+        chunk."""
         monkeypatch.setattr(crf, "_CHUNK_LINES", 5)
+        monkeypatch.setattr(crf, "_NAME_BYTES", 16)
         model = build_model(SCHEME, [("alice", "saw", "paris")])
         assert model.n_obs == 24
         model.weights[:] = np.random.default_rng(4).normal(size=model.dim)
@@ -1193,7 +1216,7 @@ class TestPersistence:
     def assert_fault_at_line_19(self, path, lines, why, tokens):
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 19: {re.escape(why)}$"):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     def test_chunked_wrong_field_count_names_the_line(self, tmp_path, monkeypatch, tokens):
         path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
@@ -1232,19 +1255,20 @@ class TestPersistence:
         path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
         path.write_text("\n".join(lines[:18]) + "\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected 34 lines, found 18$"):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     @pytest.mark.parametrize("save", [save_model_v2, save_model], ids=["v2", "v3"])
-    def test_names_that_only_share_a_hash_load_whole_and_are_restricted(self, tmp_path, monkeypatch, save):
+    def test_names_that_only_share_a_hash_decode_through_the_whole_reader(self, tmp_path, monkeypatch, save):
         path = tmp_path / "m.tsv"
         save(self.chunked_model(monkeypatch), path)
+        whole = load_model(path)
         monkeypatch.setattr(crf, "hash", lambda name: 0, raising=False)  # every name shares one hash
         calls = []
         load = crf.load_model
-        monkeypatch.setattr(crf, "load_model", lambda *args, **kwargs: calls.append(kwargs) or load(*args, **kwargs))
-        tokens = [("saw",)]
-        assert_restricts(crf.load_model(path, tokens=tokens), load_model(path), tokens)
-        assert calls == [{"tokens": tokens}, {}]
+        monkeypatch.setattr(crf, "load_model", lambda *args: calls.append(len(args)) or load(*args))
+        tokens = [("saw",), ("alice", "paris")]
+        assert decode_file(path, tokens) == (whole.scheme, decode(whole, tokens))
+        assert calls == [2, 1]  # given the input table, then whole
 
     @pytest.mark.parametrize("text, value", [("1_0", 10.0), ("\u0661", 1.0), (" 2.5 ", 2.5)])
     def test_chunked_weights_only_float_reads_still_load(self, tmp_path, monkeypatch, text, value, tokens):
@@ -1254,10 +1278,9 @@ class TestPersistence:
         parts[3] = text
         lines[18] = "\t".join(parts)
         path.write_text("\n".join(lines) + "\n")
-        got = load_model(path, tokens=tokens)
         want.weights = want.weights.copy()
         want.weights[13 * SCHEME.size + 2] = value
-        assert_restricts(got, want, tokens)
+        assert_loads_for(path, want, tokens)
 
     def test_chunked_weight_next_to_a_separator_is_refused(self, tmp_path, monkeypatch, tokens):
         # np.loadtxt strips \x1c around a number; float, and so the reader, refuses it
@@ -1269,9 +1292,11 @@ class TestPersistence:
 
     def v3_parts(self, tmp_path, monkeypatch, weights=None):
         """The fixture's model (8 observations, 5 labels) saved by save_model
-        (v3) and read in chunks of three names: the path, the header and name
-        lines without their newlines, and the weight bytes."""
+        (v3), its names read 16 bytes at a time and its weights three rows at
+        a time: the path, the header and name lines without their newlines,
+        and the weight bytes."""
         monkeypatch.setattr(crf, "_CHUNK_LINES", 3)
+        monkeypatch.setattr(crf, "_NAME_BYTES", 16)
         model = load_model(MODEL_V1)
         if weights is not None:
             model.weights[:] = weights
@@ -1283,7 +1308,7 @@ class TestPersistence:
     def assert_v3_fault(self, path, lines, weights, message, tokens):
         path.write_bytes(b"".join(line + b"\n" for line in lines) + weights)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     @pytest.mark.parametrize("kind", ["float64 edge values", "float32 origin"])
     def test_v3_round_trip_is_bit_exact(self, tmp_path, kind, tokens):
@@ -1296,25 +1321,25 @@ class TestPersistence:
             edges = np.array([-0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, np.finfo(float).max])
             model.weights[:10] = np.concatenate((nans, edges))  # NaN payloads (one signaling) and subnormals
         save_model(model, tmp_path / "m.bin")
-        got = load_model(tmp_path / "m.bin", tokens=tokens)
         want = replace(model, weights=model.weights.astype(float))  # float32 widens exactly
         if tokens is None:
+            got = load_model(tmp_path / "m.bin")
             assert got.weights.view(np.int64).tolist() == want.weights.view(np.int64).tolist()
-        assert_restricts(got, want, tokens)
+        assert_loads_for(tmp_path / "m.bin", want, tokens)
 
     @pytest.mark.parametrize("decode_for", ["whole", "its own sentence", "edges only"])
     def test_v3_names_keep_characters_that_splitlines_ends_a_line_at(self, tmp_path, monkeypatch, decode_for):
         # \x0b, \x0c, \x1c-\x1f, \x85, \u2028 and \u2029 end a line for str.splitlines, never for the reader
         monkeypatch.setattr(crf, "_CHUNK_LINES", 4)
+        monkeypatch.setattr(crf, "_NAME_BYTES", 8)
         sentence = ("a\u2028b", "\x85", "x\x0by", "\x1c\x1d", "\x1e\x1fZ", "\x0c\u2029", "café", "名前")
         model = build_model(SCHEME, [sentence])
         model.weights[:] = np.random.default_rng(3).normal(size=model.dim)
         save_model(model, tmp_path / "m.bin")
         tokens = {"whole": None, "its own sentence": [sentence], "edges only": [("qq",)]}[decode_for]
-        got = load_model(tmp_path / "m.bin", tokens=tokens)
-        assert_restricts(got, model, tokens)
+        assert_loads_for(tmp_path / "m.bin", model, tokens)
         if tokens is not None:
-            assert decode(got, tokens) == decode(model, tokens)
+            assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, decode(model, tokens))
 
     def test_v3_names_block_one_line_short(self, tmp_path, monkeypatch, tokens):
         # zero weights hold no newline byte: the weights become one unended name line
@@ -1364,11 +1389,12 @@ class TestPersistence:
         path.write_bytes(b"\n".join(data) + b"\n")
         why = "not UTF-8 (byte 0xc3: invalid continuation byte)"
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 9: {why}')}$"):
-            load_model(path, tokens=tokens)
+            self.load(path, tokens)
 
     @settings(max_examples=60, deadline=None)
     @given(
         chunk=st.integers(1, 4),
+        name_bytes=st.integers(1, 24),
         names=st.lists(
             st.text(
                 st.one_of(st.sampled_from(' #"'), st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r")),
@@ -1381,7 +1407,7 @@ class TestPersistence:
         save=st.sampled_from([save_model_v2, save_model]),
         data=st.data(),
     )
-    def test_round_trip_across_chunks_is_bit_identical(self, chunk, names, bigram, save, data):
+    def test_round_trip_across_chunks_is_bit_identical(self, chunk, name_bytes, names, bigram, save, data):
         templates = DEFAULT_TEMPLATES if bigram else DEFAULT_TEMPLATES[:-1]
         model = crf.CrfModel(SCHEME, templates, dict(zip(names, range(len(names)))), np.zeros(0))
         edge = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308])
@@ -1389,6 +1415,7 @@ class TestPersistence:
         model.weights = np.array(weights, dtype=float)
         with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
             mp.setattr(crf, "_CHUNK_LINES", chunk)
+            mp.setattr(crf, "_NAME_BYTES", name_bytes)
             save(model, Path(tmp, "m.tsv"))
             loaded = load_model(Path(tmp, "m.tsv"))
         assert loaded.weights.tobytes() == model.weights.tobytes()
@@ -1397,27 +1424,42 @@ class TestPersistence:
     @settings(max_examples=60, deadline=None)
     @given(
         version=st.sampled_from(["v1", "v2", "v3"]),
+        identity_only=st.booleans(),
+        chunk=st.integers(1, 4),
+        name_bytes=st.integers(1, 24),
         seqs=st.lists(
             st.lists(st.sampled_from(["a", "b", "alice", "Saw", "paris", "1984", "qq", "A"]), min_size=1, max_size=5),
             max_size=6,
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_a_model_loaded_for_its_input_decodes_it_alike(self, version, seqs, seed):
-        # weights in {-1, 0, 1}: many exact ties, which must break alike
-        with tempfile.TemporaryDirectory() as tmp:
+    def test_decode_file_decodes_as_the_whole_model(self, version, identity_only, chunk, name_bytes, seqs, seed):
+        # weights in {-1, 0, 1}: many exact ties, which must break alike; with
+        # the identity template alone, qq, Saw and A fire no row
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(crf, "_CHUNK_LINES", chunk)
+            mp.setattr(crf, "_NAME_BYTES", name_bytes)
             path = MODEL_V1
             if version != "v1":
-                model = build_model(SCHEME, [("alice", "saw", "paris"), ("a", "1984", "b")])
+                templates = (FeatureTemplate("token-identity"),) if identity_only else DEFAULT_TEMPLATES
+                model = build_model(SCHEME, [("alice", "saw", "paris"), ("a", "1984", "b")], templates)
                 model.weights[:] = np.random.default_rng(seed).integers(-1, 2, size=model.dim)
                 path = Path(tmp, "m.tsv")
                 (save_model if version == "v3" else save_model_v2)(model, path)
-            whole, restricted = load_model(path), load_model(path, tokens=iter(seqs))
-        assert_restricts(restricted, whole, seqs)
-        assert restricted.n_obs == len(fired_observations(seqs, whole.templates) & whole.obs_index.keys())
-        assert decode(restricted, seqs) == decode(whole, seqs)
-        for got, want in zip(extract_features(restricted, seqs), extract_features(whole, seqs)):
-            assert got.unary.tobytes() == want.unary.tobytes()
+            whole = load_model(path)
+            assert decode_file(path, iter(seqs)) == (whole.scheme, decode(whole, seqs))
+            if version != "v1":
+                assert_loads_for(path, whole, seqs)
+
+    @pytest.mark.parametrize("save", [save_model_v2, save_model], ids=["v2", "v3"])
+    def test_decode_file_of_an_input_that_fires_no_row(self, tmp_path, save):
+        model = build_model(SCHEME, [("alice", "saw", "paris")], (FeatureTemplate("token-identity"),))
+        model.weights[:] = np.random.default_rng(5).normal(size=model.dim)
+        save(model, tmp_path / "m.bin")
+        tokens = [("qq", "Saw"), ("A",)]
+        assert not load_model(tmp_path / "m.bin", crf._InputTable(tokens)).weights.any()
+        assert_loads_for(tmp_path / "m.bin", model, tokens)
+        assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, [(0, 0), (0,)])
 
     @pytest.mark.parametrize("sep", ["\t", "\n", "\r"])
     def test_an_observation_holding_a_line_or_field_separator_is_refused(self, tmp_path, sep):
