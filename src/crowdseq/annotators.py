@@ -182,6 +182,9 @@ def save_annotators(params: AnnotatorParams, scheme: LabelScheme, path) -> None:
     if scheme.size != params.n_labels:
         raise ValueError("scheme size does not match the tables")
     params.validate(atol=1e-6)
+    for annotator in params.roster:
+        if "\t" in annotator or "\n" in annotator or "\r" in annotator:
+            raise ValueError(f"annotator id not serializable: {annotator!r}")
     contexts = list(scheme.labels) + [BOS_LABEL]
     lines = [PARAMS_MAGIC]
     lines.append("kind\t" + scheme.kind)

@@ -15,12 +15,14 @@ only ``formats`` and ``types`` besides argparse: ``decode`` never imports
 ``em``, ``lattice``, ``annotators`` or ``baselines``, and neither ``train``
 nor ``aggregate --method saslc`` imports ``baselines``.
 
-``train`` writes the model in format v3, names as text and weights as raw
-float64 (see ``crf``); ``decode`` also reads the older text formats.
-``decode`` reads its token file first and featurizes it once
-(``crf.decode_file``): the observations those tokens fire pick the model
-rows it loads, so its memory grows with the input's vocabulary, not the
-model's, and its output is what the whole model gives.  It and
+``train`` writes the model in format v4: names as text, a hash index over
+them and weights as raw float64 (see ``crf``).  ``decode`` reads only that
+format; a model saved in an older one is refused by its format, exit
+status 2, and must be retrained.  ``decode`` reads its token file first and
+featurizes it once (``crf.decode_file``): the observations those tokens
+fire are hashed and found through the index, which picks the model rows it
+loads, so its name work and memory grow with the input's vocabulary, not
+the model's, and its output is what the whole model gives.  It and
 ``aggregate`` write their labels straight from (tokens, labels) pairs
 (``formats.save_tagged``).
 """

@@ -65,44 +65,40 @@ Training needs scipy only for its compiled L-BFGS-B routine, which
 neither ``scipy`` nor ``scipy.optimize`` is imported.  Loading a model and
 decoding never touch scipy at all.
 
-``save_model`` writes format v3: the magic line, ``kind``, ``labels``,
-``templates`` and ``observations`` header lines, then one line per
-observation holding its name, in id order, all UTF-8, then the weight vector
-as raw little-endian float64, with nothing after it.  ``load_model`` reads
-the names ``_NAME_BYTES`` at a time, each block cut after its last line (a
-line ends at ``\\n`` alone, and a name holding a tab or a CR, or bytes that
-are not UTF-8, is refused by its line), and interns each block's names with
-one ``dict.update``; the weights go straight into one preallocated array
-with ``readinto``, and their block must be exactly the size the header
-gives.
-
-It still reads v2 files, text with one line per observation,
-``name<TAB>w_1 ... w_M`` in label order, then, with a bigram template, M
-lines ``bigram<TAB>from_label<TAB>w_1 ... w_M``: ``np.loadtxt`` parses a
-chunk's weights, its names go through the same name pass as v3's
-(``_NamePass``), and the chunk's float64 block is appended to one buffer
-that becomes the weight vector without a copy.  A chunk that parse does not
-take whole (a malformed line, or a weight that only ``float`` reads, such
-as ``1_0``) goes through the per-line reader, one split and ``float`` per
-line, which names the bad line.  v1 files (one line per observation and
-label, then one per label pair) are read line by line.  Either text format
-names the line of a malformed entry, and of bytes that are not UTF-8.
+``save_model`` writes format v4: six UTF-8 header lines (the magic line,
+``kind``, ``labels``, ``templates``, ``observations`` and ``names``, the
+last holding the name block's byte size and one crc32 over the name block
+and then the index), the name block, one line per observation holding its
+name, in id order, the name index, and the weight vector as raw
+little-endian float64, with nothing after it.  The index is n uint32, the
+crc32 of each name's UTF-8 bytes (``_name_hash``), ascending, then the n
+uint32 ids in that order, equal hashes in id order, all little-endian.
+``load_model`` checks the file's size against the header first, reads the
+index and refuses one that is not sorted so or whose ids are not a
+permutation, then streams the names ``_NAME_BYTES`` at a time, each slice
+cut after its last line: a line ends at ``\\n`` alone, and a name holding
+a tab or a CR, or bytes that are not UTF-8, is refused by its line, as is a
+block of another line count; the checksum then covers the names and the
+index.  Loaded whole, every name is interned (a repeat is refused by its
+line) and hashed again against the index; the weights go straight into one
+preallocated array with ``readinto``.  Files of the formats before v4 are
+refused by name: the model must be retrained.
 
 ``decode_file`` featurizes the token sequences to decode once: its input
 table numbers the observations the header's templates fire on their token
-types, and the BOS/EOS ones, by first use (``_InputTable.number``).  The
-v3 and v2 name passes look each name of the file up in that numbering, one
-``dict.get`` a name, and each row found goes to its number in one (rows, M)
-weight table, a zero row standing for an observation the file lacks, so
-decode's memory grows with its input's vocabulary, not the model's; v3
-reads the weight block a chunk of rows at a time.  The table's (P, T)
-numbers, spread after the weights are in, index those rows, so each
-position sums the same weight rows in the same order as under the whole
-model (a zero row adds +0.0 as the id -1 does).  The readers still read and
-check every line, and hold the hash of each name, not the name, for the
-duplicate check.  A fault, or two names of one hash, sends the file to the
-whole reader, which names it; a v1 file loads whole.  A model loaded whole
-is decoded by looking the table's observations up in it.
+types, and the BOS/EOS ones, by first use (``_InputTable.number``).
+``load_model`` hashes each of those once and finds its rows through the
+index (``_NameBlock.find``): one ``searchsorted`` per chunk of sorted
+hashes, then, as the names stream past, a byte comparison of each row
+found with the input's name, so a name of another hash is never hashed or
+looked up.  Names of one hash sit together in the index, so the duplicate
+check compares just those.  Each row found goes to its number in one
+(rows, M) weight table, read a chunk of rows at a time, a zero row
+standing for an observation the file lacks, so decode's memory grows with
+its input's vocabulary, not the model's.  The table's (P, T) numbers,
+spread after the weights are in, index those rows, so each position sums
+the same weight rows in the same order as under the whole model (a zero
+row adds +0.0 as the id -1 does).
 
 The weight vector is the flattened (n_obs, M) unary block followed, when a
 label-bigram template is present, by the flattened (M, M) bigram block.
@@ -114,9 +110,9 @@ import importlib.machinery
 import importlib.util
 import io
 import sys
-from array import array
+import zlib
 from dataclasses import dataclass, replace
-from itertools import cycle, islice, product, repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -128,13 +124,13 @@ from .types import LabelScheme, LabelSeq
 BOS_TOKEN = "<s>"
 EOS_TOKEN = "</s>"
 
-MODEL_MAGIC = "crowdseq-crf v3"
-MODEL_MAGIC_V2 = "crowdseq-crf v2"  # one text line per observation; still read
-MODEL_MAGIC_V1 = "crowdseq-crf v1"  # one line per weight; still read
+MODEL_MAGIC = "crowdseq-crf v4"
+_RETIRED_MAGICS = tuple(f"crowdseq-crf v{i}".encode() for i in (1, 2, 3))  # refused by name: retrain
+_HEADER_LINES = 6
 
-_CHUNK_LINES = 4096  # observation lines read at once: a v2 np.loadtxt call, v3 weight rows
-_NAME_BYTES = 1 << 16  # bytes of v3 observation names read at once
-_FLOAT_REFUSES = "\x1c\x1d\x1e\x1f"  # np.loadtxt strips these around a number
+_CHUNK_LINES = 4096  # weight rows read at once
+_NAME_BYTES = 1 << 16  # bytes of observation names read at once
+_name_hash = zlib.crc32  # of a name's UTF-8 bytes: the key of the name index
 _TINY = np.finfo(float).tiny  # a scaled row sum below this is out of the float64 range
 _GATHER_ROWS = 1024  # positions whose (T, M) weight rows _unary_table gathers at once
 
@@ -955,370 +951,308 @@ def optimize(
 
 
 def save_model(model: CrfModel, path) -> None:
-    """Format v3 (see the module docstring): the header and the observation
-    names as UTF-8 lines, the names in id order, then the weight vector as
-    raw little-endian float64."""
-    names = np.empty(model.n_obs, dtype=object)
-    names[np.fromiter(model.obs_index.values(), np.intp, model.n_obs)] = list(model.obs_index)
-    body = "\n".join([*names.tolist(), ""])
-    if body.count("\n") != model.n_obs or "\t" in body or "\r" in body:
+    """Format v4 (see the module docstring): the header, the observation
+    names as UTF-8 lines in id order, their hash index, then the weight
+    vector as raw little-endian float64."""
+    n = model.n_obs
+    names = np.empty(n, dtype=object)
+    names[np.fromiter(model.obs_index.values(), np.intp, n)] = list(model.obs_index)
+    names = names.tolist()
+    body = "\n".join([*names, ""])
+    if body.count("\n") != n or "\t" in body or "\r" in body:
         obs = next(obs for obs in model.obs_index if "\t" in obs or "\n" in obs or "\r" in obs)
         raise ValueError(f"observation not serializable: {obs!r}")
+    block = body.encode("utf-8")
+    keys = np.fromiter(map(_name_hash, map(str.encode, names)), np.uint64, n)
+    keys <<= 32
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort()  # by hash, then id
+    index = np.empty(2 * n, dtype="<u4")
+    index[:n], index[n:] = keys >> 32, keys & 0xFFFFFFFF
     header = [
         MODEL_MAGIC,
         "kind\t" + model.scheme.kind,
         "labels\t" + "\t".join(model.scheme.labels),
         "templates\t" + "\t".join(t.spec_string for t in model.templates),
-        f"observations\t{model.n_obs}",
+        f"observations\t{n}",
+        f"names\t{len(block)}\t{zlib.crc32(index, zlib.crc32(block))}",
     ]
     with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n" + body).encode("utf-8"))
+        fh.write(("\n".join(header) + "\n").encode("utf-8"))
+        fh.write(block)
+        fh.write(index)
         fh.write(np.ascontiguousarray(model.weights, dtype="<f8"))
 
 
-def _field_problem(line: str, n_fields: int, n_weights: int) -> str:
-    """Why a model body line with ``n_fields`` fields, the last ``n_weights``
-    of them weights, failed to parse."""
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != n_fields:
-        return f"expected {n_fields} tab-separated fields, found {len(parts)}"
-    for w in parts[n_fields - n_weights :]:
-        try:
-            float(w)
-        except ValueError:
-            break
-    return f"weight {w!r} is not a number"
+@dataclass
+class _NameBlock:
+    """The name block of an open v4 file and its index: ``keys`` and
+    ``ids``, read and checked by ``open``.  ``read`` streams the names,
+    ``intern`` and ``find`` use it."""
 
+    fh: io.BufferedReader
+    path: str
+    size: int  # bytes of the names
+    checksum: int  # crc32 of the names and then the index
+    index: np.ndarray  # the hashes, ascending, then the ids, as little-endian uint32
 
-class _NamePass:
-    """Reads the observation names of a v2 or v3 body, chunk by chunk, in
-    file order.
+    @property
+    def keys(self) -> np.ndarray:
+        return self.index[: self.index.size // 2]
 
-    Without ``numbers`` it interns every name, numbering them from 0 in file
-    order, and a repeated name raises, naming its line.  Given ``numbers``,
-    an input table's numbering (``_InputTable.number``), it looks each name
-    up there, one ``dict.get`` a name, and interns none; the duplicate check
-    then holds each name's hash, not the name: ``check_hashes`` raises a
-    ValueError, naming no line, if two names share one.
-    """
+    @property
+    def ids(self) -> np.ndarray:
+        return self.index[self.index.size // 2 :]
 
-    def __init__(self, numbers: dict[str, int] | None, bad):
-        self.numbers, self.bad = numbers, bad
-        self.obs_index: dict[str, int] = {}
-        self.hashes = array("q")  # given numbers, the hash of every name read
-        self.read = 0
+    def bad(self, row: int, why: str) -> ValueError:
+        return ValueError(f"{self.path}, line {_HEADER_LINES + 1 + row}: {why}")
 
-    def add(self, names: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-        """Reads the next names of the body.  Given ``numbers``, returns the
-        file rows, counted from the body's first name, of those it holds, and
-        their numbers; else interns them and returns None."""
-        first, self.read = self.read, self.read + len(names)
-        if self.numbers is not None:
-            found = np.fromiter(map(self.numbers.get, names, repeat(-1)), dtype=np.intp, count=len(names))
-            chunk_hashes = np.fromiter(map(hash, names), dtype=np.int64, count=len(names))  # cached by the lookup
-            self.hashes.frombytes(memoryview(chunk_hashes).cast("B"))
-            rows = np.flatnonzero(found >= 0)
-            return rows + first, found[rows]
-        n = len(self.obs_index)
-        self.obs_index.update(zip(names, range(n, n + len(names))))
-        if len(self.obs_index) < n + len(names):  # a repeated name: find its line
-            known = set(islice(self.obs_index, n))  # an update keeps a key's place
-            for i, name in enumerate(names, first):
-                if name in known:
-                    raise self.bad(6 + i, f"duplicate observation {name!r}")
-                known.add(name)
-        return None
+    @classmethod
+    def open(cls, fh, path, n_obs: int, size: int, checksum: int) -> _NameBlock:
+        """Reads the index that follows the ``size`` bytes of names at the
+        file position, and refuses one whose hashes do not ascend, with
+        equal hashes in id order, or whose ids are not a permutation of the
+        rows.  Leaves ``fh`` at the first name."""
+        start = fh.tell()
+        block = cls(fh, str(path), size, checksum, np.empty(2 * n_obs, dtype="<u4"))
+        fh.seek(start + size)
+        fh.readinto(block.index)
+        fh.seek(start)
+        keys, ids = block.keys, block.ids
+        if ((keys[1:] < keys[:-1]) | ((keys[1:] == keys[:-1]) & (ids[1:] <= ids[:-1]))).any():
+            raise ValueError(f"{path}: the name index is not sorted by hash and id")
+        seen = np.zeros(n_obs, dtype=bool)
+        if n_obs and ids.max() < n_obs:
+            for lo in range(0, n_obs, _CHUNK_LINES):  # ids index as intp: a chunk at a time
+                seen[ids[lo : lo + _CHUNK_LINES]] = True
+        if not seen.all():
+            raise ValueError(f"{path}: the name index ids are not a permutation of the names")
+        return block
 
-    def check_hashes(self) -> None:
-        ordered = np.frombuffer(self.hashes, dtype=np.int64)
-        ordered.sort()  # in place: no name is read after this
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ValueError("two observation names share a hash")
-
-
-def _read_v1_body(fh, labels, n_obs: int, has_bigram: bool, bad) -> tuple[dict[str, int], array, int]:
-    """Bodies of the v1 format: one line per (observation, label) weight,
-    then one per (label, label) bigram weight.  Returns the names, the
-    weights and the number of lines read."""
-    m = len(labels)
-    obs_index: dict[str, int] = {}
-    weights = array("d")
-    # the line being read follows the five header lines and one line per weight kept
-    for line, (c, label) in zip(islice(fh, n_obs * m), cycle(enumerate(labels))):
-        try:
-            obs, lab, w = line.split("\t")
-            weight = float(w)
-        except ValueError:
-            raise bad(6 + len(weights), _field_problem(line, 3, 1)) from None
-        if c == 0:
-            if obs in obs_index:
-                raise bad(6 + len(weights), f"duplicate observation {obs!r}")
-            obs_index[obs] = len(obs_index)
-            block = obs
-        elif obs != block:
-            raise bad(6 + len(weights), "observation block out of order")
-        if lab != label:
-            raise bad(6 + len(weights), "label column mismatch")
-        weights.append(weight)
-    if has_bigram and len(weights) == n_obs * m:
-        for line, (la, lb) in zip(islice(fh, m * m), product(labels, repeat=2)):
+    def read(self, visit) -> None:
+        """Reads the names ``_NAME_BYTES`` at a time, each slice cut after
+        its last ``\\n``, and calls ``visit(first, raw, ends, text)`` on
+        each slice, of rows ``first``, ``first + 1``, ...: its bytes, the
+        offset of each line's ``\\n`` and its text.  Lines end at ``\\n``
+        alone; names the first that holds a tab or a CR or is not UTF-8, and
+        refuses a block of other than one whole line per id, or whose
+        checksum with the index is wrong.  Leaves ``fh`` at the weights."""
+        n_obs = self.index.size // 2
+        crc, rest, row, left = 0, b"", 0, self.size
+        while left > 0 and (data := self.fh.read(min(_NAME_BYTES, left))):
+            left -= len(data)
+            crc = zlib.crc32(data, crc)
+            raw = rest + data
+            ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+            end = int(ends[-1]) + 1 if ends.size else 0
+            raw, rest = raw[:end], raw[end:]
+            cut = min((at for at in (raw.find(b"\t"), raw.find(b"\r")) if at >= 0), default=end)
             try:
-                tag, got_a, got_b, w = line.split("\t")
-                weight = float(w)
-            except ValueError:
-                raise bad(6 + len(weights), _field_problem(line, 4, 1)) from None
-            if tag != "bigram" or got_a != la or got_b != lb:
-                raise bad(6 + len(weights), "bigram block mismatch")
-            weights.append(weight)
-    return obs_index, weights, len(weights)
+                text = raw[:cut].decode("utf-8")  # UTF-8 never holds a tab or CR byte inside a character
+            except UnicodeDecodeError:
+                raise DataError.not_utf8(self.path, raw, _HEADER_LINES + 1 + row) from None
+            if cut < end:
+                raise self.bad(row + raw.count(b"\n", 0, cut), f"observation name holds {chr(raw[cut])!r}")
+            if ends.size and row + ends.size <= n_obs:
+                visit(row, raw, ends, text)
+            row += ends.size
+        if rest:
+            raise self.bad(row, "the name block ends inside this line")
+        if row != n_obs:
+            raise ValueError(f"{self.path}: expected {n_obs} observation names, found {row}")
+        self.fh.seek(self.index.nbytes, io.SEEK_CUR)
+        if zlib.crc32(self.index, crc) != self.checksum:
+            raise ValueError(f"{self.path}: the names or their index do not match the header's checksum")
+
+    def intern(self) -> dict[str, int]:
+        """Every name, numbered from 0 in file order; a repeated name, and
+        one whose hash is not the index's, raise, naming its line."""
+        obs_index: dict[str, int] = {}
+        hashes = np.empty(self.index.size // 2, dtype=np.uint32)
+
+        def visit(first, raw, ends, text):
+            names = text.split("\n")  # not splitlines, which also ends a line at \x1c, \x85, \u2028, ...
+            names.pop()  # the empty string after the last newline
+            obs_index.update(zip(names, range(first, first + len(names))))
+            if len(obs_index) < first + len(names):  # a repeated name: find its line
+                known = set(islice(obs_index, first))  # an update keeps a key's place
+                for i, name in enumerate(names, first):
+                    if name in known:
+                        raise self.bad(i, f"duplicate observation {name!r}")
+                    known.add(name)
+            hashes[first : first + len(names)] = np.fromiter(map(_name_hash, raw.split(b"\n")), np.uint32, len(names))
+
+        self.read(visit)
+        wrong = self.ids[hashes[self.ids] != self.keys]
+        if wrong.size:
+            raise self.bad(int(wrong.min()), "the name index holds another hash for this name")
+        return obs_index
+
+    def find(self, numbers: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+        """The file rows, ascending, of the names that ``numbers`` holds, an
+        input table's numbering (``_InputTable.number``), and their numbers.
+
+        The names are encoded and hashed once, ``_CHUNK_LINES`` at a time,
+        their bytes kept end to end.  A chunk's hashes, sorted, meet the
+        index in one ``searchsorted``, and each run of equal hashes there
+        gives (row, number) pairs, whose bytes ``read`` compares as it
+        streams the rows.  Names of one hash sit next to each other in the
+        index, so the duplicate check compares only those, naming the later
+        line."""
+        keys, ids, n_obs, n_q = self.keys, self.ids, self.keys.size, len(numbers)
+        offsets = np.zeros(n_q + 1, dtype=np.intp)  # of each name's bytes in encoded
+        encoded = []  # the names' bytes end to end, a chunk at a time
+        pairs = [np.zeros(0, np.int64)]  # row * n_q + number
+        names = iter(numbers)
+        for lo in range(0, n_q, _CHUNK_LINES):
+            # a name's own bytes live only while hashed or measured: many small objects alive
+            # at once would leave the heap larger for the rest of decode
+            chunk = list(islice(names, _CHUNK_LINES))
+            encoded.append("".join(chunk).encode("utf-8", "surrogatepass"))
+            sizes = map(len, chunk if encoded[-1].isascii() else _utf8(chunk))  # ASCII: a byte per character
+            offsets[lo + 1 : lo + 1 + len(chunk)] = np.fromiter(sizes, np.intp, len(chunk))
+            hashes = np.fromiter(map(_name_hash, _utf8(chunk)), np.uint32, len(chunk))
+            order = np.argsort(hashes)
+            hashes = hashes[order]
+            at = np.searchsorted(keys, hashes)
+            live = np.flatnonzero(at < n_obs)
+            while live.size:  # walk each run of equal hashes
+                live = live[keys[at[live]] == hashes[live]]
+                pairs.append(ids[at[live]].astype(np.int64) * n_q + order[live] + lo)
+                at[live] += 1
+                live = live[at[live] < n_obs]
+        np.cumsum(offsets, out=offsets)
+        encoded = b"".join(encoded)
+        pairs = np.concatenate(pairs)
+        pairs.sort()
+        matched = np.zeros(pairs.size, dtype=bool)
+        runs = np.flatnonzero(keys[1:] == keys[:-1]).tolist()  # each index entry whose hash the next shares
+        twins = ids[sorted({*runs, *(i + 1 for i in runs)})].tolist()  # index order: each run's rows ascend
+        looked = np.array(sorted(twins), dtype=np.intp)
+        named = {}
+
+        def visit(first, raw, ends, text):
+            a, b = np.searchsorted(pairs, (first * n_q, (first + ends.size) * n_q))
+            c, d = np.searchsorted(looked, (first, first + ends.size))
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            for row in looked[c:d].tolist():
+                named[row] = raw[starts[row - first] : ends[row - first]]
+            rows, picks = np.divmod(pairs[a:b], n_q)
+            lo, hi = starts[rows - first], ends[rows - first]
+            name_lo, name_hi = offsets[picks], offsets[picks + 1]
+            same = np.array_equal(hi - lo, name_hi - name_lo)
+            if same and _gather(raw, lo, hi) == _gather(encoded, name_lo, name_hi):
+                matched[a:b] = True
+            else:  # a name of the input shares a hash with another name of the file
+                spans = zip(lo.tolist(), hi.tolist(), name_lo.tolist(), name_hi.tolist())
+                matched[a:b] = [raw[i:j] == encoded[k:n] for i, j, k, n in spans]
+
+        self.read(visit)
+        seen, repeats = set(), []
+        for row in twins:
+            if named[row] in seen:
+                repeats.append(row)
+            seen.add(named[row])
+        if repeats:
+            row = min(repeats)
+            raise self.bad(row, f"duplicate observation {named[row].decode()!r}")
+        return np.divmod(pairs[matched], n_q)
 
 
-def _read_v2_lines(lines: list[str], first: int, m: int, bad) -> tuple[list[str], np.ndarray, ValueError | None]:
-    """Observation lines ``first``, ``first + 1``, ... of a v2 body, each
-    split once and its weights read by ``float``: the names and (n, M)
-    weights of the lines before the first malformed one, and the error
-    naming that line (None if every line is well formed)."""
-    names: list[str] = []
-    weights: list[float] = []
-    fault = None
-    for i, line in enumerate(lines, first):
-        parts = line.split("\t")
-        try:
-            if len(parts) != m + 1:
-                raise ValueError
-            row = list(map(float, parts[1:]))
-        except ValueError:
-            fault = bad(6 + i, _field_problem(line, m + 1, m))
-            break
-        names.append(parts[0])
-        weights.extend(row)
-    return names, np.array(weights).reshape(len(names), m), fault
+def _utf8(names: list[str]):
+    """Each name's bytes, one at a time; a lone surrogate gives bytes that
+    are not UTF-8, so never those of a name in a file."""
+    return map(str.encode, names, repeat("utf-8"), repeat("surrogatepass"))
 
 
-def _read_v2_body(fh, labels, n_obs: int, has_bigram: bool, bad, names: _NamePass, unary) -> tuple[array, int]:
-    """Bodies of the v2 format: one line per observation, then one per
-    bigram from-label.  Reads the names through ``names`` and returns the
-    weights read, in file order, and the number of lines read.  Given
-    ``unary``, an input table's (rows, M) weight table, each row whose name
-    ``names`` finds there goes to its number instead, and the weights
-    returned are the bigram's alone.
-
-    Observation lines are read ``_CHUNK_LINES`` at a time.  ``np.loadtxt``
-    parses a chunk's weights in one call; a chunk that parse does not take
-    whole goes to ``_read_v2_lines``, which reads the weights ``float``
-    alone accepts (``1_0``, non-ASCII digits) and names a bad line, after
-    the names before it have been checked for a repeat.
-    """
-    m = len(labels)
-    weights = array("d")
-    cols = range(1, m + 1)
-    read = 0
-    for first in range(0, n_obs, _CHUNK_LINES):
-        lines = list(islice(fh, min(_CHUNK_LINES, n_obs - first)))
-        if not lines:
-            break
-        read += len(lines)
-        chunk, fault = None, None
-        text = "".join(lines)
-        # np.loadtxt skips blank lines and ignores surplus fields, and float
-        # refuses a number next to _FLOAT_REFUSES, which np.loadtxt strips
-        if text.count("\t") == m * len(lines) and not any(c in text for c in _FLOAT_REFUSES):
-            try:
-                block = np.loadtxt(lines, delimiter="\t", usecols=cols, comments=None, quotechar=None, ndmin=2)
-            except ValueError:
-                block = None
-            if block is not None and block.shape[0] == len(lines):
-                chunk = [line.partition("\t")[0] for line in lines]
-        if chunk is None:
-            chunk, block, fault = _read_v2_lines(lines, first, m, bad)
-        picks = names.add(chunk)
-        if fault is not None:
-            raise fault
-        if picks is not None:
-            rows, numbers = picks
-            unary[numbers] = block[rows - first]
-        elif block.size:  # memoryview refuses to cast an empty block
-            weights.frombytes(memoryview(block).cast("B"))
-    if has_bigram and read == n_obs:
-        for i, (line, la) in enumerate(zip(islice(fh, m), labels), 6 + n_obs):
-            parts = line.split("\t")
-            try:
-                if len(parts) != m + 2:
-                    raise ValueError
-                weights.extend(map(float, parts[2:]))
-            except ValueError:
-                raise bad(i, _field_problem(line, m + 2, m)) from None
-            if parts[0] != "bigram" or parts[1] != la:
-                raise bad(i, "bigram block mismatch")
-            read += 1
-    return weights, read
+def _gather(data, starts: np.ndarray, stops: np.ndarray) -> bytes:
+    """The bytes ``data[start:stop]`` of each start and stop, end to end."""
+    sizes = stops - starts
+    at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+    return np.frombuffer(data, dtype=np.uint8)[at].tobytes()
 
 
-def _read_v3_names(fh, path, n_obs: int, bad, names: _NamePass) -> tuple[np.ndarray, np.ndarray] | None:
-    """The name lines of a v3 body, read ``_NAME_BYTES`` at a time, each
-    block cut after its last ``\\n``, through ``names``: given its
-    ``numbers``, the file rows of the names found there and their numbers,
-    else None.  Lines end at ``\\n`` alone; names the first that holds a tab
-    or a CR or is not UTF-8.  Leaves ``fh`` at the first byte after the
-    names."""
-    start = fh.tell()
-    rows, numbers = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]  # of the names found in names.numbers
-    rest = b""  # the start of a line that the last block cut
-    used = 0  # bytes of the names read
-    while names.read < n_obs:
-        data = fh.read(_NAME_BYTES)
-        raw = rest + data
-        need = n_obs - names.read
-        count = raw.count(b"\n")
-        if count < need and not data:
-            raise ValueError(f"{path}: expected {n_obs} observation names, found {names.read + count}")
-        if count > need:  # the weights follow the last name
-            end = int(np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))[need - 1]) + 1
-        else:
-            end = raw.rfind(b"\n") + 1
-        raw, rest = raw[:end], raw[end:]
-        if not raw:
-            continue
-        used += end
-        line = 6 + names.read
-        cut = min((at for at in (raw.find(b"\t"), raw.find(b"\r")) if at >= 0), default=len(raw))
-        try:
-            text = raw[:cut].decode("utf-8")  # UTF-8 never holds a tab or CR byte inside a character
-        except UnicodeDecodeError:
-            raise DataError.not_utf8(path, raw, line) from None
-        if cut < len(raw):
-            raise bad(line + raw.count(b"\n", 0, cut), f"observation name holds {chr(raw[cut])!r}")
-        chunk = text.split("\n")  # not splitlines, which also ends a line at \x1c, \x85, \u2028, ...
-        chunk.pop()  # the empty string after the last newline
-        picked = names.add(chunk)
-        if picked is not None:
-            rows.append(picked[0])
-            numbers.append(picked[1])
-    fh.seek(start + used)
-    return None if names.numbers is None else (np.concatenate(rows), np.concatenate(numbers))
-
-
-def _read_v3_weights(fh, path, n_obs: int, m: int, n_pair: int, weights: np.ndarray, picks) -> None:
-    """Reads the raw little-endian float64 weights that end a v3 file, the
-    (n_obs, M) unary block and then ``n_pair`` bigram weights, which must be
-    all that is left of the file, into ``weights``.  Given ``picks``, the
-    file rows of the names an input table holds and their numbers,
-    ``weights`` holds that table's (rows, M) weights, then the bigram's:
-    the unary block is read ``_CHUNK_LINES`` rows at a time and each picked
-    row goes to its number."""
-    start = fh.tell()
-    if picks is None:
-        got = fh.readinto(weights)
-    else:
-        rows, numbers = picks
-        unary = weights[: weights.size - n_pair].reshape(-1, m)
-        buf = np.empty((min(_CHUNK_LINES, n_obs), m), dtype="<f8")
-        bounds = [*np.searchsorted(rows, range(0, n_obs, _CHUNK_LINES)).tolist(), rows.size]
-        got = 0
-        for lo, a, b in zip(range(0, n_obs, _CHUNK_LINES), bounds, bounds[1:]):
-            block = buf[: min(_CHUNK_LINES, n_obs - lo)]
-            got += fh.readinto(block)  # short only in a faulty file, refused below
-            unary[numbers[a:b]] = block[rows[a:b] - lo]
-        got += fh.readinto(weights[unary.size :])
-    expected = (n_obs * m + n_pair) * 8
-    if got != expected or fh.read(1):
-        found = fh.seek(0, io.SEEK_END) - start
-        raise ValueError(f"{path}: expected {expected} bytes of weights, found {found}")
+def _read_weights(fh, n_obs: int, m: int, n_pair: int, weights: np.ndarray, picks) -> None:
+    """Reads the raw little-endian float64 weights that end the file, the
+    (n_obs, M) unary block and then ``n_pair`` bigram weights, into
+    ``weights``, an input table's (rows, M) weights and then the bigram's:
+    the unary block is read ``_CHUNK_LINES`` rows at a time, and the rows
+    ``picks`` holds, file rows (ascending) and their numbers, go to their
+    numbers."""
+    rows, numbers = picks
+    unary = weights[: weights.size - n_pair].reshape(-1, m)
+    buf = np.empty((min(_CHUNK_LINES, n_obs), m), dtype="<f8")
+    bounds = [*np.searchsorted(rows, range(0, n_obs, _CHUNK_LINES)).tolist(), rows.size]
+    for lo, a, b in zip(range(0, n_obs, _CHUNK_LINES), bounds, bounds[1:]):
+        block = buf[: min(_CHUNK_LINES, n_obs - lo)]
+        fh.readinto(block)
+        unary[numbers[a:b]] = block[rows[a:b] - lo]
+    fh.readinto(weights[unary.size :])
 
 
 def load_model(path, inputs: _InputTable | None = None) -> CrfModel:
-    """Read a ``save_model`` file, v3, v2 or v1, in one pass.
+    """Read a ``save_model`` file, format v4.
 
     ``decode_file`` passes its input table as ``inputs``, whose columns then
     hold the returned model's ids.  The model holds the rows of the
     observations the table numbers (``inputs.number`` of the file's
     templates), in that numbering, and a zero row for each that the file
-    lacks, so its memory grows with the input's vocabulary, not the file's.
-    Every line is still read and checked, and the duplicate check holds the
-    hash of each name, not the name.  A v1 file, and a v3 or v2 file with a
-    fault or two names of one hash, is read whole instead, by the reader
-    that names the fault, and the table looks its observations up in it.
-    Bytes that are not UTF-8 where text is expected raise a ValueError
-    naming their line.
+    lacks, so its memory grows with the input's vocabulary, not the file's;
+    the names are found through the file's index (``_NameBlock.find``).
+    Every name line is still read and checked.  A file of an older format
+    is refused by its format: the model must be retrained.  Bytes that are
+    not UTF-8 where text is expected raise a ValueError naming their line.
     """
-    try:
-        with open(path, "rb") as fh:
-            v3 = fh.readline() == MODEL_MAGIC.encode() + b"\n"
-            if v3:
-                lines = list(islice(fh, 4))
-                try:
-                    header = [MODEL_MAGIC, *(line.decode("utf-8").rstrip("\n") for line in lines)]
-                except UnicodeDecodeError:
-                    raise DataError.not_utf8(path, b"".join(lines), 2) from None
-            else:  # v2 and v1 files are read as text, lines ending as text mode ends them
-                fh.seek(0)
-                fh = io.TextIOWrapper(fh, encoding="utf-8")
-                header = [line.rstrip("\n") for line in islice(fh, 5)]
-                if not header or header[0] not in (MODEL_MAGIC_V2, MODEL_MAGIC_V1):
-                    raise ValueError(f"{path}: not a {MODEL_MAGIC}, v2 or v1 file")
+    with open(path, "rb") as fh:
+        magic = fh.readline().rstrip(b"\n")
+        if magic != MODEL_MAGIC.encode():
+            if magic in _RETIRED_MAGICS:
+                raise ValueError(f"{path}: {magic.decode()} files are no longer read; retrain the model")
+            raise ValueError(f"{path}: not a {MODEL_MAGIC} file")
+        lines = [fh.readline() for _ in range(_HEADER_LINES - 1)]
+        try:
+            header = [MODEL_MAGIC, *(line.decode("utf-8").rstrip("\n") for line in lines)]
+        except UnicodeDecodeError:
+            raise DataError.not_utf8(path, b"".join(lines), 2) from None
 
-            def fields(i, tag, n=None):
-                parts = header[i].split("\t") if i < len(header) else [None]
-                if parts[0] != tag or (n is not None and len(parts) != n):
-                    raise ValueError(f"{path}, line {i + 1}: expected {tag!r}")
-                return parts[1:]
+        def fields(i, tag, n=None):
+            parts = header[i].split("\t")
+            if parts[0] != tag or (n is not None and len(parts) != n):
+                raise ValueError(f"{path}, line {i + 1}: expected {tag!r}")
+            return parts[1:]
 
-            kind = fields(1, "kind", 2)[0]
-            labels = tuple(fields(2, "labels"))
-            templates = tuple(FeatureTemplate.parse(s) for s in fields(3, "templates"))
-            n_text = fields(4, "observations", 2)[0]
-            if not n_text.isdecimal():
-                raise ValueError(f"{path}, line 5: observation count {n_text!r} is not a nonnegative integer")
-            n_obs = int(n_text)
-            scheme = LabelScheme(labels, kind)
-            model = CrfModel(scheme, templates, {}, np.zeros(0))
-            m = scheme.size
-            n_pair = m * m if model.has_bigram else 0
-            v1 = header[0] == MODEL_MAGIC_V1
-            numbers = None if inputs is None or v1 else inputs.number(templates)
+        def count(i, text, what):
+            if not text.isdecimal():
+                raise ValueError(f"{path}, line {i + 1}: {what} {text!r} is not a nonnegative integer")
+            return int(text)
 
-            def bad(line_no: int, why: str) -> ValueError:
-                return ValueError(f"{path}, line {line_no}: {why}")
-
-            names = _NamePass(numbers, bad)
-            unary = None
-            if numbers is not None:  # the input's rows, a zero row where the file has none
-                model.weights = np.zeros(len(numbers) * m + n_pair, dtype="<f8")
-                unary = model.weights[: len(numbers) * m].reshape(-1, m)
-            whole = False
-            try:
-                if v3:
-                    picks = _read_v3_names(fh, path, n_obs, bad, names)
-                    names.check_hashes()
-                    if unary is None:
-                        model.weights = np.empty(n_obs * m + n_pair, dtype="<f8")
-                    _read_v3_weights(fh, path, n_obs, m, n_pair, model.weights, picks)
-                elif v1:
-                    names.obs_index, weights, read = _read_v1_body(fh, labels, n_obs, model.has_bigram, bad)
-                else:
-                    weights, read = _read_v2_body(fh, labels, n_obs, model.has_bigram, bad, names, unary)
-                    names.check_hashes()
-            except ValueError:
-                if numbers is None:
-                    raise
-                whole = True
-            if not (v3 or whole):
-                found = 5 + read + sum(1 for _ in fh)
-                expected = 5 + (n_obs * m + n_pair) // (1 if v1 else m)
-                if found != expected:
-                    raise ValueError(f"{path}: expected {expected} lines, found {found}")
-                if unary is None:
-                    model.weights = np.frombuffer(weights)  # shares the array's buffer: no second copy
-                else:
-                    model.weights[unary.size :] = weights
-    except UnicodeDecodeError:  # in a v2 or v1 file
-        raise DataError.not_utf8(path, Path(path).read_bytes()) from None
-    if whole:  # the whole reader names the fault, or loads names that only share a hash
-        model = load_model(path)
-    else:
-        model.obs_index = names.obs_index if numbers is None else numbers
-    if inputs is not None and model.obs_index is not numbers:  # read whole: the input takes its ids
-        inputs.look_up(model)
+        kind = fields(1, "kind", 2)[0]
+        labels = tuple(fields(2, "labels"))
+        templates = tuple(FeatureTemplate.parse(s) for s in fields(3, "templates"))
+        n_obs = count(4, fields(4, "observations", 2)[0], "observation count")
+        size, checksum = (count(5, text, what) for text, what in zip(fields(5, "names", 3), ("name bytes", "checksum")))
+        scheme = LabelScheme(labels, kind)
+        model = CrfModel(scheme, templates, {}, np.zeros(0))
+        m = scheme.size
+        n_pair = m * m if model.has_bigram else 0
+        start = fh.tell()
+        found = fh.seek(0, io.SEEK_END) - start - size - 8 * n_obs
+        expected = (n_obs * m + n_pair) * 8
+        if found < 0:
+            raise ValueError(f"{path}: the file ends inside its names or their index")
+        if found != expected:
+            raise ValueError(f"{path}: expected {expected} bytes of weights, found {found}")
+        fh.seek(start)
+        names = _NameBlock.open(fh, path, n_obs, size, checksum)
+        if inputs is None:
+            model.obs_index = names.intern()
+            model.weights = np.empty(n_obs * m + n_pair, dtype="<f8")
+            fh.readinto(model.weights)
+        else:
+            model.obs_index = inputs.number(templates)
+            picks = names.find(model.obs_index)
+            model.weights = np.zeros(len(model.obs_index) * m + n_pair, dtype="<f8")
+            _read_weights(fh, n_obs, m, n_pair, model.weights, picks)
     return model
 
 

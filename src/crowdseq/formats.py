@@ -15,7 +15,6 @@ serializing is canonicalizing (sorted keys) and stable.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -135,6 +134,12 @@ def load_conll(path, scheme: LabelScheme | None = None) -> CrowdDataset:
     return CrowdDataset(scheme, tuple(instances), ())
 
 
+def _serializable(field: str) -> bool:
+    """Whether a nonempty field can be written to a text file that is read
+    back in text mode: no tab, and nothing that ends a line there."""
+    return bool(field) and not ("\t" in field or "\n" in field or "\r" in field)
+
+
 def save_tagged(path, scheme: LabelScheme, tagged: Iterable[tuple[Sequence[str], Sequence[int]]]) -> None:
     """Write (tokens, label ids) pairs in canonical tag-file form."""
     labels = scheme.labels
@@ -142,7 +147,7 @@ def save_tagged(path, scheme: LabelScheme, tagged: Iterable[tuple[Sequence[str],
     for tokens, ids in tagged:
         lines = []
         for tok, lab in zip(tokens, ids):
-            if "\t" in tok or "\n" in tok or not tok:
+            if not _serializable(tok):
                 raise ValueError(f"token not serializable: {tok!r}")
             lines.append(f"{tok}\t{labels[lab]}")
         blocks.append("\n".join(lines))
@@ -221,13 +226,13 @@ def save_crowd(path, ds: CrowdDataset) -> None:
     if not ds.roster:
         raise ValueError("dataset has no annotator roster")
     for r in ds.roster:
-        if not r or r != r.strip() or "," in r or "\t" in r or "\n" in r:
+        if not _serializable(r) or r != r.strip() or "," in r:
             raise ValueError(f"annotator id not serializable: {r!r}")
     blocks = []
     for inst in ds.instances:
         lines = []
         for j, tok in enumerate(inst.tokens):
-            if "\t" in tok or "\n" in tok or not tok:
+            if not _serializable(tok):
                 raise ValueError(f"token not serializable: {tok!r}")
             cols = [tok]
             for ann_id in ds.roster:
@@ -246,14 +251,14 @@ def load_tokens(path) -> list[tuple[str, ...]]:
     same line numbers, blank lines before empty tokens, and is then split
     into sequences and lines without numbering them."""
     text = _read_text(path)
-    blank = re.search(r"(?:\A|\n\n)\n", text)  # a blank line first or after another
-    if blank:
-        raise DataError(path, text.count("\n", 0, blank.end() - 1) + 1, "unexpected blank line")
+    blank = ("\n\n" + text).find("\n\n\n")  # where a blank line first or after another starts
+    if blank >= 0:
+        raise DataError(path, text.count("\n", 0, blank) + 1, "unexpected blank line")
     if text.endswith("\n\n"):
         raise DataError(path, text.count("\n"), "trailing blank line")
-    tab = re.search(r"^\t", text, re.MULTILINE)  # a line whose token is empty
-    if tab:
-        raise DataError(path, text.count("\n", 0, tab.start()) + 1, "empty token")
+    tab = ("\n" + text).find("\n\t")  # where a line whose token is empty starts
+    if tab >= 0:
+        raise DataError(path, text.count("\n", 0, tab) + 1, "empty token")
     return [tuple(line.partition("\t")[0] for line in block.split("\n")) for block in text[:-1].split("\n\n")]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,7 @@ from scipy.special import logsumexp
 from crowdseq import LabelScheme
 from crowdseq.annotators import resolve_mentions
 from crowdseq.baselines import logsumexp as own_logsumexp
-from crowdseq.crf import MODEL_MAGIC_V2, SequencePotentials, extract_features
+from crowdseq.crf import SequencePotentials, extract_features
 
 
 def sequence_score(pot: SequencePotentials, labels) -> float:
@@ -160,27 +161,44 @@ def fired_observations(token_seqs, templates) -> set[str]:
     return set(loop_obs_index(seqs, templates)) | set(edges)
 
 
-def save_model_v2(model, path) -> None:
-    """The format-v2 writer: the five header lines, then one text line per
-    observation, ``name<TAB>w_1 ... w_M`` in label order, then, with a
-    bigram template, M lines ``bigram<TAB>from_label<TAB>w_1 ... w_M``;
-    floats use shortest round-trip encoding.  ``load_model`` still reads
-    the files it writes."""
-    labels = model.scheme.labels
-    lines = [MODEL_MAGIC_V2]
-    lines.append("kind\t" + model.scheme.kind)
-    lines.append("labels\t" + "\t".join(labels))
-    lines.append("templates\t" + "\t".join(t.spec_string for t in model.templates))
-    lines.append(f"observations\t{model.n_obs}")
-    rows = model.unary_weights().tolist()
-    for obs, r in model.obs_index.items():
-        if "\t" in obs or "\n" in obs or "\r" in obs:
-            raise ValueError(f"observation not serializable: {obs!r}")
-        lines.append(obs + "\t" + "\t".join(map(repr, rows[r])))
-    if model.has_bigram:
-        for la, row in zip(labels, model.bigram_weights().tolist()):
-            lines.append(f"bigram\t{la}\t" + "\t".join(map(repr, row)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+# Model files in the formats before v4, each one observation over three
+# labels; load_model refuses them by their format.
+_OLD_HEAD = "kind\tBIO\nlabels\tO\tB-X\tI-X\ntemplates\ttoken-identity\nobservations\t1\n"
+OLD_MODEL_FILES = {
+    "v1": f"crowdseq-crf v1\n{_OLD_HEAD}w=a\tO\t0.5\nw=a\tB-X\t-0.25\nw=a\tI-X\t0.0\n".encode(),
+    "v2": f"crowdseq-crf v2\n{_OLD_HEAD}w=a\t0.5\t-0.25\t0.0\n".encode(),
+    "v3": f"crowdseq-crf v3\n{_OLD_HEAD}w=a\n".encode() + np.array([0.5, -0.25, 0.0], dtype="<f8").tobytes(),
+}
+
+
+def name_index(names: list[bytes], name_hash=zlib.crc32) -> np.ndarray:
+    """The format-v4 name index of the UTF-8 ``names`` in id order: each
+    name's hash, ascending, equal hashes in id order, then the ids in that
+    order, as little-endian uint32."""
+    keys = [name_hash(name) for name in names]
+    ids = sorted(range(len(names)), key=lambda i: (keys[i], i))
+    return np.array([keys[i] for i in ids] + ids, dtype="<u4")
+
+
+def model_file_parts(path) -> tuple[list[bytes], list[bytes], np.ndarray, bytes]:
+    """A format-v4 model file in parts: its first five header lines, its
+    name lines, its name index and its weight bytes."""
+    *head, rest = Path(path).read_bytes().split(b"\n", 6)
+    n_obs, size = int(head[4].split(b"\t")[1]), int(head[5].split(b"\t")[1])
+    index = np.frombuffer(rest[size : size + 8 * n_obs], dtype="<u4")
+    return head[:5], rest[:size].split(b"\n")[:-1], index, rest[size + 8 * n_obs :]
+
+
+def write_model_file(path, head, names, weights: bytes, index=None, checksum=None) -> None:
+    """The format-v4 writer over parts: the five header lines ``head``, the
+    ``names`` line (the name block's size and the crc32 of the block and
+    then the index), the name lines, the index (``name_index`` of the names
+    unless given) and the weight bytes.  ``checksum`` replaces the crc32."""
+    block = b"".join(name + b"\n" for name in names)
+    index = name_index(names) if index is None else np.asarray(index, dtype="<u4")
+    crc = zlib.crc32(index.tobytes(), zlib.crc32(block)) if checksum is None else checksum
+    header = b"".join(line + b"\n" for line in head) + f"names\t{len(block)}\t{crc}\n".encode()
+    Path(path).write_bytes(header + block + index.tobytes() + weights)
 
 
 def brute_valid(candidates, scheme: LabelScheme) -> list[tuple[int, ...]]:

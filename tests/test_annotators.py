@@ -275,6 +275,13 @@ class TestFitting:
 
 
 class TestPersistence:
+    @pytest.mark.parametrize("annotator", ["a\rb", "a\tb", "a\nb"])
+    def test_save_refuses_an_id_that_would_not_reload(self, tmp_path, annotator):
+        p = sample_init_params(("u", annotator), M, seed=19)
+        with pytest.raises(ValueError, match=f"^annotator id not serializable: {re.escape(repr(annotator))}$"):
+            save_annotators(p, SCHEME, tmp_path / "annotators.tsv")
+        assert not (tmp_path / "annotators.tsv").exists()
+
     def test_round_trip_is_bit_exact(self, tmp_path):
         p = sample_init_params(("anna", "bert"), M, seed=19)
         path = tmp_path / "annotators.tsv"

@@ -11,7 +11,7 @@ import pytest
 
 import crowdseq
 from corpus import make_gold
-from oracles import save_model_v2
+from oracles import OLD_MODEL_FILES, model_file_parts, write_model_file
 from crowdseq import (
     CrowdDataset,
     CrowdInstance,
@@ -51,12 +51,12 @@ def modules_after(argv, cwd) -> set[str]:
     return set(proc.stdout.split())
 
 
-def tiny_model(tmp_path, save=save_model):
-    """A zero-weight model over a few sentences, written by ``save``, and
-    those sentences as a tag file."""
+def tiny_model(tmp_path):
+    """A zero-weight model over a few sentences, saved, and those sentences
+    as a tag file."""
     gold = make_gold(3, seed=2)
     model_path, tokens_path = tmp_path / "model.tsv", tmp_path / "tokens.tsv"
-    save(build_model(gold.scheme, [inst.tokens for inst in gold.instances]), model_path)
+    save_model(build_model(gold.scheme, [inst.tokens for inst in gold.instances]), model_path)
     save_conll(tokens_path, gold)
     return model_path, tokens_path
 
@@ -249,21 +249,18 @@ class TestExitCodes:
         assert code == 0, err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("save", [save_model_v2, save_model], ids=["v2", "v3"])
     @pytest.mark.parametrize("fired", ["every row", "edges only"])
-    def test_decode_rejects_a_duplicated_observation(self, tmp_path, capsys, fired, save):
-        model_path, tokens_path = tiny_model(tmp_path, save)
+    def test_decode_rejects_a_duplicated_observation(self, tmp_path, capsys, fired):
+        model_path, tokens_path = tiny_model(tmp_path)
         if fired == "edges only":  # a word of no row: only the BOS/EOS rows are kept, none of the faulty ones
             tokens_path.write_text("qq\n", encoding="utf-8")
-        lines = model_path.read_bytes().split(b"\n")
-        m = len(lines[2].split(b"\t")) - 1  # labels
-        first = lines[5].split(b"\t")[0]
-        for i in range(5 + m, 5 + 2 * m):  # the second block (v2) or the next m names (v3) take the first one's name
-            lines[i] = b"\t".join([first, *lines[i].split(b"\t")[1:]])
-        model_path.write_bytes(b"\n".join(lines))
+        head, names, _, weights = model_file_parts(model_path)
+        m = len(head[2].split(b"\t")) - 1  # labels
+        names[m : 2 * m] = [names[0]] * m  # the next m names take the first one's name
+        write_model_file(model_path, head, names, weights)
         assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {model_path}, line {6 + m}: duplicate observation")
+        assert err.startswith(f"error: {model_path}, line {7 + m}: duplicate observation")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("bad", ["model", "tokens"])
@@ -271,10 +268,36 @@ class TestExitCodes:
         model_path, tokens_path = tiny_model(tmp_path)
         path = {"model": model_path, "tokens": tokens_path}[bad]
         lines = path.read_bytes().split(b"\n")
-        lines[6] = b"\xff" + lines[6]  # a name line of the model, a token line of the tokens
+        lines[6] = b"\xff" + lines[6][1:]  # a name line of the model, a token line of the tokens
         path.write_bytes(b"\n".join(lines))
         assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 2
         assert capsys.readouterr().err == f"error: {path}, line 7: not UTF-8 (byte 0xff: invalid start byte)\n"
+
+    @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
+    def test_decode_refuses_a_retired_model_format(self, tmp_path, capsys, version):
+        model_path, tokens_path = tiny_model(tmp_path)
+        model_path.write_bytes(OLD_MODEL_FILES[version])
+        assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {model_path}: crowdseq-crf {version} files are no longer read; retrain the model\n"
+        assert not (tmp_path / "out.tsv").exists()
+
+    def test_decode_hashes_only_its_input_observations(self, tmp_path, monkeypatch):
+        # ~20k model names; the input fires a handful
+        gold = make_gold(3, seed=2)
+        words = [[f"name{i}", f"Word{i}x", f"{i}"] for i in range(2000)]
+        model = build_model(gold.scheme, [*words, *(inst.tokens for inst in gold.instances)])
+        assert model.n_obs > 20_000
+        model_path, tokens_path = tmp_path / "model.bin", tmp_path / "tokens.txt"
+        save_model(model, model_path)
+        tokens_path.write_text("name7\nWord3x\n\n12\nzzz\n", encoding="utf-8")
+        fired = crf._InputTable(load_tokens(tokens_path)).number(model.templates)
+        hashed = []
+        name_hash = crf._name_hash
+        monkeypatch.setattr(crf, "_name_hash", lambda name: hashed.append(name) or name_hash(name))
+        assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 0
+        assert sorted(hashed) == sorted(name.encode() for name in fired)
+        assert len(hashed) < 100
 
     def test_decode_featurizes_its_input_once(self, tmp_path, monkeypatch):
         model_path, tokens_path = tiny_model(tmp_path)

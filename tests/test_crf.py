@@ -1,10 +1,10 @@
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
 import types
 import warnings
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,8 +27,11 @@ from oracles import (
     range_gap,
     loop_observation_rows,
     random_potentials,
-    save_model_v2,
+    model_file_parts,
+    name_index,
+    OLD_MODEL_FILES,
     sequence_score,
+    write_model_file,
 )
 
 from crowdseq import (
@@ -54,9 +57,14 @@ from crowdseq import crf
 from crowdseq.crf import BOS_TOKEN, EOS_TOKEN
 
 SCHEME = LabelScheme.bio(("LOC", "PER"))
-# written by the v1 save_model: build_model(SCHEME, [("a", "b")]) with
-# np.random.default_rng(2).normal weights
-MODEL_V1 = Path(__file__).parent / "data" / "model_v1.tsv"
+
+
+def small_model():
+    """``build_model(SCHEME, [("a", "b")])``, 8 observations over 5 labels,
+    with ``np.random.default_rng(2).normal`` weights."""
+    model = build_model(SCHEME, [("a", "b")])
+    model.weights[:] = np.random.default_rng(2).normal(size=model.dim)
+    return model
 
 
 def ragged_batch(rng, extra_lengths=()):
@@ -337,14 +345,6 @@ class TestDecode:
         assert log_partition([]).shape == (0,)
         assert viterbi([]) == []
         assert decode(model, []) == []
-
-    def test_v1_model_and_its_v2_resave_decode_alike(self, tmp_path):
-        seqs = [("a", "b"), ("b",), ("a", "x", "b", "a"), ("Zed", "1984", "b")]
-        v1 = load_model(MODEL_V1)
-        save_model_v2(v1, tmp_path / "v2.tsv")
-        paths = decode(v1, seqs)
-        assert decode(load_model(tmp_path / "v2.tsv"), seqs) == paths
-        assert paths == [viterbi(extract_features(v1, tokens)) for tokens in seqs]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_sentence_viterbi_on_random_batches(self, seed):
@@ -1043,6 +1043,10 @@ def assert_loads_for(path, whole, tokens):
         assert unary.tobytes() == want.tobytes()
 
 
+# name hashes under which names share a hash: every name one, or three in all
+SHARED_HASHES = [lambda name: 7, lambda name: zlib.crc32(name) % 3]
+
+
 class TestPersistence:
     @pytest.fixture(params=["whole", "every row", "edges only"])
     def tokens(self, request):
@@ -1082,237 +1086,37 @@ class TestPersistence:
         assert log_partition(p1) == log_partition(p2)
         assert viterbi(p1) == viterbi(p2)
 
-    def test_v1_fixture_and_its_v2_resave_load_equal(self, tmp_path):
-        v1 = load_model(MODEL_V1)
-        save_model_v2(v1, tmp_path / "v2.tsv")
-        lines = (tmp_path / "v2.tsv").read_text().splitlines()
-        assert lines[0] == "crowdseq-crf v2"
-        assert len(lines) == 5 + v1.n_obs + SCHEME.size
-        v2 = load_model(tmp_path / "v2.tsv")
-        assert v2.obs_index == v1.obs_index and list(v2.obs_index) == list(v1.obs_index)
-        assert v2.templates == v1.templates and v2.scheme.labels == v1.scheme.labels
-        assert v1.weights.tobytes() == v2.weights.tobytes()
-        want = build_model(SCHEME, [("a", "b")])
-        want.weights[:] = np.random.default_rng(2).normal(size=want.dim)
-        assert v1.weights.tobytes() == want.weights.tobytes()
+    def test_the_file_holds_the_documented_layout(self, tmp_path):
+        model = small_model()
+        save_model(model, tmp_path / "m.bin")
+        head, names, index, weights = model_file_parts(tmp_path / "m.bin")
+        specs = "\t".join(tpl.spec_string for tpl in model.templates)
+        labels = "\t".join(SCHEME.labels)
+        assert head[:2] == [b"crowdseq-crf v4", b"kind\tBIO"]
+        assert head[2:] == [f"labels\t{labels}".encode(), f"templates\t{specs}".encode(), b"observations\t8"]
+        assert names == [obs.encode() for obs in model.obs_index]
+        assert index.tolist() == name_index(names).tolist()
+        assert weights == model.weights.astype("<f8").tobytes()
+        write_model_file(tmp_path / "copy.bin", head, names, weights)
+        assert (tmp_path / "copy.bin").read_bytes() == (tmp_path / "m.bin").read_bytes()
 
-    def v1_lines(self, tmp_path):
-        """A copy of the committed v1 fixture and its lines."""
-        path = tmp_path / "m.tsv"
-        shutil.copyfile(MODEL_V1, path)
-        return path, path.read_text().splitlines()
-
-    def v2_lines(self, tmp_path):
-        """The fixture's model saved in format v2 and its lines."""
-        path = tmp_path / "m.tsv"
-        save_model_v2(load_model(MODEL_V1), path)
-        return path, path.read_text().splitlines()
-
-    def test_truncated_file_rejected(self, tmp_path, tokens):
-        path, lines = self.v1_lines(tmp_path)
-        path.write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(ValueError, match="expected 70 lines, found 67"):
-            self.load(path, tokens)
-
-    def test_v2_truncated_file_rejected(self, tmp_path, tokens):
-        path, lines = self.v2_lines(tmp_path)
-        path.write_text("\n".join(lines[:-3]) + "\n")
-        with pytest.raises(ValueError, match="expected 18 lines, found 15"):
-            self.load(path, tokens)
-
-    def test_surplus_lines_rejected(self, tmp_path, tokens):
-        path, lines = self.v1_lines(tmp_path)
-        path.write_text("\n".join(lines + ["", "extra"]) + "\n")
-        with pytest.raises(ValueError, match=f"expected {len(lines)} lines, found {len(lines) + 2}"):
-            self.load(path, tokens)
-
-    def test_v2_surplus_lines_rejected(self, tmp_path, tokens):
-        path, lines = self.v2_lines(tmp_path)
-        path.write_text("\n".join(lines + ["", "extra"]) + "\n")
-        with pytest.raises(ValueError, match="expected 18 lines, found 20"):
-            self.load(path, tokens)
-
-    @pytest.mark.parametrize("where", ["body", "bigram"])
-    def test_wrong_field_count_names_the_line(self, tmp_path, where, tokens):
-        path, lines = self.v1_lines(tmp_path)
-        i = 6 if where == "body" else len(lines) - 1
-        lines[i] += "\t0.5"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {i + 1}: expected . tab-separated fields"):
-            self.load(path, tokens)
-
-    @pytest.mark.parametrize("where", ["body", "bigram"])
-    def test_v2_wrong_field_count_names_the_line(self, tmp_path, where, tokens):
-        path, lines = self.v2_lines(tmp_path)
-        i, n = (6, 6) if where == "body" else (len(lines) - 1, 7)
-        lines[i] += "\t0.5"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(
-            ValueError, match=f"^{re.escape(str(path))}, line {i + 1}: expected {n} tab-separated fields, found {n + 1}$"
-        ):
-            self.load(path, tokens)
-
-    def test_non_numeric_weight_names_the_line(self, tmp_path, tokens):
-        path, lines = self.v1_lines(tmp_path)
-        lines[7] = lines[7].rsplit("\t", 1)[0] + "\tabc"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 8: weight 'abc' is not a number"):
-            self.load(path, tokens)
-
-    @pytest.mark.parametrize("where", ["body", "bigram"])
-    def test_v2_non_numeric_weight_names_the_line(self, tmp_path, where, tokens):
-        path, lines = self.v2_lines(tmp_path)
-        i = 7 if where == "body" else len(lines) - 2
-        parts = lines[i].split("\t")
-        parts[3] = "abc"  # a weight in the middle of the row
-        lines[i] = "\t".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {i + 1}: weight 'abc' is not a number$"):
-            self.load(path, tokens)
-
-    def test_duplicate_observation_names_the_line(self, tmp_path, tokens):
-        path, lines = self.v1_lines(tmp_path)
-        m = SCHEME.size
-        first = lines[5].split("\t")[0]
-        for i in range(5 + m, 5 + 2 * m):  # the second block takes the first one's name
-            lines[i] = first + "\t" + lines[i].split("\t", 1)[1]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {6 + m}: duplicate observation"):
-            self.load(path, tokens)
-
-    def test_v2_duplicate_observation_names_the_line(self, tmp_path, tokens):
-        path, lines = self.v2_lines(tmp_path)
-        first = lines[5].split("\t")[0]
-        lines[6] = first + "\t" + lines[6].split("\t", 1)[1]  # the second row takes the first one's name
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 7: duplicate observation {first!r}$"):
-            self.load(path, tokens)
-
-    @pytest.mark.parametrize("version", ["v1", "v2"])
-    def test_bigram_label_order_names_the_line(self, tmp_path, version, tokens):
-        path, lines = self.v1_lines(tmp_path) if version == "v1" else self.v2_lines(tmp_path)
-        lines[-2], lines[-1] = lines[-1], lines[-2]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {len(lines) - 1}: bigram block mismatch$"):
-            self.load(path, tokens)
-
-    def chunked_model(self, monkeypatch):
-        """A model of 24 observations, read in chunks of five lines (v3: its
-        names 16 bytes at a time); observation 13 (line 19) sits in the third
-        chunk."""
-        monkeypatch.setattr(crf, "_CHUNK_LINES", 5)
-        monkeypatch.setattr(crf, "_NAME_BYTES", 16)
-        model = build_model(SCHEME, [("alice", "saw", "paris")])
-        assert model.n_obs == 24
-        model.weights[:] = np.random.default_rng(4).normal(size=model.dim)
-        return model
-
-    def chunked_v2_lines(self, tmp_path, monkeypatch):
-        """The chunked model saved in format v2, and its lines."""
-        path = tmp_path / "m.tsv"
-        save_model_v2(self.chunked_model(monkeypatch), path)
-        return path, path.read_text().splitlines()
-
-    def assert_fault_at_line_19(self, path, lines, why, tokens):
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 19: {re.escape(why)}$"):
-            self.load(path, tokens)
-
-    def test_chunked_wrong_field_count_names_the_line(self, tmp_path, monkeypatch, tokens):
-        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
-        lines[18] += "\t0.5"
-        self.assert_fault_at_line_19(path, lines, "expected 6 tab-separated fields, found 7", tokens)
-
-    def test_chunked_field_counts_that_cancel_name_the_first_line(self, tmp_path, monkeypatch, tokens):
-        # the chunk keeps its tab count: one line has a surplus field, the next one too few
-        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
-        lines[18] += "\t0.5"
-        lines[19] = lines[19].rsplit("\t", 1)[0]
-        self.assert_fault_at_line_19(path, lines, "expected 6 tab-separated fields, found 7", tokens)
-
-    def test_chunked_non_numeric_weight_names_the_line(self, tmp_path, monkeypatch, tokens):
-        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
-        parts = lines[18].split("\t")
-        parts[3] = "abc"
-        lines[18] = "\t".join(parts)
-        self.assert_fault_at_line_19(path, lines, "weight 'abc' is not a number", tokens)
-
-    @pytest.mark.parametrize("surplus", [False, True])
-    def test_chunked_blank_line_names_the_line(self, tmp_path, monkeypatch, surplus, tokens):
-        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
-        if surplus:  # a later line of the chunk carries the blank line's tabs
-            lines[19] += "\t0.5" * SCHEME.size
-        lines[18] = ""
-        self.assert_fault_at_line_19(path, lines, "expected 6 tab-separated fields, found 1", tokens)
-
-    def test_chunked_duplicate_of_an_earlier_chunk_names_the_line(self, tmp_path, monkeypatch, tokens):
-        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
-        first = lines[6].split("\t")[0]  # observation 1, in the first chunk
-        lines[18] = first + "\t" + lines[18].split("\t", 1)[1]
-        self.assert_fault_at_line_19(path, lines, f"duplicate observation {first!r}", tokens)
-
-    def test_chunked_truncated_body_rejected(self, tmp_path, monkeypatch, tokens):
-        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
-        path.write_text("\n".join(lines[:18]) + "\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected 34 lines, found 18$"):
-            self.load(path, tokens)
-
-    @pytest.mark.parametrize("save", [save_model_v2, save_model], ids=["v2", "v3"])
-    def test_names_that_only_share_a_hash_decode_through_the_whole_reader(self, tmp_path, monkeypatch, save):
-        path = tmp_path / "m.tsv"
-        save(self.chunked_model(monkeypatch), path)
-        whole = load_model(path)
-        monkeypatch.setattr(crf, "hash", lambda name: 0, raising=False)  # every name shares one hash
-        calls = []
-        load = crf.load_model
-        monkeypatch.setattr(crf, "load_model", lambda *args: calls.append(len(args)) or load(*args))
-        tokens = [("saw",), ("alice", "paris")]
-        assert decode_file(path, tokens) == (whole.scheme, decode(whole, tokens))
-        assert calls == [2, 1]  # given the input table, then whole
-
-    @pytest.mark.parametrize("text, value", [("1_0", 10.0), ("\u0661", 1.0), (" 2.5 ", 2.5)])
-    def test_chunked_weights_only_float_reads_still_load(self, tmp_path, monkeypatch, text, value, tokens):
-        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
-        want = load_model(path)
-        parts = lines[18].split("\t")
-        parts[3] = text
-        lines[18] = "\t".join(parts)
-        path.write_text("\n".join(lines) + "\n")
-        want.weights = want.weights.copy()
-        want.weights[13 * SCHEME.size + 2] = value
-        assert_loads_for(path, want, tokens)
-
-    def test_chunked_weight_next_to_a_separator_is_refused(self, tmp_path, monkeypatch, tokens):
-        # np.loadtxt strips \x1c around a number; float, and so the reader, refuses it
-        path, lines = self.chunked_v2_lines(tmp_path, monkeypatch)
-        parts = lines[18].split("\t")
-        parts[3] = "\x1c1"
-        lines[18] = "\t".join(parts)
-        self.assert_fault_at_line_19(path, lines, "weight '\\x1c1' is not a number", tokens)
-
-    def v3_parts(self, tmp_path, monkeypatch, weights=None):
-        """The fixture's model (8 observations, 5 labels) saved by save_model
-        (v3), its names read 16 bytes at a time and its weights three rows at
-        a time: the path, the header and name lines without their newlines,
-        and the weight bytes."""
+    def parts(self, tmp_path, monkeypatch):
+        """``small_model()`` saved, its names read 16 bytes at a time and its
+        weights three rows at a time: the path and the file's parts
+        (``model_file_parts``)."""
         monkeypatch.setattr(crf, "_CHUNK_LINES", 3)
         monkeypatch.setattr(crf, "_NAME_BYTES", 16)
-        model = load_model(MODEL_V1)
-        if weights is not None:
-            model.weights[:] = weights
         path = tmp_path / "m.bin"
-        save_model(model, path)
-        *lines, weights = path.read_bytes().split(b"\n", 5 + model.n_obs)
-        return path, lines, weights
+        save_model(small_model(), path)
+        return (path, *model_file_parts(path))
 
-    def assert_v3_fault(self, path, lines, weights, message, tokens):
-        path.write_bytes(b"".join(line + b"\n" for line in lines) + weights)
+    def assert_refused(self, path, message, tokens):
         with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}$"):
             self.load(path, tokens)
 
     @pytest.mark.parametrize("kind", ["float64 edge values", "float32 origin"])
-    def test_v3_round_trip_is_bit_exact(self, tmp_path, kind, tokens):
-        model = load_model(MODEL_V1)
+    def test_round_trip_is_bit_exact(self, tmp_path, kind, tokens):
+        model = small_model()
         if kind == "float32 origin":
             model.weights = model.weights.astype(np.float32)
             model.weights[:4] = [1e-40, -1e-45, np.float32(0.1), np.finfo(np.float32).max]  # subnormals included
@@ -1328,7 +1132,7 @@ class TestPersistence:
         assert_loads_for(tmp_path / "m.bin", want, tokens)
 
     @pytest.mark.parametrize("decode_for", ["whole", "its own sentence", "edges only"])
-    def test_v3_names_keep_characters_that_splitlines_ends_a_line_at(self, tmp_path, monkeypatch, decode_for):
+    def test_names_keep_characters_that_splitlines_ends_a_line_at(self, tmp_path, monkeypatch, decode_for):
         # \x0b, \x0c, \x1c-\x1f, \x85, \u2028 and \u2029 end a line for str.splitlines, never for the reader
         monkeypatch.setattr(crf, "_CHUNK_LINES", 4)
         monkeypatch.setattr(crf, "_NAME_BYTES", 8)
@@ -1341,18 +1145,33 @@ class TestPersistence:
         if tokens is not None:
             assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, decode(model, tokens))
 
-    def test_v3_names_block_one_line_short(self, tmp_path, monkeypatch, tokens):
-        # zero weights hold no newline byte: the weights become one unended name line
-        path, lines, weights = self.v3_parts(tmp_path, monkeypatch, weights=0.0)
-        del lines[-1]
-        self.assert_v3_fault(path, lines, weights, ": expected 8 observation names, found 7", tokens)
+    @pytest.mark.parametrize("change", [-1, 1], ids=["a line short", "a line long"])
+    def test_name_block_of_the_wrong_line_count(self, tmp_path, monkeypatch, change, tokens):
+        path, head, names, index, weights = self.parts(tmp_path, monkeypatch)
+        names = names[:-1] if change < 0 else [*names, b"w=zz"]
+        write_model_file(path, head, names, weights, index=index)
+        self.assert_refused(path, f": expected 8 observation names, found {8 + change}", tokens)
+
+    def test_name_block_that_ends_inside_a_line(self, tmp_path, monkeypatch, tokens):
+        path, head, names, index, weights = self.parts(tmp_path, monkeypatch)
+        block = b"\n".join(names)  # the last name without its newline
+        checksum = zlib.crc32(index.tobytes(), zlib.crc32(block))
+        header = b"".join(line + b"\n" for line in head) + b"names\t%d\t%d\n" % (len(block), checksum)
+        path.write_bytes(header + block + index.tobytes() + weights)
+        self.assert_refused(path, ", line 14: the name block ends inside this line", tokens)
 
     @pytest.mark.parametrize("change", [-1, 1, -40, 40], ids=["byte short", "byte long", "row short", "row long"])
-    def test_v3_weight_block_of_the_wrong_size(self, tmp_path, monkeypatch, change, tokens):
-        path, lines, weights = self.v3_parts(tmp_path, monkeypatch)
+    def test_weight_block_of_the_wrong_size(self, tmp_path, monkeypatch, change, tokens):
+        path, head, names, index, weights = self.parts(tmp_path, monkeypatch)
         assert len(weights) == (8 * 5 + 5 * 5) * 8  # a row is 5 weights, 40 bytes
         weights = weights[:change] if change < 0 else weights + bytes(range(1, change + 1))
-        self.assert_v3_fault(path, lines, weights, f": expected 520 bytes of weights, found {520 + change}", tokens)
+        write_model_file(path, head, names, weights)
+        self.assert_refused(path, f": expected 520 bytes of weights, found {520 + change}", tokens)
+
+    def test_file_that_ends_inside_its_index(self, tmp_path, monkeypatch, tokens):
+        path, head, names, index, weights = self.parts(tmp_path, monkeypatch)
+        path.write_bytes(path.read_bytes()[: -len(weights) - 4])
+        self.assert_refused(path, ": the file ends inside its names or their index", tokens)
 
     @pytest.mark.parametrize(
         "name, why",
@@ -1364,32 +1183,103 @@ class TestPersistence:
             (b"\xffw", "not UTF-8 (byte 0xff: invalid start byte)"),
         ],
     )
-    @pytest.mark.parametrize("at", [5, 9], ids=["first chunk", "second chunk"])
-    def test_v3_malformed_name_names_the_line(self, tmp_path, monkeypatch, name, why, at, tokens):
-        path, lines, weights = self.v3_parts(tmp_path, monkeypatch)
-        lines[at] = name
-        lines[at + 1] = b"\xfe" + lines[at + 1]  # a later fault is not the one named
-        self.assert_v3_fault(path, lines, weights, f", line {at + 1}: {why}", tokens)
+    @pytest.mark.parametrize("row", [0, 4], ids=["first chunk", "second chunk"])
+    def test_malformed_name_names_the_line(self, tmp_path, monkeypatch, name, why, row, tokens):
+        path, head, names, index, weights = self.parts(tmp_path, monkeypatch)
+        names[row] = name
+        names[row + 1] = b"\xfe" + names[row + 1]  # a later fault is not the one named
+        write_model_file(path, head, names, weights)
+        self.assert_refused(path, f", line {7 + row}: {why}", tokens)
 
-    def test_v3_duplicate_observation_names_the_line(self, tmp_path, monkeypatch, tokens):
-        path, lines, weights = self.v3_parts(tmp_path, monkeypatch)
-        lines[9] = lines[5]  # observation 4, in the second chunk, takes the first one's name
-        self.assert_v3_fault(path, lines, weights, f", line 10: duplicate observation {lines[5].decode()!r}", tokens)
+    def test_duplicate_observation_names_the_line(self, tmp_path, monkeypatch, tokens):
+        path, head, names, index, weights = self.parts(tmp_path, monkeypatch)
+        names[4] = names[6] = names[0]  # observation 4, in the second chunk, is the first repeat
+        write_model_file(path, head, names, weights)
+        self.assert_refused(path, f", line 11: duplicate observation {names[0].decode()!r}", tokens)
 
-    def test_v3_header_not_utf8_names_the_line(self, tmp_path, monkeypatch):
-        path, lines, weights = self.v3_parts(tmp_path, monkeypatch)
-        lines[2] += b"\x80"
-        self.assert_v3_fault(path, lines, weights, ", line 3: not UTF-8 (byte 0x80: invalid start byte)", None)
+    def test_header_not_utf8_names_the_line(self, tmp_path, monkeypatch):
+        path, head, names, index, weights = self.parts(tmp_path, monkeypatch)
+        head[2] += b"\x80"
+        write_model_file(path, head, names, weights)
+        self.assert_refused(path, ", line 3: not UTF-8 (byte 0x80: invalid start byte)", None)
 
-    @pytest.mark.parametrize("version", ["v1", "v2"])
-    def test_text_model_not_utf8_names_the_line(self, tmp_path, version, tokens):
-        path, lines = self.v1_lines(tmp_path) if version == "v1" else self.v2_lines(tmp_path)
-        data = [line.encode() for line in lines]
-        data[8] = data[8].replace(b"\t", b"\xc3\t", 1)  # a cut two-byte sequence
-        path.write_bytes(b"\n".join(data) + b"\n")
-        why = "not UTF-8 (byte 0xc3: invalid continuation byte)"
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line 9: {why}')}$"):
-            self.load(path, tokens)
+    @pytest.mark.parametrize(
+        "fault, why",
+        [
+            ("hashes out of order", "the name index is not sorted by hash and id"),
+            ("equal hashes out of id order", "the name index is not sorted by hash and id"),
+            ("a repeated id", "the name index ids are not a permutation of the names"),
+            ("an id past the names", "the name index ids are not a permutation of the names"),
+        ],
+    )
+    def test_malformed_index_is_refused(self, tmp_path, monkeypatch, fault, why, tokens):
+        path, head, names, index, weights = self.parts(tmp_path, monkeypatch)
+        keys, ids = index[:8].copy(), index[8:].copy()
+        assert (np.diff(keys.astype(np.int64)) > 0).all()  # eight distinct hashes
+        if fault == "hashes out of order":
+            keys[[0, 1]], ids[[0, 1]] = keys[[1, 0]], ids[[1, 0]]
+        elif fault == "equal hashes out of id order":
+            keys[:], ids[:] = 7, np.arange(8)[::-1]
+        elif fault == "a repeated id":
+            ids[1] = ids[0]
+        else:
+            ids[3] = 8
+        write_model_file(path, head, names, weights, index=np.concatenate((keys, ids)))  # the checksum agrees
+        self.assert_refused(path, f": {why}", tokens)
+
+    @pytest.mark.parametrize("edit", ["a name", "the index"])
+    def test_checksum_catches_an_edited_name_or_index(self, tmp_path, monkeypatch, edit, tokens):
+        path, head, names, index, weights = self.parts(tmp_path, monkeypatch)
+        checksum = int(path.read_bytes().split(b"\n")[5].split(b"\t")[2])
+        if edit == "a name":
+            names[3] = names[3][:-1] + b"~"  # same length, still UTF-8
+        else:
+            index = index.copy()
+            index[[8, 9]] = index[[9, 8]]  # two ids trade hashes: still sorted, still a permutation
+        write_model_file(path, head, names, weights, index=index, checksum=checksum)
+        self.assert_refused(path, ": the names or their index do not match the header's checksum", tokens)
+
+    def test_whole_load_checks_every_hash_against_the_index(self, tmp_path, monkeypatch):
+        path, head, names, index, weights = self.parts(tmp_path, monkeypatch)
+        row = 5
+        other = name_index(names, lambda name: zlib.crc32(name) ^ (name == names[row]))
+        write_model_file(path, head, names, weights, index=other)  # sorted, checksum agrees
+        self.assert_refused(path, f", line {7 + row}: the name index holds another hash for this name", None)
+
+    @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
+    def test_retired_formats_are_refused_by_name(self, tmp_path, version, tokens):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(OLD_MODEL_FILES[version])
+        self.assert_refused(path, f": crowdseq-crf {version} files are no longer read; retrain the model", tokens)
+
+    @pytest.mark.parametrize("name_hash", SHARED_HASHES, ids=["one hash", "three hashes"])
+    @pytest.mark.parametrize("decode_for", ["every row", "some rows", "edges only"])
+    def test_names_that_share_a_hash_decode_alike(self, tmp_path, monkeypatch, name_hash, decode_for):
+        monkeypatch.setattr(crf, "_name_hash", name_hash)
+        monkeypatch.setattr(crf, "_NAME_BYTES", 16)
+        model = build_model(SCHEME, [("alice", "saw", "paris")])
+        model.weights[:] = np.random.default_rng(4).normal(size=model.dim)
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        keys = model_file_parts(path)[2][: model.n_obs]
+        assert len(set(keys.tolist())) < model.n_obs
+        tokens = {
+            "every row": [("alice", "saw", "paris")],
+            "some rows": [("saw",), ("Paris", "qq")],
+            "edges only": [("qq",)],
+        }[decode_for]
+        whole = load_model(path)
+        assert list(whole.obs_index.items()) == list(model.obs_index.items())
+        assert decode_file(path, tokens) == (SCHEME, decode(whole, tokens))
+        assert_loads_for(path, model, tokens)
+
+    @pytest.mark.parametrize("name_hash", SHARED_HASHES, ids=["one hash", "three hashes"])
+    def test_a_duplicate_among_names_of_one_hash_names_the_line(self, tmp_path, monkeypatch, name_hash, tokens):
+        path, head, names, index, weights = self.parts(tmp_path, monkeypatch)
+        monkeypatch.setattr(crf, "_name_hash", name_hash)
+        names[6] = names[2]
+        write_model_file(path, head, names, weights, index=name_index(names, name_hash))
+        self.assert_refused(path, f", line 13: duplicate observation {names[2].decode()!r}", tokens)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1404,10 +1294,9 @@ class TestPersistence:
             unique=True,
         ),
         bigram=st.booleans(),
-        save=st.sampled_from([save_model_v2, save_model]),
         data=st.data(),
     )
-    def test_round_trip_across_chunks_is_bit_identical(self, chunk, name_bytes, names, bigram, save, data):
+    def test_round_trip_across_chunks_is_bit_identical(self, chunk, name_bytes, names, bigram, data):
         templates = DEFAULT_TEMPLATES if bigram else DEFAULT_TEMPLATES[:-1]
         model = crf.CrfModel(SCHEME, templates, dict(zip(names, range(len(names)))), np.zeros(0))
         edge = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308])
@@ -1416,46 +1305,46 @@ class TestPersistence:
         with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
             mp.setattr(crf, "_CHUNK_LINES", chunk)
             mp.setattr(crf, "_NAME_BYTES", name_bytes)
-            save(model, Path(tmp, "m.tsv"))
+            save_model(model, Path(tmp, "m.tsv"))
             loaded = load_model(Path(tmp, "m.tsv"))
         assert loaded.weights.tobytes() == model.weights.tobytes()
         assert list(loaded.obs_index.items()) == list(model.obs_index.items())
 
     @settings(max_examples=60, deadline=None)
     @given(
-        version=st.sampled_from(["v1", "v2", "v3"]),
         identity_only=st.booleans(),
         chunk=st.integers(1, 4),
         name_bytes=st.integers(1, 24),
+        modulus=st.sampled_from([None, 1, 3]),
         seqs=st.lists(
             st.lists(st.sampled_from(["a", "b", "alice", "Saw", "paris", "1984", "qq", "A"]), min_size=1, max_size=5),
             max_size=6,
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_decode_file_decodes_as_the_whole_model(self, version, identity_only, chunk, name_bytes, seqs, seed):
+    def test_decode_file_decodes_as_the_whole_model(self, identity_only, chunk, name_bytes, modulus, seqs, seed):
         # weights in {-1, 0, 1}: many exact ties, which must break alike; with
-        # the identity template alone, qq, Saw and A fire no row
+        # the identity template alone, qq, Saw and A fire no row; a modulus
+        # makes names share a hash, names cross slice edges
         with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
             mp.setattr(crf, "_CHUNK_LINES", chunk)
             mp.setattr(crf, "_NAME_BYTES", name_bytes)
-            path = MODEL_V1
-            if version != "v1":
-                templates = (FeatureTemplate("token-identity"),) if identity_only else DEFAULT_TEMPLATES
-                model = build_model(SCHEME, [("alice", "saw", "paris"), ("a", "1984", "b")], templates)
-                model.weights[:] = np.random.default_rng(seed).integers(-1, 2, size=model.dim)
-                path = Path(tmp, "m.tsv")
-                (save_model if version == "v3" else save_model_v2)(model, path)
+            if modulus is not None:
+                mp.setattr(crf, "_name_hash", lambda name: zlib.crc32(name) % modulus)
+            templates = (FeatureTemplate("token-identity"),) if identity_only else DEFAULT_TEMPLATES
+            model = build_model(SCHEME, [("alice", "saw", "paris"), ("a", "1984", "b")], templates)
+            model.weights[:] = np.random.default_rng(seed).integers(-1, 2, size=model.dim)
+            path = Path(tmp, "m.tsv")
+            save_model(model, path)
             whole = load_model(path)
             assert decode_file(path, iter(seqs)) == (whole.scheme, decode(whole, seqs))
-            if version != "v1":
-                assert_loads_for(path, whole, seqs)
+            assert_loads_for(path, whole, seqs)
+            assert_loads_for(path, whole, [("qq", "Saw"), ("A",)] if identity_only else [("qq",)])
 
-    @pytest.mark.parametrize("save", [save_model_v2, save_model], ids=["v2", "v3"])
-    def test_decode_file_of_an_input_that_fires_no_row(self, tmp_path, save):
+    def test_decode_file_of_an_input_that_fires_no_row(self, tmp_path):
         model = build_model(SCHEME, [("alice", "saw", "paris")], (FeatureTemplate("token-identity"),))
         model.weights[:] = np.random.default_rng(5).normal(size=model.dim)
-        save(model, tmp_path / "m.bin")
+        save_model(model, tmp_path / "m.bin")
         tokens = [("qq", "Saw"), ("A",)]
         assert not load_model(tmp_path / "m.bin", crf._InputTable(tokens)).weights.any()
         assert_loads_for(tmp_path / "m.bin", model, tokens)
@@ -1468,11 +1357,41 @@ class TestPersistence:
             save_model(model, tmp_path / "m.tsv")
         assert not (tmp_path / "m.tsv").exists()
 
-    def test_wrong_magic_rejected(self, tmp_path):
+    @pytest.mark.parametrize("magic", [b"not a model", b"crowdseq-crf v5", b"crowdseq-crf v4 ", b""])
+    def test_wrong_magic_rejected(self, tmp_path, magic, tokens):
         path = tmp_path / "m.tsv"
-        path.write_text("not a model\n")
-        with pytest.raises(ValueError):
-            load_model(path)
+        save_model(small_model(), path)
+        path.write_bytes(magic + b"\n" + path.read_bytes().split(b"\n", 1)[1])
+        self.assert_refused(path, ": not a crowdseq-crf v4 file", tokens)
+
+    @pytest.mark.parametrize(
+        "line, text, why",
+        [
+            (5, b"observations\t8.0", "observation count '8.0' is not a nonnegative integer"),
+            (5, b"observations\t8\t0", "expected 'observations'"),
+            (6, b"names\t-3\t0", "name bytes '-3' is not a nonnegative integer"),
+            (6, b"names\t3\tabc", "checksum 'abc' is not a nonnegative integer"),
+            (6, b"names\t3", "expected 'names'"),
+        ],
+    )
+    def test_malformed_header_line_is_named(self, tmp_path, line, text, why, tokens):
+        path = tmp_path / "m.bin"
+        save_model(small_model(), path)
+        data = path.read_bytes().split(b"\n", 6)
+        data[line - 1] = text
+        path.write_bytes(b"\n".join(data))
+        self.assert_refused(path, f", line {line}: {why}", tokens)
+
+    @pytest.mark.parametrize("name_hash", [zlib.crc32, lambda name: 7], ids=["crc32", "one hash"])
+    @pytest.mark.parametrize("token", ["\ud800", "a\nb"], ids=["lone surrogate", "newline"])
+    def test_an_input_token_no_file_can_hold_finds_no_row(self, tmp_path, monkeypatch, name_hash, token):
+        monkeypatch.setattr(crf, "_name_hash", name_hash)
+        model = small_model()
+        save_model(model, tmp_path / "m.bin")
+        tokens = [(token, "a"), ("b", token)]
+        got = load_model(tmp_path / "m.bin", crf._InputTable(tokens))
+        assert not got.unary_weights()[[got.obs_index["w=" + token], got.obs_index["wl=" + token]]].any()
+        assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, decode(model, tokens))
 
 
 class TestConstrainedUse(object):

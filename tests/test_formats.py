@@ -19,6 +19,7 @@ from crowdseq import (
     save_config,
     save_conll,
     save_crowd,
+    save_tagged,
     serialize_config,
 )
 from crowdseq import formats
@@ -107,6 +108,18 @@ class TestConll:
         with pytest.raises(ValueError, match="not serializable"):
             save_conll(tmp_path / "x.tsv", ds)
 
+    @pytest.mark.parametrize("token", ["a\tb", "a\nb", "a\rb", "a\r", ""])
+    def test_save_tagged_refuses_a_token_that_would_not_reload(self, tmp_path, token):
+        # a CR ends a line for the text-mode readers: 'a\rb' would reload as two tokens
+        with pytest.raises(ValueError, match=f"^token not serializable: {re.escape(repr(token))}$"):
+            save_tagged(tmp_path / "x.tsv", SCHEME, [((token, "c"), (0, 0))])
+        assert not (tmp_path / "x.tsv").exists()
+
+    def test_save_conll_refuses_a_carriage_return(self, tmp_path):
+        ds = CrowdDataset(SCHEME, (CrowdInstance(("a\rb",), {}, (0,)),), ())
+        with pytest.raises(ValueError, match=re.escape("token not serializable: 'a\\rb'")):
+            save_conll(tmp_path / "x.tsv", ds)
+
 
 class TestCrowd:
     def test_load_reads_columns_and_absences(self, tmp_path):
@@ -169,6 +182,14 @@ class TestCrowd:
             ds = CrowdDataset(SCHEME, (CrowdInstance(("x",), {}),), (bad,))
             with pytest.raises(ValueError, match="annotator id"):
                 save_crowd(tmp_path / "x.tsv", ds)
+
+    @pytest.mark.parametrize("what", ["token", "annotator id"])
+    def test_save_refuses_a_carriage_return(self, tmp_path, what):
+        token, annotator = ("a\rb", "u") if what == "token" else ("x", "a\rb")
+        ds = CrowdDataset(SCHEME, (CrowdInstance((token,), {annotator: (0,)}),), (annotator,))
+        with pytest.raises(ValueError, match=re.escape(f"{what} not serializable: 'a\\rb'")):
+            save_crowd(tmp_path / "x.tsv", ds)
+        assert not (tmp_path / "x.tsv").exists()
 
 
 class TestTokens:
