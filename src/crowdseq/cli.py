@@ -5,10 +5,10 @@ Exit status is 0 on success, 1 on usage errors, and 2 on data errors
 numbers require an explicit ``--seed``; given the same seed and inputs,
 every run writes byte-identical outputs.  ``--threads`` is accepted for
 interface stability, and results never depend on it.  The program starts no
-threads itself, but the BLAS library under numpy and scipy may: unless
-``OPENBLAS_NUM_THREADS=1`` is set, OpenBLAS runs the BLAS calls under
-training's L-BFGS-B routine on a thread pool.  On small inputs setting the
-variable is faster and writes the same bytes.
+threads itself, but the BLAS library under numpy may: unless
+``OPENBLAS_NUM_THREADS=1`` is set, OpenBLAS runs numpy's matrix products
+on a thread pool.  The outputs are the same bytes either way.  No command
+imports scipy.
 
 Each command imports the modules it runs when it runs, so start-up loads
 only ``formats`` and ``types`` besides argparse: ``decode`` never imports

@@ -60,10 +60,9 @@ batch's one (P, M) table, and every entry holds the same read-only copy of
 the bigram weights, so ``_pack`` knows the batch shares one table without
 comparing them.
 
-Training needs scipy only for its compiled L-BFGS-B routine, which
-``minimize`` drives directly and ``_setulb`` loads by file location, so
-neither ``scipy`` nor ``scipy.optimize`` is imported.  Loading a model and
-decoding never touch scipy at all.
+Training minimizes the objective with ``minimize``, a numpy L-BFGS whose
+Armijo line search lowers the value at every accepted step, so no part of
+the program needs scipy.
 
 ``save_model`` writes format v4: six UTF-8 header lines (the magic line,
 ``kind``, ``labels``, ``templates``, ``observations`` and ``names``, the
@@ -106,14 +105,11 @@ label-bigram template is present, by the flattened (M, M) bigram block.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import io
-import sys
 import zlib
+from collections import deque
 from dataclasses import dataclass, replace
 from itertools import islice, repeat
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -797,55 +793,15 @@ def weighted_nll_and_gradient(
     return _WeightedObjective(model, data, l2).value_and_grad(model.weights)
 
 
-_LBFGSB = "scipy.optimize._lbfgsb"
-# the C port of L-BFGS-B; scipy's older Fortran wrapper took iprint and csave
-_SETULB_SIGNATURE = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
-_SCIPY_NEEDED = "scipy >= 1.17"
-
-
-def _lbfgsb_location() -> str | None:
-    """The file of scipy's compiled L-BFGS-B extension, found without running
-    any scipy ``__init__``; None when scipy or the file is missing."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        return None
-    folder = Path(spec.submodule_search_locations[0], "optimize")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        if (folder / f"_lbfgsb{suffix}").is_file():
-            return str(folder / f"_lbfgsb{suffix}")
-    return None
-
-
-def _setulb():
-    """scipy's compiled L-BFGS-B routine ``setulb``.
-
-    The extension is loaded by file location and registered under its own
-    name, so ``scipy`` and ``scipy.optimize`` never run, and a later import
-    of ``scipy.optimize`` reuses it (as this reuses theirs).
-    """
-    module = sys.modules.get(_LBFGSB)
-    if module is None:
-        path = _lbfgsb_location()
-        try:
-            if path is None:
-                raise ImportError("no scipy/optimize/_lbfgsb extension found")
-            loader = importlib.machinery.ExtensionFileLoader(_LBFGSB, path)
-            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_LBFGSB, loader))
-            loader.exec_module(module)
-        except ImportError as e:
-            raise ValueError(f"training needs {_SCIPY_NEEDED} for its compiled L-BFGS-B routine: {e}") from None
-    setulb = getattr(module, "setulb", None)
-    if setulb is None or not (setulb.__doc__ or "").startswith(_SETULB_SIGNATURE):
-        raise ValueError(f"training needs {_SCIPY_NEEDED}, whose compiled L-BFGS-B routine is {_SETULB_SIGNATURE}")
-    sys.modules[_LBFGSB] = module
-    return setulb
+_PAIRS = 10  # (s, y) pairs kept by minimize
+_TRIALS = 20  # step lengths one line search tries
 
 
 @dataclass(frozen=True)
 class MinimizeResult:
     """Where ``minimize`` stopped.  ``fun`` and ``jac`` are the value and
-    gradient at ``x``; ``status`` is scipy's: 0 converged, 1 iteration
-    limit, 2 the line search gave up (``x`` is then the last iterate)."""
+    gradient at ``x``; ``status`` is 0 converged, 1 iteration limit, 2 the
+    line search gave up (``x`` is then the last iterate)."""
 
     x: np.ndarray
     fun: float
@@ -859,58 +815,68 @@ class MinimizeResult:
         return self.status == 0
 
 
+def _direction(g: np.ndarray, pairs: deque) -> np.ndarray:
+    """-H g by the two-loop recursion, H the inverse Hessian estimate of
+    ``pairs`` (s, y, s.y), oldest first, from H0 = (s.y / y.y) I of the
+    newest; -g when there is none."""
+    d = -g
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        alphas.append(float(s @ d) / sy)
+        d -= alphas[-1] * y
+    if pairs:
+        _, y, sy = pairs[-1]
+        d *= sy / float(y @ y)
+    for (s, y, sy), a in zip(pairs, reversed(alphas)):
+        d += (a - float(y @ d) / sy) * s
+    return d
+
+
 def minimize(fun, x0: np.ndarray, max_iter: int, gtol: float) -> MinimizeResult:
-    """Unconstrained L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on
-    ``fun(x) -> (value, gradient)`` from ``x0``; ``fun`` must leave ``x``
-    unchanged.
+    """Unconstrained L-BFGS (Liu & Nocedal 1989; Nocedal & Wright 2006,
+    Alg. 7.4) on ``fun(x) -> (value, gradient)`` from ``x0``; neither
+    ``x0`` nor, in ``fun``, ``x`` is changed.
 
-    A reverse-communication driver over scipy's compiled ``setulb``: each
-    call returns a task, FG for the value and gradient at ``x`` or NEW_X
-    for a new iterate, until the routine converges or gives up.  It does
-    what ``scipy.optimize.minimize(method="L-BFGS-B", jac=True)`` does with
-    10 corrections, at most 20 line-search steps, ``ftol=1e-14`` and
-    ``gtol``: it evaluates ``fun`` once at ``x0`` and after that only where
-    ``x`` differs from the last point evaluated, and stops after
-    ``max_iter`` iterations, so its iterates, ``nit``, ``nfev`` and
-    ``status`` are scipy's.
+    The direction comes from the last 10 pairs of a step s and its change
+    in gradient y (``_direction``); a pair with s.y <= 1e-10 y.y is
+    dropped, so the estimate stays positive definite.  The line search
+    starts at step 1, or at min(1, 1/||g||_2) while no pair is kept, and
+    halves it, at most 20 times, until the value falls by at least 1e-4
+    times the step times the slope (Armijo), so every accepted step lowers
+    the value.  ``status`` is 0 once ||g||_inf <= ``gtol`` or a step lowers
+    the value by at most 1e-14 of max(|f_old|, |f|, 1), 1 after
+    ``max_iter`` iterations, and 2 when the line search fails (or rounding
+    left the direction without descent), at the last iterate.  The pairs
+    live for one call.
     """
-    setulb = _setulb()
-    m = 10
     x = np.array(x0, dtype=float).ravel()
-    n = x.size
-    g = np.zeros(n)
-    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-    iwa = np.zeros(3 * n, dtype=np.int32)
-    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
-    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
-    nbd = np.zeros(n, np.int32)  # no variable is bounded, so the bounds go unread
-    bounds = np.zeros(n)
-    factr = 1e-14 / np.finfo(float).eps
-
-    at = x.copy()
-    value, grad = fun(at)
-    nfev, nit = 1, 0
-    f = fx = value  # fx: the value at the current iterate
-    while True:
-        # setulb reads f as a number; it writes x, g and its state in place
-        setulb(m, x, bounds, bounds, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, 20, ln_task)
-        if task[0] == 3:  # FG
-            if not np.array_equal(x, at):
-                at = x.copy()
-                value, grad = fun(at)
-                nfev += 1
-            f = value
-            g[:] = grad
-        elif task[0] == 1:  # NEW_X: x is the next iterate and f, g were taken there
-            nit += 1
-            fx = f
-            if nit >= max_iter:
-                task[:] = 5, 504  # STOP on the iteration limit
+    f, g = fun(x)
+    f, nfev, nit = float(f), 1, 0
+    pairs = deque(maxlen=_PAIRS)
+    status = 0 if np.abs(g).max(initial=0.0) <= gtol else None
+    while status is None and nit < max_iter:
+        d = _direction(g, pairs)
+        slope = float(g @ d)
+        step = 1.0 if pairs else min(1.0, 1.0 / float(np.linalg.norm(g)))
+        for _ in range(_TRIALS if slope < 0 else 0):
+            x_new = x + step * d
+            f_new, g_new = fun(x_new)
+            nfev += 1
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step /= 2
         else:
+            status = 2
             break
-    # on a line-search failure setulb restores x and g to the last iterate
-    status = 0 if task[0] == 4 else 1 if nit >= max_iter else 2
-    return MinimizeResult(x, float(fx), g, nit, nfev, status)
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 1e-10 * float(y @ y):
+            pairs.append((s, y, sy))
+        f_old, x, f, g = f, x_new, float(f_new), g_new
+        nit += 1
+        if np.abs(g).max() <= gtol or f_old - f <= 1e-14 * max(abs(f_old), abs(f), 1.0):
+            status = 0
+    return MinimizeResult(x, f, g, nit, nfev, 1 if status is None else status)
 
 
 @dataclass(frozen=True)
@@ -942,7 +908,6 @@ def optimize(
     obj = _WeightedObjective(model, data, opts.l2)
     if model.dim == 0:
         return TrainResult(replace(model, weights=model.weights.copy()), 0.0, 0.0, 0, True, False)
-    _setulb()  # its first load is set-up time, not fit time
     res = minimize(obj.value_and_grad, model.weights, opts.max_iter, opts.tol)
     gnorm = float(np.abs(res.jac).max())
     converged = res.success or gnorm <= opts.tol

@@ -9,7 +9,9 @@ An instance's valid lattice is exactly the set of paths through its
 posterior is a linear chain: the tagger's unary scores, -inf off the states,
 plus the ``context_factor`` row of each of its ``annotation_entries`` (each
 row's annotators in roster order), and the tagger's bigram weights, -inf on
-forbidden transitions.  ``e_step`` featurizes the corpus once, adds every
+forbidden transitions.  ``initialize`` looks the corpus's observations up
+in the tagger's inventory once (``EmState.inputs``), since refits change
+only the weights; ``e_step`` sums the weight rows of those ids, adds every
 entry's factor with one ``np.add.at``, takes the tagger's log-partitions
 from one packed forward pass and the posteriors from one masked
 forward-backward pass (``expected_counts``), enumerating no candidate
@@ -41,6 +43,7 @@ from .crf import (
     SequencePotentials,
     TrainOptions,
     TrainResult,
+    _InputTable,
     build_model,
     expected_counts,
     extract_features,
@@ -112,6 +115,7 @@ class EmState:
     lattices: tuple[ValidLattice, ...]
     mask: np.ndarray  # (P, M) over the corpus laid end to end: 0 on the lattices' states, -inf elsewhere
     entries: AnnotationEntries  # every labeled (position, annotator) entry, from ``annotation_entries``
+    inputs: _InputTable  # the corpus's observation ids; the tagger's inventory never changes during a fit
     iteration: int
     history: list[float]  # the joint objective after each round, the initial one first
     last_train: TrainResult | None = field(repr=False, default=None)
@@ -158,7 +162,8 @@ def initialize(ds: CrowdDataset, cfg: EmConfig) -> EmState:
     states = list(chain.from_iterable(lat.states for lat in lattices))  # per corpus position
     mask = np.full((len(states), ds.scheme.size), -np.inf)
     mask[np.repeat(np.arange(len(states)), list(map(len, states))), list(chain.from_iterable(states))] = 0.0
-    return EmState(cfg, model, params, lattices, mask, annotation_entries(ds, table), 0, [])
+    inputs = _InputTable([inst.tokens for inst in ds.instances]).look_up(model)
+    return EmState(cfg, model, params, lattices, mask, annotation_entries(ds, table), inputs, 0, [])
 
 
 class Posterior(NamedTuple):
@@ -175,7 +180,7 @@ def e_step(state: EmState, ds: CrowdDataset) -> tuple[list[Posterior], float]:
     log Z_i) - (l2/2)||theta||^2 + s * sum log tables, 0 for the last term
     when the smoothing s is 0.  An instance none of whose paths the tables
     allow (zero smoothing can give one) is a ValueError naming it."""
-    pots = extract_features(state.crf, [inst.tokens for inst in ds.instances])
+    pots = extract_features(state.crf, state.inputs)
     factors = np.zeros(state.mask.shape)
     np.add.at(factors, state.entries.row, context_factor(state.annotators, state.entries))
     scores = np.concatenate([pot.unary for pot in pots]) + state.mask + factors

@@ -16,7 +16,7 @@ Outputs are always valid BIO sequences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,6 +39,9 @@ class CorruptionMix:
 
     def __post_init__(self):
         w = self.weights()
+        if not np.isfinite(w).all():  # NaN passes both checks below
+            bad = ", ".join(f"{f.name}={v}" for f, v in zip(fields(self), w) if not np.isfinite(v))
+            raise ValueError(f"mix weights must be finite, got {bad}")
         if (w < 0).any():
             raise ValueError("mix weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-9:

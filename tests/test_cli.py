@@ -36,6 +36,33 @@ from crowdseq.crf import load_model
 WATCHED_MODULES = ("fractions", "scipy.optimize", "scipy.sparse")
 
 
+# installed first in a fresh interpreter: every scipy import fails, as where
+# scipy is not installed
+REFUSE_SCIPY = (
+    "class RefuseScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.partition('.')[0] == 'scipy':\n"
+    "            raise ModuleNotFoundError(f'no module named {name!r}', name=name)\n"
+    "sys.meta_path.insert(0, RefuseScipy())\n"
+    "try:\n"
+    "    import scipy\n"
+    "except ModuleNotFoundError:\n"
+    "    pass\n"
+    "else:\n"
+    "    raise SystemExit('scipy was not refused')\n"
+)
+NO_SCIPY_PIPELINE = [
+    ["simulate", "gold.tsv", "--out", "crowd.tsv", "--seed", "5", "--annotators", "3"],
+    ["train", "crowd.tsv", "--model-out", "model.bin", "--annotators-out", "annotators.tsv",
+     "--history-file", "history.txt", "--seed", "5", "--max-iters", "2"],
+    ["aggregate", "crowd.tsv", "--method", "saslc", "--out", "saslc.tsv", "--seed", "5", "--max-iters", "2"],
+    ["aggregate", "crowd.tsv", "--method", "mv", "--out", "mv.tsv"],
+    ["aggregate", "crowd.tsv", "--method", "ds", "--out", "ds.tsv"],
+    ["decode", "model.bin", "gold.tsv", "--out", "decoded.tsv"],
+    ["evaluate", "decoded.tsv", "gold.tsv"],
+]
+
+
 def modules_after(argv, cwd) -> set[str]:
     """The ``crowdseq`` modules, and those of ``WATCHED_MODULES``, that a
     fresh interpreter holds after ``main(argv)`` succeeded in ``cwd``."""
@@ -163,6 +190,15 @@ class TestExitCodes:
         save_conll(gold, make_gold(2, seed=1))
         assert main(["simulate", str(gold), "--out", str(tmp_path / "c.tsv")]) == 1
         assert "--seed is required to simulate annotators" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("swap", ["nan", "inf"])
+    def test_simulate_rejects_a_non_finite_mix_weight(self, tmp_path, capsys, swap):
+        gold = tmp_path / "gold.tsv"
+        save_conll(gold, make_gold(2, seed=1))
+        argv = ["simulate", str(gold), "--out", str(tmp_path / "c.tsv"), "--seed", "1", f"--mix-swap={swap}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: mix weights must be finite, got type_swap={swap}\n"
+        assert not (tmp_path / "c.tsv").exists()
 
     @pytest.mark.parametrize("spread", ["nan", "inf", "-inf"])
     def test_simulate_rejects_a_non_finite_precision_spread(self, tmp_path, capsys, spread):
@@ -351,17 +387,26 @@ class TestExitCodes:
         assert main(["aggregate", str(pipeline["crowd"]), "--method", "ds", "--out", str(out), *config]) == 2
         assert capsys.readouterr().err == stderr
 
-    def test_training_without_the_lbfgsb_routine_exits_2(self, pipeline, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(crf, "_lbfgsb_location", lambda: str(tmp_path / "missing" / "_lbfgsb.so"))
-        monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb", raising=False)
-        code = main([
-            "train", str(pipeline["crowd"]), "--model-out", str(tmp_path / "model.tsv"),
-            "--annotators-out", str(tmp_path / "annotators.tsv"), "--seed", "5", "--max-iters", "1",
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: training needs scipy >= 1.17 for its compiled L-BFGS-B routine")
-        assert "Traceback" not in err
+    def test_the_pipeline_runs_without_scipy(self, tmp_path):
+        runs = []
+        for blocked in (False, True):
+            cwd = tmp_path / ("blocked" if blocked else "free")
+            cwd.mkdir()
+            save_conll(cwd / "gold.tsv", make_gold(10, seed=5))
+            code = (
+                "import sys\n"
+                f"sys.path.insert(0, {str(Path(crowdseq.__file__).parents[1])!r})\n"
+                + (REFUSE_SCIPY if blocked else "")
+                + "from crowdseq.cli import main\n"
+                f"for argv in {NO_SCIPY_PIPELINE!r}:\n"
+                "    assert main(argv) == 0, argv\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout, {path.name: path.read_bytes() for path in sorted(cwd.iterdir())}))
+        assert runs[0][0].splitlines()[-1] == "[]"
+        assert runs[1] == runs[0]
 
     def test_lattice_index_out_of_range(self, pipeline, capsys):
         assert main(["inspect-lattice", str(pipeline["crowd"]), "--instance", "99"]) == 2

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from corpus import SCHEME, make_gold, split
-from crowdseq import em
+from crowdseq import crf, em
 from crowdseq import (
     CrowdDataset,
     CrowdInstance,
@@ -474,6 +474,28 @@ class TestFit:
         r = fit(crowd, EmConfig(max_iters=rounds, rel_tol=0.0, seed=9, init_max_iter=20, inner_max_iter=6))
         assert r.iterations == rounds
         assert calls == {"extract_features": rounds + 1, "log_partition": rounds + 1}
+
+    def test_looks_the_corpus_up_once_per_fit(self, monkeypatch):
+        crowd, _ = self.make_noisy()
+        rounds = 3
+        cfg = EmConfig(max_iters=rounds, rel_tol=0.0, seed=9, init_max_iter=20, inner_max_iter=6)
+        builds = []
+        init = crf._InputTable.__init__
+
+        def counted(table, token_seqs):
+            builds.append(len(token_seqs))
+            init(table, token_seqs)
+
+        monkeypatch.setattr(crf._InputTable, "__init__", counted)
+        r = fit(crowd, cfg)
+        assert r.iterations == rounds
+        # build_model, the seed fit, the corpus's lookup in initialize, and each M-step's objective
+        assert len(builds) == rounds + 3
+        monkeypatch.undo()
+        tokens = [inst.tokens for inst in crowd.instances]
+        monkeypatch.setattr(em, "extract_features", lambda model, _inputs: crf.extract_features(model, tokens))
+        again = fit(crowd, cfg)
+        assert again.history == r.history and again.crf.weights.tobytes() == r.crf.weights.tobytes()
 
     def test_history_is_the_joint_objective_after_each_m_step(self):
         crowd, _ = self.make_noisy()

@@ -26,6 +26,10 @@ class TestConfigs:
             CorruptionMix(0.5, 0.5, 0.5, 0.5)
         with pytest.raises(ValueError, match="nonnegative"):
             CorruptionMix(-0.2, 0.5, 0.5, 0.2)
+        with pytest.raises(ValueError, match=r"^mix weights must be finite, got type_swap=nan$"):
+            CorruptionMix(float("nan"), 0.3, 0.2, 0.1)
+        with pytest.raises(ValueError, match=r"^mix weights must be finite, got boundary_shift=inf, spurious=nan$"):
+            CorruptionMix(0.4, float("inf"), 0.2, float("nan"))
         assert CorruptionMix().weights() == pytest.approx([0.4, 0.3, 0.2, 0.1])
 
     def test_sim_config_validation(self):
