@@ -2,13 +2,13 @@
 
 Exit status is 0 on success, 1 on usage errors, and 2 on data errors
 (malformed files, incompatible inputs).  Subcommands that draw random
-numbers require an explicit ``--seed``; given the same seed and inputs,
-every run writes byte-identical outputs.  ``--threads`` is accepted for
-interface stability, and results never depend on it.  The program starts no
-threads itself, but the BLAS library under numpy may: unless
-``OPENBLAS_NUM_THREADS=1`` is set, OpenBLAS runs numpy's matrix products
-on a thread pool.  The outputs are the same bytes either way.  No command
-imports scipy.
+numbers require a seed, ``--seed`` or else the run-config key ``seed``;
+given the same seed and inputs, every run writes byte-identical outputs.
+``--threads`` is accepted for interface stability, and results never
+depend on it.  The program starts no threads itself, but the BLAS library
+under numpy may: unless ``OPENBLAS_NUM_THREADS=1`` is set, OpenBLAS runs
+numpy's matrix products on a thread pool.  The outputs are the same bytes
+either way.  No command imports scipy.
 
 Each command imports the modules it runs when it runs, so start-up loads
 only ``formats`` and ``types`` besides argparse: ``decode`` never imports
@@ -94,17 +94,19 @@ def _em_config(args, cfg: dict, seed: int):
     return EmConfig(**{f.name: _pick(args, f.name, cfg, f.name, f.default) for f in fields}, seed=seed)
 
 
-def _require_seed(args, why: str) -> int:
-    if args.seed is None:
-        raise _UsageError(f"--seed is required {why}")
-    return args.seed
+def _require_seed(args, cfg: dict, why: str) -> int:
+    """``--seed``, else the config key ``seed``."""
+    seed = _pick(args, "seed", cfg, "seed", None)
+    if seed is None:
+        raise _UsageError(f"--seed is required {why} (or the config key seed)")
+    return seed
 
 
 def _cmd_simulate(args) -> int:
     from .simulate import CorruptionMix, SimConfig, annotator_precision, simulate
 
     cfg = _load_file_config(args)
-    seed = _require_seed(args, "to simulate annotators")
+    seed = _require_seed(args, cfg, "to simulate annotators")
     gold = formats.load_conll(args.gold)
     mix = CorruptionMix(
         type_swap=_pick(args, "mix_swap", cfg, "mix_type_swap", 0.4),
@@ -133,7 +135,7 @@ def _cmd_aggregate(args) -> int:
     if args.method == "saslc":
         from . import em
 
-        seed = _require_seed(args, "for --method saslc")
+        seed = _require_seed(args, cfg, "for --method saslc")
         result = em.fit(ds, _em_config(args, cfg, seed), log=sys.stderr)
         labelings = em.posterior_modes(result.posteriors)
     else:
@@ -153,7 +155,7 @@ def _cmd_train(args) -> int:
     from . import annotators, crf, em
 
     cfg = _load_file_config(args)
-    seed = _require_seed(args, "to initialize training")
+    seed = _require_seed(args, cfg, "to initialize training")
     ds = formats.load_crowd(args.crowd)
     result = em.fit(ds, _em_config(args, cfg, seed), log=sys.stderr)
     crf.save_model(result.crf, args.model_out)
@@ -183,6 +185,12 @@ def _cmd_evaluate(args) -> int:
         raise ValueError(
             f"sequence count mismatch: {len(pred_raw)} predicted vs {len(gold_raw)} gold"
         )
+    for i, ((pred_toks, _), (gold_toks, _)) in enumerate(zip(pred_raw, gold_raw)):
+        if len(pred_toks) != len(gold_toks):
+            raise ValueError(f"sequence {i}: length {len(pred_toks)} != {len(gold_toks)}")
+        if pred_toks != gold_toks:
+            j = next(j for j, (p, g) in enumerate(zip(pred_toks, gold_toks)) if p != g)
+            raise ValueError(f"sequence {i}, token {j}: {pred_toks[j]!r} predicted vs {gold_toks[j]!r} gold")
     tags = [t for _, ts in pred_raw for t in ts] + [t for _, ts in gold_raw for t in ts]
     if set(tags) == {"O"}:
         # no entities anywhere; the scheme machinery has nothing to say

@@ -43,7 +43,10 @@ copy, each step keeping a running max over the from-labels so that it holds
 (rows, M) scores at a time, and its back-pointers take the smallest unsigned
 type that holds M.
 
-Features are built per batch (``_InputTable``): each template's
+Every model has one feature set: the observation templates ``TEMPLATES``
+(the token, lowercased; its 2- and 3-character prefixes and suffixes;
+capitalization; digits; the previous and the next token) and the label
+bigram.  Features are built per batch (``_InputTable``): each template's
 observations come from one ``FeatureTemplate.observations`` call over the
 token types, a neighbour template's with the BOS/EOS token after them, and
 are mapped to one column per template; ``ids`` spreads the columns over the
@@ -65,11 +68,13 @@ Armijo line search lowers the value at every accepted step, so no part of
 the program needs scipy.
 
 ``save_model`` writes format v4: six UTF-8 header lines (the magic line,
-``kind``, ``labels``, ``templates``, ``observations`` and ``names``, the
-last holding the name block's byte size and one crc32 over the name block
-and then the index), the name block, one line per observation holding its
-name, in id order, the name index, and the weight vector as raw
-little-endian float64, with nothing after it.  The index is n uint32, the
+``kind``, ``labels``, ``templates``, ``observations`` and ``names``; the
+``templates`` line names ``TEMPLATES`` and the label bigram, and
+``load_model`` refuses any other; ``names`` holds the name block's byte
+size and one crc32 over the name block and then the index), the name
+block, one line per observation holding its name, in id order, the name
+index, and the weight vector as raw little-endian float64, with nothing
+after it.  The index is n uint32, the
 crc32 of each name's UTF-8 bytes (``_name_hash``), ascending, then the n
 uint32 ids in that order, equal hashes in id order, all little-endian.
 ``load_model`` checks the file's size against the header first, reads the
@@ -84,8 +89,8 @@ preallocated array with ``readinto``.  Files of the formats before v4 are
 refused by name: the model must be retrained.
 
 ``decode_file`` featurizes the token sequences to decode once: its input
-table numbers the observations the header's templates fire on their token
-types, and the BOS/EOS ones, by first use (``_InputTable.number``).
+table numbers the observations ``TEMPLATES`` fire on their token types,
+and the BOS/EOS ones, by first use (``_InputTable.number``).
 ``load_model`` hashes each of those once and finds its rows through the
 index (``_NameBlock.find``): one ``searchsorted`` per chunk of sorted
 hashes, then, as the names stream past, a byte comparison of each row
@@ -99,8 +104,8 @@ spread after the weights are in, index those rows, so each position sums
 the same weight rows in the same order as under the whole model (a zero
 row adds +0.0 as the id -1 does).
 
-The weight vector is the flattened (n_obs, M) unary block followed, when a
-label-bigram template is present, by the flattened (M, M) bigram block.
+The weight vector is the flattened (n_obs, M) unary block followed by the
+flattened (M, M) bigram block.
 """
 
 from __future__ import annotations
@@ -130,34 +135,13 @@ _name_hash = zlib.crc32  # of a name's UTF-8 bytes: the key of the name index
 _TINY = np.finfo(float).tiny  # a scaled row sum below this is out of the float64 range
 _GATHER_ROWS = 1024  # positions whose (T, M) weight rows _unary_table gathers at once
 
-_PLAIN_KINDS = (
-    "token-identity",
-    "token-lowercase",
-    "is-capitalized",
-    "is-digit",
-    "previous-token",
-    "next-token",
-    "label-bigram",
-)
-_SIZED_KINDS = ("prefix", "suffix")
-
 
 @dataclass(frozen=True)
 class FeatureTemplate:
-    """One observation (or label-bigram) feature generator."""
+    """One observation feature generator of ``TEMPLATES``."""
 
     kind: str
     width: int | None = None
-
-    def __post_init__(self):
-        if self.kind in _PLAIN_KINDS:
-            if self.width is not None:
-                raise ValueError(f"{self.kind} takes no width")
-        elif self.kind in _SIZED_KINDS:
-            if not self.width or self.width < 1:
-                raise ValueError(f"{self.kind} needs a positive width")
-        else:
-            raise ValueError(f"unknown template kind: {self.kind!r}")
 
     @property
     def spec_string(self) -> str:
@@ -167,19 +151,6 @@ class FeatureTemplate:
     def offset(self) -> int:
         """Where the token this template reads sits, relative to position t."""
         return {"previous-token": -1, "next-token": 1}.get(self.kind, 0)
-
-    @classmethod
-    def parse(cls, text: str) -> "FeatureTemplate":
-        for kind in _SIZED_KINDS:
-            if text.startswith(kind + "-"):
-                return cls(kind, int(text[len(kind) + 1 :]))
-        return cls(text)
-
-    def observation(self, tokens: Sequence[str], t: int) -> str | None:
-        """The observation string fired at position t, or None."""
-        i = t + self.offset
-        tok = tokens[i] if 0 <= i < len(tokens) else BOS_TOKEN if i < 0 else EOS_TOKEN
-        return self.observations((tok,))[0]
 
     def observations(self, toks: Sequence[str]) -> list[str | None]:
         """The observation string fired where this template reads each of
@@ -201,12 +172,12 @@ class FeatureTemplate:
             return ["num" if tok.isdigit() else None for tok in toks]
         if k == "previous-token":
             return ["w-1=" + tok for tok in toks]
-        if k == "next-token":
-            return ["w+1=" + tok for tok in toks]
-        return [None] * len(toks)  # label-bigram fires on label pairs, not observations
+        return ["w+1=" + tok for tok in toks]  # next-token
 
 
-DEFAULT_TEMPLATES: tuple[FeatureTemplate, ...] = (
+# the observation templates of every model; the label-bigram block follows
+# their weights
+TEMPLATES: tuple[FeatureTemplate, ...] = (
     FeatureTemplate("token-identity"),
     FeatureTemplate("token-lowercase"),
     FeatureTemplate("prefix", 2),
@@ -217,8 +188,9 @@ DEFAULT_TEMPLATES: tuple[FeatureTemplate, ...] = (
     FeatureTemplate("is-digit"),
     FeatureTemplate("previous-token"),
     FeatureTemplate("next-token"),
-    FeatureTemplate("label-bigram"),
 )
+# line 4 of a model file: the templates and the label bigram
+_TEMPLATES_LINE = "\t".join(["templates", *(t.spec_string for t in TEMPLATES), "label-bigram"])
 
 
 @dataclass
@@ -231,7 +203,6 @@ class CrfModel:
     """
 
     scheme: LabelScheme
-    templates: tuple[FeatureTemplate, ...]
     obs_index: dict[str, int]
     weights: np.ndarray
 
@@ -240,13 +211,9 @@ class CrfModel:
         return len(self.obs_index)
 
     @property
-    def has_bigram(self) -> bool:
-        return any(t.kind == "label-bigram" for t in self.templates)
-
-    @property
     def dim(self) -> int:
         m = self.scheme.size
-        return self.n_obs * m + (m * m if self.has_bigram else 0)
+        return self.n_obs * m + m * m
 
     def unary_weights(self) -> np.ndarray:
         m = self.scheme.size
@@ -254,29 +221,22 @@ class CrfModel:
 
     def bigram_weights(self) -> np.ndarray:
         m = self.scheme.size
-        if not self.has_bigram:
-            return np.zeros((m, m))
         return self.weights[self.n_obs * m :].reshape(m, m)
 
 
-def build_model(
-    scheme: LabelScheme,
-    token_seqs: Iterable[Sequence[str]],
-    templates: Sequence[FeatureTemplate] = DEFAULT_TEMPLATES,
-) -> CrfModel:
-    """Intern every observation the templates fire on the corpus; zero weights.
+def build_model(scheme: LabelScheme, token_seqs: Iterable[Sequence[str]]) -> CrfModel:
+    """Intern every observation ``TEMPLATES`` fire on the corpus; zero weights.
 
     Ids follow first appearance, position by position and, at a position,
     template by template (``_InputTable`` builds the observations).
     """
-    templates = tuple(templates)
     # insertion-ordered: first appearance.  One expression, so that the table
     # and its (P, T) array are freed before the dictionaries grow
     seen = dict.fromkeys(
-        _InputTable(list(token_seqs)).observe(templates, lambda obs: np.array(obs, dtype=object)).ids().ravel().tolist()
+        _InputTable(list(token_seqs)).observe(lambda obs: np.array(obs, dtype=object)).ids().ravel().tolist()
     )
     seen.pop(None, None)  # a template that fires nothing
-    model = CrfModel(scheme, templates, dict(zip(seen, range(len(seen)))), np.zeros(0))
+    model = CrfModel(scheme, dict(zip(seen, range(len(seen)))), np.zeros(0))
     model.weights = np.zeros(model.dim)
     return model
 
@@ -302,8 +262,8 @@ class _InputTable:
     type.
 
     ``codes`` holds each position's token type, the types numbered by first
-    appearance.  ``observe(templates, lookup)`` calls each observation
-    template's ``FeatureTemplate.observations`` once, over the types and,
+    appearance.  ``observe(lookup)`` calls each of ``TEMPLATES``'
+    ``FeatureTemplate.observations`` once, over the types and,
     for a neighbour template (``offset`` -1 or +1), the BOS/EOS token after
     them, and keeps what ``lookup`` maps that list to (None where the
     template fires nothing) as the template's column: ``look_up`` maps each
@@ -320,34 +280,31 @@ class _InputTable:
         self.lengths = [len(tokens) for tokens in token_seqs]
         self.types = list(types)
 
-    def observe(self, templates: Sequence[FeatureTemplate], lookup) -> _InputTable:
+    def observe(self, lookup) -> _InputTable:
         self.dtype = lookup([]).dtype
         self.columns = []  # (offset, entry per type, then the BOS/EOS token's)
-        for tpl in templates:
-            if tpl.kind != "label-bigram":  # it fires on label pairs, not observations
-                toks = [*self.types, BOS_TOKEN if tpl.offset < 0 else EOS_TOKEN] if tpl.offset else self.types
-                self.columns.append((tpl.offset, lookup(tpl.observations(toks))))
+        for tpl in TEMPLATES:
+            toks = [*self.types, BOS_TOKEN if tpl.offset < 0 else EOS_TOKEN] if tpl.offset else self.types
+            self.columns.append((tpl.offset, lookup(tpl.observations(toks))))
         return self
 
     def look_up(self, model: CrfModel) -> _InputTable:
-        """``observe`` of the model's templates, each observation mapped to
-        its id in the model, -1 for one it lacks; returns the table."""
+        """``observe`` with each observation mapped to its id in the model,
+        -1 for one it lacks; returns the table."""
         get = model.obs_index.get  # a template that fires nothing gives None, never a key
-        return self.observe(model.templates, lambda obs: np.fromiter(map(get, obs, repeat(-1)), np.intp, len(obs)))
+        return self.observe(lambda obs: np.fromiter(map(get, obs, repeat(-1)), np.intp, len(obs)))
 
-    def number(self, templates: Sequence[FeatureTemplate]) -> dict[str, int]:
+    def number(self) -> dict[str, int]:
         """``observe`` that numbers the observations by first use, template by
         template, -1 where a template fires nothing; returns the numbering."""
         names: dict[str, int] = {}
         number = names.setdefault
-        self.observe(
-            templates, lambda obs: np.array([-1 if o is None else number(o, len(names)) for o in obs], dtype=np.intp)
-        )
+        self.observe(lambda obs: np.array([-1 if o is None else number(o, len(names)) for o in obs], dtype=np.intp))
         return names
 
     def ids(self) -> np.ndarray:
         """The (P, T) column entries of each position, one column per
-        observation template."""
+        template."""
         lengths = np.array([n for n in self.lengths if n], dtype=np.intp)
         ends = np.cumsum(lengths)
         edges = {-1: ends - lengths, 1: ends - 1}  # first and last position of each sentence
@@ -363,7 +320,7 @@ class _InputTable:
 
 def _observation_ids(model: CrfModel, token_seqs: Sequence[Sequence[str]]) -> np.ndarray:
     """Interned observation ids of the sequences laid end to end: a (P, T)
-    array, one column per observation template, -1 where none fires."""
+    array, one column per template, -1 where none fires."""
     return _InputTable(token_seqs).look_up(model).ids()
 
 
@@ -767,17 +724,12 @@ class _WeightedObjective:
         model = self.model
         m = model.scheme.size
         nu = model.n_obs * m
-        wu = theta[:nu].reshape(model.n_obs, m)
-        wb = theta[nu:].reshape(m, m) if model.has_bigram else np.zeros((m, m))
+        wu, wb = theta[:nu].reshape(model.n_obs, m), theta[nu:].reshape(m, m)
         unary = _unary_table(wu, self.ids)
         logz, uni, before, after, e = _forward_backward(unary, wb, self.pack, range(len(self.seq_w)))
-        value = float(self.seq_w @ logz) - float((wu * self.emp_u).sum())
-        grad = [(self._scatter(self.row_w * uni) - self.emp_u).ravel()]
-        if model.has_bigram:
-            value -= float((wb * self.emp_b).sum())
-            pair = e * ((before * self.row_w[self.pack.later]).T @ after)
-            grad.append((pair - self.emp_b).ravel())
-        grad = np.concatenate(grad)
+        value = float(self.seq_w @ logz) - float((wu * self.emp_u).sum()) - float((wb * self.emp_b).sum())
+        pair = e * ((before * self.row_w[self.pack.later]).T @ after)
+        grad = np.concatenate([(self._scatter(self.row_w * uni) - self.emp_u).ravel(), (pair - self.emp_b).ravel()])
         value += 0.5 * self.l2 * float(theta @ theta)
         grad += self.l2 * theta
         return value, grad
@@ -906,13 +858,9 @@ def optimize(
     point seen so far is returned with ``warning`` set.
     """
     obj = _WeightedObjective(model, data, opts.l2)
-    if model.dim == 0:
-        return TrainResult(replace(model, weights=model.weights.copy()), 0.0, 0.0, 0, True, False)
     res = minimize(obj.value_and_grad, model.weights, opts.max_iter, opts.tol)
-    gnorm = float(np.abs(res.jac).max())
-    converged = res.success or gnorm <= opts.tol
     trained = replace(model, weights=res.x)
-    return TrainResult(trained, res.fun, gnorm, res.nit, converged, res.status == 2)
+    return TrainResult(trained, res.fun, float(np.abs(res.jac).max()), res.nit, res.success, res.status == 2)
 
 
 def save_model(model: CrfModel, path) -> None:
@@ -938,7 +886,7 @@ def save_model(model: CrfModel, path) -> None:
         MODEL_MAGIC,
         "kind\t" + model.scheme.kind,
         "labels\t" + "\t".join(model.scheme.labels),
-        "templates\t" + "\t".join(t.spec_string for t in model.templates),
+        _TEMPLATES_LINE,
         f"observations\t{n}",
         f"names\t{len(block)}\t{zlib.crc32(index, zlib.crc32(block))}",
     ]
@@ -1137,15 +1085,15 @@ def _gather(data, starts: np.ndarray, stops: np.ndarray) -> bytes:
     return np.frombuffer(data, dtype=np.uint8)[at].tobytes()
 
 
-def _read_weights(fh, n_obs: int, m: int, n_pair: int, weights: np.ndarray, picks) -> None:
+def _read_weights(fh, n_obs: int, m: int, weights: np.ndarray, picks) -> None:
     """Reads the raw little-endian float64 weights that end the file, the
-    (n_obs, M) unary block and then ``n_pair`` bigram weights, into
+    (n_obs, M) unary block and then the (M, M) bigram block, into
     ``weights``, an input table's (rows, M) weights and then the bigram's:
     the unary block is read ``_CHUNK_LINES`` rows at a time, and the rows
     ``picks`` holds, file rows (ascending) and their numbers, go to their
     numbers."""
     rows, numbers = picks
-    unary = weights[: weights.size - n_pair].reshape(-1, m)
+    unary = weights[: weights.size - m * m].reshape(-1, m)
     buf = np.empty((min(_CHUNK_LINES, n_obs), m), dtype="<f8")
     bounds = [*np.searchsorted(rows, range(0, n_obs, _CHUNK_LINES)).tolist(), rows.size]
     for lo, a, b in zip(range(0, n_obs, _CHUNK_LINES), bounds, bounds[1:]):
@@ -1160,13 +1108,15 @@ def load_model(path, inputs: _InputTable | None = None) -> CrfModel:
 
     ``decode_file`` passes its input table as ``inputs``, whose columns then
     hold the returned model's ids.  The model holds the rows of the
-    observations the table numbers (``inputs.number`` of the file's
-    templates), in that numbering, and a zero row for each that the file
-    lacks, so its memory grows with the input's vocabulary, not the file's;
-    the names are found through the file's index (``_NameBlock.find``).
-    Every name line is still read and checked.  A file of an older format
-    is refused by its format: the model must be retrained.  Bytes that are
-    not UTF-8 where text is expected raise a ValueError naming their line.
+    observations the table numbers (``inputs.number``), in that numbering,
+    and a zero row for each that the file lacks, so its memory grows with
+    the input's vocabulary, not the file's; the names are found through the
+    file's index (``_NameBlock.find``).  Every name line is still read and
+    checked.  A file of an older format is refused by its format: the model
+    must be retrained.  A line 4 other than the ``templates`` line
+    ``save_model`` writes is refused: there is one feature set.  Bytes that
+    are not UTF-8 where text is expected raise a ValueError naming their
+    line.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n")
@@ -1193,16 +1143,16 @@ def load_model(path, inputs: _InputTable | None = None) -> CrfModel:
 
         kind = fields(1, "kind", 2)[0]
         labels = tuple(fields(2, "labels"))
-        templates = tuple(FeatureTemplate.parse(s) for s in fields(3, "templates"))
+        if header[3] != _TEMPLATES_LINE:
+            raise ValueError(f"{path}, line 4: expected {_TEMPLATES_LINE!r}")
         n_obs = count(4, fields(4, "observations", 2)[0], "observation count")
         size, checksum = (count(5, text, what) for text, what in zip(fields(5, "names", 3), ("name bytes", "checksum")))
         scheme = LabelScheme(labels, kind)
-        model = CrfModel(scheme, templates, {}, np.zeros(0))
+        model = CrfModel(scheme, {}, np.zeros(0))
         m = scheme.size
-        n_pair = m * m if model.has_bigram else 0
         start = fh.tell()
         found = fh.seek(0, io.SEEK_END) - start - size - 8 * n_obs
-        expected = (n_obs * m + n_pair) * 8
+        expected = (n_obs + m) * m * 8
         if found < 0:
             raise ValueError(f"{path}: the file ends inside its names or their index")
         if found != expected:
@@ -1211,13 +1161,13 @@ def load_model(path, inputs: _InputTable | None = None) -> CrfModel:
         names = _NameBlock.open(fh, path, n_obs, size, checksum)
         if inputs is None:
             model.obs_index = names.intern()
-            model.weights = np.empty(n_obs * m + n_pair, dtype="<f8")
+            model.weights = np.empty((n_obs + m) * m, dtype="<f8")
             fh.readinto(model.weights)
         else:
-            model.obs_index = inputs.number(templates)
+            model.obs_index = inputs.number()
             picks = names.find(model.obs_index)
-            model.weights = np.zeros(len(model.obs_index) * m + n_pair, dtype="<f8")
-            _read_weights(fh, n_obs, m, n_pair, model.weights, picks)
+            model.weights = np.zeros((len(model.obs_index) + m) * m, dtype="<f8")
+            _read_weights(fh, n_obs, m, model.weights, picks)
     return model
 
 

@@ -14,7 +14,7 @@ from scipy.special import logsumexp
 from crowdseq import LabelScheme
 from crowdseq.annotators import resolve_mentions
 from crowdseq.baselines import logsumexp as own_logsumexp
-from crowdseq.crf import SequencePotentials, extract_features
+from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, TEMPLATES, SequencePotentials, extract_features
 
 
 def sequence_score(pot: SequencePotentials, labels) -> float:
@@ -84,27 +84,33 @@ def annotation_loglik(params, annotator: str, assigned, truth, links) -> float:
     return float(phi[np.arange(z.size), z].sum())
 
 
+def position_observation(tpl, tokens, t: int) -> str | None:
+    """The observation ``tpl`` fires at position t of ``tokens``, or None:
+    the token it reads there, BOS/EOS past an edge, on its own."""
+    i = t + tpl.offset
+    tok = tokens[i] if 0 <= i < len(tokens) else BOS_TOKEN if i < 0 else EOS_TOKEN
+    return tpl.observations((tok,))[0]
+
+
 def loop_observation_rows(model, tokens) -> list[np.ndarray]:
     """Per position, the interned ids of the observations firing there, in
-    template order, one ``FeatureTemplate.observation`` call per position
-    and template."""
+    template order, one ``position_observation`` call per position and
+    template."""
     rows = []
     for t in range(len(tokens)):
-        obs = (tpl.observation(tokens, t) for tpl in model.templates if tpl.kind != "label-bigram")
+        obs = (position_observation(tpl, tokens, t) for tpl in TEMPLATES)
         rows.append(np.array([model.obs_index[o] for o in obs if o in model.obs_index], dtype=np.intp))
     return rows
 
 
-def loop_obs_index(token_seqs, templates) -> dict[str, int]:
+def loop_obs_index(token_seqs, templates=TEMPLATES) -> dict[str, int]:
     """Observation ids in order of first appearance, interned by one
-    ``FeatureTemplate.observation`` call per position and template."""
+    ``position_observation`` call per position and template."""
     obs_index: dict[str, int] = {}
     for tokens in token_seqs:
         for t in range(len(tokens)):
             for tpl in templates:
-                if tpl.kind == "label-bigram":
-                    continue
-                obs = tpl.observation(tokens, t)
+                obs = position_observation(tpl, tokens, t)
                 if obs is not None and obs not in obs_index:
                     obs_index[obs] = len(obs_index)
     return obs_index
@@ -151,15 +157,21 @@ def brute_viterbi_last_first(pot: SequencePotentials) -> tuple[int, ...]:
     return min((z for z, s in scores.items() if s == best), key=lambda z: z[::-1])
 
 
-def fired_observations(token_seqs, templates) -> set[str]:
-    """The observations the templates fire reading each token type of the
+def fired_observations(token_seqs) -> set[str]:
+    """The observations ``TEMPLATES`` fire reading each token type of the
     input, or reading past a sentence edge: the per-position loop on each
     type alone and twice over, and the neighbour templates on one token."""
     types = {tok for tokens in token_seqs for tok in tokens}
     seqs = [seq for tok in types for seq in ((tok,), (tok, tok))]
-    edges = loop_obs_index([("",)], [tpl for tpl in templates if tpl.offset])
-    return set(loop_obs_index(seqs, templates)) | set(edges)
+    edges = loop_obs_index([("",)], [tpl for tpl in TEMPLATES if tpl.offset])
+    return set(loop_obs_index(seqs)) | set(edges)
 
+
+# line 4 of every model file: the one feature set
+TEMPLATES_LINE = (
+    "templates\ttoken-identity\ttoken-lowercase\tprefix-2\tprefix-3\tsuffix-2\tsuffix-3"
+    "\tis-capitalized\tis-digit\tprevious-token\tnext-token\tlabel-bigram"
+)
 
 # Model files in the formats before v4, each one observation over three
 # labels; load_model refuses them by their format.
@@ -324,7 +336,7 @@ def brute_weighted_nll(model, data, l2: float) -> tuple[float, np.ndarray]:
         phi = np.zeros(model.dim)
         for t, lab in enumerate(z):
             np.add.at(phi, rows[t] * m + lab, 1.0)
-            if t > 0 and model.has_bigram:
+            if t > 0:
                 phi[nu + z[t - 1] * m + lab] += 1.0
         return phi
 
@@ -420,10 +432,9 @@ def log_space_weighted_nll(model, data, l2: float) -> tuple[float, np.ndarray]:
         for t, rows in enumerate(loop_observation_rows(model, tokens)):
             for r in rows:
                 grad[r * m : (r + 1) * m] += w * (uni[t] - observed[t])
-        if model.has_bigram:
-            bigram = w * pair.sum(axis=0)
-            np.add.at(bigram, (list(labels[:-1]), list(labels[1:])), -w)
-            grad[nu:] += bigram.ravel()
+        bigram = w * pair.sum(axis=0)
+        np.add.at(bigram, (list(labels[:-1]), list(labels[1:])), -w)
+        grad[nu:] += bigram.ravel()
     return value, grad
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import crowdseq
 from corpus import make_gold
-from oracles import OLD_MODEL_FILES, model_file_parts, write_model_file
+from oracles import OLD_MODEL_FILES, TEMPLATES_LINE, model_file_parts, write_model_file
 from crowdseq import (
     CrowdDataset,
     CrowdInstance,
@@ -60,6 +60,8 @@ NO_SCIPY_PIPELINE = [
     ["aggregate", "crowd.tsv", "--method", "ds", "--out", "ds.tsv"],
     ["decode", "model.bin", "gold.tsv", "--out", "decoded.tsv"],
     ["evaluate", "decoded.tsv", "gold.tsv"],
+    ["inspect-lattice", "crowd.tsv", "--instance", "0"],
+    ["report-annotators", "annotators.tsv"],
 ]
 
 
@@ -309,6 +311,20 @@ class TestExitCodes:
         assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 2
         assert capsys.readouterr().err == f"error: {path}, line 7: not UTF-8 (byte 0xff: invalid start byte)\n"
 
+    @pytest.mark.parametrize(
+        "line",
+        ["templates\ttoken-identity\tlabel-bigram", TEMPLATES_LINE.removesuffix("\tlabel-bigram"), "templates"],
+        ids=["identity only", "no bigram", "none"],
+    )
+    def test_decode_refuses_another_feature_set(self, pipeline, tmp_path, capsys, line):
+        model_path = tmp_path / "model.bin"
+        data = pipeline["model"].read_bytes().split(b"\n", 4)
+        data[3] = line.encode()
+        model_path.write_bytes(b"\n".join(data))
+        assert main(["decode", str(model_path), str(pipeline["gold"]), "--out", str(tmp_path / "out.tsv")]) == 2
+        assert capsys.readouterr().err == f"error: {model_path}, line 4: expected {TEMPLATES_LINE!r}\n"
+        assert not (tmp_path / "out.tsv").exists()
+
     @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
     def test_decode_refuses_a_retired_model_format(self, tmp_path, capsys, version):
         model_path, tokens_path = tiny_model(tmp_path)
@@ -327,7 +343,7 @@ class TestExitCodes:
         model_path, tokens_path = tmp_path / "model.bin", tmp_path / "tokens.txt"
         save_model(model, model_path)
         tokens_path.write_text("name7\nWord3x\n\n12\nzzz\n", encoding="utf-8")
-        fired = crf._InputTable(load_tokens(tokens_path)).number(model.templates)
+        fired = crf._InputTable(load_tokens(tokens_path)).number()
         hashed = []
         name_hash = crf._name_hash
         monkeypatch.setattr(crf, "_name_hash", lambda name: hashed.append(name) or name_hash(name))
@@ -347,9 +363,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(crf.FeatureTemplate, "observations", spy)
         assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 0
-        fired = [tpl for tpl in load_model(model_path).templates if tpl.kind != "label-bigram"]
-        # one call per observation template, over the token types (and a neighbour template's BOS/EOS token)
-        assert sorted(calls, key=repr) == sorted(((tpl, n_types + abs(tpl.offset)) for tpl in fired), key=repr)
+        # one call per template, over the token types (and a neighbour template's BOS/EOS token)
+        assert sorted(calls, key=repr) == sorted(((tpl, n_types + abs(tpl.offset)) for tpl in crf.TEMPLATES), key=repr)
 
     def test_decode_imports_only_what_it_runs(self, tmp_path):
         model_path, tokens_path = tiny_model(tmp_path)
@@ -559,6 +574,11 @@ class TestPipelineProducts:
             assert a.tokens == b.tokens
             assert a.gold is not None
 
+    def test_the_model_file_names_the_one_feature_set(self, pipeline):
+        line = pipeline["model"].read_bytes().split(b"\n")[3].decode()
+        assert line == TEMPLATES_LINE
+        assert line == "\t".join(["templates", *(tpl.spec_string for tpl in crf.TEMPLATES), "label-bigram"])
+
     def test_model_and_annotators_files_load(self, pipeline):
         model = load_model(pipeline["model"])
         params, scheme = load_annotators(pipeline["annotators"])
@@ -617,6 +637,23 @@ class TestEvaluate:
         machine = capsys.readouterr().out.splitlines()[-1].split("\t")
         assert machine[:3] == ["0.0", "0.0", "0.0"]
         assert machine[3:] == ["0", "0", "2"]
+
+    @pytest.mark.parametrize("tag", ["O", "B-PER"], ids=["all O", "an entity"])
+    @pytest.mark.parametrize(
+        "gold_text, why",
+        [
+            ("so\tO\n\nbob\t{tag}\nsaid\tO\nyes\tO\n", "sequence 1: length 2 != 3"),
+            ("so\tO\n\nbob\t{tag}\n", "sequence 1: length 2 != 1"),
+            ("so\tO\n\nalice\t{tag}\nsaid\tO\n", "sequence 1, token 0: 'bob' predicted vs 'alice' gold"),
+        ],
+        ids=["longer", "shorter", "another token"],
+    )
+    def test_a_pair_of_other_sentences_exits_2(self, tmp_path, capsys, tag, gold_text, why):
+        pred, gold = tmp_path / "pred.tsv", tmp_path / "gold.tsv"
+        pred.write_text(f"so\tO\n\nbob\t{tag}\nsaid\tO\n", encoding="utf-8")
+        gold.write_text(gold_text.format(tag=tag), encoding="utf-8")
+        assert main(["evaluate", str(pred), str(gold)]) == 2
+        assert capsys.readouterr() == ("", f"error: {why}\n")
 
     def test_entity_free_pair_evaluates_cleanly(self, tmp_path, capsys):
         pred = tmp_path / "pred.tsv"
@@ -765,6 +802,36 @@ class TestDeterminismAndConfig:
         ]) == 0
         capsys.readouterr()
         assert load_crowd(out2).roster == ("ann1", "ann2", "ann3", "ann4")
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "aggregate"])
+    def test_the_config_key_seed_seeds_as_the_flag_does(self, pipeline, tmp_path, capsys, command):
+        save_config(tmp_path / "seed.cfg", {"seed": 7})
+
+        def run(name, *extra):
+            """The bytes of each file the command writes into a new directory."""
+            out = tmp_path / name
+            out.mkdir()
+            argv = {
+                "simulate": ["simulate", pipeline["gold"], "--out", out / "crowd.tsv", "--annotators", "2"],
+                "train": [
+                    "train", pipeline["crowd"], "--model-out", out / "model.bin",
+                    "--annotators-out", out / "annotators.tsv", "--max-iters", "1", "--init-max-iter", "5",
+                ],
+                "aggregate": [
+                    "aggregate", pipeline["crowd"], "--method", "saslc", "--out", out / "labels.tsv",
+                    "--max-iters", "1", "--init-max-iter", "5",
+                ],
+            }[command]
+            assert main([*map(str, argv), *extra]) == 0
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        config = ["--config", str(tmp_path / "seed.cfg")]
+        flag = run("flag", "--seed", "7")
+        assert run("config", *config) == flag
+        other = run("other", "--seed", "8")
+        assert other != flag
+        assert run("flag wins", *config, "--seed", "8") == other
+        capsys.readouterr()
 
     # a value off each EmConfig default, per field but the seed
     EM_VALUES = {

@@ -29,13 +29,12 @@ from oracles import (
     model_file_parts,
     name_index,
     OLD_MODEL_FILES,
+    TEMPLATES_LINE,
     sequence_score,
     write_model_file,
 )
 
 from crowdseq import (
-    DEFAULT_TEMPLATES,
-    FeatureTemplate,
     LabelScheme,
     SequencePotentials,
     TrainOptions,
@@ -56,6 +55,7 @@ from crowdseq import crf
 from crowdseq.crf import BOS_TOKEN, EOS_TOKEN
 
 SCHEME = LabelScheme.bio(("LOC", "PER"))
+TEMPLATE = {tpl.spec_string: tpl for tpl in crf.TEMPLATES}
 
 
 def small_model():
@@ -116,51 +116,28 @@ def one_sentence_objective(model, data, l2):
 
 
 class TestTemplates:
+    def test_one_feature_set_in_the_model_file_order(self):
+        assert "\t".join(["templates", *TEMPLATE, "label-bigram"]) == TEMPLATES_LINE
+
     def test_token_identity(self):
-        t = FeatureTemplate("token-identity")
-        assert t.observation(("Big", "apple"), 1) == "w=apple"
+        assert TEMPLATE["token-identity"].observations(("Big", "apple")) == ["w=Big", "w=apple"]
 
     def test_lowercase(self):
-        assert FeatureTemplate("token-lowercase").observation(("Big",), 0) == "wl=big"
+        assert TEMPLATE["token-lowercase"].observations(("Big",)) == ["wl=big"]
 
     def test_prefix_requires_enough_characters(self):
-        t = FeatureTemplate("prefix", 3)
-        assert t.observation(("abcd",), 0) == "p3=abc"
-        assert t.observation(("ab",), 0) is None
+        assert TEMPLATE["prefix-3"].observations(("abcd", "ab")) == ["p3=abc", None]
 
     def test_suffix(self):
-        t = FeatureTemplate("suffix", 2)
-        assert t.observation(("hello",), 0) == "s2=lo"
+        assert TEMPLATE["suffix-2"].observations(("hello",)) == ["s2=lo"]
 
     def test_shape_predicates(self):
-        assert FeatureTemplate("is-capitalized").observation(("Rome",), 0) == "cap"
-        assert FeatureTemplate("is-capitalized").observation(("rome",), 0) is None
-        assert FeatureTemplate("is-digit").observation(("1984",), 0) == "num"
-        assert FeatureTemplate("is-digit").observation(("x1",), 0) is None
+        assert TEMPLATE["is-capitalized"].observations(("Rome", "rome")) == ["cap", None]
+        assert TEMPLATE["is-digit"].observations(("1984", "x1")) == ["num", None]
 
     def test_neighbors_use_boundary_tokens(self):
-        prev = FeatureTemplate("previous-token")
-        nxt = FeatureTemplate("next-token")
-        toks = ("a", "b")
-        assert prev.observation(toks, 0) == f"w-1={BOS_TOKEN}"
-        assert prev.observation(toks, 1) == "w-1=a"
-        assert nxt.observation(toks, 1) == f"w+1={EOS_TOKEN}"
-        assert nxt.observation(toks, 0) == "w+1=b"
-
-    def test_bigram_template_has_no_observation(self):
-        assert FeatureTemplate("label-bigram").observation(("a",), 0) is None
-
-    def test_spec_string_round_trip(self):
-        for t in DEFAULT_TEMPLATES:
-            assert FeatureTemplate.parse(t.spec_string) == t
-
-    def test_sized_kind_requires_width(self):
-        with pytest.raises(ValueError):
-            FeatureTemplate("prefix")
-        with pytest.raises(ValueError):
-            FeatureTemplate("token-identity", 2)
-        with pytest.raises(ValueError):
-            FeatureTemplate("nonsense")
+        neighbours = [obs for obs in build_model(SCHEME, [("a", "b")]).obs_index if obs.startswith(("w-1=", "w+1="))]
+        assert neighbours == [f"w-1={BOS_TOKEN}", "w+1=b", "w-1=a", f"w+1={EOS_TOKEN}"]
 
 
 class TestBuildModel:
@@ -176,31 +153,26 @@ class TestBuildModel:
     def test_dimension_counts_unary_and_bigram_blocks(self):
         model = build_model(SCHEME, [("a",)])
         assert model.dim == model.n_obs * SCHEME.size + SCHEME.size**2
-        no_bigram = build_model(
-            SCHEME, [("a",)], templates=(FeatureTemplate("token-identity"),)
-        )
-        assert not no_bigram.has_bigram
-        assert no_bigram.dim == no_bigram.n_obs * SCHEME.size
 
     def test_weights_start_at_zero(self):
         model = build_model(SCHEME, [("a", "b")])
         assert (model.weights == 0).all()
 
     def test_interning_is_insertion_ordered(self):
-        model = build_model(SCHEME, [("b", "a")], templates=(FeatureTemplate("token-identity"),))
-        assert list(model.obs_index) == ["w=b", "w=a"]
+        model = build_model(SCHEME, [("b", "a")])
+        assert list(model.obs_index) == [
+            "w=b", "wl=b", f"w-1={BOS_TOKEN}", "w+1=a", "w=a", "wl=a", "w-1=b", f"w+1={EOS_TOKEN}"
+        ]
 
-    @pytest.mark.parametrize("order", ["default", "reversed"])
-    def test_interning_matches_the_per_position_loop(self, order):
+    def test_interning_matches_the_per_position_loop(self):
         # capitals, digits, tokens shorter than the affix widths, repeats,
         # one-token and empty sentences, and tokens spelling the edge markers
         seqs = [
             ("Rome", "1984", "a"), (), ("x",), ("a", BOS_TOKEN, "Rome"),
             (EOS_TOKEN, "ab", "ROME", "rome", "42"), ("1984",), ("Rome", "1984", "a"),
         ]
-        templates = DEFAULT_TEMPLATES if order == "default" else DEFAULT_TEMPLATES[::-1]
-        model = build_model(SCHEME, iter(seqs), templates)
-        assert list(model.obs_index.items()) == list(loop_obs_index(seqs, templates).items())
+        model = build_model(SCHEME, iter(seqs))
+        assert list(model.obs_index.items()) == list(loop_obs_index(seqs).items())
         kinds = {obs.split("=")[0] for obs in model.obs_index}
         assert kinds == {"w", "wl", "p2", "p3", "s2", "s3", "cap", "num", "w-1", "w+1"}
         assert f"w-1={BOS_TOKEN}" in model.obs_index and f"w+1={EOS_TOKEN}" in model.obs_index
@@ -985,13 +957,6 @@ class TestOptimize:
         np.testing.assert_array_equal(model.weights, before)
         assert res.model is not model
 
-    def test_empty_model_short_circuits(self):
-        # no templates produce no parameters
-        model = build_model(SCHEME, [("a",)], templates=())
-        res = optimize(model, [(("a",), (0,), 1.0)], TrainOptions())
-        assert res.model.dim == 0
-        assert res.iterations == 0
-
     def test_calls_minimize_through_the_module_attribute(self, monkeypatch):
         # the benchmark's tracer times L-BFGS by replacing crf.minimize
         calls = []
@@ -1045,15 +1010,15 @@ def assert_loads_for(path, whole, tokens):
     if tokens is None:
         got = load_model(path)
         assert list(got.obs_index.items()) == list(whole.obs_index.items())
-        assert got.templates == whole.templates and got.scheme == whole.scheme
+        assert got.scheme == whole.scheme
         assert got.weights.tobytes() == whole.weights.tobytes()
         return
     tokens = list(tokens)
     table = crf._InputTable(tokens)
     got = load_model(path, table)
     assert list(got.obs_index.values()) == list(range(got.n_obs))
-    assert got.obs_index.keys() == fired_observations(tokens, whole.templates)
-    assert got.templates == whole.templates and got.scheme == whole.scheme
+    assert got.obs_index.keys() == fired_observations(tokens)
+    assert got.scheme == whole.scheme
     m = whole.scheme.size
     rows = [whole.unary_weights()[whole.obs_index[obs]] if obs in whole.obs_index else np.zeros(m) for obs in got.obs_index]
     assert got.unary_weights().tobytes() == np.array(rows, dtype=float).reshape(-1, m).tobytes()
@@ -1092,7 +1057,6 @@ class TestPersistence:
         loaded = load_model(path)
         assert loaded.scheme.labels == model.scheme.labels
         assert loaded.scheme.kind == model.scheme.kind
-        assert loaded.templates == model.templates
         assert list(loaded.obs_index) == list(model.obs_index)
         np.testing.assert_array_equal(loaded.weights, model.weights)
 
@@ -1112,10 +1076,9 @@ class TestPersistence:
         model = small_model()
         save_model(model, tmp_path / "m.bin")
         head, names, index, weights = model_file_parts(tmp_path / "m.bin")
-        specs = "\t".join(tpl.spec_string for tpl in model.templates)
         labels = "\t".join(SCHEME.labels)
         assert head[:2] == [b"crowdseq-crf v4", b"kind\tBIO"]
-        assert head[2:] == [f"labels\t{labels}".encode(), f"templates\t{specs}".encode(), b"observations\t8"]
+        assert head[2:] == [f"labels\t{labels}".encode(), TEMPLATES_LINE.encode(), b"observations\t8"]
         assert names == [obs.encode() for obs in model.obs_index]
         assert index.tolist() == name_index(names).tolist()
         assert weights == model.weights.astype("<f8").tobytes()
@@ -1315,12 +1278,10 @@ class TestPersistence:
             max_size=11,
             unique=True,
         ),
-        bigram=st.booleans(),
         data=st.data(),
     )
-    def test_round_trip_across_chunks_is_bit_identical(self, chunk, name_bytes, names, bigram, data):
-        templates = DEFAULT_TEMPLATES if bigram else DEFAULT_TEMPLATES[:-1]
-        model = crf.CrfModel(SCHEME, templates, dict(zip(names, range(len(names)))), np.zeros(0))
+    def test_round_trip_across_chunks_is_bit_identical(self, chunk, name_bytes, names, data):
+        model = crf.CrfModel(SCHEME, dict(zip(names, range(len(names)))), np.zeros(0))
         edge = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308])
         weights = data.draw(st.lists(st.one_of(edge, st.floats(allow_nan=False)), min_size=model.dim, max_size=model.dim))
         model.weights = np.array(weights, dtype=float)
@@ -1334,7 +1295,6 @@ class TestPersistence:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        identity_only=st.booleans(),
         chunk=st.integers(1, 4),
         name_bytes=st.integers(1, 24),
         modulus=st.sampled_from([None, 1, 3]),
@@ -1344,33 +1304,34 @@ class TestPersistence:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_decode_file_decodes_as_the_whole_model(self, identity_only, chunk, name_bytes, modulus, seqs, seed):
-        # weights in {-1, 0, 1}: many exact ties, which must break alike; with
-        # the identity template alone, qq, Saw and A fire no row; a modulus
-        # makes names share a hash, names cross slice edges
+    def test_decode_file_decodes_as_the_whole_model(self, chunk, name_bytes, modulus, seqs, seed):
+        # weights in {-1, 0, 1}: many exact ties, which must break alike; qq
+        # fires only the BOS/EOS rows; a modulus makes names share a hash,
+        # names cross slice edges
         with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
             mp.setattr(crf, "_CHUNK_LINES", chunk)
             mp.setattr(crf, "_NAME_BYTES", name_bytes)
             if modulus is not None:
                 mp.setattr(crf, "_name_hash", lambda name: zlib.crc32(name) % modulus)
-            templates = (FeatureTemplate("token-identity"),) if identity_only else DEFAULT_TEMPLATES
-            model = build_model(SCHEME, [("alice", "saw", "paris"), ("a", "1984", "b")], templates)
+            model = build_model(SCHEME, [("alice", "saw", "paris"), ("a", "1984", "b")])
             model.weights[:] = np.random.default_rng(seed).integers(-1, 2, size=model.dim)
             path = Path(tmp, "m.tsv")
             save_model(model, path)
             whole = load_model(path)
             assert decode_file(path, iter(seqs)) == (whole.scheme, decode(whole, seqs))
             assert_loads_for(path, whole, seqs)
-            assert_loads_for(path, whole, [("qq", "Saw"), ("A",)] if identity_only else [("qq",)])
+            assert_loads_for(path, whole, [("qq",)])
 
     def test_decode_file_of_an_input_that_fires_no_row(self, tmp_path):
-        model = build_model(SCHEME, [("alice", "saw", "paris")], (FeatureTemplate("token-identity"),))
-        model.weights[:] = np.random.default_rng(5).normal(size=model.dim)
+        # a file whose names the input never fires, not even at the sentence edges
+        model = crf.CrfModel(SCHEME, {"w=alice": 0, "w=saw": 1}, np.zeros(0))
+        model.weights = np.random.default_rng(5).normal(size=model.dim)
         save_model(model, tmp_path / "m.bin")
         tokens = [("qq", "Saw"), ("A",)]
-        assert not load_model(tmp_path / "m.bin", crf._InputTable(tokens)).weights.any()
+        got = load_model(tmp_path / "m.bin", crf._InputTable(tokens))
+        assert not got.unary_weights().any() and got.bigram_weights().tobytes() == model.bigram_weights().tobytes()
         assert_loads_for(tmp_path / "m.bin", model, tokens)
-        assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, [(0, 0), (0,)])
+        assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, decode(model, tokens))
 
     @pytest.mark.parametrize("sep", ["\t", "\n", "\r"])
     def test_an_observation_holding_a_line_or_field_separator_is_refused(self, tmp_path, sep):
@@ -1389,6 +1350,16 @@ class TestPersistence:
     @pytest.mark.parametrize(
         "line, text, why",
         [
+            (4, b"templates\ttoken-identity\tlabel-bigram", f"expected {TEMPLATES_LINE!r}"),
+            (4, TEMPLATES_LINE.removesuffix("\tlabel-bigram").encode(), f"expected {TEMPLATES_LINE!r}"),
+            (
+                4,
+                TEMPLATES_LINE.replace("prefix-2\tprefix-3", "prefix-3\tprefix-2").encode(),
+                f"expected {TEMPLATES_LINE!r}",
+            ),
+            (4, TEMPLATES_LINE.replace("prefix-3", "prefix-4").encode(), f"expected {TEMPLATES_LINE!r}"),
+            (4, TEMPLATES_LINE.encode() + b"\t", f"expected {TEMPLATES_LINE!r}"),
+            (4, b"labels\tO", f"expected {TEMPLATES_LINE!r}"),
             (5, b"observations\t8.0", "observation count '8.0' is not a nonnegative integer"),
             (5, b"observations\t8\t0", "expected 'observations'"),
             (6, b"names\t-3\t0", "name bytes '-3' is not a nonnegative integer"),
