@@ -108,16 +108,17 @@ def _cmd_simulate(args) -> int:
     cfg = _load_file_config(args)
     seed = _require_seed(args, cfg, "to simulate annotators")
     gold = formats.load_conll(args.gold)
+    default = {f.name: f.default for cls in (SimConfig, CorruptionMix) for f in dataclasses.fields(cls)}
     mix = CorruptionMix(
-        type_swap=_pick(args, "mix_swap", cfg, "mix_type_swap", 0.4),
-        boundary_shift=_pick(args, "mix_shift", cfg, "mix_boundary_shift", 0.3),
-        entity_drop=_pick(args, "mix_drop", cfg, "mix_entity_drop", 0.2),
-        spurious=_pick(args, "mix_spurious", cfg, "mix_spurious", 0.1),
+        type_swap=_pick(args, "mix_swap", cfg, "mix_type_swap", default["type_swap"]),
+        boundary_shift=_pick(args, "mix_shift", cfg, "mix_boundary_shift", default["boundary_shift"]),
+        entity_drop=_pick(args, "mix_drop", cfg, "mix_entity_drop", default["entity_drop"]),
+        spurious=_pick(args, "mix_spurious", cfg, "mix_spurious", default["spurious"]),
     )
     sim_cfg = SimConfig(
-        n_annotators=_pick(args, "annotators", cfg, "n_annotators", 5),
-        target_precision=_pick(args, "target_precision", cfg, "target_precision", 0.7),
-        precision_spread=_pick(args, "precision_spread", cfg, "precision_spread", 0.1),
+        n_annotators=_pick(args, "annotators", cfg, "n_annotators", default["n_annotators"]),
+        target_precision=_pick(args, "target_precision", cfg, "target_precision", default["target_precision"]),
+        precision_spread=_pick(args, "precision_spread", cfg, "precision_spread", default["precision_spread"]),
         mix=mix,
         seed=seed,
     )

@@ -331,7 +331,10 @@ def _unary_table(wu: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
     One gather per ``_GATHER_ROWS`` positions, template-major so that the
     sum adds whole (rows, M) blocks in template order.  A miss reads the
-    last row and is set to zero: appending a zero row would copy ``wu``."""
+    last row and is set to zero: appending a zero row would copy ``wu``.
+    With no rows every id is -1, and the table is zero."""
+    if not wu.shape[0]:
+        return np.zeros((ids.shape[0], wu.shape[1]))
     unary = np.empty((ids.shape[0], wu.shape[1]))
     for lo in range(0, ids.shape[0], _GATHER_ROWS):
         cols = ids[lo : lo + _GATHER_ROWS].T

@@ -4,10 +4,17 @@ A tag file holds ``token<TAB>label`` lines with exactly one blank line
 between sequences and a trailing newline.  A crowd file starts with an
 ``#annotators: id1,id2,...`` header and carries one label column per
 annotator, where ``_`` marks an annotator who skipped the whole sequence.
-Loading is strict: anything malformed raises :class:`DataError` naming the
-file, line, and offending content (bytes that are not UTF-8 by their line
-alone), and well-formed files round-trip byte-exactly through load and
-save.
+A token file is a tag file of which only the first fields are read.
+
+All three go through one block splitter, ``_sentences``, which checks the
+whole text for a blank line first or after another, a trailing blank
+line, and no sentence at all (a crowd file holding only its header is
+``<path>: holds no sentence``) before any line's content is looked at.
+The tag and crowd readers then check each line's field count, token and
+labels with one row parser, ``_fields``.  Loading is strict: anything
+malformed raises :class:`DataError` naming the file, line, and offending
+content (bytes that are not UTF-8 by their line alone), and well-formed
+files round-trip byte-exactly through load and save.
 
 Run configs are ``key = value`` lines over a fixed key set; parsing then
 serializing is canonicalizing (sorted keys) and stable.
@@ -15,8 +22,9 @@ serializing is canonicalizing (sorted keys) and stable.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .types import CrowdDataset, CrowdInstance, LabelScheme
 
@@ -69,50 +77,44 @@ def _read_text(path) -> str:
     return text
 
 
-def _read_lines(path) -> list[str]:
-    return _read_text(path).split("\n")[:-1]
+def _sentences(path, text: str, first_line: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """The blocks of ``text``, the file's lines from line ``first_line`` on,
+    each with the number of its first line.
+
+    Blocks are separated by exactly one blank line: a blank line first or
+    after another, a trailing blank line, and a text with no block at all
+    are errors, all found here before any line's content is looked at."""
+    if not text:
+        raise DataError(path, None, "holds no sentence")
+    blank = ("\n\n" + text).find("\n\n\n")  # where a blank line first or after another starts
+    if blank >= 0:
+        raise DataError(path, first_line + text.count("\n", 0, blank), "unexpected blank line")
+    if text.endswith("\n\n"):
+        raise DataError(path, first_line - 1 + text.count("\n"), "trailing blank line")
+    blocks = [block.split("\n") for block in text[:-1].split("\n\n")]
+    return zip(accumulate((len(lines) + 1 for lines in blocks), initial=first_line), blocks)
 
 
-def _blocks(path, lines, start_line: int = 1):
-    """Blocks of (line_no, line), separated by exactly one blank line."""
-    blocks: list[list[tuple[int, str]]] = []
-    current: list[tuple[int, str]] = []
-    for offset, line in enumerate(lines):
-        n = start_line + offset
-        if line == "":
-            if not current:
-                raise DataError(path, n, "unexpected blank line")
-            blocks.append(current)
-            current = []
-        else:
-            current.append((n, line))
-    if not current:
-        raise DataError(path, start_line + len(lines) - 1, "trailing blank line")
-    blocks.append(current)
-    return blocks
-
-
-def _check_token(path, n, token):
-    if not token:
-        raise DataError(path, n, "empty token")
+def _fields(path, first_line: int, lines: list[str], width: int) -> list[list[str]]:
+    """The ``width`` tab-separated fields of each line of a block: a token,
+    then labels, none of them empty."""
+    rows = [line.split("\t") for line in lines]
+    for n, (line, parts) in enumerate(zip(lines, rows), first_line):
+        if len(parts) != width:
+            raise DataError(path, n, f"expected {width} tab-separated fields, got {len(parts)}", line)
+        if not parts[0]:
+            raise DataError(path, n, "empty token")
+        if "" in parts:
+            raise DataError(path, n, "empty label", line)
+    return rows
 
 
 def read_tag_file(path) -> list[tuple[tuple[str, ...], list[str]]]:
     """Token and tag strings per sequence, with no label-scheme commitment."""
     raw = []
-    for block in _blocks(path, _read_lines(path)):
-        tokens = []
-        tags = []
-        for n, line in block:
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(path, n, f"expected 2 tab-separated fields, got {len(parts)}", line)
-            _check_token(path, n, parts[0])
-            if not parts[1]:
-                raise DataError(path, n, "empty label", line)
-            tokens.append(parts[0])
-            tags.append(parts[1])
-        raw.append((tuple(tokens), tags))
+    for first_line, lines in _sentences(path, _read_text(path)):
+        tokens, tags = zip(*_fields(path, first_line, lines, 2))
+        raw.append((tokens, list(tags)))
     return raw
 
 
@@ -168,41 +170,25 @@ def save_conll(path, ds: CrowdDataset) -> None:
 
 def load_crowd(path, scheme: LabelScheme | None = None) -> CrowdDataset:
     """Crowd file to a dataset with annotations and no gold."""
-    lines = _read_lines(path)
-    if not lines[0].startswith("#annotators: "):
-        raise DataError(path, 1, "missing '#annotators: ' header", lines[0])
-    roster = tuple(lines[0][len("#annotators: ") :].split(","))
+    header, _, body = _read_text(path).partition("\n")
+    if not header.startswith("#annotators: "):
+        raise DataError(path, 1, "missing '#annotators: ' header", header)
+    roster = tuple(header[len("#annotators: ") :].split(","))
     if any(not r or r != r.strip() for r in roster):
-        raise DataError(path, 1, "malformed annotator id in header", lines[0])
+        raise DataError(path, 1, "malformed annotator id in header", header)
     if len(set(roster)) != len(roster):
-        raise DataError(path, 1, "duplicate annotator id in header", lines[0])
-    k = len(roster)
+        raise DataError(path, 1, "duplicate annotator id in header", header)
     raw = []
-    for block in _blocks(path, lines[1:], start_line=2):
-        tokens = []
-        columns: list[list[str]] = [[] for _ in range(k)]
-        for n, line in block:
-            parts = line.split("\t")
-            if len(parts) != 1 + k:
-                raise DataError(
-                    path, n, f"expected {1 + k} tab-separated fields, got {len(parts)}", line
-                )
-            _check_token(path, n, parts[0])
-            tokens.append(parts[0])
-            for ki, tag in enumerate(parts[1:]):
-                if not tag:
-                    raise DataError(path, n, "empty label", line)
-                columns[ki].append(tag)
-        first_line = block[0][0]
+    for first_line, lines in _sentences(path, body, 2):
+        tokens, *columns = zip(*_fields(path, first_line, lines, 1 + len(roster)))
         for ki, col in enumerate(columns):
-            absent = sum(1 for t in col if t == ABSENT)
-            if absent not in (0, len(col)):
+            if col.count(ABSENT) not in (0, len(col)):
                 raise DataError(
                     path,
                     first_line,
                     f"annotator {roster[ki]!r} labeled only part of the sequence",
                 )
-        raw.append((tuple(tokens), columns, first_line))
+        raw.append((tokens, columns, first_line))
     if scheme is None:
         scheme = LabelScheme.infer(
             tag for _, columns, _ in raw for col in columns for tag in col if tag != ABSENT
@@ -245,21 +231,14 @@ def save_crowd(path, ds: CrowdDataset) -> None:
 
 
 def load_tokens(path) -> list[tuple[str, ...]]:
-    """Token sequences from a tag file or a bare one-token-per-line file.
-
-    The text gets the checks ``_blocks`` makes, with the same errors at the
-    same line numbers, blank lines before empty tokens, and is then split
-    into sequences and lines without numbering them."""
+    """Token sequences from a tag file or a bare one-token-per-line file:
+    the first field of each line, which must not be empty."""
     text = _read_text(path)
-    blank = ("\n\n" + text).find("\n\n\n")  # where a blank line first or after another starts
-    if blank >= 0:
-        raise DataError(path, text.count("\n", 0, blank) + 1, "unexpected blank line")
-    if text.endswith("\n\n"):
-        raise DataError(path, text.count("\n"), "trailing blank line")
+    sentences = _sentences(path, text)
     tab = ("\n" + text).find("\n\t")  # where a line whose token is empty starts
     if tab >= 0:
         raise DataError(path, text.count("\n", 0, tab) + 1, "empty token")
-    return [tuple(line.partition("\t")[0] for line in block.split("\n")) for block in text[:-1].split("\n\n")]
+    return [tuple([line.partition("\t")[0] for line in lines]) for _, lines in sentences]
 
 
 def _parse_bool(text: str) -> bool:

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 from scipy.special import logsumexp
 
-from crowdseq import LabelScheme
+from crowdseq import DataError, LabelScheme
 from crowdseq.annotators import resolve_mentions
 from crowdseq.baselines import logsumexp as own_logsumexp
 from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, TEMPLATES, SequencePotentials, extract_features
+from crowdseq.formats import read_utf8
 
 
 def sequence_score(pot: SequencePotentials, labels) -> float:
@@ -482,3 +483,39 @@ def loop_ds_fit(ds, iters: int = 100, tol: float = 1e-8, smoothing: float = 1.0)
         if len(history) > 1 and abs(history[-1] - history[-2]) < tol:
             break
     return confusion, prior, history, post
+
+
+def line_walk_tokens(path) -> list[tuple[str, ...]]:
+    """Token sequences of a tag or token file by a walk over its numbered
+    lines, with the errors and line numbers ``formats.load_tokens`` must
+    give: a blank line first or after another, a trailing blank line, then
+    the first empty token."""
+    text = read_utf8(path)
+    if not text:
+        raise DataError(path, None, "empty file")
+    if not text.endswith("\n"):
+        raise DataError(path, None, "missing trailing newline")
+    lines = text.split("\n")[:-1]
+    blocks: list[list[tuple[int, str]]] = []
+    current: list[tuple[int, str]] = []
+    for n, line in enumerate(lines, start=1):
+        if line == "":
+            if not current:
+                raise DataError(path, n, "unexpected blank line")
+            blocks.append(current)
+            current = []
+        else:
+            current.append((n, line))
+    if not current:
+        raise DataError(path, len(lines), "trailing blank line")
+    blocks.append(current)
+    out = []
+    for block in blocks:
+        tokens = []
+        for n, line in block:
+            token = line.split("\t")[0]
+            if not token:
+                raise DataError(path, n, "empty token")
+            tokens.append(token)
+        out.append(tuple(tokens))
+    return out

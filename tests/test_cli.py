@@ -482,6 +482,21 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}: truncated header")
         assert "Traceback" not in err
 
+    def test_crowd_file_with_only_its_header(self, tmp_path, capsys):
+        path = tmp_path / "crowd.tsv"
+        path.write_text("#annotators: a1,a2\n", encoding="utf-8")
+        assert main(["aggregate", str(path), "--method", "mv", "--out", str(tmp_path / "mv.tsv")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: holds no sentence\n"
+        assert not (tmp_path / "mv.tsv").exists()
+
+    def test_decode_of_a_model_with_no_observations(self, tmp_path, capsys):
+        # every position is scored by the zero bigram block alone: all O
+        model_path, tokens_path = tiny_model(tmp_path)
+        save_model(build_model(LabelScheme.bio(("PER",)), []), model_path)
+        assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 0
+        expected = "\n\n".join("\n".join(f"{tok}\tO" for tok in seq) for seq in load_tokens(tokens_path))
+        assert (tmp_path / "out.tsv").read_text(encoding="utf-8") == expected + "\n"
+
 
     @pytest.mark.parametrize(
         "old, new, why",
@@ -776,6 +791,26 @@ class TestDeterminismAndConfig:
             ]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_simulate_defaults_are_the_documented_values(self, pipeline, tmp_path, capsys):
+        defaults = {
+            "n_annotators": ("--annotators", 5), "target_precision": ("--target-precision", 0.7),
+            "precision_spread": ("--precision-spread", 0.1), "mix_type_swap": ("--mix-swap", 0.4),
+            "mix_boundary_shift": ("--mix-shift", 0.3), "mix_entity_drop": ("--mix-drop", 0.2),
+            "mix_spurious": ("--mix-spurious", 0.1),
+        }
+        save_config(tmp_path / "run.cfg", {key: value for key, (_, value) in defaults.items()})
+        runs = {
+            "none": [],
+            "flags": [str(x) for flag, value in defaults.values() for x in (flag, value)],
+            "config": ["--config", str(tmp_path / "run.cfg")],
+        }
+        products = {}
+        for name, extra in runs.items():
+            out = tmp_path / f"{name}.tsv"
+            assert main(["simulate", str(pipeline["gold"]), "--out", str(out), "--seed", "12", *extra]) == 0
+            products[name] = (out.read_bytes(), capsys.readouterr().out)
+        assert products["flags"] == products["none"] == products["config"]
 
     def test_threads_flag_is_accepted_and_ignored(self, pipeline, tmp_path, capsys):
         a = tmp_path / "a.tsv"

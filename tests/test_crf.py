@@ -1333,6 +1333,17 @@ class TestPersistence:
         assert_loads_for(tmp_path / "m.bin", model, tokens)
         assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, decode(model, tokens))
 
+    def test_a_model_with_no_observations_decodes_by_its_bigram_block(self, tmp_path):
+        model = build_model(SCHEME, [])
+        model.weights = np.random.default_rng(6).normal(size=model.dim)
+        save_model(model, tmp_path / "m.bin")
+        whole = load_model(tmp_path / "m.bin")
+        assert whole.n_obs == 0
+        pot = SequencePotentials(np.zeros((2, SCHEME.size)), whole.bigram_weights())
+        assert extract_features(whole, ("a", "b")).unary.tobytes() == pot.unary.tobytes()
+        assert decode(whole, [("a", "b")]) == [brute_viterbi(pot)]
+        assert decode_file(tmp_path / "m.bin", [("a", "b")]) == (SCHEME, [brute_viterbi(pot)])
+
     @pytest.mark.parametrize("sep", ["\t", "\n", "\r"])
     def test_an_observation_holding_a_line_or_field_separator_is_refused(self, tmp_path, sep):
         model = build_model(LabelScheme.bio(("LOC",)), [(f"a{sep}b", "c")])

@@ -22,8 +22,8 @@ from crowdseq import (
     save_tagged,
     serialize_config,
 )
-from crowdseq import formats
 from crowdseq.formats import CONFIG_KEYS
+from oracles import line_walk_tokens
 
 SCHEME = LabelScheme.bio(("LOC", "PER"))
 
@@ -75,6 +75,14 @@ class TestConll:
             ("Anna\tB-PER\textra\n", "expected 2 tab-separated fields, got 3"),
             ("\tB-PER\n", "empty token"),
             ("Anna\t\n", "empty label"),
+            # each at its line, as in the crowd and token tables below
+            ("\n\nAnna\tO\n", "line 1: unexpected blank line$"),
+            ("Anna\tO\n\nleft\tO\n\n\nParis\tO\n", "line 5: unexpected blank line$"),
+            ("Anna\tO\nleft\tO\n\n", "line 3: trailing blank line$"),
+            ("Anna\tO\n\tO\n", "line 2: empty token$"),
+            ("Anna\tO\n\nleft\tO\tx\n", r"line 3: expected 2 tab-separated fields, got 3: 'left\\tO\\tx'$"),
+            ("Anna\tO\n\nleft\t\n", r"line 3: empty label: 'left\\t'$"),
+            ("\tO\nAnna\n\n", "line 3: trailing blank line$"),  # structure before content
         ],
     )
     def test_malformed_files_are_rejected(self, tmp_path, text, message):
@@ -158,6 +166,14 @@ class TestCrowd:
             ("#annotators: u\n\tO\n", "empty token"),
             ("#annotators: u\nAnna\t\n", "empty label"),
             ("#annotators: u\nAnna\tO\n\n", "trailing blank line"),
+            ("#annotators: u\n", r"bad\.tsv: holds no sentence$"),
+            ("#annotators: u\n\nAnna\tO\n", "line 2: unexpected blank line$"),
+            ("#annotators: u\nAnna\tO\n\n\nleft\tO\n", "line 4: unexpected blank line$"),
+            ("#annotators: u\nAnna\tO\nleft\tO\n\n", "line 4: trailing blank line$"),
+            ("#annotators: u\nAnna\tO\n\n\tO\n", "line 4: empty token$"),
+            ("#annotators: u,v\nAnna\tO\tO\n\nleft\tO\n", r"line 4: expected 3 tab-separated fields, got 2: 'left\\tO'$"),
+            ("#annotators: u,v\nAnna\tO\tO\n\nleft\tO\t\n", r"line 4: empty label: 'left\\tO\\t'$"),
+            ("#annotators: u\n\tO\nAnna\tO\n\n", "line 4: trailing blank line$"),  # structure before content
         ],
     )
     def test_malformed_files_are_rejected(self, tmp_path, text, message):
@@ -224,19 +240,6 @@ class TestNotUtf8:
             load(p)
 
 
-def blocks_tokens(path):
-    """Token sequences as the line-numbered ``_blocks`` reader gives them."""
-    out = []
-    for block in formats._blocks(path, formats._read_lines(path)):
-        tokens = []
-        for n, line in block:
-            token = line.split("\t")[0]
-            formats._check_token(path, n, token)
-            tokens.append(token)
-        out.append(tuple(tokens))
-    return out
-
-
 def outcome(read, path):
     try:
         return read(path)
@@ -265,13 +268,19 @@ class TestTokensParity:
             ("Anna\n\t\n\nleft\n", 2),
             ("Anna\n\tO\n\n\nleft\n", 4),  # a blank line error is found before an empty token
             ("\tO\nAnna\n\n", 3),
+            ("\n\nAnna\tO\n", 1),  # the rows of the tag and crowd tables, as token files
+            ("Anna\tO\n\nleft\tO\n\n\nParis\tO\n", 5),
+            ("Anna\tO\nleft\tO\n\n", 3),
+            ("Anna\tO\n\tO\n", 2),
+            ("#annotators: u\n", None),  # one sentence of one token
+            ("Anna\tO\n\nleft\tO\tx\n", None),  # any number of fields
         ],
     )
     def test_matches_the_block_reader(self, tmp_path, text, line_no):
         p = tmp_path / "tokens.txt"
         p.write_text(text, encoding="utf-8")
         got = outcome(load_tokens, p)
-        assert got == outcome(blocks_tokens, p)
+        assert got == outcome(line_walk_tokens, p)
         if line_no is not None:
             assert got[1] == line_no
 
@@ -280,7 +289,7 @@ class TestTokensParity:
     def test_matches_the_block_reader_on_any_lines(self, tmp_path_factory, lines, newline):
         p = tmp_path_factory.getbasetemp() / "any_lines.txt"
         p.write_text("\n".join(lines) + ("\n" if newline else ""), encoding="utf-8")
-        assert outcome(load_tokens, p) == outcome(blocks_tokens, p)
+        assert outcome(load_tokens, p) == outcome(line_walk_tokens, p)
 
 
 class TestConfig:
