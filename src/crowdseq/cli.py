@@ -2,8 +2,10 @@
 
 Exit status is 0 on success, 1 on usage errors, and 2 on data errors
 (malformed files, incompatible inputs).  Subcommands that draw random
-numbers require a seed, ``--seed`` or else the run-config key ``seed``;
-given the same seed and inputs, every run writes byte-identical outputs.
+numbers require a nonnegative seed, ``--seed`` or else the run-config key
+``seed``; given the same seed and inputs, every run writes byte-identical
+outputs.  ``train`` and ``aggregate`` check the seed and that the directory
+of each output exists before they read their input.
 ``--threads`` is accepted for interface stability, and results never
 depend on it.  The program starts no threads itself, but the BLAS library
 under numpy may: unless ``OPENBLAS_NUM_THREADS=1`` is set, OpenBLAS runs
@@ -14,6 +16,22 @@ Each command imports the modules it runs when it runs, so start-up loads
 only ``formats`` and ``types`` besides argparse: ``decode`` never imports
 ``em``, ``lattice``, ``annotators`` or ``baselines``, and neither ``train``
 nor ``aggregate --method saslc`` imports ``baselines``.
+
+A command's wall time is interpreter start, the numpy import, loading the
+package (compiling it from source as well where no bytecode cache is
+written, as under ``PYTHONDONTWRITEBYTECODE``; an installed package has
+one), the work itself, and teardown.  ``main`` registers ``gc.freeze`` as
+an exit hook, once however often it is called, so the collections the
+interpreter runs while it shuts down skip every object alive by then
+instead of walking numpy's and the package's whole heap to free memory the
+operating system takes back anyway.  Standard output and error are still
+flushed, other exit hooks still run, and objects still die when their
+reference count falls to zero; only objects in reference cycles go
+unfinalized at exit, which CPython never promised to finalize, and every
+file the package opens is closed before the call that opened it returns
+(``with``, ``Path.read_text``, ``Path.write_text``).  The hook runs only at
+exit, so a caller that runs ``main`` many times in one process keeps
+collecting its cyclic garbage.
 
 ``train`` writes the model in format v4: names as text, a hash index over
 them and weights as raw float64 (see ``crf``).  ``decode`` reads only that
@@ -30,7 +48,11 @@ the model's, and its output is what the whole model gives.  It and
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import errno
+import gc
+import os
 import sys
 
 from . import formats
@@ -99,7 +121,17 @@ def _require_seed(args, cfg: dict, why: str) -> int:
     seed = _pick(args, "seed", cfg, "seed", None)
     if seed is None:
         raise _UsageError(f"--seed is required {why} (or the config key seed)")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     return seed
+
+
+def _require_out_dirs(*paths) -> None:
+    """Fail as ``open(path, "w")`` would, before any work, when a path's
+    directory does not exist; ``None`` stands for an output not asked for."""
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _cmd_simulate(args) -> int:
@@ -132,11 +164,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     cfg = _load_file_config(args)
+    seed = _require_seed(args, cfg, "for --method saslc") if args.method == "saslc" else None
+    _require_out_dirs(args.out)
     ds = formats.load_crowd(args.crowd)
     if args.method == "saslc":
         from . import em
 
-        seed = _require_seed(args, cfg, "for --method saslc")
         result = em.fit(ds, _em_config(args, cfg, seed), log=sys.stderr)
         labelings = em.posterior_modes(result.posteriors)
     else:
@@ -157,6 +190,7 @@ def _cmd_train(args) -> int:
 
     cfg = _load_file_config(args)
     seed = _require_seed(args, cfg, "to initialize training")
+    _require_out_dirs(args.model_out, args.annotators_out, args.history_file)
     ds = formats.load_crowd(args.crowd)
     result = em.fit(ds, _em_config(args, cfg, seed), log=sys.stderr)
     crf.save_model(result.crf, args.model_out)
@@ -361,6 +395,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # see the module docstring; unregistering first keeps one hook however
+    # often main runs in one process
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file products, output shapes."""
 
 import dataclasses
+import gc
 import os
 import re
 import subprocess
@@ -28,7 +29,7 @@ from crowdseq import (
     save_crowd,
     save_model,
 )
-from crowdseq import crf, em
+from crowdseq import cli, crf, em
 from crowdseq.cli import build_parser, main
 from crowdseq.crf import load_model
 
@@ -226,6 +227,42 @@ class TestExitCodes:
         ])
         assert code == 1
         assert "--seed is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["simulate", "train", "aggregate"])
+    def test_a_negative_seed_is_refused_before_the_input_is_read(self, tmp_path, capsys, command, via):
+        # the input does not exist, so only a check made before reading it
+        # can give the seed's message
+        absent, out = str(tmp_path / "absent.tsv"), tmp_path / "out"
+        argv = {
+            "simulate": ["simulate", absent, "--out", str(out / "crowd.tsv")],
+            "train": ["train", absent, "--model-out", str(out / "m"), "--annotators-out", str(out / "a")],
+            "aggregate": ["aggregate", absent, "--method", "saslc", "--out", str(out / "labels.tsv")],
+        }[command]
+        if via == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            save_config(tmp_path / "run.cfg", {"seed": -1})
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["train", "--model-out", "nodir/m", "--annotators-out", "a", "--history-file", "h"], "nodir/m"),
+            (["train", "--model-out", "m", "--annotators-out", "nodir/a", "--history-file", "h"], "nodir/a"),
+            (["train", "--model-out", "m", "--annotators-out", "a", "--history-file", "nodir/h"], "nodir/h"),
+            (["aggregate", "--method", "saslc", "--out", "nodir/labels.tsv"], "nodir/labels.tsv"),
+            (["aggregate", "--method", "mv", "--out", "nodir/labels.tsv"], "nodir/labels.tsv"),
+        ],
+    )
+    def test_a_missing_output_directory_fails_before_the_fit(self, pipeline, tmp_path, monkeypatch, capsys, argv, bad):
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], str(pipeline["crowd"]), *argv[1:], "--seed", "5", "--max-iters", "1"]) == 2
+        # the error alone: no EM log line before it
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{bad}'\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_rejects_a_nan_smoothing(self, pipeline, tmp_path, capsys):
         model = tmp_path / "model.tsv"
@@ -449,6 +486,52 @@ class TestExitCodes:
         proc = run("evaluate", "missing.tsv", "missing.tsv")
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
+
+    def test_main_registers_one_exit_hook_however_often_it_runs(self, monkeypatch, capsys):
+        class Hooks:
+            def __init__(self):
+                self.hooks = []
+
+            def register(self, fn):
+                self.hooks.append(fn)
+
+            def unregister(self, fn):
+                self.hooks = [h for h in self.hooks if h != fn]
+
+        hooks = Hooks()
+        monkeypatch.setattr(cli, "atexit", hooks)
+        assert main([]) == 1
+        assert main(["no-such-command"]) == 1
+        capsys.readouterr()
+        assert hooks.hooks == [gc.freeze]
+
+    def test_output_and_errors_survive_the_exit_hook(self, tmp_path):
+        """Through ``python -m crowdseq`` with stdout piped and buffered, as in
+        ``crowdseq report-annotators ... | cat``: every line arrives."""
+        roster = tuple(f"ann{k}" for k in range(1, 6))
+        scheme = LabelScheme.bio(("PER", "ORG", "LOC"))
+        path = tmp_path / "annotators.txt"
+        save_annotators(sample_init_params(roster, scheme.size, seed=3), scheme, path)
+        env = {**os.environ, "PYTHONPATH": str(Path(crowdseq.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "crowdseq", *argv],
+                cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+
+        proc = run("report-annotators", str(path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        m = scheme.size
+        assert proc.stdout.endswith("\n")
+        assert len(proc.stdout.splitlines()) == 1 + len(roster) * (m + 1) * m * m
+        proc = run("report-annotators")
+        assert proc.returncode == 1
+        assert proc.stderr.endswith("crowdseq report-annotators: error: the following arguments are required: params\n")
+        proc = run("report-annotators", str(path), "--annotator", "ann9")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: unknown annotator: 'ann9' (roster: ann1, ann2, ann3, ann4, ann5)\n"
 
     @pytest.mark.parametrize("command", ["aggregate", "report-annotators"])
     def test_a_text_file_that_is_not_utf8_names_its_line(self, pipeline, tmp_path, capsys, command):
