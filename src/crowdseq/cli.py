@@ -36,13 +36,15 @@ collecting its cyclic garbage.
 ``train`` writes the model in format v4: names as text, a hash index over
 them and weights as raw float64 (see ``crf``).  ``decode`` reads only that
 format; a model saved in an older one is refused by its format, exit
-status 2, and must be retrained.  ``decode`` reads its token file first and
-featurizes it once (``crf.decode_file``): the observations those tokens
-fire are hashed and found through the index, which picks the model rows it
-loads, so its name work and memory grow with the input's vocabulary, not
-the model's, and its output is what the whole model gives.  It and
-``aggregate`` write their labels straight from (tokens, labels) pairs
-(``formats.save_tagged``).
+status 2, and must be retrained.  ``decode``, like ``simulate``, ``train``
+and ``aggregate``, refuses an output path whose directory does not exist
+before it reads any input.  It reads its token file first and featurizes it
+once (``crf.decode_file``): the observations those tokens fire are hashed
+and found through the index, which picks the model rows it loads, so its
+name work and memory grow with the input's vocabulary, not the model's, and
+its output is what the whole model gives.  It and ``aggregate`` write their
+labels with one writer (``formats.save_tagged``), from the token sequences
+and one label per token, the sequences laid end to end.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ import errno
 import gc
 import os
 import sys
+from itertools import chain
 
 from . import formats
 from .types import LabelScheme
@@ -139,6 +142,7 @@ def _cmd_simulate(args) -> int:
 
     cfg = _load_file_config(args)
     seed = _require_seed(args, cfg, "to simulate annotators")
+    _require_out_dirs(args.out)
     gold = formats.load_conll(args.gold)
     default = {f.name: f.default for cls in (SimConfig, CorruptionMix) for f in dataclasses.fields(cls)}
     mix = CorruptionMix(
@@ -181,7 +185,8 @@ def _cmd_aggregate(args) -> int:
             ds_iters=_pick(args, "ds_iters", cfg, "ds_iters", 100),
             ds_tol=_pick(args, "ds_tol", cfg, "ds_tol", 1e-8),
         )
-    formats.save_tagged(args.out, ds.scheme, zip((inst.tokens for inst in ds.instances), labelings))
+    tokens = [inst.tokens for inst in ds.instances]
+    formats.save_tagged(args.out, ds.scheme, tokens, list(chain.from_iterable(labelings)))
     return 0
 
 
@@ -205,9 +210,10 @@ def _cmd_train(args) -> int:
 def _cmd_decode(args) -> int:
     from . import crf
 
+    _require_out_dirs(args.out)
     token_seqs = formats.load_tokens(args.input)
-    scheme, paths = crf.decode_file(args.model, token_seqs)
-    formats.save_tagged(args.out, scheme, zip(token_seqs, paths))
+    scheme, labels = crf.decode_file(args.model, token_seqs)
+    formats.save_tagged(args.out, scheme, token_seqs, labels)
     return 0
 
 

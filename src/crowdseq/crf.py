@@ -34,34 +34,43 @@ weight rows of those ids, the unary gradient scatters the weighted
 marginals ``w * q`` back onto them with one ``np.bincount``, and the
 weighted sum of the pair marginals, the (M, M) bigram gradient, is one
 (M x R) @ (R x M) product over the R positions that follow another.
-``_pack`` lays out and checks a batch, copying its unary rows into packed
-order once: ``decode`` runs one Viterbi pass, ``log_partition`` one forward
-pass and ``expected_counts`` (EM's posteriors) one forward-backward pass
-over a list of sentences; on one sentence they and ``marginals`` run on a
-batch of one.  ``_viterbi`` accumulates its prefix scores in that packed
-copy, each step keeping a running max over the from-labels so that it holds
-(rows, M) scores at a time, and its back-pointers take the smallest unsigned
-type that holds M.
+A batch is a ``BatchPotentials``: the (P, M) unary rows of its sequences
+laid end to end, their lengths and one pairwise table; ``_as_batch`` lays a
+list of potentials end to end.  ``_pack`` checks a batch and gathers its
+unary rows into packed order with one indexing: ``decode`` runs one
+Viterbi pass, ``log_partition`` one forward pass and ``expected_counts``
+(EM's posteriors) one forward-backward pass over a batch; on one sentence
+they and ``marginals`` run on a batch of one.  ``_viterbi`` accumulates its
+prefix scores in that packed copy, each step keeping a running max over the
+from-labels so that it holds (rows, M) scores at a time, and its
+back-pointers take the smallest unsigned type that holds M.
 
 Every model has one feature set: the observation templates ``TEMPLATES``
 (the token, lowercased; its 2- and 3-character prefixes and suffixes;
 capitalization; digits; the previous and the next token) and the label
-bigram.  Features are built per batch (``_InputTable``): each template's
-observations come from one ``FeatureTemplate.observations`` call over the
-token types, a neighbour template's with the BOS/EOS token after them, and
-are mapped to one column per template; ``ids`` spreads the columns over the
-positions, shifting the previous/next-token ones by one position with the
-BOS/EOS entry at sentence edges, into one (P, T) array.  ``build_model``
-keeps the strings and interns them in first-appearance order, position by
-position.  ``_observation_ids`` and ``extract_features`` look them up in
-the model (-1 where nothing interned fires), and ``decode_file`` numbers
-them by first use (see below); ``_unary_table`` gathers the weight rows, a
-zero row for -1, and sums them in template order, for decode and the
-objective alike.  ``extract_features`` takes one sentence or a list, and
-copies nothing per sentence: each entry's unary table is a view of the
-batch's one (P, M) table, and every entry holds the same read-only copy of
-the bigram weights, so ``_pack`` knows the batch shares one table without
-comparing them.
+bigram.  An observation is its template's ``head`` and then the piece of
+the token the template cuts (``FeatureTemplate.pieces``).  Features are
+built per batch (``_InputTable``): each template's observations come from
+one call over the token types, a neighbour template's with the BOS/EOS
+token after them, and are mapped to one column per template; ``ids``
+spreads the columns over the positions, shifting the previous/next-token
+ones by one position with the BOS/EOS entry at sentence edges, into one (P,
+T) array.  ``build_model`` keeps the strings and interns them in
+first-appearance order, position by position.  ``_observation_ids`` and
+``extract_features`` look them up in the model (-1 where nothing interned
+fires), and ``decode_file`` numbers them (see below); ``_unary_table``
+gathers the weight rows of (P, T) ids, a zero row for -1, and sums them in
+template order.  ``extract_features`` scores a batch with
+``_InputTable.unary``: ``_unary_table`` sums the rows of the leading
+templates, which read a position's own token, once per token type, and
+each position adds the previous-token and then the next-token row to its
+type's sum, the same rows in the same order and so the same bits as
+``_unary_table`` over the (P, T) ids, which the objective uses.  Given an
+input table it returns that batch's ``BatchPotentials``; given one sentence
+or a list it copies nothing per sentence: each entry's unary table is a
+view of the batch's one (P, M) table, and every entry holds the same
+read-only copy of the bigram weights, so ``_as_batch`` knows the batch
+shares one table without comparing them.
 
 Training minimizes the objective with ``minimize``, a numpy L-BFGS whose
 Armijo line search lowers the value at every accepted step, so no part of
@@ -90,7 +99,10 @@ refused by name: the model must be retrained.
 
 ``decode_file`` featurizes the token sequences to decode once: its input
 table numbers the observations ``TEMPLATES`` fire on their token types,
-and the BOS/EOS ones, by first use (``_InputTable.number``).
+and the BOS/EOS ones, by first use, template by template
+(``_InputTable.number``).  The identity and neighbour templates fire a
+distinct observation on each type, so each takes a block of numbers; the
+others number each distinct piece, so no observation is built twice.
 ``load_model`` hashes each of those once and finds its rows through the
 index (``_NameBlock.find``): one ``searchsorted`` per chunk of sorted
 hashes, then, as the names stream past, a byte comparison of each row
@@ -99,10 +111,13 @@ looked up.  Names of one hash sit together in the index, so the duplicate
 check compares just those.  Each row found goes to its number in one
 (rows, M) weight table, read a chunk of rows at a time, a zero row
 standing for an observation the file lacks, so decode's memory grows with
-its input's vocabulary, not the model's.  The table's (P, T) numbers,
-spread after the weights are in, index those rows, so each position sums
+its input's vocabulary, not the model's.  The table's numbers, read after
+the weights are in, index those rows: ``extract_features`` scores each
+type once and adds each position's neighbour rows, so each position sums
 the same weight rows in the same order as under the whole model (a zero
-row adds +0.0 as the id -1 does).
+row adds +0.0 as the id -1 does), and ``viterbi`` runs one packed pass over
+that one (P, M) table, its labels coming back as one flat column, the
+sequences laid end to end.
 
 The weight vector is the flattened (n_obs, M) unary block followed by the
 flattened (M, M) bigram block.
@@ -113,8 +128,10 @@ from __future__ import annotations
 import io
 import zlib
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from functools import cached_property
+from itertools import accumulate, islice, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -152,27 +169,43 @@ class FeatureTemplate:
         """Where the token this template reads sits, relative to position t."""
         return {"previous-token": -1, "next-token": 1}.get(self.kind, 0)
 
+    @property
+    def head(self) -> str:
+        """What each of its observations starts with: all of it for a flag."""
+        if self.width is not None:
+            return f"{self.kind[0]}{self.width}="  # p2=, s3=, ...
+        return {
+            "token-identity": "w=", "token-lowercase": "wl=", "is-capitalized": "cap", "is-digit": "num",
+            "previous-token": "w-1=", "next-token": "w+1=",
+        }[self.kind]
+
+    @property
+    def distinct(self) -> bool:
+        """Whether its piece of a token is the token itself."""
+        return self.kind in ("token-identity", "previous-token", "next-token")
+
     def observations(self, toks: Sequence[str]) -> list[str | None]:
         """The observation string fired where this template reads each of
-        ``toks``, or None: one list comprehension per kind."""
+        ``toks``, or None: ``head`` and then the token's piece."""
+        return self._fired(toks, self.head)
+
+    def pieces(self, toks: Sequence[str]) -> list[str | None]:
+        """What follows ``head`` in each of ``observations(toks)``."""
+        return self._fired(toks, "")
+
+    def _fired(self, toks: Sequence[str], head: str) -> list[str | None]:
         k, w = self.kind, self.width
-        if k == "token-identity":
-            return ["w=" + tok for tok in toks]
         if k == "token-lowercase":
-            return ["wl=" + tok.lower() for tok in toks]
+            return [head + tok.lower() for tok in toks]
         if k == "prefix":
-            head = f"p{w}="
             return [head + tok[:w] if len(tok) >= w else None for tok in toks]
         if k == "suffix":
-            head = f"s{w}="
             return [head + tok[-w:] if len(tok) >= w else None for tok in toks]
         if k == "is-capitalized":
-            return ["cap" if tok[:1].isupper() else None for tok in toks]
+            return [head if tok[:1].isupper() else None for tok in toks]
         if k == "is-digit":
-            return ["num" if tok.isdigit() else None for tok in toks]
-        if k == "previous-token":
-            return ["w-1=" + tok for tok in toks]
-        return ["w+1=" + tok for tok in toks]  # next-token
+            return [head if tok.isdigit() else None for tok in toks]
+        return [head + tok for tok in toks]  # the token itself
 
 
 # the observation templates of every model; the label-bigram block follows
@@ -189,8 +222,33 @@ TEMPLATES: tuple[FeatureTemplate, ...] = (
     FeatureTemplate("previous-token"),
     FeatureTemplate("next-token"),
 )
+# the leading templates, those that read the position's own token
+_OWN = next(j for j, tpl in enumerate(TEMPLATES) if tpl.offset)
 # line 4 of a model file: the templates and the label bigram
 _TEMPLATES_LINE = "\t".join(["templates", *(t.spec_string for t in TEMPLATES), "label-bigram"])
+
+
+class _Numbering(Mapping):
+    """Names numbered 0, 1, ... in list order, as a read-only mapping that
+    takes its length and order from the list: ``load_model`` gives a model
+    the observations an input table numbers this way, since decode never
+    looks one up, and builds the dict a look-up needs at the first."""
+
+    def __init__(self, names: list[str]):
+        self.names = names
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __getitem__(self, name: str) -> int:
+        return self._numbers[name]
+
+    @cached_property
+    def _numbers(self) -> dict[str, int]:
+        return dict(zip(self.names, range(len(self.names))))
 
 
 @dataclass
@@ -203,7 +261,7 @@ class CrfModel:
     """
 
     scheme: LabelScheme
-    obs_index: dict[str, int]
+    obs_index: Mapping[str, int]  # a dict, or an input table's _Numbering
     weights: np.ndarray
 
     @property
@@ -257,19 +315,31 @@ class SequencePotentials:
         return self.unary.shape[1]
 
 
+@dataclass
+class BatchPotentials:
+    """Log-potential tables for a batch of sequences laid end to end: their
+    (P, M) unary rows, sequence after sequence, and one (M, M) pairwise
+    table, as ``extract_features`` gives them for an input table."""
+
+    unary: np.ndarray  # (P, M)
+    pairwise: np.ndarray  # (M, M)
+    lengths: list[int]
+
+
 class _InputTable:
     """A batch of token sequences laid end to end, featurized once per token
     type.
 
     ``codes`` holds each position's token type, the types numbered by first
-    appearance.  ``observe(lookup)`` calls each of ``TEMPLATES``'
-    ``FeatureTemplate.observations`` once, over the types and,
-    for a neighbour template (``offset`` -1 or +1), the BOS/EOS token after
-    them, and keeps what ``lookup`` maps that list to (None where the
-    template fires nothing) as the template's column: ``look_up`` maps each
-    observation to its id in a model, ``number`` numbers them by first use.
-    ``ids`` spreads the columns over the positions, a neighbour template's
-    shifted by one position with its BOS/EOS entry at sentence edges.
+    appearance.  Each template's column holds one entry per type and, for a
+    neighbour template (``offset`` -1 or +1), one for the BOS/EOS token after
+    them: ``observe(lookup)`` calls each of ``TEMPLATES``'
+    ``FeatureTemplate.observations`` once and keeps what ``lookup`` maps
+    that list to (None where the template fires nothing), ``look_up`` mapping
+    each observation to its id in a model; ``number`` numbers them.  ``ids``
+    spreads the columns over the positions, a neighbour template's shifted
+    by one position with its BOS/EOS entry at sentence edges; ``unary``
+    scores the positions from them.
     """
 
     def __init__(self, token_seqs: Sequence[Sequence[str]]):
@@ -278,15 +348,18 @@ class _InputTable:
             [types.setdefault(tok, len(types)) for tokens in token_seqs for tok in tokens], dtype=np.intp
         )
         self.lengths = [len(tokens) for tokens in token_seqs]
-        self.types = list(types)
+        self.types, self.type_codes = list(types), types
 
     def observe(self, lookup) -> _InputTable:
         self.dtype = lookup([]).dtype
         self.columns = []  # (offset, entry per type, then the BOS/EOS token's)
         for tpl in TEMPLATES:
-            toks = [*self.types, BOS_TOKEN if tpl.offset < 0 else EOS_TOKEN] if tpl.offset else self.types
-            self.columns.append((tpl.offset, lookup(tpl.observations(toks))))
+            self.columns.append((tpl.offset, lookup(tpl.observations(self._read_by(tpl)))))
         return self
+
+    def _read_by(self, tpl: FeatureTemplate) -> list[str]:
+        """The tokens whose entries make up the template's column."""
+        return [*self.types, BOS_TOKEN if tpl.offset < 0 else EOS_TOKEN] if tpl.offset else self.types
 
     def look_up(self, model: CrfModel) -> _InputTable:
         """``observe`` with each observation mapped to its id in the model,
@@ -294,28 +367,67 @@ class _InputTable:
         get = model.obs_index.get  # a template that fires nothing gives None, never a key
         return self.observe(lambda obs: np.fromiter(map(get, obs, repeat(-1)), np.intp, len(obs)))
 
-    def number(self) -> dict[str, int]:
-        """``observe`` that numbers the observations by first use, template by
-        template, -1 where a template fires nothing; returns the numbering."""
-        names: dict[str, int] = {}
-        number = names.setdefault
-        self.observe(lambda obs: np.array([-1 if o is None else number(o, len(names)) for o in obs], dtype=np.intp))
+    def number(self) -> list[str]:
+        """Fills the columns with the observations numbered by first use,
+        template by template, -1 where a template fires nothing; returns the
+        observations in number order.
+
+        Each template cuts its ``FeatureTemplate.pieces`` once.  No two
+        templates fire the same observation, as their heads differ, so each
+        numbers its own with no look-up in the others': a ``distinct`` one
+        takes one block of consecutive numbers for the types (its BOS/EOS
+        entry shares the number of a type that is the BOS/EOS token), and
+        any other numbers each distinct piece on first use, building the
+        observation of each distinct piece alone."""
+        names: list[str] = []
+        self.dtype, self.columns, n = np.dtype(np.intp), [], len(self.types)
+        for tpl in TEMPLATES:
+            head, base, pieces = tpl.head, len(names), tpl.pieces(self._read_by(tpl))
+            if tpl.distinct:
+                names += [head + piece for piece in islice(pieces, n)]
+                col = np.arange(base, base + len(pieces))
+                if tpl.offset and pieces[n] in self.type_codes:
+                    col[n] = base + self.type_codes[pieces[n]]
+                elif tpl.offset:
+                    names.append(head + pieces[n])
+            else:
+                seen: dict[str, int] = {}
+                at = seen.setdefault
+                col = np.array([-1 if piece is None else at(piece, base + len(seen)) for piece in pieces], np.intp)
+                names += [head + piece for piece in seen]
+            self.columns.append((tpl.offset, col))
         return names
+
+    def _reads(self, off: int) -> np.ndarray:
+        """The type each position reads at ``off``, len(types) (the BOS/EOS
+        entry) past a sentence edge."""
+        if not off:
+            return self.codes
+        lengths = np.array([n for n in self.lengths if n], dtype=np.intp)
+        ends = np.cumsum(lengths)
+        reads = np.roll(self.codes, -off)
+        reads[ends - lengths if off < 0 else ends - 1] = len(self.types)
+        return reads
 
     def ids(self) -> np.ndarray:
         """The (P, T) column entries of each position, one column per
         template."""
-        lengths = np.array([n for n in self.lengths if n], dtype=np.intp)
-        ends = np.cumsum(lengths)
-        edges = {-1: ends - lengths, 1: ends - 1}  # first and last position of each sentence
-        reads = {0: self.codes}  # per offset, the type each position reads; len(types) for BOS/EOS
         fired = np.empty((self.codes.size, len(self.columns)), dtype=self.dtype)
         for j, (off, col) in enumerate(self.columns):
-            if off not in reads:
-                reads[off] = np.roll(self.codes, -off)
-                reads[off][edges[off]] = len(self.types)
-            fired[:, j] = col[reads[off]]
+            fired[:, j] = col[self._reads(off)]
         return fired
+
+    def unary(self, wu: np.ndarray) -> np.ndarray:
+        """The (P, M) unary scores of the positions, the columns holding ids
+        of the weight rows ``wu``: ``_unary_table(wu, self.ids())`` bit for
+        bit.  The leading templates, which read a position's own token, are
+        summed once per type, and each position adds its neighbour
+        templates' rows to its type's sum in template order: the same rows
+        in the same order."""
+        unary = _unary_table(wu, np.stack([col for _, col in self.columns[:_OWN]], axis=1))[self.codes]
+        for off, col in self.columns[_OWN:]:
+            unary += _unary_table(wu, col[self._reads(off), None])
+        return unary
 
 
 def _observation_ids(model: CrfModel, token_seqs: Sequence[Sequence[str]]) -> np.ndarray:
@@ -346,29 +458,33 @@ def _unary_table(wu: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 def extract_features(
     model: CrfModel, tokens: Sequence[str] | Sequence[Sequence[str]] | _InputTable
-) -> SequencePotentials | list[SequencePotentials]:
+) -> SequencePotentials | list[SequencePotentials] | BatchPotentials:
     """Potential tables under the model's current weights.
 
     Given a list of token sequences instead of one, returns one entry per
     sequence, in order, from a single pass over the whole batch; an empty
-    list is an empty batch.  Given the ``_InputTable`` of a batch whose
-    columns hold the model's ids, as ``load_model`` leaves the one
-    ``decode_file`` passes it, it spreads those instead of featurizing the
-    batch again.  The entries' unary tables are views of one (P, M) table,
-    and they share one read-only copy of the bigram weights.
+    list is an empty batch.  The entries' unary tables are views of one (P,
+    M) table, and they share one read-only copy of the bigram weights.
+    Given the ``_InputTable`` of a batch whose columns hold the model's ids,
+    as ``load_model`` leaves the one ``decode_file`` passes it, it returns
+    that batch's ``BatchPotentials`` instead of featurizing it again.  The
+    unary scores come from ``_InputTable.unary``: the templates that read a
+    position's own token are scored once per token type.
     """
     if isinstance(tokens, _InputTable):
-        table, one = tokens, False
+        table, one = tokens, None
     elif not tokens:
         return []
     else:
         one = isinstance(tokens[0], str)
         table = _InputTable([tokens] if one else tokens).look_up(model)
-    unary = _unary_table(model.unary_weights(), table.ids())
     pairwise = model.bigram_weights().copy()
     pairwise.flags.writeable = False
-    ends = np.cumsum(table.lengths).tolist()
-    pots = [SequencePotentials(unary[end - n : end], pairwise) for n, end in zip(table.lengths, ends)]
+    batch = BatchPotentials(table.unary(model.unary_weights()), pairwise, table.lengths)
+    if one is None:
+        return batch
+    ends = accumulate(table.lengths)
+    pots = [SequencePotentials(batch.unary[end - n : end], pairwise) for n, end in zip(table.lengths, ends)]
     return pots[0] if one else pots
 
 
@@ -381,7 +497,7 @@ class _Packing:
     layout of PyTorch's PackedSequence).  Nothing is padded.
     """
 
-    def __init__(self, lengths: Sequence[int]):
+    def __init__(self, lengths: Sequence[int], starts: np.ndarray | None = None):
         lengths = np.asarray(lengths, dtype=np.intp)  # positive, nonincreasing
         steps = np.arange(lengths.max(initial=0))
         self.sizes = np.searchsorted(-lengths, -steps, side="left")
@@ -389,8 +505,11 @@ class _Packing:
         step = np.repeat(steps, self.sizes)
         self.row_seq = np.arange(step.size) - self.offsets[step]  # sequence of each row
         self.last_rows = self.offsets[lengths - 1] + np.arange(lengths.size)
-        # packed row -> row of the sequences laid end to end
-        self.from_concat = np.concatenate(([0], np.cumsum(lengths)))[self.row_seq] + step
+        # packed row -> row of the sequences laid end to end, each from its
+        # row in ``starts``, by default in this order
+        if starts is None:
+            starts = np.cumsum(lengths) - lengths
+        self.from_concat = starts[self.row_seq] + step
         # the rows past step 0, each with the row before it in its sequence
         head = int(self.sizes[0]) if self.sizes.size else 0
         self.later = slice(head, None)
@@ -549,49 +668,60 @@ def _viterbi(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarra
     return path
 
 
-def _pack(pots: Sequence[SequencePotentials]) -> tuple[np.ndarray, np.ndarray, _Packing, list[int]]:
-    """A nonempty batch packed: its unary rows in packed order, a fresh
-    array, its pairwise table, the ``_Packing`` and the batch index of each
-    packed sequence.  Refuses a longer batch without one shared (M, M)
-    pairwise table, an empty sequence and NaN or +inf potentials; entries
-    holding the same table object, as ``extract_features`` gives them, share
-    it without a comparison."""
+def _as_batch(pots: Sequence[SequencePotentials] | BatchPotentials) -> BatchPotentials:
+    """A ``BatchPotentials`` as it is, or a list of potentials laid end to
+    end.  Refuses a longer list without one shared (M, M) pairwise table;
+    entries holding the same table object, as ``extract_features`` gives
+    them, share it without a comparison."""
+    if isinstance(pots, BatchPotentials):
+        return pots
+    pots = list(pots)
+    if not pots:
+        return BatchPotentials(np.zeros((0, 0)), np.zeros((0, 0)), [])
     pairwise = pots[0].pairwise
     if len(pots) > 1 and (
         pairwise.ndim != 2
         or (any(p.pairwise is not pairwise for p in pots) and (np.stack([p.pairwise for p in pots]) != pairwise).any())
     ):
         raise ValueError("a batch must share one (M, M) pairwise table")
-    lengths = [p.length for p in pots]
-    if min(lengths) < 1:
+    return BatchPotentials(np.concatenate([p.unary for p in pots]), pairwise, [p.length for p in pots])
+
+
+def _pack(batch: BatchPotentials) -> tuple[np.ndarray, np.ndarray, _Packing, list[int]]:
+    """A batch of at least one sequence packed: its unary rows in packed
+    order, a fresh array gathered straight from the batch's, its pairwise
+    table, the ``_Packing`` and the batch index of each packed sequence.
+    Refuses an empty sequence and NaN or +inf potentials."""
+    lengths = np.asarray(batch.lengths, dtype=np.intp)
+    if lengths.min() < 1:
         raise ValueError("empty sequence")
-    order = sorted(range(len(pots)), key=lengths.__getitem__, reverse=True)
-    pk = _Packing([lengths[i] for i in order])
-    unary = np.concatenate([pots[i].unary for i in order])[pk.from_concat]
+    order = np.argsort(-lengths, kind="stable")  # longest first, ties in batch order
+    pk = _Packing(lengths[order], (np.cumsum(lengths) - lengths)[order])
+    unary, pairwise = batch.unary[pk.from_concat], batch.pairwise
     if not ((unary < np.inf).all() and (pairwise < np.inf).all()):  # NaN fails too
         raise ValueError("potentials must not be NaN or +inf")
-    return unary, pairwise, pk, order
+    return unary, pairwise, pk, order.tolist()
 
 
-def log_partition(pot: SequencePotentials | Sequence[SequencePotentials]) -> float | np.ndarray:
+def log_partition(pot: SequencePotentials | Sequence[SequencePotentials] | BatchPotentials) -> float | np.ndarray:
     """log of the sum of exp(score) over all M^L label sequences; given a
     list of potentials sharing one (M, M) pairwise table, as ``viterbi``
-    takes, an array of one value per entry from a single packed forward
-    pass.  A sequence with no finite-scoring path gives -inf; one whose
-    scores the pass cannot hold in the float64 range is refused (see
-    ``_forward``)."""
+    takes, or a ``BatchPotentials``, an array of one value per sequence
+    from a single packed forward pass.  A sequence with no finite-scoring
+    path gives -inf; one whose scores the pass cannot hold in the float64
+    range is refused (see ``_forward``)."""
     if isinstance(pot, SequencePotentials):
         return float(log_partition([pot])[0])
-    pots = list(pot)
-    if not pots:
+    batch = _as_batch(pot)
+    if not batch.lengths:
         return np.zeros(0)
-    unary, pairwise, pk, order = _pack(pots)
+    unary, pairwise, pk, order = _pack(batch)
     return _forward(unary, pairwise, pk, order, "sequence", dead_ok=True)[-1][np.argsort(order)]
 
 
 def marginals(pot: SequencePotentials) -> tuple[np.ndarray, np.ndarray]:
     """Posterior label probabilities (L, M) and pair probabilities (L-1, M, M)."""
-    unary, pairwise, pk, order = _pack([pot])
+    unary, pairwise, pk, order = _pack(_as_batch([pot]))
     _, uni, before, after, e = _forward_backward(unary, pairwise, pk, order)
     return uni, e * before[:, :, None] * after[:, None, :]
 
@@ -602,7 +732,7 @@ def expected_counts(pots: Sequence[SequencePotentials], name: str = "sequence") 
     table, from one packed pass.  An entry with no finite-scoring path, or
     whose scores the pass cannot hold in the float64 range, is refused, the
     error calling it ``name`` and its index (see ``_forward_backward``)."""
-    unary, pairwise, pk, order = _pack(pots)
+    unary, pairwise, pk, order = _pack(_as_batch(pots))
     logz, uni, before, after, e = _forward_backward(unary, pairwise, pk, order, name)
     m = unary.shape[1]
     # the pair marginals summed per sequence, one bin per (sequence, from, to)
@@ -613,30 +743,31 @@ def expected_counts(pots: Sequence[SequencePotentials], name: str = "sequence") 
     return logz[packed], [(uni[pk.offsets[: pot.length] + s], pair[s]) for pot, s in zip(pots, packed)]
 
 
-def viterbi(pot: SequencePotentials | Sequence[SequencePotentials]) -> LabelSeq | list[LabelSeq]:
+def viterbi(
+    pot: SequencePotentials | Sequence[SequencePotentials] | BatchPotentials,
+) -> LabelSeq | list[LabelSeq] | np.ndarray:
     """Highest-scoring label sequence.  Of tied best paths it returns the one
     with the lowest last label, then the lowest label at each earlier
     position in turn, going back (see ``_viterbi``).
 
     Given a list of potentials instead of one, returns one path per entry,
     in order, from a single packed pass.  The entries of a longer list must
-    share one position-independent (M, M) pairwise table.
+    share one position-independent (M, M) pairwise table.  Given a
+    ``BatchPotentials``, returns the labels of its positions as one flat
+    (P,) array, the paths laid end to end: the pass packs the batch's (P,
+    M) table with one gather, and no path is cut out of it.
     """
     if isinstance(pot, SequencePotentials):
         return viterbi([pot])[0]
-    pots = list(pot)
-    if not pots:
-        return []
-    unary, pairwise, pk, order = _pack(pots)
-    labels = np.empty_like(pk.from_concat)
-    labels[pk.from_concat] = _viterbi(unary, pairwise, pk)
-    flat = labels.tolist()  # the paths in sorted order, laid end to end
-    paths: list[LabelSeq] = [()] * len(pots)
-    start = 0
-    for i in order:
-        paths[i] = tuple(flat[start : start + pots[i].length])
-        start += pots[i].length
-    return paths
+    batch = _as_batch(pot)
+    labels = np.empty(batch.unary.shape[0], dtype=np.intp)
+    if batch.lengths:
+        unary, pairwise, pk, _ = _pack(batch)
+        labels[pk.from_concat] = _viterbi(unary, pairwise, pk)
+    if batch is pot:
+        return labels
+    flat = labels.tolist()
+    return [tuple(flat[end - n : end]) for n, end in zip(batch.lengths, accumulate(batch.lengths))]
 
 
 def decode(model: CrfModel, token_seqs: Iterable[Sequence[str]]) -> list[LabelSeq]:
@@ -1004,30 +1135,30 @@ class _NameBlock:
             raise self.bad(int(wrong.min()), "the name index holds another hash for this name")
         return obs_index
 
-    def find(self, numbers: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-        """The file rows, ascending, of the names that ``numbers`` holds, an
-        input table's numbering (``_InputTable.number``), and their numbers.
+    def find(self, names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The file rows, ascending, of ``names``, an input table's
+        observations in number order (``_InputTable.number``), and their
+        numbers.
 
-        The names are encoded and hashed once, ``_CHUNK_LINES`` at a time,
-        their bytes kept end to end.  A chunk's hashes, sorted, meet the
-        index in one ``searchsorted``, and each run of equal hashes there
-        gives (row, number) pairs, whose bytes ``read`` compares as it
-        streams the rows.  Names of one hash sit next to each other in the
-        index, so the duplicate check compares only those, naming the later
-        line."""
-        keys, ids, n_obs, n_q = self.keys, self.ids, self.keys.size, len(numbers)
+        The names are encoded once, ``_CHUNK_LINES`` at a time, and each
+        one's bytes hashed, measured and kept end to end.  A chunk's hashes,
+        sorted, meet the index in one ``searchsorted``, and each run of equal
+        hashes there gives (row, number) pairs, whose bytes ``read`` compares
+        as it streams the rows.  Names of one hash sit next to each other in
+        the index, so the duplicate check compares only those, naming the
+        later line."""
+        keys, ids, n_obs, n_q = self.keys, self.ids, self.keys.size, len(names)
         offsets = np.zeros(n_q + 1, dtype=np.intp)  # of each name's bytes in encoded
         encoded = []  # the names' bytes end to end, a chunk at a time
         pairs = [np.zeros(0, np.int64)]  # row * n_q + number
-        names = iter(numbers)
         for lo in range(0, n_q, _CHUNK_LINES):
-            # a name's own bytes live only while hashed or measured: many small objects alive
-            # at once would leave the heap larger for the rest of decode
-            chunk = list(islice(names, _CHUNK_LINES))
-            encoded.append("".join(chunk).encode("utf-8", "surrogatepass"))
-            sizes = map(len, chunk if encoded[-1].isascii() else _utf8(chunk))  # ASCII: a byte per character
-            offsets[lo + 1 : lo + 1 + len(chunk)] = np.fromiter(sizes, np.intp, len(chunk))
-            hashes = np.fromiter(map(_name_hash, _utf8(chunk)), np.uint32, len(chunk))
+            # each name encoded once; its bytes live only while their chunk is hashed, measured
+            # and joined: many small objects alive at once would leave the heap larger for the
+            # rest of decode
+            chunk = list(_utf8(names[lo : lo + _CHUNK_LINES]))
+            encoded.append(b"".join(chunk))
+            offsets[lo + 1 : lo + 1 + len(chunk)] = np.fromiter(map(len, chunk), np.intp, len(chunk))
+            hashes = np.fromiter(map(_name_hash, chunk), np.uint32, len(chunk))
             order = np.argsort(hashes)
             hashes = hashes[order]
             at = np.searchsorted(keys, hashes)
@@ -1075,7 +1206,7 @@ class _NameBlock:
         return np.divmod(pairs[matched], n_q)
 
 
-def _utf8(names: list[str]):
+def _utf8(names: Iterable[str]):
     """Each name's bytes, one at a time; a lone surrogate gives bytes that
     are not UTF-8, so never those of a name in a file."""
     return map(str.encode, names, repeat("utf-8"), repeat("surrogatepass"))
@@ -1112,9 +1243,10 @@ def load_model(path, inputs: _InputTable | None = None) -> CrfModel:
     ``decode_file`` passes its input table as ``inputs``, whose columns then
     hold the returned model's ids.  The model holds the rows of the
     observations the table numbers (``inputs.number``), in that numbering,
-    and a zero row for each that the file lacks, so its memory grows with
-    the input's vocabulary, not the file's; the names are found through the
-    file's index (``_NameBlock.find``).  Every name line is still read and
+    which its ``obs_index`` holds as a ``_Numbering``, and a zero row for
+    each that the file lacks, so its memory grows with the input's
+    vocabulary, not the file's; the names are found through the file's
+    index (``_NameBlock.find``).  Every name line is still read and
     checked.  A file of an older format is refused by its format: the model
     must be retrained.  A line 4 other than the ``templates`` line
     ``save_model`` writes is refused: there is one feature set.  Bytes that
@@ -1167,25 +1299,28 @@ def load_model(path, inputs: _InputTable | None = None) -> CrfModel:
             model.weights = np.empty((n_obs + m) * m, dtype="<f8")
             fh.readinto(model.weights)
         else:
-            model.obs_index = inputs.number()
-            picks = names.find(model.obs_index)
+            model.obs_index = _Numbering(inputs.number())
+            picks = names.find(model.obs_index.names)
             model.weights = np.zeros((len(model.obs_index) + m) * m, dtype="<f8")
             _read_weights(fh, n_obs, m, model.weights, picks)
     return model
 
 
-def decode_file(path, token_seqs: Iterable[Sequence[str]]) -> tuple[LabelScheme, list[LabelSeq]]:
-    """The label scheme of the ``save_model`` file at ``path`` and the
-    highest-scoring label sequence of each token sequence under it, in input
-    order: the paths ``decode(load_model(path), token_seqs)`` gives.
+def decode_file(path, token_seqs: Iterable[Sequence[str]]) -> tuple[LabelScheme, list[int]]:
+    """The label scheme of the ``save_model`` file at ``path`` and the label
+    of every position of the token sequences on their highest-scoring label
+    sequences under it, one flat list, the sequences laid end to end in
+    input order: the paths ``decode(load_model(path), token_seqs)`` gives,
+    concatenated.
 
     The input is featurized once (``_InputTable``): the observations it
     fires pick the model rows that ``load_model`` keeps, numbered as the
-    table numbers them, and the table's (P, T) ids, built after the weights
-    are in, give the unary table of one packed Viterbi pass.
+    table numbers them, and ``extract_features`` scores the table's types
+    and positions after the weights are in, into the one (P, M) unary table
+    of a single packed Viterbi pass.
     """
     table = _InputTable(list(token_seqs))
     model = load_model(path, table)
-    scheme, pots = model.scheme, extract_features(model, table)
+    scheme, batch = model.scheme, extract_features(model, table)
     del model, table  # the weight rows and the observation names: Viterbi needs neither
-    return scheme, viterbi(pots)
+    return scheme, viterbi(batch).tolist()

@@ -180,15 +180,14 @@ def e_step(state: EmState, ds: CrowdDataset) -> tuple[list[Posterior], float]:
     log Z_i) - (l2/2)||theta||^2 + s * sum log tables, 0 for the last term
     when the smoothing s is 0.  An instance none of whose paths the tables
     allow (zero smoothing can give one) is a ValueError naming it."""
-    pots = extract_features(state.crf, state.inputs)
+    batch = extract_features(state.crf, state.inputs)
     factors = np.zeros(state.mask.shape)
     np.add.at(factors, state.entries.row, context_factor(state.annotators, state.entries))
-    scores = np.concatenate([pot.unary for pot in pots]) + state.mask + factors
+    scores = batch.unary + state.mask + factors
     pairwise = np.where(ds.scheme.allowed_transitions, state.crf.bigram_weights(), -np.inf)
-    bounds = np.cumsum([pot.length for pot in pots])[:-1]
-    chains = [SequencePotentials(u, pairwise) for u in np.split(scores, bounds)]
+    chains = [SequencePotentials(u, pairwise) for u in np.split(scores, np.cumsum(batch.lengths)[:-1])]
     logz, counts = expected_counts(chains, "instance")
-    evidence = float((logz - log_partition(pots)).sum())
+    evidence = float((logz - log_partition(batch)).sum())
     return [Posterior(c, *q) for c, q in zip(chains, counts)], evidence + _log_prior(state)
 
 

@@ -22,9 +22,10 @@ serializing is canonicalizing (sorted keys) and stable.
 
 from __future__ import annotations
 
-from itertools import accumulate
+import re
+from itertools import accumulate, chain, filterfalse, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .types import CrowdDataset, CrowdInstance, LabelScheme
 
@@ -77,13 +78,11 @@ def _read_text(path) -> str:
     return text
 
 
-def _sentences(path, text: str, first_line: int = 1) -> Iterator[tuple[int, list[str]]]:
-    """The blocks of ``text``, the file's lines from line ``first_line`` on,
-    each with the number of its first line.
-
-    Blocks are separated by exactly one blank line: a blank line first or
-    after another, a trailing blank line, and a text with no block at all
-    are errors, all found here before any line's content is looked at."""
+def _check_blocks(path, text: str, first_line: int = 1) -> None:
+    """Refuses ``text``, the file's lines from line ``first_line`` on, unless
+    it holds blocks separated by exactly one blank line: a blank line first
+    or after another, a trailing blank line, and a text with no block at all
+    are errors, all found before any line's content is looked at."""
     if not text:
         raise DataError(path, None, "holds no sentence")
     blank = ("\n\n" + text).find("\n\n\n")  # where a blank line first or after another starts
@@ -91,6 +90,12 @@ def _sentences(path, text: str, first_line: int = 1) -> Iterator[tuple[int, list
         raise DataError(path, first_line + text.count("\n", 0, blank), "unexpected blank line")
     if text.endswith("\n\n"):
         raise DataError(path, first_line - 1 + text.count("\n"), "trailing blank line")
+
+
+def _sentences(path, text: str, first_line: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """The blocks of ``text``, the file's lines from line ``first_line`` on,
+    each with the number of its first line, once ``_check_blocks`` passed."""
+    _check_blocks(path, text, first_line)
     blocks = [block.split("\n") for block in text[:-1].split("\n\n")]
     return zip(accumulate((len(lines) + 1 for lines in blocks), initial=first_line), blocks)
 
@@ -142,30 +147,40 @@ def _serializable(field: str) -> bool:
     return bool(field) and not ("\t" in field or "\n" in field or "\r" in field)
 
 
-def save_tagged(path, scheme: LabelScheme, tagged: Iterable[tuple[Sequence[str], Sequence[int]]]) -> None:
-    """Write (tokens, label ids) pairs in canonical tag-file form."""
-    labels = scheme.labels
-    blocks = []
-    for tokens, ids in tagged:
-        lines = []
-        for tok, lab in zip(tokens, ids):
-            if not _serializable(tok):
-                raise ValueError(f"token not serializable: {tok!r}")
-            lines.append(f"{tok}\t{labels[lab]}")
-        blocks.append("\n".join(lines))
-    Path(path).write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+def save_tagged(path, scheme: LabelScheme, token_seqs: Sequence[Sequence[str]], labels: Sequence[int]) -> None:
+    """Write token sequences in canonical tag-file form, each token with its
+    label id, ``labels`` holding one per token, the sequences laid end to end.
+
+    The tokens are checked in one scan of their joined text, and only if it
+    finds a token that would not reload is each looked at, to name the first
+    such in the file.  The file is one join of each token and its label's
+    tail, a tab, the label and a newline, with one more newline after a
+    sequence that another follows.  A sequence with no token would be a
+    blank line out of place, and is refused."""
+    tokens = list(chain.from_iterable(token_seqs))
+    if len(tokens) != len(labels):
+        raise ValueError(f"{len(labels)} labels for {len(tokens)} tokens")
+    empty = next((i for i, seq in enumerate(token_seqs) if not seq), None)
+    if empty is not None:
+        raise ValueError(f"sequence {empty} holds no token")
+    joined = "\n".join(tokens)
+    if "" in tokens or "\t" in joined or "\r" in joined or joined.count("\n") != max(len(tokens) - 1, 0):
+        raise ValueError(f"token not serializable: {next(filterfalse(_serializable, tokens))!r}")
+    tails = ["\t" + label + "\n" for label in scheme.labels]
+    parts = [""] * (2 * len(tokens))
+    parts[::2], parts[1::2] = tokens, map(tails.__getitem__, labels)
+    for end in islice(accumulate(map(len, token_seqs)), max(len(token_seqs) - 1, 0)):
+        parts[2 * end - 1] += "\n"
+    Path(path).write_text("".join(parts) or "\n", encoding="utf-8")  # no sequence: a lone newline
 
 
 def save_conll(path, ds: CrowdDataset) -> None:
     """Write each instance's gold labels in canonical tag-file form."""
-
-    def gold():
-        for i, inst in enumerate(ds.instances):
-            if inst.gold is None:
-                raise ValueError(f"instance {i} has no gold labels")
-            yield inst.tokens, inst.gold
-
-    save_tagged(path, ds.scheme, gold())
+    for i, inst in enumerate(ds.instances):
+        if inst.gold is None:
+            raise ValueError(f"instance {i} has no gold labels")
+    tokens = [inst.tokens for inst in ds.instances]
+    save_tagged(path, ds.scheme, tokens, list(chain.from_iterable(inst.gold for inst in ds.instances)))
 
 
 def load_crowd(path, scheme: LabelScheme | None = None) -> CrowdDataset:
@@ -232,13 +247,22 @@ def save_crowd(path, ds: CrowdDataset) -> None:
 
 def load_tokens(path) -> list[tuple[str, ...]]:
     """Token sequences from a tag file or a bare one-token-per-line file:
-    the first field of each line, which must not be empty."""
+    the first field of each line, which must not be empty.
+
+    Once the blocks pass ``_check_blocks`` and no line starts with a tab,
+    one regular-expression pass cuts every line's fields after its token,
+    and the text is split into blocks and lines: no line is looked at
+    alone."""
     text = _read_text(path)
-    sentences = _sentences(path, text)
+    _check_blocks(path, text)
     tab = ("\n" + text).find("\n\t")  # where a line whose token is empty starts
     if tab >= 0:
         raise DataError(path, text.count("\n", 0, tab) + 1, "empty token")
-    return [tuple([line.partition("\t")[0] for line in lines]) for _, lines in sentences]
+    text = _PAST_TOKEN.sub("", text)
+    return [tuple(block.split("\n")) for block in text[:-1].split("\n\n")]
+
+
+_PAST_TOKEN = re.compile("\t.*")  # a line's fields after its token: "." stops at "\n" alone
 
 
 def _parse_bool(text: str) -> bool:

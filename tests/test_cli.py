@@ -264,6 +264,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{bad}'\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["decode", "simulate"])
+    def test_a_missing_output_directory_fails_before_any_input_is_read(
+        self, pipeline, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        read = []
+        for module, name in [(cli.formats, "load_tokens"), (crf, "load_model"), (cli.formats, "load_conll")]:
+            monkeypatch.setattr(module, name, lambda *args, name=name: read.append(name))
+        argv = {
+            "decode": ["decode", str(pipeline["model"]), str(pipeline["gold"]), "--out", "nodir/out.tsv"],
+            "simulate": ["simulate", str(pipeline["gold"]), "--out", "nodir/out.tsv", "--seed", "5"],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: 'nodir/out.tsv'\n"
+        assert read == []
+        assert list(tmp_path.iterdir()) == []
+
     def test_train_rejects_a_nan_smoothing(self, pipeline, tmp_path, capsys):
         model = tmp_path / "model.tsv"
         code = main([
@@ -392,13 +409,13 @@ class TestExitCodes:
         model_path, tokens_path = tiny_model(tmp_path)
         n_types = len({tok for tokens in load_tokens(tokens_path) for tok in tokens})
         calls = []
-        observations = crf.FeatureTemplate.observations
+        pieces = crf.FeatureTemplate.pieces
 
         def spy(tpl, toks):
             calls.append((tpl, len(toks)))
-            return observations(tpl, toks)
+            return pieces(tpl, toks)
 
-        monkeypatch.setattr(crf.FeatureTemplate, "observations", spy)
+        monkeypatch.setattr(crf.FeatureTemplate, "pieces", spy)
         assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 0
         # one call per template, over the token types (and a neighbour template's BOS/EOS token)
         assert sorted(calls, key=repr) == sorted(((tpl, n_types + abs(tpl.offset)) for tpl in crf.TEMPLATES), key=repr)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from corpus import make_gold
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     brute_log_partition,
@@ -1000,6 +1000,16 @@ class TestOptimize:
         assert r1.objective == r2.objective
 
 
+# decode's test tokens: multi-byte UTF-8, case variants that lowercase
+# alike, one- and two-character tokens, and qq, which no model here holds
+DECODE_ALPHABET = ["a", "b", "ab", "é", "Ñandú", "日本語", "alice", "Saw", "paris", "Paris", "PARIS", "1984", "qq", "A"]
+
+
+def decode_flat(model, tokens) -> list[int]:
+    """``decode``'s paths laid end to end, as ``decode_file`` gives them."""
+    return [label for path in decode(model, tokens) for label in path]
+
+
 def assert_loads_for(path, whole, tokens):
     """The model file at ``path`` holds ``whole``.  ``load_model(path)``
     gives it bit for bit when tokens is None; else ``load_model`` given the
@@ -1128,7 +1138,7 @@ class TestPersistence:
         tokens = {"whole": None, "its own sentence": [sentence], "edges only": [("qq",)]}[decode_for]
         assert_loads_for(tmp_path / "m.bin", model, tokens)
         if tokens is not None:
-            assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, decode(model, tokens))
+            assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, decode_flat(model, tokens))
 
     @pytest.mark.parametrize("change", [-1, 1], ids=["a line short", "a line long"])
     def test_name_block_of_the_wrong_line_count(self, tmp_path, monkeypatch, change, tokens):
@@ -1255,7 +1265,7 @@ class TestPersistence:
         }[decode_for]
         whole = load_model(path)
         assert list(whole.obs_index.items()) == list(model.obs_index.items())
-        assert decode_file(path, tokens) == (SCHEME, decode(whole, tokens))
+        assert decode_file(path, tokens) == (SCHEME, decode_flat(whole, tokens))
         assert_loads_for(path, model, tokens)
 
     @pytest.mark.parametrize("name_hash", SHARED_HASHES, ids=["one hash", "three hashes"])
@@ -1293,34 +1303,40 @@ class TestPersistence:
         assert loaded.weights.tobytes() == model.weights.tobytes()
         assert list(loaded.obs_index.items()) == list(model.obs_index.items())
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         chunk=st.integers(1, 4),
         name_bytes=st.integers(1, 24),
         modulus=st.sampled_from([None, 1, 3]),
-        seqs=st.lists(
-            st.lists(st.sampled_from(["a", "b", "alice", "Saw", "paris", "1984", "qq", "A"]), min_size=1, max_size=5),
-            max_size=6,
-        ),
+        seqs=st.lists(st.lists(st.sampled_from(DECODE_ALPHABET), min_size=1, max_size=5), max_size=6),
         seed=st.integers(0, 2**32 - 1),
+        normal=st.booleans(),
     )
-    def test_decode_file_decodes_as_the_whole_model(self, chunk, name_bytes, modulus, seqs, seed):
-        # weights in {-1, 0, 1}: many exact ties, which must break alike; qq
-        # fires only the BOS/EOS rows; a modulus makes names share a hash,
-        # names cross slice edges
+    @example(chunk=2, name_bytes=5, modulus=None, seqs=[["Ñandú"], ["é"], ["日本語", "PARIS"]], seed=1, normal=True)
+    def test_decode_file_decodes_as_the_whole_model(self, chunk, name_bytes, modulus, seqs, seed, normal):
+        # weights in {-1, 0, 1}: many exact ties, which must break alike, or
+        # normal floats, whose sums round: decode's per-type table must add
+        # the rows in template order; qq fires only the BOS/EOS rows; a
+        # modulus makes names share a hash, names cross slice edges;
+        # prefixes and suffixes of multi-byte tokens are cut by character
         with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
             mp.setattr(crf, "_CHUNK_LINES", chunk)
             mp.setattr(crf, "_NAME_BYTES", name_bytes)
             if modulus is not None:
                 mp.setattr(crf, "_name_hash", lambda name: zlib.crc32(name) % modulus)
-            model = build_model(SCHEME, [("alice", "saw", "paris"), ("a", "1984", "b")])
-            model.weights[:] = np.random.default_rng(seed).integers(-1, 2, size=model.dim)
+            model = build_model(SCHEME, [("alice", "saw", "paris"), ("a", "1984", "b"), ("Ñandú", "é", "日本語", "Paris")])
+            rng = np.random.default_rng(seed)
+            model.weights[:] = rng.normal(size=model.dim) if normal else rng.integers(-1, 2, size=model.dim)
             path = Path(tmp, "m.tsv")
             save_model(model, path)
             whole = load_model(path)
-            assert decode_file(path, iter(seqs)) == (whole.scheme, decode(whole, seqs))
+            assert decode_file(path, iter(seqs)) == (whole.scheme, decode_flat(whole, seqs))
             assert_loads_for(path, whole, seqs)
             assert_loads_for(path, whole, [("qq",)])
+            table = crf._InputTable(seqs)
+            got = load_model(path, table)
+            unary = extract_features(got, table).unary
+            assert unary.tobytes() == crf._unary_table(got.unary_weights(), table.ids()).tobytes()
 
     def test_decode_file_of_an_input_that_fires_no_row(self, tmp_path):
         # a file whose names the input never fires, not even at the sentence edges
@@ -1331,7 +1347,7 @@ class TestPersistence:
         got = load_model(tmp_path / "m.bin", crf._InputTable(tokens))
         assert not got.unary_weights().any() and got.bigram_weights().tobytes() == model.bigram_weights().tobytes()
         assert_loads_for(tmp_path / "m.bin", model, tokens)
-        assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, decode(model, tokens))
+        assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, decode_flat(model, tokens))
 
     def test_a_model_with_no_observations_decodes_by_its_bigram_block(self, tmp_path):
         model = build_model(SCHEME, [])
@@ -1342,7 +1358,7 @@ class TestPersistence:
         pot = SequencePotentials(np.zeros((2, SCHEME.size)), whole.bigram_weights())
         assert extract_features(whole, ("a", "b")).unary.tobytes() == pot.unary.tobytes()
         assert decode(whole, [("a", "b")]) == [brute_viterbi(pot)]
-        assert decode_file(tmp_path / "m.bin", [("a", "b")]) == (SCHEME, [brute_viterbi(pot)])
+        assert decode_file(tmp_path / "m.bin", [("a", "b")]) == (SCHEME, list(brute_viterbi(pot)))
 
     @pytest.mark.parametrize("sep", ["\t", "\n", "\r"])
     def test_an_observation_holding_a_line_or_field_separator_is_refused(self, tmp_path, sep):
@@ -1395,7 +1411,7 @@ class TestPersistence:
         tokens = [(token, "a"), ("b", token)]
         got = load_model(tmp_path / "m.bin", crf._InputTable(tokens))
         assert not got.unary_weights()[[got.obs_index["w=" + token], got.obs_index["wl=" + token]]].any()
-        assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, decode(model, tokens))
+        assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, decode_flat(model, tokens))
 
 
 class TestConstrainedUse(object):

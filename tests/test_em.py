@@ -493,7 +493,11 @@ class TestFit:
         assert len(builds) == rounds + 3
         monkeypatch.undo()
         tokens = [inst.tokens for inst in crowd.instances]
-        monkeypatch.setattr(em, "extract_features", lambda model, _inputs: crf.extract_features(model, tokens))
+
+        def fresh(model, _inputs):  # the corpus looked up again on every call
+            return crf.extract_features(model, crf._InputTable(tokens).look_up(model))
+
+        monkeypatch.setattr(em, "extract_features", fresh)
         again = fit(crowd, cfg)
         assert again.history == r.history and again.crf.weights.tobytes() == r.crf.weights.tobytes()
 

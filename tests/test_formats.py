@@ -120,7 +120,7 @@ class TestConll:
     def test_save_tagged_refuses_a_token_that_would_not_reload(self, tmp_path, token):
         # a CR ends a line for the text-mode readers: 'a\rb' would reload as two tokens
         with pytest.raises(ValueError, match=f"^token not serializable: {re.escape(repr(token))}$"):
-            save_tagged(tmp_path / "x.tsv", SCHEME, [((token, "c"), (0, 0))])
+            save_tagged(tmp_path / "x.tsv", SCHEME, [(token, "c")], [0, 0])
         assert not (tmp_path / "x.tsv").exists()
 
     def test_save_conll_refuses_a_carriage_return(self, tmp_path):
