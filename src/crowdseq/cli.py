@@ -175,7 +175,7 @@ def _cmd_aggregate(args) -> int:
         from . import em
 
         result = em.fit(ds, _em_config(args, cfg, seed), log=sys.stderr)
-        labelings = em.posterior_modes(result.posteriors)
+        labels = em.posterior_modes(result.posterior)
     else:
         from . import baselines
 
@@ -185,8 +185,8 @@ def _cmd_aggregate(args) -> int:
             ds_iters=_pick(args, "ds_iters", cfg, "ds_iters", 100),
             ds_tol=_pick(args, "ds_tol", cfg, "ds_tol", 1e-8),
         )
-    tokens = [inst.tokens for inst in ds.instances]
-    formats.save_tagged(args.out, ds.scheme, tokens, list(chain.from_iterable(labelings)))
+        labels = list(chain.from_iterable(labelings))
+    formats.save_tagged(args.out, ds.scheme, [inst.tokens for inst in ds.instances], labels)
     return 0
 
 
@@ -263,6 +263,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_inspect_lattice(args) -> int:
+    from decimal import Decimal
+
     from . import em
 
     ds = formats.load_crowd(args.crowd)
@@ -283,8 +285,9 @@ def _cmd_inspect_lattice(args) -> int:
         cand = ",".join(ds.scheme.labels[i] for i in lat.final_candidates[j])
         reach = ",".join(ds.scheme.labels[i] for i in lat.states[j])
         print(f"{j}\t{token}\t{cand}\t{reach}")
-    print(f"unpruned\t{lat.n_unpruned}")
-    print(f"valid\t{lat.n_valid}")
+    # Decimal prints an int of any size, str() none past sys.get_int_max_str_digits()
+    print(f"unpruned\t{Decimal(lat.n_unpruned)}")
+    print(f"valid\t{Decimal(lat.n_valid)}")
     print(f"enumerated\t{min(lat.n_valid, lat.cap)}")
     print(f"capped\t{'true' if lat.capped else 'false'}")
     widened = ",".join(str(j) for j in lat.widened) if lat.widened else "-"

@@ -28,22 +28,25 @@ per direction, and every (t-1, t) pair marginal is an outer product of the
 forward message before and the backward factor after, times the pairwise
 table, so no step loops over pairs.  A training example is one token
 sequence with one label sequence (as one-hot counts) or soft label counts,
-and a weight; the objective packs each example's tokens once, with the
-observation ids firing at each position: the batch's unary table sums the
-weight rows of those ids, the unary gradient scatters the weighted
-marginals ``w * q`` back onto them with one ``np.bincount``, and the
-weighted sum of the pair marginals, the (M, M) bigram gradient, is one
-(M x R) @ (R x M) product over the R positions that follow another.
-A batch is a ``BatchPotentials``: the (P, M) unary rows of its sequences
-laid end to end, their lengths and one pairwise table; ``_as_batch`` lays a
-list of potentials end to end.  ``_pack`` checks a batch and gathers its
-unary rows into packed order with one indexing: ``decode`` runs one
-Viterbi pass, ``log_partition`` one forward pass and ``expected_counts``
-(EM's posteriors) one forward-backward pass over a batch; on one sentence
-they and ``marginals`` run on a batch of one.  ``_viterbi`` accumulates its
-prefix scores in that packed copy, each step keeping a running max over the
-from-labels so that it holds (rows, M) scores at a time, and its
-back-pointers take the smallest unsigned type that holds M.
+and a weight; the objective takes its examples packed over a ``_Corpus``
+(``_Examples``), the sequences looked up in the model's inventory and
+packed once, so EM builds its corpus once per fit, with the observation
+ids firing at each packed row: the batch's unary table sums the weight rows
+of those ids, the unary gradient scatters the weighted marginals ``w * q``
+back onto them with one ``np.bincount``, and the weighted sum of the pair
+marginals, the (M, M) bigram gradient, is one (M x R) @ (R x M) product
+over the R positions that follow another.  A batch is a
+``BatchPotentials``: the (P, M) unary rows of its sequences laid end to
+end, their lengths, one pairwise table and, where one is made for many
+batches, their packing; ``_as_batch`` lays a list of potentials end to end.
+``_pack`` checks a batch and gathers its unary rows into packed order with
+one indexing: ``decode`` runs one Viterbi pass, ``log_partition`` one
+forward pass and ``expected_counts`` (EM's posteriors) one forward-backward
+pass over a batch; on one sentence they and ``marginals`` run on a batch of
+one.  ``_viterbi`` accumulates its prefix scores in that packed copy, each
+step keeping a running max over the from-labels so that it holds (rows, M)
+scores at a time, and its back-pointers take the smallest unsigned type
+that holds M.
 
 Every model has one feature set: the observation templates ``TEMPLATES``
 (the token, lowercased; its 2- and 3-character prefixes and suffixes;
@@ -56,15 +59,15 @@ token after them, and are mapped to one column per template; ``ids``
 spreads the columns over the positions, shifting the previous/next-token
 ones by one position with the BOS/EOS entry at sentence edges, into one (P,
 T) array.  ``build_model`` keeps the strings and interns them in
-first-appearance order, position by position.  ``_observation_ids`` and
-``extract_features`` look them up in the model (-1 where nothing interned
-fires), and ``decode_file`` numbers them (see below); ``_unary_table``
-gathers the weight rows of (P, T) ids, a zero row for -1, and sums them in
-template order.  ``extract_features`` scores a batch with
-``_InputTable.unary``: ``_unary_table`` sums the rows of the leading
-templates, which read a position's own token, once per token type, and
-each position adds the previous-token and then the next-token row to its
-type's sum, the same rows in the same order and so the same bits as
+first-appearance order, position by position.  ``_InputTable.look_up``
+looks them up in the model (-1 where nothing interned fires), for
+``extract_features`` and ``_Corpus``, and ``decode_file`` numbers them
+(see below); ``_unary_table`` gathers the weight rows of (P, T) ids, a zero
+row for -1, and sums them in template order.  ``extract_features`` scores a
+batch with ``_InputTable.unary``: ``_unary_table`` sums the rows of the
+leading templates, which read a position's own token, once per token type,
+and each position adds the previous-token and then the next-token row to
+its type's sum, the same rows in the same order and so the same bits as
 ``_unary_table`` over the (P, T) ids, which the objective uses.  Given an
 input table it returns that batch's ``BatchPotentials``; given one sentence
 or a list it copies nothing per sentence: each entry's unary table is a
@@ -319,11 +322,13 @@ class SequencePotentials:
 class BatchPotentials:
     """Log-potential tables for a batch of sequences laid end to end: their
     (P, M) unary rows, sequence after sequence, and one (M, M) pairwise
-    table, as ``extract_features`` gives them for an input table."""
+    table, as ``extract_features`` gives them for an input table, and the
+    batch's ``_Packing`` where one is made once for many batches."""
 
     unary: np.ndarray  # (P, M)
     pairwise: np.ndarray  # (M, M)
     lengths: list[int]
+    pack: _Packing | None = None
 
 
 class _InputTable:
@@ -430,12 +435,6 @@ class _InputTable:
         return unary
 
 
-def _observation_ids(model: CrfModel, token_seqs: Sequence[Sequence[str]]) -> np.ndarray:
-    """Interned observation ids of the sequences laid end to end: a (P, T)
-    array, one column per template, -1 where none fires."""
-    return _InputTable(token_seqs).look_up(model).ids()
-
-
 def _unary_table(wu: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """The (P, M) unary scores of positions whose observation ids are the
     (P, T) ``ids``: the weight rows ``wu[id]`` summed left to right over the
@@ -489,27 +488,28 @@ def extract_features(
 
 
 class _Packing:
-    """Time-major layout of a batch of sequences sorted longest first.
+    """Time-major layout of a batch of nonempty sequences sorted longest
+    first, ties in batch order, ``order`` holding the batch index of each.
 
     Step t holds position t of the ``sizes[t]`` sequences still running, in
-    batch order, so row ``offsets[t] + s`` is position t of sequence s and
+    that order, so row ``offsets[t] + s`` is position t of sequence s and
     the first ``sizes[t + 1]`` rows of step t are those that continue (the
     layout of PyTorch's PackedSequence).  Nothing is padded.
     """
 
-    def __init__(self, lengths: Sequence[int], starts: np.ndarray | None = None):
-        lengths = np.asarray(lengths, dtype=np.intp)  # positive, nonincreasing
+    def __init__(self, lengths: Sequence[int]):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.min(initial=1) < 1:
+            raise ValueError("empty sequence")
+        order = np.argsort(-lengths, kind="stable")
+        self.order, starts, lengths = order.tolist(), (np.cumsum(lengths) - lengths)[order], lengths[order]
         steps = np.arange(lengths.max(initial=0))
         self.sizes = np.searchsorted(-lengths, -steps, side="left")
         self.offsets = np.concatenate(([0], np.cumsum(self.sizes)))
         step = np.repeat(steps, self.sizes)
         self.row_seq = np.arange(step.size) - self.offsets[step]  # sequence of each row
         self.last_rows = self.offsets[lengths - 1] + np.arange(lengths.size)
-        # packed row -> row of the sequences laid end to end, each from its
-        # row in ``starts``, by default in this order
-        if starts is None:
-            starts = np.cumsum(lengths) - lengths
-        self.from_concat = starts[self.row_seq] + step
+        self.from_concat = starts[self.row_seq] + step  # packed row -> row of the batch
         # the rows past step 0, each with the row before it in its sequence
         head = int(self.sizes[0]) if self.sizes.size else 0
         self.later = slice(head, None)
@@ -522,6 +522,29 @@ class _Packing:
     @property
     def steps(self) -> int:
         return self.sizes.size
+
+
+class _Corpus:
+    """Token sequences looked up in a model's inventory and packed once, for
+    every pass while the inventory holds: their ``_InputTable``, its
+    ``_Packing``, the (P, T) observation ids of the packed rows, and the
+    firing (row, observation) entries in row-major order with the bin
+    obs * M + label of each entry's M labels, over which ``scatter`` sums."""
+
+    def __init__(self, model: CrfModel, token_seqs: Sequence[Sequence[str]]):
+        self.inputs = _InputTable(token_seqs).look_up(model)
+        self.pack = _Packing(self.inputs.lengths)
+        self.ids = self.inputs.ids()[self.pack.from_concat]
+        self.shape = (model.n_obs, model.scheme.size)
+        self.entry_rows, tpl = np.nonzero(self.ids >= 0)
+        self.bins = (self.ids[self.entry_rows, tpl][:, None] * self.shape[1] + np.arange(self.shape[1])).ravel()
+
+    def scatter(self, table: np.ndarray) -> np.ndarray:
+        """The (n_obs, M) sums of the packed (P, M) ``table``'s rows over the
+        rows where each observation fires, in increasing row order; an
+        observation belongs to one template, so it fires once a row at most."""
+        n_obs, m = self.shape
+        return np.bincount(self.bins, table.take(self.entry_rows, axis=0).ravel(), n_obs * m).reshape(self.shape)
 
 
 def _step_table(pairwise: np.ndarray, t: int) -> np.ndarray:
@@ -539,7 +562,7 @@ def _no_path(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarra
 
 
 def _forward(
-    unary: np.ndarray, pairwise: np.ndarray, pk: _Packing, order: Sequence[int], name: str, dead_ok: bool = False
+    unary: np.ndarray, pairwise: np.ndarray, pk: _Packing, name: str, dead_ok: bool = False
 ) -> tuple[np.ndarray, ...]:
     """The scaled forward pass (Rabiner 1989, section V.A) over a packed
     batch: ``(u, e, alpha, c, logz)``.
@@ -551,7 +574,7 @@ def _forward(
 
     A sequence with a row whose sum ``c_t`` falls below the smallest normal
     float is refused with a ValueError calling it ``name`` and its batch
-    index, ``order[i]`` for packed sequence i: "has no finite-scoring path"
+    index, ``pk.order[i]`` for packed sequence i: "has no finite-scoring path"
     when the -inf pattern leaves it no path (``log_partition`` gives -inf
     for it instead, with ``dead_ok``), else "its path scores span more than
     the float64 range": one step's scores span ~708 nats more than the
@@ -581,7 +604,7 @@ def _forward(
     if not kept.all():
         failed = np.unique(pk.row_seq[~kept])
         dead = _no_path(unary, pairwise, pk)[failed]
-        refused = [(order[i], d) for i, d in zip(failed.tolist(), dead.tolist()) if not (dead_ok and d)]
+        refused = [(pk.order[i], d) for i, d in zip(failed.tolist(), dead.tolist()) if not (dead_ok and d)]
         if refused:
             i, d = min(refused)
             raise ValueError(f"{name} {i} has no finite-scoring path") if d else _out_of_range(name, i)
@@ -590,7 +613,7 @@ def _forward(
 
 
 def _forward_backward(
-    unary: np.ndarray, pairwise: np.ndarray, pk: _Packing, order: Sequence[int], name: str = "sequence"
+    unary: np.ndarray, pairwise: np.ndarray, pk: _Packing, name: str = "sequence"
 ) -> tuple[np.ndarray, ...]:
     """Exact inference over a packed batch: ``(logz, uni, before, after,
     e)``, log Z per sequence (B,), the unary marginals per packed row (P,
@@ -612,7 +635,7 @@ def _forward_backward(
     underflow could matter.  Above it, what underflowed is below the
     float64 rounding of what is kept.
     """
-    u, e, alpha, c, logz = _forward(unary, pairwise, pk, order, name)
+    u, e, alpha, c, logz = _forward(unary, pairwise, pk, name)
     beta = np.ones_like(u)
     with np.errstate(invalid="ignore"):  # a row with no mass left: refused below
         for t in range(pk.steps - 1, 0, -1):
@@ -626,7 +649,7 @@ def _forward_backward(
     kept = norm >= _TINY  # NaN fails too
     kept[later] &= pair_norm >= _TINY
     if not kept.all():
-        raise _out_of_range(name, min(order[i] for i in pk.row_seq[~kept].tolist()))
+        raise _out_of_range(name, min(pk.order[i] for i in pk.row_seq[~kept].tolist()))
     uni /= norm[:, None]
     return logz, uni, alpha[pk.prev_rows], u[later] * beta[later] / pair_norm[:, None], e
 
@@ -687,20 +710,16 @@ def _as_batch(pots: Sequence[SequencePotentials] | BatchPotentials) -> BatchPote
     return BatchPotentials(np.concatenate([p.unary for p in pots]), pairwise, [p.length for p in pots])
 
 
-def _pack(batch: BatchPotentials) -> tuple[np.ndarray, np.ndarray, _Packing, list[int]]:
+def _pack(batch: BatchPotentials) -> tuple[np.ndarray, np.ndarray, _Packing]:
     """A batch of at least one sequence packed: its unary rows in packed
     order, a fresh array gathered straight from the batch's, its pairwise
-    table, the ``_Packing`` and the batch index of each packed sequence.
-    Refuses an empty sequence and NaN or +inf potentials."""
-    lengths = np.asarray(batch.lengths, dtype=np.intp)
-    if lengths.min() < 1:
-        raise ValueError("empty sequence")
-    order = np.argsort(-lengths, kind="stable")  # longest first, ties in batch order
-    pk = _Packing(lengths[order], (np.cumsum(lengths) - lengths)[order])
+    table and its ``_Packing``, ``batch.pack`` if set.  Refuses an empty
+    sequence and NaN or +inf potentials."""
+    pk = batch.pack or _Packing(batch.lengths)
     unary, pairwise = batch.unary[pk.from_concat], batch.pairwise
     if not ((unary < np.inf).all() and (pairwise < np.inf).all()):  # NaN fails too
         raise ValueError("potentials must not be NaN or +inf")
-    return unary, pairwise, pk, order.tolist()
+    return unary, pairwise, pk
 
 
 def log_partition(pot: SequencePotentials | Sequence[SequencePotentials] | BatchPotentials) -> float | np.ndarray:
@@ -715,32 +734,36 @@ def log_partition(pot: SequencePotentials | Sequence[SequencePotentials] | Batch
     batch = _as_batch(pot)
     if not batch.lengths:
         return np.zeros(0)
-    unary, pairwise, pk, order = _pack(batch)
-    return _forward(unary, pairwise, pk, order, "sequence", dead_ok=True)[-1][np.argsort(order)]
+    unary, pairwise, pk = _pack(batch)
+    return _forward(unary, pairwise, pk, "sequence", dead_ok=True)[-1][np.argsort(pk.order)]
 
 
 def marginals(pot: SequencePotentials) -> tuple[np.ndarray, np.ndarray]:
     """Posterior label probabilities (L, M) and pair probabilities (L-1, M, M)."""
-    unary, pairwise, pk, order = _pack(_as_batch([pot]))
-    _, uni, before, after, e = _forward_backward(unary, pairwise, pk, order)
+    unary, pairwise, pk = _pack(_as_batch([pot]))
+    _, uni, before, after, e = _forward_backward(unary, pairwise, pk)
     return uni, e * before[:, :, None] * after[:, None, :]
 
 
-def expected_counts(pots: Sequence[SequencePotentials], name: str = "sequence") -> tuple[np.ndarray, list[tuple]]:
-    """log Z, (L, M) label marginals and (M, M) pair marginals summed over
-    positions of each entry of a nonempty batch sharing one (M, M) pairwise
-    table, from one packed pass.  An entry with no finite-scoring path, or
-    whose scores the pass cannot hold in the float64 range, is refused, the
-    error calling it ``name`` and its index (see ``_forward_backward``)."""
-    unary, pairwise, pk, order = _pack(_as_batch(pots))
-    logz, uni, before, after, e = _forward_backward(unary, pairwise, pk, order, name)
+def expected_counts(
+    pots: Sequence[SequencePotentials] | BatchPotentials, name: str = "sequence"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log Z (B,), (P, M) label marginals, the sequences laid end to end,
+    and (B, M, M) pair marginals summed over each sequence's positions, of
+    a nonempty batch sharing one (M, M) pairwise table, from one packed
+    pass.  A sequence with no finite-scoring path, or whose scores the pass
+    cannot hold in the float64 range, is refused, the error calling it
+    ``name`` and its index (see ``_forward_backward``)."""
+    unary, pairwise, pk = _pack(_as_batch(pots))
+    logz, uni, before, after, e = _forward_backward(unary, pairwise, pk, name)
     m = unary.shape[1]
     # the pair marginals summed per sequence, one bin per (sequence, from, to)
     bins = (pk.row_seq[pk.later, None] * m * m + np.arange(m * m)).ravel()
-    sums = np.bincount(bins, (before[:, :, None] * after[:, None, :]).ravel(), len(order) * m * m)
-    pair = e * sums.reshape(-1, m, m)
-    packed = np.argsort(order)  # the packed index of each entry
-    return logz[packed], [(uni[pk.offsets[: pot.length] + s], pair[s]) for pot, s in zip(pots, packed)]
+    sums = np.bincount(bins, (before[:, :, None] * after[:, None, :]).ravel(), len(pk.order) * m * m)
+    marg = np.empty_like(uni)
+    marg[pk.from_concat] = uni
+    packed = np.argsort(pk.order)  # the packed index of each sequence
+    return logz[packed], marg, (e * sums.reshape(-1, m, m))[packed]
 
 
 def viterbi(
@@ -762,7 +785,7 @@ def viterbi(
     batch = _as_batch(pot)
     labels = np.empty(batch.unary.shape[0], dtype=np.intp)
     if batch.lengths:
-        unary, pairwise, pk, _ = _pack(batch)
+        unary, pairwise, pk = _pack(batch)
         labels[pk.from_concat] = _viterbi(unary, pairwise, pk)
     if batch is pot:
         return labels
@@ -777,8 +800,7 @@ def decode(model: CrfModel, token_seqs: Iterable[Sequence[str]]) -> list[LabelSe
 
 
 # One weighted example: (tokens, labels, weight), where labels is one label
-# sequence or its soft counts, (L, M) label and (M, M) label-pair counts as
-# ``expected_counts`` gives them.
+# sequence or its soft counts, (L, M) label and (M, M) label-pair counts.
 WeightedExample = tuple[Sequence[str], "LabelSeq | tuple[np.ndarray, np.ndarray]", float]
 
 
@@ -795,75 +817,66 @@ def _label_counts(labels, m: int) -> tuple[np.ndarray, np.ndarray]:
     return uni, pair
 
 
+@dataclass
+class _Examples:
+    """Examples packed over a corpus, one per sequence, for ``_WeightedObjective``."""
+
+    corpus: _Corpus
+    unary: np.ndarray  # (P, M) label counts of the packed rows, times their sequence's weight
+    pair: np.ndarray  # (M, M) weighted label-pair counts, summed in packed order
+    weights: np.ndarray  # (B,) in packed order
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+
+def _examples(model: CrfModel, data: Iterable[WeightedExample]) -> _Examples:
+    """Weighted examples checked and packed, those of weight 0 left out."""
+    m = model.scheme.size
+    kept = []
+    for tokens, labels, w in data:
+        w = float(w)
+        if not np.isfinite(w):
+            raise ValueError("non-finite weight")
+        if w < 0:
+            raise ValueError("negative weight")
+        uni, pair = _label_counts(labels, m)
+        if len(uni) != len(tokens):
+            raise ValueError("label/token length mismatch")
+        if not tokens:
+            raise ValueError("empty token sequence")
+        if w > 0:
+            kept.append((tokens, w * uni, w * pair, w))
+    corpus = _Corpus(model, [tokens for tokens, _, _, _ in kept])
+    unary = np.concatenate([uni for _, uni, _, _ in kept] or [np.zeros((0, m))])[corpus.pack.from_concat]
+    packed = [kept[i] for i in corpus.pack.order]
+    pair = sum((pair for _, _, pair, _ in packed), np.zeros((m, m)))
+    return _Examples(corpus, unary, pair, np.array([w for _, _, _, w in packed]))
+
+
 class _WeightedObjective:
-    """Weighted negative log-likelihood with its gradient.
+    """Weighted negative log-likelihood with its gradient over ``_Examples``;
+    the empirical feature counts are scattered onto the corpus's ids once,
+    at construction."""
 
-    Each example is one sequence of the batch with its label counts (one-hot
-    for a label sequence) times its weight.  The examples with positive
-    weight are packed once (see ``_Packing``) with the (P, T) observation ids
-    of their positions, from which ``_unary_table`` builds the batch's unary
-    table.  The unary gradient and the empirical feature counts scatter a
-    (P, M) table back onto those ids (``_scatter``), the counts once, at
-    construction.
-    """
-
-    def __init__(self, model: CrfModel, data: Iterable[WeightedExample], l2: float):
+    def __init__(self, examples: _Examples, l2: float):
         if l2 < 0:
             raise ValueError("l2 penalty must be nonnegative")
-        self.model = model
         self.l2 = float(l2)
-        m = model.scheme.size
-        kept = []
-        for tokens, labels, w in data:
-            w = float(w)
-            if not np.isfinite(w):
-                raise ValueError("non-finite weight")
-            if w < 0:
-                raise ValueError("negative weight")
-            uni, pair = _label_counts(labels, m)
-            if len(uni) != len(tokens):
-                raise ValueError("label/token length mismatch")
-            if not tokens:
-                raise ValueError("empty token sequence")
-            if w > 0:
-                kept.append((tokens, w * uni, w * pair, w))
-        kept.sort(key=lambda e: -len(e[0]))
-        self.pack = pk = _Packing([len(tokens) for tokens, _, _, _ in kept])
-        self.seq_w = np.array([w for _, _, _, w in kept])
-        self.row_w = self.seq_w[pk.row_seq, None]
-
-        self.ids = _observation_ids(model, [tokens for tokens, _, _, _ in kept])[pk.from_concat]
-        # the firing (row, observation) entries in row-major order, and the
-        # bin obs * M + label of each entry's M labels
-        self.entry_rows, tpl = np.nonzero(self.ids >= 0)
-        self.bins = (self.ids[self.entry_rows, tpl][:, None] * m + np.arange(m)).ravel()
-        counts = np.concatenate([uni for _, uni, _, _ in kept] or [np.zeros((0, m))])  # end to end
-        self.emp_u = self._scatter(counts[pk.from_concat])
-        self.emp_b = sum((pair for _, _, pair, _ in kept), np.zeros((m, m)))
-
-    def _scatter(self, table: np.ndarray) -> np.ndarray:
-        """The (n_obs, M) sums of the (P, M) ``table``'s rows over the
-        positions where each observation fires.
-
-        An observation id belongs to one template, so it fires at most once
-        per row, and each bin adds up its rows in increasing row order.
-        """
-        m = table.shape[1]
-        flat = np.bincount(self.bins, table.take(self.entry_rows, axis=0).ravel(), minlength=self.model.n_obs * m)
-        return flat.reshape(-1, m)
+        self.corpus, self.seq_w, self.emp_b = examples.corpus, examples.weights, examples.pair
+        self.row_w = self.seq_w[self.corpus.pack.row_seq, None]
+        self.emp_u = self.corpus.scatter(examples.unary)
 
     def value_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         if not np.isfinite(theta).all():
             raise ValueError("non-finite weights")
-        model = self.model
-        m = model.scheme.size
-        nu = model.n_obs * m
-        wu, wb = theta[:nu].reshape(model.n_obs, m), theta[nu:].reshape(m, m)
-        unary = _unary_table(wu, self.ids)
-        logz, uni, before, after, e = _forward_backward(unary, wb, self.pack, range(len(self.seq_w)))
+        corpus = self.corpus
+        (n_obs, m), pk = corpus.shape, corpus.pack
+        wu, wb = theta[: n_obs * m].reshape(n_obs, m), theta[n_obs * m :].reshape(m, m)
+        logz, uni, before, after, e = _forward_backward(_unary_table(wu, corpus.ids), wb, pk)
         value = float(self.seq_w @ logz) - float((wu * self.emp_u).sum()) - float((wb * self.emp_b).sum())
-        pair = e * ((before * self.row_w[self.pack.later]).T @ after)
-        grad = np.concatenate([(self._scatter(self.row_w * uni) - self.emp_u).ravel(), (pair - self.emp_b).ravel()])
+        pair = e * ((before * self.row_w[pk.later]).T @ after)
+        grad = np.concatenate([(corpus.scatter(self.row_w * uni) - self.emp_u).ravel(), (pair - self.emp_b).ravel()])
         value += 0.5 * self.l2 * float(theta @ theta)
         grad += self.l2 * theta
         return value, grad
@@ -876,7 +889,7 @@ def weighted_nll_and_gradient(
 
     objective = sum_i w_i * (log Z(x_i) - score(x_i, z_i)) + (l2/2) ||theta||^2
     """
-    return _WeightedObjective(model, data, l2).value_and_grad(model.weights)
+    return _WeightedObjective(_examples(model, data), l2).value_and_grad(model.weights)
 
 
 _PAIRS = 10  # (s, y) pairs kept by minimize
@@ -983,15 +996,17 @@ class TrainResult:
 
 
 def optimize(
-    model: CrfModel, data: Iterable[WeightedExample], opts: TrainOptions = TrainOptions()
+    model: CrfModel, data: Iterable[WeightedExample] | _Examples, opts: TrainOptions = TrainOptions()
 ) -> TrainResult:
     """Minimize the weighted negative log-likelihood with L-BFGS.
 
-    The line search enforces sufficient decrease, so the objective never
-    increases across accepted iterations; on a line-search failure the best
-    point seen so far is returned with ``warning`` set.
+    ``data`` is weighted examples, or ``_Examples`` over a corpus of the
+    model's inventory, as EM's M-step passes them.  The line search
+    enforces sufficient decrease, so the objective never increases across
+    accepted iterations; on a line-search failure the best point seen so
+    far is returned with ``warning`` set.
     """
-    obj = _WeightedObjective(model, data, opts.l2)
+    obj = _WeightedObjective(data if isinstance(data, _Examples) else _examples(model, data), opts.l2)
     res = minimize(obj.value_and_grad, model.weights, opts.max_iter, opts.tol)
     trained = replace(model, weights=res.x)
     return TrainResult(trained, res.fun, float(np.abs(res.jac).max()), res.nit, res.success, res.status == 2)

@@ -9,23 +9,21 @@ An instance's valid lattice is exactly the set of paths through its
 posterior is a linear chain: the tagger's unary scores, -inf off the states,
 plus the ``context_factor`` row of each of its ``annotation_entries`` (each
 row's annotators in roster order), and the tagger's bigram weights, -inf on
-forbidden transitions.  ``initialize`` looks the corpus's observations up
-in the tagger's inventory once (``EmState.inputs``), since refits change
-only the weights; ``e_step`` sums the weight rows of those ids, adds every
-entry's factor with one ``np.add.at``, takes the tagger's log-partitions
-from one packed forward pass and the posteriors from one masked
-forward-backward pass (``expected_counts``), enumerating no candidate
-sequence, so N rounds of ``fit`` score the corpus N + 1 times.
-``posterior_modes`` runs one Viterbi pass over the last round's masked
-chains.
+forbidden transitions.  Refits change only the tagger's weights, so
+``initialize`` looks the corpus up and packs it once (``EmState.corpus``).
+Over that packing ``e_step`` takes the tagger's log-partitions from one
+forward pass and the posteriors from one masked forward-backward pass
+(``expected_counts``), enumerating no candidate sequence, so N rounds of
+``fit`` score the corpus N + 1 times; ``m_step`` featurizes nothing again,
+and ``posterior_modes`` runs one Viterbi pass over the last chains.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,11 +37,12 @@ from .annotators import (
     sample_init_params,
 )
 from .crf import (
+    BatchPotentials,
     CrfModel,
-    SequencePotentials,
     TrainOptions,
     TrainResult,
-    _InputTable,
+    _Corpus,
+    _Examples,
     build_model,
     expected_counts,
     extract_features,
@@ -52,7 +51,7 @@ from .crf import (
     viterbi,
 )
 from .lattice import ValidLattice, candidate_sets, enumerate_valid
-from .types import CrowdDataset, CrowdInstance, LabelScheme, LabelSeq, validate_dataset
+from .types import CrowdDataset, CrowdInstance, LabelScheme, validate_dataset
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class EmState:
     lattices: tuple[ValidLattice, ...]
     mask: np.ndarray  # (P, M) over the corpus laid end to end: 0 on the lattices' states, -inf elsewhere
     entries: AnnotationEntries  # every labeled (position, annotator) entry, from ``annotation_entries``
-    inputs: _InputTable  # the corpus's observation ids; the tagger's inventory never changes during a fit
+    corpus: _Corpus  # looked up and packed once: the tagger's inventory never changes during a fit
     iteration: int
     history: list[float]  # the joint objective after each round, the initial one first
     last_train: TrainResult | None = field(repr=False, default=None)
@@ -162,33 +161,33 @@ def initialize(ds: CrowdDataset, cfg: EmConfig) -> EmState:
     states = list(chain.from_iterable(lat.states for lat in lattices))  # per corpus position
     mask = np.full((len(states), ds.scheme.size), -np.inf)
     mask[np.repeat(np.arange(len(states)), list(map(len, states))), list(chain.from_iterable(states))] = 0.0
-    inputs = _InputTable([inst.tokens for inst in ds.instances]).look_up(model)
-    return EmState(cfg, model, params, lattices, mask, annotation_entries(ds, table), inputs, 0, [])
+    corpus = _Corpus(model, [inst.tokens for inst in ds.instances])
+    return EmState(cfg, model, params, lattices, mask, annotation_entries(ds, table), corpus, 0, [])
 
 
 class Posterior(NamedTuple):
-    """One instance's posterior over its lattice, from ``e_step``."""
+    """Every instance's posterior over its lattice, laid end to end, from ``e_step``."""
 
-    chain: SequencePotentials  # tagger plus annotator log-factors, -inf off the lattice
-    unary: np.ndarray  # (L, M) label marginals
-    pair: np.ndarray  # (M, M) label-pair marginals summed over positions
+    chain: BatchPotentials  # tagger plus annotator log-factors, -inf off the lattices
+    unary: np.ndarray  # (P, M) label marginals
+    pair: np.ndarray  # (B, M, M) label-pair marginals summed over each instance's positions
 
 
-def e_step(state: EmState, ds: CrowdDataset) -> tuple[list[Posterior], float]:
+def e_step(state: EmState, ds: CrowdDataset) -> tuple[Posterior, float]:
     """Every instance's posterior over its lattice paths, and the joint MAP
     objective EM ascends (Neal & Hinton 1998): sum_i (log Z_masked,i -
     log Z_i) - (l2/2)||theta||^2 + s * sum log tables, 0 for the last term
-    when the smoothing s is 0.  An instance none of whose paths the tables
-    allow (zero smoothing can give one) is a ValueError naming it."""
-    batch = extract_features(state.crf, state.inputs)
+    when the smoothing s is 0, the first sum taken in instance order.  An
+    instance none of whose paths the tables allow (zero smoothing can give
+    one) is a ValueError naming it."""
+    batch = replace(extract_features(state.crf, state.corpus.inputs), pack=state.corpus.pack)
     factors = np.zeros(state.mask.shape)
     np.add.at(factors, state.entries.row, context_factor(state.annotators, state.entries))
-    scores = batch.unary + state.mask + factors
     pairwise = np.where(ds.scheme.allowed_transitions, state.crf.bigram_weights(), -np.inf)
-    chains = [SequencePotentials(u, pairwise) for u in np.split(scores, np.cumsum(batch.lengths)[:-1])]
-    logz, counts = expected_counts(chains, "instance")
+    chain = BatchPotentials(batch.unary + state.mask + factors, pairwise, batch.lengths, batch.pack)
+    logz, unary, pair = expected_counts(chain, "instance")
     evidence = float((logz - log_partition(batch)).sum())
-    return [Posterior(c, *q) for c, q in zip(chains, counts)], evidence + _log_prior(state)
+    return Posterior(chain, unary, pair), evidence + _log_prior(state)
 
 
 def _log_prior(state: EmState) -> float:
@@ -199,31 +198,30 @@ def _log_prior(state: EmState) -> float:
     return prior - 0.5 * state.cfg.l2_penalty * float(theta @ theta)
 
 
-def confusion_counts(
-    state: EmState, ds: CrowdDataset, posteriors: Sequence[Posterior]
-) -> tuple[np.ndarray, np.ndarray]:
+def confusion_counts(state: EmState, ds: CrowdDataset, posterior: Posterior) -> tuple[np.ndarray, np.ndarray]:
     """Posterior-weighted (context, truth, assigned) counts, split by context type."""
     m, e = ds.scheme.size, state.entries
     counts = np.zeros((2, len(ds.roster), m + 1, m, m))  # index 0 local, 1 mention
-    q = np.concatenate([p.unary for p in posteriors])[e.row]
+    q = posterior.unary[e.row]
     kind = e.is_mention[:, None].astype(np.intp)
     np.add.at(counts, (kind, e.annotator[:, None], e.context[:, None], np.arange(m), e.assigned[:, None]), q)
     return counts[0], counts[1]
 
 
-def m_step(
-    state: EmState, ds: CrowdDataset, posteriors: Sequence[Posterior]
-) -> tuple[CrfModel, AnnotatorParams]:
+def m_step(state: EmState, ds: CrowdDataset, posterior: Posterior) -> tuple[CrfModel, AnnotatorParams]:
     """Warm-started tagger refit plus closed-form reliability updates.
 
-    The tagger step is iteration-capped, improving rather than maximizing its
-    objective; the reliability update is the exact smoothed maximizer.
+    The tagger refit, on the posterior over the fit's packed corpus, is
+    iteration-capped, improving rather than maximizing its objective; the
+    reliability update is the exact smoothed maximizer.
     """
-    data = [(inst.tokens, (p.unary, p.pair), 1.0) for inst, p in zip(ds.instances, posteriors)]
+    pk = state.corpus.pack
+    unary, pair = posterior.unary[pk.from_concat], posterior.pair[pk.order].sum(axis=0)
+    data = _Examples(state.corpus, unary, pair, np.ones(len(pk.order)))
     opts = TrainOptions(max_iter=state.cfg.inner_max_iter, tol=state.cfg.opt_tol, l2=state.cfg.l2_penalty)
     result = optimize(state.crf, data, opts)
     state.last_train = result
-    local, mention = confusion_counts(state, ds, posteriors)
+    local, mention = confusion_counts(state, ds, posterior)
     params = params_from_counts(ds.roster, local, mention, state.cfg.smoothing)
     return result.model, params
 
@@ -241,7 +239,7 @@ class FitResult:
     iterations: int
     converged: bool
     state: EmState
-    posteriors: list[Posterior]  # the last e_step's, under the returned parameters
+    posterior: Posterior  # the last e_step's, under the returned parameters
 
 
 def _log_line(stream, iteration, objective, delta, opt_iters, seconds) -> None:
@@ -280,9 +278,10 @@ def fit(ds: CrowdDataset, cfg: EmConfig = EmConfig(), log=None) -> FitResult:
     return FitResult(state.crf, state.annotators, list(state.history), state.iteration, converged, state, post)
 
 
-def posterior_modes(posteriors: Sequence[Posterior]) -> list[LabelSeq]:
-    """Most probable lattice path per instance, from ``e_step`` posteriors
-    such as ``FitResult.posteriors``.  Ties follow ``viterbi``: of tied best
-    paths, the one with the lowest last label, then the lowest label at each
-    earlier position in turn."""
-    return viterbi([p.chain for p in posteriors])
+def posterior_modes(posterior: Posterior) -> list[int]:
+    """The most probable lattice path of every instance, from an ``e_step``
+    posterior such as ``FitResult.posterior``: one label per position, the
+    paths laid end to end, as ``formats.save_tagged`` takes them.  Ties
+    follow ``viterbi``: of tied best paths, the one with the lowest last
+    label, then the lowest label at each earlier position in turn."""
+    return viterbi(posterior.chain).tolist()

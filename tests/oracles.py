@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import logsumexp
 
-from crowdseq import DataError, LabelScheme
+from crowdseq import DataError, LabelScheme, crf
 from crowdseq.annotators import resolve_mentions
 from crowdseq.baselines import logsumexp as own_logsumexp
 from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, TEMPLATES, SequencePotentials, extract_features
@@ -353,6 +353,42 @@ def brute_weighted_nll(model, data, l2: float) -> tuple[float, np.ndarray]:
         value += w * (logz - float(observed @ theta))
         grad += w * (p @ phis - observed)
     return value, grad
+
+
+def sorted_objective(model, data, l2: float):
+    """``value_and_grad`` of the weighted objective as it was built from
+    soft-count examples ``(tokens, (unary, pair), weight)`` before EM packed
+    its corpus once per fit: the examples of positive weight sorted longest
+    first, packed in that order and featurized from their strings, their
+    weighted label counts laid end to end in that order and gathered into
+    packed order, and their weighted pair counts summed in that order, from
+    zero, by Python's ``sum``."""
+    m = model.scheme.size
+    kept = [(tokens, w * uni, w * pair, w) for tokens, (uni, pair), w in data if w > 0]
+    kept.sort(key=lambda e: -len(e[0]))
+    pk = crf._Packing([len(tokens) for tokens, _, _, _ in kept])
+    seq_w = np.array([w for _, _, _, w in kept])
+    row_w = seq_w[pk.row_seq, None]
+    ids = crf._InputTable([tokens for tokens, _, _, _ in kept]).look_up(model).ids()[pk.from_concat]
+    entry_rows, tpl = np.nonzero(ids >= 0)
+    bins = (ids[entry_rows, tpl][:, None] * m + np.arange(m)).ravel()
+
+    def scatter(table):
+        return np.bincount(bins, table.take(entry_rows, axis=0).ravel(), minlength=model.n_obs * m).reshape(-1, m)
+
+    emp_u = scatter(np.concatenate([uni for _, uni, _, _ in kept])[pk.from_concat])
+    emp_b = sum((pair for _, _, pair, _ in kept), np.zeros((m, m)))
+
+    def value_and_grad(theta):
+        nu = model.n_obs * m
+        wu, wb = theta[:nu].reshape(model.n_obs, m), theta[nu:].reshape(m, m)
+        logz, uni, before, after, e = crf._forward_backward(crf._unary_table(wu, ids), wb, pk)
+        value = float(seq_w @ logz) - float((wu * emp_u).sum()) - float((wb * emp_b).sum())
+        pair = e * ((before * row_w[pk.later]).T @ after)
+        grad = np.concatenate([(scatter(row_w * uni) - emp_u).ravel(), (pair - emp_b).ravel()])
+        return value + 0.5 * l2 * float(theta @ theta), grad + l2 * theta
+
+    return value_and_grad
 
 
 def _step_table(pairwise: np.ndarray, t: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from crowdseq import (
     CrowdDataset,
     CrowdInstance,
     LabelScheme,
+    SimConfig,
     build_model,
     load_annotators,
     load_conll,
@@ -28,6 +29,7 @@ from crowdseq import (
     save_annotators,
     save_crowd,
     save_model,
+    simulate,
 )
 from crowdseq import cli, crf, em
 from crowdseq.cli import build_parser, main
@@ -624,13 +626,13 @@ class TestPipelineProducts:
     def test_saslc_featurizes_the_corpus_once_per_round_plus_once(
         self, pipeline, tmp_path, capsys, monkeypatch
     ):
-        calls = []
+        calls = {"extract_features": 0, "observe": 0}
+        for owner, name in ((em, "extract_features"), (crf._InputTable, "observe")):
+            def counted(*args, _fn=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
 
-        def counted(*args, _fn=em.extract_features):
-            calls.append(1)
-            return _fn(*args)
-
-        monkeypatch.setattr(em, "extract_features", counted)
+            monkeypatch.setattr(owner, name, counted)
         assert main([
             "aggregate", str(pipeline["crowd"]), "--method", "saslc",
             "--out", str(tmp_path / "saslc.tsv"), "--seed", "5", "--max-iters", "2",
@@ -638,7 +640,9 @@ class TestPipelineProducts:
         ]) == 0
         rounds = len(capsys.readouterr().err.splitlines()) - 1
         assert rounds == 2
-        assert len(calls) == rounds + 1
+        # scored once per round plus once; featurized from strings by
+        # build_model, the seed fit and the corpus, never in a round
+        assert calls == {"extract_features": rounds + 1, "observe": 3}
 
     def test_saslc_labels_do_not_depend_on_the_lattice_cap(self, tmp_path, capsys):
         save_conll(tmp_path / "gold.tsv", make_gold(12, seed=6))
@@ -823,6 +827,31 @@ class TestInspectLattice:
             "unpruned\t823543", "valid\t47956", f"enumerated\t{enumerated}", f"capped\t{capped}", "widened\t-",
         ]
 
+
+    def test_counts_past_the_int_to_str_digit_limit_print_in_full(self, tmp_path, capsys):
+        # one 12,000-token sentence, its short sentences' crowd labels joined:
+        # its unpruned count has more digits than str() converts by default
+        short = simulate(make_gold(2400, seed=7), SimConfig(n_annotators=3, target_precision=0.3, seed=7))
+
+        def joined(seqs):
+            return tuple(x for seq in seqs for x in seq)[:12000]
+
+        annotations = {a: joined(inst.annotations[a] for inst in short.instances) for a in short.roster}
+        long = CrowdInstance(joined(inst.tokens for inst in short.instances), annotations)
+        crowd = CrowdDataset(short.scheme, (long,), short.roster)
+        save_crowd(tmp_path / "crowd.tsv", crowd)
+        assert main(["inspect-lattice", str(tmp_path / "crowd.tsv"), "--instance", "0"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 + 12000 + 5
+        stats = dict(line.split("\t") for line in out[-5:])
+        lat = em.build_lattice(crowd.instances[0], crowd.scheme, 3, em.EmConfig())
+        assert lat.n_unpruned > 10 ** sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # no limit, for this parse alone
+        try:
+            assert (int(stats["unpruned"]), int(stats["valid"])) == (lat.n_unpruned, lat.n_valid)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_an_infinite_hi_keeps_the_labels_used(self, pipeline, capsys):
         assert main([

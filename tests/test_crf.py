@@ -143,7 +143,7 @@ class TestTemplates:
 class TestBuildModel:
     def test_unseen_observation_contributes_nothing(self):
         model = build_model(SCHEME, [("alpha", "beta")])
-        (ids,) = crf._observation_ids(model, [("gamma",)])
+        (ids,) = crf._InputTable([("gamma",)]).look_up(model).ids()
         known = set(model.obs_index.values())
         assert all(r in known for r in ids[ids >= 0])
         # gamma itself was never interned, so its identity template fires nothing
@@ -207,7 +207,7 @@ class TestFeatures:
 
     def test_rows_match_the_per_position_template_loop(self):
         model, batch = self.edge_batch()
-        got = [row[row >= 0].tolist() for row in crf._observation_ids(model, batch)]
+        got = [row[row >= 0].tolist() for row in crf._InputTable(batch).look_up(model).ids()]
         want = [r.tolist() for tokens in batch for r in loop_observation_rows(model, tokens)]
         assert got == want
         wu = model.unary_weights()
@@ -431,9 +431,9 @@ class TestMaskedInference:
     def test_expected_counts_match_enumeration(self, m):
         rng = np.random.default_rng([m, 61])
         pots = masked_batch(rng, [3, 1, 5, 2, 5, 4], m)
-        logz, counts = expected_counts(pots)
-        assert len(counts) == len(pots)
-        for pot, z, (uni, pair) in zip(pots, logz, counts):
+        logz, unary, pairs = expected_counts(pots)
+        assert len(logz) == len(pairs) == len(pots) and len(unary) == sum(pot.length for pot in pots)
+        for pot, z, uni, pair in zip(pots, logz, np.split(unary, np.cumsum([pot.length for pot in pots])[:-1]), pairs):
             assert z == pytest.approx(brute_log_partition(pot), rel=1e-10)
             assert z == log_partition(pot)
             bu, bb = brute_marginals(pot)
@@ -535,12 +535,13 @@ class TestLogSpaceOracle:
     def test_expected_counts(self, seed, lengths, m, spread, p_inf):
         pots = ranged_batch(np.random.default_rng(seed), lengths, m, spread, p_inf)
         try:
-            logz, counts = expected_counts(pots)
+            logz, unary, pairs = expected_counts(pots)
         except ValueError as err:
             i = int(re.fullmatch(f"sequence (\\d+): {RANGE}", str(err)).group(1))
             assert range_gap(pots[i]) > 700
             return
-        for pot, got_z, (got_uni, got_pair) in zip(pots, logz, counts):
+        per_sequence = np.split(unary, np.cumsum(lengths)[:-1])
+        for pot, got_z, got_uni, got_pair in zip(pots, logz, per_sequence, pairs):
             ref_z, uni, pair = log_space_inference(pot)
             assert got_z == pytest.approx(ref_z, rel=1e-12)
             np.testing.assert_allclose(got_uni, uni, rtol=0, atol=1e-10)
@@ -652,18 +653,18 @@ class TestGradient:
         rng = np.random.default_rng(4)
         gold = make_gold(30, seed=4)
         model = build_model(gold.scheme, [inst.tokens for inst in gold.instances])
-        obj = crf._WeightedObjective(model, [(inst.tokens, inst.gold, 1.0) for inst in gold.instances], l2=1.0)
+        corpus = crf._Corpus(model, [inst.tokens for inst in gold.instances])
         m = model.scheme.size
         wu = rng.normal(size=(model.n_obs, m))
-        table = rng.random((len(obj.ids), m))
+        table = rng.random((len(corpus.ids), m))
         want_unary, want_scatter = np.zeros(table.shape), np.zeros(wu.shape)
-        for p, row in enumerate(obj.ids.tolist()):
+        for p, row in enumerate(corpus.ids.tolist()):
             for o in row:
                 if o >= 0:
                     want_unary[p] += wu[o]
                     want_scatter[o] += table[p]
-        assert crf._unary_table(wu, obj.ids).tobytes() == want_unary.tobytes()
-        assert obj._scatter(table).tobytes() == want_scatter.tobytes()
+        assert crf._unary_table(wu, corpus.ids).tobytes() == want_unary.tobytes()
+        assert corpus.scatter(table).tobytes() == want_scatter.tobytes()
 
     def fd_check(self, model, data, l2, rng, n_coords=10):
         theta = rng.normal(size=model.dim) * 0.2
@@ -842,7 +843,7 @@ def cosh_with_a_step(x):
 
 def separable_fit():
     model, data = separable_data()
-    return crf._WeightedObjective(model, data, l2=0.01).value_and_grad, model.weights
+    return crf._WeightedObjective(crf._examples(model, data), l2=0.01).value_and_grad, model.weights
 
 
 def rosenbrock_50():
@@ -985,7 +986,7 @@ class TestOptimize:
         model, data = separable_data()
         opts = TrainOptions(max_iter=3 if case == "iteration-limit" else 200, l2=0.01)
         res = optimize(model, data, opts)
-        value, grad = crf._WeightedObjective(model, data, opts.l2).value_and_grad(res.model.weights)
+        value, grad = crf._WeightedObjective(crf._examples(model, data), opts.l2).value_and_grad(res.model.weights)
         assert res.objective == value
         assert res.grad_norm == float(np.abs(grad).max())
         assert (res.converged, res.warning) == {

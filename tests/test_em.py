@@ -16,6 +16,7 @@ from crowdseq import (
     CrowdDataset,
     CrowdInstance,
     EmConfig,
+    SequencePotentials,
     SimConfig,
     confusion_counts,
     e_step,
@@ -31,7 +32,14 @@ from crowdseq import (
     resolve_mentions,
     simulate,
 )
-from oracles import annotation_contexts, annotation_loglik, factor_matrix, log_space_inference, sequence_score
+from oracles import (
+    annotation_contexts,
+    annotation_loglik,
+    factor_matrix,
+    log_space_inference,
+    sequence_score,
+    sorted_objective,
+)
 from strategies import crowd_datasets
 
 L = {name: i for i, name in enumerate(SCHEME.labels)}
@@ -205,19 +213,36 @@ def per_instance_chains(state, ds):
     return out
 
 
-def per_instance_counts(ds, posteriors):
+def per_instance(ds, table):
+    """The rows of a (P, M) table over the corpus laid end to end, cut into
+    one (L, M) table per instance."""
+    return np.split(table, np.cumsum([len(inst.tokens) for inst in ds.instances])[:-1])
+
+
+def per_instance_posteriors(ds, post):
+    """An ``e_step`` posterior cut into each instance's (L, M) label and
+    (M, M) pair marginals."""
+    return list(zip(per_instance(ds, post.unary), post.pair, strict=True))
+
+
+def paths(ds, labels):
+    """``posterior_modes``' label column cut into one path per instance."""
+    return [tuple(z.tolist()) for z in per_instance(ds, np.array(labels))]
+
+
+def per_instance_counts(ds, post):
     """``confusion_counts`` by one ``np.add.at`` per (instance, present
     annotator), in corpus and roster order."""
     m = ds.scheme.size
     counts = np.zeros((2, len(ds.roster), m + 1, m, m))
-    for inst, p in zip(ds.instances, posteriors):
+    for inst, unary in zip(ds.instances, per_instance(ds, post.unary)):
         links = resolve_mentions(inst.tokens)
         mention = np.array([link is not None for link in links], dtype=np.intp)
         for k, ann in enumerate(ds.roster):
             if ann in inst.annotations:
                 y = np.array(inst.annotations[ann])
                 ctx = np.array(annotation_contexts(y, links, m))
-                np.add.at(counts, (mention[:, None], k, ctx[:, None], np.arange(m), y[:, None]), p.unary)
+                np.add.at(counts, (mention[:, None], k, ctx[:, None], np.arange(m), y[:, None]), unary)
     return counts[0], counts[1]
 
 
@@ -226,15 +251,15 @@ class TestEStep:
         ds = tiny_dataset()
         state = initialize(ds, small_cfg())
         post = e_step(state, ds)[0]
-        assert len(post) == len(ds.instances)
-        for inst, lat, p in zip(ds.instances, state.lattices, post):
-            assert p.unary.shape == (len(inst.tokens), SCHEME.size)
-            np.testing.assert_allclose(p.unary.sum(axis=1), 1.0, atol=1e-12)
-            assert p.pair.sum() == pytest.approx(len(inst.tokens) - 1, abs=1e-12)
-            assert (p.unary >= 0).all() and (p.pair >= 0).all()
+        assert post.unary.shape == (sum(len(inst.tokens) for inst in ds.instances), SCHEME.size)
+        assert post.pair.shape == (len(ds.instances), SCHEME.size, SCHEME.size)
+        for inst, lat, (uni, pair) in zip(ds.instances, state.lattices, per_instance_posteriors(ds, post)):
+            np.testing.assert_allclose(uni.sum(axis=1), 1.0, atol=1e-12)
+            assert pair.sum() == pytest.approx(len(inst.tokens) - 1, abs=1e-12)
+            assert (uni >= 0).all() and (pair >= 0).all()
             for j, states in enumerate(lat.states):
                 off = np.setdiff1d(np.arange(SCHEME.size), states)
-                assert (p.unary[j, off] == 0).all()
+                assert (uni[j, off] == 0).all()
 
     def test_singleton_lattice_gets_all_the_mass(self):
         ds = tiny_dataset()
@@ -242,7 +267,7 @@ class TestEStep:
         state = initialize(ds, small_cfg(consistency_hi=1.9))
         post = e_step(state, ds)[0]
         [only] = state.lattices[1].sequences
-        np.testing.assert_allclose(post[1].unary, np.eye(SCHEME.size)[list(only)], atol=1e-12)
+        np.testing.assert_allclose(per_instance(ds, post.unary)[1], np.eye(SCHEME.size)[list(only)], atol=1e-12)
 
     def test_flat_parameters_give_a_flat_posterior(self):
         ds = tiny_dataset()
@@ -251,20 +276,20 @@ class TestEStep:
         m = SCHEME.size
         state.annotators.local[:] = 1.0 / m
         state.annotators.mention[:] = 1.0 / m
-        for lat, p in zip(state.lattices, e_step(state, ds)[0]):
+        for lat, (got_uni, got_pair) in zip(state.lattices, per_instance_posteriors(ds, e_step(state, ds)[0])):
             z = np.array(lat.sequences)
             uni, pair = enumerated_counts(z, np.full(len(z), 1.0 / len(z)), m)
-            np.testing.assert_allclose(p.unary, uni, atol=1e-12)
-            np.testing.assert_allclose(p.pair, pair, atol=1e-12)
+            np.testing.assert_allclose(got_uni, uni, atol=1e-12)
+            np.testing.assert_allclose(got_pair, pair, atol=1e-12)
 
     def test_matches_single_sequence_primitives(self):
         for ds in (tiny_dataset(), tiny_dataset(skipped=True)):
             state = initialize(ds, small_cfg())
             post = e_step(state, ds)[0]
-            for p, (z, w) in zip(post, enumerated_posterior(state, ds)):
+            for (got_uni, got_pair), (z, w) in zip(per_instance_posteriors(ds, post), enumerated_posterior(state, ds)):
                 uni, pair = enumerated_counts(z, w, SCHEME.size)
-                np.testing.assert_allclose(p.unary, uni, atol=1e-10)
-                np.testing.assert_allclose(p.pair, pair, atol=1e-10)
+                np.testing.assert_allclose(got_uni, uni, atol=1e-10)
+                np.testing.assert_allclose(got_pair, pair, atol=1e-10)
 
     def test_an_instance_with_no_possible_path_is_named(self):
         ds = tiny_dataset()
@@ -290,8 +315,8 @@ class TestEStep:
         except ValueError as e:  # no chain to compare
             assert re.fullmatch(r"instance \d+ has no finite-scoring path", str(e))
             return
-        for p, expected in zip(post, per_instance_chains(state, ds)):
-            assert np.array_equal(p.chain.unary, expected)
+        assert post.chain.lengths == [len(inst.tokens) for inst in ds.instances]
+        assert np.array_equal(post.chain.unary, np.concatenate(per_instance_chains(state, ds)))
 
     def test_a_2000_token_sentence_gives_finite_marginals(self):
         gold = make_gold(400, seed=8)
@@ -301,13 +326,13 @@ class TestEStep:
         long = CrowdDataset(SCHEME, (CrowdInstance(tokens, {}, labels),), ())
         crowd = simulate(long, SimConfig(n_annotators=3, target_precision=0.5, precision_spread=0.1, seed=8))
         state = initialize(crowd, EmConfig(seed=8, init_max_iter=5, lattice_cap=10))
-        (post,), value = e_step(state, crowd)
+        post, value = e_step(state, crowd)
         assert np.isfinite(value)
         assert np.isfinite(post.unary).all() and np.isfinite(post.pair).all()
         np.testing.assert_allclose(post.unary.sum(axis=1), 1.0, rtol=0, atol=1e-9)
-        _, uni, pair = log_space_inference(post.chain)
+        _, uni, pair = log_space_inference(SequencePotentials(post.chain.unary, post.chain.pairwise))
         np.testing.assert_allclose(post.unary, uni, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(post.pair, pair.sum(axis=0), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(post.pair[0], pair.sum(axis=0), rtol=0, atol=1e-10)
 
 
 class TestCounts:
@@ -370,23 +395,47 @@ class TestMStep:
         calls = []
 
         def spy(model, data, opts):
-            calls.append((list(data), opts))
-            return optimize(model, calls[-1][0], opts)
+            calls.append((data, opts))
+            return optimize(model, data, opts)
 
         monkeypatch.setattr(em, "optimize", spy)
-        crf, _ = m_step(state, ds, post)
+        refit, _ = m_step(state, ds, post)
         [(data, opts)] = calls
+        # the fit's corpus, each instance's marginals in its packed rows, weight 1 each
+        pk = state.corpus.pack
         assert len(data) == len(ds.instances)
-        for (tokens, (uni, pair), w), inst, p in zip(data, ds.instances, post):
-            assert tokens is inst.tokens
-            assert uni is p.unary and pair is p.pair and w == 1.0
+        assert data.corpus is state.corpus and data.weights.tolist() == [1.0] * len(ds.instances)
+        assert data.unary.tobytes() == post.unary[pk.from_concat].tobytes()
+        assert data.pair.tobytes() == sum((post.pair[i] for i in pk.order), np.zeros_like(data.pair)).tobytes()
         expanded = [
             (inst.tokens, tuple(seq), float(wi))
             for inst, (z, w) in zip(ds.instances, enumerated_posterior(state, ds))
             for seq, wi in zip(z, w)
         ]
         assert len(expanded) > len(data)
-        np.testing.assert_allclose(crf.weights, optimize(state.crf, expanded, opts).model.weights, rtol=1e-10)
+        np.testing.assert_allclose(refit.weights, optimize(state.crf, expanded, opts).model.weights, rtol=1e-10)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ds=crowd_datasets(), seed=st.integers(0, 2**16))
+    def test_objective_is_the_per_instance_examples_objective_bit_for_bit(self, ds, seed):
+        # the objective built from the fit's corpus and an E-step posterior,
+        # and from per-instance soft-count examples, against the objective
+        # those examples gave when each round sorted, featurized and packed them
+        state = initialize(ds, EmConfig(seed=seed, init_max_iter=5, inner_max_iter=1))
+        post = e_step(state, ds)[0]
+        passed = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(em, "optimize", lambda model, data, opts: passed.append(data) or optimize(model, data, opts))
+            m_step(state, ds, post)
+        triples = [(inst.tokens, counts, 1.0) for inst, counts in zip(ds.instances, per_instance_posteriors(ds, post))]
+        model, l2 = state.crf, state.cfg.l2_penalty
+        reference = sorted_objective(model, triples, l2)
+        rng = np.random.default_rng(seed)
+        for theta in (model.weights, model.weights + rng.normal(size=model.dim)):
+            want_value, want_grad = reference(theta)
+            for examples in (passed[0], crf._examples(model, triples)):
+                value, grad = crf._WeightedObjective(examples, l2).value_and_grad(theta)
+                assert value == want_value and grad.tobytes() == want_grad.tobytes()
 
     def test_improves_the_joint_objective(self):
         ds = tiny_dataset()
@@ -463,17 +512,19 @@ class TestFit:
 
     def test_scores_the_corpus_once_per_round_plus_once(self, monkeypatch):
         crowd, _ = self.make_noisy()
-        calls = {"extract_features": 0, "log_partition": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(em, name), _name=name):
+        calls = {"extract_features": 0, "log_partition": 0, "observe": 0}
+        for owner, name in ((em, "extract_features"), (em, "log_partition"), (crf._InputTable, "observe")):
+            def counted(*args, _fn=getattr(owner, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
 
-            monkeypatch.setattr(em, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         rounds = 3
         r = fit(crowd, EmConfig(max_iters=rounds, rel_tol=0.0, seed=9, init_max_iter=20, inner_max_iter=6))
         assert r.iterations == rounds
-        assert calls == {"extract_features": rounds + 1, "log_partition": rounds + 1}
+        # every featurization from strings goes through observe: build_model's,
+        # the seed fit's and the corpus's, none in a round
+        assert calls == {"extract_features": rounds + 1, "log_partition": rounds + 1, "observe": 3}
 
     def test_looks_the_corpus_up_once_per_fit(self, monkeypatch):
         crowd, _ = self.make_noisy()
@@ -489,8 +540,8 @@ class TestFit:
         monkeypatch.setattr(crf._InputTable, "__init__", counted)
         r = fit(crowd, cfg)
         assert r.iterations == rounds
-        # build_model, the seed fit, the corpus's lookup in initialize, and each M-step's objective
-        assert len(builds) == rounds + 3
+        # build_model, the seed fit and the corpus in initialize, which every round reads
+        assert len(builds) == 3
         monkeypatch.undo()
         tokens = [inst.tokens for inst in crowd.instances]
 
@@ -528,7 +579,7 @@ class TestFit:
         assert one.crf.weights.tobytes() == every.crf.weights.tobytes()
         assert one.annotators.local.tobytes() == every.annotators.local.tobytes()
         assert one.annotators.mention.tobytes() == every.annotators.mention.tobytes()
-        assert posterior_modes(one.posteriors) == posterior_modes(every.posteriors)
+        assert posterior_modes(one.posterior) == posterior_modes(every.posterior)
 
     def test_no_lattice_lists_its_paths(self):
         gold = make_gold(40, seed=3)
@@ -607,12 +658,13 @@ class TestPosteriorModes:
         )
         crowd = CrowdDataset(SCHEME, insts, tuple(f"a{k}" for k in range(3)))
         r = fit(crowd, EmConfig(max_iters=1, seed=4, init_max_iter=10, inner_max_iter=4))
-        assert posterior_modes(r.posteriors) == [i.gold for i in gold.instances]
+        assert paths(crowd, posterior_modes(r.posterior)) == [i.gold for i in gold.instances]
 
     def test_modes_come_from_the_lattices(self):
         ds = tiny_dataset()
         state = initialize(ds, small_cfg())
-        modes = posterior_modes(e_step(state, ds)[0])
+        modes = paths(ds, posterior_modes(e_step(state, ds)[0]))
+        assert len(modes) == len(state.lattices)
         for mode, lat in zip(modes, state.lattices):
             assert mode in lat.sequences
 
@@ -620,7 +672,7 @@ class TestPosteriorModes:
         crowd, _ = TestFit().make_noisy()
         r = fit(crowd, EmConfig(max_iters=2, rel_tol=0.0, seed=9, init_max_iter=20, inner_max_iter=6))
         checked = 0
-        for mode, (z, w) in zip(posterior_modes(r.posteriors), enumerated_posterior(r.state, crowd)):
+        for mode, (z, w) in zip(paths(crowd, posterior_modes(r.posterior)), enumerated_posterior(r.state, crowd)):
             want = brute_mode(z, w)
             if want is not None:
                 assert mode == want
@@ -648,17 +700,16 @@ class TestPosteriorModes:
             for states in reversed(lat.states[:-1]):
                 path.insert(0, next(s for s in states if allowed[s, path[0]]))
             expected.append(tuple(path))
-        assert posterior_modes(e_step(state, ds)[0]) == expected
+        assert paths(ds, posterior_modes(e_step(state, ds)[0])) == expected
         assert expected != [lat.sequences[0] for lat in state.lattices]
 
 
 def check_posteriors(state, ds, post, value):
     assert np.isfinite(value)
-    for inst, p in zip(ds.instances, post):
-        assert np.isfinite(p.unary).all() and np.isfinite(p.pair).all()
-        np.testing.assert_allclose(p.unary.sum(axis=1), 1.0, atol=1e-9)
-        assert p.pair.sum() == pytest.approx(len(inst.tokens) - 1, abs=1e-9)
-    for mode, lat in zip(posterior_modes(post), state.lattices):
+    assert np.isfinite(post.unary).all() and np.isfinite(post.pair).all()
+    np.testing.assert_allclose(post.unary.sum(axis=1), 1.0, atol=1e-9)
+    np.testing.assert_allclose(post.pair.sum(axis=(1, 2)), [len(inst.tokens) - 1 for inst in ds.instances], atol=1e-9)
+    for mode, lat in zip(paths(ds, posterior_modes(post)), state.lattices, strict=True):
         assert all(s in states for s, states in zip(mode, lat.states))
         assert all(ds.scheme.allowed_transitions[a, b] for a, b in zip(mode, mode[1:]))
     if not any(lat.capped for lat in state.lattices):
@@ -673,7 +724,7 @@ class TestProperties:
                        init_max_iter=5, inner_max_iter=3)
         r = fit(ds, cfg)
         assert min(b - a for a, b in zip(r.history, r.history[1:])) > -1e-6
-        check_posteriors(r.state, ds, r.posteriors, r.history[-1])
+        check_posteriors(r.state, ds, r.posterior, r.history[-1])
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(ds=crowd_datasets(), seed=st.integers(0, 2**16))
