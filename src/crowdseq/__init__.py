@@ -26,9 +26,9 @@ _EXPORTS = {
     ),
     "baselines": ("DsModel", "aggregate_labels", "ds_decode", "ds_fit", "mv_token", "wrapper_train"),
     "crf": (
-        "CrfModel", "SequencePotentials", "TrainOptions", "TrainResult", "build_model", "decode",
-        "decode_file", "expected_counts", "extract_features", "load_model", "log_partition", "marginals",
-        "optimize", "save_model", "viterbi", "weighted_nll_and_gradient",
+        "CrfModel", "TrainOptions", "TrainResult", "build_model", "decode", "decode_file",
+        "expected_counts", "extract_features", "load_model", "log_partition", "optimize", "save_model",
+        "viterbi", "weighted_nll_and_gradient",
     ),
     "em": (
         "EmConfig", "EmState", "FitResult", "Posterior", "confusion_counts", "e_step", "fit",

@@ -5,18 +5,17 @@ The score of a label sequence decomposes as
     score(x, z) = sum_t unary[t, z_t] + sum_{t>0} pairwise[z_{t-1}, z_t]
 
 where the unary table collects the weights of every observation feature
-firing at a position and the pairwise table holds label-bigram weights
-(position-independent unless a caller supplies per-step tables).
-Sum-product inference runs in probability space, scaled step by step
-(Rabiner 1989, section V.A): the unary scores are exponentiated less their
-row maximum and the pairwise table less its maximum, the forward messages
-are renormalized to sum to 1 at every step, their row sums giving log Z, and
-the backward messages are normalized on their own.  That holds ratios
-within the float64 range only: a sequence where, at some position, the best
-prefixes and suffixes outweigh every whole path by more than ~708 nats (one
-step's scores spanning that much, or a dead end outweighing every live path
-by that much) is refused with a ValueError naming it, never a NaN or a
-silent -inf.  Viterbi, max-product, stays in log space.
+firing at a position and the one (M, M) pairwise table holds label-bigram
+weights.  Sum-product inference runs in probability space, scaled step by
+step (Rabiner 1989, section V.A): the unary scores are exponentiated less
+their row maximum and the pairwise table less its maximum, the forward
+messages are renormalized to sum to 1 at every step, their row sums giving
+log Z, and the backward messages are normalized on their own.  That holds
+ratios within the float64 range only: a sequence where, at some position,
+the best prefixes and suffixes outweigh every whole path by more than ~708
+nats (one step's scores spanning that much, or a dead end outweighing every
+live path by that much) is refused with a ValueError naming it, never a NaN
+or a silent -inf.  Viterbi, max-product, stays in log space.
 
 Inference runs on a packed batch: sequences sorted longest first and laid
 out time-major in flat (P, M) arrays over their P positions, so step t
@@ -35,15 +34,14 @@ ids firing at each packed row: the batch's unary table sums the weight rows
 of those ids, the unary gradient scatters the weighted marginals ``w * q``
 back onto them with one ``np.bincount``, and the weighted sum of the pair
 marginals, the (M, M) bigram gradient, is one (M x R) @ (R x M) product
-over the R positions that follow another.  A batch is a
-``BatchPotentials``: the (P, M) unary rows of its sequences laid end to
-end, their lengths, one pairwise table and, where one is made for many
-batches, their packing; ``_as_batch`` lays a list of potentials end to end.
-``_pack`` checks a batch and gathers its unary rows into packed order with
-one indexing: ``decode`` runs one Viterbi pass, ``log_partition`` one
-forward pass and ``expected_counts`` (EM's posteriors) one forward-backward
-pass over a batch; on one sentence they and ``marginals`` run on a batch of
-one.  ``_viterbi`` accumulates its prefix scores in that packed copy, each
+over the R positions that follow another.  Every inference entry point
+takes one ``BatchPotentials``: the (P, M) unary rows of its sequences laid
+end to end, their lengths, one pairwise table and, where one is made for
+many batches, their packing.  ``_pack`` checks a batch and gathers its
+unary rows into packed order with one indexing: ``log_partition`` runs one
+forward pass, ``expected_counts`` (EM's posteriors) one forward-backward
+pass and ``viterbi`` one Viterbi pass over a batch; one sentence is a batch
+of one.  ``_viterbi`` accumulates its prefix scores in that packed copy, each
 step keeping a running max over the from-labels so that it holds (rows, M)
 scores at a time, and its back-pointers take the smallest unsigned type
 that holds M.
@@ -68,12 +66,10 @@ batch with ``_InputTable.unary``: ``_unary_table`` sums the rows of the
 leading templates, which read a position's own token, once per token type,
 and each position adds the previous-token and then the next-token row to
 its type's sum, the same rows in the same order and so the same bits as
-``_unary_table`` over the (P, T) ids, which the objective uses.  Given an
-input table it returns that batch's ``BatchPotentials``; given one sentence
-or a list it copies nothing per sentence: each entry's unary table is a
-view of the batch's one (P, M) table, and every entry holds the same
-read-only copy of the bigram weights, so ``_as_batch`` knows the batch
-shares one table without comparing them.
+``_unary_table`` over the (P, T) ids, which the objective uses.  Given a
+list of sentences or their input table, it returns the batch's
+``BatchPotentials``; ``decode`` cuts its Viterbi labels into one path per
+sentence.
 
 Training minimizes the objective with ``minimize``, a numpy L-BFGS whose
 Armijo line search lowers the value at every accepted step, so no part of
@@ -303,27 +299,12 @@ def build_model(scheme: LabelScheme, token_seqs: Iterable[Sequence[str]]) -> Crf
 
 
 @dataclass
-class SequencePotentials:
-    """Log-potential tables for one sequence."""
-
-    unary: np.ndarray  # (L, M)
-    pairwise: np.ndarray  # (M, M), or (L-1, M, M) for position-dependent scores
-
-    @property
-    def length(self) -> int:
-        return self.unary.shape[0]
-
-    @property
-    def n_labels(self) -> int:
-        return self.unary.shape[1]
-
-
-@dataclass
 class BatchPotentials:
-    """Log-potential tables for a batch of sequences laid end to end: their
-    (P, M) unary rows, sequence after sequence, and one (M, M) pairwise
-    table, as ``extract_features`` gives them for an input table, and the
-    batch's ``_Packing`` where one is made once for many batches."""
+    """Log-potential tables for a batch of sequences laid end to end, the
+    one input of every inference entry point: their (P, M) unary rows,
+    sequence after sequence, one (M, M) pairwise table shared by every
+    step, their lengths, and the batch's ``_Packing`` where one is made once
+    for many batches."""
 
     unary: np.ndarray  # (P, M)
     pairwise: np.ndarray  # (M, M)
@@ -455,36 +436,25 @@ def _unary_table(wu: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return unary
 
 
-def extract_features(
-    model: CrfModel, tokens: Sequence[str] | Sequence[Sequence[str]] | _InputTable
-) -> SequencePotentials | list[SequencePotentials] | BatchPotentials:
-    """Potential tables under the model's current weights.
-
-    Given a list of token sequences instead of one, returns one entry per
-    sequence, in order, from a single pass over the whole batch; an empty
-    list is an empty batch.  The entries' unary tables are views of one (P,
-    M) table, and they share one read-only copy of the bigram weights.
-    Given the ``_InputTable`` of a batch whose columns hold the model's ids,
-    as ``load_model`` leaves the one ``decode_file`` passes it, it returns
-    that batch's ``BatchPotentials`` instead of featurizing it again.  The
-    unary scores come from ``_InputTable.unary``: the templates that read a
-    position's own token are scored once per token type.
+def extract_features(model: CrfModel, token_seqs: Sequence[Sequence[str]] | _InputTable) -> BatchPotentials:
+    """The ``BatchPotentials`` of a list of token sequences under the
+    model's current weights, in order, from a single pass over the whole
+    batch; an empty list is an empty batch.  Given the ``_InputTable`` of a
+    batch whose columns hold the model's ids, as ``load_model`` leaves the
+    one ``decode_file`` passes it, it scores that table instead of
+    featurizing the batch again.  The unary scores come from
+    ``_InputTable.unary``: the templates that read a position's own token
+    are scored once per token type.  The pairwise table is a copy of the
+    bigram weights, so the batch keeps no part of the weight vector alive
+    (``decode_file`` drops the model before Viterbi).  One sentence, a
+    sequence of strings, is refused: each of its tokens would be taken for a
+    sentence of characters.
     """
-    if isinstance(tokens, _InputTable):
-        table, one = tokens, None
-    elif not tokens:
-        return []
-    else:
-        one = isinstance(tokens[0], str)
-        table = _InputTable([tokens] if one else tokens).look_up(model)
-    pairwise = model.bigram_weights().copy()
-    pairwise.flags.writeable = False
-    batch = BatchPotentials(table.unary(model.unary_weights()), pairwise, table.lengths)
-    if one is None:
-        return batch
-    ends = accumulate(table.lengths)
-    pots = [SequencePotentials(batch.unary[end - n : end], pairwise) for n, end in zip(table.lengths, ends)]
-    return pots[0] if one else pots
+    if not isinstance(token_seqs, _InputTable):
+        if token_seqs and isinstance(token_seqs[0], str):
+            raise ValueError("extract_features takes a list of sentences: pass [tokens] for one sentence")
+        token_seqs = _InputTable(token_seqs).look_up(model)
+    return BatchPotentials(token_seqs.unary(model.unary_weights()), model.bigram_weights().copy(), token_seqs.lengths)
 
 
 class _Packing:
@@ -547,17 +517,13 @@ class _Corpus:
         return np.bincount(self.bins, table.take(self.entry_rows, axis=0).ravel(), n_obs * m).reshape(self.shape)
 
 
-def _step_table(pairwise: np.ndarray, t: int) -> np.ndarray:
-    return pairwise if pairwise.ndim == 2 else pairwise[t - 1]
-
-
 def _no_path(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarray:
     """Which packed sequences have no path of finite score: the forward
     pass over the -inf pattern alone, as booleans."""
     live = unary > -np.inf
     allowed = pairwise > -np.inf
     for t in range(1, pk.steps):
-        live[pk.step_rows[t]] &= (live[pk.prev_step_rows[t], :, None] & _step_table(allowed, t)).any(axis=1)
+        live[pk.step_rows[t]] &= (live[pk.prev_step_rows[t], :, None] & allowed).any(axis=1)
     return ~live[pk.last_rows].any(axis=1)
 
 
@@ -568,9 +534,10 @@ def _forward(
     batch: ``(u, e, alpha, c, logz)``.
 
     ``u = exp(unary - row max)`` (shift 0 on an all -inf row) and ``e =
-    exp(pairwise - max)``, per step for (L-1, M, M) tables; then row by row
-    ``alpha_t = (alpha_{t-1} @ e) * u_t / c_t``, ``c_t`` its row sum, and
-    log Z per sequence (B,) is the sum of log c_t and the shifts.
+    exp(pairwise - max)``, the one (M, M) table every step shares (shift 0
+    when it is all -inf); then step by step ``alpha_t = (alpha_{t-1} @ e) *
+    u_t / c_t``, ``c_t`` its row sum, and log Z per sequence (B,) is the sum
+    of its rows' log c_t and shifts, a row past step 0 adding the table's.
 
     A sequence with a row whose sum ``c_t`` falls below the smallest normal
     float is refused with a ValueError calling it ``name`` and its batch
@@ -585,10 +552,10 @@ def _forward(
     shift = unary.max(axis=1)
     shift[shift == -np.inf] = 0.0
     u = np.exp(unary - shift[:, None])
-    peak = pairwise.max(axis=(-2, -1), initial=-np.inf, keepdims=True)
-    peak[peak == -np.inf] = 0.0
+    peak = pairwise.max(initial=-np.inf)
+    peak = 0.0 if peak == -np.inf else peak
     e = np.exp(pairwise - peak)
-    shift[pk.later] += peak.ravel()  # each row's shifts: its unary max, and its step's pairwise max
+    shift[pk.later] += peak  # each row's shifts: its unary max, and the pairwise max past step 0
     alpha = np.empty_like(u)
     c = np.empty(len(u))
     with np.errstate(divide="ignore", invalid="ignore"):  # a row with no mass left: refused below
@@ -596,7 +563,7 @@ def _forward(
             if t == 0:
                 a = u[rows]
             else:  # one vector-matrix product per row: a row's bits do not depend on the batch
-                a = np.matmul(alpha[prev, None, :], _step_table(e, t))[:, 0] * u[rows]
+                a = np.matmul(alpha[prev, None, :], e)[:, 0] * u[rows]
             c[rows] = s = a.sum(axis=1)
             np.divide(a, s[:, None], out=alpha[rows])
         logz = np.bincount(pk.row_seq, np.log(c) + shift, minlength=len(pk.last_rows))
@@ -640,7 +607,7 @@ def _forward_backward(
     with np.errstate(invalid="ignore"):  # a row with no mass left: refused below
         for t in range(pk.steps - 1, 0, -1):
             rows = pk.step_rows[t]
-            b = (u[rows] * beta[rows]) @ _step_table(e, t).T
+            b = (u[rows] * beta[rows]) @ e.T
             np.divide(b, b.sum(axis=1, keepdims=True), out=beta[pk.prev_step_rows[t]])
     uni = alpha * beta
     norm = uni.sum(axis=1)
@@ -674,11 +641,11 @@ def _viterbi(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarra
     back = np.zeros(unary.shape, dtype=np.min_scalar_type(unary.shape[1]))
     for t in range(1, pk.steps):
         rows = pk.step_rows[t]
-        prev, table, back_t = unary[pk.prev_step_rows[t]], _step_table(pairwise, t), back[rows]
-        best = prev[:, :1] + table[0]
+        prev, back_t = unary[pk.prev_step_rows[t]], back[rows]
+        best = prev[:, :1] + pairwise[0]
         score, better = np.empty_like(best), np.empty(best.shape, dtype=bool)
-        for i in range(1, table.shape[0]):
-            np.add(prev[:, i, None], table[i], out=score)
+        for i in range(1, pairwise.shape[0]):
+            np.add(prev[:, i, None], pairwise[i], out=score)
             np.greater(score, best, out=better)
             np.copyto(best, score, where=better)
             back_t[better] = i
@@ -691,30 +658,17 @@ def _viterbi(unary: np.ndarray, pairwise: np.ndarray, pk: _Packing) -> np.ndarra
     return path
 
 
-def _as_batch(pots: Sequence[SequencePotentials] | BatchPotentials) -> BatchPotentials:
-    """A ``BatchPotentials`` as it is, or a list of potentials laid end to
-    end.  Refuses a longer list without one shared (M, M) pairwise table;
-    entries holding the same table object, as ``extract_features`` gives
-    them, share it without a comparison."""
-    if isinstance(pots, BatchPotentials):
-        return pots
-    pots = list(pots)
-    if not pots:
-        return BatchPotentials(np.zeros((0, 0)), np.zeros((0, 0)), [])
-    pairwise = pots[0].pairwise
-    if len(pots) > 1 and (
-        pairwise.ndim != 2
-        or (any(p.pairwise is not pairwise for p in pots) and (np.stack([p.pairwise for p in pots]) != pairwise).any())
-    ):
-        raise ValueError("a batch must share one (M, M) pairwise table")
-    return BatchPotentials(np.concatenate([p.unary for p in pots]), pairwise, [p.length for p in pots])
-
-
 def _pack(batch: BatchPotentials) -> tuple[np.ndarray, np.ndarray, _Packing]:
-    """A batch of at least one sequence packed: its unary rows in packed
-    order, a fresh array gathered straight from the batch's, its pairwise
-    table and its ``_Packing``, ``batch.pack`` if set.  Refuses an empty
-    sequence and NaN or +inf potentials."""
+    """A batch packed: its unary rows in packed order, a fresh array
+    gathered straight from the batch's, its pairwise table and its
+    ``_Packing``, ``batch.pack`` if set.  Refuses a pairwise table other
+    than one (M, M) table, lengths that do not add up to the unary rows, an
+    empty sequence and NaN or +inf potentials."""
+    p, m = batch.unary.shape
+    if batch.pairwise.shape != (m, m):
+        raise ValueError(f"pairwise table of shape {batch.pairwise.shape}: expected one ({m}, {m}) table")
+    if sum(batch.lengths) != p:
+        raise ValueError(f"lengths add up to {sum(batch.lengths)}, not to the {p} unary rows")
     pk = batch.pack or _Packing(batch.lengths)
     unary, pairwise = batch.unary[pk.from_concat], batch.pairwise
     if not ((unary < np.inf).all() and (pairwise < np.inf).all()):  # NaN fails too
@@ -722,39 +676,22 @@ def _pack(batch: BatchPotentials) -> tuple[np.ndarray, np.ndarray, _Packing]:
     return unary, pairwise, pk
 
 
-def log_partition(pot: SequencePotentials | Sequence[SequencePotentials] | BatchPotentials) -> float | np.ndarray:
-    """log of the sum of exp(score) over all M^L label sequences; given a
-    list of potentials sharing one (M, M) pairwise table, as ``viterbi``
-    takes, or a ``BatchPotentials``, an array of one value per sequence
-    from a single packed forward pass.  A sequence with no finite-scoring
-    path gives -inf; one whose scores the pass cannot hold in the float64
-    range is refused (see ``_forward``)."""
-    if isinstance(pot, SequencePotentials):
-        return float(log_partition([pot])[0])
-    batch = _as_batch(pot)
-    if not batch.lengths:
-        return np.zeros(0)
+def log_partition(batch: BatchPotentials) -> np.ndarray:
+    """log of the sum of exp(score) over all M^L label sequences, one value
+    per sequence of the batch (B,), from a single packed forward pass.  A
+    sequence with no finite-scoring path gives -inf; one whose scores the
+    pass cannot hold in the float64 range is refused (see ``_forward``)."""
     unary, pairwise, pk = _pack(batch)
     return _forward(unary, pairwise, pk, "sequence", dead_ok=True)[-1][np.argsort(pk.order)]
 
 
-def marginals(pot: SequencePotentials) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior label probabilities (L, M) and pair probabilities (L-1, M, M)."""
-    unary, pairwise, pk = _pack(_as_batch([pot]))
-    _, uni, before, after, e = _forward_backward(unary, pairwise, pk)
-    return uni, e * before[:, :, None] * after[:, None, :]
-
-
-def expected_counts(
-    pots: Sequence[SequencePotentials] | BatchPotentials, name: str = "sequence"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def expected_counts(batch: BatchPotentials, name: str = "sequence") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log Z (B,), (P, M) label marginals, the sequences laid end to end,
     and (B, M, M) pair marginals summed over each sequence's positions, of
-    a nonempty batch sharing one (M, M) pairwise table, from one packed
-    pass.  A sequence with no finite-scoring path, or whose scores the pass
-    cannot hold in the float64 range, is refused, the error calling it
-    ``name`` and its index (see ``_forward_backward``)."""
-    unary, pairwise, pk = _pack(_as_batch(pots))
+    a batch, from one packed pass.  A sequence with no finite-scoring path,
+    or whose scores the pass cannot hold in the float64 range, is refused,
+    the error calling it ``name`` and its index (see ``_forward_backward``)."""
+    unary, pairwise, pk = _pack(batch)
     logz, uni, before, after, e = _forward_backward(unary, pairwise, pk, name)
     m = unary.shape[1]
     # the pair marginals summed per sequence, one bin per (sequence, from, to)
@@ -766,37 +703,25 @@ def expected_counts(
     return logz[packed], marg, (e * sums.reshape(-1, m, m))[packed]
 
 
-def viterbi(
-    pot: SequencePotentials | Sequence[SequencePotentials] | BatchPotentials,
-) -> LabelSeq | list[LabelSeq] | np.ndarray:
-    """Highest-scoring label sequence.  Of tied best paths it returns the one
-    with the lowest last label, then the lowest label at each earlier
-    position in turn, going back (see ``_viterbi``).
-
-    Given a list of potentials instead of one, returns one path per entry,
-    in order, from a single packed pass.  The entries of a longer list must
-    share one position-independent (M, M) pairwise table.  Given a
-    ``BatchPotentials``, returns the labels of its positions as one flat
-    (P,) array, the paths laid end to end: the pass packs the batch's (P,
-    M) table with one gather, and no path is cut out of it.
-    """
-    if isinstance(pot, SequencePotentials):
-        return viterbi([pot])[0]
-    batch = _as_batch(pot)
-    labels = np.empty(batch.unary.shape[0], dtype=np.intp)
-    if batch.lengths:
-        unary, pairwise, pk = _pack(batch)
-        labels[pk.from_concat] = _viterbi(unary, pairwise, pk)
-    if batch is pot:
-        return labels
-    flat = labels.tolist()
-    return [tuple(flat[end - n : end]) for n, end in zip(batch.lengths, accumulate(batch.lengths))]
+def viterbi(batch: BatchPotentials) -> np.ndarray:
+    """The labels of the batch's positions on their sequences' highest-scoring
+    label sequences, as one flat (P,) array, the paths laid end to end: the
+    pass packs the batch's (P, M) table with one gather, and no path is cut
+    out of it.  Of tied best paths it returns the one with the lowest last
+    label, then the lowest label at each earlier position in turn, going
+    back (see ``_viterbi``)."""
+    unary, pairwise, pk = _pack(batch)
+    labels = np.empty(len(unary), dtype=np.intp)
+    labels[pk.from_concat] = _viterbi(unary, pairwise, pk)
+    return labels
 
 
 def decode(model: CrfModel, token_seqs: Iterable[Sequence[str]]) -> list[LabelSeq]:
     """The highest-scoring label sequence of each token sequence, in input
     order, featurized in one batch and decoded in one packed Viterbi pass."""
-    return viterbi(extract_features(model, list(token_seqs)))
+    batch = extract_features(model, list(token_seqs))
+    flat = viterbi(batch).tolist()
+    return [tuple(flat[end - n : end]) for n, end in zip(batch.lengths, accumulate(batch.lengths))]
 
 
 # One weighted example: (tokens, labels, weight), where labels is one label

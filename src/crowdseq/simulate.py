@@ -143,13 +143,18 @@ def calibrate_q(target_precision: float, mix: CorruptionMix, stats: GoldStats) -
     return target_precision * f / (1.0 - target_precision + target_precision * f)
 
 
-def _feasible_shifts(span: EntitySpan, spans, length: int) -> list[EntitySpan]:
+def _feasible_shifts(e: int, spans: list[EntitySpan], length: int) -> list[EntitySpan]:
+    """The one-position boundary shifts of ``spans[e]`` that stay in the
+    sentence, keep a token and overlap no other span.  ``extract_entities``
+    gives sorted, disjoint spans, so only the spans either side can block
+    one."""
+    span, near = spans[e], spans[max(e - 1, 0) : e] + spans[e + 1 : e + 2]
     out = []
     for ds_, de in ((-1, 0), (1, 0), (0, -1), (0, 1)):
         a, b = span.start + ds_, span.end + de
         if a < 0 or b > length or a >= b:
             continue
-        if any(s != span and a < s.end and s.start < b for s in spans):
+        if any(a < s.end and s.start < b for s in near):
             continue
         out.append(EntitySpan(a, b, span.entity_type))
     return out
@@ -164,7 +169,7 @@ def _corrupt_annotation(inst, spans, o_positions, q, weights, types, seed_parts,
             continue
         op = OPS[int(rng.choice(4, p=weights))]
         if op == "boundary-shift":
-            options = _feasible_shifts(span, spans, len(inst.tokens))
+            options = _feasible_shifts(e, spans, len(inst.tokens))
             if options:
                 placed.append(options[int(rng.integers(len(options)))])
                 continue

@@ -14,21 +14,65 @@ from scipy.special import logsumexp
 from crowdseq import DataError, LabelScheme, crf
 from crowdseq.annotators import resolve_mentions
 from crowdseq.baselines import logsumexp as own_logsumexp
-from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, TEMPLATES, SequencePotentials, extract_features
+from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, TEMPLATES, BatchPotentials, extract_features
 from crowdseq.formats import read_utf8
+from crowdseq.scoring import EntitySpan
 
 
-def sequence_score(pot: SequencePotentials, labels) -> float:
+@dataclass
+class Chain:
+    """The log-potentials of one sequence, as the references here take
+    them: its (L, M) unary table and the (M, M) pairwise table of every
+    step.  ``batch`` lays chains end to end for ``crowdseq.crf``."""
+
+    unary: np.ndarray
+    pairwise: np.ndarray
+
+    @property
+    def length(self) -> int:
+        return self.unary.shape[0]
+
+    @property
+    def n_labels(self) -> int:
+        return self.unary.shape[1]
+
+
+def batch(*pots: Chain) -> BatchPotentials:
+    """The chains laid end to end as one batch, under the first one's
+    pairwise table."""
+    return BatchPotentials(np.concatenate([pot.unary for pot in pots]), pots[0].pairwise, [pot.length for pot in pots])
+
+
+def chain(model, tokens) -> Chain:
+    """One sentence's potentials: ``extract_features`` on a batch of one."""
+    pot = extract_features(model, [tokens])
+    return Chain(pot.unary, pot.pairwise)
+
+
+def paths(pots: BatchPotentials) -> list[tuple[int, ...]]:
+    """``crf.viterbi``'s flat label column cut into one path per sequence."""
+    labels = crf.viterbi(pots).tolist()
+    ends = np.cumsum(pots.lengths, dtype=int).tolist()
+    return [tuple(labels[end - n : end]) for n, end in zip(pots.lengths, ends)]
+
+
+def marginals(pot: Chain) -> tuple[np.ndarray, np.ndarray]:
+    """The label marginals (L, M) and pair marginals (L-1, M, M) of one
+    sequence, from the factors ``crf._forward_backward`` gives a batch of
+    one: each pair marginal is ``e * before[:, None] * after[None, :]``."""
+    unary, pairwise, pk = crf._pack(batch(pot))
+    _, uni, before, after, e = crf._forward_backward(unary, pairwise, pk)
+    return uni, e * before[:, :, None] * after[:, None, :]
+
+
+def sequence_score(pot: Chain, labels) -> float:
     """Unnormalized log-score of one label sequence."""
     z = np.asarray(labels, dtype=np.intp)
     if z.size != pot.length:
         raise ValueError("label/position length mismatch")
     s = float(pot.unary[np.arange(z.size), z].sum())
     if z.size > 1:
-        if pot.pairwise.ndim == 2:
-            s += float(pot.pairwise[z[:-1], z[1:]].sum())
-        else:
-            s += float(pot.pairwise[np.arange(z.size - 1), z[:-1], z[1:]].sum())
+        s += float(pot.pairwise[z[:-1], z[1:]].sum())
     return s
 
 
@@ -117,15 +161,15 @@ def loop_obs_index(token_seqs, templates=TEMPLATES) -> dict[str, int]:
     return obs_index
 
 
-def all_sequences(pot: SequencePotentials):
+def all_sequences(pot: Chain):
     return itertools.product(range(pot.n_labels), repeat=pot.length)
 
 
-def brute_log_partition(pot: SequencePotentials) -> float:
+def brute_log_partition(pot: Chain) -> float:
     return float(logsumexp([sequence_score(pot, z) for z in all_sequences(pot)]))
 
 
-def brute_marginals(pot: SequencePotentials) -> tuple[np.ndarray, np.ndarray]:
+def brute_marginals(pot: Chain) -> tuple[np.ndarray, np.ndarray]:
     L, M = pot.length, pot.n_labels
     logZ = brute_log_partition(pot)
     unary = np.zeros((L, M))
@@ -139,7 +183,7 @@ def brute_marginals(pot: SequencePotentials) -> tuple[np.ndarray, np.ndarray]:
     return unary, pairwise
 
 
-def brute_viterbi(pot: SequencePotentials) -> tuple[int, ...]:
+def brute_viterbi(pot: Chain) -> tuple[int, ...]:
     # ties resolve to the lexicographically smallest sequence
     best, best_z = -np.inf, None
     for z in all_sequences(pot):
@@ -149,7 +193,7 @@ def brute_viterbi(pot: SequencePotentials) -> tuple[int, ...]:
     return best_z
 
 
-def brute_viterbi_last_first(pot: SequencePotentials) -> tuple[int, ...]:
+def brute_viterbi_last_first(pot: Chain) -> tuple[int, ...]:
     """The path ``viterbi`` picks among exact ties: of the sequences of the
     highest score, the first when compared from the last label back to the
     first."""
@@ -318,9 +362,9 @@ def loop_lattice(candidates, scheme: LabelScheme):
     return tuple(cand), states, sum(fwd[-1].values()), tuple(widened)
 
 
-def random_potentials(rng, L: int, M: int, per_step: bool = False) -> SequencePotentials:
-    pairwise = rng.normal(size=(L - 1, M, M)) if per_step and L > 1 else rng.normal(size=(M, M))
-    return SequencePotentials(unary=rng.normal(size=(L, M)), pairwise=pairwise)
+def random_potentials(rng, L: int, M: int) -> Chain:
+    pairwise = rng.normal(size=(M, M))
+    return Chain(unary=rng.normal(size=(L, M)), pairwise=pairwise)
 
 
 def brute_weighted_nll(model, data, l2: float) -> tuple[float, np.ndarray]:
@@ -391,30 +435,26 @@ def sorted_objective(model, data, l2: float):
     return value_and_grad
 
 
-def _step_table(pairwise: np.ndarray, t: int) -> np.ndarray:
-    return pairwise if pairwise.ndim == 2 else pairwise[t - 1]
-
-
-def log_space_messages(pot: SequencePotentials) -> tuple[np.ndarray, np.ndarray]:
+def log_space_messages(pot: Chain) -> tuple[np.ndarray, np.ndarray]:
     """The log-space forward and backward messages (L, M) of one sequence:
     alpha[t, j], the log-sum of the scores of the prefixes ending in label j
     at t, and beta[t, j], of the suffixes following it."""
     unary, pairwise = pot.unary, pot.pairwise
     alpha = unary.copy()
     for t in range(1, len(unary)):
-        alpha[t] += own_logsumexp(alpha[t - 1, :, None] + _step_table(pairwise, t), axis=0)
+        alpha[t] += own_logsumexp(alpha[t - 1, :, None] + pairwise, axis=0)
     beta = np.zeros_like(unary)
     for t in range(len(unary) - 2, -1, -1):
-        beta[t] = own_logsumexp(_step_table(pairwise, t + 1) + (unary[t + 1] + beta[t + 1])[None, :], axis=1)
+        beta[t] = own_logsumexp(pairwise + (unary[t + 1] + beta[t + 1])[None, :], axis=1)
     return alpha, beta
 
 
-def range_gap(pot: SequencePotentials) -> float:
+def range_gap(pot: Chain) -> float:
     """The largest of the log-ratios that the scaled kernel in
     ``crowdseq.crf`` must hold within the float64 range, from the log-space
     messages.  Per position t: log-sum alpha_t + log-sum beta_t - log Z
     (prefixes and suffixes that no whole path joins).  Per step t >= 1, with
-    S = log-sum alpha_{t-1} + the step's largest pairwise score + position
+    S = log-sum alpha_{t-1} + the largest pairwise score + position
     t's largest unary score: S - log-sum alpha_t (the forward mass the step
     loses) and S + log-sum beta_t - log Z (the same for whole paths).  The
     kernel may refuse a sequence only where this exceeds ~708 nats."""
@@ -423,14 +463,14 @@ def range_gap(pot: SequencePotentials) -> float:
     logz = float(own_logsumexp(alpha[-1]))
     gaps = [fwd + bwd - logz]
     if len(alpha) > 1:
-        peak = pot.pairwise.max(axis=(-2, -1))
+        peak = pot.pairwise.max()
         best = pot.unary.max(axis=1)
         step = fwd[:-1] + np.where(np.isfinite(peak), peak, 0.0) + np.where(np.isfinite(best), best, 0.0)[1:]
         gaps += [step - fwd[1:], step + bwd[1:] - logz]
     return float(max(g.max() for g in gaps))
 
 
-def log_space_inference(pot: SequencePotentials) -> tuple[float, np.ndarray, np.ndarray]:
+def log_space_inference(pot: Chain) -> tuple[float, np.ndarray, np.ndarray]:
     """log Z, unary marginals (L, M) and pair marginals (L-1, M, M) of one
     sequence by the log-space forward-backward recursion with max-shift
     stabilization that ``crowdseq.crf`` ran before its scaled kernel, each
@@ -445,7 +485,7 @@ def log_space_inference(pot: SequencePotentials) -> tuple[float, np.ndarray, np.
         uni /= uni.sum(axis=1, keepdims=True)
         pair = np.array(
             [
-                np.exp(alpha[t - 1, :, None] + _step_table(pairwise, t) + (unary[t] + beta[t])[None, :] - logz)
+                np.exp(alpha[t - 1, :, None] + pairwise + (unary[t] + beta[t])[None, :] - logz)
                 for t in range(1, len(unary))
             ]
         ).reshape(-1, *uni.shape[1:] * 2)
@@ -462,7 +502,7 @@ def log_space_weighted_nll(model, data, l2: float) -> tuple[float, np.ndarray]:
     grad = l2 * model.weights.copy()
     value = 0.5 * l2 * float(model.weights @ model.weights)
     for tokens, labels, w in data:
-        pot = extract_features(model, tokens)
+        pot = chain(model, tokens)
         logz, uni, pair = log_space_inference(pot)
         value += w * (logz - sequence_score(pot, labels))
         observed = np.eye(m)[list(labels)]
@@ -473,6 +513,21 @@ def log_space_weighted_nll(model, data, l2: float) -> tuple[float, np.ndarray]:
         np.add.at(bigram, (list(labels[:-1]), list(labels[1:])), -w)
         grad[nu:] += bigram.ravel()
     return value, grad
+
+
+def loop_feasible_shifts(span: EntitySpan, spans, length: int) -> list[EntitySpan]:
+    """The one-position boundary shifts of ``span`` that stay in the
+    sentence, keep a token and overlap none of the other ``spans``, each
+    candidate checked against every span."""
+    out = []
+    for ds_, de in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        a, b = span.start + ds_, span.end + de
+        if a < 0 or b > length or a >= b:
+            continue
+        if any(s != span and a < s.end and s.start < b for s in spans):
+            continue
+        out.append(EntitySpan(a, b, span.entity_type))
+    return out
 
 
 def loop_ds_fit(ds, iters: int = 100, tol: float = 1e-8, smoothing: float = 1.0):

@@ -24,30 +24,31 @@ from crowdseq import (
     confusion_counts,
     corpus_stats,
     count_valid,
+    decode,
     ds_decode,
     ds_fit,
     e_step,
     entity_prf,
     enumerate_valid,
-    extract_features,
     fit,
     load_conll,
     log_partition,
-    marginals,
     mv_token,
     optimize,
     simulate,
     save_conll,
-    viterbi,
     weighted_nll_and_gradient,
     wrapper_train,
 )
 from crowdseq.cli import main as cli_main
 from oracles import (
+    batch,
     brute_log_partition,
     brute_marginals,
     brute_valid,
     brute_viterbi,
+    marginals,
+    paths,
     random_potentials,
 )
 from test_baselines import planted_dataset, token_accuracy_of
@@ -74,8 +75,8 @@ def test_criterion_1_inference_matches_enumeration(report):
         rng = np.random.default_rng([seed, 41])
         L = int(rng.integers(1, 7))
         M = int(rng.integers(2, 5))
-        pot = random_potentials(rng, L, M, per_step=bool(seed % 2))
-        logz = log_partition(pot)
+        pot = random_potentials(rng, L, M)
+        logz = log_partition(batch(pot))[0]
         ref = brute_log_partition(pot)
         worst_rel = max(worst_rel, abs(logz - ref) / max(1.0, abs(ref)))
         un, pw = marginals(pot)
@@ -83,7 +84,7 @@ def test_criterion_1_inference_matches_enumeration(report):
         worst_rel = max(worst_rel, float(np.abs(un - run).max()))
         if L > 1:
             worst_rel = max(worst_rel, float(np.abs(pw - rpw).max()))
-        if viterbi(pot) != brute_viterbi(pot):
+        if paths(batch(pot)) != [brute_viterbi(pot)]:
             viterbi_exact = False
     secs = time.perf_counter() - t0
     ok = worst_rel < 1e-8 and viterbi_exact and secs < 10.0
@@ -220,7 +221,7 @@ def test_criterion_5_perfect_annotators_recover_the_supervised_model(report):
     ).model
 
     def heldout_f1(model):
-        preds = [viterbi(extract_features(model, i.tokens)) for i in test.instances]
+        preds = decode(model, [i.tokens for i in test.instances])
         return entity_prf(preds, [i.gold for i in test.instances], ds.scheme).f1
 
     f1_joint = heldout_f1(r.crf)
@@ -246,7 +247,7 @@ def test_criterion_6_joint_model_beats_the_vote_wrapper_at_low_precision(report)
         golds = [i.gold for i in test.instances]
 
         def heldout_f1(model):
-            preds = [viterbi(extract_features(model, i.tokens)) for i in test.instances]
+            preds = decode(model, [i.tokens for i in test.instances])
             return entity_prf(preds, golds, ds.scheme).f1
 
         r = fit(crowd, EmConfig(max_iters=8, seed=seed, inner_max_iter=20))

@@ -13,11 +13,10 @@ from crowdseq import (
     LabelScheme,
     TrainOptions,
     aggregate_labels,
+    decode,
     ds_decode,
     ds_fit,
-    extract_features,
     mv_token,
-    viterbi,
     wrapper_train,
 )
 from crowdseq.baselines import logsumexp
@@ -310,5 +309,5 @@ class TestAggregateAndWrap:
         )
         ds = CrowdDataset(scheme, insts, ("a", "b"))
         model = wrapper_train(ds, "mv", opts=TrainOptions(max_iter=60, l2=0.01))
-        decoded = [viterbi(extract_features(model, i.tokens)) for i in ds.instances]
+        decoded = decode(model, [i.tokens for i in ds.instances])
         assert decoded == [mv_token(i) for i in ds.instances]

@@ -13,18 +13,23 @@ from corpus import make_gold
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    Chain,
+    batch,
     brute_log_partition,
     brute_marginals,
     brute_valid,
     brute_viterbi,
     brute_viterbi_last_first,
     brute_weighted_nll,
+    chain,
     fired_observations,
     log_space_inference,
     log_space_weighted_nll,
     loop_obs_index,
     range_gap,
     loop_observation_rows,
+    marginals,
+    paths,
     random_potentials,
     model_file_parts,
     name_index,
@@ -36,7 +41,6 @@ from oracles import (
 
 from crowdseq import (
     LabelScheme,
-    SequencePotentials,
     TrainOptions,
     build_model,
     decode,
@@ -45,7 +49,6 @@ from crowdseq import (
     extract_features,
     load_model,
     log_partition,
-    marginals,
     optimize,
     save_model,
     viterbi,
@@ -96,16 +99,16 @@ def ragged_batch(rng, extra_lengths=()):
 
 
 def one_sentence_objective(model, data, l2):
-    """The weighted objective built from log_partition and marginals, one
-    example at a time."""
+    """The weighted objective built from log_partition on a batch of one and
+    the pair marginals of ``marginals``, one example at a time."""
     m = model.scheme.size
     grad_u = np.zeros((model.n_obs, m))
     grad_b = np.zeros((m, m))
     value = 0.5 * l2 * float(model.weights @ model.weights)
     for tokens, labels, w in data:
-        pot = extract_features(model, tokens)
+        pot = chain(model, tokens)
         uni, pair = marginals(pot)
-        value += w * (log_partition(pot) - sequence_score(pot, labels))
+        value += w * (log_partition(batch(pot))[0] - sequence_score(pot, labels))
         observed = np.eye(m)[list(labels)]
         for t, rows in enumerate(loop_observation_rows(model, tokens)):
             np.add.at(grad_u, rows, w * (uni[t] - observed[t]))
@@ -186,7 +189,7 @@ class TestFeatures:
         a sentence and starting the next."""
         model = build_model(SCHEME, [("x", "x"), ("Rome", "ab", "1984"), ("a",)])
         model.weights[:] = np.random.default_rng(6).normal(size=model.dim)
-        batch = [
+        sentences = [
             ("Rome", "x"),
             ("x",),
             ("x", "ab", "1984"),
@@ -194,27 +197,34 @@ class TestFeatures:
             ("Paris", "zz9", "x"),
             ("x", "never", "seen", "Rome"),
         ]
-        return model, batch
+        return model, sentences
 
     def test_batch_matches_one_sentence_at_a_time(self):
-        model, batch = self.edge_batch()
-        pots = extract_features(model, batch)
-        assert len(pots) == len(batch)
-        for tokens, pot in zip(batch, pots):
-            one = extract_features(model, tokens)
-            assert np.array_equal(pot.unary, one.unary)
-            assert np.array_equal(pot.pairwise, one.pairwise)
+        model, sentences = self.edge_batch()
+        pots = extract_features(model, sentences)
+        assert pots.lengths == [len(tokens) for tokens in sentences]
+        assert np.array_equal(pots.pairwise, model.bigram_weights())
+        assert not np.shares_memory(pots.pairwise, model.weights)
+        for tokens, unary in zip(sentences, np.split(pots.unary, np.cumsum(pots.lengths)[:-1])):
+            assert np.array_equal(unary, chain(model, tokens).unary)
 
     def test_rows_match_the_per_position_template_loop(self):
-        model, batch = self.edge_batch()
-        got = [row[row >= 0].tolist() for row in crf._InputTable(batch).look_up(model).ids()]
-        want = [r.tolist() for tokens in batch for r in loop_observation_rows(model, tokens)]
+        model, sentences = self.edge_batch()
+        got = [row[row >= 0].tolist() for row in crf._InputTable(sentences).look_up(model).ids()]
+        want = [r.tolist() for tokens in sentences for r in loop_observation_rows(model, tokens)]
         assert got == want
         wu = model.unary_weights()
-        for tokens in batch:
+        for tokens in sentences:
             want = loop_observation_rows(model, tokens)
             unary = np.array([wu[r].sum(axis=0) if r.size else np.zeros(SCHEME.size) for r in want])
-            assert np.array_equal(extract_features(model, tokens).unary, unary)
+            assert np.array_equal(chain(model, tokens).unary, unary)
+
+    def test_a_bare_sentence_is_refused(self):
+        # one sentence, not a list of them: its tokens would pass for sentences of characters
+        model, sentences = self.edge_batch()
+        for bare in (sentences[0], list(sentences[0]), "Rome"):
+            with pytest.raises(ValueError, match=r"^extract_features takes a list of sentences: pass \[tokens\]"):
+                extract_features(model, bare)
 
 
 class TestInferenceOracles:
@@ -223,7 +233,7 @@ class TestInferenceOracles:
     def test_log_partition_matches_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         pot = random_potentials(rng, L=int(rng.integers(1, 7)), M=int(rng.integers(2, 5)))
-        assert log_partition(pot) == pytest.approx(brute_log_partition(pot), rel=1e-10)
+        assert log_partition(batch(pot))[0] == pytest.approx(brute_log_partition(pot), rel=1e-10)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_marginals_match_enumeration(self, seed):
@@ -238,26 +248,13 @@ class TestInferenceOracles:
     def test_viterbi_matches_enumeration(self, seed):
         rng = np.random.default_rng(seed + 200)
         pot = random_potentials(rng, L=int(rng.integers(1, 7)), M=int(rng.integers(2, 5)))
-        assert viterbi(pot) == brute_viterbi(pot)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_viterbi_with_per_step_tables_matches_enumeration(self, seed):
-        rng = np.random.default_rng(seed + 300)
-        pot = random_potentials(rng, L=int(rng.integers(2, 7)), M=int(rng.integers(2, 5)), per_step=True)
-        assert pot.pairwise.ndim == 3
-        assert viterbi(pot) == brute_viterbi(pot)
-
-    def test_per_step_pairwise_supported(self):
-        rng = np.random.default_rng(42)
-        pot = random_potentials(rng, L=5, M=3, per_step=True)
-        assert log_partition(pot) == pytest.approx(brute_log_partition(pot), rel=1e-10)
-        assert viterbi(pot) == brute_viterbi(pot)
+        assert paths(batch(pot)) == [brute_viterbi(pot)]
 
     def test_viterbi_ties_resolve_to_lowest_index(self):
         pot = random_potentials(np.random.default_rng(0), L=4, M=3)
         pot.unary[:] = 0.0
         pot.pairwise[:] = 0.0
-        assert viterbi(pot) == (0, 0, 0, 0)
+        assert paths(batch(pot)) == [(0, 0, 0, 0)]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_viterbi_ties_go_to_the_lowest_last_label_then_back(self, seed):
@@ -269,15 +266,13 @@ class TestInferenceOracles:
             return rng.integers(-1, 2, size=shape).astype(float)
 
         pairwise = table(m, m)
-        pots = [SequencePotentials(table(int(rng.integers(1, 6)), m), pairwise) for _ in range(8)]
+        pots = [Chain(table(int(rng.integers(1, 6)), m), pairwise) for _ in range(8)]
         want = [brute_viterbi_last_first(pot) for pot in pots]
-        assert viterbi(pots) == want
-        per_step = [SequencePotentials(table(n, m), table(n - 1, m, m)) for n in (2, 4, 5)]
-        assert [viterbi(pot) for pot in per_step] == [brute_viterbi_last_first(pot) for pot in per_step]
+        assert paths(batch(*pots)) == want
 
     def test_viterbi_tie_rule_is_not_the_lexicographic_one(self):
-        pot = SequencePotentials(np.zeros((2, 2)), np.array([[0.0, 1.0], [1.0, 0.0]]))  # (0, 1) and (1, 0) tie
-        assert viterbi(pot) == brute_viterbi_last_first(pot) == (1, 0)
+        pot = Chain(np.zeros((2, 2)), np.array([[0.0, 1.0], [1.0, 0.0]]))  # (0, 1) and (1, 0) tie
+        assert paths(batch(pot)) == [brute_viterbi_last_first(pot)] == [(1, 0)]
         assert brute_viterbi(pot) == (0, 1)
 
     def test_marginal_rows_are_distributions(self):
@@ -289,8 +284,23 @@ class TestInferenceOracles:
 
     def test_length_one_sequence(self):
         pot = random_potentials(np.random.default_rng(3), L=1, M=4)
-        assert log_partition(pot) == pytest.approx(brute_log_partition(pot), rel=1e-12)
-        assert len(viterbi(pot)) == 1
+        assert log_partition(batch(pot))[0] == pytest.approx(brute_log_partition(pot), rel=1e-12)
+        assert len(viterbi(batch(pot))) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_ragged_batch_matches_enumeration(self, seed):
+        # sequences of 1 to 6 positions under one shared table, in one pass each
+        rng = np.random.default_rng(seed + 300)
+        m = int(rng.integers(2, 5))
+        pairwise = rng.normal(size=(m, m))
+        pots = [Chain(rng.normal(size=(int(rng.integers(1, 7)), m)), pairwise) for _ in range(5)]
+        logz, unary, pairs = expected_counts(batch(*pots))
+        np.testing.assert_allclose(logz, [brute_log_partition(pot) for pot in pots], rtol=1e-10)
+        assert log_partition(batch(*pots)).tolist() == logz.tolist()
+        want = [brute_marginals(pot) for pot in pots]
+        np.testing.assert_allclose(unary, np.concatenate([uni for uni, _ in want]), atol=1e-10)
+        np.testing.assert_allclose(pairs, [pair.sum(axis=0) for _, pair in want], atol=1e-10)
+        assert paths(batch(*pots)) == [brute_viterbi(pot) for pot in pots]
 
 
 class TestDecode:
@@ -301,9 +311,9 @@ class TestDecode:
         seqs.append(seqs[2])  # the same sentence twice
         lengths = [len(tokens) for tokens in seqs]
         assert 1 in lengths and lengths != sorted(lengths, reverse=True)
-        expected = [viterbi(extract_features(model, tokens)) for tokens in seqs]
+        expected = [path for tokens in seqs for path in paths(extract_features(model, [tokens]))]
         assert decode(model, seqs) == expected
-        assert viterbi([extract_features(model, tokens) for tokens in seqs]) == expected
+        assert paths(extract_features(model, seqs)) == expected
 
     def test_all_zero_weights_tie_everywhere_to_label_zero(self):
         seqs = [("a", "b", "c"), ("d",), ("e", "f", "g", "h", "i"), ("j", "k")]
@@ -312,9 +322,12 @@ class TestDecode:
 
     def test_empty_batch(self):
         model = build_model(SCHEME, [("a",)])
-        assert extract_features(model, []) == []
-        assert log_partition([]).shape == (0,)
-        assert viterbi([]) == []
+        empty = extract_features(model, [])
+        assert empty.unary.shape == (0, SCHEME.size) and empty.lengths == []
+        assert log_partition(empty).shape == (0,)
+        assert viterbi(empty).shape == (0,)
+        m = SCHEME.size
+        assert [part.shape for part in expected_counts(empty)] == [(0,), (0, m), (0, m, m)]
         assert decode(model, []) == []
 
     @pytest.mark.parametrize("seed", range(6))
@@ -329,17 +342,31 @@ class TestDecode:
         seqs = [sentence() for _ in range(int(rng.integers(1, 12)))] + [(words[0],), (words[5],)]
         model = build_model(SCHEME, [sentence() for _ in range(3)])
         model.weights[:] = rng.normal(size=model.dim) * (rng.random(model.dim) < 0.2)
-        expected = [viterbi(extract_features(model, tokens)) for tokens in seqs]
+        expected = [path for tokens in seqs for path in paths(extract_features(model, [tokens]))]
         assert decode(model, seqs) == expected
         for tokens, path in zip(seqs, expected):  # a best path, though not always the brute force's pick among ties
-            pot = extract_features(model, tokens)
+            pot = chain(model, tokens)
             assert sequence_score(pot, path) == pytest.approx(sequence_score(pot, brute_viterbi(pot)), abs=1e-12)
+
+    @pytest.mark.parametrize("fn", [log_partition, expected_counts, viterbi], ids=lambda fn: fn.__name__)
+    def test_a_batch_whose_tables_do_not_fit_is_refused(self, fn):
+        # a table per step, a table of other labels, and lengths short of or
+        # past the rows: short ones used to score a cut batch without a word
+        rng = np.random.default_rng(4)
+        pots = batch(random_potentials(rng, L=3, M=3), random_potentials(rng, L=2, M=3))
+        for bad, message in (
+            (replace(pots, pairwise=rng.normal(size=(4, 3, 3))), r"^pairwise table of shape \(4, 3, 3\): expected one \(3, 3\) table$"),
+            (replace(pots, pairwise=np.zeros((2, 2))), r"^pairwise table of shape \(2, 2\): expected one \(3, 3\) table$"),
+            (replace(pots, lengths=[3, 1]), "^lengths add up to 4, not to the 5 unary rows$"),
+            (replace(pots, lengths=[3, 2, 1]), "^lengths add up to 6, not to the 5 unary rows$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                fn(bad)
 
     def test_back_pointers_hold_more_than_255_labels(self):
         rng = np.random.default_rng(8)
         m = 300
-        pots = [SequencePotentials(rng.normal(size=(n, m)), rng.normal(size=(m, m))) for n in (4, 1)]
-        pots[1].pairwise = pots[0].pairwise
+        pots = [Chain(rng.normal(size=(n, m)), rng.normal(size=(m, m))) for n in (4, 1)]
         pots[0].unary[:3, 299] += 50.0  # the back-pointers into position 0, 1 and 2 read 299
         score, back = pots[0].unary[0], []
         for row in pots[0].unary[1:]:
@@ -349,35 +376,8 @@ class TestDecode:
         path = [int(score.argmax())]
         for b in reversed(back):
             path.append(int(b[path[-1]]))
-        assert viterbi(pots) == [tuple(reversed(path)), (int(pots[1].unary[0].argmax()),)]
+        assert paths(batch(*pots)) == [tuple(reversed(path)), (int(pots[1].unary[0].argmax()),)]
         assert path[1:] == [299, 299, 299]
-
-    def test_a_batch_shares_one_read_only_table_and_views_one_unary_table(self):
-        model, data = ragged_batch(np.random.default_rng(5))
-        seqs = [tokens for tokens, _, _ in data]
-        pots = extract_features(model, seqs)
-        table = pots[0].pairwise
-        assert all(pot.pairwise is table for pot in pots)
-        assert np.array_equal(table, model.bigram_weights()) and not np.shares_memory(table, model.weights)
-        assert all(pot.unary.base is pots[0].unary.base for pot in pots)
-        with pytest.raises(ValueError, match="read-only"):
-            table[0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            extract_features(model, seqs[0]).pairwise += 1.0
-        assert viterbi(pots) == decode(model, seqs)
-
-    def test_rejects_a_batch_without_one_shared_table_and_empty_sequences(self):
-        rng = np.random.default_rng(4)
-        a, b = random_potentials(rng, L=3, M=3), random_potentials(rng, L=2, M=3)
-        with pytest.raises(ValueError, match="share one"):
-            viterbi([a, b])
-        per_step = random_potentials(rng, L=3, M=3, per_step=True)
-        with pytest.raises(ValueError, match="share one"):
-            viterbi([per_step, SequencePotentials(per_step.unary, per_step.pairwise)])
-        b.pairwise = a.pairwise.copy()  # equal tables, two objects
-        assert viterbi([a, b]) == [viterbi(a), viterbi(b)]
-        with pytest.raises(ValueError, match="empty"):
-            viterbi(SequencePotentials(np.zeros((0, 3)), np.zeros((3, 3))))
 
 
 class TestBatchedLogPartition:
@@ -386,29 +386,32 @@ class TestBatchedLogPartition:
         rng = np.random.default_rng(m)
         pairwise = rng.normal(size=(m, m)) * 2
         lengths = rng.permutation(np.arange(1, 41))
-        pots = [SequencePotentials(rng.normal(size=(n, m)) * 3, pairwise.copy()) for n in lengths]
-        batch = log_partition(pots)
-        assert batch.shape == (len(pots),)
-        assert batch.tolist() == [log_partition(pot) for pot in pots]
-        enumerable = [(pot, z) for pot, z in zip(pots, batch) if m**pot.length <= 1000]
+        pots = [Chain(rng.normal(size=(n, m)) * 3, pairwise) for n in lengths]
+        logz = log_partition(batch(*pots))
+        assert logz.shape == (len(pots),)
+        assert logz.tolist() == [log_partition(batch(pot))[0] for pot in pots]
+        enumerable = [(pot, z) for pot, z in zip(pots, logz) if m**pot.length <= 1000]
         assert len(enumerable) >= 2
         for pot, z in enumerable:
             assert abs(z - brute_log_partition(pot)) <= 1e-10
 
-    def test_refuses_a_batch_whose_pairwise_tables_differ(self):
-        rng = np.random.default_rng(8)
-        a, b = random_potentials(rng, L=3, M=3), random_potentials(rng, L=2, M=3)
-        with pytest.raises(ValueError, match="share one"):
-            log_partition([a, b])
-        assert log_partition([]).shape == (0,)
-
     def test_an_empty_sequence_is_a_value_error(self):
-        empty = SequencePotentials(np.zeros((0, 3)), np.zeros((3, 3)))
-        for fn in (log_partition, marginals):
-            with pytest.raises(ValueError, match="^empty sequence$"):
-                fn(empty)
-        with pytest.raises(ValueError, match="^empty sequence$"):
-            log_partition([SequencePotentials(np.zeros((2, 3)), empty.pairwise), empty])
+        empty = Chain(np.zeros((0, 3)), np.zeros((3, 3)))
+        for fn in (log_partition, expected_counts, viterbi):
+            for pots in ((empty,), (Chain(np.zeros((2, 3)), empty.pairwise), empty)):
+                with pytest.raises(ValueError, match="^empty sequence$"):
+                    fn(batch(*pots))
+
+    def test_a_preset_packing_gives_the_same_bits(self, monkeypatch):
+        # ragged, unsorted lengths with ties, and -inf entries: the batch's
+        # packing, made once as EM makes its corpus's, is the one used
+        pots = masked_batch(np.random.default_rng(23), [3, 5, 1, 5, 3, 2, 3, 1], 4)
+        plain = batch(*pots)
+        preset = replace(plain, pack=crf._Packing(plain.lengths))
+        want = [log_partition(plain), *expected_counts(plain), viterbi(plain)]
+        monkeypatch.setattr(crf, "_Packing", None)  # no entry point may pack the batch again
+        got = [log_partition(preset), *expected_counts(preset), viterbi(preset)]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def masked_batch(rng, lengths, m):
@@ -422,7 +425,7 @@ def masked_batch(rng, lengths, m):
         unary = rng.normal(size=(n, m)) * 2
         unary[rng.random((n, m)) < 0.35] = -np.inf
         unary[:, 0] = rng.normal(size=n)  # label 0 throughout is a finite path
-        pots.append(SequencePotentials(unary, pairwise))
+        pots.append(Chain(unary, pairwise))
     return pots
 
 
@@ -431,51 +434,48 @@ class TestMaskedInference:
     def test_expected_counts_match_enumeration(self, m):
         rng = np.random.default_rng([m, 61])
         pots = masked_batch(rng, [3, 1, 5, 2, 5, 4], m)
-        logz, unary, pairs = expected_counts(pots)
+        logz, unary, pairs = expected_counts(batch(*pots))
         assert len(logz) == len(pairs) == len(pots) and len(unary) == sum(pot.length for pot in pots)
         for pot, z, uni, pair in zip(pots, logz, np.split(unary, np.cumsum([pot.length for pot in pots])[:-1]), pairs):
             assert z == pytest.approx(brute_log_partition(pot), rel=1e-10)
-            assert z == log_partition(pot)
+            assert z == log_partition(batch(pot))[0]
             bu, bb = brute_marginals(pot)
             np.testing.assert_allclose(uni, bu, atol=1e-10)
             np.testing.assert_allclose(pair, bb.sum(axis=0), atol=1e-10)
             np.testing.assert_allclose(uni, marginals(pot)[0], atol=1e-14)
-            assert viterbi(pot) == brute_viterbi(pot)
-        assert viterbi(pots) == [viterbi(pot) for pot in pots]
+            assert paths(batch(pot)) == [brute_viterbi(pot)]
+        assert paths(batch(*pots)) == [paths(batch(pot))[0] for pot in pots]
 
     def test_nan_and_plus_inf_are_refused_at_every_entry_point(self):
-        entry_points = (log_partition, marginals, viterbi, lambda pot: expected_counts([pot]))
         for bad in (np.nan, np.inf):
             for where in ("unary", "pairwise"):
                 pot = random_potentials(np.random.default_rng(3), L=3, M=3)
                 getattr(pot, where)[1, 2] = bad
-                for fn in entry_points:
+                for fn in (log_partition, expected_counts, viterbi):
                     with pytest.raises(ValueError, match="^potentials must not be NaN or \\+inf$"):
-                        fn(pot)
+                        fn(batch(pot))
 
     def test_a_sequence_with_no_finite_path_is_refused_by_index(self):
         rng = np.random.default_rng(7)
         live = masked_batch(rng, [3, 2], 3)
-        dead = SequencePotentials(live[0].unary.copy(), live[0].pairwise)
+        dead = Chain(live[0].unary.copy(), live[0].pairwise)
         dead.unary[1] = -np.inf
-        assert log_partition(dead) == -np.inf
+        assert log_partition(batch(dead))[0] == -np.inf
         with pytest.raises(ValueError, match="^instance 1 has no finite-scoring path$"):
-            expected_counts([live[0], dead, live[1], dead], "instance")
+            expected_counts(batch(live[0], dead, live[1], dead), "instance")
         with pytest.raises(ValueError, match="^sequence 0 has no finite-scoring path$"):
-            marginals(dead)
+            expected_counts(batch(dead))
 
 
-def ranged_batch(rng, lengths, m, spread, p_inf, per_step=False):
-    """Potentials sharing one pairwise table, or one sequence with per-step
-    tables: finite entries spread over up to ``spread`` nats within each
-    unary row and each table, on row offsets of 1 to 50 nats (so log Z
-    stays away from 0, where a relative bound says nothing), and about a
-    share ``p_inf`` of -inf entries on the unary and on the transitions.
-    One random path per sequence stays finite, and a finite transition is
-    added wherever a label finite at one position would have none into a
-    finite label of the next, so no path dead-ends."""
-    steps = lengths[0] - 1 if per_step else 0
-    pairwise = rng.uniform(-spread, 0.0, (steps, m, m) if per_step else (m, m)) + rng.uniform(-20.0, 20.0)
+def ranged_batch(rng, lengths, m, spread, p_inf):
+    """Potentials sharing one pairwise table: finite entries spread over up
+    to ``spread`` nats within each unary row and the table, on row offsets
+    of 1 to 50 nats (so log Z stays away from 0, where a relative bound says
+    nothing), and about a share ``p_inf`` of -inf entries on the unary and
+    on the transitions.  One random path per sequence stays finite, and a
+    finite transition is added wherever a label finite at one position
+    would have none into a finite label of the next, so no path dead-ends."""
+    pairwise = rng.uniform(-spread, 0.0, (m, m)) + rng.uniform(-20.0, 20.0)
     finite_pairwise = pairwise.copy()
     pairwise[rng.random(pairwise.shape) < p_inf] = -np.inf
     pots = []
@@ -485,12 +485,11 @@ def ranged_batch(rng, lengths, m, spread, p_inf, per_step=False):
         path = rng.integers(m, size=n)
         unary[np.arange(n), path] = finite[np.arange(n), path]
         for t in range(n - 1):
-            table, values = (pairwise[t], finite_pairwise[t]) if per_step else (pairwise, finite_pairwise)
             ahead = unary[t + 1] > -np.inf
             for i in np.flatnonzero(unary[t] > -np.inf):
-                if not (ahead & (table[i] > -np.inf)).any():
-                    table[i, path[t + 1]] = values[i, path[t + 1]]
-        pots.append(SequencePotentials(unary, pairwise))
+                if not (ahead & (pairwise[i] > -np.inf)).any():
+                    pairwise[i, path[t + 1]] = finite_pairwise[i, path[t + 1]]
+        pots.append(Chain(unary, pairwise))
     return pots
 
 
@@ -509,10 +508,9 @@ class TestLogSpaceOracle:
         m=st.integers(2, 5),
         spread=st.floats(0.01, 300.0),
         p_inf=st.sampled_from([0.0, 0.2, 0.5]),
-        per_step=st.booleans(),
     )
-    def test_log_partition_and_marginals(self, seed, length, m, spread, p_inf, per_step):
-        (pot,) = ranged_batch(np.random.default_rng(seed), [length], m, spread, p_inf, per_step and length > 1)
+    def test_log_partition_and_marginals(self, seed, length, m, spread, p_inf):
+        (pot,) = ranged_batch(np.random.default_rng(seed), [length], m, spread, p_inf)
         try:
             got_uni, got_pair = marginals(pot)
         except ValueError as err:
@@ -520,7 +518,7 @@ class TestLogSpaceOracle:
             assert range_gap(pot) > 700
             return
         logz, uni, pair = log_space_inference(pot)
-        assert log_partition(pot) == pytest.approx(logz, rel=1e-12)
+        assert log_partition(batch(pot))[0] == pytest.approx(logz, rel=1e-12)
         np.testing.assert_allclose(got_uni, uni, rtol=0, atol=1e-10)
         np.testing.assert_allclose(got_pair, pair, rtol=0, atol=1e-10)
 
@@ -535,7 +533,7 @@ class TestLogSpaceOracle:
     def test_expected_counts(self, seed, lengths, m, spread, p_inf):
         pots = ranged_batch(np.random.default_rng(seed), lengths, m, spread, p_inf)
         try:
-            logz, unary, pairs = expected_counts(pots)
+            logz, unary, pairs = expected_counts(batch(*pots))
         except ValueError as err:
             i = int(re.fullmatch(f"sequence (\\d+): {RANGE}", str(err)).group(1))
             assert range_gap(pots[i]) > 700
@@ -575,63 +573,66 @@ class TestScaledRange:
         ``gap`` nats but has no finite transition onward, so every path
         starts with label 1 and log Z = -gap + log 2."""
         unary = np.array([[0.0, -gap], [0.0, 0.0], [0.0, 0.0]])
-        return SequencePotentials(unary, np.array([[-np.inf, -np.inf], [0.0, 0.0]]))
+        return Chain(unary, np.array([[-np.inf, -np.inf], [0.0, 0.0]]))
 
     def test_a_live_path_far_below_a_dead_end_is_refused_by_name(self):
         live = self.dead_end_chain(600.0)
-        assert log_partition(live) == pytest.approx(-600.0 + np.log(2.0), rel=1e-15)
+        assert log_partition(batch(live))[0] == pytest.approx(-600.0 + np.log(2.0), rel=1e-15)
         far = self.dead_end_chain(760.0)
         assert range_gap(far) > 750
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for fn, message in (
-                (log_partition, "sequence 0"),
-                (marginals, "sequence 0"),
-                (lambda pot: log_partition([live, pot]), "sequence 1"),
-                (lambda pot: expected_counts([live, pot], "instance"), "instance 1"),
+                (lambda pot: log_partition(batch(pot)), "sequence 0"),
+                (lambda pot: expected_counts(batch(pot)), "sequence 0"),
+                (lambda pot: log_partition(batch(live, pot)), "sequence 1"),
+                (lambda pot: expected_counts(batch(live, pot), "instance"), "instance 1"),
             ):
                 with pytest.raises(ValueError, match=f"^{message}: {RANGE}$"):
                     fn(far)
 
     def test_one_step_spanning_more_than_the_range_is_refused(self):
         # the one path takes a transition 800 nats below the step's best
-        pot = SequencePotentials(np.array([[0.0, -np.inf], [-np.inf, 0.0]]), np.array([[0.0, -800.0], [0.0, 0.0]]))
+        pot = Chain(np.array([[0.0, -np.inf], [-np.inf, 0.0]]), np.array([[0.0, -800.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match=f"^sequence 0: {RANGE}$"):
-            log_partition(pot)
+            log_partition(batch(pot))
 
     def test_prefixes_and_suffixes_that_no_path_joins_are_refused(self):
         # label 1 is never reached, yet its suffixes outscore label 0's by
         # 600 nats a step: unnormalized, the backward pass would overflow
         unary = np.array([[0.0, -np.inf], [-600.0, 0.0], [-600.0, 0.0], [-600.0, 0.0]])
-        joinless = SequencePotentials(unary, np.array([[0.0, -np.inf], [0.0, 0.0]]))
-        # at position 1 each factor of the pair marginal's sum stays in
-        # range, 360 nats down, but their product, 720 nats down, does not
-        steps = np.array([[[0.0, -np.inf], [0.0, -np.inf]], [[-360.0, -np.inf], [0.0, -np.inf]]])
-        pair_far = SequencePotentials(np.array([[0.0, -np.inf], [-360.0, 0.0], [0.0, -np.inf]]), steps)
+        joinless = Chain(unary, np.array([[0.0, -np.inf], [0.0, 0.0]]))
+        # the one path is 0, 1, 0; at position 1, label 2 is the better by
+        # 360 nats but unreachable, and the step on from label 1 is 360 nats
+        # below the one from label 2: each factor of the pair marginal's sum
+        # stays in range, 360 nats down, but their product, 720 nats down,
+        # does not
+        table = np.full((3, 3), -np.inf)
+        table[0, 1], table[1, 0], table[2, 0] = 0.0, -360.0, 0.0
+        pair_far = Chain(np.array([[0.0, -np.inf, -np.inf], [-np.inf, -360.0, 0.0], [0.0, -np.inf, -np.inf]]), table)
         assert range_gap(joinless) > 708 and range_gap(pair_far) > 708
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for fn in (marginals, lambda pot: expected_counts([pot])):
-                with pytest.raises(ValueError, match=f"^sequence 0: {RANGE}$"):
-                    fn(joinless)
-            with pytest.raises(ValueError, match=f"^sequence 0: {RANGE}$"):
-                marginals(pair_far)
+            for pot in (joinless, pair_far):
+                for fn in (marginals, lambda pot: expected_counts(batch(pot))):
+                    with pytest.raises(ValueError, match=f"^sequence 0: {RANGE}$"):
+                        fn(pot)
 
     def test_a_chain_with_no_path_keeps_minus_inf_and_its_message(self):
         # the path dies at position 250 of 300, after many normalizations
         rng = np.random.default_rng(12)
         pairwise = rng.normal(size=(3, 3))
-        dead = SequencePotentials(rng.normal(size=(300, 3)), pairwise)
+        dead = Chain(rng.normal(size=(300, 3)), pairwise)
         dead.unary[250] = -np.inf
-        live = SequencePotentials(rng.normal(size=(40, 3)), pairwise)
+        live = Chain(rng.normal(size=(40, 3)), pairwise)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            logz = log_partition([live, dead])
+            logz = log_partition(batch(live, dead))
             assert logz[1] == -np.inf and np.isfinite(logz[0])
             with pytest.raises(ValueError, match="^instance 1 has no finite-scoring path$"):
-                expected_counts([live, dead], "instance")
+                expected_counts(batch(live, dead), "instance")
             with pytest.raises(ValueError, match="^sequence 0 has no finite-scoring path$"):
-                marginals(dead)
+                expected_counts(batch(dead))
 
     def test_a_2000_token_sentence_gives_a_finite_objective_and_gradient(self):
         gold = make_gold(400, seed=8)
@@ -935,8 +936,7 @@ class TestOptimize:
         model, data = separable_data()
         res = optimize(model, data, TrainOptions(max_iter=200, l2=0.01))
         assert res.converged
-        for toks, z, _ in data:
-            assert viterbi(extract_features(res.model, toks)) == z
+        assert decode(res.model, [toks for toks, _, _ in data]) == [z for _, z, _ in data]
 
     def test_huge_l2_shrinks_weights_to_zero(self):
         model, data = separable_data()
@@ -1037,7 +1037,7 @@ def assert_loads_for(path, whole, tokens):
     if tokens:
         with np.errstate(invalid="ignore"):  # inf - inf in an edge-value row gives NaN alike
             unary = crf._unary_table(got.unary_weights(), table.ids())
-            want = np.concatenate([pot.unary for pot in extract_features(whole, tokens)])
+            want = extract_features(whole, tokens).unary
         assert unary.tobytes() == want.tobytes()
 
 
@@ -1078,10 +1078,10 @@ class TestPersistence:
         model.weights[:] = rng.normal(size=model.dim)
         save_model(model, tmp_path / "m.tsv")
         loaded = load_model(tmp_path / "m.tsv")
-        p1 = extract_features(model, toks)
-        p2 = extract_features(loaded, toks)
-        assert log_partition(p1) == log_partition(p2)
-        assert viterbi(p1) == viterbi(p2)
+        p1 = extract_features(model, [toks])
+        p2 = extract_features(loaded, [toks])
+        assert log_partition(p1).tobytes() == log_partition(p2).tobytes()
+        assert viterbi(p1).tolist() == viterbi(p2).tolist()
 
     def test_the_file_holds_the_documented_layout(self, tmp_path):
         model = small_model()
@@ -1356,8 +1356,8 @@ class TestPersistence:
         save_model(model, tmp_path / "m.bin")
         whole = load_model(tmp_path / "m.bin")
         assert whole.n_obs == 0
-        pot = SequencePotentials(np.zeros((2, SCHEME.size)), whole.bigram_weights())
-        assert extract_features(whole, ("a", "b")).unary.tobytes() == pot.unary.tobytes()
+        pot = Chain(np.zeros((2, SCHEME.size)), whole.bigram_weights())
+        assert extract_features(whole, [("a", "b")]).unary.tobytes() == pot.unary.tobytes()
         assert decode(whole, [("a", "b")]) == [brute_viterbi(pot)]
         assert decode_file(tmp_path / "m.bin", [("a", "b")]) == (SCHEME, list(brute_viterbi(pot)))
 

@@ -16,7 +16,6 @@ from crowdseq import (
     CrowdDataset,
     CrowdInstance,
     EmConfig,
-    SequencePotentials,
     SimConfig,
     confusion_counts,
     e_step,
@@ -33,8 +32,11 @@ from crowdseq import (
     simulate,
 )
 from oracles import (
+    Chain,
     annotation_contexts,
     annotation_loglik,
+    batch,
+    chain,
     factor_matrix,
     log_space_inference,
     sequence_score,
@@ -172,8 +174,8 @@ def enumerated_posterior(state, ds):
     out = []
     for inst, lat in zip(ds.instances, state.lattices):
         assert not lat.capped
-        pot = extract_features(state.crf, inst.tokens)
-        logz = log_partition(pot)
+        pot = chain(state.crf, inst.tokens)
+        logz = log_partition(batch(pot))[0]
         links = resolve_mentions(inst.tokens)
         logw = []
         for seq in lat.sequences:
@@ -205,11 +207,11 @@ def per_instance_chains(state, ds):
     pots = extract_features(state.crf, [inst.tokens for inst in ds.instances])
     labels = range(ds.scheme.size)
     out = []
-    for inst, lat, pot in zip(ds.instances, state.lattices, pots):
+    for inst, lat, unary in zip(ds.instances, state.lattices, per_instance(ds, pots.unary)):
         mask = np.where([[s in states for s in labels] for states in lat.states], 0.0, -np.inf)
         links = resolve_mentions(inst.tokens)
         present = [a for a in ds.roster if a in inst.annotations]
-        out.append(pot.unary + mask + sum(factor_matrix(state.annotators, a, inst.annotations[a], links) for a in present))
+        out.append(unary + mask + sum(factor_matrix(state.annotators, a, inst.annotations[a], links) for a in present))
     return out
 
 
@@ -330,7 +332,7 @@ class TestEStep:
         assert np.isfinite(value)
         assert np.isfinite(post.unary).all() and np.isfinite(post.pair).all()
         np.testing.assert_allclose(post.unary.sum(axis=1), 1.0, rtol=0, atol=1e-9)
-        _, uni, pair = log_space_inference(SequencePotentials(post.chain.unary, post.chain.pairwise))
+        _, uni, pair = log_space_inference(Chain(post.chain.unary, post.chain.pairwise))
         np.testing.assert_allclose(post.unary, uni, rtol=0, atol=1e-10)
         np.testing.assert_allclose(post.pair[0], pair.sum(axis=0), rtol=0, atol=1e-10)
 
@@ -597,11 +599,12 @@ def joint_objective(state, ds):
     s * sum log p (0 when s = 0, where 0 * log 0 would be undefined)."""
     total = 0.0
     pots = extract_features(state.crf, [inst.tokens for inst in ds.instances])
-    for inst, lat, pot in zip(ds.instances, state.lattices, pots):
+    logzs = log_partition(pots)
+    for inst, lat, unary, logz in zip(ds.instances, state.lattices, per_instance(ds, pots.unary), logzs):
         z = np.asarray(lat.sequences, dtype=np.intp)  # (S, L)
         pos = np.arange(z.shape[1])
-        logw = pot.unary[pos, z].sum(axis=1) + pot.pairwise[z[:, :-1], z[:, 1:]].sum(axis=1)
-        logw -= log_partition(pot)
+        logw = unary[pos, z].sum(axis=1) + pots.pairwise[z[:, :-1], z[:, 1:]].sum(axis=1)
+        logw -= logz
         links = resolve_mentions(inst.tokens)
         for ann, labels in inst.annotations.items():
             logw += factor_matrix(state.annotators, ann, labels, links)[pos, z].sum(axis=1)

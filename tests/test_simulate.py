@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpus import SCHEME, make_gold
 from crowdseq import (
@@ -16,8 +18,11 @@ from crowdseq import (
     corpus_stats,
     effective_mix,
     expected_precision,
+    extract_entities,
     simulate,
 )
+from crowdseq.simulate import _feasible_shifts
+from oracles import loop_feasible_shifts
 
 
 class TestConfigs:
@@ -178,3 +183,13 @@ class TestSimulate:
         ds = CrowdDataset(SCHEME, (inst,), ("ann1",))
         with pytest.raises(ValueError, match="gold labels required"):
             annotator_precision(ds)
+
+
+class TestBoundaryShifts:
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.integers(0, SCHEME.size - 1), max_size=40))
+    def test_the_spans_either_side_give_the_full_scans_options(self, labels):
+        # random BIO sequences, orphan I- tags and touching spans included
+        spans = extract_entities(labels, SCHEME)
+        for e, span in enumerate(spans):
+            assert _feasible_shifts(e, spans, len(labels)) == loop_feasible_shifts(span, spans, len(labels))
