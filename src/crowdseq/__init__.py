@@ -22,9 +22,9 @@ from types import ModuleType as _ModuleType
 _EXPORTS = {
     "annotators": (
         "AnnotatorParams", "bos_context", "load_annotators", "params_from_counts",
-        "resolve_mentions", "sample_init_params", "save_annotators",
+        "resolve_mentions", "save_annotators",
     ),
-    "baselines": ("DsModel", "aggregate_labels", "ds_decode", "ds_fit", "mv_token", "wrapper_train"),
+    "baselines": ("DsModel", "aggregate_labels", "ds_decode", "ds_fit", "wrapper_train"),
     "crf": (
         "CrfModel", "TrainOptions", "TrainResult", "build_model", "decode", "decode_file",
         "expected_counts", "extract_features", "load_model", "log_partition", "optimize", "save_model",

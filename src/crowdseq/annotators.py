@@ -18,20 +18,22 @@ The crowd's labels are one (T, K) ``annotation_table`` over the corpus laid
 end to end, which Dawid-Skene reads too; ``annotation_entries`` derives each
 labeled entry's context from it, and no other code derives contexts.
 ``vote_counts`` turns such a table into per-row label votes; candidate sets,
-majority vote and Dawid-Skene's start all count votes with it, and no other
-code counts them.
+``majority_vote`` and Dawid-Skene's start all count votes with it, and no
+other code counts them.  ``majority_vote`` is both ``aggregate --method mv``
+and the start of EM.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .formats import read_utf8
-from .types import CrowdDataset, LabelScheme
+from .types import CrowdDataset, LabelScheme, LabelSeq
 
 PARAMS_MAGIC = "crowdseq-annotators v1"
 BOS_LABEL = "<bos>"
@@ -82,15 +84,6 @@ class AnnotatorParams:
                 raise ValueError(f"{name} table rows are off the simplex")
 
 
-def sample_init_params(roster: Sequence[str], n_labels: int, seed) -> AnnotatorParams:
-    """Flat-Dirichlet rows for both tables, deterministic in the seed."""
-    rng = np.random.default_rng(seed)
-    k, m = len(roster), n_labels
-    local = rng.dirichlet(np.ones(m), size=(k, m + 1, m))
-    mention = rng.dirichlet(np.ones(m), size=(k, m + 1, m))
-    return AnnotatorParams(tuple(roster), local, mention)
-
-
 class AnnotationEntries(NamedTuple):
     """Labeled (position, annotator) entries of a corpus laid end to end, row-major."""
 
@@ -122,6 +115,14 @@ def vote_counts(table: np.ndarray, n_labels: int) -> np.ndarray:
     if labels.size and labels.max() >= n_labels:
         raise ValueError(f"label {labels.max()} out of range for {n_labels} labels")
     return np.bincount(rows * n_labels + labels, minlength=len(table) * n_labels).reshape(len(table), n_labels)
+
+
+def majority_vote(ds: CrowdDataset, table: np.ndarray) -> list[LabelSeq]:
+    """Each instance's most voted label at each position, from its rows of
+    ``table`` (``annotation_table(ds)``): a tie goes to the lowest label, and
+    a position nobody labeled gets label 0."""
+    labels = iter(vote_counts(table, ds.scheme.size).argmax(axis=1).tolist())
+    return [tuple(islice(labels, len(inst.tokens))) for inst in ds.instances]
 
 
 def annotation_entries(ds: CrowdDataset, table: np.ndarray) -> AnnotationEntries:

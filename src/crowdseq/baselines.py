@@ -2,28 +2,20 @@
 
 Both treat tokens independently, so their output may violate BIO adjacency;
 downstream training consumes it as-is.  Both count the crowd's votes with
-``annotators.vote_counts``: majority vote takes each row's most voted label,
-and Dawid-Skene starts from the votes normalized per row.
+``annotators.vote_counts``: majority vote is ``annotators.majority_vote``,
+which also starts SA-SLC's EM, and Dawid-Skene starts from the votes
+normalized per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
-from .annotators import annotation_table, vote_counts
+from .annotators import annotation_table, majority_vote, vote_counts
 from .crf import CrfModel, TrainOptions, build_model, optimize
 from .types import CrowdDataset, CrowdInstance, LabelSeq
-
-
-def mv_token(instance: CrowdInstance) -> LabelSeq:
-    """Per-position plurality label; ties resolve to the lowest label index."""
-    if not instance.annotations:
-        raise ValueError("no annotations to vote over")
-    votes = np.array(list(instance.annotations.values()), dtype=np.intp).T  # (L, K)
-    return tuple(vote_counts(votes, int(votes.max(initial=0)) + 1).argmax(axis=1).tolist())
 
 
 def logsumexp(a, axis: int = -1) -> np.ndarray:
@@ -138,8 +130,7 @@ def aggregate_labels(
         for i, inst in enumerate(ds.instances):
             if not inst.annotations:
                 raise ValueError(f"instance {i}: no annotations to vote over")
-        labels = iter(vote_counts(annotation_table(ds), ds.scheme.size).argmax(axis=1).tolist())
-        return [tuple(islice(labels, len(inst.tokens))) for inst in ds.instances]
+        return majority_vote(ds, annotation_table(ds))
     if method == "ds":
         model, _ = ds_fit(ds, iters=ds_iters, tol=ds_tol)
         return [ds_decode(model, inst) for inst in ds.instances]

@@ -1,11 +1,12 @@
 """Command-line pipelines: simulate -> aggregate/train -> decode -> evaluate.
 
 Exit status is 0 on success, 1 on usage errors, and 2 on data errors
-(malformed files, incompatible inputs).  Subcommands that draw random
-numbers require a nonnegative seed, ``--seed`` or else the run-config key
-``seed``; given the same seed and inputs, every run writes byte-identical
-outputs.  ``train`` and ``aggregate`` check the seed and that the directory
-of each output exists before they read their input.
+(malformed files, incompatible inputs).  Only ``simulate`` draws random
+numbers: it requires a nonnegative seed, ``--seed`` or else the run-config
+key ``seed``, and one seed gives byte-identical outputs.  ``train`` and
+``aggregate`` draw none (EM starts from the majority vote), so they accept a
+seed for compatibility and ignore it.  They refuse a negative seed, and an
+output directory that does not exist, before they read their input.
 ``--threads`` is accepted for interface stability, and results never
 depend on it.  The program starts no threads itself, but the BLAS library
 under numpy may: unless ``OPENBLAS_NUM_THREADS=1`` is set, OpenBLAS runs
@@ -110,21 +111,20 @@ def _pick(args, attr, cfg, key, default):
     return default
 
 
-def _em_config(args, cfg: dict, seed: int):
-    """Every field but the seed from its flag, else its config key (both
-    named after the field), else its default."""
+def _em_config(args, cfg: dict):
+    """Every field from its flag, else its config key (both named after the
+    field), else its default."""
     from .em import EmConfig
 
-    fields = (f for f in dataclasses.fields(EmConfig) if f.name != "seed")
-    return EmConfig(**{f.name: _pick(args, f.name, cfg, f.name, f.default) for f in fields}, seed=seed)
+    return EmConfig(**{f.name: _pick(args, f.name, cfg, f.name, f.default) for f in dataclasses.fields(EmConfig)})
 
 
-def _require_seed(args, cfg: dict, why: str) -> int:
-    """``--seed``, else the config key ``seed``."""
+def _seed(args, cfg: dict, required_to: str | None = None) -> int | None:
+    """``--seed``, else the config key ``seed``, else None unless ``required_to``."""
     seed = _pick(args, "seed", cfg, "seed", None)
-    if seed is None:
-        raise _UsageError(f"--seed is required {why} (or the config key seed)")
-    if seed < 0:
+    if seed is None and required_to:
+        raise _UsageError(f"--seed is required to {required_to} (or the config key seed)")
+    if seed is not None and seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     return seed
 
@@ -141,7 +141,7 @@ def _cmd_simulate(args) -> int:
     from .simulate import CorruptionMix, SimConfig, annotator_precision, simulate
 
     cfg = _load_file_config(args)
-    seed = _require_seed(args, cfg, "to simulate annotators")
+    seed = _seed(args, cfg, required_to="simulate annotators")
     _require_out_dirs(args.out)
     gold = formats.load_conll(args.gold)
     default = {f.name: f.default for cls in (SimConfig, CorruptionMix) for f in dataclasses.fields(cls)}
@@ -168,13 +168,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_aggregate(args) -> int:
     cfg = _load_file_config(args)
-    seed = _require_seed(args, cfg, "for --method saslc") if args.method == "saslc" else None
+    _seed(args, cfg)
     _require_out_dirs(args.out)
     ds = formats.load_crowd(args.crowd)
     if args.method == "saslc":
         from . import em
 
-        result = em.fit(ds, _em_config(args, cfg, seed), log=sys.stderr)
+        result = em.fit(ds, _em_config(args, cfg), log=sys.stderr)
         labels = em.posterior_modes(result.posterior)
     else:
         from . import baselines
@@ -194,10 +194,10 @@ def _cmd_train(args) -> int:
     from . import annotators, crf, em
 
     cfg = _load_file_config(args)
-    seed = _require_seed(args, cfg, "to initialize training")
+    _seed(args, cfg)
     _require_out_dirs(args.model_out, args.annotators_out, args.history_file)
     ds = formats.load_crowd(args.crowd)
-    result = em.fit(ds, _em_config(args, cfg, seed), log=sys.stderr)
+    result = em.fit(ds, _em_config(args, cfg), log=sys.stderr)
     crf.save_model(result.crf, args.model_out)
     annotators.save_annotators(result.annotators, ds.scheme, args.annotators_out)
     if args.history_file:
@@ -347,7 +347,7 @@ def build_parser() -> _Parser:
     p.add_argument("crowd", help="crowd annotation file")
     p.add_argument("--method", required=True, choices=("mv", "ds", "saslc"))
     p.add_argument("--out", required=True, help="tag file to write")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="accepted for compatibility; output never depends on it")
     p.add_argument("--ds-iters", type=int, default=None)
     p.add_argument("--ds-tol", type=float, default=None)
     _add_em_flags(p)
@@ -358,7 +358,7 @@ def build_parser() -> _Parser:
     p.add_argument("crowd", help="crowd annotation file")
     p.add_argument("--model-out", required=True)
     p.add_argument("--annotators-out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="accepted for compatibility; output never depends on it")
     p.add_argument("--history-file", default=None, help="write the joint objective after each round")
     _add_em_flags(p)
     _add_common(p)

@@ -1,8 +1,9 @@
 """Joint estimation of the tagger and the annotator reliability tables.
 
-Alternates a posterior step with a maximization step: a warm-started,
-iteration-capped tagger refit on the posterior's expected label counts, plus
-closed-form smoothed updates of the reliability tables.
+Starts from the crowd's majority vote (``initialize``), so a fit draws no
+random number, then alternates a posterior step with a maximization step: a
+warm-started, iteration-capped tagger refit on the posterior's expected label
+counts, plus closed-form smoothed updates of the reliability tables.
 
 An instance's valid lattice is exactly the set of paths through its
 ``ValidLattice.states`` along the scheme's allowed transitions, so its
@@ -33,8 +34,8 @@ from .annotators import (
     annotation_entries,
     annotation_table,
     context_factor,
+    majority_vote,
     params_from_counts,
-    sample_init_params,
 )
 from .crf import (
     BatchPotentials,
@@ -65,7 +66,7 @@ class EmConfig:
     a roster of one ``consistency_lo`` defaults to 0 and every lattice is the
     annotation itself.  ``lattice_cap`` changes no result: EM sums over
     every lattice path, and the cap bounds only what ``ValidLattice.sequences``
-    lists when something reads it.
+    lists when something reads it.  There is no seed: ``initialize`` draws nothing.
     """
 
     max_iters: int = 20
@@ -76,7 +77,6 @@ class EmConfig:
     lattice_cap: int = 5000
     smoothing: float = 1.0
     l2_penalty: float = 1.0
-    seed: int = 0
     init_max_iter: int = 100
     inner_max_iter: int = 25
     opt_tol: float = 1e-5
@@ -132,10 +132,15 @@ def build_lattice(
 
 
 def initialize(ds: CrowdDataset, cfg: EmConfig) -> EmState:
-    """Lattices, Dirichlet reliability tables, and a tagger fit on one annotator.
+    """Lattices, and tables and a tagger fit to the crowd's majority vote.
 
-    The seed fixes the tables and the uniformly chosen annotator whose labels
-    train the initial tagger; the feature inventory covers the whole corpus.
+    The vote (``majority_vote``, as ``aggregate --method mv``) is taken as
+    the truth, as Dawid & Skene (1979) and HMM-Crowd (Nguyen et al. 2017)
+    start: the tables are its one-hot ``confusion_counts`` add-one smoothed
+    whatever ``cfg.smoothing`` is (unsmoothed, their zeros can leave an
+    instance no finite-scoring path), and the tagger is fit on its labels of
+    every instance someone labeled, each of weight 1.  Nothing is drawn at
+    random; the feature inventory covers the whole corpus.
     """
     problems = validate_dataset(ds)
     if problems:
@@ -143,26 +148,22 @@ def initialize(ds: CrowdDataset, cfg: EmConfig) -> EmState:
     if not ds.roster:
         raise ValueError("dataset has no annotator roster")
     lattices = tuple(build_lattice(inst, ds.scheme, len(ds.roster), cfg) for inst in ds.instances)
-    params = sample_init_params(ds.roster, ds.scheme.size, [cfg.seed, 0])
-    rng = np.random.default_rng([cfg.seed, 1])
     table = annotation_table(ds)
-    with_data = np.flatnonzero((table >= 0).any(axis=0))  # roster indices
-    if not with_data.size:
+    entries = annotation_entries(ds, table)
+    if not entries.row.size:
         raise ValueError("no annotator labeled any instance")
-    chosen = ds.roster[with_data[rng.integers(with_data.size)]]
+    votes = majority_vote(ds, table)
+    onehot = np.eye(ds.scheme.size)[list(chain.from_iterable(votes))]
+    params = params_from_counts(ds.roster, *confusion_counts(entries, onehot, len(ds.roster)), 1.0)
     model = build_model(ds.scheme, (inst.tokens for inst in ds.instances))
-    seed_data = [
-        (inst.tokens, inst.annotations[chosen], 1.0)
-        for inst in ds.instances
-        if chosen in inst.annotations
-    ]
+    seed_data = [(inst.tokens, z, 1.0) for inst, z in zip(ds.instances, votes) if inst.annotations]
     opts = TrainOptions(max_iter=cfg.init_max_iter, tol=cfg.opt_tol, l2=cfg.l2_penalty)
     model = optimize(model, seed_data, opts).model
     states = list(chain.from_iterable(lat.states for lat in lattices))  # per corpus position
     mask = np.full((len(states), ds.scheme.size), -np.inf)
     mask[np.repeat(np.arange(len(states)), list(map(len, states))), list(chain.from_iterable(states))] = 0.0
     corpus = _Corpus(model, [inst.tokens for inst in ds.instances])
-    return EmState(cfg, model, params, lattices, mask, annotation_entries(ds, table), corpus, 0, [])
+    return EmState(cfg, model, params, lattices, mask, entries, corpus, 0, [])
 
 
 class Posterior(NamedTuple):
@@ -198,13 +199,14 @@ def _log_prior(state: EmState) -> float:
     return prior - 0.5 * state.cfg.l2_penalty * float(theta @ theta)
 
 
-def confusion_counts(state: EmState, ds: CrowdDataset, posterior: Posterior) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior-weighted (context, truth, assigned) counts, split by context type."""
-    m, e = ds.scheme.size, state.entries
-    counts = np.zeros((2, len(ds.roster), m + 1, m, m))  # index 0 local, 1 mention
-    q = posterior.unary[e.row]
+def confusion_counts(entries: AnnotationEntries, posterior: np.ndarray, roster_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(local, mention) (annotator, context, truth, assigned) counts of the
+    ``entries``, each spread over the truths by its row of the (P, M) ``posterior``."""
+    m, e = posterior.shape[1], entries
+    counts = np.zeros((2, roster_size, m + 1, m, m))  # index 0 local, 1 mention
     kind = e.is_mention[:, None].astype(np.intp)
-    np.add.at(counts, (kind, e.annotator[:, None], e.context[:, None], np.arange(m), e.assigned[:, None]), q)
+    at = (kind, e.annotator[:, None], e.context[:, None], np.arange(m), e.assigned[:, None])
+    np.add.at(counts, at, posterior[e.row])
     return counts[0], counts[1]
 
 
@@ -221,7 +223,7 @@ def m_step(state: EmState, ds: CrowdDataset, posterior: Posterior) -> tuple[CrfM
     opts = TrainOptions(max_iter=state.cfg.inner_max_iter, tol=state.cfg.opt_tol, l2=state.cfg.l2_penalty)
     result = optimize(state.crf, data, opts)
     state.last_train = result
-    local, mention = confusion_counts(state, ds, posterior)
+    local, mention = confusion_counts(state.entries, posterior.unary, len(ds.roster))
     params = params_from_counts(ds.roster, local, mention, state.cfg.smoothing)
     return result.model, params
 

@@ -18,7 +18,6 @@ in lexicographic label order, each on first access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
 
@@ -59,8 +58,9 @@ def candidate_sets(
     Consistency at or above ``hi`` keeps the plurality labels (all of them
     on a tie); strictly between the thresholds keeps every label the crowd
     used; at or below ``lo`` every scheme label is a candidate.  The
-    comparisons are exact in rationals.  An instance nobody labeled admits
-    every label everywhere.
+    comparisons are exact, in integers from each threshold's
+    ``as_integer_ratio()`` (an infinite ``hi`` is 1/0, which nothing
+    reaches).  An instance nobody labeled admits every label everywhere.
     """
     if not instance.annotations:
         return tuple(tuple(range(scheme.size)) for _ in instance.tokens)
@@ -68,12 +68,14 @@ def candidate_sets(
         raise ValueError("thresholds must satisfy hi > lo >= 0")
     votes = vote_counts(np.array(list(instance.annotations.values()), dtype=np.intp).T, scheme.size)
     top, used = votes.max(axis=1), (votes > 0).sum(axis=1)
-    # one exact comparison per distinct (plurality, distinct-count) pair
+    # one comparison per distinct (plurality, distinct-count) pair, in Python
+    # integers: top / (used * norm) >= n / d is top * d >= n * used * norm
     width = scheme.size + 1  # used <= M, so a pair is top * width + used
     pairs, back = np.unique(top * width + used, return_inverse=True)
-    ratios = (Fraction(*divmod(int(p), width)) / (normalize_by or 1) for p in pairs)
+    (hn, hd), (ln, ld) = (1, 0) if hi == np.inf else hi.as_integer_ratio(), lo.as_integer_ratio()
+    tu = [(t, u * (normalize_by or 1)) for t, u in (divmod(int(p), width) for p in pairs)]
     # per position, 0 keeps the plurality labels, 1 the labels used, 2 every label
-    band = np.array([0 if c >= hi else 1 if c > lo else 2 for c in ratios], dtype=np.intp)[back]
+    band = np.array([0 if t * hd >= hn * u else 1 if t * ld > ln * u else 2 for t, u in tu], dtype=np.intp)[back]
     keep = np.where((band == 0)[:, None], votes == top[:, None], (votes > 0) | (band == 2)[:, None])
     return _label_sets(keep)
 

@@ -1,4 +1,5 @@
-"""Deterministic synthetic gold corpora for the test suite.
+"""Deterministic synthetic gold corpora, and random annotator tables, for
+the test suite.
 
 Sentences are drawn from a tiny grammar over three entity types with both
 single- and multi-token surface forms, plus a template that repeats the
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from crowdseq import CrowdDataset, CrowdInstance, LabelScheme
+from crowdseq import AnnotatorParams, CrowdDataset, CrowdInstance, LabelScheme
 
 SCHEME = LabelScheme.bio(("LOC", "ORG", "PER"))
 
@@ -98,3 +99,13 @@ def split(ds: CrowdDataset, n_head: int) -> tuple[CrowdDataset, CrowdDataset]:
         CrowdDataset(ds.scheme, ds.instances[:n_head], ds.roster),
         CrowdDataset(ds.scheme, ds.instances[n_head:], ds.roster),
     )
+
+
+def dirichlet_tables(roster, n_labels: int, seed) -> AnnotatorParams:
+    """Flat-Dirichlet rows for both reliability tables, deterministic in the
+    seed: every row off the simplex's edges, so every factor is finite."""
+    rng = np.random.default_rng(seed)
+    k, m = len(roster), n_labels
+    local = rng.dirichlet(np.ones(m), size=(k, m + 1, m))
+    mention = rng.dirichlet(np.ones(m), size=(k, m + 1, m))
+    return AnnotatorParams(tuple(roster), local, mention)

@@ -530,6 +530,18 @@ def loop_feasible_shifts(span: EntitySpan, spans, length: int) -> list[EntitySpa
     return out
 
 
+def mv_token(instance) -> tuple[int, ...]:
+    """Per-position plurality label, the lowest of tied labels, counted one
+    position at a time."""
+    if not instance.annotations:
+        raise ValueError("no annotations to vote over")
+    out = []
+    for column in zip(*instance.annotations.values()):
+        counts = {label: column.count(label) for label in column}
+        out.append(min(counts, key=lambda label: (-counts[label], label)))
+    return tuple(out)
+
+
 def loop_ds_fit(ds, iters: int = 100, tol: float = 1e-8, smoothing: float = 1.0):
     """Dawid-Skene's confusion tables, prior, history and per-token
     posteriors (T, M) as ``baselines.ds_fit`` estimates them, with the labels

@@ -16,11 +16,18 @@ from crowdseq import (
     load_annotators,
     params_from_counts,
     resolve_mentions,
-    sample_init_params,
     save_annotators,
 )
-from crowdseq.annotators import BOS_LABEL, annotation_entries, annotation_table, context_factor, vote_counts
-from oracles import annotation_loglik, factor_matrix, loop_annotation_entries
+from crowdseq.annotators import (
+    BOS_LABEL,
+    annotation_entries,
+    annotation_table,
+    context_factor,
+    majority_vote,
+    vote_counts,
+)
+from corpus import dirichlet_tables
+from oracles import annotation_loglik, factor_matrix, loop_annotation_entries, mv_token
 from strategies import crowd_datasets
 
 SCHEME = LabelScheme(("O", "B-PER", "I-PER"))
@@ -54,7 +61,7 @@ class TestMentions:
 
 def test_bos_context_is_the_extra_slot():
     assert bos_context(M) == M
-    p = sample_init_params(("u",), M, seed=0)
+    p = dirichlet_tables(("u",), M, seed=0)
     assert p.local.shape[1] == bos_context(M) + 1
 
 
@@ -89,20 +96,21 @@ class TestParamsContainer:
             p.validate()
 
 
-class TestInit:
-    def test_rows_are_distributions(self):
-        p = sample_init_params(("u", "v", "w"), M, seed=42)
-        p.validate()
-        assert p.local.shape == (3, M + 1, M, M)
-        assert not np.allclose(p.local, p.mention)
+class TestMajorityVote:
+    def test_ties_go_low_and_an_unlabeled_instance_gets_label_0(self):
+        ds = CrowdDataset(SCHEME, (
+            CrowdInstance(("a", "b"), {"u": (2, 1), "v": (1, 1), "w": (2, 0)}),
+            CrowdInstance(("c", "d", "e"), {}),
+            CrowdInstance(("f",), {"w": (2,)}),
+        ), ("u", "v", "w"))
+        assert majority_vote(ds, annotation_table(ds)) == [(2, 1), (0, 0, 0), (2,)]
 
-    def test_deterministic_in_the_seed(self):
-        a = sample_init_params(("u",), M, seed=[7, 1])
-        b = sample_init_params(("u",), M, seed=[7, 1])
-        c = sample_init_params(("u",), M, seed=[7, 2])
-        np.testing.assert_array_equal(a.local, b.local)
-        np.testing.assert_array_equal(a.mention, b.mention)
-        assert not np.array_equal(a.local, c.local)
+    @settings(max_examples=60, deadline=None)
+    @given(ds=crowd_datasets())
+    def test_matches_the_per_position_oracle(self, ds):
+        votes = majority_vote(ds, annotation_table(ds))
+        for inst, z in zip(ds.instances, votes, strict=True):
+            assert z == (mv_token(inst) if inst.annotations else (0,) * len(inst.tokens))
 
 
 def entry_tuples(ds):
@@ -161,7 +169,7 @@ class TestAnnotationTable:
             CrowdInstance(("p", "q", "p", "r", "q"), {"u": (0, 1, 2, 2, 1), "v": (1, 1, 0, 2, 2)}),
             CrowdInstance(("q", "p"), {"v": (2, 0)}),
         ), ("u", "v"))
-        p = sample_init_params(ds.roster, M, seed=13)
+        p = dirichlet_tables(ds.roster, M, seed=13)
         e = annotation_entries(ds, annotation_table(ds))
         phi = context_factor(p, e)
         assert phi.shape == (len(e.row), M)
@@ -215,7 +223,7 @@ class TestLikelihood:
 
     def test_factor_matrix_agrees_with_the_loglik(self):
         rng = np.random.default_rng(9)
-        p = sample_init_params(("u", "v"), M, seed=11)
+        p = dirichlet_tables(("u", "v"), M, seed=11)
         toks = ("p", "q", "p", "r", "q")
         links = resolve_mentions(toks)
         assigned = tuple(int(x) for x in rng.integers(0, M, size=5))
@@ -228,7 +236,7 @@ class TestLikelihood:
             assert direct == pytest.approx(via_phi, rel=1e-12)
 
     def test_mention_bos_slot_is_never_consulted(self):
-        p = sample_init_params(("u",), M, seed=5)
+        p = dirichlet_tables(("u",), M, seed=5)
         toks = ("x", "x", "y")
         links = resolve_mentions(toks)
         assigned = (0, 1, 2)
@@ -277,13 +285,13 @@ class TestFitting:
 class TestPersistence:
     @pytest.mark.parametrize("annotator", ["a\rb", "a\tb", "a\nb"])
     def test_save_refuses_an_id_that_would_not_reload(self, tmp_path, annotator):
-        p = sample_init_params(("u", annotator), M, seed=19)
+        p = dirichlet_tables(("u", annotator), M, seed=19)
         with pytest.raises(ValueError, match=f"^annotator id not serializable: {re.escape(repr(annotator))}$"):
             save_annotators(p, SCHEME, tmp_path / "annotators.tsv")
         assert not (tmp_path / "annotators.tsv").exists()
 
     def test_round_trip_is_bit_exact(self, tmp_path):
-        p = sample_init_params(("anna", "bert"), M, seed=19)
+        p = dirichlet_tables(("anna", "bert"), M, seed=19)
         path = tmp_path / "annotators.tsv"
         save_annotators(p, SCHEME, path)
         q, scheme = load_annotators(path)
@@ -295,7 +303,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("dtype", [float, np.float32, int])
     def test_each_entry_is_written_as_its_float_repr(self, tmp_path, dtype):
-        p = sample_init_params(("anna", "bert"), M, seed=23)
+        p = dirichlet_tables(("anna", "bert"), M, seed=23)
         if dtype is int:
             p = identity_params(("anna", "bert"))
         p = AnnotatorParams(p.roster, p.local.astype(dtype), p.mention.astype(dtype))
@@ -313,7 +321,7 @@ class TestPersistence:
         assert body == want
 
     def test_scheme_table_mismatch_is_rejected(self, tmp_path):
-        p = sample_init_params(("u",), M, seed=1)
+        p = dirichlet_tables(("u",), M, seed=1)
         other = LabelScheme.bio(("LOC", "ORG"))
         with pytest.raises(ValueError, match="does not match"):
             save_annotators(p, other, tmp_path / "x.tsv")
@@ -325,7 +333,7 @@ class TestPersistence:
             load_annotators(path)
 
     def test_truncated_file_is_rejected(self, tmp_path):
-        p = sample_init_params(("u",), M, seed=2)
+        p = dirichlet_tables(("u",), M, seed=2)
         path = tmp_path / "annotators.tsv"
         save_annotators(p, SCHEME, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -336,7 +344,7 @@ class TestPersistence:
     def test_ids_holding_what_splitlines_ends_a_line_at_round_trip(self, tmp_path):
         # \x85, \x0b, \x1c-\x1f and \u2028 end a line for str.splitlines, never for the reader
         roster = ("a\x85b", "c\x0b", "\x1c\x1d", "\x1e\x1fd", "e\u2028", "f")
-        p = sample_init_params(roster, M, seed=29)
+        p = dirichlet_tables(roster, M, seed=29)
         path = tmp_path / "annotators.tsv"
         save_annotators(p, SCHEME, path)
         q, scheme = load_annotators(path)
@@ -344,7 +352,7 @@ class TestPersistence:
         assert q.local.tobytes() == p.local.tobytes() and q.mention.tobytes() == p.mention.tobytes()
 
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
-        p = sample_init_params(("u",), M, seed=2)
+        p = dirichlet_tables(("u",), M, seed=2)
         path = tmp_path / "annotators.tsv"
         save_annotators(p, SCHEME, path)
         lines = path.read_bytes().split(b"\n")
@@ -354,7 +362,7 @@ class TestPersistence:
             load_annotators(path)
 
     def test_trailing_garbage_is_rejected(self, tmp_path):
-        p = sample_init_params(("u",), M, seed=2)
+        p = dirichlet_tables(("u",), M, seed=2)
         path = tmp_path / "annotators.tsv"
         save_annotators(p, SCHEME, path)
         with path.open("a", encoding="utf-8") as fh:

@@ -16,31 +16,37 @@ from crowdseq import (
     decode,
     ds_decode,
     ds_fit,
-    mv_token,
     wrapper_train,
 )
 from crowdseq.baselines import logsumexp
-from oracles import loop_ds_fit
+from oracles import loop_ds_fit, mv_token
 
 RAW = LabelScheme(("A", "B", "C"), "RAW")
+
+
+def vote(inst):
+    """``aggregate_labels``' majority vote of one instance over RAW's labels."""
+    return aggregate_labels(CrowdDataset(RAW, (inst,), ("a", "b", "c", "d", "e")), "mv")[0]
 
 
 class TestMajorityVote:
     def test_plurality_wins(self):
         inst = CrowdInstance(("x", "y"), {"a": (0, 1), "b": (0, 2), "c": (1, 2)})
-        assert mv_token(inst) == (0, 2)
+        assert vote(inst) == mv_token(inst) == (0, 2)
 
     def test_ties_resolve_to_the_lowest_label_index(self):
         inst = CrowdInstance(("x",), {"a": (2,), "b": (1,)})
-        assert mv_token(inst) == (1,)
+        assert vote(inst) == mv_token(inst) == (1,)
         inst = CrowdInstance(("x",), {"a": (2,), "b": (1,), "c": (2,), "d": (1,), "e": (0,)})
-        assert mv_token(inst) == (1,)
+        assert vote(inst) == mv_token(inst) == (1,)
 
     def test_unanimity(self):
         inst = CrowdInstance(("x", "y", "z"), {"a": (1, 0, 2), "b": (1, 0, 2)})
-        assert mv_token(inst) == (1, 0, 2)
+        assert vote(inst) == mv_token(inst) == (1, 0, 2)
 
     def test_no_annotations_is_an_error(self):
+        with pytest.raises(ValueError, match="^instance 0: no annotations to vote over$"):
+            vote(CrowdInstance(("x",), {}))
         with pytest.raises(ValueError, match="no annotations"):
             mv_token(CrowdInstance(("x",), {}))
 

@@ -39,6 +39,7 @@ from oracles import (
     chain,
     factor_matrix,
     log_space_inference,
+    mv_token,
     sequence_score,
     sorted_objective,
 )
@@ -80,7 +81,7 @@ def tiny_dataset(skipped=False):
 
 
 def small_cfg(**kw):
-    base = dict(max_iters=2, rel_tol=0.0, seed=3, init_max_iter=20, inner_max_iter=8)
+    base = dict(max_iters=2, rel_tol=0.0, init_max_iter=20, inner_max_iter=8)
     base.update(kw)
     return EmConfig(**base)
 
@@ -158,14 +159,36 @@ class TestInitialize:
         assert state.history == []
         state.annotators.validate()
 
-    def test_deterministic_in_the_seed(self):
+    def test_deterministic(self):
         ds = tiny_dataset()
-        a = initialize(ds, small_cfg(seed=11))
-        b = initialize(ds, small_cfg(seed=11))
-        c = initialize(ds, small_cfg(seed=12))
-        np.testing.assert_array_equal(a.crf.weights, b.crf.weights)
-        np.testing.assert_array_equal(a.annotators.local, b.annotators.local)
-        assert not np.array_equal(a.annotators.local, c.annotators.local)
+        a, b = initialize(ds, small_cfg()), initialize(ds, small_cfg())
+        assert a.crf.weights.tobytes() == b.crf.weights.tobytes()
+        assert a.annotators.local.tobytes() == b.annotators.local.tobytes()
+        assert a.annotators.mention.tobytes() == b.annotators.mention.tobytes()
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5, 1.0])
+    def test_tables_are_the_one_hot_vote_counts_smoothed_by_one(self, smoothing):
+        for ds in (tiny_dataset(), tiny_dataset(skipped=True)):
+            state = initialize(ds, small_cfg(smoothing=smoothing))
+            votes = [label for inst in ds.instances for label in mv_token(inst)]
+            want = params_from_counts(ds.roster, *per_instance_counts(ds, np.eye(SCHEME.size)[votes]), 1.0)
+            assert state.annotators.local.tobytes() == want.local.tobytes()
+            assert state.annotators.mention.tobytes() == want.mention.tobytes()
+
+    def test_the_seed_fit_is_on_the_vote_labels_of_every_labeled_instance(self, monkeypatch):
+        tiny = tiny_dataset(skipped=True)
+        ds = CrowdDataset(SCHEME, (*tiny.instances, CrowdInstance(("nobody", "came"), {})), tiny.roster)
+        passed = []
+        monkeypatch.setattr(em, "optimize", lambda model, data, opts: passed.append(data) or optimize(model, data, opts))
+        initialize(ds, small_cfg())
+        [data] = passed
+        assert data == [(inst.tokens, mv_token(inst), 1.0) for inst in tiny.instances]
+
+    def test_rejects_a_crowd_that_labeled_nothing(self):
+        ds = tiny_dataset()
+        bare = CrowdDataset(ds.scheme, tuple(CrowdInstance(inst.tokens, {}) for inst in ds.instances), ds.roster)
+        with pytest.raises(ValueError, match="^no annotator labeled any instance$"):
+            initialize(bare, small_cfg())
 
 
 def enumerated_posterior(state, ds):
@@ -232,12 +255,12 @@ def paths(ds, labels):
     return [tuple(z.tolist()) for z in per_instance(ds, np.array(labels))]
 
 
-def per_instance_counts(ds, post):
-    """``confusion_counts`` by one ``np.add.at`` per (instance, present
-    annotator), in corpus and roster order."""
+def per_instance_counts(ds, posterior):
+    """``confusion_counts`` of a (P, M) label posterior by one ``np.add.at``
+    per (instance, present annotator), in corpus and roster order."""
     m = ds.scheme.size
     counts = np.zeros((2, len(ds.roster), m + 1, m, m))
-    for inst, unary in zip(ds.instances, per_instance(ds, post.unary)):
+    for inst, unary in zip(ds.instances, per_instance(ds, posterior)):
         links = resolve_mentions(inst.tokens)
         mention = np.array([link is not None for link in links], dtype=np.intp)
         for k, ann in enumerate(ds.roster):
@@ -306,7 +329,7 @@ class TestEStep:
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(ds=crowd_datasets(), seed=st.integers(0, 2**16), sparse=st.booleans())
     def test_chains_are_the_per_instance_sums_bit_for_bit(self, ds, seed, sparse):
-        state = initialize(ds, EmConfig(smoothing=0.0, seed=seed, init_max_iter=5))
+        state = initialize(ds, EmConfig(smoothing=0.0, init_max_iter=5))
         if sparse:  # unsmoothed tables with zeros give -inf factors
             m, k = ds.scheme.size, len(ds.roster)
             rng = np.random.default_rng(seed)
@@ -327,7 +350,7 @@ class TestEStep:
         assert len(tokens) == 2000
         long = CrowdDataset(SCHEME, (CrowdInstance(tokens, {}, labels),), ())
         crowd = simulate(long, SimConfig(n_annotators=3, target_precision=0.5, precision_spread=0.1, seed=8))
-        state = initialize(crowd, EmConfig(seed=8, init_max_iter=5, lattice_cap=10))
+        state = initialize(crowd, EmConfig(init_max_iter=5, lattice_cap=10))
         post, value = e_step(state, crowd)
         assert np.isfinite(value)
         assert np.isfinite(post.unary).all() and np.isfinite(post.pair).all()
@@ -339,18 +362,19 @@ class TestEStep:
 
 class TestCounts:
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(ds=crowd_datasets(), seed=st.integers(0, 2**16))
-    def test_matches_the_per_instance_loop_bit_for_bit(self, ds, seed):
-        state = initialize(ds, EmConfig(seed=seed, init_max_iter=5))
+    @given(ds=crowd_datasets())
+    def test_matches_the_per_instance_loop_bit_for_bit(self, ds):
+        state = initialize(ds, EmConfig(init_max_iter=5))
         post = e_step(state, ds)[0]
-        for got, expected in zip(confusion_counts(state, ds, post), per_instance_counts(ds, post)):
-            assert np.array_equal(got, expected)
+        got = confusion_counts(state.entries, post.unary, len(ds.roster))
+        for got_counts, expected in zip(got, per_instance_counts(ds, post.unary), strict=True):
+            assert np.array_equal(got_counts, expected)
 
     def test_matches_per_sequence_accumulation(self):
         for ds in (tiny_dataset(), tiny_dataset(skipped=True)):
             state = initialize(ds, small_cfg())
             post = e_step(state, ds)[0]
-            local, mention = confusion_counts(state, ds, post)
+            local, mention = confusion_counts(state.entries, post.unary, len(ds.roster))
 
             m = SCHEME.size
             k = len(ds.roster)
@@ -374,7 +398,7 @@ class TestCounts:
         ds = tiny_dataset()
         state = initialize(ds, small_cfg())
         post = e_step(state, ds)[0]
-        local, mention = confusion_counts(state, ds, post)
+        local, mention = confusion_counts(state.entries, post.unary, len(ds.roster))
         labeled = sum(len(inst.tokens) * len(inst.annotations) for inst in ds.instances)
         assert float(local.sum() + mention.sum()) == pytest.approx(labeled, abs=1e-9)
 
@@ -423,7 +447,7 @@ class TestMStep:
         # the objective built from the fit's corpus and an E-step posterior,
         # and from per-instance soft-count examples, against the objective
         # those examples gave when each round sorted, featurized and packed them
-        state = initialize(ds, EmConfig(seed=seed, init_max_iter=5, inner_max_iter=1))
+        state = initialize(ds, EmConfig(init_max_iter=5, inner_max_iter=1))
         post = e_step(state, ds)[0]
         passed = []
         with pytest.MonkeyPatch.context() as mp:
@@ -464,37 +488,38 @@ class TestFit:
 
     def test_likelihood_never_decreases(self):
         crowd, _ = self.make_noisy()
-        r = fit(crowd, EmConfig(max_iters=3, rel_tol=0.0, seed=9, init_max_iter=30, inner_max_iter=10))
+        r = fit(crowd, EmConfig(max_iters=3, rel_tol=0.0, init_max_iter=30, inner_max_iter=10))
         diffs = [b - a for a, b in zip(r.history, r.history[1:])]
         assert min(diffs) > -1e-6
         assert r.history[-1] > r.history[0]
 
     def test_runs_exactly_max_iters_without_a_tolerance(self):
         crowd, _ = self.make_noisy()
-        r = fit(crowd, EmConfig(max_iters=2, rel_tol=0.0, seed=9, init_max_iter=20, inner_max_iter=6))
+        r = fit(crowd, EmConfig(max_iters=2, rel_tol=0.0, init_max_iter=20, inner_max_iter=6))
         assert r.iterations == 2
         assert len(r.history) == 3
         assert not r.converged
 
-    @pytest.mark.parametrize("precision, rounds, converged", [(0.3, 20, False), (0.7, 7, True)])
+    @pytest.mark.parametrize("precision, rounds, converged", [(0.3, 20, False), (0.7, 4, True)])
     def test_the_default_tolerance_is_scaled_by_the_evidence(self, precision, rounds, converged):
         # scaled by the whole objective, most of it the tables' log-prior
-        # over rows no data reaches, the test stopped these fits after 16
-        # and 5 rounds, and held-out F1 at precision 0.3 fell to 0.693
+        # over rows no data reaches, the test stopped the precision-0.3 fit
+        # after 12 rounds, and its held-out F1 fell from 0.652 to 0.621; the
+        # precision-0.7 fit stops after 4 rounds either way
         train, _ = split(make_gold(160, seed=5), 120)
         crowd = simulate(train, SimConfig(n_annotators=5, target_precision=precision, precision_spread=0.1, seed=5))
-        r = fit(crowd, EmConfig(seed=5))
+        r = fit(crowd, EmConfig())
         assert (r.iterations, r.converged) == (rounds, converged)
 
     def test_loose_tolerance_stops_after_one_iteration(self):
         crowd, _ = self.make_noisy()
-        r = fit(crowd, EmConfig(max_iters=50, rel_tol=1e9, seed=9, init_max_iter=20, inner_max_iter=6))
+        r = fit(crowd, EmConfig(max_iters=50, rel_tol=1e9, init_max_iter=20, inner_max_iter=6))
         assert r.iterations == 1
         assert r.converged
 
     def test_deterministic(self):
         crowd, _ = self.make_noisy()
-        cfg = EmConfig(max_iters=2, rel_tol=0.0, seed=9, init_max_iter=20, inner_max_iter=6)
+        cfg = EmConfig(max_iters=2, rel_tol=0.0, init_max_iter=20, inner_max_iter=6)
         a = fit(crowd, cfg)
         b = fit(crowd, cfg)
         assert a.history == b.history
@@ -505,7 +530,7 @@ class TestFit:
     def test_log_stream_gets_one_line_per_iteration(self):
         crowd, _ = self.make_noisy()
         buf = io.StringIO()
-        r = fit(crowd, EmConfig(max_iters=2, rel_tol=0.0, seed=9, init_max_iter=20, inner_max_iter=6), log=buf)
+        r = fit(crowd, EmConfig(max_iters=2, rel_tol=0.0, init_max_iter=20, inner_max_iter=6), log=buf)
         lines = buf.getvalue().splitlines()
         assert len(lines) == r.iterations + 1
         assert lines[0].startswith("0\t")
@@ -522,7 +547,7 @@ class TestFit:
 
             monkeypatch.setattr(owner, name, counted)
         rounds = 3
-        r = fit(crowd, EmConfig(max_iters=rounds, rel_tol=0.0, seed=9, init_max_iter=20, inner_max_iter=6))
+        r = fit(crowd, EmConfig(max_iters=rounds, rel_tol=0.0, init_max_iter=20, inner_max_iter=6))
         assert r.iterations == rounds
         # every featurization from strings goes through observe: build_model's,
         # the seed fit's and the corpus's, none in a round
@@ -531,7 +556,7 @@ class TestFit:
     def test_looks_the_corpus_up_once_per_fit(self, monkeypatch):
         crowd, _ = self.make_noisy()
         rounds = 3
-        cfg = EmConfig(max_iters=rounds, rel_tol=0.0, seed=9, init_max_iter=20, inner_max_iter=6)
+        cfg = EmConfig(max_iters=rounds, rel_tol=0.0, init_max_iter=20, inner_max_iter=6)
         builds = []
         init = crf._InputTable.__init__
 
@@ -556,7 +581,7 @@ class TestFit:
 
     def test_history_is_the_joint_objective_after_each_m_step(self):
         crowd, _ = self.make_noisy()
-        cfg = EmConfig(max_iters=2, rel_tol=0.0, seed=9, init_max_iter=20, inner_max_iter=6)
+        cfg = EmConfig(max_iters=2, rel_tol=0.0, init_max_iter=20, inner_max_iter=6)
         state = initialize(crowd, cfg)
         history = [observed_loglik(state, crowd)]
         oracle = [joint_objective(state, crowd)]
@@ -572,7 +597,7 @@ class TestFit:
     def test_the_lattice_cap_does_not_change_the_fit(self):
         gold = make_gold(40, seed=3)
         crowd = simulate(gold, SimConfig(n_annotators=5, target_precision=0.3, precision_spread=0.1, seed=3))
-        cfg = EmConfig(max_iters=2, rel_tol=0.0, seed=3, init_max_iter=20, inner_max_iter=6)
+        cfg = EmConfig(max_iters=2, rel_tol=0.0, init_max_iter=20, inner_max_iter=6)
         one = fit(crowd, dataclasses.replace(cfg, lattice_cap=1))
         every = fit(crowd, dataclasses.replace(cfg, lattice_cap=100_000))
         assert all(lat.capped for lat in one.state.lattices if lat.n_valid > 1)
@@ -586,7 +611,7 @@ class TestFit:
     def test_no_lattice_lists_its_paths(self):
         gold = make_gold(40, seed=3)
         crowd = simulate(gold, SimConfig(n_annotators=5, target_precision=0.3, precision_spread=0.1, seed=3))
-        cfg = EmConfig(max_iters=2, rel_tol=0.0, seed=3, init_max_iter=20, inner_max_iter=6, lattice_cap=5)
+        cfg = EmConfig(max_iters=2, rel_tol=0.0, init_max_iter=20, inner_max_iter=6, lattice_cap=5)
         for lattices in (initialize(crowd, cfg).lattices, fit(crowd, cfg).state.lattices):
             assert any(lat.capped for lat in lattices)
             assert not any("sequences" in vars(lat) for lat in lattices)
@@ -627,7 +652,7 @@ class TestJointObjective:
             gold, SimConfig(n_annotators=5, target_precision=0.3, precision_spread=0.1, seed=3)
         )
         cfg = EmConfig(
-            max_iters=8, rel_tol=0, seed=3, smoothing=smoothing,
+            max_iters=8, rel_tol=0, smoothing=smoothing,
             init_max_iter=20, inner_max_iter=10, lattice_cap=500,
         )
         r = fit(crowd, cfg)
@@ -660,7 +685,7 @@ class TestPosteriorModes:
             for i in gold.instances
         )
         crowd = CrowdDataset(SCHEME, insts, tuple(f"a{k}" for k in range(3)))
-        r = fit(crowd, EmConfig(max_iters=1, seed=4, init_max_iter=10, inner_max_iter=4))
+        r = fit(crowd, EmConfig(max_iters=1, init_max_iter=10, inner_max_iter=4))
         assert paths(crowd, posterior_modes(r.posterior)) == [i.gold for i in gold.instances]
 
     def test_modes_come_from_the_lattices(self):
@@ -673,7 +698,7 @@ class TestPosteriorModes:
 
     def test_modes_are_the_brute_force_argmax_where_nothing_ties(self):
         crowd, _ = TestFit().make_noisy()
-        r = fit(crowd, EmConfig(max_iters=2, rel_tol=0.0, seed=9, init_max_iter=20, inner_max_iter=6))
+        r = fit(crowd, EmConfig(max_iters=2, rel_tol=0.0, init_max_iter=20, inner_max_iter=6))
         checked = 0
         for mode, (z, w) in zip(paths(crowd, posterior_modes(r.posterior)), enumerated_posterior(r.state, crowd)):
             want = brute_mode(z, w)
@@ -723,7 +748,7 @@ class TestProperties:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(ds=crowd_datasets(), smoothing=st.sampled_from([0.0, 0.5, 1.0]), cap=st.sampled_from([1, 3, 5000]))
     def test_fit_gives_a_finite_objective_and_normalized_marginals(self, ds, smoothing, cap):
-        cfg = EmConfig(max_iters=2, rel_tol=0.0, seed=1, smoothing=smoothing, lattice_cap=cap,
+        cfg = EmConfig(max_iters=2, rel_tol=0.0, smoothing=smoothing, lattice_cap=cap,
                        init_max_iter=5, inner_max_iter=3)
         r = fit(ds, cfg)
         assert min(b - a for a, b in zip(r.history, r.history[1:])) > -1e-6
@@ -734,7 +759,7 @@ class TestProperties:
     def test_unsmoothed_tables_give_a_finite_e_step_or_name_the_instance(self, ds, seed):
         # tables refit without smoothing from sparse random counts hold zeros,
         # which can rule out every path of an instance
-        state = initialize(ds, EmConfig(smoothing=0.0, seed=seed, init_max_iter=5))
+        state = initialize(ds, EmConfig(smoothing=0.0, init_max_iter=5))
         m, k = ds.scheme.size, len(ds.roster)
         rng = np.random.default_rng(seed)
         counts = rng.random((2, k, m + 1, m, m)) * (rng.random((2, k, m + 1, m, m)) < 0.3)

@@ -1,5 +1,6 @@
 """Candidate-set construction and valid-sequence enumeration."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -153,13 +154,19 @@ def _outcome(fn, *args, **kwargs):
         return f"ValueError: {e}"
 
 
+# ratios that votes produce, so a position's consistency lands on a threshold
+_VOTE_RATIOS = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2)]
 _THRESHOLDS = st.one_of(
     st.none(),
     st.floats(0, 6),
+    # every float, subnormal to huge, which candidate_sets compares as the
+    # ratio of its integer pair
+    st.floats(min_value=0, allow_nan=False),
     st.fractions(0, 6),
     st.just(float("inf")),
-    # ratios that votes produce, so a position's consistency lands on a threshold
-    st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2)]),
+    st.sampled_from(_VOTE_RATIOS),
+    # the floats on either side of a vote ratio
+    st.builds(math.nextafter, st.sampled_from(_VOTE_RATIOS).map(float), st.sampled_from([0.0, math.inf])),
 )
 
 
