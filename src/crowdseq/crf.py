@@ -50,26 +50,26 @@ Every model has one feature set: the observation templates ``TEMPLATES``
 (the token, lowercased; its 2- and 3-character prefixes and suffixes;
 capitalization; digits; the previous and the next token) and the label
 bigram.  An observation is its template's ``head`` and then the piece of
-the token the template cuts (``FeatureTemplate.pieces``).  Features are
-built per batch (``_InputTable``): each template's observations come from
-one call over the token types, a neighbour template's with the BOS/EOS
-token after them, and are mapped to one column per template; ``ids``
-spreads the columns over the positions, shifting the previous/next-token
-ones by one position with the BOS/EOS entry at sentence edges, into one (P,
-T) array.  ``build_model`` keeps the strings and interns them in
-first-appearance order, position by position.  ``_InputTable.look_up``
-looks them up in the model (-1 where nothing interned fires), for
-``extract_features`` and ``_Corpus``, and ``decode_file`` numbers them
-(see below); ``_unary_table`` gathers the weight rows of (P, T) ids, a zero
-row for -1, and sums them in template order.  ``extract_features`` scores a
-batch with ``_InputTable.unary``: ``_unary_table`` sums the rows of the
-leading templates, which read a position's own token, once per token type,
-and each position adds the previous-token and then the next-token row to
-its type's sum, the same rows in the same order and so the same bits as
-``_unary_table`` over the (P, T) ids, which the objective uses.  Given a
-list of sentences or their input table, it returns the batch's
-``BatchPotentials``; ``decode`` cuts its Viterbi labels into one path per
-sentence.
+the token the template cuts (``FeatureTemplate.pieces``).  Features are built
+per batch by one featurizer, ``_InputTable.number``: each template cuts its
+pieces once over the token types, a neighbour template's with the BOS/EOS
+token after them, and numbers their observations, one column per template;
+``ids`` spreads the columns over the positions, shifting the
+previous/next-token ones by one position with the BOS/EOS entry at sentence
+edges, into one (P, T) array.  ``build_model`` renumbers them by first
+appearance in that array, and ``_InputTable.look_up`` maps each to its id in
+a model (-1 where nothing interned fires); either leaves the columns holding
+the model's ids, for ``extract_features`` and ``_Corpus``, and
+``decode_file`` keeps the numbers (see below).  ``_unary_table`` gathers the
+weight rows of (P, T) ids, a zero row for -1, and sums them in template
+order.  ``extract_features`` scores a batch with ``_InputTable.unary``:
+``_unary_table`` sums the rows of the leading templates, which read a
+position's own token, once per token type, and each position adds the
+previous-token and then the next-token row to its type's sum, the same rows
+in the same order and so the same bits as ``_unary_table`` over the (P, T)
+ids, which the objective uses.  Given a list of sentences or their input
+table, it returns the batch's ``BatchPotentials``; ``decode`` cuts its
+Viterbi labels into one path per sentence.
 
 Training minimizes the objective with ``minimize``, a numpy L-BFGS whose
 Armijo line search lowers the value at every accepted step, so no part of
@@ -183,28 +183,21 @@ class FeatureTemplate:
         """Whether its piece of a token is the token itself."""
         return self.kind in ("token-identity", "previous-token", "next-token")
 
-    def observations(self, toks: Sequence[str]) -> list[str | None]:
-        """The observation string fired where this template reads each of
-        ``toks``, or None: ``head`` and then the token's piece."""
-        return self._fired(toks, self.head)
-
     def pieces(self, toks: Sequence[str]) -> list[str | None]:
-        """What follows ``head`` in each of ``observations(toks)``."""
-        return self._fired(toks, "")
-
-    def _fired(self, toks: Sequence[str], head: str) -> list[str | None]:
+        """What follows ``head`` in the observation fired reading each of
+        ``toks``, or None where the template fires nothing."""
         k, w = self.kind, self.width
         if k == "token-lowercase":
-            return [head + tok.lower() for tok in toks]
+            return [tok.lower() for tok in toks]
         if k == "prefix":
-            return [head + tok[:w] if len(tok) >= w else None for tok in toks]
+            return [tok[:w] if len(tok) >= w else None for tok in toks]
         if k == "suffix":
-            return [head + tok[-w:] if len(tok) >= w else None for tok in toks]
+            return [tok[-w:] if len(tok) >= w else None for tok in toks]
         if k == "is-capitalized":
-            return [head if tok[:1].isupper() else None for tok in toks]
+            return ["" if tok[:1].isupper() else None for tok in toks]
         if k == "is-digit":
-            return [head if tok.isdigit() else None for tok in toks]
-        return [head + tok for tok in toks]  # the token itself
+            return ["" if tok.isdigit() else None for tok in toks]
+        return list(toks)  # the token itself
 
 
 # the observation templates of every model; the label-bigram block follows
@@ -281,19 +274,24 @@ class CrfModel:
         return self.weights[self.n_obs * m :].reshape(m, m)
 
 
-def build_model(scheme: LabelScheme, token_seqs: Iterable[Sequence[str]]) -> CrfModel:
+def build_model(scheme: LabelScheme, token_seqs: Iterable[Sequence[str]] | _InputTable) -> CrfModel:
     """Intern every observation ``TEMPLATES`` fire on the corpus; zero weights.
 
-    Ids follow first appearance, position by position and, at a position,
-    template by template (``_InputTable`` builds the observations).
+    Ids follow first appearance in the input table's ``ids``, position by
+    position and, at a position, template by template; a given table is left
+    holding them, as ``look_up`` leaves one.
     """
-    # insertion-ordered: first appearance.  One expression, so that the table
-    # and its (P, T) array are freed before the dictionaries grow
-    seen = dict.fromkeys(
-        _InputTable(list(token_seqs)).observe(lambda obs: np.array(obs, dtype=object)).ids().ravel().tolist()
-    )
-    seen.pop(None, None)  # a template that fires nothing
-    model = CrfModel(scheme, dict(zip(seen, range(len(seen)))), np.zeros(0))
+    table = token_seqs if isinstance(token_seqs, _InputTable) else _InputTable(list(token_seqs))
+    names = table.number()
+    end = table.codes.size * len(table.columns)  # past every entry of ids(), flattened
+    first = np.full(len(names) + 1, end)  # where each number first fires there; the last slot takes -1's
+    for j, (off, col) in enumerate(table.columns):
+        np.minimum.at(first, col[table._reads(off)], np.arange(j, end, len(table.columns)))
+    order = np.argsort(first[:-1])[: np.count_nonzero(first[:-1] < end)]  # the numbers that fire, by first appearance
+    ids = np.full(len(names), -1)
+    ids[order] = np.arange(order.size)
+    table.renumber(ids)
+    model = CrfModel(scheme, dict(zip(np.array(names, dtype=object)[order].tolist(), range(order.size))), np.zeros(0))
     model.weights = np.zeros(model.dim)
     return model
 
@@ -319,16 +317,18 @@ class _InputTable:
     ``codes`` holds each position's token type, the types numbered by first
     appearance.  Each template's column holds one entry per type and, for a
     neighbour template (``offset`` -1 or +1), one for the BOS/EOS token after
-    them: ``observe(lookup)`` calls each of ``TEMPLATES``'
-    ``FeatureTemplate.observations`` once and keeps what ``lookup`` maps
-    that list to (None where the template fires nothing), ``look_up`` mapping
-    each observation to its id in a model; ``number`` numbers them.  ``ids``
-    spreads the columns over the positions, a neighbour template's shifted
-    by one position with its BOS/EOS entry at sentence edges; ``unary``
-    scores the positions from them.
+    them: ``number`` fills them with the numbers of the observations the
+    template fires, -1 where it fires nothing, and ``renumber`` maps those
+    numbers to ids, as ``look_up`` does to a model's and ``build_model`` to
+    the model it builds.  ``ids`` spreads the columns over the positions, a
+    neighbour template's shifted by one position with its BOS/EOS entry at
+    sentence edges; ``unary`` scores the positions from them.  A string in
+    place of a sentence is refused: its characters would pass for tokens.
     """
 
     def __init__(self, token_seqs: Sequence[Sequence[str]]):
+        if any(isinstance(tokens, str) for tokens in token_seqs):
+            raise ValueError("a sentence is a sequence of tokens, not a string: pass [tokens] for one sentence")
         types: dict[str, int] = {}
         self.codes = np.array(
             [types.setdefault(tok, len(types)) for tokens in token_seqs for tok in tokens], dtype=np.intp
@@ -336,22 +336,18 @@ class _InputTable:
         self.lengths = [len(tokens) for tokens in token_seqs]
         self.types, self.type_codes = list(types), types
 
-    def observe(self, lookup) -> _InputTable:
-        self.dtype = lookup([]).dtype
-        self.columns = []  # (offset, entry per type, then the BOS/EOS token's)
-        for tpl in TEMPLATES:
-            self.columns.append((tpl.offset, lookup(tpl.observations(self._read_by(tpl)))))
+    def look_up(self, model: CrfModel) -> _InputTable:
+        """The columns numbered and each number mapped to its observation's
+        id in the model, -1 for one it lacks, one look-up per distinct
+        observation; returns the table."""
+        names = self.number()
+        self.renumber(np.fromiter(map(model.obs_index.get, names, repeat(-1)), np.intp, len(names)))
         return self
 
-    def _read_by(self, tpl: FeatureTemplate) -> list[str]:
-        """The tokens whose entries make up the template's column."""
-        return [*self.types, BOS_TOKEN if tpl.offset < 0 else EOS_TOKEN] if tpl.offset else self.types
-
-    def look_up(self, model: CrfModel) -> _InputTable:
-        """``observe`` with each observation mapped to its id in the model,
-        -1 for one it lacks; returns the table."""
-        get = model.obs_index.get  # a template that fires nothing gives None, never a key
-        return self.observe(lambda obs: np.fromiter(map(get, obs, repeat(-1)), np.intp, len(obs)))
+    def renumber(self, ids: np.ndarray) -> None:
+        """Each column entry n >= 0 replaced by ``ids[n]``; -1 stays."""
+        ids = np.append(ids, -1)  # what -1 reads
+        self.columns = [(off, ids[col]) for off, col in self.columns]
 
     def number(self) -> list[str]:
         """Fills the columns with the observations numbered by first use,
@@ -366,9 +362,10 @@ class _InputTable:
         any other numbers each distinct piece on first use, building the
         observation of each distinct piece alone."""
         names: list[str] = []
-        self.dtype, self.columns, n = np.dtype(np.intp), [], len(self.types)
+        self.columns, n = [], len(self.types)  # (offset, entry per type, then the BOS/EOS token's)
         for tpl in TEMPLATES:
-            head, base, pieces = tpl.head, len(names), tpl.pieces(self._read_by(tpl))
+            reads = [*self.types, BOS_TOKEN if tpl.offset < 0 else EOS_TOKEN] if tpl.offset else self.types
+            head, base, pieces = tpl.head, len(names), tpl.pieces(reads)
             if tpl.distinct:
                 names += [head + piece for piece in islice(pieces, n)]
                 col = np.arange(base, base + len(pieces))
@@ -398,7 +395,7 @@ class _InputTable:
     def ids(self) -> np.ndarray:
         """The (P, T) column entries of each position, one column per
         template."""
-        fired = np.empty((self.codes.size, len(self.columns)), dtype=self.dtype)
+        fired = np.empty((self.codes.size, len(self.columns)), dtype=np.intp)
         for j, (off, col) in enumerate(self.columns):
             fired[:, j] = col[self._reads(off)]
         return fired
@@ -446,13 +443,9 @@ def extract_features(model: CrfModel, token_seqs: Sequence[Sequence[str]] | _Inp
     ``_InputTable.unary``: the templates that read a position's own token
     are scored once per token type.  The pairwise table is a copy of the
     bigram weights, so the batch keeps no part of the weight vector alive
-    (``decode_file`` drops the model before Viterbi).  One sentence, a
-    sequence of strings, is refused: each of its tokens would be taken for a
-    sentence of characters.
+    (``decode_file`` drops the model before Viterbi).
     """
     if not isinstance(token_seqs, _InputTable):
-        if token_seqs and isinstance(token_seqs[0], str):
-            raise ValueError("extract_features takes a list of sentences: pass [tokens] for one sentence")
         token_seqs = _InputTable(token_seqs).look_up(model)
     return BatchPotentials(token_seqs.unary(model.unary_weights()), model.bigram_weights().copy(), token_seqs.lengths)
 
@@ -495,14 +488,14 @@ class _Packing:
 
 
 class _Corpus:
-    """Token sequences looked up in a model's inventory and packed once, for
-    every pass while the inventory holds: their ``_InputTable``, its
+    """Token sequences packed once, for every pass while a model's inventory
+    holds: their ``_InputTable``, its columns holding the model's ids, its
     ``_Packing``, the (P, T) observation ids of the packed rows, and the
-    firing (row, observation) entries in row-major order with the bin
-    obs * M + label of each entry's M labels, over which ``scatter`` sums."""
+    firing (row, observation) entries in row-major order with the bin obs *
+    M + label of each entry's M labels, over which ``scatter`` sums."""
 
-    def __init__(self, model: CrfModel, token_seqs: Sequence[Sequence[str]]):
-        self.inputs = _InputTable(token_seqs).look_up(model)
+    def __init__(self, model: CrfModel, inputs: _InputTable):
+        self.inputs = inputs
         self.pack = _Packing(self.inputs.lengths)
         self.ids = self.inputs.ids()[self.pack.from_concat]
         self.shape = (model.n_obs, model.scheme.size)
@@ -772,7 +765,7 @@ def _examples(model: CrfModel, data: Iterable[WeightedExample]) -> _Examples:
             raise ValueError("empty token sequence")
         if w > 0:
             kept.append((tokens, w * uni, w * pair, w))
-    corpus = _Corpus(model, [tokens for tokens, _, _, _ in kept])
+    corpus = _Corpus(model, _InputTable([tokens for tokens, _, _, _ in kept]).look_up(model))
     unary = np.concatenate([uni for _, uni, _, _ in kept] or [np.zeros((0, m))])[corpus.pack.from_concat]
     packed = [kept[i] for i in corpus.pack.order]
     pair = sum((pair for _, _, pair, _ in packed), np.zeros((m, m)))

@@ -11,12 +11,13 @@ posterior is a linear chain: the tagger's unary scores, -inf off the states,
 plus the ``context_factor`` row of each of its ``annotation_entries`` (each
 row's annotators in roster order), and the tagger's bigram weights, -inf on
 forbidden transitions.  Refits change only the tagger's weights, so
-``initialize`` looks the corpus up and packs it once (``EmState.corpus``).
-Over that packing ``e_step`` takes the tagger's log-partitions from one
-forward pass and the posteriors from one masked forward-backward pass
-(``expected_counts``), enumerating no candidate sequence, so N rounds of
-``fit`` score the corpus N + 1 times; ``m_step`` featurizes nothing again,
-and ``posterior_modes`` runs one Viterbi pass over the last chains.
+``initialize`` featurizes and packs the corpus once (``EmState.corpus``)
+for the seed fit and every round.  Over that packing ``e_step`` takes the
+tagger's log-partitions from one forward pass and the posteriors from one
+masked forward-backward pass (``expected_counts``), enumerating no
+candidate sequence, so N rounds of ``fit`` score the corpus N + 1 times;
+``m_step`` featurizes nothing again, and ``posterior_modes`` runs one
+Viterbi pass over the last chains.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .crf import (
     TrainResult,
     _Corpus,
     _Examples,
+    _InputTable,
     build_model,
     expected_counts,
     extract_features,
@@ -114,7 +116,7 @@ class EmState:
     lattices: tuple[ValidLattice, ...]
     mask: np.ndarray  # (P, M) over the corpus laid end to end: 0 on the lattices' states, -inf elsewhere
     entries: AnnotationEntries  # every labeled (position, annotator) entry, from ``annotation_entries``
-    corpus: _Corpus  # looked up and packed once: the tagger's inventory never changes during a fit
+    corpus: _Corpus  # featurized and packed once: the tagger's inventory never changes during a fit
     iteration: int
     history: list[float]  # the joint objective after each round, the initial one first
     last_train: TrainResult | None = field(repr=False, default=None)
@@ -138,9 +140,10 @@ def initialize(ds: CrowdDataset, cfg: EmConfig) -> EmState:
     the truth, as Dawid & Skene (1979) and HMM-Crowd (Nguyen et al. 2017)
     start: the tables are its one-hot ``confusion_counts`` add-one smoothed
     whatever ``cfg.smoothing`` is (unsmoothed, their zeros can leave an
-    instance no finite-scoring path), and the tagger is fit on its labels of
-    every instance someone labeled, each of weight 1.  Nothing is drawn at
-    random; the feature inventory covers the whole corpus.
+    instance no finite-scoring path), and the tagger is fit on its labels
+    over ``EmState.corpus``, as the M-step fits, an instance of weight 0 if
+    nobody labeled it, else 1.  Nothing is drawn at random; the corpus's one
+    ``_InputTable`` gives the tagger its inventory (``build_model``).
     """
     problems = validate_dataset(ds)
     if problems:
@@ -152,17 +155,21 @@ def initialize(ds: CrowdDataset, cfg: EmConfig) -> EmState:
     entries = annotation_entries(ds, table)
     if not entries.row.size:
         raise ValueError("no annotator labeled any instance")
-    votes = majority_vote(ds, table)
-    onehot = np.eye(ds.scheme.size)[list(chain.from_iterable(votes))]
+    onehot = np.eye(ds.scheme.size)[list(chain.from_iterable(majority_vote(ds, table)))]
     params = params_from_counts(ds.roster, *confusion_counts(entries, onehot, len(ds.roster)), 1.0)
-    model = build_model(ds.scheme, (inst.tokens for inst in ds.instances))
-    seed_data = [(inst.tokens, z, 1.0) for inst, z in zip(ds.instances, votes) if inst.annotations]
+    inputs = _InputTable([inst.tokens for inst in ds.instances])
+    model = build_model(ds.scheme, inputs)
+    corpus = _Corpus(model, inputs)
+    pk = corpus.pack
+    weights = np.array([1.0 if inst.annotations else 0.0 for inst in ds.instances])[pk.order]
+    unary = onehot[pk.from_concat] * weights[pk.row_seq, None]
+    # the vote's label-pair counts: both rows of a pair weigh w, and w * w = w
+    seed = _Examples(corpus, unary, unary[pk.prev_rows].T @ unary[pk.later], weights)
     opts = TrainOptions(max_iter=cfg.init_max_iter, tol=cfg.opt_tol, l2=cfg.l2_penalty)
-    model = optimize(model, seed_data, opts).model
+    model = optimize(model, seed, opts).model
     states = list(chain.from_iterable(lat.states for lat in lattices))  # per corpus position
     mask = np.full((len(states), ds.scheme.size), -np.inf)
     mask[np.repeat(np.arange(len(states)), list(map(len, states))), list(chain.from_iterable(states))] = 0.0
-    corpus = _Corpus(model, [inst.tokens for inst in ds.instances])
     return EmState(cfg, model, params, lattices, mask, entries, corpus, 0, [])
 
 

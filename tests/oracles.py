@@ -129,12 +129,18 @@ def annotation_loglik(params, annotator: str, assigned, truth, links) -> float:
     return float(phi[np.arange(z.size), z].sum())
 
 
+def template_observations(tpl, toks) -> list[str | None]:
+    """The observation ``tpl`` fires reading each of ``toks``, or None: its
+    ``head`` and then the token's piece."""
+    return [None if piece is None else tpl.head + piece for piece in tpl.pieces(toks)]
+
+
 def position_observation(tpl, tokens, t: int) -> str | None:
     """The observation ``tpl`` fires at position t of ``tokens``, or None:
     the token it reads there, BOS/EOS past an edge, on its own."""
     i = t + tpl.offset
     tok = tokens[i] if 0 <= i < len(tokens) else BOS_TOKEN if i < 0 else EOS_TOKEN
-    return tpl.observations((tok,))[0]
+    return template_observations(tpl, (tok,))[0]
 
 
 def loop_observation_rows(model, tokens) -> list[np.ndarray]:
@@ -159,6 +165,24 @@ def loop_obs_index(token_seqs, templates=TEMPLATES) -> dict[str, int]:
                 if obs is not None and obs not in obs_index:
                     obs_index[obs] = len(obs_index)
     return obs_index
+
+
+def string_obs_index(token_seqs) -> dict[str, int]:
+    """Observation ids in order of first appearance, interned from strings
+    as ``build_model`` once did: each template's observation strings built
+    once per token type (and the BOS/EOS token after them), spread over the
+    positions as one (P, T) object array, and interned row-major by
+    ``dict.fromkeys``."""
+    table = crf._InputTable(list(token_seqs))
+    columns = []
+    for tpl in TEMPLATES:
+        reads = table.types + ([BOS_TOKEN if tpl.offset < 0 else EOS_TOKEN] if tpl.offset else [])
+        fired = np.empty(len(reads), dtype=object)
+        fired[:] = template_observations(tpl, reads)
+        columns.append(fired[table._reads(tpl.offset)])
+    seen = dict.fromkeys(np.stack(columns, axis=1).ravel().tolist())
+    seen.pop(None, None)  # a template that fires nothing
+    return dict(zip(seen, range(len(seen))))
 
 
 def all_sequences(pot: Chain):

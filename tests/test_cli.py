@@ -613,8 +613,8 @@ class TestPipelineProducts:
     def test_saslc_featurizes_the_corpus_once_per_round_plus_once(
         self, pipeline, tmp_path, capsys, monkeypatch
     ):
-        calls = {"extract_features": 0, "observe": 0}
-        for owner, name in ((em, "extract_features"), (crf._InputTable, "observe")):
+        calls = {"extract_features": 0, "number": 0}
+        for owner, name in ((em, "extract_features"), (crf._InputTable, "number")):
             def counted(*args, _fn=getattr(owner, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
@@ -627,9 +627,9 @@ class TestPipelineProducts:
         ]) == 0
         rounds = len(capsys.readouterr().err.splitlines()) - 1
         assert rounds == 2
-        # scored once per round plus once; featurized from strings by
-        # build_model, the seed fit and the corpus, never in a round
-        assert calls == {"extract_features": rounds + 1, "observe": 3}
+        # scored once per round plus once; featurized from strings once, by
+        # build_model, whose table the seed fit and every round read
+        assert calls == {"extract_features": rounds + 1, "number": 1}
 
     def test_saslc_labels_do_not_depend_on_the_lattice_cap(self, tmp_path, capsys):
         save_conll(tmp_path / "gold.tsv", make_gold(12, seed=6))

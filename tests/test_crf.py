@@ -36,6 +36,9 @@ from oracles import (
     OLD_MODEL_FILES,
     TEMPLATES_LINE,
     sequence_score,
+    position_observation,
+    string_obs_index,
+    template_observations,
     write_model_file,
 )
 
@@ -123,20 +126,20 @@ class TestTemplates:
         assert "\t".join(["templates", *TEMPLATE, "label-bigram"]) == TEMPLATES_LINE
 
     def test_token_identity(self):
-        assert TEMPLATE["token-identity"].observations(("Big", "apple")) == ["w=Big", "w=apple"]
+        assert template_observations(TEMPLATE["token-identity"], ("Big", "apple")) == ["w=Big", "w=apple"]
 
     def test_lowercase(self):
-        assert TEMPLATE["token-lowercase"].observations(("Big",)) == ["wl=big"]
+        assert template_observations(TEMPLATE["token-lowercase"], ("Big",)) == ["wl=big"]
 
     def test_prefix_requires_enough_characters(self):
-        assert TEMPLATE["prefix-3"].observations(("abcd", "ab")) == ["p3=abc", None]
+        assert template_observations(TEMPLATE["prefix-3"], ("abcd", "ab")) == ["p3=abc", None]
 
     def test_suffix(self):
-        assert TEMPLATE["suffix-2"].observations(("hello",)) == ["s2=lo"]
+        assert template_observations(TEMPLATE["suffix-2"], ("hello",)) == ["s2=lo"]
 
     def test_shape_predicates(self):
-        assert TEMPLATE["is-capitalized"].observations(("Rome", "rome")) == ["cap", None]
-        assert TEMPLATE["is-digit"].observations(("1984", "x1")) == ["num", None]
+        assert template_observations(TEMPLATE["is-capitalized"], ("Rome", "rome")) == ["cap", None]
+        assert template_observations(TEMPLATE["is-digit"], ("1984", "x1")) == ["num", None]
 
     def test_neighbors_use_boundary_tokens(self):
         neighbours = [obs for obs in build_model(SCHEME, [("a", "b")]).obs_index if obs.startswith(("w-1=", "w+1="))]
@@ -180,6 +183,60 @@ class TestBuildModel:
         assert kinds == {"w", "wl", "p2", "p3", "s2", "s3", "cap", "num", "w-1", "w+1"}
         assert f"w-1={BOS_TOKEN}" in model.obs_index and f"w+1={EOS_TOKEN}" in model.obs_index
 
+    # the edge markers as tokens, tokens too short for any affix, digits,
+    # capitals and repeated types; empty sentences and an empty corpus
+    corpora = st.lists(
+        st.lists(st.sampled_from([BOS_TOKEN, EOS_TOKEN, "a", "B", "7", "ab", "1984", "Rome", "rome", "Ñandú"]), max_size=6),
+        max_size=5,
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(seqs=corpora, other=corpora)
+    @example(seqs=[], other=[[BOS_TOKEN, "a", EOS_TOKEN]])
+    def test_the_featurizer_matches_the_string_interning_oracle(self, seqs, other):
+        model = build_model(SCHEME, seqs)
+        assert list(model.obs_index.items()) == list(string_obs_index(seqs).items())
+        for batch in (seqs, other):  # look_up: each template's observation at each position, looked up alone
+            want = [
+                [model.obs_index.get(position_observation(tpl, tokens, t), -1) for tpl in crf.TEMPLATES]
+                for tokens in batch for t in range(len(tokens))
+            ]
+            assert crf._InputTable(batch).look_up(model).ids().tolist() == want
+        # given a table, build_model leaves it as look_up leaves one
+        table = crf._InputTable(seqs)
+        assert list(build_model(SCHEME, table).obs_index.items()) == list(model.obs_index.items())
+        looked = crf._InputTable(seqs).look_up(model)
+        assert [(off, col.tolist()) for off, col in table.columns] == [(off, col.tolist()) for off, col in looked.columns]
+
+
+class TestBareSentence:
+    """One sentence where a list of them belongs is refused by every entry
+    point: its tokens would pass for sentences of characters."""
+
+    REFUSED = r"^a sentence is a sequence of tokens, not a string: pass \[tokens\] for one sentence$"
+    BARE = (("Big", "apple"), ["Big", "apple"], "Big")
+
+    def test_build_model(self):
+        for bare in self.BARE:
+            with pytest.raises(ValueError, match=self.REFUSED):
+                build_model(SCHEME, bare)
+
+    def test_extract_features(self):
+        model = build_model(SCHEME, [("Big", "apple")])
+        for bare in self.BARE:
+            with pytest.raises(ValueError, match=self.REFUSED):
+                extract_features(model, bare)
+
+    def test_optimize(self):
+        model = build_model(SCHEME, [("Big", "apple")])
+        with pytest.raises(ValueError, match=self.REFUSED):
+            optimize(model, [("Big", (0, 0, 0), 1.0)])
+
+    def test_weighted_nll_and_gradient(self):
+        model = build_model(SCHEME, [("Big", "apple")])
+        with pytest.raises(ValueError, match=self.REFUSED):
+            weighted_nll_and_gradient(model, [("Big", (0, 0, 0), 1.0)])
+
 
 class TestFeatures:
     def edge_batch(self):
@@ -218,13 +275,6 @@ class TestFeatures:
             want = loop_observation_rows(model, tokens)
             unary = np.array([wu[r].sum(axis=0) if r.size else np.zeros(SCHEME.size) for r in want])
             assert np.array_equal(chain(model, tokens).unary, unary)
-
-    def test_a_bare_sentence_is_refused(self):
-        # one sentence, not a list of them: its tokens would pass for sentences of characters
-        model, sentences = self.edge_batch()
-        for bare in (sentences[0], list(sentences[0]), "Rome"):
-            with pytest.raises(ValueError, match=r"^extract_features takes a list of sentences: pass \[tokens\]"):
-                extract_features(model, bare)
 
 
 class TestInferenceOracles:
@@ -654,7 +704,7 @@ class TestGradient:
         rng = np.random.default_rng(4)
         gold = make_gold(30, seed=4)
         model = build_model(gold.scheme, [inst.tokens for inst in gold.instances])
-        corpus = crf._Corpus(model, [inst.tokens for inst in gold.instances])
+        corpus = crf._Corpus(model, crf._InputTable([inst.tokens for inst in gold.instances]).look_up(model))
         m = model.scheme.size
         wu = rng.normal(size=(model.n_obs, m))
         table = rng.random((len(corpus.ids), m))

@@ -175,14 +175,47 @@ class TestInitialize:
             assert state.annotators.local.tobytes() == want.local.tobytes()
             assert state.annotators.mention.tobytes() == want.mention.tobytes()
 
-    def test_the_seed_fit_is_on_the_vote_labels_of_every_labeled_instance(self, monkeypatch):
-        tiny = tiny_dataset(skipped=True)
-        ds = CrowdDataset(SCHEME, (*tiny.instances, CrowdInstance(("nobody", "came"), {})), tiny.roster)
+    @staticmethod
+    def seed_fit(monkeypatch, ds):
+        """``initialize(ds)``'s state, and the model and the data it passed
+        ``optimize``."""
         passed = []
-        monkeypatch.setattr(em, "optimize", lambda model, data, opts: passed.append(data) or optimize(model, data, opts))
-        initialize(ds, small_cfg())
-        [data] = passed
-        assert data == [(inst.tokens, mv_token(inst), 1.0) for inst in tiny.instances]
+        monkeypatch.setattr(
+            em, "optimize", lambda model, data, opts: passed.append((model, data)) or optimize(model, data, opts)
+        )
+        state = initialize(ds, small_cfg())
+        [(model, data)] = passed
+        return state, model, data
+
+    @staticmethod
+    def with_an_unlabeled_instance():
+        tiny = tiny_dataset(skipped=True)
+        return CrowdDataset(SCHEME, (*tiny.instances, CrowdInstance(("nobody", "came"), {})), tiny.roster)
+
+    def test_the_seed_fit_lies_over_the_fit_s_corpus(self, monkeypatch):
+        ds = self.with_an_unlabeled_instance()
+        state, _, data = self.seed_fit(monkeypatch, ds)
+        assert isinstance(data, crf._Examples) and data.corpus is state.corpus
+        # weight 1 for each labeled instance, 0 for the one nobody labeled, in packed order
+        want = [1.0 if ds.instances[i].annotations else 0.0 for i in state.corpus.pack.order]
+        assert data.weights.tolist() == want and 0.0 in want
+
+    def test_the_seed_fit_is_on_the_vote_labels_of_every_labeled_instance(self, monkeypatch):
+        # the objective of the vote's examples over the labeled instances alone: bit for bit when
+        # every instance is labeled; else zero-weight rows may change a BLAS sum's order
+        rng = np.random.default_rng(7)
+        for ds, exact in ((tiny_dataset(skipped=True), True), (self.with_an_unlabeled_instance(), False)):
+            state, model, data = self.seed_fit(monkeypatch, ds)
+            triples = [(inst.tokens, mv_token(inst), 1.0) for inst in ds.instances if inst.annotations]
+            l2 = state.cfg.l2_penalty
+            got, want = crf._WeightedObjective(data, l2), crf._WeightedObjective(crf._examples(model, triples), l2)
+            for theta in (model.weights, rng.normal(size=model.dim)):
+                (value, grad), (want_value, want_grad) = got.value_and_grad(theta), want.value_and_grad(theta)
+                if exact:
+                    assert value == want_value and grad.tobytes() == want_grad.tobytes()
+                else:
+                    assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+                    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12 * np.abs(want_grad).max())
 
     def test_rejects_a_crowd_that_labeled_nothing(self):
         ds = tiny_dataset()
@@ -539,8 +572,8 @@ class TestFit:
 
     def test_scores_the_corpus_once_per_round_plus_once(self, monkeypatch):
         crowd, _ = self.make_noisy()
-        calls = {"extract_features": 0, "log_partition": 0, "observe": 0}
-        for owner, name in ((em, "extract_features"), (em, "log_partition"), (crf._InputTable, "observe")):
+        calls = {"extract_features": 0, "log_partition": 0, "number": 0}
+        for owner, name in ((em, "extract_features"), (em, "log_partition"), (crf._InputTable, "number")):
             def counted(*args, _fn=getattr(owner, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
@@ -549,9 +582,9 @@ class TestFit:
         rounds = 3
         r = fit(crowd, EmConfig(max_iters=rounds, rel_tol=0.0, init_max_iter=20, inner_max_iter=6))
         assert r.iterations == rounds
-        # every featurization from strings goes through observe: build_model's,
-        # the seed fit's and the corpus's, none in a round
-        assert calls == {"extract_features": rounds + 1, "log_partition": rounds + 1, "observe": 3}
+        # every featurization from strings goes through number: build_model's, of
+        # the one corpus the seed fit and every round read
+        assert calls == {"extract_features": rounds + 1, "log_partition": rounds + 1, "number": 1}
 
     def test_looks_the_corpus_up_once_per_fit(self, monkeypatch):
         crowd, _ = self.make_noisy()
@@ -567,8 +600,8 @@ class TestFit:
         monkeypatch.setattr(crf._InputTable, "__init__", counted)
         r = fit(crowd, cfg)
         assert r.iterations == rounds
-        # build_model, the seed fit and the corpus in initialize, which every round reads
-        assert len(builds) == 3
+        # one, in initialize: build_model's, which the seed fit and every round read
+        assert builds == [len(crowd.instances)]
         monkeypatch.undo()
         tokens = [inst.tokens for inst in crowd.instances]
 
