@@ -28,7 +28,7 @@ _EXPORTS = {
     "crf": (
         "CrfModel", "TrainOptions", "TrainResult", "build_model", "decode", "decode_file",
         "expected_counts", "extract_features", "load_model", "log_partition", "optimize", "save_model",
-        "viterbi", "weighted_nll_and_gradient",
+        "viterbi",
     ),
     "em": (
         "EmConfig", "EmState", "FitResult", "Posterior", "confusion_counts", "e_step", "fit",
@@ -40,6 +40,7 @@ _EXPORTS = {
         "serialize_config",
     ),
     "lattice": ("ValidLattice", "candidate_sets", "count_valid", "enumerate_valid"),
+    "objective": ("weighted_nll_and_gradient",),
     "scoring": (
         "EntitySpan", "PrfReport", "entity_prf", "entity_prf_by_type", "extract_entities",
         "token_accuracy",

@@ -7,16 +7,20 @@ key ``seed``, and one seed gives byte-identical outputs.  ``train`` and
 ``aggregate`` draw none (EM starts from the majority vote), so they accept a
 seed for compatibility and ignore it.  They refuse a negative seed, and an
 output directory that does not exist, before they read their input.
-``--threads`` is accepted for interface stability, and results never
-depend on it.  The program starts no threads itself, but the BLAS library
-under numpy may: unless ``OPENBLAS_NUM_THREADS=1`` is set, OpenBLAS runs
-numpy's matrix products on a thread pool.  The outputs are the same bytes
-either way.  No command imports scipy.
+The program starts no threads itself, but the BLAS library under numpy
+may: unless ``OPENBLAS_NUM_THREADS=1`` is set, OpenBLAS runs numpy's matrix
+products on a thread pool.  The outputs are the same bytes either way.  A
+removed flag, such as ``--threads``, is a usage error that says why it went
+(``formats.RETIRED``), and so is its config key, a data error.  No command
+imports scipy.
 
 Each command imports the modules it runs when it runs, so start-up loads
-only ``formats`` and ``types`` besides argparse: ``decode`` never imports
-``em``, ``lattice``, ``annotators`` or ``baselines``, and neither ``train``
-nor ``aggregate --method saslc`` imports ``baselines``.
+only ``formats`` and ``types`` besides argparse.  ``decode`` imports
+``crf``, ``features`` and ``kernel``, and ``modelfile`` inside
+``crf.load_model``; never ``objective``, ``em``, ``lattice``,
+``annotators`` or ``baselines``.  ``train`` and ``aggregate --method
+saslc`` import ``em`` and, through it, ``objective``; never ``modelfile``
+or ``baselines``.
 
 A command's wall time is interpreter start, the numpy import, loading the
 package (compiling it from source as well where no bytecode cache is
@@ -35,11 +39,12 @@ exit, so a caller that runs ``main`` many times in one process keeps
 collecting its cyclic garbage.
 
 ``train`` writes the model in format v4: names as text, a hash index over
-them and weights as raw float64 (see ``crf``).  ``decode`` reads only that
-format; a model saved in an older one is refused by its format, exit
-status 2, and must be retrained.  ``decode``, like ``simulate``, ``train``
-and ``aggregate``, refuses an output path whose directory does not exist
-before it reads any input.  It reads its token file first and featurizes it
+them and weights as raw float64 (see ``modelfile``).  ``decode`` reads
+only that format; a model saved in an older one is refused by its format,
+exit status 2, and must be retrained.  ``decode``, like ``simulate``,
+``train`` and ``aggregate``, refuses an output path whose directory does
+not exist before it reads any input.  It reads its token file first,
+refusing a crowd file by its header (exit status 2), and featurizes it
 once (``crf.decode_file``): the observations those tokens fire are hashed
 and found through the index, which picks the model rows it loads, so its
 name work and memory grow with the input's vocabulary, not the model's, and
@@ -73,13 +78,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _add_common(p):
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="accepted for compatibility; output never depends on it",
-    )
+class _Retired(argparse.Action):
+    """A removed flag: naming it is a usage error that says why it went."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} was removed: {formats.RETIRED[self.dest]}")
+
+
+def _add_retired(p):
+    for key in formats.RETIRED:
+        p.add_argument("--" + key.replace("_", "-"), action=_Retired, nargs="?", help=argparse.SUPPRESS)
 
 
 def _add_em_flags(p):
@@ -340,7 +348,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mix-drop", type=float, default=None)
     p.add_argument("--mix-spurious", type=float, default=None)
     p.add_argument("--config", default=None, help="run-config file supplying defaults")
-    _add_common(p)
+    _add_retired(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("aggregate", help="infer one label sequence per instance")
@@ -351,7 +359,7 @@ def build_parser() -> _Parser:
     p.add_argument("--ds-iters", type=int, default=None)
     p.add_argument("--ds-tol", type=float, default=None)
     _add_em_flags(p)
-    _add_common(p)
+    _add_retired(p)
     p.set_defaults(func=_cmd_aggregate)
 
     p = sub.add_parser("train", help="fit the sequence model and annotator tables")
@@ -361,14 +369,14 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None, help="accepted for compatibility; output never depends on it")
     p.add_argument("--history-file", default=None, help="write the joint objective after each round")
     _add_em_flags(p)
-    _add_common(p)
+    _add_retired(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("decode", help="label token sequences with a trained model")
     p.add_argument("model", help="model file from train")
     p.add_argument("input", help="token or tag file; only the first column is read")
     p.add_argument("--out", required=True, help="tag file to write")
-    _add_common(p)
+    _add_retired(p)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("evaluate", help="entity-level precision/recall/F1")
@@ -376,7 +384,7 @@ def build_parser() -> _Parser:
     p.add_argument("gold", help="gold tag file")
     p.add_argument("--strict", action="store_true", help="drop spans that start inside an entity")
     p.add_argument("--by-type", action="store_true")
-    _add_common(p)
+    _add_retired(p)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("inspect-lattice", help="show candidate sets for one instance")
@@ -388,7 +396,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--cap", type=int, default=None, help="the 'enumerated' line reports min(valid, cap); default EmConfig.lattice_cap"
     )
-    _add_common(p)
+    _add_retired(p)
     p.set_defaults(func=_cmd_inspect_lattice)
 
     p = sub.add_parser("report-annotators", help="dump learned confusion tables")
@@ -397,7 +405,7 @@ def build_parser() -> _Parser:
     p.add_argument("--annotator", default=None, help="restrict to one annotator id")
     p.add_argument("--context", default=None, help="restrict to one context label (or <bos>)")
     p.add_argument("--truth", default=None, help="restrict to one true label")
-    _add_common(p)
+    _add_retired(p)
     p.set_defaults(func=_cmd_report_annotators)
 
     return parser

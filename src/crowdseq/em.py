@@ -43,9 +43,6 @@ from .crf import (
     CrfModel,
     TrainOptions,
     TrainResult,
-    _Corpus,
-    _Examples,
-    _InputTable,
     build_model,
     expected_counts,
     extract_features,
@@ -53,7 +50,9 @@ from .crf import (
     optimize,
     viterbi,
 )
+from .features import _InputTable
 from .lattice import ValidLattice, candidate_sets, enumerate_valid
+from .objective import _Corpus, _Examples
 from .types import CrowdDataset, CrowdInstance, LabelScheme, validate_dataset
 
 

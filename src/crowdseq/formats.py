@@ -4,7 +4,8 @@ A tag file holds ``token<TAB>label`` lines with exactly one blank line
 between sequences and a trailing newline.  A crowd file starts with an
 ``#annotators: id1,id2,...`` header and carries one label column per
 annotator, where ``_`` marks an annotator who skipped the whole sequence.
-A token file is a tag file of which only the first fields are read.
+A token file is a tag file of which only the first fields are read; one
+that starts with a crowd file's header is refused.
 
 All three go through one block splitter, ``_sentences``, which checks the
 whole text for a blank line first or after another, a trailing blank
@@ -17,7 +18,9 @@ content (bytes that are not UTF-8 by their line alone), and well-formed
 files round-trip byte-exactly through load and save.
 
 Run configs are ``key = value`` lines over a fixed key set; parsing then
-serializing is canonicalizing (sorted keys) and stable.
+serializing is canonicalizing (sorted keys) and stable.  A key that was
+removed (``RETIRED``) is refused by name, with why it went, as the command
+line refuses its flag.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Iterator, Sequence
 from .types import CrowdDataset, CrowdInstance, LabelScheme
 
 ABSENT = "_"
+CROWD_HEADER = "#annotators: "  # a crowd file's first line: this, then the annotator ids
 
 
 class DataError(ValueError):
@@ -186,9 +190,9 @@ def save_conll(path, ds: CrowdDataset) -> None:
 def load_crowd(path, scheme: LabelScheme | None = None) -> CrowdDataset:
     """Crowd file to a dataset with annotations and no gold."""
     header, _, body = _read_text(path).partition("\n")
-    if not header.startswith("#annotators: "):
-        raise DataError(path, 1, "missing '#annotators: ' header", header)
-    roster = tuple(header[len("#annotators: ") :].split(","))
+    if not header.startswith(CROWD_HEADER):
+        raise DataError(path, 1, f"missing {CROWD_HEADER!r} header", header)
+    roster = tuple(header[len(CROWD_HEADER) :].split(","))
     if any(not r or r != r.strip() for r in roster):
         raise DataError(path, 1, "malformed annotator id in header", header)
     if len(set(roster)) != len(roster):
@@ -241,19 +245,22 @@ def save_crowd(path, ds: CrowdDataset) -> None:
                 cols.append(ABSENT if labels is None else ds.scheme.labels[labels[j]])
             lines.append("\t".join(cols))
         blocks.append("\n".join(lines))
-    header = "#annotators: " + ",".join(ds.roster)
+    header = CROWD_HEADER + ",".join(ds.roster)
     Path(path).write_text(header + "\n" + "\n\n".join(blocks) + "\n", encoding="utf-8")
 
 
 def load_tokens(path) -> list[tuple[str, ...]]:
     """Token sequences from a tag file or a bare one-token-per-line file:
-    the first field of each line, which must not be empty.
+    the first field of each line, which must not be empty.  A crowd file,
+    whose header would pass for a token, is refused by its first line.
 
     Once the blocks pass ``_check_blocks`` and no line starts with a tab,
     one regular-expression pass cuts every line's fields after its token,
     and the text is split into blocks and lines: no line is looked at
     alone."""
     text = _read_text(path)
+    if text.startswith(CROWD_HEADER):
+        raise DataError(path, 1, "a crowd file, not a token or tag file", text[: text.find("\n")])
     _check_blocks(path, text)
     tab = ("\n" + text).find("\n\t")  # where a line whose token is empty starts
     if tab >= 0:
@@ -275,7 +282,6 @@ def _parse_bool(text: str) -> bool:
 
 CONFIG_KEYS: dict[str, type] = {
     "seed": int,
-    "threads": int,
     "n_annotators": int,
     "target_precision": float,
     "precision_spread": float,
@@ -299,6 +305,12 @@ CONFIG_KEYS: dict[str, type] = {
 }
 
 
+# keys, and the flags of the same name, that were removed, and why
+RETIRED: dict[str, str] = {
+    "threads": "crowdseq starts no threads of its own, and no output ever depended on it",
+}
+
+
 def parse_config(text: str, path="<config>") -> dict:
     """``key = value`` lines into a typed dict; unknown keys are errors."""
     out: dict = {}
@@ -310,6 +322,8 @@ def parse_config(text: str, path="<config>") -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in RETIRED:
+            raise DataError(path, n, f"config key {key!r} was removed: {RETIRED[key]}", line)
         if key not in CONFIG_KEYS:
             raise DataError(path, n, f"unknown config key {key!r}", line)
         if key in out:

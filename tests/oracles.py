@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 from scipy.special import logsumexp
 
-from crowdseq import DataError, LabelScheme, crf
+from crowdseq import DataError, LabelScheme, crf, features, kernel
 from crowdseq.annotators import resolve_mentions
 from crowdseq.baselines import logsumexp as own_logsumexp
-from crowdseq.crf import BOS_TOKEN, EOS_TOKEN, TEMPLATES, BatchPotentials, extract_features
+from crowdseq.crf import BatchPotentials, extract_features
+from crowdseq.features import BOS_TOKEN, EOS_TOKEN, TEMPLATES
 from crowdseq.formats import read_utf8
 from crowdseq.scoring import EntitySpan
 
@@ -58,10 +59,10 @@ def paths(pots: BatchPotentials) -> list[tuple[int, ...]]:
 
 def marginals(pot: Chain) -> tuple[np.ndarray, np.ndarray]:
     """The label marginals (L, M) and pair marginals (L-1, M, M) of one
-    sequence, from the factors ``crf._forward_backward`` gives a batch of
+    sequence, from the factors ``kernel._forward_backward`` gives a batch of
     one: each pair marginal is ``e * before[:, None] * after[None, :]``."""
-    unary, pairwise, pk = crf._pack(batch(pot))
-    _, uni, before, after, e = crf._forward_backward(unary, pairwise, pk)
+    unary, pairwise, pk = kernel._pack(batch(pot))
+    _, uni, before, after, e = kernel._forward_backward(unary, pairwise, pk)
     return uni, e * before[:, :, None] * after[:, None, :]
 
 
@@ -173,7 +174,7 @@ def string_obs_index(token_seqs) -> dict[str, int]:
     once per token type (and the BOS/EOS token after them), spread over the
     positions as one (P, T) object array, and interned row-major by
     ``dict.fromkeys``."""
-    table = crf._InputTable(list(token_seqs))
+    table = features._InputTable(list(token_seqs))
     columns = []
     for tpl in TEMPLATES:
         reads = table.types + ([BOS_TOKEN if tpl.offset < 0 else EOS_TOKEN] if tpl.offset else [])
@@ -434,10 +435,10 @@ def sorted_objective(model, data, l2: float):
     m = model.scheme.size
     kept = [(tokens, w * uni, w * pair, w) for tokens, (uni, pair), w in data if w > 0]
     kept.sort(key=lambda e: -len(e[0]))
-    pk = crf._Packing([len(tokens) for tokens, _, _, _ in kept])
+    pk = kernel._Packing([len(tokens) for tokens, _, _, _ in kept])
     seq_w = np.array([w for _, _, _, w in kept])
     row_w = seq_w[pk.row_seq, None]
-    ids = crf._InputTable([tokens for tokens, _, _, _ in kept]).look_up(model).ids()[pk.from_concat]
+    ids = features._InputTable([tokens for tokens, _, _, _ in kept]).look_up(model).ids()[pk.from_concat]
     entry_rows, tpl = np.nonzero(ids >= 0)
     bins = (ids[entry_rows, tpl][:, None] * m + np.arange(m)).ravel()
 
@@ -450,7 +451,7 @@ def sorted_objective(model, data, l2: float):
     def value_and_grad(theta):
         nu = model.n_obs * m
         wu, wb = theta[:nu].reshape(model.n_obs, m), theta[nu:].reshape(m, m)
-        logz, uni, before, after, e = crf._forward_backward(crf._unary_table(wu, ids), wb, pk)
+        logz, uni, before, after, e = kernel._forward_backward(features._unary_table(wu, ids), wb, pk)
         value = float(seq_w @ logz) - float((wu * emp_u).sum()) - float((wb * emp_b).sum())
         pair = e * ((before * row_w[pk.later]).T @ after)
         grad = np.concatenate([(scatter(row_w * uni) - emp_u).ravel(), (pair - emp_b).ravel()])
@@ -615,14 +616,16 @@ def loop_ds_fit(ds, iters: int = 100, tol: float = 1e-8, smoothing: float = 1.0)
 def line_walk_tokens(path) -> list[tuple[str, ...]]:
     """Token sequences of a tag or token file by a walk over its numbered
     lines, with the errors and line numbers ``formats.load_tokens`` must
-    give: a blank line first or after another, a trailing blank line, then
-    the first empty token."""
+    give: a first line that is a crowd file's header, a blank line first or
+    after another, a trailing blank line, then the first empty token."""
     text = read_utf8(path)
     if not text:
         raise DataError(path, None, "empty file")
     if not text.endswith("\n"):
         raise DataError(path, None, "missing trailing newline")
     lines = text.split("\n")[:-1]
+    if lines[0].startswith("#annotators: "):
+        raise DataError(path, 1, "a crowd file, not a token or tag file", lines[0])
     blocks: list[list[tuple[int, str]]] = []
     current: list[tuple[int, str]] = []
     for n, line in enumerate(lines, start=1):

@@ -30,7 +30,7 @@ from crowdseq import (
     save_model,
     simulate,
 )
-from crowdseq import cli, crf, em
+from crowdseq import cli, crf, em, features, formats
 from crowdseq.cli import build_parser, main
 from crowdseq.crf import load_model
 
@@ -367,6 +367,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {model_path}, line 4: expected {TEMPLATES_LINE!r}\n"
         assert not (tmp_path / "out.tsv").exists()
 
+    def test_decode_refuses_a_crowd_file(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "out.tsv"
+        assert main(["decode", str(pipeline["model"]), str(pipeline["crowd"]), "--out", str(out)]) == 2
+        header = pipeline["crowd"].read_text(encoding="utf-8").split("\n")[0]
+        assert header.startswith("#annotators: ")
+        want = f"error: {pipeline['crowd']}, line 1: a crowd file, not a token or tag file: {header!r}\n"
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+
     @pytest.mark.parametrize("version", ["v1", "v2", "v3"])
     def test_decode_refuses_a_retired_model_format(self, tmp_path, capsys, version):
         model_path, tokens_path = tiny_model(tmp_path)
@@ -385,7 +394,7 @@ class TestExitCodes:
         model_path, tokens_path = tmp_path / "model.bin", tmp_path / "tokens.txt"
         save_model(model, model_path)
         tokens_path.write_text("name7\nWord3x\n\n12\nzzz\n", encoding="utf-8")
-        fired = crf._InputTable(load_tokens(tokens_path)).number()
+        fired = features._InputTable(load_tokens(tokens_path)).number()
         hashed = []
         name_hash = crf._name_hash
         monkeypatch.setattr(crf, "_name_hash", lambda name: hashed.append(name) or name_hash(name))
@@ -397,21 +406,25 @@ class TestExitCodes:
         model_path, tokens_path = tiny_model(tmp_path)
         n_types = len({tok for tokens in load_tokens(tokens_path) for tok in tokens})
         calls = []
-        pieces = crf.FeatureTemplate.pieces
+        pieces = features.FeatureTemplate.pieces
 
         def spy(tpl, toks):
             calls.append((tpl, len(toks)))
             return pieces(tpl, toks)
 
-        monkeypatch.setattr(crf.FeatureTemplate, "pieces", spy)
+        monkeypatch.setattr(features.FeatureTemplate, "pieces", spy)
         assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 0
         # one call per template, over the token types (and a neighbour template's BOS/EOS token)
-        assert sorted(calls, key=repr) == sorted(((tpl, n_types + abs(tpl.offset)) for tpl in crf.TEMPLATES), key=repr)
+        assert sorted(calls, key=repr) == sorted(((tpl, n_types + abs(tpl.offset)) for tpl in features.TEMPLATES), key=repr)
 
     def test_decode_imports_only_what_it_runs(self, tmp_path):
         model_path, tokens_path = tiny_model(tmp_path)
         loaded = modules_after(["decode", str(model_path), str(tokens_path), "--out", "out.tsv"], tmp_path)
-        assert loaded == {"crowdseq", "crowdseq.cli", "crowdseq.crf", "crowdseq.formats", "crowdseq.types"}
+        # the model-file reader, and never the training objective
+        assert loaded == {
+            "crowdseq", "crowdseq.cli", "crowdseq.crf", "crowdseq.features", "crowdseq.formats", "crowdseq.kernel",
+            "crowdseq.modelfile", "crowdseq.types",
+        }
         assert load_tokens(tmp_path / "out.tsv") == load_tokens(tokens_path)
 
     @pytest.mark.parametrize("command", ["train", "aggregate"])
@@ -422,9 +435,10 @@ class TestExitCodes:
         }[command]
         fast = ["--seed", "5", "--max-iters", "1", "--init-max-iter", "3", "--inner-max-iter", "2"]
         loaded = modules_after([command, str(pipeline["crowd"]), *outputs, *fast], tmp_path)
-        assert {"crowdseq.em", "crowdseq.lattice"} <= loaded
-        # nothing draws a random number, and the lattice compares in integers
-        assert not loaded & {"crowdseq.baselines", *WATCHED_MODULES}
+        assert {"crowdseq.em", "crowdseq.lattice", "crowdseq.objective"} <= loaded
+        # nothing draws a random number, the lattice compares in integers, and
+        # writing the model needs no model-file reader
+        assert not loaded & {"crowdseq.baselines", "crowdseq.modelfile", *WATCHED_MODULES}
 
     @pytest.mark.parametrize(
         "argv, stderr",
@@ -609,12 +623,108 @@ class TestExitCodes:
         assert why in captured.err
 
 
+class TestTracedNames:
+    """The benchmark's tracer (perfbench/tracing.py) replaces functions on the
+    module a caller looks them up on; the program must reach them there at
+    call time, and a span must hold all of its layer's work."""
+
+    @staticmethod
+    def spies(monkeypatch, owner, names, log):
+        for name in names:
+            def spy(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                log.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+
+    def test_em_holds_the_crf_functions_the_tracer_wraps_on_it(self):
+        for name in ("optimize", "extract_features", "log_partition"):
+            assert getattr(em, name) is getattr(crf, name)
+
+    def test_train_fits_through_crf_minimize_and_saves_through_crf_save_model(self, pipeline, tmp_path, monkeypatch):
+        log = []
+        self.spies(monkeypatch, em, ["optimize"], log)
+        self.spies(monkeypatch, crf, ["minimize", "save_model"], log)
+        model = tmp_path / "model.bin"
+        argv = ["train", str(pipeline["crowd"]), "--model-out", str(model), "--annotators-out", str(tmp_path / "a.tsv"),
+                "--max-iters", "2", "--init-max-iter", "3", "--inner-max-iter", "2"]
+        assert main(argv) == 0
+        # the seed fit and two M-steps, each one L-BFGS run, then one save
+        assert log == ["optimize", "minimize"] * 3 + ["save_model"]
+        assert load_model(model).weights.size
+
+    def test_decode_reaches_crf_load_model_extract_features_and_viterbi(self, tmp_path, monkeypatch):
+        model_path, tokens_path = tiny_model(tmp_path)
+        log = []
+        self.spies(monkeypatch, crf, ["load_model", "extract_features", "viterbi"], log)
+        assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 0
+        assert log == ["load_model", "extract_features", "viterbi"]
+
+    def test_decode_reads_the_model_inside_load_model(self, tmp_path):
+        # numbering the input, importing the reader, finding the names and
+        # reading the weights all happen inside the one load_model call
+        model_path, tokens_path = tiny_model(tmp_path)
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(crowdseq.__file__).parents[1])!r})\n"
+            "from crowdseq import crf, features\n"
+            "from crowdseq.cli import main\n"
+            "log, inside = [], []\n"
+            "def load_model(*args, _fn=crf.load_model):\n"
+            "    inside.append(1)\n"
+            "    log.append(('enter', 'crowdseq.modelfile' in sys.modules))\n"
+            "    try:\n"
+            "        return _fn(*args)\n"
+            "    finally:\n"
+            "        inside.pop()\n"
+            "        log.append(('exit', 'crowdseq.modelfile' in sys.modules))\n"
+            "crf.load_model = load_model\n"
+            "def number(self, _fn=features._InputTable.number):\n"
+            "    log.append(('number', bool(inside)))\n"
+            "    return _fn(self)\n"
+            "features._InputTable.number = number\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'crowdseq.modelfile':\n"
+            "            log.append(('import', bool(inside)))\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            f"assert main({['decode', str(model_path), str(tokens_path), '--out', 'out.tsv']!r}) == 0\n"
+            "print(log)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[0] == str([("enter", False), ("import", True), ("number", True), ("exit", True)])
+
+    def test_the_reader_finds_the_names_and_reads_the_weights_inside_load_model(self, tmp_path, monkeypatch):
+        from crowdseq import modelfile
+
+        model_path, tokens_path = tiny_model(tmp_path)
+        log, inside = [], []
+
+        def load_model(*args, _fn=crf.load_model):
+            inside.append(1)
+            try:
+                return _fn(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(crf, "load_model", load_model)
+        for owner, name in ((modelfile._NameBlock, "find"), (modelfile, "_read_weights")):
+            def spy(*args, _fn=getattr(owner, name), _name=name):
+                log.append((_name, bool(inside)))
+                return _fn(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+        assert main(["decode", str(model_path), str(tokens_path), "--out", str(tmp_path / "out.tsv")]) == 0
+        assert log == [("find", True), ("_read_weights", True)]
+
+
 class TestPipelineProducts:
     def test_saslc_featurizes_the_corpus_once_per_round_plus_once(
         self, pipeline, tmp_path, capsys, monkeypatch
     ):
         calls = {"extract_features": 0, "number": 0}
-        for owner, name in ((em, "extract_features"), (crf._InputTable, "number")):
+        for owner, name in ((em, "extract_features"), (features._InputTable, "number")):
             def counted(*args, _fn=getattr(owner, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
@@ -683,7 +793,7 @@ class TestPipelineProducts:
     def test_the_model_file_names_the_one_feature_set(self, pipeline):
         line = pipeline["model"].read_bytes().split(b"\n")[3].decode()
         assert line == TEMPLATES_LINE
-        assert line == "\t".join(["templates", *(tpl.spec_string for tpl in crf.TEMPLATES), "label-bigram"])
+        assert line == "\t".join(["templates", *(tpl.spec_string for tpl in features.TEMPLATES), "label-bigram"])
 
     def test_model_and_annotators_files_load(self, pipeline):
         model = load_model(pipeline["model"])
@@ -928,14 +1038,22 @@ class TestDeterminismAndConfig:
             products[name] = (out.read_bytes(), capsys.readouterr().out)
         assert products["flags"] == products["none"] == products["config"]
 
-    def test_threads_flag_is_accepted_and_ignored(self, pipeline, tmp_path, capsys):
-        a = tmp_path / "a.tsv"
-        b = tmp_path / "b.tsv"
-        assert main(["aggregate", str(pipeline["crowd"]), "--method", "mv", "--out", str(a)]) == 0
-        assert main(["aggregate", str(pipeline["crowd"]), "--method", "mv",
-                     "--out", str(b), "--threads", "8"]) == 0
-        capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize(
+        "command", ["simulate", "aggregate", "train", "decode", "evaluate", "inspect-lattice", "report-annotators"]
+    )
+    def test_the_removed_threads_flag_is_refused_by_name(self, command, capsys):
+        why = formats.RETIRED["threads"]
+        for flag in (["--threads", "8"], ["--threads"], ["--threads=8"]):
+            assert main([command, *flag]) == 1
+            assert capsys.readouterr().err.endswith(f"crowdseq {command}: error: --threads was removed: {why}\n")
+
+    def test_the_removed_threads_key_is_refused_by_name(self, pipeline, tmp_path, capsys):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "mv.tsv"
+        cfg.write_text("threads = 8\n", encoding="utf-8")
+        assert main(["aggregate", str(pipeline["crowd"]), "--method", "mv", "--out", str(out), "--config", str(cfg)]) == 2
+        why = formats.RETIRED["threads"]
+        assert capsys.readouterr().err == f"error: {cfg}, line 1: config key 'threads' was removed: {why}: 'threads = 8'\n"
+        assert not out.exists()
 
     def test_config_file_supplies_defaults_and_flags_win(self, pipeline, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

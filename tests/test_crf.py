@@ -57,11 +57,11 @@ from crowdseq import (
     viterbi,
     weighted_nll_and_gradient,
 )
-from crowdseq import crf
-from crowdseq.crf import BOS_TOKEN, EOS_TOKEN
+from crowdseq import crf, features, kernel, modelfile, objective
+from crowdseq.features import BOS_TOKEN, EOS_TOKEN
 
 SCHEME = LabelScheme.bio(("LOC", "PER"))
-TEMPLATE = {tpl.spec_string: tpl for tpl in crf.TEMPLATES}
+TEMPLATE = {tpl.spec_string: tpl for tpl in features.TEMPLATES}
 
 
 def small_model():
@@ -149,7 +149,7 @@ class TestTemplates:
 class TestBuildModel:
     def test_unseen_observation_contributes_nothing(self):
         model = build_model(SCHEME, [("alpha", "beta")])
-        (ids,) = crf._InputTable([("gamma",)]).look_up(model).ids()
+        (ids,) = features._InputTable([("gamma",)]).look_up(model).ids()
         known = set(model.obs_index.values())
         assert all(r in known for r in ids[ids >= 0])
         # gamma itself was never interned, so its identity template fires nothing
@@ -198,14 +198,14 @@ class TestBuildModel:
         assert list(model.obs_index.items()) == list(string_obs_index(seqs).items())
         for batch in (seqs, other):  # look_up: each template's observation at each position, looked up alone
             want = [
-                [model.obs_index.get(position_observation(tpl, tokens, t), -1) for tpl in crf.TEMPLATES]
+                [model.obs_index.get(position_observation(tpl, tokens, t), -1) for tpl in features.TEMPLATES]
                 for tokens in batch for t in range(len(tokens))
             ]
-            assert crf._InputTable(batch).look_up(model).ids().tolist() == want
+            assert features._InputTable(batch).look_up(model).ids().tolist() == want
         # given a table, build_model leaves it as look_up leaves one
-        table = crf._InputTable(seqs)
+        table = features._InputTable(seqs)
         assert list(build_model(SCHEME, table).obs_index.items()) == list(model.obs_index.items())
-        looked = crf._InputTable(seqs).look_up(model)
+        looked = features._InputTable(seqs).look_up(model)
         assert [(off, col.tolist()) for off, col in table.columns] == [(off, col.tolist()) for off, col in looked.columns]
 
 
@@ -267,7 +267,7 @@ class TestFeatures:
 
     def test_rows_match_the_per_position_template_loop(self):
         model, sentences = self.edge_batch()
-        got = [row[row >= 0].tolist() for row in crf._InputTable(sentences).look_up(model).ids()]
+        got = [row[row >= 0].tolist() for row in features._InputTable(sentences).look_up(model).ids()]
         want = [r.tolist() for tokens in sentences for r in loop_observation_rows(model, tokens)]
         assert got == want
         wu = model.unary_weights()
@@ -457,9 +457,9 @@ class TestBatchedLogPartition:
         # packing, made once as EM makes its corpus's, is the one used
         pots = masked_batch(np.random.default_rng(23), [3, 5, 1, 5, 3, 2, 3, 1], 4)
         plain = batch(*pots)
-        preset = replace(plain, pack=crf._Packing(plain.lengths))
+        preset = replace(plain, pack=kernel._Packing(plain.lengths))
         want = [log_partition(plain), *expected_counts(plain), viterbi(plain)]
-        monkeypatch.setattr(crf, "_Packing", None)  # no entry point may pack the batch again
+        monkeypatch.setattr(kernel, "_Packing", None)  # no entry point may pack the batch again
         got = [log_partition(preset), *expected_counts(preset), viterbi(preset)]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
@@ -704,7 +704,7 @@ class TestGradient:
         rng = np.random.default_rng(4)
         gold = make_gold(30, seed=4)
         model = build_model(gold.scheme, [inst.tokens for inst in gold.instances])
-        corpus = crf._Corpus(model, crf._InputTable([inst.tokens for inst in gold.instances]).look_up(model))
+        corpus = objective._Corpus(model, features._InputTable([inst.tokens for inst in gold.instances]).look_up(model))
         m = model.scheme.size
         wu = rng.normal(size=(model.n_obs, m))
         table = rng.random((len(corpus.ids), m))
@@ -714,7 +714,7 @@ class TestGradient:
                 if o >= 0:
                     want_unary[p] += wu[o]
                     want_scatter[o] += table[p]
-        assert crf._unary_table(wu, corpus.ids).tobytes() == want_unary.tobytes()
+        assert features._unary_table(wu, corpus.ids).tobytes() == want_unary.tobytes()
         assert corpus.scatter(table).tobytes() == want_scatter.tobytes()
 
     def fd_check(self, model, data, l2, rng, n_coords=10):
@@ -894,7 +894,7 @@ def cosh_with_a_step(x):
 
 def separable_fit():
     model, data = separable_data()
-    return crf._WeightedObjective(crf._examples(model, data), l2=0.01).value_and_grad, model.weights
+    return objective._WeightedObjective(objective._examples(model, data), l2=0.01).value_and_grad, model.weights
 
 
 def rosenbrock_50():
@@ -1025,18 +1025,18 @@ class TestOptimize:
     @pytest.mark.parametrize("case", ["converged", "iteration-limit", "line-search-failure"])
     def test_objective_and_gradient_norm_are_those_at_the_returned_weights(self, case, monkeypatch):
         if case == "line-search-failure":
-            true_value_and_grad = crf._WeightedObjective.value_and_grad
+            true_value_and_grad = objective._WeightedObjective.value_and_grad
 
             def uphill_below_5(self, theta):
                 # one iteration, then the line search gives up away from the iterate
                 value, grad = true_value_and_grad(self, theta)
                 return value, -grad if value < 5.0 else grad
 
-            monkeypatch.setattr(crf._WeightedObjective, "value_and_grad", uphill_below_5)
+            monkeypatch.setattr(objective._WeightedObjective, "value_and_grad", uphill_below_5)
         model, data = separable_data()
         opts = TrainOptions(max_iter=3 if case == "iteration-limit" else 200, l2=0.01)
         res = optimize(model, data, opts)
-        value, grad = crf._WeightedObjective(crf._examples(model, data), opts.l2).value_and_grad(res.model.weights)
+        value, grad = objective._WeightedObjective(objective._examples(model, data), opts.l2).value_and_grad(res.model.weights)
         assert res.objective == value
         assert res.grad_norm == float(np.abs(grad).max())
         assert (res.converged, res.warning) == {
@@ -1075,7 +1075,7 @@ def assert_loads_for(path, whole, tokens):
         assert got.weights.tobytes() == whole.weights.tobytes()
         return
     tokens = list(tokens)
-    table = crf._InputTable(tokens)
+    table = features._InputTable(tokens)
     got = load_model(path, table)
     assert list(got.obs_index.values()) == list(range(got.n_obs))
     assert got.obs_index.keys() == fired_observations(tokens)
@@ -1086,7 +1086,7 @@ def assert_loads_for(path, whole, tokens):
     assert got.bigram_weights().tobytes() == whole.bigram_weights().tobytes()
     if tokens:
         with np.errstate(invalid="ignore"):  # inf - inf in an edge-value row gives NaN alike
-            unary = crf._unary_table(got.unary_weights(), table.ids())
+            unary = features._unary_table(got.unary_weights(), table.ids())
             want = extract_features(whole, tokens).unary
         assert unary.tobytes() == want.tobytes()
 
@@ -1150,8 +1150,8 @@ class TestPersistence:
         """``small_model()`` saved, its names read 16 bytes at a time and its
         weights three rows at a time: the path and the file's parts
         (``model_file_parts``)."""
-        monkeypatch.setattr(crf, "_CHUNK_LINES", 3)
-        monkeypatch.setattr(crf, "_NAME_BYTES", 16)
+        monkeypatch.setattr(modelfile, "_CHUNK_LINES", 3)
+        monkeypatch.setattr(modelfile, "_NAME_BYTES", 16)
         path = tmp_path / "m.bin"
         save_model(small_model(), path)
         return (path, *model_file_parts(path))
@@ -1180,8 +1180,8 @@ class TestPersistence:
     @pytest.mark.parametrize("decode_for", ["whole", "its own sentence", "edges only"])
     def test_names_keep_characters_that_splitlines_ends_a_line_at(self, tmp_path, monkeypatch, decode_for):
         # \x0b, \x0c, \x1c-\x1f, \x85, \u2028 and \u2029 end a line for str.splitlines, never for the reader
-        monkeypatch.setattr(crf, "_CHUNK_LINES", 4)
-        monkeypatch.setattr(crf, "_NAME_BYTES", 8)
+        monkeypatch.setattr(modelfile, "_CHUNK_LINES", 4)
+        monkeypatch.setattr(modelfile, "_NAME_BYTES", 8)
         sentence = ("a\u2028b", "\x85", "x\x0by", "\x1c\x1d", "\x1e\x1fZ", "\x0c\u2029", "café", "名前")
         model = build_model(SCHEME, [sentence])
         model.weights[:] = np.random.default_rng(3).normal(size=model.dim)
@@ -1302,7 +1302,7 @@ class TestPersistence:
     @pytest.mark.parametrize("decode_for", ["every row", "some rows", "edges only"])
     def test_names_that_share_a_hash_decode_alike(self, tmp_path, monkeypatch, name_hash, decode_for):
         monkeypatch.setattr(crf, "_name_hash", name_hash)
-        monkeypatch.setattr(crf, "_NAME_BYTES", 16)
+        monkeypatch.setattr(modelfile, "_NAME_BYTES", 16)
         model = build_model(SCHEME, [("alice", "saw", "paris")])
         model.weights[:] = np.random.default_rng(4).normal(size=model.dim)
         path = tmp_path / "m.bin"
@@ -1347,8 +1347,8 @@ class TestPersistence:
         weights = data.draw(st.lists(st.one_of(edge, st.floats(allow_nan=False)), min_size=model.dim, max_size=model.dim))
         model.weights = np.array(weights, dtype=float)
         with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-            mp.setattr(crf, "_CHUNK_LINES", chunk)
-            mp.setattr(crf, "_NAME_BYTES", name_bytes)
+            mp.setattr(modelfile, "_CHUNK_LINES", chunk)
+            mp.setattr(modelfile, "_NAME_BYTES", name_bytes)
             save_model(model, Path(tmp, "m.tsv"))
             loaded = load_model(Path(tmp, "m.tsv"))
         assert loaded.weights.tobytes() == model.weights.tobytes()
@@ -1371,8 +1371,8 @@ class TestPersistence:
         # modulus makes names share a hash, names cross slice edges;
         # prefixes and suffixes of multi-byte tokens are cut by character
         with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-            mp.setattr(crf, "_CHUNK_LINES", chunk)
-            mp.setattr(crf, "_NAME_BYTES", name_bytes)
+            mp.setattr(modelfile, "_CHUNK_LINES", chunk)
+            mp.setattr(modelfile, "_NAME_BYTES", name_bytes)
             if modulus is not None:
                 mp.setattr(crf, "_name_hash", lambda name: zlib.crc32(name) % modulus)
             model = build_model(SCHEME, [("alice", "saw", "paris"), ("a", "1984", "b"), ("Ñandú", "é", "日本語", "Paris")])
@@ -1384,10 +1384,10 @@ class TestPersistence:
             assert decode_file(path, iter(seqs)) == (whole.scheme, decode_flat(whole, seqs))
             assert_loads_for(path, whole, seqs)
             assert_loads_for(path, whole, [("qq",)])
-            table = crf._InputTable(seqs)
+            table = features._InputTable(seqs)
             got = load_model(path, table)
             unary = extract_features(got, table).unary
-            assert unary.tobytes() == crf._unary_table(got.unary_weights(), table.ids()).tobytes()
+            assert unary.tobytes() == features._unary_table(got.unary_weights(), table.ids()).tobytes()
 
     def test_decode_file_of_an_input_that_fires_no_row(self, tmp_path):
         # a file whose names the input never fires, not even at the sentence edges
@@ -1395,7 +1395,7 @@ class TestPersistence:
         model.weights = np.random.default_rng(5).normal(size=model.dim)
         save_model(model, tmp_path / "m.bin")
         tokens = [("qq", "Saw"), ("A",)]
-        got = load_model(tmp_path / "m.bin", crf._InputTable(tokens))
+        got = load_model(tmp_path / "m.bin", features._InputTable(tokens))
         assert not got.unary_weights().any() and got.bigram_weights().tobytes() == model.bigram_weights().tobytes()
         assert_loads_for(tmp_path / "m.bin", model, tokens)
         assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, decode_flat(model, tokens))
@@ -1460,7 +1460,7 @@ class TestPersistence:
         model = small_model()
         save_model(model, tmp_path / "m.bin")
         tokens = [(token, "a"), ("b", token)]
-        got = load_model(tmp_path / "m.bin", crf._InputTable(tokens))
+        got = load_model(tmp_path / "m.bin", features._InputTable(tokens))
         assert not got.unary_weights()[[got.obs_index["w=" + token], got.obs_index["wl=" + token]]].any()
         assert decode_file(tmp_path / "m.bin", tokens) == (SCHEME, decode_flat(model, tokens))
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from corpus import SCHEME, make_gold, split
-from crowdseq import crf, em
+from crowdseq import crf, em, features, objective
 from crowdseq import (
     CrowdDataset,
     CrowdInstance,
@@ -195,7 +195,7 @@ class TestInitialize:
     def test_the_seed_fit_lies_over_the_fit_s_corpus(self, monkeypatch):
         ds = self.with_an_unlabeled_instance()
         state, _, data = self.seed_fit(monkeypatch, ds)
-        assert isinstance(data, crf._Examples) and data.corpus is state.corpus
+        assert isinstance(data, objective._Examples) and data.corpus is state.corpus
         # weight 1 for each labeled instance, 0 for the one nobody labeled, in packed order
         want = [1.0 if ds.instances[i].annotations else 0.0 for i in state.corpus.pack.order]
         assert data.weights.tolist() == want and 0.0 in want
@@ -208,7 +208,7 @@ class TestInitialize:
             state, model, data = self.seed_fit(monkeypatch, ds)
             triples = [(inst.tokens, mv_token(inst), 1.0) for inst in ds.instances if inst.annotations]
             l2 = state.cfg.l2_penalty
-            got, want = crf._WeightedObjective(data, l2), crf._WeightedObjective(crf._examples(model, triples), l2)
+            got, want = objective._WeightedObjective(data, l2), objective._WeightedObjective(objective._examples(model, triples), l2)
             for theta in (model.weights, rng.normal(size=model.dim)):
                 (value, grad), (want_value, want_grad) = got.value_and_grad(theta), want.value_and_grad(theta)
                 if exact:
@@ -492,8 +492,8 @@ class TestMStep:
         rng = np.random.default_rng(seed)
         for theta in (model.weights, model.weights + rng.normal(size=model.dim)):
             want_value, want_grad = reference(theta)
-            for examples in (passed[0], crf._examples(model, triples)):
-                value, grad = crf._WeightedObjective(examples, l2).value_and_grad(theta)
+            for examples in (passed[0], objective._examples(model, triples)):
+                value, grad = objective._WeightedObjective(examples, l2).value_and_grad(theta)
                 assert value == want_value and grad.tobytes() == want_grad.tobytes()
 
     def test_improves_the_joint_objective(self):
@@ -573,7 +573,7 @@ class TestFit:
     def test_scores_the_corpus_once_per_round_plus_once(self, monkeypatch):
         crowd, _ = self.make_noisy()
         calls = {"extract_features": 0, "log_partition": 0, "number": 0}
-        for owner, name in ((em, "extract_features"), (em, "log_partition"), (crf._InputTable, "number")):
+        for owner, name in ((em, "extract_features"), (em, "log_partition"), (features._InputTable, "number")):
             def counted(*args, _fn=getattr(owner, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
@@ -591,13 +591,13 @@ class TestFit:
         rounds = 3
         cfg = EmConfig(max_iters=rounds, rel_tol=0.0, init_max_iter=20, inner_max_iter=6)
         builds = []
-        init = crf._InputTable.__init__
+        init = features._InputTable.__init__
 
         def counted(table, token_seqs):
             builds.append(len(token_seqs))
             init(table, token_seqs)
 
-        monkeypatch.setattr(crf._InputTable, "__init__", counted)
+        monkeypatch.setattr(features._InputTable, "__init__", counted)
         r = fit(crowd, cfg)
         assert r.iterations == rounds
         # one, in initialize: build_model's, which the seed fit and every round read
@@ -606,7 +606,7 @@ class TestFit:
         tokens = [inst.tokens for inst in crowd.instances]
 
         def fresh(model, _inputs):  # the corpus looked up again on every call
-            return crf.extract_features(model, crf._InputTable(tokens).look_up(model))
+            return crf.extract_features(model, features._InputTable(tokens).look_up(model))
 
         monkeypatch.setattr(em, "extract_features", fresh)
         again = fit(crowd, cfg)

@@ -22,7 +22,7 @@ from crowdseq import (
     save_tagged,
     serialize_config,
 )
-from crowdseq.formats import CONFIG_KEYS
+from crowdseq.formats import CONFIG_KEYS, RETIRED
 from oracles import line_walk_tokens
 
 SCHEME = LabelScheme.bio(("LOC", "PER"))
@@ -225,6 +225,14 @@ class TestTokens:
         with pytest.raises(DataError, match="empty token"):
             load_tokens(p)
 
+    def test_a_crowd_file_is_refused_by_its_header(self, tmp_path):
+        p = tmp_path / "crowd.tsv"
+        p.write_text(CROWD_TEXT, encoding="utf-8")
+        header = CROWD_TEXT.split("\n")[0]
+        want = f"{p}, line 1: a crowd file, not a token or tag file: {header!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(want)}$"):
+            load_tokens(p)
+
 
 class TestNotUtf8:
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -272,7 +280,9 @@ class TestTokensParity:
             ("Anna\tO\n\nleft\tO\n\n\nParis\tO\n", 5),
             ("Anna\tO\nleft\tO\n\n", 3),
             ("Anna\tO\n\tO\n", 2),
-            ("#annotators: u\n", None),  # one sentence of one token
+            ("#annotators: u\n", 1),  # a crowd file's header
+            ("#annotators: u\n\n", 1),  # refused before its blocks are checked
+            ("#annotators:\tu\n", None),  # no header: one sentence of one token
             ("Anna\tO\n\nleft\tO\tx\n", None),  # any number of fields
         ],
     )
@@ -328,8 +338,14 @@ class TestConfig:
             parse_config(text)
 
     def test_serialize_is_sorted_and_canonical(self):
-        text = serialize_config({"threads": 4, "seed": 1, "normalize_consistency": False})
-        assert text == "normalize_consistency = false\nseed = 1\nthreads = 4\n"
+        text = serialize_config({"max_iters": 4, "seed": 1, "normalize_consistency": False})
+        assert text == "max_iters = 4\nnormalize_consistency = false\nseed = 1\n"
+
+    def test_a_removed_key_is_refused_by_name(self):
+        want = f"<config>, line 2: config key 'threads' was removed: {RETIRED['threads']}: 'threads = 4'"
+        with pytest.raises(DataError, match=f"^{re.escape(want)}$"):
+            parse_config("seed = 1\nthreads = 4\n")
+        assert "threads" not in CONFIG_KEYS
 
     def test_serialize_casts_to_the_declared_type(self):
         assert serialize_config({"smoothing": 1}) == "smoothing = 1.0\n"
